@@ -138,10 +138,6 @@ pub fn build_matching_values(
     workload: &Workload,
     placement: &ProcessPlacement,
 ) -> MatchingValues {
-    // Location cache: chunk -> (locations, size), looked up once per chunk.
-    // Ordered maps keep every traversal deterministic (matching inputs feed
-    // the bit-exactness assertions downstream).
-    let mut cache: BTreeMap<ChunkId, (Vec<opass_dfs::NodeId>, u64)> = BTreeMap::new();
     let mut values = MatchingValues::new(placement.n_procs(), workload.len());
     // node -> procs on it, precomputed.
     let mut procs_on: BTreeMap<opass_dfs::NodeId, Vec<usize>> = BTreeMap::new();
@@ -153,19 +149,13 @@ pub fn build_matching_values(
     }
     for (task_idx, task) in workload.tasks.iter().enumerate() {
         for &chunk in &task.inputs {
-            let (locations, size) = cache
-                .entry(chunk)
-                .or_insert_with(|| {
-                    let meta = namenode
-                        .chunk(chunk)
-                        .expect("workload references unknown chunk");
-                    (meta.locations.clone(), meta.size)
-                })
-                .clone();
-            for node in locations {
-                if let Some(procs) = procs_on.get(&node) {
+            let meta = namenode
+                .chunk(chunk)
+                .expect("workload references unknown chunk");
+            for node in &meta.locations {
+                if let Some(procs) = procs_on.get(node) {
                     for &p in procs {
-                        values.add(p, task_idx, size);
+                        values.add(p, task_idx, meta.size);
                     }
                 }
             }

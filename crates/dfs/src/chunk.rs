@@ -1,6 +1,7 @@
 //! Chunk and dataset metadata.
 
 use crate::ids::{ChunkId, DatasetId, NodeId};
+use crate::replicas::Replicas;
 
 /// The HDFS default chunk size used throughout the paper: 64 MB.
 pub const DEFAULT_CHUNK_SIZE: u64 = 64 * 1024 * 1024;
@@ -17,7 +18,7 @@ pub struct ChunkMeta {
     /// Size in bytes (≤ the configured chunk size).
     pub size: u64,
     /// Nodes holding a replica, sorted, no duplicates.
-    pub locations: Vec<NodeId>,
+    pub locations: Replicas,
 }
 
 impl ChunkMeta {
@@ -119,7 +120,7 @@ mod tests {
             dataset: DatasetId(0),
             index_in_dataset: 0,
             size: 64,
-            locations: vec![NodeId(1), NodeId(5), NodeId(9)],
+            locations: vec![NodeId(1), NodeId(5), NodeId(9)].into(),
         };
         assert!(c.is_on(NodeId(5)));
         assert!(!c.is_on(NodeId(2)));

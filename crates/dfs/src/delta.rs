@@ -19,6 +19,7 @@
 
 use crate::ids::{ChunkId, NodeId};
 use crate::layout::ChunkLayout;
+use crate::replicas::Replicas;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One namenode layout mutation, as appended to the event journal.
@@ -31,7 +32,7 @@ pub enum LayoutEvent {
         /// Its size in bytes.
         size: u64,
         /// Initial replica holders, sorted.
-        locations: Vec<NodeId>,
+        locations: Replicas,
     },
     /// A replica of `chunk` was created on `node`.
     ReplicaAdded {
@@ -154,8 +155,6 @@ impl LayoutDelta {
         // too (fold the failure into the final location sets).
         for entry in &mut self.files_added {
             entry.locations.retain(|n| !failed.contains(n));
-            entry.locations.sort_unstable();
-            entry.locations.dedup();
         }
     }
 
@@ -249,10 +248,7 @@ impl LayoutDelta {
                 }
                 LayoutEvent::ReplicaAdded { chunk, node } => {
                     if let Some(entry) = born.get_mut(chunk) {
-                        let pos = entry.locations.partition_point(|&n| n < *node);
-                        if entry.locations.get(pos) != Some(node) {
-                            entry.locations.insert(pos, *node);
-                        }
+                        entry.locations.insert(*node);
                     } else if in_scope(*chunk) {
                         *net.entry((*chunk, *node)).or_insert(0) += 1;
                     }
@@ -334,7 +330,7 @@ mod tests {
             LayoutEvent::ChunkAdded {
                 chunk: ChunkId(9),
                 size: 64,
-                locations: vec![NodeId(0), NodeId(1)],
+                locations: vec![NodeId(0), NodeId(1)].into(),
             },
             LayoutEvent::ReplicaAdded {
                 chunk: ChunkId(9),

@@ -5,11 +5,17 @@
 //! mutations (the real system would fetch this over RPC via
 //! `getFileBlockLocations`). It also provides the inverse co-location view
 //! used to build the bipartite matching graph.
+//!
+//! Snapshots are copy-on-write: `clone` hands out another handle to the
+//! same entries, and the entries are copied at most once per divergence —
+//! when a handle that still shares them applies a non-empty delta.
 
 use crate::delta::LayoutDelta;
 use crate::ids::{ChunkId, NodeId};
 use crate::namenode::Namenode;
+use crate::replicas::Replicas;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One chunk's layout entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,13 +25,14 @@ pub struct ChunkLayout {
     /// Size in bytes.
     pub size: u64,
     /// Replica holders, sorted.
-    pub locations: Vec<NodeId>,
+    pub locations: Replicas,
 }
 
 /// Immutable layout of a set of chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutSnapshot {
-    entries: Vec<ChunkLayout>,
+    /// Shared between clones until one of them applies a delta.
+    entries: Arc<Vec<ChunkLayout>>,
 }
 
 /// Chunk-id → entry-index map maintained *across* deltas.
@@ -93,7 +100,9 @@ impl LayoutSnapshot {
                 }
             })
             .collect();
-        LayoutSnapshot { entries }
+        LayoutSnapshot {
+            entries: Arc::new(entries),
+        }
     }
 
     /// Captures every chunk the namenode knows about, in id order.
@@ -115,6 +124,13 @@ impl LayoutSnapshot {
     /// True when the snapshot is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// True when both handles still share one copy of the entries: one
+    /// is a clone of the other and neither has applied a non-empty delta
+    /// since. Equal snapshots captured separately do not share.
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
     }
 
     /// Sizes in capture order (the task demand vector).
@@ -167,8 +183,14 @@ impl LayoutSnapshot {
             self.entries.len(),
             "index must track this snapshot"
         );
+        if delta.is_empty() {
+            return;
+        }
+        // The one place a snapshot diverges from the handles it was
+        // cloned from: entries are copied here iff they are still shared.
+        let entries = Arc::make_mut(&mut self.entries);
         if !delta.nodes_failed.is_empty() {
-            for entry in &mut self.entries {
+            for entry in entries.iter_mut() {
                 entry
                     .locations
                     .retain(|n| delta.nodes_failed.binary_search(n).is_err());
@@ -176,32 +198,27 @@ impl LayoutSnapshot {
         }
         for &(chunk, node) in &delta.replicas_dropped {
             if let Some(i) = index.get(chunk) {
-                self.entries[i].locations.retain(|&n| n != node);
+                entries[i].locations.retain(|&n| n != node);
             }
         }
         for &(chunk, node) in &delta.replicas_added {
             if let Some(i) = index.get(chunk) {
-                let locs = &mut self.entries[i].locations;
-                let pos = locs.partition_point(|&n| n < node);
-                if locs.get(pos) != Some(&node) {
-                    locs.insert(pos, node);
-                }
+                entries[i].locations.insert(node);
             }
         }
         if !delta.files_removed.is_empty() {
-            self.entries
-                .retain(|e| delta.files_removed.binary_search(&e.chunk).is_err());
+            entries.retain(|e| delta.files_removed.binary_search(&e.chunk).is_err());
             // Removal compacts every index to the right of a hole; a
             // rebuild is the only correct (and still O(n log n), same as
             // the retain's reads) way to catch up.
             index.map.clear();
             index
                 .map
-                .extend(self.entries.iter().enumerate().map(|(i, e)| (e.chunk, i)));
+                .extend(entries.iter().enumerate().map(|(i, e)| (e.chunk, i)));
         }
         for e in &delta.files_added {
-            index.map.insert(e.chunk, self.entries.len());
-            self.entries.push(e.clone());
+            index.map.insert(e.chunk, entries.len());
+            entries.push(e.clone());
         }
     }
 
@@ -209,7 +226,7 @@ impl LayoutSnapshot {
     /// node id (`n_nodes` sizes the vector).
     pub fn bytes_per_node(&self, n_nodes: usize) -> Vec<u64> {
         let mut out = vec![0u64; n_nodes];
-        for e in &self.entries {
+        for e in self.entries.iter() {
             for &n in &e.locations {
                 out[n.index()] += e.size;
             }
@@ -315,7 +332,7 @@ mod tests {
             files_added: vec![ChunkLayout {
                 chunk: ChunkId(999),
                 size: 32,
-                locations: vec![NodeId(0), NodeId(2)],
+                locations: vec![NodeId(0), NodeId(2)].into(),
             }],
             ..Default::default()
         };
@@ -352,7 +369,7 @@ mod tests {
                 files_added: vec![ChunkLayout {
                     chunk: ChunkId(500),
                     size: 16,
-                    locations: vec![NodeId(1)],
+                    locations: vec![NodeId(1)].into(),
                 }],
                 ..Default::default()
             },
@@ -374,6 +391,42 @@ mod tests {
         assert!(!index.is_empty());
         assert_eq!(index.get(ChunkId(500)), Some(indexed.len() - 1));
         assert_eq!(index.get(chunks[2]), None);
+    }
+
+    #[test]
+    fn clones_share_entries_until_a_delta_diverges_them() {
+        let (nn, chunks) = setup();
+        let original = LayoutSnapshot::capture(&nn, &chunks);
+        let reference = LayoutSnapshot::capture(&nn, &chunks);
+        assert!(
+            !original.ptr_eq(&reference),
+            "separate captures are equal, not shared"
+        );
+        let mut advanced = original.clone();
+        assert!(advanced.ptr_eq(&original), "clone is another handle");
+
+        // An empty delta changes nothing, so nothing is copied.
+        advanced.apply_delta(&LayoutDelta::default());
+        let mut index = ChunkIndex::build(&advanced);
+        advanced.apply_delta_indexed(&LayoutDelta::default(), &mut index);
+        assert!(advanced.ptr_eq(&original));
+
+        // The first real delta copies; the other handle never notices.
+        let victim = original.entries()[0].locations[0];
+        let delta = LayoutDelta {
+            replicas_dropped: vec![(chunks[0], victim)],
+            ..Default::default()
+        };
+        advanced.apply_delta_indexed(&delta, &mut index);
+        assert!(!advanced.ptr_eq(&original));
+        assert_eq!(original, reference, "the shared handle is unchanged");
+        assert!(!advanced.entries()[0].locations.contains(&victim));
+        assert_eq!(advanced.entries()[1..], original.entries()[1..]);
+
+        // Once unshared, further deltas mutate in place: a handle taken
+        // now diverges again only at its own next delta.
+        let later = advanced.clone();
+        assert!(later.ptr_eq(&advanced));
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod layout;
 pub mod namenode;
 pub mod placement;
 pub mod reader;
+pub mod replicas;
 pub mod topology;
 
 pub use chunk::{ChunkMeta, DatasetMeta, DatasetSpec, DEFAULT_CHUNK_SIZE};
@@ -53,4 +54,5 @@ pub use layout::{ChunkIndex, ChunkLayout, LayoutSnapshot};
 pub use namenode::{DfsConfig, Namenode};
 pub use placement::Placement;
 pub use reader::ReplicaChoice;
+pub use replicas::Replicas;
 pub use topology::RackMap;

@@ -13,6 +13,7 @@ use crate::delta::{LayoutDelta, LayoutEvent};
 use crate::error::DfsError;
 use crate::ids::{ChunkId, DatasetId, NodeId};
 use crate::placement::Placement;
+use crate::replicas::Replicas;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -69,6 +70,12 @@ impl Namenode {
 
     /// Layout events journalled since the last [`Namenode::take_events`]
     /// drain, in mutation order.
+    ///
+    /// The journal grows with every mutation — one event per created
+    /// chunk, two per migrated replica — and only a drain shrinks it. A
+    /// long-lived holder that never projects deltas from it must still
+    /// call [`Namenode::take_events`] (and drop the result) after each
+    /// build or churn step, or it keeps a second copy of the block map.
     pub fn events(&self) -> &[LayoutEvent] {
         &self.events
     }
@@ -122,13 +129,67 @@ impl Namenode {
         placement: &Placement,
         rng: &mut StdRng,
     ) -> DatasetId {
-        let id = DatasetId(self.datasets.len() as u32);
         let alive = self.alive_nodes();
-        let mut chunk_ids = Vec::with_capacity(spec.n_chunks());
-        for (i, &size) in spec.chunk_sizes.iter().enumerate() {
+        let replication = self.config.replication as usize;
+        let mut pool = Vec::with_capacity(alive.len());
+        let locations =
+            (0..spec.n_chunks()).map(|i| placement.place(i, replication, &alive, rng, &mut pool));
+        self.add_dataset(spec, locations)
+    }
+
+    /// Registers a dataset whose replica locations were decided elsewhere
+    /// (e.g. by the simulated parallel write path). Locations are
+    /// validated: the correct replica count, distinct alive nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on malformed locations — callers produce them from placement
+    /// policies, so a violation is a programming error.
+    pub fn create_dataset_placed(
+        &mut self,
+        spec: &DatasetSpec,
+        mut locations: Vec<Vec<NodeId>>,
+    ) -> DatasetId {
+        assert_eq!(
+            locations.len(),
+            spec.n_chunks(),
+            "one location set per chunk"
+        );
+        for (i, locs) in locations.iter_mut().enumerate() {
+            locs.sort_unstable();
+            assert_eq!(
+                locs.len(),
+                self.config.replication as usize,
+                "chunk {i} has wrong replica count"
+            );
+            assert!(
+                locs.windows(2).all(|w| w[0] != w[1]),
+                "chunk {i} has duplicate replicas"
+            );
+            for &n in locs.iter() {
+                assert!(self.is_alive(n), "chunk {i} placed on dead {n}");
+            }
+        }
+        self.add_dataset(spec, locations.into_iter().map(Replicas::from))
+    }
+
+    /// Registers `spec` with one replica set per chunk. The chunk table,
+    /// the journal and the dataset's id list grow once, up front, so the
+    /// loop allocates nothing per chunk beyond the per-node lists'
+    /// amortised growth.
+    fn add_dataset(
+        &mut self,
+        spec: &DatasetSpec,
+        locations: impl Iterator<Item = Replicas>,
+    ) -> DatasetId {
+        let id = DatasetId(self.datasets.len() as u32);
+        let n_chunks = spec.n_chunks();
+        self.chunks.reserve(n_chunks);
+        self.events.reserve(n_chunks);
+        let mut chunk_ids = Vec::with_capacity(n_chunks);
+        for (i, (&size, locations)) in spec.chunk_sizes.iter().zip(locations).enumerate() {
             assert!(size > 0, "chunk sizes must be positive");
             let chunk_id = ChunkId(self.chunks.len() as u64);
-            let locations = placement.place(i, self.config.replication as usize, &alive, rng);
             for &n in &locations {
                 insert_sorted(&mut self.node_chunks[n.index()], chunk_id);
             }
@@ -143,68 +204,6 @@ impl Namenode {
                 index_in_dataset: i,
                 size,
                 locations,
-            });
-            chunk_ids.push(chunk_id);
-        }
-        self.datasets.push(DatasetMeta {
-            id,
-            name: spec.name.clone(),
-            chunks: chunk_ids,
-            total_bytes: spec.total_bytes(),
-        });
-        id
-    }
-
-    /// Registers a dataset whose replica locations were decided elsewhere
-    /// (e.g. by the simulated parallel write path). Locations are
-    /// validated: the correct replica count, distinct alive nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed locations — callers produce them from placement
-    /// policies, so a violation is a programming error.
-    pub fn create_dataset_placed(
-        &mut self,
-        spec: &DatasetSpec,
-        locations: Vec<Vec<NodeId>>,
-    ) -> DatasetId {
-        assert_eq!(
-            locations.len(),
-            spec.n_chunks(),
-            "one location set per chunk"
-        );
-        let id = DatasetId(self.datasets.len() as u32);
-        let mut chunk_ids = Vec::with_capacity(spec.n_chunks());
-        for (i, (&size, mut locs)) in spec.chunk_sizes.iter().zip(locations).enumerate() {
-            assert!(size > 0, "chunk sizes must be positive");
-            locs.sort_unstable();
-            assert_eq!(
-                locs.len(),
-                self.config.replication as usize,
-                "chunk {i} has wrong replica count"
-            );
-            assert!(
-                locs.windows(2).all(|w| w[0] != w[1]),
-                "chunk {i} has duplicate replicas"
-            );
-            for &n in &locs {
-                assert!(self.is_alive(n), "chunk {i} placed on dead {n}");
-            }
-            let chunk_id = ChunkId(self.chunks.len() as u64);
-            for &n in &locs {
-                insert_sorted(&mut self.node_chunks[n.index()], chunk_id);
-            }
-            self.events.push(LayoutEvent::ChunkAdded {
-                chunk: chunk_id,
-                size,
-                locations: locs.clone(),
-            });
-            self.chunks.push(ChunkMeta {
-                id: chunk_id,
-                dataset: id,
-                index_in_dataset: i,
-                size,
-                locations: locs,
             });
             chunk_ids.push(chunk_id);
         }
@@ -361,8 +360,7 @@ impl Namenode {
                 let target = *candidates
                     .choose(rng)
                     .expect("alive count >= r guarantees a candidate");
-                let pos = chunk.locations.partition_point(|&n| n < target);
-                chunk.locations.insert(pos, target);
+                chunk.locations.insert(target);
                 insert_sorted(&mut self.node_chunks[target.index()], chunk_id);
                 self.events.push(LayoutEvent::ReplicaAdded {
                     chunk: chunk_id,
@@ -411,8 +409,7 @@ impl Namenode {
             let target = *candidates
                 .choose(rng)
                 .expect("replication <= alive count guarantees a candidate");
-            let pos = chunk.locations.partition_point(|&n| n < target);
-            chunk.locations.insert(pos, target);
+            chunk.locations.insert(target);
             insert_sorted(&mut self.node_chunks[target.index()], chunk_id);
             self.events.push(LayoutEvent::ReplicaDropped {
                 chunk: chunk_id,
@@ -473,8 +470,7 @@ impl Namenode {
                         // Move chunk replica src -> target.
                         let chunk = &mut self.chunks[chunk_id.index()];
                         chunk.locations.retain(|&n| n != src);
-                        let pos = chunk.locations.partition_point(|&n| n < target);
-                        chunk.locations.insert(pos, target);
+                        chunk.locations.insert(target);
                         self.node_chunks[src.index()].retain(|&c| c != chunk_id);
                         insert_sorted(&mut self.node_chunks[target.index()], chunk_id);
                         self.events.push(LayoutEvent::ReplicaDropped {
@@ -537,8 +533,7 @@ impl Namenode {
         }
         let chunk = &mut self.chunks[chunk_id.index()];
         chunk.locations.retain(|&n| n != from);
-        let pos = chunk.locations.partition_point(|&n| n < to);
-        chunk.locations.insert(pos, to);
+        chunk.locations.insert(to);
         self.node_chunks[from.index()].retain(|&c| c != chunk_id);
         insert_sorted(&mut self.node_chunks[to.index()], chunk_id);
         self.events.push(LayoutEvent::ReplicaDropped {
@@ -645,6 +640,12 @@ impl Namenode {
 }
 
 fn insert_sorted(v: &mut Vec<ChunkId>, id: ChunkId) {
+    // Chunk ids are issued ascending, so a new chunk always appends;
+    // only replicas of older chunks (repair, migration) land inside.
+    if v.last().map_or(true, |&last| last < id) {
+        v.push(id);
+        return;
+    }
     let pos = v.partition_point(|&x| x < id);
     v.insert(pos, id);
 }
@@ -677,6 +678,63 @@ mod tests {
         assert_eq!(nn.chunk_count(), 32);
         assert_eq!(nn.total_bytes(), 32 * 64);
         nn.check_invariants().unwrap();
+    }
+
+    /// Heap bytes the block map holds, from capacities (what the
+    /// allocator was asked for), with the journal counted as found.
+    fn heap_bytes(nn: &Namenode) -> usize {
+        use std::mem::size_of;
+        let per_node: usize = nn.node_chunks.iter().map(Vec::capacity).sum();
+        let ids: usize = nn.datasets.iter().map(|d| d.chunks.capacity()).sum();
+        nn.chunks.capacity() * size_of::<ChunkMeta>()
+            + nn.node_chunks.capacity() * size_of::<Vec<ChunkId>>()
+            + (per_node + ids) * size_of::<ChunkId>()
+            + nn.events.capacity() * size_of::<LayoutEvent>()
+    }
+
+    #[test]
+    fn block_map_memory_is_per_replica_not_per_cluster_node() {
+        // The served world's shape (scaled to 16 datasets) and the
+        // simulator's 1024-node scene. At r = 3 no replica list leaves
+        // its chunk's table slot, and the whole map stays within a
+        // budget that does not depend on the cluster size: 56 B of chunk
+        // table, 3 × 8 B of per-node lists (their doubling growth may
+        // hold up to twice that) and 8 B of dataset id list per chunk.
+        assert_eq!(std::mem::size_of::<LayoutEvent>(), 40);
+        for (n_nodes, n_datasets, per_dataset) in [(64, 16, 1280), (1024, 1, 10_240)] {
+            let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+            let mut r = rng();
+            for d in 0..n_datasets {
+                let spec = DatasetSpec::uniform(format!("ds{d}"), per_dataset, 64);
+                nn.create_dataset(&spec, &Placement::Random, &mut r);
+                assert_eq!(nn.take_events().len(), per_dataset, "one event per chunk");
+            }
+            let n_chunks = n_datasets * per_dataset;
+            assert_eq!(nn.chunk_count(), n_chunks);
+            assert!(nn.chunks().iter().all(|c| !c.locations.is_spilled()));
+            let per_chunk = heap_bytes(&nn) / n_chunks;
+            assert!(per_chunk <= 120, "{n_nodes} nodes: {per_chunk} B/chunk");
+            nn.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn chunk_lists_stay_sorted_when_old_chunks_gain_replicas() {
+        // New chunks append to the per-node lists; a replica of an older
+        // chunk arriving later must still land in id order.
+        let (mut nn, id) = small_fs();
+        let first = nn.dataset(id).unwrap().chunks[0];
+        let to = (0..8)
+            .map(NodeId)
+            .find(|&n| !nn.chunk(first).unwrap().is_on(n))
+            .expect("r=3 on 8 nodes leaves a free node");
+        let from = nn.chunk(first).unwrap().locations[0];
+        nn.migrate_replica(first, from, to).unwrap();
+        assert_eq!(nn.chunks_on(to).unwrap()[0], first);
+        nn.check_invariants().unwrap();
+        for node in nn.alive_nodes() {
+            assert!(nn.chunks_on(node).unwrap().windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

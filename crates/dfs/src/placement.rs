@@ -7,6 +7,7 @@
 //! depends on how skewed placement is).
 
 use crate::ids::NodeId;
+use crate::replicas::Replicas;
 use crate::topology::RackMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -40,7 +41,14 @@ pub enum Placement {
 
 impl Placement {
     /// Chooses the `replication` nodes for the `chunk_seq`-th chunk placed
-    /// under this policy. Returned nodes are distinct and sorted.
+    /// under this policy.
+    ///
+    /// `pool` is working memory: pass the same vector for every chunk of
+    /// a dataset and placement allocates nothing per chunk (its contents
+    /// on entry are ignored). The random policies shuffle all of `alive`
+    /// although only a prefix is kept: the prefix is what the descending
+    /// Fisher–Yates pass settles last, and every seeded layout in this
+    /// repository is a function of exactly those draws.
     ///
     /// # Panics
     ///
@@ -51,14 +59,108 @@ impl Placement {
         replication: usize,
         alive: &[NodeId],
         rng: &mut StdRng,
-    ) -> Vec<NodeId> {
+        pool: &mut Vec<NodeId>,
+    ) -> Replicas {
         assert!(replication >= 1, "replication must be at least 1");
         assert!(
             replication <= alive.len(),
             "replication {replication} exceeds alive node count {}",
             alive.len()
         );
-        let mut chosen: Vec<NodeId> = match self {
+        let chosen: Replicas = match self {
+            Placement::Random => {
+                refill_shuffled(pool, alive.iter().copied(), rng);
+                pool[..replication].iter().copied().collect()
+            }
+            Placement::WriterLocal { writer } => {
+                assert!(
+                    alive.contains(writer),
+                    "writer {writer} is not an alive node"
+                );
+                refill_shuffled(pool, alive.iter().copied().filter(|n| n != writer), rng);
+                pool[..replication - 1]
+                    .iter()
+                    .copied()
+                    .chain([*writer])
+                    .collect()
+            }
+            Placement::RoundRobin => (0..replication)
+                .map(|k| alive[(chunk_seq + k) % alive.len()])
+                .collect(),
+            Placement::RackAware { racks } => {
+                refill_shuffled(pool, alive.iter().copied(), rng);
+                let first = pool[0];
+                let mut chosen = Replicas::new();
+                chosen.insert(first);
+                if replication > 1 {
+                    // Second (and third) replica on one different rack.
+                    let home = racks.rack_of(first);
+                    let mut other_racks: Vec<u32> = pool
+                        .iter()
+                        .map(|&n| racks.rack_of(n))
+                        .filter(|&r| r != home)
+                        .collect();
+                    other_racks.sort_unstable();
+                    other_racks.dedup();
+                    if let Some(&remote_rack) = other_racks.choose(rng) {
+                        for &n in pool.iter() {
+                            if chosen.len() >= replication.min(3) {
+                                break;
+                            }
+                            if racks.rack_of(n) == remote_rack {
+                                chosen.insert(n);
+                            }
+                        }
+                    }
+                    // Fill any remainder (r > 3, tiny clusters, single
+                    // rack) from the shuffled pool.
+                    for &n in pool.iter() {
+                        if chosen.len() >= replication {
+                            break;
+                        }
+                        chosen.insert(n);
+                    }
+                }
+                chosen
+            }
+        };
+        debug_assert_eq!(
+            chosen.len(),
+            replication,
+            "replicas must land on distinct nodes"
+        );
+        chosen
+    }
+}
+
+/// Replaces the contents of `pool` with `nodes`, shuffled.
+fn refill_shuffled(pool: &mut Vec<NodeId>, nodes: impl Iterator<Item = NodeId>, rng: &mut StdRng) {
+    pool.clear();
+    pool.extend(nodes);
+    pool.shuffle(rng);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+
+    fn nodes(n: u32) -> Vec<NodeId> {
+        (0..n).map(NodeId).collect()
+    }
+
+    /// `place` as it stood before replica lists went inline and the pool
+    /// became caller-owned, kept verbatim as the reference the stream
+    /// test below compares against: every seeded layout, fingerprint and
+    /// recorded figure in the repository was produced by these draws.
+    fn place_reference(
+        policy: &Placement,
+        chunk_seq: usize,
+        replication: usize,
+        alive: &[NodeId],
+        rng: &mut StdRng,
+    ) -> Vec<NodeId> {
+        let mut chosen: Vec<NodeId> = match policy {
             Placement::Random => {
                 let mut pool: Vec<NodeId> = alive.to_vec();
                 pool.shuffle(rng);
@@ -66,10 +168,6 @@ impl Placement {
                 pool
             }
             Placement::WriterLocal { writer } => {
-                assert!(
-                    alive.contains(writer),
-                    "writer {writer} is not an alive node"
-                );
                 let mut pool: Vec<NodeId> = alive.iter().copied().filter(|n| n != writer).collect();
                 pool.shuffle(rng);
                 pool.truncate(replication - 1);
@@ -86,7 +184,6 @@ impl Placement {
                 let first = pool[0];
                 chosen.push(first);
                 if replication > 1 {
-                    // Second (and third) replica on one different rack.
                     let other_racks: Vec<u32> = {
                         let mut rs: Vec<u32> = pool
                             .iter()
@@ -110,8 +207,6 @@ impl Placement {
                             chosen.push(n);
                         }
                     }
-                    // Fill any remainder (r > 3, tiny clusters, single
-                    // rack) from the shuffled pool.
                     let leftovers: Vec<NodeId> = pool
                         .iter()
                         .copied()
@@ -128,29 +223,58 @@ impl Placement {
             }
         };
         chosen.sort_unstable();
-        debug_assert!(
-            chosen.windows(2).all(|w| w[0] != w[1]),
-            "replicas must land on distinct nodes"
-        );
         chosen
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-
-    fn nodes(n: u32) -> Vec<NodeId> {
-        (0..n).map(NodeId).collect()
+    #[test]
+    fn place_consumes_the_reference_rng_stream() {
+        // One pool across every case, as `create_dataset` reuses it:
+        // whatever an earlier call left behind must not leak into a later
+        // result. The alive set has gaps (decommissioned nodes).
+        let mut cases = StdRng::seed_from_u64(0x0A55);
+        let mut pool = Vec::new();
+        let mut per_policy = [0usize; 4];
+        for case in 0..12_000usize {
+            let n_nodes = match case % 50 {
+                0 => 3,
+                1 => 1100,
+                _ => cases.gen_range(3usize..=1100),
+            };
+            let alive: Vec<NodeId> = (0..n_nodes as u32)
+                .filter(|n| n % 7 != 3 || n_nodes < 12)
+                .map(NodeId)
+                .collect();
+            let replication = cases.gen_range(1usize..=6).min(alive.len());
+            let chunk_seq = cases.gen_range(0usize..100_000);
+            let policy = match case % 4 {
+                0 => Placement::Random,
+                1 => Placement::WriterLocal {
+                    writer: alive[cases.gen_range(0..alive.len())],
+                },
+                2 => Placement::RoundRobin,
+                _ => Placement::RackAware {
+                    racks: RackMap::uniform(n_nodes, cases.gen_range(1..=n_nodes)),
+                },
+            };
+            per_policy[case % 4] += 1;
+            let seed = cases.gen_range(0u64..u64::MAX);
+            let mut want_rng = StdRng::seed_from_u64(seed);
+            let mut got_rng = want_rng.clone();
+            let want = place_reference(&policy, chunk_seq, replication, &alive, &mut want_rng);
+            let got = policy.place(chunk_seq, replication, &alive, &mut got_rng, &mut pool);
+            assert_eq!(got, want, "case {case}: {policy:?} r={replication}");
+            assert_eq!(got_rng, want_rng, "case {case}: rng state diverged");
+        }
+        assert!(per_policy.iter().all(|&n| n >= 2_500), "{per_policy:?}");
     }
 
     #[test]
     fn random_placement_gives_distinct_sorted_nodes() {
         let alive = nodes(10);
         let mut rng = StdRng::seed_from_u64(3);
+        let mut pool = Vec::new();
         for seq in 0..50 {
-            let locs = Placement::Random.place(seq, 3, &alive, &mut rng);
+            let locs = Placement::Random.place(seq, 3, &alive, &mut rng, &mut pool);
             assert_eq!(locs.len(), 3);
             assert!(locs.windows(2).all(|w| w[0] < w[1]));
         }
@@ -160,9 +284,10 @@ mod tests {
     fn random_placement_covers_all_nodes_eventually() {
         let alive = nodes(8);
         let mut rng = StdRng::seed_from_u64(11);
+        let mut pool = Vec::new();
         let mut hit = [false; 8];
         for seq in 0..200 {
-            for n in Placement::Random.place(seq, 3, &alive, &mut rng) {
+            for n in &Placement::Random.place(seq, 3, &alive, &mut rng, &mut pool) {
                 hit[n.index()] = true;
             }
         }
@@ -173,8 +298,10 @@ mod tests {
     fn writer_local_always_includes_writer() {
         let alive = nodes(6);
         let mut rng = StdRng::seed_from_u64(5);
+        let mut pool = Vec::new();
         for seq in 0..20 {
-            let locs = Placement::WriterLocal { writer: NodeId(2) }.place(seq, 3, &alive, &mut rng);
+            let locs = Placement::WriterLocal { writer: NodeId(2) }
+                .place(seq, 3, &alive, &mut rng, &mut pool);
             assert!(locs.contains(&NodeId(2)), "seq {seq}: {locs:?}");
             assert_eq!(locs.len(), 3);
         }
@@ -184,9 +311,10 @@ mod tests {
     fn round_robin_is_even() {
         let alive = nodes(5);
         let mut rng = StdRng::seed_from_u64(0);
+        let mut pool = Vec::new();
         let mut counts = vec![0usize; 5];
         for seq in 0..10 {
-            for n in Placement::RoundRobin.place(seq, 2, &alive, &mut rng) {
+            for n in &Placement::RoundRobin.place(seq, 2, &alive, &mut rng, &mut pool) {
                 counts[n.index()] += 1;
             }
         }
@@ -198,7 +326,7 @@ mod tests {
     fn replication_one_is_allowed() {
         let alive = nodes(3);
         let mut rng = StdRng::seed_from_u64(1);
-        let locs = Placement::Random.place(0, 1, &alive, &mut rng);
+        let locs = Placement::Random.place(0, 1, &alive, &mut rng, &mut Vec::new());
         assert_eq!(locs.len(), 1);
     }
 
@@ -207,7 +335,7 @@ mod tests {
     fn rejects_replication_above_alive() {
         let alive = nodes(2);
         let mut rng = StdRng::seed_from_u64(1);
-        Placement::Random.place(0, 3, &alive, &mut rng);
+        Placement::Random.place(0, 3, &alive, &mut rng, &mut Vec::new());
     }
 
     #[test]
@@ -218,8 +346,9 @@ mod tests {
             racks: racks.clone(),
         };
         let mut rng = StdRng::seed_from_u64(8);
+        let mut pool = Vec::new();
         for seq in 0..50 {
-            let locs = placement.place(seq, 3, &alive, &mut rng);
+            let locs = placement.place(seq, 3, &alive, &mut rng, &mut pool);
             assert_eq!(locs.len(), 3);
             let mut rs: Vec<u32> = locs.iter().map(|&n| racks.rack_of(n)).collect();
             rs.sort_unstable();
@@ -238,7 +367,7 @@ mod tests {
         let racks = RackMap::uniform(4, 4); // everything in rack 0
         let placement = Placement::RackAware { racks };
         let mut rng = StdRng::seed_from_u64(3);
-        let locs = placement.place(0, 3, &alive, &mut rng);
+        let locs = placement.place(0, 3, &alive, &mut rng, &mut Vec::new());
         assert_eq!(locs.len(), 3);
     }
 
@@ -248,6 +377,7 @@ mod tests {
         let racks = RackMap::uniform(8, 4);
         let placement = Placement::RackAware { racks };
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(placement.place(0, 1, &alive, &mut rng).len(), 1);
+        let locs = placement.place(0, 1, &alive, &mut rng, &mut Vec::new());
+        assert_eq!(locs.len(), 1);
     }
 }

@@ -46,7 +46,7 @@ fn placements_return_distinct_alive_nodes() {
             _ => Placement::RackAware { racks },
         };
         let mut place_rng = StdRng::seed_from_u64(seed);
-        let locs = policy.place(seq, replication, &alive, &mut place_rng);
+        let locs = policy.place(seq, replication, &alive, &mut place_rng, &mut Vec::new());
         assert_eq!(locs.len(), replication);
         for w in locs.windows(2) {
             assert!(w[0] < w[1], "locations must be sorted and distinct");

@@ -76,8 +76,14 @@ pub fn write_dataset(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let alive = namenode.alive_nodes();
     let replication = namenode.config().replication as usize;
+    let mut pool = Vec::new();
     let locations: Vec<Vec<opass_dfs::NodeId>> = (0..n_chunks)
-        .map(|i| config.placement.place(i, replication, &alive, &mut rng))
+        .map(|i| {
+            config
+                .placement
+                .place(i, replication, &alive, &mut rng, &mut pool)
+                .to_vec()
+        })
         .collect();
 
     // Simulate the pipelined writes: writer w owns chunks w, w+W, w+2W, …

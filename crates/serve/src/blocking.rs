@@ -132,7 +132,7 @@ impl Shared {
             .take()?;
         let timer = Timer::start();
         let ComputedPlan { reply, session } =
-            planning::repair_plan(session, &deltas, &stale.reply, generation);
+            planning::repair_plan(session, &deltas, stale.reply.clone(), generation);
         self.metrics.repaired.fetch_add(1, Ordering::Relaxed);
         self.metrics.repair_latency.record(timer.elapsed_us());
         Some(Arc::new(CachedPlan {

@@ -102,22 +102,21 @@ pub(crate) fn compute_plan(
 }
 
 /// Brings a superseded plan up to `generation` by replaying journalled
-/// layout deltas through its planning session, rebuilding the reply
-/// around the repaired assignment (`repaired` set, fresh flags
+/// layout deltas through its planning session, rewriting the stale
+/// reply around the repaired assignment (`repaired` set, fresh flags
 /// otherwise).
 pub(crate) fn repair_plan(
     mut session: SingleDataSession,
     deltas: &[LayoutDelta],
-    stale_reply: &PlanReply,
+    mut reply: PlanReply,
     generation: u64,
 ) -> ComputedPlan {
     for delta in deltas {
         session.replan(delta);
     }
     let plan = session.plan();
-    let mut reply = stale_reply.clone();
     reply.generation = generation;
-    reply.owners = plan.assignment.owners().to_vec();
+    plan.assignment.owners().clone_into(&mut reply.owners);
     reply.matched_files = plan.matched_files;
     reply.filled_files = plan.filled_files;
     reply.local_task_fraction = plan.locality.task_fraction();

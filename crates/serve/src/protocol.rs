@@ -1110,7 +1110,7 @@ mod tests {
                     files_added: vec![ChunkLayout {
                         chunk: ChunkId(40),
                         size: 4096,
-                        locations: vec![NodeId(1), NodeId(5)],
+                        locations: vec![NodeId(1), NodeId(5)].into(),
                     }],
                     files_removed: vec![ChunkId(7)],
                     replicas_added: vec![(ChunkId(3), NodeId(2))],

@@ -925,7 +925,7 @@ impl Shard {
                 Some((session, deltas, stale_reply)) => {
                     let timer = Timer::start();
                     let ComputedPlan { reply, session } =
-                        planning::repair_plan(session, &deltas, &stale_reply, generation);
+                        planning::repair_plan(session, &deltas, stale_reply, generation);
                     ctx.metrics.repaired.fetch_add(1, Ordering::Relaxed);
                     ctx.metrics.repair_latency.record(timer.elapsed_us());
                     let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(&reply);

@@ -235,6 +235,9 @@ pub fn replay_local(
     for (d, &n_chunks) in chunks_per_dataset.iter().enumerate() {
         let spec = DatasetSpec::uniform(format!("trace-ds{d}"), n_chunks as usize, chunk_size);
         nn.create_dataset(&spec, &Placement::Random, &mut rng);
+        // Nothing here projects deltas from the journal (each batch
+        // builds its own), so it is dropped as it is written.
+        nn.take_events();
     }
 
     let placement = ProcessPlacement::one_per_node(config.n_nodes);
@@ -317,6 +320,7 @@ pub fn replay_local(
                     let from = locations[0];
                     let d = LayoutDelta::migration(chunk_id, from, target);
                     nn.apply_migrations(&d)?;
+                    nn.take_events();
                     migrations += 1;
                     migrated = true;
                     delta = Some(d);

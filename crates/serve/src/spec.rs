@@ -65,6 +65,11 @@ impl ServeSpec {
     /// Builds the namenode this spec describes: `n_datasets` datasets of
     /// `chunks_per_dataset` chunks each, randomly placed from `seed`.
     /// Deterministic: equal specs yield byte-identical layouts.
+    ///
+    /// The namenode comes back with an empty event journal: the world is
+    /// the base layout, not churn to project, so each dataset's creation
+    /// events are dropped as soon as it is built and the journal never
+    /// holds more than one dataset.
     pub fn build_namenode(&self) -> Namenode {
         let mut nn = Namenode::new(
             self.n_nodes,
@@ -77,6 +82,7 @@ impl ServeSpec {
             let spec =
                 DatasetSpec::uniform(format!("ds{i}"), self.chunks_per_dataset, self.chunk_size);
             nn.create_dataset(&spec, &Placement::Random, &mut rng);
+            nn.take_events();
         }
         nn
     }
@@ -319,6 +325,55 @@ mod tests {
         let lb = b.capture_layout(1).expect("dataset 1 exists");
         assert_eq!(la, lb);
         assert_eq!(a.layout_walks(), 1);
+    }
+
+    #[test]
+    fn built_namenode_keeps_no_creation_journal() {
+        let spec = ServeSpec {
+            n_nodes: 8,
+            n_datasets: 3,
+            chunks_per_dataset: 24,
+            ..Default::default()
+        };
+        let nn = spec.build_namenode();
+        assert_eq!(nn.chunk_count(), 72);
+        assert!(nn.events().is_empty());
+    }
+
+    #[test]
+    fn captures_share_the_overlay_until_churn_diverges_them() {
+        let world = World::new(ServeSpec {
+            n_nodes: 6,
+            n_datasets: 2,
+            chunks_per_dataset: 12,
+            ..Default::default()
+        });
+        let first = world.capture_layout(0).expect("dataset 0");
+        let second = world.capture_layout(0).expect("dataset 0");
+        assert!(first.ptr_eq(&second), "no churn between: one copy");
+        assert_eq!(world.layout_walks(), 2, "every capture still counts");
+        let other = world.capture_layout(1).expect("dataset 1");
+        assert!(!other.ptr_eq(&first));
+
+        // Churn copies the overlay once, at the mutation; handles taken
+        // earlier keep the layout they were given.
+        let kept = first.clone();
+        let reference = World::new(*world.spec())
+            .capture_layout(0)
+            .expect("dataset 0");
+        let victim = first.entries()[0].locations[0];
+        let delta = LayoutDelta {
+            replicas_dropped: vec![(first.entries()[0].chunk, victim)],
+            ..Default::default()
+        };
+        world.invalidate_dataset(0, &delta).expect("valid dataset");
+        assert_eq!(first, reference, "earlier capture unchanged");
+        assert!(first.ptr_eq(&second) && first.ptr_eq(&kept));
+        let after = world.capture_layout(0).expect("dataset 0");
+        assert!(!after.ptr_eq(&first));
+        assert!(!after.entries()[0].locations.contains(&victim));
+        assert!(after.ptr_eq(&world.capture_layout(0).expect("dataset 0")));
+        assert_eq!(world.layout_walks(), 5);
     }
 
     #[test]

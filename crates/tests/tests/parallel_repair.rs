@@ -172,7 +172,7 @@ fn random_delta(
         delta.files_added.push(ChunkLayout {
             chunk: opass_core::dfs::ChunkId(*next_chunk_id),
             size: CHUNK,
-            locations: vec![NodeId(base as u32), NodeId((base + 1) as u32)],
+            locations: vec![NodeId(base as u32), NodeId((base + 1) as u32)].into(),
         });
         *next_chunk_id += 1;
     }

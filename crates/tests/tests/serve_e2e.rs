@@ -227,6 +227,79 @@ fn delta_invalidation_repairs_in_place_and_spares_other_datasets() {
 }
 
 #[test]
+fn churn_never_leaks_between_holders_of_a_shared_layout() {
+    // A cold plan walks the dataset's layout once; the world's overlay,
+    // the shard's layout cache and the plan's session then hold that one
+    // copy. A delta must reach each of them exactly once: the served
+    // replies stay equal to an in-process session and an in-process
+    // world fed the same delta.
+    let spec = spec_small();
+    let handle = boot(spec, 2, 32);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let placement = spec.placement();
+    let oracle = World::new(spec);
+    let wire_entries = |dataset: usize| -> Vec<(u64, u64, Vec<u64>)> {
+        let layout = oracle.capture_layout(dataset).expect("dataset exists");
+        let entries = layout.entries().iter();
+        entries
+            .map(|e| {
+                let locations = e.locations.iter().map(|n| u64::from(n.0)).collect();
+                (e.chunk.0, e.size, locations)
+            })
+            .collect()
+    };
+    let served_entries = |client: &mut Client, dataset: usize| -> Vec<(u64, u64, Vec<u64>)> {
+        let reply = client.layout(dataset).expect("layout");
+        let entries = reply.entries.into_iter();
+        entries.map(|e| (e.chunk, e.size, e.locations)).collect()
+    };
+    let base = oracle.capture_layout(0).expect("dataset exists");
+    let mut session = OpassPlanner::default()
+        .session(&PlanRequest::single_from_layout(&base, &placement).seed(9))
+        .into_single()
+        .expect("single session");
+
+    let cold = client.plan(0, Strategy::Opass, 9).expect("cold plan");
+    assert!(!cold.cached && !cold.repaired);
+    assert_eq!(cold.owners, session.plan().assignment.owners());
+    let before = served_entries(&mut client, 0);
+    assert_eq!(before, wire_entries(0));
+
+    // Move one replica of the first chunk to a node that holds none.
+    let entry = &base.entries()[0];
+    let to = (0..spec.n_nodes as u32)
+        .map(NodeId)
+        .find(|n| !entry.locations.contains(n))
+        .expect("r < n_nodes leaves a free node");
+    let delta = LayoutDelta::migration(entry.chunk, entry.locations[0], to);
+    client
+        .invalidate_with_delta(0, &delta)
+        .expect("delta invalidate");
+    oracle.invalidate_dataset(0, &delta).expect("valid dataset");
+    let want = session.replan(&delta);
+
+    let repaired = client.plan(0, Strategy::Opass, 9).expect("repaired plan");
+    assert!(repaired.repaired);
+    assert_eq!(repaired.owners, want.assignment.owners());
+    assert_eq!(repaired.matched_files, want.matched_files);
+    assert_eq!(repaired.filled_files, want.filled_files);
+    assert_eq!(repaired.local_task_fraction, want.locality.task_fraction());
+    assert_eq!(repaired.local_byte_fraction, want.locality.byte_fraction());
+
+    let after = served_entries(&mut client, 0);
+    assert_eq!(after, wire_entries(0));
+    assert_ne!(after[0], before[0], "the moved replica shows");
+    assert_eq!(after[1..], before[1..], "and nothing else moved");
+    assert_eq!(
+        base.entries()[0].locations[0],
+        NodeId(before[0].2[0] as u32),
+        "a snapshot captured before the churn keeps its layout"
+    );
+    assert_eq!(served_entries(&mut client, 1), wire_entries(1));
+    handle.shutdown();
+}
+
+#[test]
 fn saturated_queue_sheds_with_typed_overloaded() {
     // One worker, queue of one, and plans that take many milliseconds:
     // a burst of eight distinct keys cannot all be admitted, and the

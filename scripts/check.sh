@@ -4,7 +4,9 @@
 # dependencies, so it works without network access.
 #
 # Modes:
-#   check.sh                 full gate (fmt, opass-lint, clippy, build, tests)
+#   check.sh                 full gate (fmt, opass-lint, clippy, build, tests,
+#                            then the frozen benchmark package bench/
+#                            built against the workspace's public API)
 #   check.sh --lint          determinism & invariant linter only: runs
 #                            opass-lint over the workspace (config in
 #                            lint.toml) and fails on any unsuppressed
@@ -184,5 +186,11 @@ run cargo test --workspace --quiet --offline
 # The retired thread-per-connection frontend only builds behind its
 # feature gate; keep it honest (it A/B-checks itself against the reactor).
 run cargo test -p opass-serve --features blocking-server --quiet --offline
+# The benchmark package is a workspace of its own that no change may
+# edit, so a public-API change that breaks it would otherwise surface
+# only in the pipeline. Build it as the pipeline does and check that the
+# binary still implements the declared contract (read-only on bench/).
+run cargo build --release --offline --manifest-path bench/Cargo.toml --target-dir bench/target
+run bash bench/run.sh --contract BENCHMARK.json
 
 echo "All checks passed."
