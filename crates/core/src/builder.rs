@@ -7,7 +7,7 @@
 //! or a [`MatchingValues`] table (multi-input tasks; value = co-located
 //! bytes summed over the task's inputs).
 
-use opass_dfs::{ChunkId, LayoutSnapshot, Namenode, RackMap};
+use opass_dfs::{ChunkId, LayoutSnapshot, Namenode, NodeId, RackMap};
 use opass_matching::{BipartiteGraph, MatchingValues};
 use opass_runtime::ProcessPlacement;
 use opass_workloads::Workload;
@@ -75,18 +75,29 @@ pub fn build_locality_graph_from_layout(
         }
         procs_on[i].push(proc);
     }
-    let mut graph = BipartiteGraph::new(placement.n_procs(), snapshot.len());
+    // Procs co-located with one replica holder (none for a node that
+    // hosts no process).
+    let procs_at = |node: &NodeId| procs_on.get(node.index()).map_or(&[][..], Vec::as_slice);
+    // Counting pass: replica holders are distinct nodes and every proc
+    // sits on one node, so these are the exact degrees — the graph is
+    // laid out once, with no growth slack for a session to hold on to.
+    let mut proc_degrees = vec![0u32; placement.n_procs()];
+    let mut file_degrees = vec![0u32; snapshot.len()];
+    for (entry, degree) in snapshot.entries().iter().zip(&mut file_degrees) {
+        for &p in entry.locations.iter().flat_map(procs_at) {
+            proc_degrees[p] += 1;
+            *degree += 1;
+        }
+    }
+    let mut graph = BipartiteGraph::with_degrees(proc_degrees, file_degrees);
     // One pass over entries × replica locations — O(edges) — instead of
     // a per-proc `colocated_with` scan, which is O(procs × entries).
     // The graph stores sorted adjacency spans, so the build order cannot
-    // leak into the result.
+    // leak into the result; tasks arrive in ascending order, which every
+    // proc's span takes as a plain append.
     for (task_idx, entry) in snapshot.entries().iter().enumerate() {
-        for node in &entry.locations {
-            if let Some(procs) = procs_on.get(node.index()) {
-                for &p in procs {
-                    graph.add_edge(p, task_idx, entry.size);
-                }
-            }
+        for &p in entry.locations.iter().flat_map(procs_at) {
+            graph.add_edge(p, task_idx, entry.size);
         }
     }
     graph

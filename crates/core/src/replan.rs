@@ -188,10 +188,12 @@ impl SingleDataSession {
                 }
             }
         }
+        // A chunk read by several tasks has one file vertex per task;
+        // replica churn reaches every one of them.
         for &(chunk, node) in &delta.replicas_dropped {
-            if let (Some(task), Some(procs)) = (self.index.get(chunk), self.procs_on.get(&node)) {
-                for &p in procs {
-                    drops.insert((p, task));
+            if let Some(procs) = self.procs_on.get(&node) {
+                for task in self.index.indices_of(chunk) {
+                    drops.extend(procs.iter().map(|&p| (p, task)));
                 }
             }
         }
@@ -202,10 +204,12 @@ impl SingleDataSession {
 
         // 2. Edge adds from new replica placements.
         for &(chunk, node) in &delta.replicas_added {
-            if let (Some(task), Some(procs)) = (self.index.get(chunk), self.procs_on.get(&node)) {
-                let size = self.snapshot.entries()[task].size;
-                for &p in procs {
-                    self.matcher.stage_add_edge(p, task, size);
+            if let Some(procs) = self.procs_on.get(&node) {
+                for task in self.index.indices_of(chunk) {
+                    let size = self.snapshot.entries()[task].size;
+                    for &p in procs {
+                        self.matcher.stage_add_edge(p, task, size);
+                    }
                 }
             }
         }
@@ -224,7 +228,7 @@ impl SingleDataSession {
         let mut removed: Vec<usize> = delta
             .files_removed
             .iter()
-            .filter_map(|&c| self.index.get(c))
+            .flat_map(|&c| self.index.indices_of(c))
             .collect();
         removed.sort_unstable_by(|a, b| b.cmp(a));
         for task in removed {
@@ -372,6 +376,8 @@ pub fn replan_sessions_parallel(
 pub struct MultiDataSession {
     /// Distinct input chunks in first-use order; locations kept current.
     snapshot: LayoutSnapshot,
+    /// Chunk-id → snapshot-index map, advanced alongside `snapshot`.
+    index: ChunkIndex,
     /// Tasks reading each chunk (parallel to `snapshot` entries).
     readers: Vec<Vec<usize>>,
     procs_on: BTreeMap<NodeId, Vec<usize>>,
@@ -409,6 +415,7 @@ impl MultiDataSession {
             reassignments: outcome.reassignments,
         };
         MultiDataSession {
+            index: ChunkIndex::build(&snapshot),
             snapshot,
             readers,
             procs_on,
@@ -454,7 +461,7 @@ impl MultiDataSession {
                 .collect();
             readers.extend(delta.files_added.iter().map(|_| Vec::new()));
             self.readers = readers;
-            self.snapshot.apply_delta(&delta);
+            self.snapshot.apply_delta_indexed(&delta, &mut self.index);
             self.values = build_values(
                 &self.snapshot,
                 &self.readers,
@@ -472,13 +479,6 @@ impl MultiDataSession {
             return &self.plan;
         }
 
-        let index: BTreeMap<ChunkId, usize> = self
-            .snapshot
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.chunk, i))
-            .collect();
         let mut affected: BTreeSet<usize> = BTreeSet::new();
 
         // Replica losses: failed nodes journal theirs as `ReplicaDropped`
@@ -492,7 +492,7 @@ impl MultiDataSession {
             }
         }
         for &(chunk, node) in &delta.replicas_dropped {
-            if let Some(&ci) = index.get(&chunk) {
+            if let Some(ci) = self.index.get(chunk) {
                 if self.snapshot.entries()[ci].locations.contains(&node) {
                     lost.insert((ci, node));
                 }
@@ -510,7 +510,7 @@ impl MultiDataSession {
             }
         }
         for &(chunk, node) in &delta.replicas_added {
-            if let Some(&ci) = index.get(&chunk) {
+            if let Some(ci) = self.index.get(chunk) {
                 // Mirror `apply_delta`: adding an already-present replica
                 // is a no-op, not a double-count.
                 if self.snapshot.entries()[ci].locations.contains(&node) {
@@ -527,7 +527,7 @@ impl MultiDataSession {
                 }
             }
         }
-        self.snapshot.apply_delta(&delta);
+        self.snapshot.apply_delta_indexed(&delta, &mut self.index);
 
         let affected: Vec<usize> = affected.into_iter().collect();
         let outcome = repair_multi_data(&self.values, &self.plan.assignment, &affected);

@@ -14,7 +14,6 @@ use crate::delta::LayoutDelta;
 use crate::ids::{ChunkId, NodeId};
 use crate::namenode::Namenode;
 use crate::replicas::Replicas;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One chunk's layout entry.
@@ -38,45 +37,140 @@ pub struct LayoutSnapshot {
 /// Chunk-id → entry-index map maintained *across* deltas.
 ///
 /// [`LayoutSnapshot::apply_delta`] rebuilds this map from scratch on
-/// every call — fine for one-shot use, O(n log n) per step for a
-/// session replaying a long churn stream. A session keeps one
-/// `ChunkIndex` alive instead and advances it together with the
-/// snapshot via [`LayoutSnapshot::apply_delta_indexed`], which only
-/// pays O(|delta| log n) for replica churn (a full rebuild happens
-/// solely when chunks are removed, because removal compacts indices).
+/// every call — fine for one-shot use, O(n) per step for a session
+/// replaying a long churn stream. A session keeps one `ChunkIndex`
+/// alive instead and advances it together with the snapshot via
+/// [`LayoutSnapshot::apply_delta_indexed`], which only pays
+/// O(|delta| log n) for replica churn (a full rebuild happens solely
+/// when chunks are removed, because removal compacts indices).
+///
+/// Datasets get their chunk ids consecutively and snapshots list them
+/// in that order, so the map is stored as runs: a snapshot captured in
+/// dataset order is one run, whatever its size. A shuffled snapshot
+/// degrades to one run per entry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkIndex {
-    map: BTreeMap<ChunkId, usize>,
+    /// Maximal runs, disjoint in chunk id and sorted by it. A chunk the
+    /// snapshot lists more than once is here with its last entry.
+    runs: Vec<Run>,
+    /// The earlier entries of chunks listed more than once, sorted.
+    shadowed: Vec<(ChunkId, usize)>,
+}
+
+/// `len` entries starting at index `first_index` whose chunk ids count
+/// up from `first_id` one by one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    first_id: ChunkId,
+    first_index: u32,
+    len: u32,
+}
+
+impl Run {
+    /// The chunk id of the run's last entry (runs are never empty).
+    fn last_id(&self) -> u64 {
+        self.first_id.0 + u64::from(self.len - 1)
+    }
+}
+
+/// Folds `(chunk, index)` pairs into maximal runs; a pair that does not
+/// continue the last run in both chunk id and index opens the next one.
+fn push_run(runs: &mut Vec<Run>, chunk: ChunkId, index: usize) {
+    let index = u32::try_from(index).expect("entry index fits u32");
+    match runs.last_mut() {
+        Some(run)
+            if run.last_id().checked_add(1) == Some(chunk.0)
+                && run.first_index + run.len == index =>
+        {
+            run.len += 1;
+        }
+        _ => runs.push(Run {
+            first_id: chunk,
+            first_index: index,
+            len: 1,
+        }),
+    }
 }
 
 impl ChunkIndex {
     /// Builds the index for `snapshot`. When the snapshot holds the same
-    /// chunk id twice (scope quirks), the later entry wins — matching
-    /// what the per-call map in [`LayoutSnapshot::apply_delta`] resolves.
+    /// chunk id twice (two tasks reading one chunk), [`ChunkIndex::get`]
+    /// resolves to the later entry and [`ChunkIndex::indices_of`] to all
+    /// of them.
     pub fn build(snapshot: &LayoutSnapshot) -> Self {
-        ChunkIndex {
-            map: snapshot
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.chunk, i))
-                .collect(),
+        Self::of_entries(&snapshot.entries)
+    }
+
+    fn of_entries(entries: &[ChunkLayout]) -> Self {
+        let mut runs = Vec::new();
+        for (i, e) in entries.iter().enumerate() {
+            push_run(&mut runs, e.chunk, i);
         }
+        if runs.windows(2).all(|w| w[0].last_id() < w[1].first_id.0) {
+            // Ascending chunk ids, the order datasets are captured in:
+            // the runs are already disjoint and sorted.
+            return ChunkIndex {
+                runs,
+                shadowed: Vec::new(),
+            };
+        }
+        let mut pairs: Vec<(ChunkId, usize)> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.chunk, i))
+            .collect();
+        pairs.sort_unstable();
+        let mut index = ChunkIndex::default();
+        for (k, &(chunk, i)) in pairs.iter().enumerate() {
+            if pairs.get(k + 1).is_some_and(|next| next.0 == chunk) {
+                index.shadowed.push((chunk, i));
+            } else {
+                push_run(&mut index.runs, chunk, i);
+            }
+        }
+        index
     }
 
-    /// Entry index of `chunk` in the tracked snapshot, if present.
+    /// Entry index of `chunk` in the tracked snapshot, if present (the
+    /// last one when the snapshot lists the chunk more than once).
     pub fn get(&self, chunk: ChunkId) -> Option<usize> {
-        self.map.get(&chunk).copied()
+        let after = self.runs.partition_point(|r| r.first_id <= chunk);
+        let run = self.runs[..after].last()?;
+        (chunk.0 <= run.last_id())
+            .then(|| (u64::from(run.first_index) + chunk.0 - run.first_id.0) as usize)
     }
 
-    /// Number of indexed chunks.
+    /// Every entry index holding `chunk`, ascending. Replica churn on a
+    /// chunk has to reach all of them.
+    pub fn indices_of(&self, chunk: ChunkId) -> impl Iterator<Item = usize> + '_ {
+        let from = self.shadowed.partition_point(|&(c, _)| c < chunk);
+        self.shadowed[from..]
+            .iter()
+            .take_while(move |&&(c, _)| c == chunk)
+            .map(|&(_, i)| i)
+            .chain(self.get(chunk))
+    }
+
+    /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        let in_runs: usize = self.runs.iter().map(|r| r.len as usize).sum();
+        in_runs + self.shadowed.len()
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.runs.is_empty()
+    }
+
+    /// Tracks one entry appended at `index`. Chunk ids past everything
+    /// indexed — a dataset growing — extend or follow the last run; any
+    /// other id would reorder the runs, so the caller rebuilds.
+    fn try_append(&mut self, chunk: ChunkId, index: usize) -> bool {
+        if self.runs.last().is_some_and(|r| chunk.0 <= r.last_id()) {
+            return false;
+        }
+        push_run(&mut self.runs, chunk, index);
+        true
     }
 }
 
@@ -179,7 +273,7 @@ impl LayoutSnapshot {
     /// have been built from — or advanced alongside — this snapshot.
     pub fn apply_delta_indexed(&mut self, delta: &LayoutDelta, index: &mut ChunkIndex) {
         debug_assert_eq!(
-            index.map.len(),
+            index.len(),
             self.entries.len(),
             "index must track this snapshot"
         );
@@ -197,28 +291,28 @@ impl LayoutSnapshot {
             }
         }
         for &(chunk, node) in &delta.replicas_dropped {
-            if let Some(i) = index.get(chunk) {
+            for i in index.indices_of(chunk) {
                 entries[i].locations.retain(|&n| n != node);
             }
         }
         for &(chunk, node) in &delta.replicas_added {
-            if let Some(i) = index.get(chunk) {
+            for i in index.indices_of(chunk) {
                 entries[i].locations.insert(node);
             }
         }
-        if !delta.files_removed.is_empty() {
+        // Removal compacts every index to the right of a hole; a rebuild
+        // is the only correct (and still O(n), same as the retain's
+        // reads) way to catch up.
+        let mut rebuild = !delta.files_removed.is_empty();
+        if rebuild {
             entries.retain(|e| delta.files_removed.binary_search(&e.chunk).is_err());
-            // Removal compacts every index to the right of a hole; a
-            // rebuild is the only correct (and still O(n log n), same as
-            // the retain's reads) way to catch up.
-            index.map.clear();
-            index
-                .map
-                .extend(entries.iter().enumerate().map(|(i, e)| (e.chunk, i)));
         }
         for e in &delta.files_added {
-            index.map.insert(e.chunk, entries.len());
+            rebuild = rebuild || !index.try_append(e.chunk, entries.len());
             entries.push(e.clone());
+        }
+        if rebuild {
+            *index = ChunkIndex::of_entries(entries);
         }
     }
 
@@ -242,7 +336,9 @@ mod tests {
     use crate::namenode::DfsConfig;
     use crate::placement::Placement;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn setup() -> (Namenode, Vec<ChunkId>) {
         let mut nn = Namenode::new(6, DfsConfig::default());
@@ -391,6 +487,117 @@ mod tests {
         assert!(!index.is_empty());
         assert_eq!(index.get(ChunkId(500)), Some(indexed.len() - 1));
         assert_eq!(index.get(chunks[2]), None);
+    }
+
+    fn snapshot_of(ids: &[u64]) -> LayoutSnapshot {
+        let entries = ids
+            .iter()
+            .map(|&c| ChunkLayout {
+                chunk: ChunkId(c),
+                size: 8,
+                locations: vec![NodeId(0)].into(),
+            })
+            .collect();
+        LayoutSnapshot {
+            entries: Arc::new(entries),
+        }
+    }
+
+    /// Checks `index` against the map the old `BTreeMap` index was:
+    /// last entry per chunk for `get`, every entry for `indices_of`.
+    fn assert_index_matches_oracle(index: &ChunkIndex, snap: &LayoutSnapshot, probe_to: u64) {
+        let mut oracle: BTreeMap<ChunkId, Vec<usize>> = BTreeMap::new();
+        for (i, e) in snap.entries().iter().enumerate() {
+            oracle.entry(e.chunk).or_default().push(i);
+        }
+        for c in (0..probe_to).map(ChunkId) {
+            let all = oracle.get(&c).cloned().unwrap_or_default();
+            assert_eq!(index.get(c), all.last().copied(), "{c}");
+            assert_eq!(index.indices_of(c).collect::<Vec<_>>(), all, "{c}");
+        }
+        assert_eq!(index.len(), snap.len());
+        assert_eq!(index.is_empty(), snap.is_empty());
+        assert_eq!(index, &ChunkIndex::build(snap), "one form per snapshot");
+    }
+
+    #[test]
+    fn dataset_ordered_snapshots_index_as_one_run() {
+        let (nn, chunks) = setup();
+        let snap = LayoutSnapshot::capture(&nn, &chunks);
+        let index = ChunkIndex::build(&snap);
+        assert_eq!((index.runs.len(), index.shadowed.len()), (1, 0));
+        assert_index_matches_oracle(&index, &snap, 20);
+        assert_index_matches_oracle(&ChunkIndex::default(), &snapshot_of(&[]), 4);
+    }
+
+    #[test]
+    fn chunk_index_matches_a_map_oracle_through_random_scope_churn() {
+        // Snapshots in dataset order, shuffled, and with chunks listed
+        // twice, each advanced by random removals and additions (fresh
+        // ids past the end, ids reused, ids already present).
+        let mut rng = StdRng::seed_from_u64(0x1DE5);
+        for case in 0..60 {
+            let n = rng.gen_range(0..40u64);
+            let mut ids: Vec<u64> = (10..10 + n).collect();
+            if case % 3 >= 1 {
+                ids.shuffle(&mut rng);
+            }
+            if case % 3 == 2 {
+                for _ in 0..rng.gen_range(1..6) {
+                    ids.push(rng.gen_range(10..12 + n));
+                }
+            }
+            let mut snap = snapshot_of(&ids);
+            let mut index = ChunkIndex::build(&snap);
+            if case % 3 == 0 {
+                assert!(index.runs.len() <= 1 && index.shadowed.is_empty());
+            }
+            assert_index_matches_oracle(&index, &snap, 80);
+            for _ in 0..6 {
+                let mut delta = LayoutDelta::default();
+                for _ in 0..rng.gen_range(0..4) {
+                    delta.files_removed.push(ChunkId(rng.gen_range(8..70)));
+                }
+                for _ in 0..rng.gen_range(0..4) {
+                    let past_end = snap.entries().iter().map(|e| e.chunk.0 + 1).max();
+                    let chunk = match rng.gen_range(0..3) {
+                        0 => rng.gen_range(8..70),
+                        _ => past_end.unwrap_or(10) + delta.files_added.len() as u64,
+                    };
+                    delta.files_added.push(ChunkLayout {
+                        chunk: ChunkId(chunk),
+                        size: 8,
+                        locations: vec![NodeId(1)].into(),
+                    });
+                }
+                delta.files_removed.sort_unstable();
+                delta.files_removed.dedup();
+                snap.apply_delta_indexed(&delta, &mut index);
+                assert_index_matches_oracle(&index, &snap, 80);
+            }
+        }
+    }
+
+    #[test]
+    fn replica_churn_reaches_every_entry_of_a_chunk_listed_twice() {
+        let (nn, mut chunks) = setup();
+        chunks.push(chunks[0]);
+        let mut snap = LayoutSnapshot::capture(&nn, &chunks);
+        let gone = snap.entries()[0].locations[0];
+        let delta = LayoutDelta {
+            replicas_dropped: vec![(chunks[0], gone)],
+            replicas_added: vec![(chunks[0], NodeId(77))],
+            ..Default::default()
+        };
+        snap.apply_delta(&delta);
+        for i in [0, 12] {
+            assert!(!snap.entries()[i].locations.contains(&gone), "entry {i}");
+            assert!(
+                snap.entries()[i].locations.contains(&NodeId(77)),
+                "entry {i}"
+            );
+        }
+        assert_eq!(snap.entries()[0], snap.entries()[12]);
     }
 
     #[test]

@@ -51,6 +51,10 @@ pub struct RuleCfg {
     pub include_tests: bool,
     /// Crate names (directory names under `crates/`) the rule skips.
     pub exempt_crates: Vec<String>,
+    /// Workspace-relative file paths the rule skips: audited single-file
+    /// exceptions, recorded in `lint.toml` where a reviewer sees them.
+    /// Honoured by the per-site rules; the graph rules exempt by crate.
+    pub exempt_files: Vec<String>,
 }
 
 /// Full linter configuration.
@@ -71,13 +75,14 @@ pub struct Config {
 }
 
 /// The names of every shipped rule, in reporting order.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 9] = [
     "unordered-iteration",
     "unordered-parallel-merge",
     "no-wallclock",
     "no-ambient-rng",
     "float-accumulation-order",
     "panic-in-lib",
+    "no-unsafe",
     "transitive-determinism",
     "unused-suppression",
 ];
@@ -94,6 +99,7 @@ impl Default for Config {
             severity: Severity::Deny,
             include_tests: tests,
             exempt_crates: exempt.iter().map(|s| s.to_string()).collect(),
+            exempt_files: Vec::new(),
         };
         // Tests participate in the bit-exactness assertions, so the
         // ordering and RNG rules apply inside them too by default.
@@ -102,6 +108,9 @@ impl Default for Config {
         rules.insert("no-wallclock".into(), deny(true, &["cli", "bench", "lint"]));
         rules.insert("no-ambient-rng".into(), deny(true, &[]));
         rules.insert("float-accumulation-order".into(), deny(true, &[]));
+        // `unsafe_code = "deny"` in the workspace manifest can be lifted
+        // by any file's `#![allow]`; this rule makes lifting it a finding.
+        rules.insert("no-unsafe".into(), deny(true, &[]));
         // Test functions call tainted helpers on purpose (that is what the
         // fixtures and property tests do), so the transitive pass only
         // guards non-test entry points by default.
@@ -113,6 +122,7 @@ impl Default for Config {
                 severity: Severity::Warn,
                 include_tests: false,
                 exempt_crates: Vec::new(),
+                exempt_files: Vec::new(),
             },
         );
         Config {
@@ -253,7 +263,8 @@ fn apply_rule_key(rc: &mut RuleCfg, key: &str, value: Value) -> Result<(), Strin
         }
         ("include_tests", Value::Bool(b)) => rc.include_tests = b,
         ("exempt_crates", Value::Array(v)) => rc.exempt_crates = v,
-        ("severity" | "include_tests" | "exempt_crates", v) => {
+        ("exempt_files", Value::Array(v)) => rc.exempt_files = v,
+        ("severity" | "include_tests" | "exempt_crates" | "exempt_files", v) => {
             return Err(format!("wrong type for `{key}`: {v:?}"))
         }
         _ => return Err(format!("unknown rule key `{key}`")),
@@ -333,9 +344,16 @@ mod tests {
             [rules.panic-in-lib]
             severity = "deny"   # escalate
             include_tests = true
+
+            [rules.no-unsafe]
+            exempt_files = ["crates/tests/tests/alloc_budget.rs"]
             "#,
         )
         .unwrap();
+        assert_eq!(
+            cfg.rule("no-unsafe").exempt_files,
+            ["crates/tests/tests/alloc_budget.rs"]
+        );
         assert_eq!(cfg.exclude.len(), 3);
         assert!(!cfg.allow_expect);
         let rc = cfg.rule("panic-in-lib");

@@ -207,6 +207,7 @@ fn rule_blurb(id: &str) -> &'static str {
         "no-ambient-rng" => "ambient RNG (thread_rng/OsRng) is unseeded and unreplayable",
         "float-accumulation-order" => "float reduction order changes the accumulated bits",
         "panic-in-lib" => "library code panics instead of returning an error",
+        "no-unsafe" => "unsafe code outside the audited exceptions",
         "transitive-determinism" => {
             "a public function of a deterministic crate can reach a determinism sink through calls"
         }

@@ -129,6 +129,7 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
     no_ambient_rng(&ctx, cfg, &mut findings);
     float_accumulation_order(&ctx, cfg, &mut findings);
     panic_in_lib(&ctx, cfg, &mut findings);
+    no_unsafe(&ctx, cfg, &mut findings);
     let mut directives = parse_directives(&lexed.comments);
     apply_suppressions(&mut findings, &mut directives);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -163,7 +164,10 @@ fn crate_of(rel: &str) -> String {
 
 fn enabled<'c>(ctx: &FileCtx, cfg: &'c Config, rule: &str) -> Option<&'c RuleCfg> {
     let rc = cfg.rule(rule);
-    if rc.severity == Severity::Allow || rc.exempt_crates.iter().any(|c| c == &ctx.crate_name) {
+    if rc.severity == Severity::Allow
+        || rc.exempt_crates.iter().any(|c| c == &ctx.crate_name)
+        || rc.exempt_files.iter().any(|f| f == &ctx.rel)
+    {
         return None;
     }
     Some(rc)
@@ -312,6 +316,34 @@ fn no_wallclock(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
                 ),
                 "use the simulated clock (SimTime) or accept elapsed values from \
                  the caller; wall-clock timing belongs in cli/bench only",
+            );
+        }
+    }
+}
+
+fn no_unsafe(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
+    let Some(rc) = enabled(ctx, cfg, "no-unsafe") else {
+        return;
+    };
+    let mut last_line = 0;
+    for t in &ctx.toks {
+        // The keyword itself, and the lint name a file would have to
+        // mention to lift the workspace's `unsafe_code = "deny"`.
+        let hit = t.kind == TokKind::Ident && matches!(t.text.as_str(), "unsafe" | "unsafe_code");
+        if hit && t.line != last_line {
+            last_line = t.line;
+            push(
+                out,
+                ctx,
+                rc,
+                "no-unsafe",
+                t.line,
+                format!(
+                    "`{}` outside the audited exceptions: the workspace is safe Rust",
+                    t.text
+                ),
+                "use indices into a Vec, or Rc/Weak; a file that cannot do without \
+                 unsafe is listed under [rules.no-unsafe] exempt_files in lint.toml",
             );
         }
     }

@@ -19,7 +19,7 @@ struct Case {
     allow: (&'static str, usize),
 }
 
-const CASES: [Case; 9] = [
+const CASES: [Case; 10] = [
     Case {
         rule: "unordered-iteration",
         context: "crates/dfs/src/fixture.rs",
@@ -94,6 +94,16 @@ const CASES: [Case; 9] = [
         pos: ("panic_in_lib_pos.rs", 2),
         neg: "panic_in_lib_neg.rs",
         allow: ("panic_in_lib_allow.rs", 1),
+    },
+    Case {
+        // Tests are covered too: the counting allocator in
+        // `crates/tests/tests/alloc_budget.rs` is exempt by path in
+        // `lint.toml`, not by being a test.
+        rule: "no-unsafe",
+        context: "crates/tests/tests/fixture.rs",
+        pos: ("no_unsafe_pos.rs", 3),
+        neg: "no_unsafe_neg.rs",
+        allow: ("no_unsafe_allow.rs", 1),
     },
 ];
 

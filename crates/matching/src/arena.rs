@@ -7,11 +7,12 @@
 //! provides the two dense replacements:
 //!
 //! * [`AdjPool`] — struct-of-arrays CSR-style adjacency: every vertex's
-//!   sorted neighbor span lives in two shared pools (`u32` keys, `u64`
-//!   weights) with per-vertex `(start, len, cap)` descriptors, doubling
-//!   relocation on overflow, and garbage compaction. Neighbor iteration
-//!   is a dense `u32` slice scan — 4 bytes per probe instead of a
-//!   16-byte AoS tuple.
+//!   sorted neighbor span lives in two shared pools (`u32` keys and a
+//!   weight column, `u64` or absent) with per-vertex `(start, len, cap)`
+//!   descriptors, exact-capacity construction from known degrees,
+//!   doubling relocation on overflow, and garbage compaction. Neighbor
+//!   iteration is a dense `u32` slice scan — 4 bytes per probe instead
+//!   of a 16-byte AoS tuple.
 //! * [`OwnedList`] — the `owned[p] = {files matched to p}` inverse index
 //!   as an intrusive doubly-linked list over flat `next`/`prev` arenas,
 //!   kept in ascending file order so enumeration is canonical (the same
@@ -33,27 +34,54 @@ pub const NONE: u32 = u32::MAX;
 /// their capacity relocate to the pool tail (doubling), abandoning the
 /// old slots; abandoned slots are reclaimed by a full compaction once
 /// they outnumber the live ones.
+///
+/// The weight column is a type parameter: `AdjPool<u64>` carries one
+/// weight per entry, `AdjPool<()>` is keys only — a `Vec<()>` never
+/// allocates and every operation on it compiles away, so the two share
+/// one implementation.
 #[derive(Debug, Clone)]
-pub struct AdjPool {
+pub struct AdjPool<W = u64> {
     start: Vec<u32>,
     len: Vec<u32>,
     cap: Vec<u32>,
     keys: Vec<u32>,
-    wts: Vec<u64>,
+    wts: Vec<W>,
     /// Abandoned pool slots (relocations + removed vertices).
     dead: usize,
 }
 
-impl AdjPool {
+impl<W: Copy + Default> AdjPool<W> {
     /// An empty pool with `n` vertices and no neighbors.
     pub fn with_vertices(n: usize) -> Self {
-        assert!(n < NONE as usize, "vertex count must fit u32 handles");
+        Self::with_capacities(vec![0; n])
+    }
+
+    /// An empty pool with one vertex per entry of `cap`, vertex `v`'s
+    /// span reserving exactly `cap[v]` slots, laid out in vertex order.
+    /// Filling every span up to its announced capacity never relocates
+    /// and leaves no slack; a span that outgrows it relocates like any
+    /// other.
+    pub fn with_capacities(cap: Vec<u32>) -> Self {
+        assert!(
+            cap.len() < NONE as usize,
+            "vertex count must fit u32 handles"
+        );
+        let mut total = 0usize;
+        let start = cap
+            .iter()
+            .map(|&c| {
+                let s = total;
+                total += c as usize;
+                s as u32
+            })
+            .collect();
+        assert!(total < NONE as usize, "adjacency pool full");
         AdjPool {
-            start: vec![0; n],
-            len: vec![0; n],
-            cap: vec![0; n],
-            keys: Vec::new(),
-            wts: Vec::new(),
+            start,
+            len: vec![0; cap.len()],
+            cap,
+            keys: vec![0; total],
+            wts: vec![W::default(); total],
             dead: 0,
         }
     }
@@ -75,13 +103,13 @@ impl AdjPool {
     }
 
     /// Neighbor weights of `v`, parallel to [`AdjPool::keys_of`].
-    pub fn wts_of(&self, v: usize) -> &[u64] {
+    pub fn wts_of(&self, v: usize) -> &[W] {
         let s = self.start[v] as usize;
         &self.wts[s..s + self.len[v] as usize]
     }
 
     /// Weight of the `(v, key)` entry, if present.
-    pub fn get(&self, v: usize, key: u32) -> Option<u64> {
+    pub fn get(&self, v: usize, key: u32) -> Option<W> {
         self.keys_of(v)
             .binary_search(&key)
             .ok()
@@ -90,35 +118,42 @@ impl AdjPool {
 
     /// Inserts or reweights `(v, key)`. Returns `true` when the key was
     /// newly inserted (span stays sorted either way).
-    pub fn insert(&mut self, v: usize, key: u32, w: u64) -> bool {
-        match self.keys_of(v).binary_search(&key) {
-            Ok(i) => {
-                self.wts[self.start[v] as usize + i] = w;
-                false
-            }
-            Err(i) => {
-                let (s, l, c) = (
-                    self.start[v] as usize,
-                    self.len[v] as usize,
-                    self.cap[v] as usize,
-                );
-                if l < c {
-                    self.keys.copy_within(s + i..s + l, s + i + 1);
-                    self.wts.copy_within(s + i..s + l, s + i + 1);
-                    self.keys[s + i] = key;
+    pub fn insert(&mut self, v: usize, key: u32, w: W) -> bool {
+        let (s, l, c) = (
+            self.start[v] as usize,
+            self.len[v] as usize,
+            self.cap[v] as usize,
+        );
+        // A key above the span's last one appends: builds that feed
+        // neighbors in ascending order skip the search and the shift.
+        let i = if l == 0 || self.keys[s + l - 1] < key {
+            l
+        } else {
+            match self.keys[s..s + l].binary_search(&key) {
+                Ok(i) => {
                     self.wts[s + i] = w;
-                    self.len[v] += 1;
-                } else {
-                    self.relocate_insert(v, i, key, w);
+                    return false;
                 }
-                true
+                Err(i) => i,
             }
+        };
+        if l == c {
+            self.relocate_insert(v, i, key, w);
+            return true;
         }
+        if i < l {
+            self.keys.copy_within(s + i..s + l, s + i + 1);
+            self.wts.copy_within(s + i..s + l, s + i + 1);
+        }
+        self.keys[s + i] = key;
+        self.wts[s + i] = w;
+        self.len[v] += 1;
+        true
     }
 
     /// Moves `v`'s span to the pool tail with doubled capacity, placing
     /// the new `(key, w)` entry at sorted position `i`.
-    fn relocate_insert(&mut self, v: usize, i: usize, key: u32, w: u64) {
+    fn relocate_insert(&mut self, v: usize, i: usize, key: u32, w: W) {
         let (s, l, c) = (
             self.start[v] as usize,
             self.len[v] as usize,
@@ -139,7 +174,7 @@ impl AdjPool {
         // vertices cannot land inside this span's growth room.
         let pad = new_cap - (l + 1);
         self.keys.resize(self.keys.len() + pad, 0);
-        self.wts.resize(self.wts.len() + pad, 0);
+        self.wts.resize(self.wts.len() + pad, W::default());
         self.dead += c;
         self.start[v] = new_start as u32;
         self.len[v] = (l + 1) as u32;
@@ -214,7 +249,7 @@ impl AdjPool {
             keys.extend_from_slice(&self.keys[s..s + l]);
             wts.extend_from_slice(&self.wts[s..s + l]);
             keys.resize(keys.len() + (cap - l), 0);
-            wts.resize(wts.len() + (cap - l), 0);
+            wts.resize(wts.len() + (cap - l), W::default());
         }
         self.keys = keys;
         self.wts = wts;
@@ -423,6 +458,76 @@ mod tests {
             assert_eq!(pool.keys_of(v), &want[..]);
             assert_eq!(pool.get(v, 95), Some(95));
         }
+    }
+
+    #[test]
+    fn exact_capacities_fill_without_relocating() {
+        let caps: Vec<u32> = (0..40).map(|v| v % 7).collect();
+        let total: usize = caps.iter().map(|&c| c as usize).sum();
+        let mut pool: AdjPool = AdjPool::with_capacities(caps.clone());
+        assert_eq!((pool.keys.len(), pool.keys.capacity()), (total, total));
+        // Fill every span to its capacity, odd vertices in descending
+        // key order so both the append and the shifting path run.
+        for (v, &c) in caps.iter().enumerate() {
+            for j in 0..c {
+                let key = if v % 2 == 0 { j } else { c - 1 - j };
+                assert!(pool.insert(v, key * 3, u64::from(key)));
+            }
+        }
+        assert_eq!(pool.dead, 0);
+        assert_eq!((pool.keys.len(), pool.wts.len()), (total, total));
+        assert_eq!(pool.total_len(), total);
+        let starts = pool.start.clone();
+        for (v, &c) in caps.iter().enumerate() {
+            let want: Vec<u32> = (0..c).map(|j| j * 3).collect();
+            assert_eq!(pool.keys_of(v), &want[..]);
+        }
+        // The first insert past a capacity relocates that span alone.
+        assert!(pool.insert(5, 1, 9));
+        assert_eq!(pool.dead, caps[5] as usize);
+        assert_eq!(pool.start[5] as usize, total);
+        assert_eq!(pool.keys_of(5), &[0, 1, 3, 6, 9, 12]);
+        for v in (0..caps.len()).filter(|&v| v != 5) {
+            assert_eq!(pool.start[v], starts[v], "vertex {v} moved");
+        }
+    }
+
+    #[test]
+    fn keys_only_and_weighted_pools_stay_mirrors() {
+        // The same mixed operation stream through both weight columns:
+        // relocations and compactions included, the key spans must agree
+        // after every step's worth of churn, and the keys-only pool must
+        // never have allocated a weight.
+        let mut weighted: AdjPool<u64> = AdjPool::with_capacities(vec![2; 48]);
+        let mut keys_only: AdjPool<()> = AdjPool::with_capacities(vec![2; 48]);
+        let mut state = 0xA9E0u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 33
+        };
+        for _ in 0..20_000 {
+            let v = (next() % 48) as usize;
+            let key = (next() % 400) as u32;
+            if next() % 3 == 0 {
+                assert_eq!(weighted.remove(v, key), keys_only.remove(v, key));
+            } else {
+                let w = next() + 1;
+                assert_eq!(weighted.insert(v, key, w), keys_only.insert(v, key, ()));
+                assert_eq!(weighted.get(v, key), Some(w));
+            }
+            assert_eq!(weighted.keys_of(v), keys_only.keys_of(v));
+        }
+        for v in 0..48 {
+            assert_eq!(weighted.keys_of(v), keys_only.keys_of(v));
+            assert_eq!(weighted.wts_of(v).len(), keys_only.wts_of(v).len());
+        }
+        assert_eq!(weighted.dead, keys_only.dead);
+        assert_eq!(weighted.start, keys_only.start);
+        assert_eq!(
+            keys_only.wts.capacity(),
+            usize::MAX,
+            "a Vec<()> holds no memory"
+        );
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! matchers in [`crate::single_data`] and [`crate::multi_data`].
 //!
 //! Storage is struct-of-arrays: both adjacency mirrors live in pooled
-//! [`crate::arena::AdjPool`] spans (`u32` keys, `u64` weights), so the
-//! repair searches in [`crate::incremental`] iterate neighbors as dense
-//! `u32` slices instead of chasing per-vertex allocations.
+//! [`crate::arena::AdjPool`] spans of `u32` keys, so the repair searches
+//! in [`crate::incremental`] iterate neighbors as dense `u32` slices
+//! instead of chasing per-vertex allocations. Each edge's weight is
+//! stored once, on the file side (a file's span is its replica count, so
+//! a weight lookup searches at most that many keys); the proc side is
+//! keys only.
 
 use crate::arena::AdjPool;
 
@@ -26,19 +29,28 @@ use crate::arena::AdjPool;
 /// other.
 #[derive(Debug, Clone)]
 pub struct BipartiteGraph {
-    /// Per-process adjacency spans: sorted file keys with byte weights.
-    procs: AdjPool,
+    /// Per-process adjacency spans: sorted file keys.
+    procs: AdjPool<()>,
     /// Per-file adjacency spans: sorted proc keys with byte weights.
-    files: AdjPool,
+    files: AdjPool<u64>,
     edges: usize,
 }
 
 impl BipartiteGraph {
     /// Creates an empty graph with the given vertex counts.
     pub fn new(n_procs: usize, n_files: usize) -> Self {
+        Self::with_degrees(vec![0; n_procs], vec![0; n_files])
+    }
+
+    /// Creates an empty graph with one vertex per entry of each vector,
+    /// reserving room for exactly the announced number of edges at every
+    /// vertex. A build that then adds those edges allocates nothing more
+    /// and leaves no slack; degrees are a sizing hint, not a limit — a
+    /// vertex that outgrows its announcement grows like any other.
+    pub fn with_degrees(proc_degrees: Vec<u32>, file_degrees: Vec<u32>) -> Self {
         BipartiteGraph {
-            procs: AdjPool::with_vertices(n_procs),
-            files: AdjPool::with_vertices(n_files),
+            procs: AdjPool::with_capacities(proc_degrees),
+            files: AdjPool::with_capacities(file_degrees),
             edges: 0,
         }
     }
@@ -68,7 +80,7 @@ impl BipartiteGraph {
         assert!(proc < self.n_procs(), "process index {proc} out of range");
         assert!(file < self.n_files(), "file index {file} out of range");
         assert!(bytes > 0, "locality edges must carry positive bytes");
-        if self.procs.insert(proc, file as u32, bytes) {
+        if self.procs.insert(proc, file as u32, ()) {
             self.edges += 1;
         }
         self.files.insert(file, proc as u32, bytes);
@@ -143,8 +155,8 @@ impl BipartiteGraph {
     }
 
     /// Verifies the mirror invariant: the proc and file pools describe
-    /// the same sorted edge set with equal weights. O(edges log edges);
-    /// used by tests and debug assertions.
+    /// the same sorted edge set. O(edges log edges); used by tests and
+    /// debug assertions.
     pub fn check_mirror(&self) -> Result<(), String> {
         let mut counted = 0usize;
         for p in 0..self.n_procs() {
@@ -153,16 +165,12 @@ impl BipartiteGraph {
                 return Err(format!("proc {p} adjacency not sorted/distinct"));
             }
             counted += row.len();
-            for (&f, &bytes) in row.iter().zip(self.procs.wts_of(p)) {
+            for &f in row {
                 if f as usize >= self.n_files() {
                     return Err(format!("proc {p} lists out-of-range file {f}"));
                 }
-                match self.files.get(f as usize, p as u32) {
-                    Some(b) if b == bytes => {}
-                    Some(b) => {
-                        return Err(format!("edge ({p},{f}) weight mismatch: {bytes} vs {b}"))
-                    }
-                    None => return Err(format!("edge ({p},{f}) missing from file side")),
+                if self.files.get(f as usize, p as u32).is_none() {
+                    return Err(format!("edge ({p},{f}) missing from file side"));
                 }
             }
         }
@@ -194,16 +202,15 @@ impl BipartiteGraph {
     /// co-located.
     pub fn weight(&self, proc: usize, file: usize) -> Option<u64> {
         debug_assert!(proc < self.n_procs() && file < self.n_files());
-        self.procs.get(proc, file as u32)
+        self.files.get(file, proc as u32)
     }
 
     /// Files co-located with `proc`, as sorted `(file, bytes)` pairs.
     pub fn files_of(&self, proc: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.procs
-            .keys_of(proc)
-            .iter()
-            .zip(self.procs.wts_of(proc))
-            .map(|(&f, &b)| (f as usize, b))
+        self.procs.keys_of(proc).iter().map(move |&f| {
+            let bytes = self.files.get(f as usize, proc as u32);
+            (f as usize, bytes.expect("adjacency mirrors agree"))
+        })
     }
 
     /// Processes co-located with `file`, as sorted `(proc, bytes)` pairs.
@@ -239,7 +246,7 @@ impl BipartiteGraph {
     /// Sum of the weights of all edges incident to `proc` — the paper's
     /// `d(p_i)`, the total data available locally to the process.
     pub fn local_bytes_of(&self, proc: usize) -> u64 {
-        self.procs.wts_of(proc).iter().sum()
+        self.files_of(proc).map(|(_, bytes)| bytes).sum()
     }
 
     /// Files with no co-located process at all (isolated file vertices);
@@ -268,9 +275,10 @@ impl PartialEq for BipartiteGraph {
         {
             return false;
         }
-        (0..self.n_procs()).all(|p| {
-            self.procs.keys_of(p) == other.procs.keys_of(p)
-                && self.procs.wts_of(p) == other.procs.wts_of(p)
+        // The proc side mirrors the file side, so one side decides.
+        (0..self.n_files()).all(|f| {
+            self.files.keys_of(f) == other.files.keys_of(f)
+                && self.files.wts_of(f) == other.files.wts_of(f)
         })
     }
 }
@@ -449,6 +457,57 @@ mod tests {
             }
         }
         assert_eq!(g, fresh);
+    }
+
+    #[test]
+    fn announced_degrees_do_not_change_the_graph() {
+        // One edge set, three construction histories: exact degrees fed
+        // in build order, no degrees fed in shuffled order, and degrees
+        // announced too low (spans relocate mid-build).
+        let (m, n) = (6usize, 40usize);
+        let mut edges: Vec<(usize, usize, u64)> = Vec::new();
+        for f in 0..n {
+            for k in 0..3 {
+                edges.push(((f * 5 + k * 2) % m, f, (f as u64 % 4 + 1) * 16));
+            }
+        }
+        let degrees = |scale: u32| {
+            let mut procs = vec![0u32; m];
+            let mut files = vec![0u32; n];
+            for &(p, f, _) in &edges {
+                procs[p] += 1;
+                files[f] += 1;
+            }
+            let shrink = |d: Vec<u32>| d.into_iter().map(|x| x / scale).collect();
+            (shrink(procs), shrink(files))
+        };
+        let build = |mut g: BipartiteGraph, order: &[(usize, usize, u64)]| {
+            for &(p, f, b) in order {
+                g.add_edge(p, f, b);
+            }
+            g.check_mirror().unwrap();
+            g
+        };
+        let with_degrees = |(procs, files)| BipartiteGraph::with_degrees(procs, files);
+        let exact = build(with_degrees(degrees(1)), &edges);
+        let mut shuffled = edges.clone();
+        let mut state = 0x51DEu64;
+        for i in (1..shuffled.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            shuffled.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let grown = build(BipartiteGraph::new(m, n), &shuffled);
+        let under_announced = build(with_degrees(degrees(2)), &edges);
+        assert_eq!(exact, grown);
+        assert_eq!(exact, under_announced);
+        assert_eq!(exact.edge_count(), edges.len());
+        for &(p, f, b) in &edges {
+            assert_eq!(exact.weight(p, f), Some(b));
+        }
+        assert_eq!(
+            exact.local_bytes_of(0),
+            edges.iter().filter(|e| e.0 == 0).map(|e| e.2).sum::<u64>()
+        );
     }
 
     #[test]

@@ -294,7 +294,8 @@ impl SingleDataMatcher {
         }
         let mut match_edges: Vec<(usize, usize, EdgeId)> = Vec::with_capacity(graph.edge_count());
         for p in 0..m {
-            for (f, _bytes) in graph.files_of(p) {
+            for &f in graph.files_raw(p) {
+                let f = f as usize;
                 debug_assert!(owner[f].is_none(), "matched file {f} still in graph");
                 let e = net.add_edge(proc_v(p), file_v(f), 1);
                 match_edges.push((p, f, e));

@@ -17,7 +17,7 @@ use crate::cache::ShardedCache;
 use crate::coalesce::Coalescer;
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::metrics::{ServeMetrics, Timer};
-use crate::planning::{self, ComputedPlan};
+use crate::planning::{self, ComputedPlan, PlanKey};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::protocol::{PlanReply, Request, Response, StatsReply, PROTOCOL_VERSION};
 use crate::server::ServerConfig;
@@ -29,9 +29,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-
-/// Plan cache / coalescing key: `(dataset, strategy label, seed)`.
-type PlanKey = (usize, String, u64);
 
 /// A cached plan plus — for planner-backed strategies — the live
 /// planning session that produced it. The session is `take`n by the
@@ -132,7 +129,7 @@ impl Shared {
             .take()?;
         let timer = Timer::start();
         let ComputedPlan { reply, session } =
-            planning::repair_plan(session, &deltas, stale.reply.clone(), generation);
+            planning::repair_plan(session, &deltas, key, generation);
         self.metrics.repaired.fetch_add(1, Ordering::Relaxed);
         self.metrics.repair_latency.record(timer.elapsed_us());
         Some(Arc::new(CachedPlan {

@@ -19,6 +19,10 @@ use opass_core::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Plan cache / coalescing key: `(dataset, strategy label, seed)` — with
+/// the generation, everything in a plan reply that is not the plan.
+pub(crate) type PlanKey = (usize, String, u64);
+
 /// A freshly computed (or repaired) plan: the wire reply plus — for
 /// planner-backed strategies — the live planning session that produced
 /// it, so a later delta invalidation can repair the plan in place.
@@ -46,20 +50,6 @@ pub(crate) fn compute_plan(
 ) -> ComputedPlan {
     let n_tasks = snapshot.len();
     let n_procs = placement.n_procs();
-    let reply = |owners: Vec<usize>, matched, filled, task_frac, byte_frac| PlanReply {
-        dataset,
-        generation,
-        strategy: strategy.label(),
-        seed,
-        owners,
-        matched_files: matched,
-        filled_files: filled,
-        local_task_fraction: task_frac,
-        local_byte_fraction: byte_frac,
-        cached: false,
-        coalesced: false,
-        repaired: false,
-    };
     match strategy {
         Strategy::RankInterval | Strategy::RandomAssign => {
             let assignment = if matches!(strategy, Strategy::RankInterval) {
@@ -71,13 +61,20 @@ pub(crate) fn compute_plan(
             let graph = build_locality_graph_from_layout(snapshot, placement);
             let locality = locality_report(&assignment, &graph, &snapshot.sizes());
             ComputedPlan {
-                reply: reply(
-                    assignment.owners().to_vec(),
-                    0,
-                    0,
-                    locality.task_fraction(),
-                    locality.byte_fraction(),
-                ),
+                reply: PlanReply {
+                    dataset,
+                    generation,
+                    strategy: strategy.label(),
+                    seed,
+                    owners: assignment.owners().to_vec(),
+                    matched_files: 0,
+                    filled_files: 0,
+                    local_task_fraction: locality.task_fraction(),
+                    local_byte_fraction: locality.byte_fraction(),
+                    cached: false,
+                    coalesced: false,
+                    repaired: false,
+                },
                 session: None,
             }
         }
@@ -86,48 +83,57 @@ pub(crate) fn compute_plan(
                 .session(&PlanRequest::single_from_layout(snapshot, placement).seed(seed))
                 .into_single()
                 .expect("single-data requests always yield single-data sessions");
-            let plan = session.plan();
-            ComputedPlan {
-                reply: reply(
-                    plan.assignment.owners().to_vec(),
-                    plan.matched_files,
-                    plan.filled_files,
-                    plan.locality.task_fraction(),
-                    plan.locality.byte_fraction(),
-                ),
-                session: Some(session),
-            }
+            let key = (dataset, strategy.label(), seed);
+            session_plan(key, generation, session, false)
         }
     }
 }
 
+/// Renders the reply for `key` around a session's current plan (fresh
+/// flags) and keeps the session alongside it. The key, the generation
+/// and the session's plan are everything a reply holds, which is why
+/// caches keep no reply beside a session.
+fn session_plan(
+    (dataset, strategy, seed): PlanKey,
+    generation: u64,
+    session: SingleDataSession,
+    repaired: bool,
+) -> ComputedPlan {
+    let plan = session.plan();
+    let reply = PlanReply {
+        dataset,
+        generation,
+        strategy,
+        seed,
+        owners: plan.assignment.owners().to_vec(),
+        matched_files: plan.matched_files,
+        filled_files: plan.filled_files,
+        local_task_fraction: plan.locality.task_fraction(),
+        local_byte_fraction: plan.locality.byte_fraction(),
+        cached: false,
+        coalesced: false,
+        repaired,
+    };
+    ComputedPlan {
+        reply,
+        session: Some(session),
+    }
+}
+
 /// Brings a superseded plan up to `generation` by replaying journalled
-/// layout deltas through its planning session, rewriting the stale
-/// reply around the repaired assignment (`repaired` set, fresh flags
-/// otherwise).
+/// layout deltas through its planning session, and renders the reply
+/// for `key` around the repaired assignment (`repaired` set, fresh
+/// flags otherwise).
 pub(crate) fn repair_plan(
     mut session: SingleDataSession,
     deltas: &[LayoutDelta],
-    mut reply: PlanReply,
+    key: &PlanKey,
     generation: u64,
 ) -> ComputedPlan {
     for delta in deltas {
         session.replan(delta);
     }
-    let plan = session.plan();
-    reply.generation = generation;
-    plan.assignment.owners().clone_into(&mut reply.owners);
-    reply.matched_files = plan.matched_files;
-    reply.filled_files = plan.filled_files;
-    reply.local_task_fraction = plan.locality.task_fraction();
-    reply.local_byte_fraction = plan.locality.byte_fraction();
-    reply.cached = false;
-    reply.coalesced = false;
-    reply.repaired = true;
-    ComputedPlan {
-        reply,
-        session: Some(session),
-    }
+    session_plan(key.clone(), generation, session, true)
 }
 
 /// Builds the wire layout reply from a snapshot.

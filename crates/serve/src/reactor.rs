@@ -30,7 +30,7 @@
 use crate::conn::{FrameBuf, WriteProgress, WriteQueue};
 use crate::frame::{encode_frame, FrameError};
 use crate::metrics::{ServeMetrics, ShardStats, Timer};
-use crate::planning::{self, ComputedPlan};
+use crate::planning::{self, ComputedPlan, PlanKey};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::protocol::{
     PlanReply, Request, Response, ShardStatsReply, StatsReply, PROTOCOL_VERSION,
@@ -45,9 +45,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Plan cache / coalescing key: `(dataset, strategy label, seed)`.
-type PlanKey = (usize, String, u64);
 
 /// Empty sweeps a shard spins (yielding) before parking. Sockets have no
 /// waker, so an active connection must be caught by polling; yielding
@@ -123,7 +120,6 @@ enum Done {
 struct PlanDone {
     key: PlanKey,
     generation: u64,
-    reply: PlanReply,
     session: Option<SingleDataSession>,
     /// Pre-encoded `cached = true` variant, stored for future hits.
     hit_bytes: Arc<Vec<u8>>,
@@ -356,26 +352,32 @@ fn encode_response(resp: &Response) -> Arc<Vec<u8>> {
     Arc::new(bytes)
 }
 
-/// Encodes the three per-disposition variants of one plan reply: the
+/// Encodes the three per-disposition variants of one plan reply — the
 /// cache-hit form (`cached`), the flight leader's form (fresh flags),
-/// and the follower form (`coalesced`). Encoding happens once, on the
+/// and the follower form (`coalesced`), in that order — flipping the
+/// two flags in place between encodes. Encoding happens once, on the
 /// worker thread; every future hit reuses the bytes zero-copy.
-fn plan_variants(reply: &PlanReply) -> (FrameBytes, FrameBytes, FrameBytes) {
-    let mut hit = reply.clone();
-    hit.cached = true;
-    let mut follower = reply.clone();
-    follower.coalesced = true;
+fn plan_variants(reply: PlanReply) -> (FrameBytes, FrameBytes, FrameBytes) {
+    let mut resp = Response::Plan(reply);
+    let mut encode_with = |cached, coalesced| {
+        if let Response::Plan(reply) = &mut resp {
+            reply.cached = cached;
+            reply.coalesced = coalesced;
+        }
+        encode_response(&resp)
+    };
     (
-        encode_response(&Response::Plan(hit)),
-        encode_response(&Response::Plan(reply.clone())),
-        encode_response(&Response::Plan(follower)),
+        encode_with(true, false),
+        encode_with(false, false),
+        encode_with(false, true),
     )
 }
 
-/// One cached plan in a shard's slice.
+/// One cached plan in a shard's slice: the encoded hit and, for planner
+/// strategies, the session whose plan it renders. No reply is kept — a
+/// repair renders its own from the key and the session.
 struct PlanEntry {
     generation: u64,
-    reply: PlanReply,
     hit_bytes: Arc<Vec<u8>>,
     session: Option<SingleDataSession>,
 }
@@ -894,11 +896,7 @@ impl Shard {
         // Claim a stale predecessor: repairable when the journal covers
         // the span and the entry kept its planning session. Claiming
         // retires the entry either way.
-        let mut repair: Option<(
-            SingleDataSession,
-            Vec<opass_core::dfs::LayoutDelta>,
-            PlanReply,
-        )> = None;
+        let mut repair: Option<(SingleDataSession, Vec<opass_core::dfs::LayoutDelta>)> = None;
         if let Some(stale) = self.plan_cache.remove(&key) {
             self.me()
                 .stats
@@ -906,7 +904,7 @@ impl Shard {
                 .fetch_add(1, Ordering::Relaxed);
             if let Some(session) = stale.session {
                 if let Some(deltas) = self.ctx.world.deltas_since(dataset, stale.generation) {
-                    repair = Some((session, deltas, stale.reply));
+                    repair = Some((session, deltas));
                 }
             }
         }
@@ -922,17 +920,16 @@ impl Shard {
         let job_key = key;
         let submitted = self.ctx.pool.try_submit(move || {
             let done = match repair {
-                Some((session, deltas, stale_reply)) => {
+                Some((session, deltas)) => {
                     let timer = Timer::start();
                     let ComputedPlan { reply, session } =
-                        planning::repair_plan(session, &deltas, stale_reply, generation);
+                        planning::repair_plan(session, &deltas, &job_key, generation);
                     ctx.metrics.repaired.fetch_add(1, Ordering::Relaxed);
                     ctx.metrics.repair_latency.record(timer.elapsed_us());
-                    let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(&reply);
+                    let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(reply);
                     PlanDone {
                         key: job_key,
                         generation,
-                        reply,
                         session,
                         hit_bytes,
                         leader_bytes,
@@ -964,11 +961,10 @@ impl Shard {
                         generation,
                     );
                     ctx.metrics.cold_plan_latency.record(timer.elapsed_us());
-                    let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(&reply);
+                    let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(reply);
                     PlanDone {
                         key: job_key,
                         generation,
-                        reply,
                         session,
                         hit_bytes,
                         leader_bytes,
@@ -1137,7 +1133,6 @@ impl Shard {
                 let PlanDone {
                     key,
                     generation,
-                    reply,
                     session,
                     hit_bytes,
                     leader_bytes,
@@ -1158,7 +1153,6 @@ impl Shard {
                         key.clone(),
                         PlanEntry {
                             generation,
-                            reply,
                             session,
                             hit_bytes: Arc::clone(&hit_bytes),
                         },

@@ -1,0 +1,158 @@
+//! Memory budgets that need no clock: a counting global allocator pins
+//! what a planning session and the layout handles around it hold, in
+//! requested bytes and in allocator calls. `peak_rss_mib` is the metric
+//! the benchmark gates; these are the per-structure numbers under it
+//! (DESIGN.md §16), so a per-chunk `Vec` or a copy that creeps back in
+//! fails here the day it is written.
+//!
+//! This file is the workspace's one audited use of `unsafe` (the
+//! `no-unsafe` rule in `lint.toml` names it): a `GlobalAlloc` cannot be
+//! written without it. It is its own test binary with a single `#[test]`
+//! so nothing else runs in the process, and it counts only on the
+//! thread that asked, so the test harness's own threads cannot leak
+//! into a measurement.
+
+#![allow(unsafe_code)]
+
+use opass_core::planner::OpassPlanner;
+use opass_core::request::PlanRequest;
+use opass_core::SingleDataSession;
+use opass_dfs::{ChunkIndex, DatasetSpec, DfsConfig, LayoutSnapshot, Namenode, Placement};
+use opass_runtime::ProcessPlacement;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    /// Whether this thread is inside [`measure`].
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    /// Allocator calls that handed out memory (`alloc`, `realloc`).
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+    /// Requested bytes handed out minus requested bytes returned.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn record(calls: usize, bytes: isize) {
+    if MEASURING.get() {
+        CALLS.set(CALLS.get() + calls);
+        LIVE.set(LIVE.get() + bytes);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping around the
+// calls touches only const-initialised, destructor-free thread-locals,
+// which neither allocate nor unwind.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(1, layout.size() as isize);
+        // SAFETY: the caller's obligations are `System::alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(1, layout.size() as isize);
+        // SAFETY: the caller's obligations are `System::alloc_zeroed`'s own.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, -(layout.size() as isize));
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(1, new_size as isize - layout.size() as isize);
+        // SAFETY: `ptr` came from `System` with this layout, and the
+        // caller guarantees `new_size` is valid for its alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// What `f` cost this thread: allocator calls made, and requested bytes
+/// still live when it returned (its result is kept alive, so this is
+/// what the result holds).
+struct Cost {
+    calls: usize,
+    live_bytes: isize,
+}
+
+fn measure<T>(f: impl FnOnce() -> T) -> (T, Cost) {
+    let (calls, live) = (CALLS.get(), LIVE.get());
+    MEASURING.set(true);
+    let out = f();
+    MEASURING.set(false);
+    let cost = Cost {
+        calls: CALLS.get() - calls,
+        live_bytes: LIVE.get() - live,
+    };
+    (out, cost)
+}
+
+fn dataset_world(n_nodes: usize, n_chunks: usize) -> (LayoutSnapshot, ProcessPlacement) {
+    let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+    let mut rng = StdRng::seed_from_u64(1);
+    let ds = nn.create_dataset(
+        &DatasetSpec::uniform("d", n_chunks, 64 << 20),
+        &Placement::Random,
+        &mut rng,
+    );
+    let chunks = nn.dataset(ds).expect("dataset exists").chunks.clone();
+    (
+        LayoutSnapshot::capture(&nn, &chunks),
+        ProcessPlacement::one_per_node(n_nodes),
+    )
+}
+
+fn start_session(snapshot: &LayoutSnapshot, placement: &ProcessPlacement) -> SingleDataSession {
+    OpassPlanner::default()
+        .session(&PlanRequest::single_from_layout(snapshot, placement).seed(1))
+        .into_single()
+        .expect("single session")
+}
+
+#[test]
+fn a_session_and_its_layout_handles_stay_within_their_memory_budgets() {
+    // One `serve_hot` dataset, and the benchmark's session-start probe.
+    for (n_nodes, n_chunks) in [(64, 1280), (128, 32_768)] {
+        let (snapshot, placement) = dataset_world(n_nodes, n_chunks);
+        let per_chunk = |cost: &Cost| cost.live_bytes as f64 / n_chunks as f64;
+
+        // The session shares the snapshot it was started from, so this
+        // is its own state: graph, matching, chunk index, rendered plan.
+        let (session, held) = measure(|| start_session(&snapshot, &placement));
+        assert!(session.snapshot().ptr_eq(&snapshot));
+        assert!(
+            per_chunk(&held) <= 110.0,
+            "{n_nodes} x {n_chunks}: a session holds {:.1} B/chunk",
+            per_chunk(&held)
+        );
+
+        // Built exact, so a copy has no growth slack to shed.
+        let (copy, copied) = measure(|| session.clone());
+        let ratio = copied.live_bytes as f64 / held.live_bytes as f64;
+        assert!(
+            (0.98..=1.02).contains(&ratio),
+            "{n_nodes} x {n_chunks}: a session copy holds {ratio:.3} of the session"
+        );
+        drop(copy);
+
+        // Chunk ids in dataset order index as one run.
+        let (index, built) = measure(|| ChunkIndex::build(&snapshot));
+        assert_eq!(index.len(), n_chunks);
+        assert_eq!(built.calls, 1, "{n_nodes} x {n_chunks}: index build");
+
+        // A snapshot handle is a reference count, not a copy.
+        let (handle, cloned) = measure(|| snapshot.clone());
+        assert!(handle.ptr_eq(&snapshot));
+        assert_eq!(cloned.calls, 0, "{n_nodes} x {n_chunks}: snapshot clone");
+    }
+}

@@ -5,7 +5,8 @@
 use opass_core::planner::OpassPlanner;
 use opass_core::request::PlanRequest;
 use opass_dfs::{
-    ChunkId, DatasetSpec, DfsConfig, LayoutDelta, Namenode, NodeId, Placement, ReplicaChoice,
+    ChunkId, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, NodeId, Placement,
+    ReplicaChoice,
 };
 use opass_runtime::{baseline, execute, ExecConfig, ProcessPlacement, TaskSource};
 use opass_workloads::{single, SingleDataConfig, Task, Workload};
@@ -228,6 +229,57 @@ fn replan_tracks_scratch_plans_through_randomized_churn() {
                 "seed {seed} step {step}: repaired assignment unbalanced"
             );
         }
+    }
+}
+
+/// Two tasks reading the same chunk put that chunk in the session's
+/// snapshot twice, as two file vertices. Replica churn on the chunk has
+/// to reach both: after every delta the session's snapshot equals a
+/// fresh capture and the repaired matching is as large as a scratch
+/// plan's.
+#[test]
+fn replan_reaches_every_task_reading_a_chunk_listed_twice() {
+    let mut nn = Namenode::new(8, DfsConfig::default());
+    let mut rng = StdRng::seed_from_u64(71);
+    let ds = nn.create_dataset(
+        &DatasetSpec::uniform("shared", 16, 32 << 20),
+        &Placement::Random,
+        &mut rng,
+    );
+    let mut ids = nn.dataset(ds).unwrap().chunks.clone();
+    ids.push(ids[0]);
+    let w = Workload::new("shared", ids.iter().map(|&c| Task::single(c)).collect());
+    let scope: BTreeSet<ChunkId> = ids.iter().copied().collect();
+    let placement = ProcessPlacement::one_per_node(8);
+    nn.take_events();
+    let planner = OpassPlanner::default();
+    let mut session = planner
+        .session(&PlanRequest::single(&nn, &w, &placement).seed(5))
+        .into_single()
+        .expect("single session");
+    for step in 0..4 {
+        nn.rebalance(1.05, &mut rng);
+        // Fail a node that holds the shared chunk, so its replicas move.
+        let holder = nn.chunk(ids[0]).expect("chunk exists").locations[0];
+        nn.fail_node(holder).expect("fail alive node");
+        nn.repair_under_replicated(&mut rng).expect("repair");
+        let delta = LayoutDelta::from_events(&nn.take_events(), |c| scope.contains(&c));
+        assert!(!delta.is_empty(), "step {step}");
+        let repaired = session.replan(&delta).clone();
+        assert_eq!(
+            session.snapshot(),
+            &LayoutSnapshot::capture(&nn, &ids),
+            "step {step}: snapshot diverged from the namenode"
+        );
+        let scratch = planner
+            .plan(&PlanRequest::single(&nn, &w, &placement).seed(5))
+            .into_single()
+            .expect("single plan");
+        assert_eq!(
+            repaired.matched_files, scratch.matched_files,
+            "step {step}: matched-file counts diverged"
+        );
+        assert!(repaired.assignment.is_balanced(), "step {step}");
     }
 }
 

@@ -53,6 +53,16 @@
 #                            fails if parse or replay records/sec
 #                            regressed >50% vs the committed
 #                            BENCH_trace.json baseline
+#   check.sh --bench-run     benchmark dry run: builds the frozen bench/
+#                            package as the full gate does, then runs what
+#                            the pipeline runs — all five workloads once
+#                            (--seed 1 --seconds 17 --trace 0, ~2 minutes)
+#                            and `bench/run.sh --self-test` — and fails
+#                            unless every result line reads
+#                            "correct":true and "failed":0. Says before a
+#                            PR leaves the machine what the pipeline would
+#                            say about a benchmark that no longer runs
+#                            (read-only on bench/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +85,15 @@ lint() {
     # "clean" means zero unsuppressed findings of any severity — per-site
     # and graph rules (transitive-determinism, unused-suppression) alike.
     run ./target/release/opass-lint --root . --strict --fix-hints
+}
+
+# The benchmark package is a workspace of its own that no change may
+# edit, so a public-API change that breaks it would otherwise surface
+# only in the pipeline. Build it as the pipeline does and check that the
+# binary still implements the declared contract (read-only on bench/).
+bench_build() {
+    run cargo build --release --offline --manifest-path bench/Cargo.toml --target-dir bench/target
+    run bash bench/run.sh --contract BENCHMARK.json
 }
 
 if [[ "${1:-}" == "--lint" ]]; then
@@ -177,6 +196,22 @@ if [[ "${1:-}" == "--trace-smoke" ]]; then
     exit 0
 fi
 
+if [[ "${1:-}" == "--bench-run" ]]; then
+    bench_build
+    run bash bench/run.sh --self-test
+    for workload in plan_mix serve_hot serve_churn trace_replay sim_sweep; do
+        echo "==> bash bench/run.sh --workload $workload --seed 1 --seconds 17 --trace 0"
+        result="$(bash bench/run.sh --workload "$workload" --seed 1 --seconds 17 --trace 0 | tail -n 1)"
+        echo "$result"
+        if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
+            echo "error: $workload did not finish correct with 0 failed" >&2
+            exit 1
+        fi
+    done
+    echo "Bench run passed."
+    exit 0
+fi
+
 run cargo fmt --all -- --check
 lint
 run cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -186,11 +221,6 @@ run cargo test --workspace --quiet --offline
 # The retired thread-per-connection frontend only builds behind its
 # feature gate; keep it honest (it A/B-checks itself against the reactor).
 run cargo test -p opass-serve --features blocking-server --quiet --offline
-# The benchmark package is a workspace of its own that no change may
-# edit, so a public-API change that breaks it would otherwise surface
-# only in the pipeline. Build it as the pipeline does and check that the
-# binary still implements the declared contract (read-only on bench/).
-run cargo build --release --offline --manifest-path bench/Cargo.toml --target-dir bench/target
-run bash bench/run.sh --contract BENCHMARK.json
+bench_build
 
 echo "All checks passed."
