@@ -27,7 +27,16 @@ fn bench_multidata(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(20);
-    for &(m, n) in &[(16usize, 160usize), (64, 640), (128, 1280), (256, 2560)] {
+    // Up to the paper's 1024 nodes at 10 tasks per process — the overhead
+    // claim of Section V-C2 needs the whole curve.
+    for &(m, n) in &[
+        (16usize, 160usize),
+        (64, 640),
+        (128, 1280),
+        (256, 2560),
+        (1024, 2048),
+        (1024, 10240),
+    ] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{m}x{n}")),
             &(m, n),

@@ -142,6 +142,39 @@ pub fn build_rack_graph(
     graph
 }
 
+/// Processes hosted on each node.
+pub(crate) fn procs_per_node(placement: &ProcessPlacement) -> BTreeMap<NodeId, Vec<usize>> {
+    let mut procs_on: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+    for proc in 0..placement.n_procs() {
+        procs_on
+            .entry(placement.node_of(proc))
+            .or_default()
+            .push(proc);
+    }
+    procs_on
+}
+
+/// Credits one chunk of `size` bytes, replicated at `locations`, to the
+/// matching value between every process on a replica holder and each of
+/// the `tasks` that read it.
+pub(crate) fn add_colocated(
+    values: &mut MatchingValues,
+    procs_on: &BTreeMap<NodeId, Vec<usize>>,
+    locations: &[NodeId],
+    tasks: &[usize],
+    size: u64,
+) {
+    for node in locations {
+        if let Some(procs) = procs_on.get(node) {
+            for &p in procs {
+                for &t in tasks {
+                    values.add(p, t, size);
+                }
+            }
+        }
+    }
+}
+
 /// Builds the matching-value table `m_i^j = |d(p_i) ∩ d(t_j)|` for an
 /// arbitrary (possibly multi-input) workload.
 pub fn build_matching_values(
@@ -150,26 +183,21 @@ pub fn build_matching_values(
     placement: &ProcessPlacement,
 ) -> MatchingValues {
     let mut values = MatchingValues::new(placement.n_procs(), workload.len());
-    // node -> procs on it, precomputed.
-    let mut procs_on: BTreeMap<opass_dfs::NodeId, Vec<usize>> = BTreeMap::new();
-    for proc in 0..placement.n_procs() {
-        procs_on
-            .entry(placement.node_of(proc))
-            .or_default()
-            .push(proc);
-    }
+    let procs_on = procs_per_node(placement);
+    // Task-major, so every process is fed its tasks in ascending order —
+    // the order `MatchingValues::add` appends without searching.
     for (task_idx, task) in workload.tasks.iter().enumerate() {
         for &chunk in &task.inputs {
             let meta = namenode
                 .chunk(chunk)
                 .expect("workload references unknown chunk");
-            for node in &meta.locations {
-                if let Some(procs) = procs_on.get(node) {
-                    for &p in procs {
-                        values.add(p, task_idx, meta.size);
-                    }
-                }
-            }
+            add_colocated(
+                &mut values,
+                &procs_on,
+                &meta.locations,
+                &[task_idx],
+                meta.size,
+            );
         }
     }
     values

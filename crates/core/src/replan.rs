@@ -28,7 +28,7 @@
 //! random-fill RNG is re-derived for every replan from the session seed
 //! and a replan counter, never from ambient state.
 
-use crate::builder::build_locality_graph_from_layout;
+use crate::builder::{add_colocated, build_locality_graph_from_layout, procs_per_node};
 use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use opass_dfs::{ChunkId, ChunkIndex, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_matching::{
@@ -44,17 +44,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// from a fresh, reproducible fill stream (same derivation every run).
 fn fill_rng(seed: u64, replans: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ replans.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn procs_per_node(placement: &ProcessPlacement) -> BTreeMap<NodeId, Vec<usize>> {
-    let mut procs_on: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    for proc in 0..placement.n_procs() {
-        procs_on
-            .entry(placement.node_of(proc))
-            .or_default()
-            .push(proc);
-    }
-    procs_on
 }
 
 /// Long-lived single-data planning state that can be advanced by layout
@@ -553,15 +542,7 @@ pub(crate) fn build_values(
 ) -> MatchingValues {
     let mut values = MatchingValues::new(n_procs, n_tasks);
     for (entry, readers) in snapshot.entries().iter().zip(readers) {
-        for node in &entry.locations {
-            if let Some(procs) = procs_on.get(node) {
-                for &p in procs {
-                    for &t in readers {
-                        values.add(p, t, entry.size);
-                    }
-                }
-            }
-        }
+        add_colocated(&mut values, procs_on, &entry.locations, readers, entry.size);
     }
     values
 }

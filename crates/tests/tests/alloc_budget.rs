@@ -1,24 +1,27 @@
 //! Memory budgets that need no clock: a counting global allocator pins
-//! what a planning session and the layout handles around it hold, in
-//! requested bytes and in allocator calls. `peak_rss_mib` is the metric
+//! what a planning session and the layout handles around it hold, and
+//! what Algorithm 1 needs while it runs, in requested bytes and in
+//! allocator calls. `peak_rss_mib` is the metric
 //! the benchmark gates; these are the per-structure numbers under it
 //! (DESIGN.md §16), so a per-chunk `Vec` or a copy that creeps back in
 //! fails here the day it is written.
 //!
 //! This file is the workspace's one audited use of `unsafe` (the
 //! `no-unsafe` rule in `lint.toml` names it): a `GlobalAlloc` cannot be
-//! written without it. It is its own test binary with a single `#[test]`
-//! so nothing else runs in the process, and it counts only on the
-//! thread that asked, so the test harness's own threads cannot leak
-//! into a measurement.
+//! written without it. It is its own test binary so nothing else runs
+//! in the process, and it counts only on the thread that asked, so
+//! neither the other test nor the harness's own threads can leak into a
+//! measurement.
 
 #![allow(unsafe_code)]
 
 use opass_core::planner::OpassPlanner;
 use opass_core::request::PlanRequest;
-use opass_core::SingleDataSession;
+use opass_core::{build_matching_values, SingleDataSession};
 use opass_dfs::{ChunkIndex, DatasetSpec, DfsConfig, LayoutSnapshot, Namenode, Placement};
+use opass_matching::assign_multi_data;
 use opass_runtime::ProcessPlacement;
+use opass_workloads::{multi as multi_wl, MultiDataConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -33,12 +36,15 @@ thread_local! {
     static CALLS: Cell<usize> = const { Cell::new(0) };
     /// Requested bytes handed out minus requested bytes returned.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest `LIVE` has stood since [`measure`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn record(calls: usize, bytes: isize) {
     if MEASURING.get() {
         CALLS.set(CALLS.get() + calls);
         LIVE.set(LIVE.get() + bytes);
+        PEAK.set(PEAK.get().max(LIVE.get()));
     }
 }
 
@@ -77,22 +83,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// What `f` cost this thread: allocator calls made, and requested bytes
+/// What `f` cost this thread: allocator calls made, requested bytes
 /// still live when it returned (its result is kept alive, so this is
-/// what the result holds).
+/// what the result holds), and the most that was live at once while it
+/// ran (result and scratch together).
 struct Cost {
     calls: usize,
     live_bytes: isize,
+    peak_bytes: isize,
 }
 
 fn measure<T>(f: impl FnOnce() -> T) -> (T, Cost) {
     let (calls, live) = (CALLS.get(), LIVE.get());
+    PEAK.set(live);
     MEASURING.set(true);
     let out = f();
     MEASURING.set(false);
     let cost = Cost {
         calls: CALLS.get() - calls,
         live_bytes: LIVE.get() - live,
+        peak_bytes: PEAK.get() - live,
     };
     (out, cost)
 }
@@ -155,4 +165,39 @@ fn a_session_and_its_layout_handles_stay_within_their_memory_budgets() {
         assert!(handle.ptr_eq(&snapshot));
         assert_eq!(cloned.calls, 0, "{n_nodes} x {n_chunks}: snapshot clone");
     }
+}
+
+#[test]
+fn algorithm1_runs_in_the_memory_of_its_non_zero_values() {
+    // `sim_sweep`'s large multi-data scene: 18 378 non-zero matching
+    // values in a 1024 x 2048 table.
+    let (n_nodes, n_tasks) = (1024, 2048);
+    let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+    let (_, tasks) = multi_wl::generate(
+        &mut nn,
+        &MultiDataConfig {
+            n_tasks,
+            input_sizes: vec![30 << 20, 20 << 20, 10 << 20],
+        },
+        &Placement::Random,
+        &mut StdRng::seed_from_u64(1 ^ n_nodes as u64),
+    );
+    let values = build_matching_values(&nn, &tasks, &ProcessPlacement::one_per_node(n_nodes));
+
+    let (out, cost) = measure(|| assign_multi_data(&values));
+    assert!(out.assignment.is_balanced());
+    // A sorted list of every task for every process is 16 MiB of
+    // candidates alone.
+    assert!(
+        cost.peak_bytes <= 1 << 20,
+        "Algorithm 1 peaked at {} B",
+        cost.peak_bytes
+    );
+    // The returned assignment's per-process task lists are the result;
+    // the matcher's own scratch is a fixed number of flat arrays.
+    assert!(
+        cost.calls <= n_nodes + 32,
+        "Algorithm 1 made {} allocator calls",
+        cost.calls
+    );
 }

@@ -1,7 +1,16 @@
 //! Integration: multi-input (Figure 9/10) and dynamic (Figure 11)
 //! pipelines in miniature.
 
-use opass_core::{ClusterSpec, Dynamic, Experiment, MultiData, Strategy};
+use opass_core::{
+    build_matching_values, ClusterSpec, Dynamic, Experiment, MultiData, OpassPlanner, PlanRequest,
+    Strategy,
+};
+use opass_dfs::{DfsConfig, Namenode, Placement};
+use opass_matching::assign_multi_data;
+use opass_runtime::ProcessPlacement;
+use opass_workloads::{multi as multi_wl, MultiDataConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn multi(m: usize, seed: u64) -> MultiData {
     MultiData {
@@ -101,4 +110,48 @@ fn dynamic_irregular_compute_spreads_finish_times() {
         .fold(0.0f64, f64::max);
     assert!(run.result.makespan > max_io_plus_compute);
     assert!(run.result.makespan.is_finite());
+}
+
+#[test]
+fn algorithm1_repeats_its_exact_counts_on_the_benchmark_scenes() {
+    // The multi-data scenes `plan_mix` and `sim_sweep` plan, as they
+    // generate them at seed 1. Proposals and trade-ups are the matcher's
+    // work as counts: they were read off the dense m × n candidate table
+    // and must not move while the candidate order is generated lazily.
+    for (n_nodes, n_tasks, proposals, reassignments) in
+        [(128, 1_280, 17_368, 2), (1_024, 2_048, 149_153, 39)]
+    {
+        let mut rng = StdRng::seed_from_u64(1 ^ n_nodes as u64);
+        let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+        let (_, tasks) = multi_wl::generate(
+            &mut nn,
+            &MultiDataConfig {
+                n_tasks,
+                input_sizes: vec![30 << 20, 20 << 20, 10 << 20],
+            },
+            &Placement::Random,
+            &mut rng,
+        );
+        let placement = ProcessPlacement::one_per_node(n_nodes);
+
+        let values = build_matching_values(&nn, &tasks, &placement);
+        let out = assign_multi_data(&values);
+        assert_eq!(out.proposals, proposals, "{n_nodes} x {n_tasks}");
+        assert_eq!(out.reassignments, reassignments, "{n_nodes} x {n_tasks}");
+
+        // A session builds its table from the captured layout, not the
+        // namenode, and must arrive at the same plan.
+        let planner = OpassPlanner::default();
+        let request = PlanRequest::multi(&nn, &tasks, &placement);
+        let plan = planner.plan(&request).into_multi().expect("multi plan");
+        let session = planner
+            .session(&request)
+            .into_multi()
+            .expect("multi session");
+        for p in [&plan, session.plan()] {
+            assert_eq!(p.assignment, out.assignment, "{n_nodes} x {n_tasks}");
+            assert_eq!(p.matched_bytes, out.matched_bytes);
+            assert_eq!(p.reassignments, reassignments);
+        }
+    }
 }

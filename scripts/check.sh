@@ -63,6 +63,13 @@
 #                            PR leaves the machine what the pipeline would
 #                            say about a benchmark that no longer runs
 #                            (read-only on bench/).
+#
+# A performance claim is measured by its sibling, not by a mode here:
+#   scripts/pairs.sh <parent-ref> --workload W [--seed S] [--pairs N]
+#                            interleaved A/B pairs of the frozen
+#                            benchmark, parent commit against working
+#                            tree: medians, quartiles and pairs won per
+#                            gated metric (see its header).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
