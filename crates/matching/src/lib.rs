@@ -65,7 +65,7 @@ pub use dynamic::{
 };
 pub use graph::BipartiteGraph;
 pub use incremental::IncrementalMatcher;
-pub use maxflow::{FlowAlgo, FlowNetwork};
+pub use maxflow::{FlowAlgo, FlowNetwork, FlowWork};
 pub use multi_data::{assign_multi_data, repair_multi_data, MatchingValues, MultiDataOutcome};
 pub use placement::{propose_moves, PlacementPolicy, ReplicaMove};
 pub use single_data::{

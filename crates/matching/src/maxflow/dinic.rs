@@ -3,10 +3,16 @@
 //! `O(V²·E)` in general and `O(E·√V)` on the unit-capacity bipartite
 //! networks the single-data matcher builds — the production choice for
 //! large clusters. Results are cross-checked against Edmonds–Karp by
-//! property tests in the crate root.
+//! property tests in the crate root, and edge for edge against the
+//! pre-CSR bodies kept in `maxflow::reference`.
+//!
+//! One queue and two `u32` arrays serve every phase. Each search stops
+//! expanding at `t`'s level: a vertex at or beyond it cannot lie on a
+//! level path to `t`, so it is left unlevelled and the blocking-flow DFS
+//! rejects its edge at the level test instead of after a fruitless
+//! descent — the same edges are skipped, no capacity differs.
 
-use super::network::FlowNetwork;
-use std::collections::VecDeque;
+use super::network::{FlowNetwork, FlowWork, Residual};
 
 /// Computes the maximum flow from `s` to `t`, mutating `net` so per-edge
 /// flows can be read back with [`FlowNetwork::flow_on`].
@@ -18,21 +24,35 @@ pub fn max_flow(net: &mut FlowNetwork, s: usize, t: usize) -> u64 {
     assert_ne!(s, t, "source and sink must differ");
     let n = net.vertex_count();
     let mut total = 0u64;
+    let mut work = FlowWork::default();
     let mut level = vec![u32::MAX; n];
-    let mut iter = vec![0usize; n];
+    let mut iter = vec![0u32; n];
+    let mut queue: Vec<u32> = Vec::with_capacity(n);
+    let mut res = net.adjacency();
 
     loop {
         // Build the level graph with BFS over residual edges.
-        level.iter_mut().for_each(|l| *l = u32::MAX);
+        work.phases += 1;
+        level.fill(u32::MAX);
         level[s] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for &eid in &net.adj[u] {
-                let edge = &net.edges[eid];
-                if edge.cap > 0 && level[edge.to] == u32::MAX {
-                    level[edge.to] = level[u] + 1;
-                    queue.push_back(edge.to);
+        queue.clear();
+        queue.push(s as u32);
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head] as usize;
+            head += 1;
+            // The queue is in level order, so nothing after `u` is
+            // nearer; `level[t]` is `u32::MAX` until `t` is reached.
+            if level[u] >= level[t] {
+                break;
+            }
+            let list = res.edges_of(u);
+            work.scanned += list.len() as u64;
+            for &eid in list {
+                let to = res.to[eid as usize];
+                if res.cap[eid as usize] > 0 && level[to as usize] == u32::MAX {
+                    level[to as usize] = level[u] + 1;
+                    queue.push(to);
                 }
             }
         }
@@ -40,15 +60,21 @@ pub fn max_flow(net: &mut FlowNetwork, s: usize, t: usize) -> u64 {
             break;
         }
         // Find a blocking flow with iterative DFS.
-        iter.iter_mut().for_each(|i| *i = 0);
+        iter.copy_from_slice(&res.start[..n]);
         loop {
-            let pushed = dfs_push(net, s, t, u64::MAX, &level, &mut iter);
+            let pushed = dfs_push(&mut res, s, t, u64::MAX, &level, &mut iter);
             if pushed == 0 {
                 break;
             }
+            work.paths += 1;
             total += pushed;
         }
+        // Every entry a vertex's cursor passed was read once.
+        for (&at, &from) in iter.iter().zip(res.start) {
+            work.scanned += u64::from(at - from);
+        }
     }
+    net.work = work;
     debug_assert!(net.conserves_flow(s, t));
     total
 }
@@ -56,27 +82,24 @@ pub fn max_flow(net: &mut FlowNetwork, s: usize, t: usize) -> u64 {
 /// Pushes up to `limit` units from `u` toward `t` along level-increasing
 /// residual edges. Recursive with depth bounded by the level count.
 fn dfs_push(
-    net: &mut FlowNetwork,
+    res: &mut Residual<'_>,
     u: usize,
     t: usize,
     limit: u64,
     level: &[u32],
-    iter: &mut [usize],
+    iter: &mut [u32],
 ) -> u64 {
     if u == t {
         return limit;
     }
-    while iter[u] < net.adj[u].len() {
-        let eid = net.adj[u][iter[u]];
-        let (to, cap) = {
-            let e = &net.edges[eid];
-            (e.to, e.cap)
-        };
+    while iter[u] < res.start[u + 1] {
+        let eid = res.adj[iter[u] as usize] as usize;
+        let (to, cap) = (res.to[eid] as usize, res.cap[eid]);
         if cap > 0 && level[to] == level[u].wrapping_add(1) {
-            let pushed = dfs_push(net, to, t, limit.min(cap), level, iter);
+            let pushed = dfs_push(res, to, t, limit.min(cap), level, iter);
             if pushed > 0 {
-                net.edges[eid].cap -= pushed;
-                net.edges[eid ^ 1].cap += pushed;
+                res.cap[eid] -= pushed;
+                res.cap[eid ^ 1] += pushed;
                 return pushed;
             }
         }

@@ -6,8 +6,7 @@
 //! behaviour the paper relies on — an augmenting path may reroute a
 //! previously assigned file to a different process via a residual edge).
 
-use super::network::FlowNetwork;
-use std::collections::VecDeque;
+use super::network::{FlowNetwork, FlowWork};
 
 /// Computes the maximum flow from `s` to `t`, mutating `net` so per-edge
 /// flows can be read back with [`FlowNetwork::flow_on`].
@@ -19,27 +18,37 @@ pub fn max_flow(net: &mut FlowNetwork, s: usize, t: usize) -> u64 {
     assert_ne!(s, t, "source and sink must differ");
     let n = net.vertex_count();
     let mut total = 0u64;
+    let mut work = FlowWork::default();
     // prev[v] = edge index used to reach v in the BFS tree.
-    let mut prev = vec![usize::MAX; n];
+    let mut prev = vec![u32::MAX; n];
+    let mut queue: Vec<u32> = Vec::with_capacity(n);
+    let res = net.adjacency();
 
     loop {
-        prev.iter_mut().for_each(|p| *p = usize::MAX);
-        let mut queue = VecDeque::new();
-        queue.push_back(s);
+        work.phases += 1;
+        prev.fill(u32::MAX);
+        queue.clear();
+        queue.push(s as u32);
+        let mut head = 0;
         let mut reached = false;
-        'bfs: while let Some(u) = queue.pop_front() {
-            for &eid in &net.adj[u] {
-                let edge = &net.edges[eid];
-                if edge.cap == 0 || edge.to == s || prev[edge.to] != usize::MAX {
+        'bfs: while head < queue.len() {
+            let u = queue[head] as usize;
+            head += 1;
+            let list = res.edges_of(u);
+            for (read, &eid) in list.iter().enumerate() {
+                let to = res.to[eid as usize] as usize;
+                if res.cap[eid as usize] == 0 || to == s || prev[to] != u32::MAX {
                     continue;
                 }
-                prev[edge.to] = eid;
-                if edge.to == t {
+                prev[to] = eid;
+                if to == t {
+                    work.scanned += read as u64 + 1;
                     reached = true;
                     break 'bfs;
                 }
-                queue.push_back(edge.to);
+                queue.push(to as u32);
             }
+            work.scanned += list.len() as u64;
         }
         if !reached {
             break;
@@ -49,22 +58,24 @@ pub fn max_flow(net: &mut FlowNetwork, s: usize, t: usize) -> u64 {
         let mut bottleneck = u64::MAX;
         let mut v = t;
         while v != s {
-            let eid = prev[v];
-            bottleneck = bottleneck.min(net.edges[eid].cap);
-            v = net.edges[eid ^ 1].to;
+            let eid = prev[v] as usize;
+            bottleneck = bottleneck.min(res.cap[eid]);
+            v = res.to[eid ^ 1] as usize;
         }
         debug_assert!(bottleneck > 0 && bottleneck != u64::MAX);
 
         // Augment.
         let mut v = t;
         while v != s {
-            let eid = prev[v];
-            net.edges[eid].cap -= bottleneck;
-            net.edges[eid ^ 1].cap += bottleneck;
-            v = net.edges[eid ^ 1].to;
+            let eid = prev[v] as usize;
+            res.cap[eid] -= bottleneck;
+            res.cap[eid ^ 1] += bottleneck;
+            v = res.to[eid ^ 1] as usize;
         }
+        work.paths += 1;
         total += bottleneck;
     }
+    net.work = work;
     debug_assert!(net.conserves_flow(s, t));
     total
 }

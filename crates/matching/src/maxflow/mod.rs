@@ -8,15 +8,18 @@
 //!   networks Opass builds, used by default.
 //!
 //! The `assignment` benches compare the two; property tests assert they
-//! always agree on the flow value.
+//! always agree on the flow value, and — edge for edge — with the
+//! pre-CSR network and bodies kept under `cfg(test)` in `reference`.
 
 pub mod dinic;
 pub mod edmonds_karp;
 pub mod min_cost;
 pub mod network;
+#[cfg(test)]
+pub(crate) mod reference;
 
 pub use min_cost::{CostEdgeId, MinCostFlowNetwork};
-pub use network::{EdgeId, FlowNetwork};
+pub use network::{EdgeId, FlowNetwork, FlowWork};
 
 /// Which max-flow implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -285,20 +285,22 @@ impl SingleDataMatcher {
         let proc_v = |p: usize| 1 + p;
         let file_v = |f: usize| 1 + m + f;
         let t = 1 + m + n;
-        let mut net = FlowNetwork::new(t + 1);
+        // At most one edge per process, locality edge and file.
+        let mut net = FlowNetwork::with_capacity(t + 1, m + graph.edge_count() + n);
 
         for (p, &q) in residual_quota.iter().enumerate() {
             if q > 0 {
                 net.add_edge(s, proc_v(p), q as u64);
             }
         }
-        let mut match_edges: Vec<(usize, usize, EdgeId)> = Vec::with_capacity(graph.edge_count());
+        // Locality edges take consecutive ids from here, in the order
+        // the graph lists them; the read-back below walks the same order.
+        let first_match_edge = net.edge_count();
         for p in 0..m {
             for &f in graph.files_raw(p) {
                 let f = f as usize;
                 debug_assert!(owner[f].is_none(), "matched file {f} still in graph");
-                let e = net.add_edge(proc_v(p), file_v(f), 1);
-                match_edges.push((p, f, e));
+                net.add_edge(proc_v(p), file_v(f), 1);
             }
         }
         for (f, o) in owner.iter().enumerate() {
@@ -308,11 +310,16 @@ impl SingleDataMatcher {
         }
 
         let matched = self.algo.run(&mut net, s, t) as usize;
-        for &(p, f, e) in &match_edges {
-            if net.flow_on(e) == 1 {
-                debug_assert!(owner[f].is_none(), "file {f} matched twice");
-                owner[f] = Some(p);
-                load[p] += 1;
+        let mut edge = 2 * first_match_edge;
+        for (p, load) in load.iter_mut().enumerate() {
+            for &f in graph.files_raw(p) {
+                if net.flow_on(EdgeId(edge)) == 1 {
+                    let f = f as usize;
+                    debug_assert!(owner[f].is_none(), "file {f} matched twice");
+                    owner[f] = Some(p);
+                    *load += 1;
+                }
+                edge += 2;
             }
         }
         matched
@@ -374,28 +381,20 @@ impl SingleDataMatcher {
         load: &mut [usize],
         rng: &mut R,
     ) -> usize {
-        let m = quota.len();
         let mut filled = 0usize;
-        // Indexed loop: the candidate scan reads `load` while `owner[f]`
-        // is written, so iter_mut would split the borrows awkwardly.
-        #[allow(clippy::needless_range_loop)]
-        for f in 0..owner.len() {
-            if owner[f].is_some() {
-                continue;
-            }
-            let candidates: Vec<usize> = (0..m).filter(|&p| load[p] < quota[p]).collect();
-            debug_assert!(
-                !candidates.is_empty(),
-                "quotas sum to n, so spare capacity must exist"
-            );
+        for o in owner.iter_mut().filter(|o| o.is_none()) {
+            let mut spare = (0..quota.len()).filter(|&p| load[p] < quota[p]);
             let chosen = match self.fill {
-                FillPolicy::Random => candidates[rng.gen_range(0..candidates.len())],
-                FillPolicy::LeastLoaded => *candidates
-                    .iter()
-                    .min_by_key(|&&p| (load[p], p))
-                    .expect("non-empty candidates"),
-            };
-            owner[f] = Some(chosen);
+                // The `k`-th spare process in ascending order, `k` drawn
+                // over their count — no candidate list is built.
+                FillPolicy::Random => {
+                    let k = rng.gen_range(0..spare.clone().count());
+                    spare.nth(k)
+                }
+                FillPolicy::LeastLoaded => spare.min_by_key(|&p| (load[p], p)),
+            }
+            .expect("quotas sum to n, so spare capacity must exist");
+            *o = Some(chosen);
             load[chosen] += 1;
             filled += 1;
         }
@@ -657,5 +656,125 @@ mod tests {
         // locality cannot be used; both files are filled into procs 0/1.
         assert_eq!(out.assignment.n_tasks(), 2);
         assert!(out.assignment.is_balanced());
+    }
+
+    /// The matching stage and the fill as they stood before the flat
+    /// network: a `(p, f, edge)` table beside the pre-CSR reference
+    /// network, and a candidate list collected per unowned file.
+    fn reference_match_and_fill(
+        matcher: &SingleDataMatcher,
+        graph: &BipartiteGraph,
+        residual_quota: &[usize],
+        quota: &[usize],
+        owner: &mut [Option<usize>],
+        load: &mut [usize],
+        rng: &mut StdRng,
+    ) -> usize {
+        use crate::maxflow::reference::{dinic, edmonds_karp, network::FlowNetwork};
+        let (m, n) = (graph.n_procs(), graph.n_files());
+        let (s, t) = (0, 1 + m + n);
+        let mut net = FlowNetwork::new(t + 1);
+        for (p, &q) in residual_quota.iter().enumerate() {
+            if q > 0 {
+                net.add_edge(s, 1 + p, q as u64);
+            }
+        }
+        let mut match_edges = Vec::new();
+        for p in 0..m {
+            for &f in graph.files_raw(p) {
+                let e = net.add_edge(1 + p, 1 + m + f as usize, 1);
+                match_edges.push((p, f as usize, e));
+            }
+        }
+        for (f, o) in owner.iter().enumerate() {
+            if o.is_none() {
+                net.add_edge(1 + m + f, t, 1);
+            }
+        }
+        let matched = match matcher.algo {
+            FlowAlgo::Dinic => dinic::max_flow(&mut net, s, t),
+            FlowAlgo::EdmondsKarp => edmonds_karp::max_flow(&mut net, s, t),
+        } as usize;
+        for &(p, f, e) in &match_edges {
+            if net.flow_on(e) == 1 {
+                owner[f] = Some(p);
+                load[p] += 1;
+            }
+        }
+        #[allow(clippy::needless_range_loop)]
+        for f in 0..owner.len() {
+            if owner[f].is_some() {
+                continue;
+            }
+            let candidates: Vec<usize> = (0..m).filter(|&p| load[p] < quota[p]).collect();
+            let chosen = match matcher.fill {
+                FillPolicy::Random => candidates[rng.gen_range(0..candidates.len())],
+                FillPolicy::LeastLoaded => *candidates
+                    .iter()
+                    .min_by_key(|&&p| (load[p], p))
+                    .expect("non-empty candidates"),
+            };
+            owner[f] = Some(chosen);
+            load[chosen] += 1;
+        }
+        matched
+    }
+
+    #[test]
+    fn match_read_back_and_fill_repeat_the_reference_owner_for_owner() {
+        // Random graphs with some files already owned by an earlier tier
+        // (the `assign_two_tier` second pass): every owner, load, matched
+        // count and the generator state after the fill must equal what
+        // the match-edge table and the candidate lists produced.
+        let mut rng = StdRng::seed_from_u64(0x51D);
+        for case in 0..3_000 {
+            let m = rng.gen_range(1usize..9);
+            let n = rng.gen_range(0usize..48);
+            let matcher = SingleDataMatcher {
+                algo: [FlowAlgo::Dinic, FlowAlgo::EdmondsKarp][case % 2],
+                fill: [FillPolicy::Random, FillPolicy::LeastLoaded][case / 2 % 2],
+                ..Default::default()
+            };
+            let quota = quotas(n, m);
+            // An earlier tier owns some files within quota.
+            let mut owner: Vec<Option<usize>> = vec![None; n];
+            let mut load = vec![0usize; m];
+            let owned_percent = [0, 25, 70][case % 3];
+            for o in owner.iter_mut() {
+                let p = rng.gen_range(0..m);
+                if rng.gen_range(0u32..100) < owned_percent && load[p] < quota[p] {
+                    *o = Some(p);
+                    load[p] += 1;
+                }
+            }
+            let mut g = BipartiteGraph::new(m, n);
+            for _ in 0..rng.gen_range(0usize..140) {
+                let (p, f) = (rng.gen_range(0..m), rng.gen_range(0..n.max(1)));
+                if f < n && owner[f].is_none() && load[p] < quota[p] {
+                    g.add_edge(p, f, 64);
+                }
+            }
+            let residual: Vec<usize> = (0..m).map(|p| quota[p] - load[p]).collect();
+
+            let (mut ref_owner, mut ref_load) = (owner.clone(), load.clone());
+            let mut ref_rng = StdRng::seed_from_u64(case as u64);
+            let ref_matched = reference_match_and_fill(
+                &matcher,
+                &g,
+                &residual,
+                &quota,
+                &mut ref_owner,
+                &mut ref_load,
+                &mut ref_rng,
+            );
+
+            let mut fill_rng = StdRng::seed_from_u64(case as u64);
+            let matched = matcher.flow_match_with_residual(&g, &residual, &mut owner, &mut load);
+            matcher.fill(&quota, &mut owner, &mut load, &mut fill_rng);
+            assert_eq!(matched, ref_matched, "case {case}");
+            assert_eq!(owner, ref_owner, "case {case}");
+            assert_eq!(load, ref_load, "case {case}");
+            assert_eq!(fill_rng, ref_rng, "case {case}: draws made by the fill");
+        }
     }
 }

@@ -18,6 +18,7 @@ use opass_matching::{
     GuidedScheduler, IncrementalMatcher, MatchingValues, Objective, SingleDataMatcher,
 };
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// A random directed network as (n, edge list) with no self loops.
@@ -88,6 +89,47 @@ fn flow_never_exceeds_capacity() {
         dinic::max_flow(&mut net, 0, n - 1);
         for (id, cap) in ids {
             assert!(net.flow_on(id) <= cap);
+        }
+    }
+}
+
+#[test]
+fn dinic_work_grows_linearly_on_replica_bounded_networks() {
+    // The planner's quota network at 128 processes and three replicas
+    // per file has `m + 4n` edges; the solve's exact work — counts read
+    // from `FlowNetwork::work`, no clock — must stay a few phases and
+    // grow with the edges, not faster, as the files double.
+    let (m, r) = (128usize, 3usize);
+    for seed in [1u64, 2, 3, 4] {
+        let mut previous: Option<u64> = None;
+        for n in [1280usize, 2560, 5120, 10_240] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (s, t) = (0, 1 + m + n);
+            let mut net = FlowNetwork::new(t + 1);
+            for p in 0..m {
+                net.add_edge(s, 1 + p, (n / m) as u64);
+            }
+            let mut nodes: Vec<usize> = (0..m).collect();
+            for f in 0..n {
+                nodes.shuffle(&mut rng);
+                for &p in &nodes[..r] {
+                    net.add_edge(1 + p, 1 + m + f, 1);
+                }
+                net.add_edge(1 + m + f, t, 1);
+            }
+            assert_eq!(net.work().phases, 0, "no solve has run yet");
+            let flow = dinic::max_flow(&mut net, s, t);
+            let work = net.work();
+            assert_eq!(work.paths, flow, "unit paths: one per matched file");
+            assert!(work.phases <= 6, "seed {seed}, n {n}: {work:?}");
+            if let Some(previous) = previous {
+                assert!(
+                    work.scanned as f64 <= 2.3 * previous as f64,
+                    "seed {seed}, n {n}: scanned {} after {previous}",
+                    work.scanned
+                );
+            }
+            previous = Some(work.scanned);
         }
     }
 }

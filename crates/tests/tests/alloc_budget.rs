@@ -17,9 +17,9 @@
 
 use opass_core::planner::OpassPlanner;
 use opass_core::request::PlanRequest;
-use opass_core::{build_matching_values, SingleDataSession};
+use opass_core::{build_locality_graph_from_layout, build_matching_values, SingleDataSession};
 use opass_dfs::{ChunkIndex, DatasetSpec, DfsConfig, LayoutSnapshot, Namenode, Placement};
-use opass_matching::assign_multi_data;
+use opass_matching::{assign_multi_data, BipartiteGraph, SingleDataMatcher};
 use opass_runtime::ProcessPlacement;
 use opass_workloads::{multi as multi_wl, MultiDataConfig};
 use rand::rngs::StdRng;
@@ -165,6 +165,57 @@ fn a_session_and_its_layout_handles_stay_within_their_memory_budgets() {
         assert!(handle.ptr_eq(&snapshot));
         assert_eq!(cloned.calls, 0, "{n_nodes} x {n_chunks}: snapshot clone");
     }
+}
+
+#[test]
+fn the_max_flow_solve_runs_in_a_handful_of_flat_arrays() {
+    // The benchmark's session-start probe: 131 200 edges known before
+    // the first is added. Four network columns, three search arrays, the
+    // quota, owner and load vectors — no per-vertex list, no side table.
+    let (n_nodes, n_chunks) = (128, 32_768);
+    let (snapshot, placement) = dataset_world(n_nodes, n_chunks);
+    let graph = build_locality_graph_from_layout(&snapshot, &placement);
+    let ((owners, matched), solve) = measure(|| SingleDataMatcher::default().flow_owners(&graph));
+    assert_eq!(owners.len(), n_chunks);
+    assert!(matched > n_chunks * 9 / 10);
+    assert!(
+        solve.calls <= 16,
+        "flow_owners made {} allocator calls",
+        solve.calls
+    );
+    assert!(
+        solve.peak_bytes <= 6 << 20,
+        "flow_owners peaked at {} B",
+        solve.peak_bytes
+    );
+
+    // The solve's scratch stacked on the session it starts is the
+    // high-water mark of every session start.
+    let (session, start) = measure(|| start_session(&snapshot, &placement));
+    assert!(
+        start.peak_bytes <= 8 << 20,
+        "a session start peaked at {} B",
+        start.peak_bytes
+    );
+    drop(session);
+}
+
+#[test]
+fn the_fill_allocates_nothing_per_file() {
+    // No locality at all: every one of the 1 280 files goes through the
+    // fill. What is allocated is the solve's arrays and the assignment's
+    // per-process lists — a count that does not know how many files
+    // were filled.
+    let (m, n) = (128, 1280);
+    let graph = BipartiteGraph::new(m, n);
+    let (out, cost) =
+        measure(|| SingleDataMatcher::default().assign(&graph, &mut StdRng::seed_from_u64(1)));
+    assert_eq!(out.filled_files, n);
+    assert!(
+        cost.calls <= m + 24,
+        "a fully filled plan made {} allocator calls",
+        cost.calls
+    );
 }
 
 #[test]

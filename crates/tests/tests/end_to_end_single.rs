@@ -2,7 +2,14 @@
 //! miniature). Asserts the paper's qualitative claims — who wins, and
 //! roughly by how much — across cluster sizes and seeds.
 
+use opass_core::planner::OpassPlanner;
+use opass_core::request::PlanRequest;
 use opass_core::{ClusterSpec, Experiment, SingleData, Strategy};
+use opass_dfs::{DatasetSpec, DfsConfig, LayoutSnapshot, Namenode, Placement};
+use opass_runtime::ProcessPlacement;
+use opass_serve::spec::ServeSpec;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn experiment(m: usize, seed: u64) -> SingleData {
     SingleData {
@@ -114,4 +121,43 @@ fn opass_io_times_are_tight_around_local_read_time() {
         assert!((s.mean - 0.9).abs() < 0.3, "m={m} mean {}", s.mean);
         assert!(s.stddev < 0.5, "m={m} stddev {}", s.stddev);
     }
+}
+
+#[test]
+fn real_shape_owners_repeat_the_recorded_plans() {
+    // Every owner of every cold plan the service would make for
+    // `ServeSpec { 64 nodes, 8 x 1 280, seed 1 }`, then of one
+    // 128 x 32 768 layout, folded into one FNV-1a. The seeded worlds,
+    // the max-flow solve and the random fill all feed it, so a changed
+    // draw, adjacency order or augmenting choice anywhere moves it.
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |nn: &Namenode, n_nodes: usize| {
+        let placement = ProcessPlacement::one_per_node(n_nodes);
+        for dataset in nn.datasets() {
+            let snapshot = LayoutSnapshot::capture(nn, &dataset.chunks);
+            let plan = OpassPlanner::default()
+                .plan(&PlanRequest::single_from_layout(&snapshot, &placement).seed(1))
+                .into_single()
+                .expect("single plan");
+            for &owner in plan.assignment.owners() {
+                hash = (hash ^ owner as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    };
+    let spec = ServeSpec {
+        n_nodes: 64,
+        n_datasets: 8,
+        chunks_per_dataset: 1280,
+        seed: 1,
+        ..ServeSpec::default()
+    };
+    fold(&spec.build_namenode(), spec.n_nodes);
+    let mut nn = Namenode::new(128, DfsConfig::default());
+    nn.create_dataset(
+        &DatasetSpec::uniform("d", 32_768, 64 << 20),
+        &Placement::Random,
+        &mut StdRng::seed_from_u64(1),
+    );
+    fold(&nn, 128);
+    assert_eq!(hash, 0xf517_25ca_4fd8_baad, "owners changed: {hash:#018x}");
 }

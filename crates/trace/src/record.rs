@@ -36,19 +36,34 @@ impl TraceRecord {
     }
 
     /// Appends the record's text line (including the trailing newline).
+    ///
+    /// The digits go straight into a stack buffer, last field first, and
+    /// reach `out` in one `push_str` — no `fmt` machinery on the path
+    /// that writes a line per record.
     pub fn write_line(&self, out: &mut String) {
-        use fmt::Write as _;
-        writeln!(
-            out,
-            "{}.{:06},{},{},{},{}",
-            self.time_us / 1_000_000,
-            self.time_us % 1_000_000,
-            self.client,
-            self.dataset,
+        let mut buf = [0u8; LINE_MAX];
+        let mut at = LINE_MAX - 1;
+        buf[at] = b'\n';
+        for field in [
+            self.bytes,
             self.chunk,
-            self.bytes
-        )
-        .expect("writing to a String cannot fail");
+            self.dataset.into(),
+            self.client.into(),
+        ] {
+            at = put_decimal(&mut buf, at, field);
+            at -= 1;
+            buf[at] = b',';
+        }
+        // `time_s`: whole seconds, a point, exactly six fractional digits.
+        let mut micros = self.time_us % 1_000_000;
+        for _ in 0..3 {
+            at = put_pair(&mut buf, at, micros % 100);
+            micros /= 100;
+        }
+        at -= 1;
+        buf[at] = b'.';
+        at = put_decimal(&mut buf, at, self.time_us / 1_000_000);
+        out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
     }
 
     /// Parses one record line (already stripped of comments/blanks).
@@ -76,6 +91,41 @@ impl TraceRecord {
             chunk: chunk.trim().parse().map_err(|_| bad(chunk))?,
             bytes: bytes.trim().parse().map_err(|_| bad(bytes))?,
         })
+    }
+}
+
+/// The longest line a record can write: 14 digits of seconds, the point
+/// and six of fraction, two `u32` and two `u64` fields, four commas and
+/// the newline.
+const LINE_MAX: usize = 14 + 1 + 6 + 2 * 10 + 2 * 20 + 4 + 1;
+
+/// `"00" "01" … "99"`: two digits per division step.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Writes the two digits of `value < 100` just before `buf[end]`;
+/// returns where they start.
+fn put_pair(buf: &mut [u8; LINE_MAX], end: usize, value: u64) -> usize {
+    buf[end - 2..end].copy_from_slice(&DIGIT_PAIRS[2 * value as usize..][..2]);
+    end - 2
+}
+
+/// Writes `value` in decimal so that it ends just before `buf[end]`;
+/// returns where it starts.
+fn put_decimal(buf: &mut [u8; LINE_MAX], end: usize, mut value: u64) -> usize {
+    let mut at = end;
+    while value >= 100 {
+        at = put_pair(buf, at, value % 100);
+        value /= 100;
+    }
+    if value >= 10 {
+        put_pair(buf, at, value)
+    } else {
+        buf[at - 1] = b'0' + value as u8;
+        at - 1
     }
 }
 
@@ -193,6 +243,38 @@ mod tests {
         assert_eq!(line, "12.345678,7,3,4095,67108864\n");
         let parsed = TraceRecord::parse_line(line.trim_end(), 1).unwrap();
         assert_eq!(parsed, rec);
+    }
+
+    #[test]
+    fn written_line_is_byte_equal_to_the_formatted_one() {
+        let wide = [0, 9, 10, u64::MAX];
+        for time_us in [0, 999_999, 1_000_000, u64::MAX] {
+            for client in [0, u32::MAX] {
+                for dataset in [0, u32::MAX] {
+                    for chunk in wide {
+                        for bytes in wide {
+                            let rec = TraceRecord {
+                                time_us,
+                                client,
+                                dataset,
+                                chunk,
+                                bytes,
+                            };
+                            // Appended after what `out` already holds.
+                            let mut line = String::from("#");
+                            rec.write_line(&mut line);
+                            let formatted = format!(
+                                "#{}.{:06},{client},{dataset},{chunk},{bytes}\n",
+                                time_us / 1_000_000,
+                                time_us % 1_000_000,
+                            );
+                            assert_eq!(line, formatted);
+                            assert!(line.len() <= 1 + LINE_MAX);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -70,6 +70,13 @@
 #                            benchmark, parent commit against working
 #                            tree: medians, quartiles and pairs won per
 #                            gated metric (see its header).
+#   scripts/pairs.sh <parent-ref> --all [--seed S] [--pairs N]
+#                            the same for all five workloads in turn
+#                            against one build of each side, closing
+#                            with one workload x gated-metric table
+#                            (better / within / unresolved / WORSE) —
+#                            the claim and every "must not move" row in
+#                            one invocation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
