@@ -183,7 +183,7 @@ impl LayoutSnapshot {
     /// Panics on unknown chunk ids — snapshots are taken from ids the
     /// namenode itself returned.
     pub fn capture(namenode: &Namenode, chunks: &[ChunkId]) -> Self {
-        let entries = chunks
+        chunks
             .iter()
             .map(|&c| {
                 let meta = namenode.chunk(c).expect("chunk must exist");
@@ -193,10 +193,7 @@ impl LayoutSnapshot {
                     locations: meta.locations.clone(),
                 }
             })
-            .collect();
-        LayoutSnapshot {
-            entries: Arc::new(entries),
-        }
+            .collect()
     }
 
     /// Captures every chunk the namenode knows about, in id order.
@@ -326,6 +323,18 @@ impl LayoutSnapshot {
             }
         }
         out
+    }
+}
+
+/// A snapshot of exactly these entries, in iteration order — for layouts
+/// that were never in a namenode, such as a served world drawn straight
+/// from its spec. An iterator of known length allocates the entries once,
+/// at their exact size.
+impl FromIterator<ChunkLayout> for LayoutSnapshot {
+    fn from_iter<I: IntoIterator<Item = ChunkLayout>>(iter: I) -> Self {
+        LayoutSnapshot {
+            entries: Arc::new(iter.into_iter().collect()),
+        }
     }
 }
 
@@ -490,17 +499,13 @@ mod tests {
     }
 
     fn snapshot_of(ids: &[u64]) -> LayoutSnapshot {
-        let entries = ids
-            .iter()
+        ids.iter()
             .map(|&c| ChunkLayout {
                 chunk: ChunkId(c),
                 size: 8,
                 locations: vec![NodeId(0)].into(),
             })
-            .collect();
-        LayoutSnapshot {
-            entries: Arc::new(entries),
-        }
+            .collect()
     }
 
     /// Checks `index` against the map the old `BTreeMap` index was:

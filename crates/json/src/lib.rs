@@ -256,6 +256,20 @@ struct Parser<'a> {
     pos: usize,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// String content the scanner has consumed on this thread: each run
+    /// between escapes validated and copied once, each escape decoded
+    /// once. A linear scan makes this the bytes inside quotes.
+    static STRING_BYTES_SCANNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Adds to `STRING_BYTES_SCANNED` in test builds; nothing otherwise.
+fn count_scanned(_bytes: usize) {
+    #[cfg(test)]
+    STRING_BYTES_SCANNED.set(STRING_BYTES_SCANNED.get() + _bytes);
+}
+
 impl Parser<'_> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
@@ -365,13 +379,29 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote or backslash goes in as one
+            // slice, validated once. The input came from a `&str` and both
+            // stops are ASCII, so the slice starts and ends on char
+            // boundaries.
+            let bytes = self.bytes;
+            let rest = &bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let text = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
+            out.push_str(text);
+            count_scanned(run);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: one escape.
+                    let start = self.pos;
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
@@ -400,18 +430,7 @@ impl Parser<'_> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .expect("non-empty: pos < bytes.len() inside the string loop");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    count_scanned(self.pos - start);
                 }
             }
         }
@@ -559,6 +578,83 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn strings_decode_runs_escapes_and_multibyte_text() {
+        for (text, want) in [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""héllo wörld ✓ 😀""#, "héllo wörld ✓ 😀"),
+            (
+                r#""a\"b\\c\/d\ne\tf\rg\bh\fi""#,
+                "a\"b\\c/d\ne\tf\rg\u{8}h\u{c}i",
+            ),
+            (r#""\\""#, "\\"),
+            (r#""\ud800""#, "\u{FFFD}"),
+            (r#""ü\"ü""#, "ü\"ü"),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::String(want.into())), "{text}");
+        }
+    }
+
+    #[test]
+    fn malformed_strings_report_their_kind_and_offset() {
+        for (text, message, offset) in [
+            (r#"""#, "unterminated string", 1),
+            (r#""abc"#, "unterminated string", 4),
+            (r#""añ"#, "unterminated string", 4),
+            (r#"["ok", "open]"#, "unterminated string", 13),
+            (r#""ab\"#, "bad escape", 4),
+            (r#""a\x""#, "unknown escape", 4),
+            (r#"{"k\q": 1}"#, "unknown escape", 5),
+            (r#""\u12""#, "short \\u escape", 3),
+            (r#""\u12G4""#, "bad \\u escape", 3),
+            (r#""\u000é""#, "non-ascii \\u escape", 3),
+            (r#"{"a": 1, 2: 3}"#, "expected '\"'", 9),
+        ] {
+            let err = Json::parse(text).expect_err(text);
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{text}"
+            );
+        }
+    }
+
+    /// Bytes between the quotes of every string in `text`, escapes
+    /// included, counted without the parser.
+    fn bytes_inside_quotes(text: &str) -> usize {
+        let (mut inside, mut escaped, mut n) = (false, false, 0);
+        for b in text.bytes() {
+            match (inside, escaped, b) {
+                (false, _, b'"') => inside = true,
+                (false, _, _) => {}
+                (true, false, b'"') => inside = false,
+                (true, false, b'\\') => (escaped, n) = (true, n + 1),
+                (true, _, _) => (escaped, n) = (false, n + 1),
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn the_string_scan_reads_each_byte_inside_quotes_once() {
+        // A `layout` reply as the service sends it, recorded from a fresh
+        // `serve_hot` world (dataset 0, generation 0): 1 280 entries of
+        // three keys each. A scan that re-validated the rest of the input
+        // per character would read about 30 bytes per byte parsed here.
+        let layout = include_str!("../tests/layout_reply_1280.json");
+        let escaped = r#"{"a\"b": "ü\\né ✓", "k": ["", "y\\", "\/"]}"#;
+        for (i, text) in [layout, escaped].into_iter().enumerate() {
+            let before = STRING_BYTES_SCANNED.get();
+            Json::parse(text).expect("valid JSON");
+            let scanned = STRING_BYTES_SCANNED.get() - before;
+            assert_eq!(scanned, bytes_inside_quotes(text), "document {i}");
+        }
+        let entries = Json::parse(layout).expect("valid JSON");
+        let entries = entries.get("entries").and_then(Json::as_array);
+        assert_eq!(entries.map(<[Json]>::len), Some(1280));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `invalidate`) inline. Planning and layout requests go through the
 //! bounded [`WorkerPool`] — the admission valve — and inside a worker
 //! the path is: plan cache → coalesced flight → repair attempt → layout
-//! cache → namenode walk → planner. Both frontends call the same
+//! cache → world layout fetch → planner. Both frontends call the same
 //! [`crate::planning`] helpers, so replies are byte-identical for equal
 //! `(spec, generation, strategy, seed)` tuples; only the concurrency
 //! architecture differs. The `shards`/`shard_backlog` fields of
@@ -56,7 +56,7 @@ struct Shared {
 
 impl Shared {
     /// The layout for `dataset` under `generation`: cache hit, or a
-    /// (coalesced) namenode walk that fills the cache.
+    /// (coalesced) world layout fetch that fills the cache.
     fn layout_for(&self, dataset: usize, generation: u64) -> (Arc<LayoutSnapshot>, bool) {
         if let Some(snap) = self.layout_cache.get(&dataset, generation) {
             return (snap, true);

@@ -835,7 +835,7 @@ pub struct StatsReply {
     pub planned: u64,
     /// Plans repaired from a cached predecessor via a layout delta.
     pub repaired: u64,
-    /// Namenode layout walks performed.
+    /// Layouts served by the world (the fetches the layout cache avoids).
     pub layout_walks: u64,
     /// Plan + layout cache hits.
     pub cache_hits: u64,

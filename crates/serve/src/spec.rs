@@ -2,12 +2,15 @@
 //! generation counters and a layout-delta journal for fine-grained cache
 //! invalidation.
 //!
-//! `opass-serve` is a planning service, not a storage service: it owns a
-//! [`Namenode`] built deterministically from a [`ServeSpec`] (any client
-//! that knows the spec can rebuild the identical namenode in-process and
-//! verify the service byte-for-byte). The [`World`] wraps the namenode
-//! with monotonically increasing *generations*; every cached layout or
-//! plan is stamped with the generation of the dataset it was derived
+//! `opass-serve` is a planning service, not a storage service: all it
+//! needs of the file system is each dataset's layout, and a [`World`]
+//! holds exactly that — one [`LayoutSnapshot`] per dataset, drawn
+//! deterministically from a [`ServeSpec`]. No namenode is kept: the
+//! layouts are drawn equal to the ones [`ServeSpec::build_namenode`]
+//! would hold, so any client that knows the spec can rebuild them (or
+//! that namenode) in-process and verify the service byte-for-byte. The
+//! world adds monotonically increasing *generations*; every cached layout
+//! or plan is stamped with the generation of the dataset it was derived
 //! from. Invalidation comes in two grains:
 //!
 //! * a bare `invalidate` bumps the global counter, staling every cached
@@ -19,10 +22,15 @@
 //!   replaying the deltas between its stamp and the current generation,
 //!   and plans for other datasets stay valid.
 //!
-//! The base namenode is never mutated; churn lives in per-dataset overlay
-//! snapshots, keeping world construction reproducible from the spec.
+//! The base layouts are built from the spec; churn advances each
+//! dataset's layout copy-on-write, so handles served earlier keep what
+//! they were given and world construction stays reproducible from the
+//! spec.
 
-use opass_core::dfs::{DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, Placement};
+use opass_core::dfs::{
+    ChunkId, ChunkLayout, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, NodeId,
+    Placement,
+};
 use opass_core::runtime::ProcessPlacement;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,6 +74,10 @@ impl ServeSpec {
     /// `chunks_per_dataset` chunks each, randomly placed from `seed`.
     /// Deterministic: equal specs yield byte-identical layouts.
     ///
+    /// A [`World`] is not built through it: this is the reference its
+    /// layouts are tested equal to, and the namenode for clients that
+    /// want one (say, to apply the churn they replay on the service).
+    ///
     /// The namenode comes back with an empty event journal: the world is
     /// the base layout, not churn to project, so each dataset's creation
     /// events are dropped as soon as it is built and the journal never
@@ -87,6 +99,38 @@ impl ServeSpec {
         nn
     }
 
+    /// Each dataset's layout as [`build_namenode`](Self::build_namenode)
+    /// would hold it, drawn without the namenode: one RNG seeded from
+    /// `seed`, one `Placement::Random` draw per chunk over nodes
+    /// `0..n_nodes` in creation order, chunk ids consecutive across
+    /// datasets. Panics on the specs the namenode path panics on, with
+    /// the same messages.
+    fn base_layouts(&self) -> impl ExactSizeIterator<Item = LayoutSnapshot> {
+        let replication = self.replication as usize;
+        assert!(replication >= 1, "replication must be at least 1");
+        assert!(
+            self.n_nodes >= replication,
+            "cluster of {} cannot hold {} replicas",
+            self.n_nodes,
+            self.replication
+        );
+        let alive: Vec<NodeId> = (0..self.n_nodes as u32).map(NodeId).collect();
+        let mut pool = Vec::with_capacity(alive.len());
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let spec = *self;
+        (0..spec.n_datasets).map(move |d| {
+            assert!(spec.chunk_size > 0, "chunk size must be positive");
+            let first = (d * spec.chunks_per_dataset) as u64;
+            (0..spec.chunks_per_dataset)
+                .map(|j| ChunkLayout {
+                    chunk: ChunkId(first + j as u64),
+                    size: spec.chunk_size,
+                    locations: Placement::Random.place(j, replication, &alive, &mut rng, &mut pool),
+                })
+                .collect()
+        })
+    }
+
     /// The process placement every plan uses: one process per node.
     pub fn placement(&self) -> ProcessPlacement {
         ProcessPlacement::one_per_node(self.n_nodes)
@@ -98,48 +142,55 @@ impl ServeSpec {
 /// takes the cold path instead.
 const JOURNAL_CAP: usize = 64;
 
-/// Per-dataset mutable state: the materialized current layout (the base
-/// namenode stays pristine) and the recent invalidation journal.
-#[derive(Debug, Default)]
+/// Per-dataset mutable state: the current layout and the recent
+/// invalidation journal.
+#[derive(Debug)]
 struct DatasetState {
-    /// Current layout, captured lazily from the namenode and advanced in
-    /// place by each journalled delta.
-    layout: Option<LayoutSnapshot>,
+    /// Current layout: the base layout drawn from the spec, advanced by
+    /// each journalled delta (copy-on-write, so handles already served
+    /// keep the layout they were given).
+    layout: LayoutSnapshot,
     /// Recent invalidations, oldest first: the effective generation each
     /// one produced and the delta that produced it (`None` for a bare
     /// flush, which is never repairable).
     journal: VecDeque<(u64, Option<LayoutDelta>)>,
 }
 
-/// The server's shared world: the namenode plus per-dataset invalidation
-/// generations and delta journals. The base namenode is immutable after
-/// construction; layout churn accumulates in per-dataset overlays, so the
-/// world is freely shared across worker and connection threads.
+/// The server's shared world: each dataset's layout plus per-dataset
+/// invalidation generations and delta journals. The base layouts are
+/// built from the spec; churn advances each dataset's layout behind its
+/// own lock, so the world is freely shared across worker and connection
+/// threads.
 #[derive(Debug)]
 pub struct World {
     spec: ServeSpec,
-    namenode: Namenode,
     /// Global invalidation bumps (bare `invalidate`), included in every
     /// dataset's effective generation.
     generation: AtomicU64,
     /// Additional scoped bumps per dataset (delta invalidations).
     dataset_bumps: Vec<AtomicU64>,
     datasets: Vec<Mutex<DatasetState>>,
-    /// How many times a layout was captured from the namenode (the "walk"
-    /// the layout cache exists to avoid).
+    /// How many layouts were served (the fetch the layout cache exists
+    /// to avoid).
     layout_walks: AtomicU64,
 }
 
 impl World {
-    /// Builds the world from a spec.
+    /// Builds the world from a spec: every dataset's layout, drawn
+    /// directly, and nothing else.
     pub fn new(spec: ServeSpec) -> World {
         World {
-            namenode: spec.build_namenode(),
             spec,
             generation: AtomicU64::new(0),
             dataset_bumps: (0..spec.n_datasets).map(|_| AtomicU64::new(0)).collect(),
-            datasets: (0..spec.n_datasets)
-                .map(|_| Mutex::new(DatasetState::default()))
+            datasets: spec
+                .base_layouts()
+                .map(|layout| {
+                    Mutex::new(DatasetState {
+                        layout,
+                        journal: VecDeque::new(),
+                    })
+                })
                 .collect(),
             layout_walks: AtomicU64::new(0),
         }
@@ -190,16 +241,9 @@ impl World {
         let mut state = self.datasets[dataset]
             .lock()
             .expect("dataset state not poisoned");
-        if state.layout.is_none() {
-            state.layout = Some(self.capture_base(dataset));
-        }
         let mut delta = delta.clone();
         delta.normalize();
-        state
-            .layout
-            .as_mut()
-            .expect("materialized above")
-            .apply_delta(&delta);
+        state.layout.apply_delta(&delta);
         self.dataset_bumps[dataset].fetch_add(1, Ordering::AcqRel);
         let generation = self.generation_of(dataset);
         Self::push_journal(&mut state, generation, Some(delta));
@@ -218,9 +262,9 @@ impl World {
         let mut state = self.datasets[dataset]
             .lock()
             .expect("dataset state not poisoned");
-        // The overlay is not advanced: an opaque bump reports unknown
-        // churn, so the next capture re-serves the current overlay (or
-        // base) — the caches just stop trusting their stamps.
+        // The layout is not advanced: an opaque bump reports unknown
+        // churn, so the next capture re-serves the current layout — the
+        // caches just stop trusting their stamps.
         self.dataset_bumps[dataset].fetch_add(1, Ordering::AcqRel);
         let generation = self.generation_of(dataset);
         Self::push_journal(&mut state, generation, None);
@@ -262,7 +306,8 @@ impl World {
         (expected == to + 1).then_some(deltas)
     }
 
-    /// Number of namenode layout walks performed so far.
+    /// Number of layouts served so far: one per successful
+    /// [`capture_layout`](Self::capture_layout).
     pub fn layout_walks(&self) -> u64 {
         self.layout_walks.load(Ordering::Relaxed)
     }
@@ -272,19 +317,8 @@ impl World {
         dataset < self.spec.n_datasets
     }
 
-    /// The base (churn-free) layout of `dataset`, walked from the
-    /// namenode.
-    fn capture_base(&self, dataset: usize) -> LayoutSnapshot {
-        self.layout_walks.fetch_add(1, Ordering::Relaxed);
-        let meta = self
-            .namenode
-            .dataset(opass_core::dfs::DatasetId(dataset as u32))
-            .expect("dataset index validated against the spec");
-        LayoutSnapshot::capture(&self.namenode, &meta.chunks)
-    }
-
-    /// Captures the current layout of dataset `dataset` — the expensive
-    /// walk the layout cache short-circuits, plus any journalled churn.
+    /// Serves the current layout of dataset `dataset` — the base layout
+    /// plus any journalled churn — as a handle sharing the world's copy.
     /// Entry order is the dataset's chunk order, which defines task
     /// indexing downstream.
     ///
@@ -293,17 +327,13 @@ impl World {
         if !self.has_dataset(dataset) {
             return None;
         }
-        let mut state = self.datasets[dataset]
+        let state = self.datasets[dataset]
             .lock()
             .expect("dataset state not poisoned");
-        if state.layout.is_none() {
-            state.layout = Some(self.capture_base(dataset));
-        } else {
-            // Serving the overlay still counts as an authoritative fetch:
-            // the walk counter measures what the layout cache avoids.
-            self.layout_walks.fetch_add(1, Ordering::Relaxed);
-        }
-        state.layout.clone()
+        // Every layout served counts as an authoritative fetch: the walk
+        // counter measures what the layout cache avoids.
+        self.layout_walks.fetch_add(1, Ordering::Relaxed);
+        Some(state.layout.clone())
     }
 }
 
@@ -325,6 +355,152 @@ mod tests {
         let lb = b.capture_layout(1).expect("dataset 1 exists");
         assert_eq!(la, lb);
         assert_eq!(a.layout_walks(), 1);
+    }
+
+    /// Every dataset the world serves against a capture of the same
+    /// dataset from the namenode the spec describes.
+    fn assert_layouts_are_the_namenode_captures(spec: ServeSpec) {
+        let nn = spec.build_namenode();
+        let world = World::new(spec);
+        assert_eq!(nn.datasets().len(), spec.n_datasets);
+        for (d, meta) in nn.datasets().iter().enumerate() {
+            let served = world.capture_layout(d).expect("dataset exists");
+            assert!(
+                served == LayoutSnapshot::capture(&nn, &meta.chunks),
+                "{spec:?}: dataset {d}"
+            );
+        }
+        assert!(world.capture_layout(spec.n_datasets).is_none());
+    }
+
+    #[test]
+    fn layouts_are_the_namenode_captures() {
+        // The benchmark's served world on both of its seeds, then the
+        // edges: every node holds every chunk (n = r), one replica, one
+        // node, one chunk per dataset, empty datasets, no datasets.
+        let bench = ServeSpec {
+            n_nodes: 64,
+            n_datasets: 256,
+            chunks_per_dataset: 1280,
+            chunk_size: 64 << 20,
+            replication: 3,
+            seed: 1,
+        };
+        let small = ServeSpec {
+            n_datasets: 3,
+            chunks_per_dataset: 40,
+            ..Default::default()
+        };
+        let specs = [
+            bench,
+            ServeSpec {
+                seed: 20150525,
+                ..bench
+            },
+            ServeSpec {
+                n_nodes: 3,
+                ..small
+            },
+            ServeSpec {
+                n_nodes: 5,
+                replication: 1,
+                ..small
+            },
+            ServeSpec {
+                n_nodes: 1,
+                replication: 1,
+                ..small
+            },
+            ServeSpec {
+                chunks_per_dataset: 1,
+                ..small
+            },
+            ServeSpec {
+                chunks_per_dataset: 0,
+                ..small
+            },
+            ServeSpec {
+                n_datasets: 0,
+                ..small
+            },
+        ];
+        // The two benchmark-sized specs dominate; they run side by side.
+        std::thread::scope(|s| {
+            for spec in specs {
+                s.spawn(move || assert_layouts_are_the_namenode_captures(spec));
+            }
+        });
+    }
+
+    /// The message `build` panics with.
+    fn panic_message(build: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+            .expect_err("an invalid spec panics");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panics carry a message")
+    }
+
+    #[test]
+    fn invalid_specs_panic_as_the_namenode_path_does() {
+        for spec in [
+            ServeSpec {
+                n_nodes: 2,
+                ..Default::default()
+            },
+            ServeSpec {
+                replication: 0,
+                ..Default::default()
+            },
+            ServeSpec {
+                chunk_size: 0,
+                ..Default::default()
+            },
+        ] {
+            let want = panic_message(|| drop(spec.build_namenode()));
+            assert_eq!(panic_message(|| drop(World::new(spec))), want, "{spec:?}");
+        }
+        // With no dataset to create, neither path looks at the chunk size.
+        let empty = ServeSpec {
+            n_datasets: 0,
+            chunk_size: 0,
+            ..Default::default()
+        };
+        assert_eq!(empty.build_namenode().chunk_count(), 0);
+        assert!(!World::new(empty).has_dataset(0));
+    }
+
+    #[test]
+    fn layout_walks_count_exactly_the_layouts_served() {
+        let world = World::new(ServeSpec {
+            n_nodes: 6,
+            n_datasets: 2,
+            chunks_per_dataset: 12,
+            ..Default::default()
+        });
+        // Invalidations serve nothing, a dataset's first delta included.
+        let failed = LayoutDelta {
+            nodes_failed: vec![NodeId(0)],
+            ..Default::default()
+        };
+        world.invalidate_dataset(0, &failed).expect("valid dataset");
+        world.invalidate_dataset_opaque(1).expect("valid dataset");
+        world.invalidate();
+        assert_eq!(world.layout_walks(), 0);
+
+        let mut served = 0;
+        for dataset in [0, 1, 0, 2, 1, 0] {
+            served += u64::from(world.capture_layout(dataset).is_some());
+            assert_eq!(world.layout_walks(), served, "after dataset {dataset}");
+        }
+        assert_eq!(served, 5);
+        let churned = world.capture_layout(0).expect("dataset 0");
+        assert!(churned
+            .entries()
+            .iter()
+            .all(|e| !e.locations.contains(&NodeId(0))));
     }
 
     #[test]
@@ -355,8 +531,8 @@ mod tests {
         let other = world.capture_layout(1).expect("dataset 1");
         assert!(!other.ptr_eq(&first));
 
-        // Churn copies the overlay once, at the mutation; handles taken
-        // earlier keep the layout they were given.
+        // Churn copies the world's layout once, at the mutation; handles
+        // taken earlier keep the layout they were given.
         let kept = first.clone();
         let reference = World::new(*world.spec())
             .capture_layout(0)

@@ -1,6 +1,7 @@
 //! Memory budgets that need no clock: a counting global allocator pins
-//! what a planning session and the layout handles around it hold, and
-//! what Algorithm 1 needs while it runs, in requested bytes and in
+//! what the served world, a planning session and the layout handles
+//! around them hold, and what the max-flow solve and Algorithm 1 need
+//! while they run, in requested bytes and in
 //! allocator calls. `peak_rss_mib` is the metric
 //! the benchmark gates; these are the per-structure numbers under it
 //! (DESIGN.md §16), so a per-chunk `Vec` or a copy that creeps back in
@@ -18,9 +19,13 @@
 use opass_core::planner::OpassPlanner;
 use opass_core::request::PlanRequest;
 use opass_core::{build_locality_graph_from_layout, build_matching_values, SingleDataSession};
-use opass_dfs::{ChunkIndex, DatasetSpec, DfsConfig, LayoutSnapshot, Namenode, Placement};
+use opass_dfs::{
+    ChunkIndex, ChunkLayout, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode,
+    Placement,
+};
 use opass_matching::{assign_multi_data, BipartiteGraph, SingleDataMatcher};
 use opass_runtime::ProcessPlacement;
+use opass_serve::{ServeSpec, World};
 use opass_workloads::{multi as multi_wl, MultiDataConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -165,6 +170,65 @@ fn a_session_and_its_layout_handles_stay_within_their_memory_budgets() {
         assert!(handle.ptr_eq(&snapshot));
         assert_eq!(cloned.calls, 0, "{n_nodes} x {n_chunks}: snapshot clone");
     }
+}
+
+#[test]
+fn the_served_world_holds_its_layouts_and_nothing_else() {
+    // `serve_hot`'s world: 64 nodes, 256 datasets of 1 280 chunks.
+    let spec = ServeSpec {
+        n_nodes: 64,
+        n_datasets: 256,
+        chunks_per_dataset: 1280,
+        chunk_size: 64 << 20,
+        replication: 3,
+        seed: 1,
+    };
+    let n_chunks = spec.n_datasets * spec.chunks_per_dataset;
+
+    // 40 B of `ChunkLayout` per chunk and a few dozen bytes per dataset.
+    // Built straight into place: no block map beside it, not even for a
+    // moment, and two allocations per dataset (its entries, their `Arc`).
+    let (world, built) = measure(|| World::new(spec));
+    let per_chunk = built.live_bytes as f64 / n_chunks as f64;
+    assert!(per_chunk <= 41.0, "the world holds {per_chunk:.2} B/chunk");
+    assert!(
+        built.peak_bytes - built.live_bytes <= 64 << 10,
+        "building the world peaked {} B above what it holds",
+        built.peak_bytes - built.live_bytes
+    );
+    assert!(
+        built.calls <= 2 * spec.n_datasets + 16,
+        "building the world made {} allocator calls",
+        built.calls
+    );
+
+    // Serving a layout hands out a handle to the world's copy.
+    let (layout, served) = measure(|| world.capture_layout(7).expect("dataset exists"));
+    assert_eq!(served.calls, 0, "capture_layout");
+    let dataset_bytes = (layout.len() * std::mem::size_of::<ChunkLayout>()) as isize;
+
+    // A dataset's first delta copies that dataset while a handle to it is
+    // out (the layout cache's, here `layout`), and only that dataset; the
+    // journal entry is the rest.
+    let drop_first_replica = |layout: &LayoutSnapshot| LayoutDelta {
+        replicas_dropped: vec![(layout.entries()[0].chunk, layout.entries()[0].locations[0])],
+        ..Default::default()
+    };
+    let delta = drop_first_replica(&layout);
+    let (_, churned) = measure(|| world.invalidate_dataset(7, &delta));
+    assert!(
+        (dataset_bytes..=dataset_bytes + 4096).contains(&churned.live_bytes),
+        "a first delta with a handle out kept {} B (one dataset is {dataset_bytes})",
+        churned.live_bytes
+    );
+    // With no handle out there is nothing to copy: it advances in place.
+    let delta = drop_first_replica(&world.capture_layout(8).expect("dataset exists"));
+    let (_, in_place) = measure(|| world.invalidate_dataset(8, &delta));
+    assert!(
+        in_place.live_bytes <= 4096,
+        "a first delta with no handle out kept {} B",
+        in_place.live_bytes
+    );
 }
 
 #[test]

@@ -62,7 +62,14 @@
 #                            "correct":true and "failed":0. Says before a
 #                            PR leaves the machine what the pipeline would
 #                            say about a benchmark that no longer runs
-#                            (read-only on bench/).
+#                            (read-only on bench/). Also prints each
+#                            workload's peak_rss_mib and fails when it
+#                            exceeds that workload's ceiling in
+#                            RSS_CEILING_MIB below, so the memory PRs
+#                            (17, 22-25) cannot be undone silently. The
+#                            ceilings are the seed-1 readings recorded in
+#                            EXPERIMENTS.md plus 3 %; a PR that moves
+#                            memory on purpose updates both together.
 #
 # A performance claim is measured by its sibling, not by a mode here:
 #   scripts/pairs.sh <parent-ref> --workload W [--seed S] [--pairs N]
@@ -211,6 +218,16 @@ if [[ "${1:-}" == "--trace-smoke" ]]; then
 fi
 
 if [[ "${1:-}" == "--bench-run" ]]; then
+    # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
+    # "World memory" (ISSUE 25: 21.12, 63.37, 73.43, 125.89, 18.43)
+    # plus 3 %. Updated together with it.
+    declare -A RSS_CEILING_MIB=(
+        [plan_mix]=21.75
+        [serve_hot]=65.27
+        [serve_churn]=75.64
+        [trace_replay]=129.67
+        [sim_sweep]=18.98
+    )
     bench_build
     run bash bench/run.sh --self-test
     for workload in plan_mix serve_hot serve_churn trace_replay sim_sweep; do
@@ -219,6 +236,14 @@ if [[ "${1:-}" == "--bench-run" ]]; then
         echo "$result"
         if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
             echo "error: $workload did not finish correct with 0 failed" >&2
+            exit 1
+        fi
+        rss="$(python3 -c 'import json, sys
+print(json.loads(sys.argv[1])["metrics"]["peak_rss_mib"]["value"])' "$result")"
+        ceiling="${RSS_CEILING_MIB[$workload]}"
+        echo "$workload: peak_rss_mib $rss (ceiling $ceiling)"
+        if ! awk -v rss="$rss" -v ceiling="$ceiling" 'BEGIN { exit !(rss <= ceiling) }'; then
+            echo "error: $workload peak_rss_mib $rss MiB exceeds its ceiling of $ceiling MiB" >&2
             exit 1
         fi
     done
