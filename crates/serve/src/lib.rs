@@ -11,9 +11,7 @@
 //! * **Sharded reactor** ([`server`]): thread-per-core shards running a
 //!   hand-rolled nonblocking readiness loop (no async runtime), with
 //!   dataset→shard cache affinity, zero-copy writes of pre-encoded
-//!   replies, and backpressure-aware accept. The previous blocking
-//!   thread-per-connection server survives behind the `blocking-server`
-//!   feature for A/B benchmarking.
+//!   replies, and backpressure-aware accept.
 //! * **Generation-stamped caches**: each shard owns the plan and layout
 //!   slices for its datasets. One atomic generation bump (the
 //!   `invalidate` request, standing in for a namenode mutation event)
@@ -53,11 +51,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-#[cfg(feature = "blocking-server")]
-pub mod blocking;
-pub mod cache;
 pub mod client;
-pub mod coalesce;
 mod conn;
 pub mod frame;
 pub mod metrics;
@@ -69,11 +63,7 @@ pub mod replay;
 pub mod server;
 pub mod spec;
 
-#[cfg(feature = "blocking-server")]
-pub use blocking::{serve_blocking, BlockingServerHandle};
-pub use cache::ShardedCache;
 pub use client::{Client, ClientError};
-pub use coalesce::Coalescer;
 pub use frame::{FrameError, MAX_FRAME};
 pub use metrics::{LatencyHistogram, ServeMetrics, ShardStats, Timer};
 pub use pool::{SubmitError, WorkerPool};

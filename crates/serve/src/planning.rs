@@ -1,11 +1,10 @@
-//! Pure planning helpers shared by the sharded reactor and the
-//! feature-gated blocking server.
+//! Pure planning helpers behind the sharded reactor.
 //!
 //! Everything here is a function of its inputs — layout snapshot,
-//! placement, strategy, seed — so both serving frontends produce
-//! byte-identical replies for equal `(spec, generation, strategy, seed)`
-//! tuples. The frontends own caching, coalescing, and metrics; this
-//! module owns the answers.
+//! placement, strategy, seed — so the server produces byte-identical
+//! replies for equal `(spec, generation, strategy, seed)` tuples. The
+//! reactor owns caching, coalescing, and metrics; this module owns the
+//! answers.
 
 use crate::protocol::{LayoutEntry, LayoutReply, PlaceReply, PlaceRoundReply, PlanReply, Response};
 use opass_core::dfs::{LayoutDelta, LayoutSnapshot};
@@ -29,7 +28,7 @@ pub(crate) type PlanKey = (usize, String, u64);
 /// Baselines carry no session and always recompute.
 pub(crate) struct ComputedPlan {
     /// The canonical reply: `cached`/`coalesced` false, `repaired` set
-    /// only by [`repair_plan`]. Frontends adjust the flags per request.
+    /// only by [`repair_plan`]. The reactor adjusts the flags per request.
     pub reply: PlanReply,
     /// The planning session behind the reply, when repairable.
     pub session: Option<SingleDataSession>,
@@ -164,7 +163,7 @@ pub(crate) fn layout_reply(
 /// returns the recommended migration rounds. Pure recommendation: the
 /// served world is not mutated — the client applies the deltas to the
 /// real namenode and replays them here through delta invalidations.
-#[allow(clippy::too_many_arguments)] // one call site per frontend; a params struct would just rename the fields
+#[allow(clippy::too_many_arguments)] // one call site; a params struct would just rename the fields
 pub(crate) fn place_reply(
     planner: &OpassPlanner,
     placement: &ProcessPlacement,

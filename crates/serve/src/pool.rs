@@ -13,6 +13,7 @@
 //! promise — a request either gets a real reply or an explicit refusal.
 
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -165,7 +166,11 @@ fn worker_loop(inner: &PoolInner) {
                     .expect("pool queue not poisoned");
             }
         };
-        job();
+        // A panicking job must not take its worker with it: a pool of
+        // one would never run another job, and `shutdown` would panic
+        // joining the dead thread. The panic has already been reported
+        // by the hook; the worker moves on to the next job.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
     }
 }
 
@@ -234,6 +239,21 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 32, "every admitted job ran");
         assert_eq!(pool.try_submit(|| {}), Err(SubmitError::ShuttingDown));
         // Idempotent.
+        pool.shutdown();
+    }
+
+    #[test]
+    fn panicking_job_leaves_its_worker_running() {
+        let pool = WorkerPool::new(1, 4);
+        let (tx, rx) = mpsc::channel();
+        pool.try_submit(|| panic!("job panics on purpose"))
+            .expect("queue has room");
+        pool.try_submit(move || tx.send(7u32).expect("receiver alive"))
+            .expect("queue has room");
+        // A dead worker would leave the second job queued forever; the
+        // timeout turns that hang into a failure.
+        let ran = rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(ran, Ok(7), "the lone worker survived the panic");
         pool.shutdown();
     }
 }

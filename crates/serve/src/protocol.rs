@@ -767,8 +767,7 @@ fn bins_from_json(v: &Json) -> Result<Vec<LatencyBin>, ProtoError> {
 /// Counters for one reactor shard, as shipped in the `stats` reply.
 ///
 /// The server serializes the per-shard list in ascending `shard` index
-/// order — a deterministic ordering clients may rely on. The blocking
-/// (feature-gated) server ships an empty list.
+/// order — a deterministic ordering clients may rely on.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardStatsReply {
     /// Shard index (0-based; doubles as the affinity residue:
@@ -868,7 +867,7 @@ pub struct StatsReply {
     /// Latency of from-scratch plan computations.
     pub cold_plan_us: LatencySummary,
     /// Per-shard reactor counters, in ascending shard-index order
-    /// (deterministic). Empty on the feature-gated blocking server.
+    /// (deterministic).
     pub shards: Vec<ShardStatsReply>,
 }
 

@@ -106,8 +106,7 @@ struct RemoteReply {
     ticket: Ticket,
     bytes: Arc<Vec<u8>>,
     /// Whether the slot's admission-to-reply time counts toward the
-    /// latency histograms (typed refusals do not, matching the blocking
-    /// server's accounting).
+    /// latency histograms (typed refusals do not).
     count_latency: bool,
 }
 

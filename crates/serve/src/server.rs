@@ -7,8 +7,8 @@
 //! datasets affine to it (`dataset % shards`). Cheap requests (`ping`,
 //! `stats`, `invalidate`) are answered inline on the shard; planning,
 //! layout, and placement go through the bounded worker pool — the
-//! admission valve — exactly as before, with singleflight coalescing and
-//! delta-repair semantics unchanged from the blocking server.
+//! admission valve — with singleflight coalescing of identical requests
+//! and delta repair of stale cached plans.
 //!
 //! Backpressure is two-layered: the pool sheds *requests* with a typed
 //! `overloaded` reply when its queue is full, and the accept loop sheds

@@ -29,13 +29,12 @@
 //!   untouched components entirely unvisited.
 //!
 //! The previous dense implementation — global recompute plus linear
-//! completion scan — is retained verbatim as
-//! [`reference::ReferenceEngine`] (tests and the `reference-engine`
-//! feature only) and serves as the behavioral oracle: property tests
-//! assert both engines produce the same event streams.
+//! completion scan — is retained verbatim as a test-only oracle,
+//! `reference::ReferenceEngine`: the `incremental_matches_reference_*`
+//! property tests assert both engines produce the same event streams.
 
 /// The retained dense engine (behavioral oracle; see module docs).
-#[cfg(any(test, feature = "reference-engine"))]
+#[cfg(test)]
 pub mod reference;
 
 use crate::components::ComponentIndex;

@@ -3,12 +3,10 @@
 //! This is the original O(events × flows) implementation: global rate
 //! recomputation with fresh allocations on every activation/completion, and
 //! a linear scan over all active flows to find the next completion. It is
-//! kept verbatim as the behavioral oracle for the incremental engine —
-//! property tests assert both produce the same event streams — and as the
-//! baseline the `bench_sim` binary measures speedups against.
+//! kept verbatim as the behavioral oracle for the incremental engine:
+//! property tests assert both produce the same event streams.
 //!
-//! Compiled only for tests and under the `reference-engine` feature; it is
-//! not part of the production event loop.
+//! Compiled only for tests; it is not part of the production event loop.
 
 use super::{Event, BYTES_EPS};
 use crate::fairshare::{allocate_rates, FlowPath};

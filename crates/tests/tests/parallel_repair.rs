@@ -9,8 +9,9 @@
 //!    owner vectors must be byte-equal;
 //! 2. session level — [`SingleDataSession`]s at different thread counts
 //!    absorb the same delta stream (replica churn plus file adds and
-//!    removals): every step's rendered plan must be identical down to
-//!    its `Debug` bytes, and the evolved snapshots must agree;
+//!    removals), on a small layout and on a 64-island one of ~12 800
+//!    chunks: every step's rendered plan must be identical down to its
+//!    `Debug` bytes, and the evolved snapshots must agree;
 //! 3. fanout level — [`replan_sessions_parallel`] over a mixed-thread
 //!    session fleet must leave every session exactly where sequential
 //!    replans leave its reference twin.
@@ -182,9 +183,12 @@ fn random_delta(
 
 #[test]
 fn session_replans_are_bit_identical_across_thread_counts() {
-    let (islands, per, chunks) = (8usize, 4usize, 1500usize);
-    for seed in 0..3u64 {
-        for with_file_churn in [false, true] {
+    // (islands, nodes per island, chunks, seeds): a small layout over
+    // several seeds, and a 64-island one whose locality graph splits into
+    // many components, at one seed.
+    let shapes = [(8usize, 4usize, 1500usize, 0..3u64), (64, 4, 12_800, 0..1)];
+    for (islands, per, chunks, seeds) in shapes {
+        for (seed, with_file_churn) in seeds.flat_map(|seed| [(seed, false), (seed, true)]) {
             let mut rng = StdRng::seed_from_u64(seed);
             let snapshot = island_snapshot(islands, per, chunks, &mut rng);
             let placement = ProcessPlacement::one_per_node(islands * per);
@@ -223,8 +227,8 @@ fn session_replans_are_bit_identical_across_thread_counts() {
                     assert_eq!(
                         reference,
                         format!("{plan:?}"),
-                        "seed {seed}, file_churn {with_file_churn}, step {step}: \
-                         {}-thread plan bytes diverged from sequential",
+                        "{islands} islands, seed {seed}, file_churn {with_file_churn}, \
+                         step {step}: {}-thread plan bytes diverged from sequential",
                         THREAD_COUNTS[i]
                     );
                 }

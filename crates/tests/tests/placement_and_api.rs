@@ -6,14 +6,16 @@
 //! wrappers themselves; what remains exercises the `PlanRequest` API
 //! directly plus the placement loop: on a deliberately hot-spotted
 //! layout the loop must strictly increase matched-local bytes each
-//! round, terminate, respect its byte budget, and emit migration deltas
+//! round, terminate, respect its byte budget, emit migration deltas
 //! that replay bit-identically through both the namenode
-//! (`apply_migrations`) and the serve world (delta invalidation).
+//! (`apply_migrations`) and the serve world (delta invalidation), and
+//! cut the simulated p99 I/O time by at least 1.5x.
 
 use opass_core::dfs::{DatasetSpec, DfsConfig, LayoutDelta, Namenode, NodeId, Placement};
 use opass_core::{OpassPlanner, PlacementConfig, PlanRequest, Session};
-use opass_runtime::ProcessPlacement;
+use opass_runtime::{execute, ExecConfig, ProcessPlacement, TaskSource};
 use opass_serve::{serve, Client, ServeSpec, ServerConfig, World};
+use opass_simio::quantile;
 use opass_workloads::{single, SingleDataConfig, Task, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,6 +169,28 @@ fn placement_loop_converges_on_hot_spot() {
     assert_eq!(
         scratch.locality.byte_fraction(),
         session.plan().locality.byte_fraction()
+    );
+
+    // What the loop buys: the plan-only arm reads the hot layout as-is,
+    // the closed loop reads the migrated one with the repaired plan. I/O
+    // times are simulated seconds, so the p99 relief is deterministic.
+    let exec_config = ExecConfig::default();
+    let p99_io = |nn: &Namenode, assignment| {
+        let run = execute(
+            nn,
+            &workload,
+            &placement,
+            TaskSource::Static(assignment),
+            &exec_config,
+        );
+        quantile(&run.durations(), 0.99)
+    };
+    let hot_plan = planner.plan(&request).into_single().expect("single plan");
+    let plan_only = p99_io(&nn, hot_plan.assignment);
+    let closed_loop = p99_io(&migrated, session.plan().assignment.clone());
+    assert!(
+        plan_only >= 1.5 * closed_loop,
+        "closed loop must cut p99 I/O time by >= 1.5x: {plan_only:.3}s -> {closed_loop:.3}s"
     );
 }
 

@@ -16,43 +16,6 @@
 #   check.sh --lint-timing   lint-throughput smoke: full-workspace lint
 #                            (8 threads) must finish under the committed
 #                            wall-time budget below
-#   check.sh --bench-smoke   engine-throughput smoke: runs the bench_sim
-#                            smoke scenario in release and fails if
-#                            events/sec regressed >30% vs the committed
-#                            BENCH_sim.json baseline
-#   check.sh --serve-smoke   planning-service smoke: runs the bench_serve
-#                            smoke scenarios in release — including the
-#                            100k-stream multiplexed loadgen, which on a
-#                            multi-core host asserts the sharded reactor
-#                            sustains >=1.5x the 1-shard rate (on a
-#                            single hardware thread the scaling curve is
-#                            recorded informationally) — and fails if
-#                            plans/sec regressed >30% vs the committed
-#                            BENCH_serve.json baseline
-#   check.sh --replan-smoke  incremental re-planning smoke: runs the
-#                            bench_replan smoke scenarios in release —
-#                            the 1% churn scenario (which itself asserts
-#                            repair is >=5x faster than from-scratch) and
-#                            the 10^5-chunk arena scenario (which asserts
-#                            per-step repair is >=5x faster than the
-#                            committed pre-arena sequential measurement)
-#                            — and fails if steps/sec regressed >50% vs
-#                            the committed BENCH_replan.json baseline
-#   check.sh --place-smoke   placement-loop smoke: runs the bench_place
-#                            smoke scenario in release (which itself
-#                            asserts the closed loop buys a >=1.5x p99
-#                            I/O improvement on a hot-spotted layout and
-#                            that every round's delta replays cleanly)
-#                            and fails if the p99 speedup regressed >10%
-#                            vs the committed BENCH_place.json baseline
-#   check.sh --trace-smoke   trace-pipeline smoke: runs the bench_trace
-#                            smoke scenario in release (which itself
-#                            asserts the 1BRC-style parallel parse is
-#                            bit-identical at 1/2/8 threads and that
-#                            replay-through-planner is deterministic) and
-#                            fails if parse or replay records/sec
-#                            regressed >50% vs the committed
-#                            BENCH_trace.json baseline
 #   check.sh --bench-run     benchmark dry run: builds the frozen bench/
 #                            package as the full gate does, then runs what
 #                            the pipeline runs — all five workloads once
@@ -141,82 +104,6 @@ if [[ "${1:-}" == "--lint-timing" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "--bench-smoke" ]]; then
-    if [[ ! -f BENCH_sim.json ]]; then
-        echo "error: BENCH_sim.json baseline missing; run" >&2
-        echo "  cargo run --release -p opass-bench --bin bench_sim --offline" >&2
-        exit 1
-    fi
-    run cargo build --release -p opass-bench --bin bench_sim --offline
-    run ./target/release/bench_sim --smoke --out - \
-        --check-against BENCH_sim.json --max-regression 0.30
-    echo "Bench smoke passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "--serve-smoke" ]]; then
-    if [[ ! -f BENCH_serve.json ]]; then
-        echo "error: BENCH_serve.json baseline missing; run" >&2
-        echo "  cargo run --release -p opass-bench --bin bench_serve --offline" >&2
-        exit 1
-    fi
-    run cargo build --release -p opass-bench --bin bench_serve --offline
-    run ./target/release/bench_serve --smoke --out - \
-        --check-against BENCH_serve.json --max-regression 0.30
-    echo "Serve smoke passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "--replan-smoke" ]]; then
-    if [[ ! -f BENCH_replan.json ]]; then
-        echo "error: BENCH_replan.json baseline missing; run" >&2
-        echo "  cargo run --release -p opass-bench --bin bench_replan --offline" >&2
-        exit 1
-    fi
-    run cargo build --release -p opass-bench --bin bench_replan --offline
-    # Wider margin than the other smokes: the repair arm's absolute wall
-    # time is milliseconds and swings with host load; the binary's own
-    # repair-vs-scratch and arena-vs-pre-arena speedup assertions are the
-    # load-independent guarantees.
-    run ./target/release/bench_replan --smoke --out - \
-        --check-against BENCH_replan.json --max-regression 0.50
-    echo "Replan smoke passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "--place-smoke" ]]; then
-    if [[ ! -f BENCH_place.json ]]; then
-        echo "error: BENCH_place.json baseline missing; run" >&2
-        echo "  cargo run --release -p opass-bench --bin bench_place --offline" >&2
-        exit 1
-    fi
-    run cargo build --release -p opass-bench --bin bench_place --offline
-    # Tight margin: the gated metric is the simulated-I/O p99 speedup,
-    # which is deterministic for fixed seeds — any drift is a real
-    # behavior change in the placement loop, not host-load noise.
-    run ./target/release/bench_place --smoke --out - \
-        --check-against BENCH_place.json --max-regression 0.10
-    echo "Place smoke passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "--trace-smoke" ]]; then
-    if [[ ! -f BENCH_trace.json ]]; then
-        echo "error: BENCH_trace.json baseline missing; run" >&2
-        echo "  cargo run --release -p opass-bench --bin bench_trace --offline" >&2
-        exit 1
-    fi
-    run cargo build --release -p opass-bench --bin bench_trace --offline
-    # Wide margin: throughput swings with host load, while the load-
-    # independent guarantees (parse bit-identity across thread counts,
-    # replay fingerprint reproducibility) are asserted inside the binary
-    # and never waived.
-    run ./target/release/bench_trace --smoke --out - \
-        --check-against BENCH_trace.json --max-regression 0.50
-    echo "Trace smoke passed."
-    exit 0
-fi
-
 if [[ "${1:-}" == "--bench-run" ]]; then
     # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
     # "World memory" (ISSUE 25: 21.12, 63.37, 73.43, 125.89, 18.43)
@@ -257,9 +144,6 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --workspace --release --offline
 run cargo build --workspace --all-targets --offline
 run cargo test --workspace --quiet --offline
-# The retired thread-per-connection frontend only builds behind its
-# feature gate; keep it honest (it A/B-checks itself against the reactor).
-run cargo test -p opass-serve --features blocking-server --quiet --offline
 bench_build
 
 echo "All checks passed."
