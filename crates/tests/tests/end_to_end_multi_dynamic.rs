@@ -5,10 +5,10 @@ use opass_core::{
     build_matching_values, ClusterSpec, Dynamic, Experiment, MultiData, OpassPlanner, PlanRequest,
     Strategy,
 };
-use opass_dfs::{DfsConfig, Namenode, Placement};
-use opass_matching::assign_multi_data;
+use opass_dfs::{DatasetSpec, DfsConfig, Namenode, Placement};
+use opass_matching::{assign_multi_data, DynamicScheduler};
 use opass_runtime::ProcessPlacement;
-use opass_workloads::{multi as multi_wl, MultiDataConfig};
+use opass_workloads::{multi as multi_wl, MultiDataConfig, Task, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -153,5 +153,93 @@ fn algorithm1_repeats_its_exact_counts_on_the_benchmark_scenes() {
             assert_eq!(p.matched_bytes, out.matched_bytes);
             assert_eq!(p.reassignments, reassignments);
         }
+    }
+}
+
+/// FNV-1a over a sequence of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, w| {
+        (hash ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 64 nodes with two datasets of 512 chunks, and two workloads over
+/// them: one input per task, and two per task where each chunk of the
+/// second dataset is read by four tasks.
+fn shared_input_world() -> (Namenode, Workload, Workload) {
+    let mut nn = Namenode::new(64, DfsConfig::default());
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut chunks_of = |name: &str, size: u64| {
+        let ds = nn.create_dataset(
+            &DatasetSpec::uniform(name, 512, size),
+            &Placement::Random,
+            &mut rng,
+        );
+        nn.dataset(ds).expect("dataset exists").chunks.clone()
+    };
+    let a = chunks_of("a", 64 << 20);
+    let b = chunks_of("b", 16 << 20);
+    let single = Workload::new("single", a.iter().map(|&c| Task::single(c)).collect());
+    let multi = Workload::new(
+        "multi",
+        (0..512)
+            .map(|i| Task::multi(vec![a[i], b[i / 4]]))
+            .collect(),
+    );
+    (nn, single, multi)
+}
+
+#[test]
+fn multi_owners_and_guided_orders_repeat_the_recorded_plans() {
+    let (nn, single, multi) = shared_input_world();
+    let placement = ProcessPlacement::one_per_node(64);
+    let planner = OpassPlanner::default();
+
+    // Algorithm 1's owners, the same from the one-shot plan and from a
+    // session's first plan.
+    let request = PlanRequest::multi(&nn, &multi, &placement);
+    let plan = planner.plan(&request).into_multi().expect("multi plan");
+    let session = planner
+        .session(&request)
+        .into_multi()
+        .expect("multi session");
+    assert_eq!(session.plan().assignment, plan.assignment);
+    let hash = fnv([
+        plan.matched_bytes,
+        plan.total_bytes,
+        plan.reassignments as u64,
+    ]
+    .into_iter()
+    .chain(plan.assignment.owners().iter().map(|&p| p as u64)));
+    assert_eq!(
+        hash, 0x2f35_10e8_26c3_efd6,
+        "multi owners changed: {hash:#018x}"
+    );
+
+    // The order a guided scheduler hands tasks out to workers asking in
+    // an irregular order, for a single- and a multi-input workload.
+    for (workload, want) in [
+        (&single, 0xc8e0_0298_f5f6_2148u64),
+        (&multi, 0x9420_45b0_3748_6a60),
+    ] {
+        let mut sched = planner
+            .plan(&PlanRequest::dynamic(&nn, workload, &placement).seed(5))
+            .into_dynamic()
+            .expect("guided scheduler");
+        let mut order = Vec::new();
+        for k in 0u64.. {
+            let worker = ((k * k + k / 3) % 64) as usize;
+            let Some(task) = sched.next_task(worker) else {
+                break;
+            };
+            order.extend([worker as u64, task as u64]);
+        }
+        assert_eq!(order.len(), 2 * workload.len());
+        let hash = fnv(order);
+        assert_eq!(
+            hash, want,
+            "{}: guided order changed: {hash:#018x}",
+            workload.name
+        );
     }
 }

@@ -6,7 +6,7 @@
 use opass_serve::{replay_local, ReplayConfig};
 use opass_trace::{
     generate, generate_text, parse_binary_with_threads, parse_text_with_threads, write_binary,
-    write_text, TraceError, TraceRecord, TraceSpec, TEXT_HEADER,
+    write_text, BurstSpec, TraceError, TraceRecord, TraceSpec, TEXT_HEADER,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,6 +182,56 @@ fn replay_locality_improves_under_churn() {
         churned.mean_session_locality,
         quiet.mean_session_locality
     );
+}
+
+#[test]
+fn bench_shaped_replays_repeat_the_recorded_fingerprints() {
+    // The `trace_replay` benchmark's trace and replay config at seed 1,
+    // cut to two of its 32 768-record slices: 64 clients, 8 datasets of
+    // 256 chunks, Zipf 1.1 popularity, one flash crowd on dataset 2, and
+    // 64 nodes with batches of 8 192 records. The fingerprint covers every
+    // batch plan and every session plan, so a changed world draw,
+    // migration or replan anywhere moves it.
+    let records = generate(&TraceSpec {
+        name: "bench".to_string(),
+        seed: 1,
+        records: 65_536,
+        duration_s: 3600.0,
+        clients: 64,
+        datasets: 8,
+        chunks_per_dataset: 256,
+        chunk_size: 64 << 20,
+        zipf_exponent: 1.1,
+        diurnal_amplitude: 0.5,
+        diurnal_period_s: 3600.0,
+        bursts: vec![BurstSpec {
+            start_s: 1200.0,
+            duration_s: 300.0,
+            dataset: 2,
+            multiplier: 8.0,
+        }],
+    });
+    let config = ReplayConfig {
+        n_nodes: 64,
+        replication: 3,
+        seed: 1,
+        batch_records: 8192,
+        churn: true,
+    };
+    for (slice, churn, want) in [
+        (0, true, 0x3bdf_cf18_e4f8_dbbdu64),
+        (1, true, 0xf3a7_1066_bb54_ace6),
+        (0, false, 0xd126_d504_247e_aec1),
+    ] {
+        let records = &records[slice * 32_768..(slice + 1) * 32_768];
+        let report = replay_local(records, &ReplayConfig { churn, ..config }).expect("replay");
+        assert_eq!(report.migrations > 0, churn);
+        let fingerprint = report.fingerprint();
+        assert_eq!(
+            fingerprint, want,
+            "slice {slice}, churn {churn}: fingerprint changed: {fingerprint:#018x}"
+        );
+    }
 }
 
 /// A record with every field at its extreme round-trips through both
