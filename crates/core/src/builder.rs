@@ -6,36 +6,22 @@
 //! a [`BipartiteGraph`] (single-input tasks; graph file index = task index)
 //! or a [`MatchingValues`] table (multi-input tasks; value = co-located
 //! bytes summed over the task's inputs).
+//!
+//! Every builder reads a layout and nothing else, walking its replica
+//! locations through one dense table of the processes on each node (or
+//! rack), so each costs O(edges). The namenode is read once per
+//! request, by the capture that turns a workload into its layout
+//! ([`capture_workload_layout`] for single-input tasks); a captured
+//! snapshot can be cached and planned against again without the walk.
 
-use opass_dfs::{ChunkId, LayoutSnapshot, Namenode, NodeId, RackMap};
+use opass_dfs::{ChunkId, ChunkLayout, LayoutSnapshot, Namenode, NodeId, RackMap};
 use opass_matching::{BipartiteGraph, MatchingValues};
 use opass_runtime::ProcessPlacement;
 use opass_workloads::Workload;
-use std::collections::BTreeMap;
-
-/// Builds the process↔chunk locality graph for a single-input workload.
-///
-/// Task `t` of the workload maps to file vertex `t`.
-///
-/// # Panics
-///
-/// Panics if any task has more than one input (use
-/// [`build_matching_values`] for those).
-pub fn build_locality_graph(
-    namenode: &Namenode,
-    workload: &Workload,
-    placement: &ProcessPlacement,
-) -> BipartiteGraph {
-    let snapshot = capture_workload_layout(namenode, workload);
-    build_locality_graph_from_layout(&snapshot, placement)
-}
+use std::borrow::Cow;
 
 /// Captures the layout snapshot of a single-input workload: one entry per
 /// task, in task order (the order defines the graph's file indexing).
-///
-/// This is the only step of single-data planning that talks to the
-/// namenode; the snapshot can be cached and re-planned against via
-/// [`build_locality_graph_from_layout`] without repeating the walk.
 ///
 /// # Panics
 ///
@@ -65,142 +51,241 @@ pub fn build_locality_graph_from_layout(
     snapshot: &LayoutSnapshot,
     placement: &ProcessPlacement,
 ) -> BipartiteGraph {
-    // Procs per node, indexed by raw node id for O(1) lookups (nodes
-    // hosting no process simply have no slot or an empty one).
-    let mut procs_on: Vec<Vec<usize>> = Vec::new();
-    for proc in 0..placement.n_procs() {
-        let i = placement.node_of(proc).index();
-        if i >= procs_on.len() {
-            procs_on.resize_with(i + 1, Vec::new);
-        }
-        procs_on[i].push(proc);
-    }
-    // Procs co-located with one replica holder (none for a node that
-    // hosts no process).
-    let procs_at = |node: &NodeId| procs_on.get(node.index()).map_or(&[][..], Vec::as_slice);
-    // Counting pass: replica holders are distinct nodes and every proc
-    // sits on one node, so these are the exact degrees — the graph is
-    // laid out once, with no growth slack for a session to hold on to.
-    let mut proc_degrees = vec![0u32; placement.n_procs()];
-    let mut file_degrees = vec![0u32; snapshot.len()];
-    for (entry, degree) in snapshot.entries().iter().zip(&mut file_degrees) {
-        for &p in entry.locations.iter().flat_map(procs_at) {
-            proc_degrees[p] += 1;
-            *degree += 1;
-        }
-    }
-    let mut graph = BipartiteGraph::with_degrees(proc_degrees, file_degrees);
-    // One pass over entries × replica locations — O(edges) — instead of
-    // a per-proc `colocated_with` scan, which is O(procs × entries).
-    // The graph stores sorted adjacency spans, so the build order cannot
-    // leak into the result; tasks arrive in ascending order, which every
-    // proc's span takes as a plain append.
-    for (task_idx, entry) in snapshot.entries().iter().enumerate() {
-        for &p in entry.locations.iter().flat_map(procs_at) {
-            graph.add_edge(p, task_idx, entry.size);
-        }
-    }
-    graph
+    grouped_graph(snapshot, &ProcsOn::nodes(placement), NodeId::index)
 }
 
-/// Builds the *rack-level* locality graph for a single-input workload:
-/// an edge wherever a replica of the task's chunk lives in the process's
-/// rack (the second tier of the rack-locality extension).
-///
-/// # Panics
-///
-/// Panics if any task has more than one input.
+/// Builds the *rack-level* locality graph from a layout snapshot (entry
+/// `i` = file vertex `i`): an edge wherever a replica of the chunk lives
+/// in the process's rack (the second tier of the rack-locality
+/// extension). Built from each entry's distinct holder racks and the
+/// processes on each, so it costs O(edges), and laid out exactly.
 pub fn build_rack_graph(
-    namenode: &Namenode,
-    workload: &Workload,
+    snapshot: &LayoutSnapshot,
     placement: &ProcessPlacement,
     racks: &RackMap,
 ) -> BipartiteGraph {
-    let chunks: Vec<ChunkId> = workload
-        .tasks
-        .iter()
-        .map(|t| {
-            assert_eq!(t.inputs.len(), 1, "rack graph requires single-input tasks");
-            t.inputs[0]
-        })
-        .collect();
-    let snapshot = LayoutSnapshot::capture(namenode, &chunks);
-    let mut graph = BipartiteGraph::new(placement.n_procs(), workload.len());
-    for proc in 0..placement.n_procs() {
-        let node = placement.node_of(proc);
-        let rack = racks.rack_of(node);
-        for (task_idx, entry) in snapshot.entries().iter().enumerate() {
-            if entry
-                .locations
-                .iter()
-                .any(|&holder| racks.rack_of(holder) == rack)
-            {
-                graph.add_edge(proc, task_idx, entry.size);
-            }
-        }
-    }
-    graph
-}
-
-/// Processes hosted on each node.
-pub(crate) fn procs_per_node(placement: &ProcessPlacement) -> BTreeMap<NodeId, Vec<usize>> {
-    let mut procs_on: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    for proc in 0..placement.n_procs() {
-        procs_on
-            .entry(placement.node_of(proc))
-            .or_default()
-            .push(proc);
-    }
-    procs_on
-}
-
-/// Credits one chunk of `size` bytes, replicated at `locations`, to the
-/// matching value between every process on a replica holder and each of
-/// the `tasks` that read it.
-pub(crate) fn add_colocated(
-    values: &mut MatchingValues,
-    procs_on: &BTreeMap<NodeId, Vec<usize>>,
-    locations: &[NodeId],
-    tasks: &[usize],
-    size: u64,
-) {
-    for node in locations {
-        if let Some(procs) = procs_on.get(node) {
-            for &p in procs {
-                for &t in tasks {
-                    values.add(p, t, size);
-                }
-            }
-        }
-    }
+    let rack_of = |node: NodeId| racks.rack_of(node) as usize;
+    let procs_on_rack = ProcsOn::grouped(placement.n_procs(), |p| rack_of(placement.node_of(p)));
+    grouped_graph(snapshot, &procs_on_rack, rack_of)
 }
 
 /// Builds the matching-value table `m_i^j = |d(p_i) ∩ d(t_j)|` for an
-/// arbitrary (possibly multi-input) workload.
+/// arbitrary (possibly multi-input) workload: its layout is captured from
+/// the namenode, then tabulated like every other request's.
 pub fn build_matching_values(
     namenode: &Namenode,
     workload: &Workload,
     placement: &ProcessPlacement,
 ) -> MatchingValues {
-    let mut values = MatchingValues::new(placement.n_procs(), workload.len());
-    let procs_on = procs_per_node(placement);
-    // Task-major, so every process is fed its tasks in ascending order —
-    // the order `MatchingValues::add` appends without searching.
-    for (task_idx, task) in workload.tasks.iter().enumerate() {
-        for &chunk in &task.inputs {
-            let meta = namenode
-                .chunk(chunk)
-                .expect("workload references unknown chunk");
-            add_colocated(
-                &mut values,
-                &procs_on,
-                &meta.locations,
-                &[task_idx],
-                meta.size,
-            );
+    TaskLayout::of(namenode, workload).values(placement)
+}
+
+/// Processes grouped by a dense index — the node they run on, or its
+/// rack — in one flat table: group `g` holds
+/// `procs[starts[g]..starts[g + 1]]`, ascending.
+#[derive(Debug, Clone)]
+pub(crate) struct ProcsOn {
+    starts: Vec<usize>,
+    procs: Vec<usize>,
+}
+
+impl ProcsOn {
+    /// The processes on each node.
+    pub(crate) fn nodes(placement: &ProcessPlacement) -> Self {
+        Self::grouped(placement.n_procs(), |p| placement.node_of(p).index())
+    }
+
+    /// Processes `0..n_procs` grouped by `group_of`, by one stable
+    /// counting sort.
+    fn grouped(n_procs: usize, group_of: impl Fn(usize) -> usize) -> Self {
+        let span = (0..n_procs).map(&group_of).max().map_or(0, |g| g + 1);
+        let mut starts = vec![0usize; span + 1];
+        for p in 0..n_procs {
+            starts[group_of(p) + 1] += 1;
+        }
+        for g in 0..span {
+            starts[g + 1] += starts[g];
+        }
+        // Each group's start serves as its write cursor and ends at the
+        // next group's start; one shift restores the starts.
+        let mut procs = vec![0usize; n_procs];
+        for p in 0..n_procs {
+            let cursor = &mut starts[group_of(p)];
+            procs[*cursor] = p;
+            *cursor += 1;
+        }
+        starts.copy_within(0..span, 1);
+        starts[0] = 0;
+        ProcsOn { starts, procs }
+    }
+
+    /// The processes of group `group` (none past the last group).
+    pub(crate) fn at(&self, group: usize) -> &[usize] {
+        match self.starts.get(group..group + 2) {
+            Some(&[lo, hi]) => &self.procs[lo..hi],
+            _ => &[],
+        }
+    }
+
+    /// Number of processes.
+    pub(crate) fn n_procs(&self) -> usize {
+        self.procs.len()
+    }
+}
+
+/// The graph with an edge of the entry's size between every entry of
+/// `snapshot` (file vertex = entry index) and every process in a group
+/// holding one of its replicas, `group_of` mapping holders to groups.
+///
+/// A counting pass first, so the graph is laid out at its exact degrees
+/// with no growth slack for a session to hold on to; entries arrive in
+/// ascending order, which every process's span takes as a plain append.
+fn grouped_graph(
+    snapshot: &LayoutSnapshot,
+    groups: &ProcsOn,
+    group_of: impl Fn(NodeId) -> usize,
+) -> BipartiteGraph {
+    let mut proc_degrees = vec![0u32; groups.n_procs()];
+    let mut file_degrees = vec![0u32; snapshot.len()];
+    for (entry, degree) in snapshot.entries().iter().zip(&mut file_degrees) {
+        for &p in holder_groups(entry, &group_of).flat_map(|g| groups.at(g)) {
+            proc_degrees[p] += 1;
+            *degree += 1;
+        }
+    }
+    let mut graph = BipartiteGraph::with_degrees(proc_degrees, file_degrees);
+    for (file, entry) in snapshot.entries().iter().enumerate() {
+        for &p in holder_groups(entry, &group_of).flat_map(|g| groups.at(g)) {
+            graph.add_edge(p, file, entry.size);
+        }
+    }
+    graph
+}
+
+/// The distinct groups holding a replica of `entry`, each named at its
+/// first holder: a few comparisons among the replicas, no buffer.
+fn holder_groups<'e>(
+    entry: &'e ChunkLayout,
+    group_of: &'e impl Fn(NodeId) -> usize,
+) -> impl Iterator<Item = usize> + 'e {
+    let holders = &entry.locations[..];
+    holders
+        .iter()
+        .enumerate()
+        .filter(move |&(k, &n)| holders[..k].iter().all(|&m| group_of(m) != group_of(n)))
+        .map(move |(_, &n)| group_of(n))
+}
+
+/// Builds the matching-value table: for each `(entry, task)` read, the
+/// entry's size is credited between `task` and every process on one of
+/// the entry's replica holders. Reads fed task-major give every process
+/// its tasks in ascending order, the order `MatchingValues::add` appends
+/// without searching; any other order builds the same table.
+pub(crate) fn build_values(
+    snapshot: &LayoutSnapshot,
+    reads: impl IntoIterator<Item = (usize, usize)>,
+    procs_on: &ProcsOn,
+    n_tasks: usize,
+) -> MatchingValues {
+    let mut values = MatchingValues::new(procs_on.n_procs(), n_tasks);
+    let entries = snapshot.entries();
+    for (entry, task) in reads {
+        let entry = &entries[entry];
+        for &p in entry.locations.iter().flat_map(|n| procs_on.at(n.index())) {
+            values.add(p, task, entry.size);
         }
     }
     values
+}
+
+/// What every planning mode reads: one layout entry per task input, in
+/// task order — borrowed from the caller or captured from a namenode.
+#[derive(Debug, Clone)]
+pub(crate) struct TaskLayout<'a> {
+    snapshot: Cow<'a, LayoutSnapshot>,
+    /// Task `t` reads entries `offsets[t]..offsets[t + 1]`; `None` when
+    /// every task reads exactly one entry, task `t` entry `t`.
+    offsets: Option<Vec<usize>>,
+}
+
+impl<'a> TaskLayout<'a> {
+    /// A single-input layout: entry `t` is task `t`'s one input.
+    pub(crate) fn single_input(snapshot: &'a LayoutSnapshot) -> Self {
+        TaskLayout {
+            snapshot: Cow::Borrowed(snapshot),
+            offsets: None,
+        }
+    }
+
+    /// Captures every task input of `workload` from the namenode. A
+    /// single-input workload captures exactly [`capture_workload_layout`].
+    pub(crate) fn of(namenode: &Namenode, workload: &Workload) -> TaskLayout<'static> {
+        if workload.tasks.iter().all(|t| t.inputs.len() == 1) {
+            return TaskLayout {
+                snapshot: Cow::Owned(capture_workload_layout(namenode, workload)),
+                offsets: None,
+            };
+        }
+        let mut inputs = Vec::new();
+        let mut offsets = Vec::with_capacity(workload.len() + 1);
+        offsets.push(0);
+        for task in &workload.tasks {
+            inputs.extend_from_slice(&task.inputs);
+            offsets.push(inputs.len());
+        }
+        TaskLayout {
+            snapshot: Cow::Owned(LayoutSnapshot::capture(namenode, &inputs)),
+            offsets: Some(offsets),
+        }
+    }
+
+    /// Every entry, in task order.
+    pub(crate) fn snapshot(&self) -> &LayoutSnapshot {
+        &self.snapshot
+    }
+
+    /// The single-input snapshot (entry `t` = task `t`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if some task has other than one input.
+    pub(crate) fn single(&self) -> &LayoutSnapshot {
+        assert!(
+            self.is_single_input(),
+            "single-data graph requires single-input tasks"
+        );
+        &self.snapshot
+    }
+
+    /// Whether every task reads exactly one entry.
+    pub(crate) fn is_single_input(&self) -> bool {
+        self.offsets.is_none()
+    }
+
+    /// Number of tasks.
+    pub(crate) fn n_tasks(&self) -> usize {
+        self.offsets
+            .as_ref()
+            .map_or(self.snapshot.len(), |o| o.len() - 1)
+    }
+
+    /// Every `(entry, task)` read, task-major.
+    pub(crate) fn reads(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.n_tasks()).flat_map(move |t| {
+            let inputs = self.offsets.as_ref().map_or(t..t + 1, |o| o[t]..o[t + 1]);
+            inputs.map(move |i| (i, t))
+        })
+    }
+
+    /// The matching-value table of these reads.
+    pub(crate) fn values(&self, placement: &ProcessPlacement) -> MatchingValues {
+        build_values(
+            &self.snapshot,
+            self.reads(),
+            &ProcsOn::nodes(placement),
+            self.n_tasks(),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -209,7 +294,7 @@ mod tests {
     use opass_dfs::{DatasetSpec, DfsConfig, NodeId, Placement};
     use opass_workloads::Task;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn fs(n_nodes: usize, n_chunks: usize, size: u64) -> (Namenode, Vec<ChunkId>) {
         let mut nn = Namenode::new(n_nodes, DfsConfig::default());
@@ -221,6 +306,14 @@ mod tests {
         );
         let chunks = nn.dataset(ds).unwrap().chunks.clone();
         (nn, chunks)
+    }
+
+    fn build_locality_graph(
+        nn: &Namenode,
+        w: &Workload,
+        placement: &ProcessPlacement,
+    ) -> BipartiteGraph {
+        build_locality_graph_from_layout(&capture_workload_layout(nn, w), placement)
     }
 
     #[test]
@@ -282,6 +375,57 @@ mod tests {
         }
     }
 
+    /// The rack graph as every process × every entry scan: O(m · n · r).
+    fn rack_graph_by_scan(
+        snapshot: &LayoutSnapshot,
+        placement: &ProcessPlacement,
+        racks: &RackMap,
+    ) -> BipartiteGraph {
+        let mut graph = BipartiteGraph::new(placement.n_procs(), snapshot.len());
+        for proc in 0..placement.n_procs() {
+            let rack = racks.rack_of(placement.node_of(proc));
+            for (task_idx, entry) in snapshot.entries().iter().enumerate() {
+                if entry.locations.iter().any(|&h| racks.rack_of(h) == rack) {
+                    graph.add_edge(proc, task_idx, entry.size);
+                }
+            }
+        }
+        graph
+    }
+
+    #[test]
+    fn rack_graph_equals_the_process_by_entry_scan() {
+        // Processes on some nodes only, several on one node, none on
+        // others; racks of unequal size; chunks of two sizes.
+        let mut rng = StdRng::seed_from_u64(0x5AC4);
+        for case in 0..24 {
+            let n_nodes = rng.gen_range(3..24);
+            let (nn, chunks) = fs(n_nodes, rng.gen_range(0..60), 8 + case);
+            let snapshot = LayoutSnapshot::capture(&nn, &chunks);
+            let n_procs = rng.gen_range(1..2 * n_nodes);
+            let placement = ProcessPlacement::explicit(
+                (0..n_procs)
+                    .map(|_| NodeId(rng.gen_range(0..n_nodes as u32)))
+                    .collect(),
+            );
+            let racks = RackMap::explicit(
+                (0..n_nodes)
+                    .map(|n| (n / rng.gen_range(1..4)) as u32)
+                    .collect(),
+            );
+            let want = rack_graph_by_scan(&snapshot, &placement, &racks);
+            let got = build_rack_graph(&snapshot, &placement, &racks);
+            assert_eq!(got.edge_count(), want.edge_count(), "case {case}");
+            for p in 0..n_procs {
+                assert_eq!(
+                    got.files_of(p).collect::<Vec<_>>(),
+                    want.files_of(p).collect::<Vec<_>>(),
+                    "case {case}: process {p}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn rack_graph_is_superset_of_node_graph() {
         let (nn, chunks) = fs(8, 16, 64);
@@ -289,7 +433,7 @@ mod tests {
         let placement = ProcessPlacement::one_per_node(8);
         let racks = RackMap::uniform(8, 4);
         let node_g = build_locality_graph(&nn, &w, &placement);
-        let rack_g = build_rack_graph(&nn, &w, &placement, &racks);
+        let rack_g = build_rack_graph(&capture_workload_layout(&nn, &w), &placement, &racks);
         for p in 0..8 {
             for (f, _) in node_g.files_of(p) {
                 assert!(
@@ -299,6 +443,59 @@ mod tests {
             }
         }
         assert!(rack_g.edge_count() >= node_g.edge_count());
+    }
+
+    #[test]
+    fn procs_on_groups_every_process_once_in_ascending_order() {
+        let placement =
+            ProcessPlacement::explicit([4, 0, 4, 2, 0, 4].into_iter().map(NodeId).collect());
+        let on = ProcsOn::nodes(&placement);
+        assert_eq!(on.n_procs(), 6);
+        for (node, want) in [
+            (0, &[1, 4][..]),
+            (1, &[]),
+            (2, &[3]),
+            (3, &[]),
+            (4, &[0, 2, 5]),
+        ] {
+            assert_eq!(on.at(node), want, "node {node}");
+        }
+        assert!(on.at(5).is_empty() && on.at(99).is_empty());
+        let empty = ProcsOn::nodes(&ProcessPlacement::explicit(Vec::new()));
+        assert!(empty.at(0).is_empty());
+    }
+
+    #[test]
+    fn a_task_layout_reads_its_inputs_task_major() {
+        let (nn, chunks) = fs(4, 4, 5);
+        let single = Workload::new("s", chunks.iter().map(|&c| Task::single(c)).collect());
+        let layout = TaskLayout::of(&nn, &single);
+        assert_eq!(layout.single(), &capture_workload_layout(&nn, &single));
+        assert_eq!(
+            layout.reads().collect::<Vec<_>>(),
+            vec![(0, 0), (1, 1), (2, 2), (3, 3)]
+        );
+        let multi = Workload::new(
+            "m",
+            vec![
+                Task::multi(vec![chunks[2], chunks[0]]),
+                Task::multi(vec![chunks[3]]),
+                Task::multi(vec![chunks[1], chunks[2], chunks[3]]),
+            ],
+        );
+        let layout = TaskLayout::of(&nn, &multi);
+        assert_eq!(layout.n_tasks(), 3);
+        let read: Vec<ChunkId> = layout
+            .snapshot()
+            .entries()
+            .iter()
+            .map(|e| e.chunk)
+            .collect();
+        assert_eq!(read, [2, 0, 3, 1, 2, 3].map(|i| chunks[i]));
+        assert_eq!(
+            layout.reads().collect::<Vec<_>>(),
+            vec![(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 2)]
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! unsupported strategy returns [`UnsupportedStrategy`] listing what the
 //! experiment does accept. [`Experiment::run_instrumented`] additionally
 //! records the structured event trace and derives
-//! [`RunMetrics`](opass_runtime::RunMetrics) (utilization time-series,
+//! [`RunMetrics`] (utilization time-series,
 //! counters, histograms), exposed as `run.result.metrics`.
 
 use crate::planner::OpassPlanner;

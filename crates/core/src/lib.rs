@@ -68,8 +68,8 @@ pub mod replan;
 pub mod request;
 
 pub use builder::{
-    build_locality_graph, build_locality_graph_from_layout, build_matching_values,
-    build_rack_graph, capture_workload_layout,
+    build_locality_graph_from_layout, build_matching_values, build_rack_graph,
+    capture_workload_layout,
 };
 pub use experiment::{
     ClusterSpec, Dynamic, Experiment, ExperimentRun, Heterogeneous, MultiData, ParaView, Racked,

@@ -232,7 +232,10 @@ mod tests {
         let placement = ProcessPlacement::one_per_node(16);
         let plan = single_plan(&nn, &w, &placement, 9);
         // Rank-interval baseline locality for comparison.
-        let graph = crate::builder::build_locality_graph(&nn, &w, &placement);
+        let graph = crate::builder::build_locality_graph_from_layout(
+            &capture_workload_layout(&nn, &w),
+            &placement,
+        );
         let baseline = opass_runtime::baseline::rank_interval(160, 16);
         let sizes = vec![64u64 << 20; 160];
         let base_report = locality_report(&baseline, &graph, &sizes);

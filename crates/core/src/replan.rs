@@ -1,12 +1,12 @@
 //! Incremental re-planning: advance a plan by a layout delta instead of
-//! re-walking the namenode and re-solving from scratch.
+//! re-capturing the layout and re-solving from scratch.
 //!
-//! A from-scratch single-data plan costs a full layout walk plus an
-//! `O(n_procs × n_files)` graph build plus a max-flow solve; after a small
-//! burst of churn almost all of that work recomputes what was already
-//! known. The sessions here keep the planner's working state alive — the
-//! layout snapshot, the locality graph, and the residual matching — and
-//! advance it by a [`LayoutDelta`] in time proportional to the delta:
+//! A from-scratch single-data plan costs a layout capture plus an
+//! O(edges) graph build plus a max-flow solve; after a small burst of
+//! churn almost all of that work recomputes what was already known. The
+//! sessions here keep the planner's working state alive — the layout
+//! snapshot, the locality graph, and the residual matching — and advance
+//! it by a [`LayoutDelta`] in time proportional to the delta:
 //!
 //! * [`SingleDataSession`] wraps [`IncrementalMatcher`]: each delta is
 //!   canonicalized into graph mutations (edge drops from node failures
@@ -28,9 +28,9 @@
 //! random-fill RNG is re-derived for every replan from the session seed
 //! and a replan counter, never from ambient state.
 
-use crate::builder::{add_colocated, build_locality_graph_from_layout, procs_per_node};
+use crate::builder::{build_locality_graph_from_layout, build_values, ProcsOn, TaskLayout};
 use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
-use opass_dfs::{ChunkId, ChunkIndex, LayoutDelta, LayoutSnapshot, NodeId};
+use opass_dfs::{ChunkId, ChunkIndex, ChunkLayout, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_matching::{
     assign_multi_data, locality_report, quotas, repair_multi_data, Assignment, FillPolicy,
     IncrementalMatcher, LocalityReport, MatchingValues, SingleDataMatcher, NONE,
@@ -47,8 +47,9 @@ fn fill_rng(seed: u64, replans: u64) -> StdRng {
 }
 
 /// Long-lived single-data planning state that can be advanced by layout
-/// deltas. Created by [`OpassPlanner::session`] on a
-/// [`crate::PlanRequest::single`] request.
+/// deltas. Created by [`OpassPlanner::session`] on a single-data request
+/// ([`crate::PlanRequest::single`] or
+/// [`crate::PlanRequest::single_from_layout`]).
 #[derive(Debug, Clone)]
 pub struct SingleDataSession {
     snapshot: LayoutSnapshot,
@@ -57,11 +58,12 @@ pub struct SingleDataSession {
     index: ChunkIndex,
     matcher: IncrementalMatcher,
     /// Processes per node, fixed for the session's lifetime.
-    procs_on: BTreeMap<NodeId, Vec<usize>>,
+    procs_on: ProcsOn,
     fill: FillPolicy,
     seed: u64,
-    /// Worker threads for component-parallel batch repair (1 = the
-    /// sequential reference path; the parallel path is bit-identical).
+    /// Worker threads for component-parallel batch repair (1, the
+    /// default, is the sequential reference path; the parallel path is
+    /// bit-identical).
     threads: usize,
     replans: u64,
     plan: SingleDataPlan,
@@ -73,7 +75,6 @@ impl SingleDataSession {
         snapshot: LayoutSnapshot,
         placement: &ProcessPlacement,
         seed: u64,
-        threads: usize,
     ) -> Self {
         let graph = build_locality_graph_from_layout(&snapshot, placement);
         // Solve the initial matching with the same flow matcher the
@@ -87,7 +88,7 @@ impl SingleDataSession {
         };
         let (owners, _) = scratch.flow_owners(&graph);
         let matcher = IncrementalMatcher::from_matching(graph, planner.objective, owners);
-        let procs_on = procs_per_node(placement);
+        let procs_on = ProcsOn::nodes(placement);
         let plan = render_single_data_plan(&matcher, &snapshot, planner.fill, seed, 0);
         let index = ChunkIndex::build(&snapshot);
         SingleDataSession {
@@ -97,7 +98,7 @@ impl SingleDataSession {
             procs_on,
             fill: planner.fill,
             seed,
-            threads: threads.max(1),
+            threads: 1,
             replans: 0,
             plan,
         }
@@ -169,21 +170,22 @@ impl SingleDataSession {
         //    the pre-delta snapshot) plus explicit drops, deduplicated.
         let mut drops: BTreeSet<(usize, usize)> = BTreeSet::new();
         for &node in &delta.nodes_failed {
-            if let Some(procs) = self.procs_on.get(&node) {
-                for (task, _) in self.snapshot.colocated_with(node) {
-                    for &p in procs {
-                        drops.insert((p, task));
-                    }
+            let procs = self.procs_on.at(node.index());
+            if procs.is_empty() {
+                continue;
+            }
+            for (task, _) in self.snapshot.colocated_with(node) {
+                for &p in procs {
+                    drops.insert((p, task));
                 }
             }
         }
         // A chunk read by several tasks has one file vertex per task;
         // replica churn reaches every one of them.
         for &(chunk, node) in &delta.replicas_dropped {
-            if let Some(procs) = self.procs_on.get(&node) {
-                for task in self.index.indices_of(chunk) {
-                    drops.extend(procs.iter().map(|&p| (p, task)));
-                }
+            let procs = self.procs_on.at(node.index());
+            for task in self.index.indices_of(chunk) {
+                drops.extend(procs.iter().map(|&p| (p, task)));
             }
         }
         let staged = !drops.is_empty() || !delta.replicas_added.is_empty();
@@ -193,12 +195,11 @@ impl SingleDataSession {
 
         // 2. Edge adds from new replica placements.
         for &(chunk, node) in &delta.replicas_added {
-            if let Some(procs) = self.procs_on.get(&node) {
-                for task in self.index.indices_of(chunk) {
-                    let size = self.snapshot.entries()[task].size;
-                    for &p in procs {
-                        self.matcher.stage_add_edge(p, task, size);
-                    }
+            let procs = self.procs_on.at(node.index());
+            for task in self.index.indices_of(chunk) {
+                let size = self.snapshot.entries()[task].size;
+                for &p in procs {
+                    self.matcher.stage_add_edge(p, task, size);
                 }
             }
         }
@@ -228,9 +229,8 @@ impl SingleDataSession {
         for entry in &delta.files_added {
             let mut edges: Vec<(usize, u64)> = Vec::new();
             for node in &entry.locations {
-                if let Some(procs) = self.procs_on.get(node) {
-                    edges.extend(procs.iter().map(|&p| (p, entry.size)));
-                }
+                let procs = self.procs_on.at(node.index());
+                edges.extend(procs.iter().map(|&p| (p, entry.size)));
             }
             edges.sort_unstable();
             edges.dedup();
@@ -369,8 +369,8 @@ pub struct MultiDataSession {
     index: ChunkIndex,
     /// Tasks reading each chunk (parallel to `snapshot` entries).
     readers: Vec<Vec<usize>>,
-    procs_on: BTreeMap<NodeId, Vec<usize>>,
-    n_procs: usize,
+    /// Processes per node, fixed for the session's lifetime.
+    procs_on: ProcsOn,
     n_tasks: usize,
     values: MatchingValues,
     /// Workload demand in bytes; fixed for the session (a chunk leaving
@@ -381,22 +381,31 @@ pub struct MultiDataSession {
 }
 
 impl MultiDataSession {
-    pub(crate) fn start(
-        snapshot: LayoutSnapshot,
-        readers: Vec<Vec<usize>>,
-        placement: &ProcessPlacement,
-        n_tasks: usize,
-    ) -> Self {
-        assert_eq!(snapshot.len(), readers.len(), "one reader list per chunk");
-        let procs_on = procs_per_node(placement);
-        let total_bytes: u64 = snapshot
-            .entries()
-            .iter()
-            .zip(&readers)
-            .map(|(e, r)| e.size * r.len() as u64)
-            .sum();
-        let values = build_values(&snapshot, &readers, &procs_on, placement.n_procs(), n_tasks);
+    /// Starts from a request's layout (one entry per task input): its
+    /// distinct chunks in first-use order, each with the tasks reading
+    /// it, become the state deltas advance.
+    pub(crate) fn start(layout: &TaskLayout<'_>, placement: &ProcessPlacement) -> Self {
+        let inputs = layout.snapshot().entries();
+        let mut chunks: Vec<ChunkLayout> = Vec::new();
+        let mut readers: Vec<Vec<usize>> = Vec::new();
+        let mut slot_of: BTreeMap<ChunkId, usize> = BTreeMap::new();
+        for (entry, task) in layout.reads() {
+            let input = &inputs[entry];
+            let slot = *slot_of.entry(input.chunk).or_insert_with(|| {
+                chunks.push(input.clone());
+                readers.push(Vec::new());
+                chunks.len() - 1
+            });
+            readers[slot].push(task);
+        }
+        let snapshot: LayoutSnapshot = chunks.into_iter().collect();
+        let procs_on = ProcsOn::nodes(placement);
+        let n_tasks = layout.n_tasks();
+        // Tabulated from the request's task-major reads: the same table
+        // as from the distinct chunks, built by appends only.
+        let values = build_values(layout.snapshot(), layout.reads(), &procs_on, n_tasks);
         let outcome = assign_multi_data(&values);
+        let total_bytes = layout.snapshot().total_bytes();
         let plan = MultiDataPlan {
             assignment: outcome.assignment,
             matched_bytes: outcome.matched_bytes,
@@ -408,7 +417,6 @@ impl MultiDataSession {
             snapshot,
             readers,
             procs_on,
-            n_procs: placement.n_procs(),
             n_tasks,
             values,
             total_bytes,
@@ -451,11 +459,11 @@ impl MultiDataSession {
             readers.extend(delta.files_added.iter().map(|_| Vec::new()));
             self.readers = readers;
             self.snapshot.apply_delta_indexed(&delta, &mut self.index);
+            let reads = self.readers.iter().enumerate();
             self.values = build_values(
                 &self.snapshot,
-                &self.readers,
+                reads.flat_map(|(entry, tasks)| tasks.iter().map(move |&t| (entry, t))),
                 &self.procs_on,
-                self.n_procs,
                 self.n_tasks,
             );
             let outcome = assign_multi_data(&self.values);
@@ -488,13 +496,15 @@ impl MultiDataSession {
             }
         }
         for &(ci, node) in &lost {
-            if let Some(procs) = self.procs_on.get(&node) {
-                let size = self.snapshot.entries()[ci].size;
-                for &t in &self.readers[ci] {
-                    affected.insert(t);
-                    for &p in procs {
-                        self.values.subtract(p, t, size);
-                    }
+            let procs = self.procs_on.at(node.index());
+            if procs.is_empty() {
+                continue;
+            }
+            let size = self.snapshot.entries()[ci].size;
+            for &t in &self.readers[ci] {
+                affected.insert(t);
+                for &p in procs {
+                    self.values.subtract(p, t, size);
                 }
             }
         }
@@ -502,16 +512,15 @@ impl MultiDataSession {
             if let Some(ci) = self.index.get(chunk) {
                 // Mirror `apply_delta`: adding an already-present replica
                 // is a no-op, not a double-count.
-                if self.snapshot.entries()[ci].locations.contains(&node) {
+                let procs = self.procs_on.at(node.index());
+                if procs.is_empty() || self.snapshot.entries()[ci].locations.contains(&node) {
                     continue;
                 }
-                if let Some(procs) = self.procs_on.get(&node) {
-                    let size = self.snapshot.entries()[ci].size;
-                    for &t in &self.readers[ci] {
-                        affected.insert(t);
-                        for &p in procs {
-                            self.values.add(p, t, size);
-                        }
+                let size = self.snapshot.entries()[ci].size;
+                for &t in &self.readers[ci] {
+                    affected.insert(t);
+                    for &p in procs {
+                        self.values.add(p, t, size);
                     }
                 }
             }
@@ -528,23 +537,6 @@ impl MultiDataSession {
         };
         &self.plan
     }
-}
-
-/// Builds the matching-value table from a chunk snapshot plus per-chunk
-/// reader lists (the layout-only mirror of
-/// [`crate::builder::build_matching_values`]).
-pub(crate) fn build_values(
-    snapshot: &LayoutSnapshot,
-    readers: &[Vec<usize>],
-    procs_on: &BTreeMap<NodeId, Vec<usize>>,
-    n_procs: usize,
-    n_tasks: usize,
-) -> MatchingValues {
-    let mut values = MatchingValues::new(n_procs, n_tasks);
-    for (entry, readers) in snapshot.entries().iter().zip(readers) {
-        add_colocated(&mut values, procs_on, &entry.locations, readers, entry.size);
-    }
-    values
 }
 
 #[cfg(test)]

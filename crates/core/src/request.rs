@@ -34,34 +34,18 @@
 //! assert!(plan.assignment.is_balanced());
 //! ```
 
-use crate::builder::{
-    build_locality_graph, build_locality_graph_from_layout, build_matching_values,
-    build_rack_graph, capture_workload_layout,
-};
+use crate::builder::{build_locality_graph_from_layout, build_rack_graph, TaskLayout};
 use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use crate::replan::{MultiDataSession, SingleDataSession};
-use opass_dfs::{LayoutDelta, LayoutSnapshot, Namenode, RackMap};
+use opass_dfs::{LayoutDelta, LayoutSnapshot, RackMap};
 use opass_matching::{
-    assign_multi_data, locality_report, weighted_quotas, GuidedScheduler, SingleDataMatcher,
-    TwoTierOutcome,
+    assign_multi_data, locality_report, quotas, weighted_quotas, GuidedScheduler,
+    SingleDataMatcher, TwoTierOutcome,
 };
 use opass_runtime::ProcessPlacement;
 use opass_workloads::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Where a request reads the chunk layout from.
-#[derive(Debug, Clone, Copy)]
-enum Source<'a> {
-    /// Walk the namenode for the workload's input chunks.
-    Namenode {
-        namenode: &'a Namenode,
-        workload: &'a Workload,
-    },
-    /// Plan against an already-captured snapshot (entry `i` = task `i`)
-    /// without touching the namenode — the planning-service path.
-    Layout(&'a LayoutSnapshot),
-}
 
 /// Which planning mode the request selects.
 #[derive(Debug, Clone, Copy)]
@@ -78,38 +62,33 @@ enum Mode<'a> {
     Dynamic,
 }
 
-/// A complete planning request: layout source, mode, process placement
-/// and fill seed, assembled with a small builder.
+/// A complete planning request: the layout of every task input, mode,
+/// process placement and fill seed, assembled with a small builder.
 ///
 /// Constructed by [`PlanRequest::single`], [`PlanRequest::single_from_layout`],
 /// [`PlanRequest::multi`] or [`PlanRequest::dynamic`]; refined by
 /// [`PlanRequest::seed`], [`PlanRequest::rack_aware`] and
-/// [`PlanRequest::weighted`]. Borrowing-only: building a request copies
-/// nothing, so constructing one per plan is free.
-#[derive(Debug, Clone, Copy)]
+/// [`PlanRequest::weighted`]. The layout is the only thing a mode plans
+/// from: [`PlanRequest::single_from_layout`] borrows the caller's
+/// snapshot, and the namenode constructors capture the workload's inputs
+/// once, when the request is built.
+#[derive(Debug, Clone)]
 pub struct PlanRequest<'a> {
-    source: Source<'a>,
+    layout: TaskLayout<'a>,
     mode: Mode<'a>,
     placement: &'a ProcessPlacement,
     seed: u64,
-    threads: usize,
 }
 
 impl<'a> PlanRequest<'a> {
     /// A single-data request (one input chunk per task): max-flow matching
     /// over the process→chunk locality graph.
     pub fn single(
-        namenode: &'a Namenode,
-        workload: &'a Workload,
+        namenode: &opass_dfs::Namenode,
+        workload: &Workload,
         placement: &'a ProcessPlacement,
     ) -> Self {
-        PlanRequest {
-            source: Source::Namenode { namenode, workload },
-            mode: Mode::Single,
-            placement,
-            seed: 0,
-            threads: 1,
-        }
+        Self::new(TaskLayout::of(namenode, workload), Mode::Single, placement)
     }
 
     /// A single-data request against an already-captured layout snapshot
@@ -119,44 +98,35 @@ impl<'a> PlanRequest<'a> {
         snapshot: &'a LayoutSnapshot,
         placement: &'a ProcessPlacement,
     ) -> Self {
-        PlanRequest {
-            source: Source::Layout(snapshot),
-            mode: Mode::Single,
-            placement,
-            seed: 0,
-            threads: 1,
-        }
+        Self::new(TaskLayout::single_input(snapshot), Mode::Single, placement)
     }
 
     /// A multi-data request (several inputs per task): Algorithm 1
     /// deferred acceptance with strict trade-up.
     pub fn multi(
-        namenode: &'a Namenode,
-        workload: &'a Workload,
+        namenode: &opass_dfs::Namenode,
+        workload: &Workload,
         placement: &'a ProcessPlacement,
     ) -> Self {
-        PlanRequest {
-            source: Source::Namenode { namenode, workload },
-            mode: Mode::Multi,
-            placement,
-            seed: 0,
-            threads: 1,
-        }
+        Self::new(TaskLayout::of(namenode, workload), Mode::Multi, placement)
     }
 
     /// A dynamic-scheduling request: a matching computed up front wrapped
     /// in the guided per-worker scheduler.
     pub fn dynamic(
-        namenode: &'a Namenode,
-        workload: &'a Workload,
+        namenode: &opass_dfs::Namenode,
+        workload: &Workload,
         placement: &'a ProcessPlacement,
     ) -> Self {
+        Self::new(TaskLayout::of(namenode, workload), Mode::Dynamic, placement)
+    }
+
+    fn new(layout: TaskLayout<'a>, mode: Mode<'a>, placement: &'a ProcessPlacement) -> Self {
         PlanRequest {
-            source: Source::Namenode { namenode, workload },
-            mode: Mode::Dynamic,
+            layout,
+            mode,
             placement,
             seed: 0,
-            threads: 1,
         }
     }
 
@@ -167,31 +137,17 @@ impl<'a> PlanRequest<'a> {
         self
     }
 
-    /// Sets the worker-thread count a session uses for batch repair
-    /// (clamped to at least 1; defaults to 1, the sequential reference
-    /// path). The component-parallel repair is bit-identical to the
-    /// sequential kernel, so this only changes speed, never plans.
-    /// One-shot `plan` calls ignore it.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Upgrades a single-data request to two-tier rack-aware matching:
     /// node-local first, rack-local for the remainder, random fill last.
     ///
     /// # Panics
     ///
-    /// Panics unless the request is a plain [`PlanRequest::single`]
-    /// (namenode-sourced, not already rack-aware or weighted).
+    /// Panics unless the request is a plain single-data request (not
+    /// already rack-aware or weighted).
     pub fn rack_aware(mut self, racks: &'a RackMap) -> Self {
         assert!(
             matches!(self.mode, Mode::Single),
             "rack_aware applies to a plain single-data request"
-        );
-        assert!(
-            matches!(self.source, Source::Namenode { .. }),
-            "rack_aware requires a namenode-sourced request"
         );
         self.mode = Mode::SingleRackAware(racks);
         self
@@ -203,17 +159,13 @@ impl<'a> PlanRequest<'a> {
     ///
     /// # Panics
     ///
-    /// Panics unless the request is a plain [`PlanRequest::single`]
-    /// (namenode-sourced, not already rack-aware or weighted) and
-    /// `speeds` has one entry per process.
+    /// Panics unless the request is a plain single-data request (not
+    /// already rack-aware or weighted) and `speeds` has one entry per
+    /// process.
     pub fn weighted(mut self, speeds: &'a [f64]) -> Self {
         assert!(
             matches!(self.mode, Mode::Single),
             "weighted applies to a plain single-data request"
-        );
-        assert!(
-            matches!(self.source, Source::Namenode { .. }),
-            "weighted requires a namenode-sourced request"
         );
         assert_eq!(
             speeds.len(),
@@ -347,158 +299,97 @@ impl OpassPlanner {
     ///
     /// The outcome variant is determined by the request mode.
     pub fn plan(&self, request: &PlanRequest<'_>) -> PlanOutcome {
-        let placement = request.placement;
-        let seed = request.seed;
-        let outcome = match (&request.mode, &request.source) {
-            (Mode::Single, Source::Namenode { namenode, workload }) => {
-                let snapshot = capture_workload_layout(namenode, workload);
-                Some(PlanOutcome::Single(
-                    self.solve_single_layout(&snapshot, placement, seed),
-                ))
-            }
-            (Mode::Single, Source::Layout(snapshot)) => Some(PlanOutcome::Single(
-                self.solve_single_layout(snapshot, placement, seed),
+        let (layout, placement, seed) = (&request.layout, request.placement, request.seed);
+        match request.mode {
+            Mode::Single => PlanOutcome::Single(self.solve_single_layout(
+                layout.single(),
+                placement,
+                seed,
+                None,
             )),
-            (Mode::SingleRackAware(racks), Source::Namenode { namenode, workload }) => {
-                let node_graph = build_locality_graph(namenode, workload, placement);
-                let rack_graph = build_rack_graph(namenode, workload, placement, racks);
+            Mode::SingleWeighted(speeds) => PlanOutcome::Single(self.solve_single_layout(
+                layout.single(),
+                placement,
+                seed,
+                Some(speeds),
+            )),
+            Mode::SingleRackAware(racks) => {
+                let snapshot = layout.single();
+                let node_graph = build_locality_graph_from_layout(snapshot, placement);
+                let rack_graph = build_rack_graph(snapshot, placement, racks);
                 let mut rng = StdRng::seed_from_u64(seed);
-                Some(PlanOutcome::TwoTier(self.matcher().assign_two_tier(
+                PlanOutcome::TwoTier(self.matcher().assign_two_tier(
                     &node_graph,
                     &rack_graph,
                     &mut rng,
-                )))
+                ))
             }
-            (Mode::SingleWeighted(speeds), Source::Namenode { namenode, workload }) => {
-                let graph = build_locality_graph(namenode, workload, placement);
-                let quota = weighted_quotas(workload.len(), speeds);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let outcome = self.matcher().assign_with_quotas(&graph, &quota, &mut rng);
-                let sizes: Vec<u64> = workload
-                    .tasks
-                    .iter()
-                    .map(|t| namenode.chunk(t.inputs[0]).expect("chunk exists").size)
-                    .collect();
-                let locality = locality_report(&outcome.assignment, &graph, &sizes);
-                Some(PlanOutcome::Single(SingleDataPlan {
-                    assignment: outcome.assignment,
-                    matched_files: outcome.matched_files,
-                    filled_files: outcome.filled_files,
-                    locality,
-                }))
-            }
-            (Mode::Multi, Source::Namenode { namenode, workload }) => {
-                let values = build_matching_values(namenode, workload, placement);
-                let outcome = assign_multi_data(&values);
-                let total_bytes =
-                    workload.total_input_bytes(|c| namenode.chunk(c).expect("chunk exists").size);
-                Some(PlanOutcome::Multi(MultiDataPlan {
+            Mode::Multi => {
+                let outcome = assign_multi_data(&layout.values(placement));
+                PlanOutcome::Multi(MultiDataPlan {
                     assignment: outcome.assignment,
                     matched_bytes: outcome.matched_bytes,
-                    total_bytes,
+                    total_bytes: layout.snapshot().total_bytes(),
                     reassignments: outcome.reassignments,
-                }))
+                })
             }
-            (Mode::Dynamic, Source::Namenode { namenode, workload }) => {
-                let single_input = workload.tasks.iter().all(|t| t.inputs.len() == 1);
-                let values = build_matching_values(namenode, workload, placement);
-                let assignment = if single_input {
-                    let snapshot = capture_workload_layout(namenode, workload);
-                    self.solve_single_layout(&snapshot, placement, seed)
+            Mode::Dynamic => {
+                let values = layout.values(placement);
+                let assignment = if layout.is_single_input() {
+                    self.solve_single_layout(layout.single(), placement, seed, None)
                         .assignment
                 } else {
                     assign_multi_data(&values).assignment
                 };
-                Some(PlanOutcome::Dynamic(GuidedScheduler::new(
-                    &assignment,
-                    values,
-                )))
+                PlanOutcome::Dynamic(GuidedScheduler::new(&assignment, values))
             }
-            // The builder only attaches rack/weighted/multi/dynamic modes
-            // to namenode-sourced requests.
-            (_, Source::Layout(_)) => None,
-        };
-        outcome.expect("builder pairs every mode with a supported source")
+        }
     }
 
     /// Starts a long-lived planning session for a request.
     ///
-    /// Supported for plain single-data requests (either source) and
-    /// multi-data requests; the initial plan is bit-identical to
-    /// [`OpassPlanner::plan`] on the same request.
+    /// Supported for plain single-data and multi-data requests; the
+    /// initial plan is bit-identical to [`OpassPlanner::plan`] on the same
+    /// request.
     ///
     /// # Panics
     ///
     /// Panics for rack-aware, weighted, or dynamic requests — those modes
     /// have no incremental session.
     pub fn session(&self, request: &PlanRequest<'_>) -> Session {
-        let placement = request.placement;
-        let seed = request.seed;
-        let session = match (&request.mode, &request.source) {
-            (Mode::Single, Source::Namenode { namenode, workload }) => {
-                let snapshot = capture_workload_layout(namenode, workload);
-                Some(Session::Single(Box::new(SingleDataSession::start(
-                    self,
-                    snapshot,
-                    placement,
-                    seed,
-                    request.threads,
-                ))))
-            }
-            (Mode::Single, Source::Layout(snapshot)) => {
-                Some(Session::Single(Box::new(SingleDataSession::start(
-                    self,
-                    (*snapshot).clone(),
-                    placement,
-                    seed,
-                    request.threads,
-                ))))
-            }
-            (Mode::Multi, Source::Namenode { namenode, workload }) => {
-                // Distinct input chunks in first-use order, with readers.
-                let mut order: Vec<opass_dfs::ChunkId> = Vec::new();
-                let mut readers_by_chunk: std::collections::BTreeMap<
-                    opass_dfs::ChunkId,
-                    Vec<usize>,
-                > = std::collections::BTreeMap::new();
-                for (t, task) in workload.tasks.iter().enumerate() {
-                    for &chunk in &task.inputs {
-                        let entry = readers_by_chunk.entry(chunk).or_insert_with(|| {
-                            order.push(chunk);
-                            Vec::new()
-                        });
-                        entry.push(t);
-                    }
-                }
-                let snapshot = LayoutSnapshot::capture(namenode, &order);
-                let readers: Vec<Vec<usize>> = order
-                    .iter()
-                    .map(|c| readers_by_chunk.remove(c).expect("collected above"))
-                    .collect();
-                Some(Session::Multi(Box::new(MultiDataSession::start(
-                    snapshot,
-                    readers,
-                    placement,
-                    workload.len(),
-                ))))
-            }
+        let (layout, placement, seed) = (&request.layout, request.placement, request.seed);
+        let session = match request.mode {
+            Mode::Single => Some(Session::Single(Box::new(SingleDataSession::start(
+                self,
+                layout.single().clone(),
+                placement,
+                seed,
+            )))),
+            Mode::Multi => Some(Session::Multi(Box::new(MultiDataSession::start(
+                layout, placement,
+            )))),
             _ => None,
         };
         session.expect("sessions exist for plain single- and multi-data requests only")
     }
 
-    /// The shared single-data flow solve: graph build, matching, report.
+    /// The shared single-data flow solve: graph build, matching under
+    /// even quotas or quotas proportional to `speeds`, report.
     fn solve_single_layout(
         &self,
         snapshot: &LayoutSnapshot,
         placement: &ProcessPlacement,
         seed: u64,
+        speeds: Option<&[f64]>,
     ) -> SingleDataPlan {
         let graph = build_locality_graph_from_layout(snapshot, placement);
+        let quota = match speeds {
+            Some(speeds) => weighted_quotas(snapshot.len(), speeds),
+            None => quotas(snapshot.len(), placement.n_procs().max(1)),
+        };
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = self.matcher().assign(&graph, &mut rng);
-        let sizes = snapshot.sizes();
-        let locality = locality_report(&outcome.assignment, &graph, &sizes);
+        let outcome = self.matcher().assign_with_quotas(&graph, &quota, &mut rng);
+        let locality = locality_report(&outcome.assignment, &graph, &snapshot.sizes());
         SingleDataPlan {
             assignment: outcome.assignment,
             matched_files: outcome.matched_files,

@@ -61,8 +61,9 @@ pub enum LayoutEvent {
     },
 }
 
-/// The net difference between a captured [`LayoutSnapshot`] and a later
-/// layout, in snapshot terms.
+/// The net difference between a captured
+/// [`LayoutSnapshot`](crate::LayoutSnapshot) and a later layout, in
+/// snapshot terms.
 ///
 /// All lists are sorted and duplicate-free (see [`LayoutDelta::normalize`]);
 /// replica changes are *net* (a replica dropped and re-added cancels out).

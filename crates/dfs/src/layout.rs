@@ -13,7 +13,10 @@
 use crate::delta::LayoutDelta;
 use crate::ids::{ChunkId, NodeId};
 use crate::namenode::Namenode;
+use crate::placement::Placement;
 use crate::replicas::Replicas;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// One chunk's layout entry.
@@ -324,6 +327,47 @@ impl LayoutSnapshot {
         }
         out
     }
+}
+
+/// Each dataset's layout as a namenode of `n_nodes` nodes would hold it
+/// after creating one uniform dataset per `(chunks, chunk size)` of
+/// `datasets` with [`Placement::Random`] and one RNG seeded with `seed`,
+/// drawn without the namenode: the same draws, chunk ids consecutive
+/// across datasets. How a world that only plans gets its layouts. Panics
+/// where the namenode path panics, with the same messages.
+pub fn seeded_layouts(
+    n_nodes: usize,
+    replication: u32,
+    seed: u64,
+    datasets: impl IntoIterator<Item = (usize, u64)>,
+) -> impl Iterator<Item = LayoutSnapshot> {
+    assert!(replication >= 1, "replication must be at least 1");
+    assert!(
+        n_nodes >= replication as usize,
+        "cluster of {n_nodes} cannot hold {replication} replicas"
+    );
+    let alive: Vec<NodeId> = (0..n_nodes as u32).map(NodeId).collect();
+    let mut pool = Vec::with_capacity(alive.len());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut next_id = 0u64;
+    datasets.into_iter().map(move |(n_chunks, chunk_size)| {
+        assert!(chunk_size > 0, "chunk size must be positive");
+        let first = next_id;
+        next_id += n_chunks as u64;
+        (0..n_chunks)
+            .map(|j| ChunkLayout {
+                chunk: ChunkId(first + j as u64),
+                size: chunk_size,
+                locations: Placement::Random.place(
+                    j,
+                    replication as usize,
+                    &alive,
+                    &mut rng,
+                    &mut pool,
+                ),
+            })
+            .collect()
+    })
 }
 
 /// A snapshot of exactly these entries, in iteration order — for layouts
@@ -653,6 +697,27 @@ mod tests {
         };
         snap.apply_delta(&delta);
         assert_eq!(snap, before);
+    }
+
+    #[test]
+    fn seeded_layouts_are_the_namenode_captures() {
+        // Datasets of unequal sizes and chunk sizes, an empty one among
+        // them, as a trace replay sizes its world.
+        for (n_nodes, replication, seed) in [(16, 3, 7), (5, 5, 1), (9, 1, 0x7ACE)] {
+            let datasets = [(40, 64u64), (1, 8), (0, 3), (17, 1 << 20)];
+            let mut nn = Namenode::new(n_nodes, DfsConfig { replication });
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (d, &(n_chunks, size)) in datasets.iter().enumerate() {
+                let spec = DatasetSpec::uniform(format!("ds{d}"), n_chunks, size);
+                nn.create_dataset(&spec, &Placement::Random, &mut rng);
+            }
+            let drawn: Vec<LayoutSnapshot> =
+                seeded_layouts(n_nodes, replication, seed, datasets).collect();
+            assert_eq!(drawn.len(), datasets.len());
+            for (meta, layout) in nn.datasets().iter().zip(&drawn) {
+                assert_eq!(layout, &LayoutSnapshot::capture(&nn, &meta.chunks));
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use chunk::{ChunkMeta, DatasetMeta, DatasetSpec, DEFAULT_CHUNK_SIZE};
 pub use delta::{LayoutDelta, LayoutEvent};
 pub use error::DfsError;
 pub use ids::{ChunkId, DatasetId, NodeId};
-pub use layout::{ChunkIndex, ChunkLayout, LayoutSnapshot};
+pub use layout::{seeded_layouts, ChunkIndex, ChunkLayout, LayoutSnapshot};
 pub use namenode::{DfsConfig, Namenode};
 pub use placement::Placement;
 pub use reader::ReplicaChoice;

@@ -18,7 +18,7 @@
 //! maximality. A failed seeded search is therefore a *proof* that the
 //! repaired matching is again maximum, not a heuristic give-up.
 //!
-//! The residual state lives in dense arenas ([`MatchState`]): `u32`
+//! The residual state lives in dense arenas (`MatchState`): `u32`
 //! owner/load/quota slabs and an intrusive [`OwnedList`] inverse index,
 //! so the searches run allocation-free over the graph's raw adjacency
 //! slices. Batch repair can additionally fan out over connected
@@ -653,7 +653,7 @@ impl IncrementalMatcher {
     }
 
     /// Restores maximality after staged mutations on the sequential
-    /// reference path; see [`MatchState::repair_core`] for the phase
+    /// reference path; see `MatchState::repair_core` for the phase
     /// discipline and stopping proof.
     pub fn repair_batch(&mut self) {
         self.state.repair_core(&self.graph, self.objective);

@@ -6,7 +6,7 @@
 //!
 //! Everything lives in four flat columns (DESIGN.md §13, "Flow network
 //! layout"): `to` and `cap` per edge id, filled by [`FlowNetwork::add_edge`],
-//! and a CSR adjacency (`start`, `adj`) that [`FlowNetwork::adjacency`]
+//! and a CSR adjacency (`start`, `adj`) that `FlowNetwork::adjacency`
 //! builds once, when an algorithm starts, by a *stable* counting sort of
 //! edge ids by tail vertex. Stable means every vertex lists its edges in
 //! `add_edge` order — the order the algorithms scan, and therefore the

@@ -1,13 +1,16 @@
 //! Trace replay: fold an `opass-trace` record stream into the planning
 //! pipeline.
 //!
-//! The driver batches records in time order and, per batch and dataset,
-//! plans the accessed chunks with a fresh [`PlanRequest::single`] while a
-//! long-lived [`Session`] per dataset absorbs the layout churn the trace
-//! implies: with churn enabled, each batch migrates one replica of its
-//! hottest chunk toward the busiest client's node
-//! ([`LayoutDelta::migration`] → [`Namenode::apply_migrations`] →
-//! [`Session::replan`]). Everything is a pure function of
+//! The replayed world is drawn from the seed like a served one
+//! ([`seeded_layouts`]): one layout per dataset and nothing else. The
+//! driver batches records in time order and, per batch and dataset, plans
+//! the accessed chunks with a fresh [`PlanRequest::single_from_layout`]
+//! over a snapshot of exactly those entries, while a long-lived
+//! [`SingleDataSession`] per dataset owns the dataset's layout and absorbs
+//! the churn the trace implies: with churn enabled, each batch migrates
+//! one replica of its hottest chunk toward the busiest client's node, as
+//! a [`LayoutDelta::migration`] replanned into the session
+//! ([`SingleDataSession::replan`]). Everything is a pure function of
 //! `(records, config)` — the [`ReplayReport::fingerprint`] is
 //! reproducible byte-for-byte.
 //!
@@ -17,16 +20,11 @@
 //! delta invalidations, exercising the repair path end to end.
 
 use crate::client::{Client, ClientError};
-use opass_core::dfs::{
-    ChunkId, DatasetSpec, DfsConfig, DfsError, LayoutDelta, Namenode, NodeId, Placement,
-};
+use opass_core::dfs::{seeded_layouts, ChunkId, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_core::runtime::ProcessPlacement;
-use opass_core::workloads::{Task, Workload};
-use opass_core::{OpassPlanner, PlanRequest, Session, Strategy};
+use opass_core::{OpassPlanner, PlanRequest, SingleDataSession, Strategy};
 use opass_json::Json;
 use opass_trace::TraceRecord;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -66,9 +64,6 @@ impl Default for ReplayConfig {
 pub enum ReplayDriverError {
     /// The trace has no records or the config is degenerate.
     BadInput(&'static str),
-    /// A record refers past the world the trace implies (internal), or a
-    /// migration was rejected.
-    Dfs(DfsError),
     /// The remote service failed.
     Remote(ClientError),
 }
@@ -77,19 +72,12 @@ impl fmt::Display for ReplayDriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayDriverError::BadInput(what) => write!(f, "bad replay input: {what}"),
-            ReplayDriverError::Dfs(e) => write!(f, "replay layout churn rejected: {e}"),
             ReplayDriverError::Remote(e) => write!(f, "remote replay failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ReplayDriverError {}
-
-impl From<DfsError> for ReplayDriverError {
-    fn from(e: DfsError) -> Self {
-        ReplayDriverError::Dfs(e)
-    }
-}
 
 impl From<ClientError> for ReplayDriverError {
     fn from(e: ClientError) -> Self {
@@ -204,8 +192,7 @@ impl ReplayReport {
 /// # Errors
 ///
 /// [`ReplayDriverError::BadInput`] on an empty trace or degenerate
-/// config; [`ReplayDriverError::Dfs`] if a churn migration is rejected
-/// (cannot happen for deltas this driver builds).
+/// config.
 pub fn replay_local(
     records: &[TraceRecord],
     config: &ReplayConfig,
@@ -230,15 +217,16 @@ pub fn replay_local(
         chunk_size = chunk_size.max(r.bytes);
     }
     let replication = config.replication.min(config.n_nodes as u32);
-    let mut nn = Namenode::new(config.n_nodes, DfsConfig { replication });
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    for (d, &n_chunks) in chunks_per_dataset.iter().enumerate() {
-        let spec = DatasetSpec::uniform(format!("trace-ds{d}"), n_chunks as usize, chunk_size);
-        nn.create_dataset(&spec, &Placement::Random, &mut rng);
-        // Nothing here projects deltas from the journal (each batch
-        // builds its own), so it is dropped as it is written.
-        nn.take_events();
-    }
+    // Each dataset's layout until its first batch hands it to the
+    // dataset's session.
+    let mut layouts: Vec<Option<LayoutSnapshot>> = seeded_layouts(
+        config.n_nodes,
+        replication,
+        config.seed,
+        chunks_per_dataset.iter().map(|&n| (n as usize, chunk_size)),
+    )
+    .map(Some)
+    .collect();
 
     let placement = ProcessPlacement::one_per_node(config.n_nodes);
     let planner = OpassPlanner::default();
@@ -246,7 +234,7 @@ pub fn replay_local(
     // One long-lived session per dataset, planning the whole dataset;
     // batch churn is replanned into it incrementally. Created lazily so
     // a dataset the trace names but never touches costs nothing.
-    let mut sessions: BTreeMap<u32, Session> = BTreeMap::new();
+    let mut sessions: BTreeMap<u32, SingleDataSession> = BTreeMap::new();
 
     let mut digests = Vec::new();
     let mut migrations = 0u64;
@@ -258,10 +246,21 @@ pub fn replay_local(
             by_dataset.entry(r.dataset).or_default().push(r);
         }
         for (dataset, accesses) in by_dataset {
-            let meta_chunks = nn
-                .dataset(opass_core::dfs::DatasetId(dataset))?
-                .chunks
-                .clone();
+            // The session takes the dataset's only layout handle, so its
+            // replans advance the layout in place; from then on its
+            // snapshot is the dataset's current layout.
+            let session = sessions.entry(dataset).or_insert_with(|| {
+                let layout = layouts[dataset as usize]
+                    .take()
+                    .expect("a dataset's session starts once");
+                let request =
+                    PlanRequest::single_from_layout(&layout, &placement).seed(config.seed);
+                planner
+                    .session(&request)
+                    .into_single()
+                    .expect("single request yields single session")
+            });
+            let layout = session.snapshot().entries();
 
             // Access histograms: per chunk index and per client.
             let mut per_chunk: BTreeMap<u64, u64> = BTreeMap::new();
@@ -277,33 +276,20 @@ pub fn replay_local(
             }
 
             // Fresh plan over exactly the chunks this batch read.
-            let tasks: Vec<Task> = accessed_order
+            let accessed: LayoutSnapshot = accessed_order
                 .iter()
-                .map(|&idx| Task::single(meta_chunks[idx as usize]))
+                .map(|&idx| layout[idx as usize].clone())
                 .collect();
-            let workload = Workload::new(format!("batch{batch_no}-ds{dataset}"), tasks);
-            let request =
-                PlanRequest::single(&nn, &workload, &placement).seed(config.seed ^ batch_no as u64);
+            let request = PlanRequest::single_from_layout(&accessed, &placement)
+                .seed(config.seed ^ batch_no as u64);
             let plan = planner
                 .plan(&request)
                 .into_single()
                 .expect("single request yields single plan");
 
-            // The session must exist before this batch's churn touches
-            // the namenode: its snapshot is captured from `nn`, and the
-            // delta below is replanned into it afterwards — capturing
-            // post-migration would apply the move twice.
-            sessions.entry(dataset).or_insert_with(|| {
-                let tasks: Vec<Task> = meta_chunks.iter().map(|&c| Task::single(c)).collect();
-                let workload = Workload::new(format!("trace-ds{dataset}"), tasks);
-                let request = PlanRequest::single(&nn, &workload, &placement).seed(config.seed);
-                planner.session(&request)
-            });
-
             // Optionally migrate one replica of the hottest chunk toward
             // the busiest client's node, then replan the session.
             let mut migrated = false;
-            let mut delta: Option<LayoutDelta> = None;
             if config.churn {
                 let (&hot_chunk, _) = per_chunk
                     .iter()
@@ -314,31 +300,14 @@ pub fn replay_local(
                     .max_by_key(|&(id, count)| (*count, std::cmp::Reverse(*id)))
                     .expect("batch group is non-empty");
                 let target = NodeId((top_client as usize % config.n_nodes) as u32);
-                let chunk_id = meta_chunks[hot_chunk as usize];
-                let locations = nn.locate(chunk_id)?;
-                if !locations.contains(&target) {
-                    let from = locations[0];
-                    let d = LayoutDelta::migration(chunk_id, from, target);
-                    nn.apply_migrations(&d)?;
-                    nn.take_events();
+                let hot = &layout[hot_chunk as usize];
+                if !hot.locations.contains(&target) {
+                    let delta = LayoutDelta::migration(hot.chunk, hot.locations[0], target);
+                    session.replan(&delta);
                     migrations += 1;
                     migrated = true;
-                    delta = Some(d);
                 }
             }
-
-            let session = sessions
-                .get_mut(&dataset)
-                .expect("session created before churn");
-            if let Some(d) = delta {
-                session.replan(&d);
-            }
-            let session_local_fraction = session
-                .as_single()
-                .expect("single session")
-                .plan()
-                .locality
-                .task_fraction();
 
             digests.push(BatchDigest {
                 batch: batch_no,
@@ -349,7 +318,7 @@ pub fn replay_local(
                 filled_files: plan.filled_files,
                 local_task_fraction: plan.locality.task_fraction(),
                 migrated,
-                session_local_fraction,
+                session_local_fraction: session.plan().locality.task_fraction(),
             });
         }
     }

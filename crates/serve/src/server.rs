@@ -2,7 +2,7 @@
 //! sharded reactor behind it.
 //!
 //! One thread accepts connections and assigns them round-robin to N
-//! shard threads (see [`crate::reactor`]); each shard runs a nonblocking
+//! shard threads (see the `reactor` module); each shard runs a nonblocking
 //! readiness loop over its connections and owns the cache slice for the
 //! datasets affine to it (`dataset % shards`). Cheap requests (`ping`,
 //! `stats`, `invalidate`) are answered inline on the shard; planning,

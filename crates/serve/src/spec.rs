@@ -22,14 +22,14 @@
 //!   replaying the deltas between its stamp and the current generation,
 //!   and plans for other datasets stay valid.
 //!
-//! The base layouts are built from the spec; churn advances each
+//! The base layouts are drawn from the spec by [`seeded_layouts`], the
+//! builder a trace replay draws its world with too; churn advances each
 //! dataset's layout copy-on-write, so handles served earlier keep what
 //! they were given and world construction stays reproducible from the
 //! spec.
 
 use opass_core::dfs::{
-    ChunkId, ChunkLayout, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, NodeId,
-    Placement,
+    seeded_layouts, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, Placement,
 };
 use opass_core::runtime::ProcessPlacement;
 use rand::rngs::StdRng;
@@ -99,38 +99,6 @@ impl ServeSpec {
         nn
     }
 
-    /// Each dataset's layout as [`build_namenode`](Self::build_namenode)
-    /// would hold it, drawn without the namenode: one RNG seeded from
-    /// `seed`, one `Placement::Random` draw per chunk over nodes
-    /// `0..n_nodes` in creation order, chunk ids consecutive across
-    /// datasets. Panics on the specs the namenode path panics on, with
-    /// the same messages.
-    fn base_layouts(&self) -> impl ExactSizeIterator<Item = LayoutSnapshot> {
-        let replication = self.replication as usize;
-        assert!(replication >= 1, "replication must be at least 1");
-        assert!(
-            self.n_nodes >= replication,
-            "cluster of {} cannot hold {} replicas",
-            self.n_nodes,
-            self.replication
-        );
-        let alive: Vec<NodeId> = (0..self.n_nodes as u32).map(NodeId).collect();
-        let mut pool = Vec::with_capacity(alive.len());
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let spec = *self;
-        (0..spec.n_datasets).map(move |d| {
-            assert!(spec.chunk_size > 0, "chunk size must be positive");
-            let first = (d * spec.chunks_per_dataset) as u64;
-            (0..spec.chunks_per_dataset)
-                .map(|j| ChunkLayout {
-                    chunk: ChunkId(first + j as u64),
-                    size: spec.chunk_size,
-                    locations: Placement::Random.place(j, replication, &alive, &mut rng, &mut pool),
-                })
-                .collect()
-        })
-    }
-
     /// The process placement every plan uses: one process per node.
     pub fn placement(&self) -> ProcessPlacement {
         ProcessPlacement::one_per_node(self.n_nodes)
@@ -177,21 +145,27 @@ pub struct World {
 
 impl World {
     /// Builds the world from a spec: every dataset's layout, drawn
-    /// directly, and nothing else.
+    /// directly, and nothing else. Panics on the specs
+    /// [`build_namenode`](ServeSpec::build_namenode) panics on, with the
+    /// same messages.
     pub fn new(spec: ServeSpec) -> World {
         World {
             spec,
             generation: AtomicU64::new(0),
             dataset_bumps: (0..spec.n_datasets).map(|_| AtomicU64::new(0)).collect(),
-            datasets: spec
-                .base_layouts()
-                .map(|layout| {
-                    Mutex::new(DatasetState {
-                        layout,
-                        journal: VecDeque::new(),
-                    })
+            datasets: seeded_layouts(
+                spec.n_nodes,
+                spec.replication,
+                spec.seed,
+                (0..spec.n_datasets).map(|_| (spec.chunks_per_dataset, spec.chunk_size)),
+            )
+            .map(|layout| {
+                Mutex::new(DatasetState {
+                    layout,
+                    journal: VecDeque::new(),
                 })
-                .collect(),
+            })
+            .collect(),
             layout_walks: AtomicU64::new(0),
         }
     }
@@ -340,6 +314,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opass_core::dfs::NodeId;
 
     #[test]
     fn namenode_construction_is_deterministic() {

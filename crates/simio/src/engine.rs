@@ -17,7 +17,7 @@
 //! * **Component-scoped rate recomputation.** Max-min allocations decompose
 //!   over connected components of the flow ↔ resource sharing graph, so an
 //!   activation or completion re-runs water-filling only on the affected
-//!   component. [`crate::components::ComponentIndex`] maintains the
+//!   component. The `components` module's `ComponentIndex` maintains the
 //!   adjacency; dirty *seeds* (the activated flow, or the resources a
 //!   completed flow released) replace the old global dirty flag.
 //! * **ETA-indexed completions.** Predicted completion times live in a

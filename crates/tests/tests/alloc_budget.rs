@@ -1,8 +1,8 @@
 //! Memory budgets that need no clock: a counting global allocator pins
 //! what the served world, a planning session and the layout handles
-//! around them hold, and what the max-flow solve and Algorithm 1 need
-//! while they run, in requested bytes and in
-//! allocator calls. `peak_rss_mib` is the metric
+//! around them hold, what the rack graph holds, and what the max-flow
+//! solve, Algorithm 1 and one trace replay need while they run, in
+//! requested bytes and in allocator calls. `peak_rss_mib` is the metric
 //! the benchmark gates; these are the per-structure numbers under it
 //! (DESIGN.md §16), so a per-chunk `Vec` or a copy that creeps back in
 //! fails here the day it is written.
@@ -18,14 +18,17 @@
 
 use opass_core::planner::OpassPlanner;
 use opass_core::request::PlanRequest;
-use opass_core::{build_locality_graph_from_layout, build_matching_values, SingleDataSession};
+use opass_core::{
+    build_locality_graph_from_layout, build_matching_values, build_rack_graph, SingleDataSession,
+};
 use opass_dfs::{
     ChunkIndex, ChunkLayout, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode,
-    Placement,
+    Placement, RackMap,
 };
 use opass_matching::{assign_multi_data, BipartiteGraph, SingleDataMatcher};
 use opass_runtime::ProcessPlacement;
-use opass_serve::{ServeSpec, World};
+use opass_serve::{replay_local, ReplayConfig, ServeSpec, World};
+use opass_trace::{generate, TraceSpec};
 use opass_workloads::{multi as multi_wl, MultiDataConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -314,5 +317,65 @@ fn algorithm1_runs_in_the_memory_of_its_non_zero_values() {
         cost.calls <= n_nodes + 32,
         "Algorithm 1 made {} allocator calls",
         cost.calls
+    );
+}
+
+#[test]
+fn the_rack_graph_is_laid_out_exactly() {
+    // 128 nodes in 8 racks of 16, one process per node: 54 336 rack-local
+    // edges at 1 280 chunks, 435 216 at 10 240. Counted first, then laid
+    // out at their exact degrees, so the build makes the same allocator
+    // calls at any size and holds no growth slack: 16 B of adjacency per
+    // edge, plus the per-vertex offsets.
+    let racks = RackMap::uniform(128, 16);
+    let mut calls = Vec::new();
+    for n_chunks in [1280, 10_240] {
+        let (snapshot, placement) = dataset_world(128, n_chunks);
+        let (graph, built) = measure(|| build_rack_graph(&snapshot, &placement, &racks));
+        let per_edge = built.live_bytes as f64 / graph.edge_count() as f64;
+        assert!(
+            per_edge <= 17.0,
+            "128 x {n_chunks}: the rack graph holds {per_edge:.2} B/edge"
+        );
+        assert!(built.peak_bytes - built.live_bytes <= 4096);
+        calls.push(built.calls);
+    }
+    assert_eq!(calls[0], calls[1], "rack graph allocator calls by size");
+    assert!(calls[0] <= 16, "the rack graph made {} calls", calls[0]);
+}
+
+#[test]
+fn a_trace_replay_draws_its_world_and_keeps_no_namenode() {
+    // 8 192 records over 4 datasets of 128 chunks, 16 nodes, batches of
+    // 2 048 records, churn on: 16 batch plans, 4 sessions, 11 migrations.
+    // The layouts are drawn straight from the seed and each batch plans a
+    // snapshot of the entries it read, so the replay holds no block map
+    // and builds no workload. The bounds sit a few per cent above what a
+    // debug build needs.
+    let records = generate(&TraceSpec {
+        records: 8192,
+        datasets: 4,
+        clients: 16,
+        chunks_per_dataset: 128,
+        seed: 1,
+        ..TraceSpec::default()
+    });
+    let config = ReplayConfig {
+        n_nodes: 16,
+        batch_records: 2048,
+        ..ReplayConfig::default()
+    };
+    let (report, cost) = measure(|| replay_local(&records, &config).expect("replay"));
+    assert_eq!(report.migrations, 11);
+    assert_eq!(report.fingerprint(), 0xdac0_337a_c204_eec1);
+    assert!(
+        cost.calls <= 1_950,
+        "replay_local made {} allocator calls",
+        cost.calls
+    );
+    assert!(
+        cost.peak_bytes <= 160_000,
+        "replay_local peaked at {} B",
+        cost.peak_bytes
     );
 }

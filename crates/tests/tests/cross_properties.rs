@@ -90,7 +90,10 @@ fn planner_locality_never_below_baseline_for_same_layout() {
         // Matched files are an upper bound for what any balanced
         // assignment achieves; rank-interval is one such assignment.
         let baseline = opass_runtime::baseline::rank_interval(n_chunks, n_nodes);
-        let graph = opass_core::build_locality_graph(&nn, &workload, &placement);
+        let graph = opass_core::build_locality_graph_from_layout(
+            &opass_core::capture_workload_layout(&nn, &workload),
+            &placement,
+        );
         let sizes = vec![8u64 << 20; n_chunks];
         let base = opass_matching::locality_report(&baseline, &graph, &sizes);
         assert!(

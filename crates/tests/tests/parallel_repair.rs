@@ -196,14 +196,12 @@ fn session_replans_are_bit_identical_across_thread_counts() {
             let mut sessions: Vec<SingleDataSession> = THREAD_COUNTS
                 .iter()
                 .map(|&t| {
-                    planner
-                        .session(
-                            &PlanRequest::single_from_layout(&snapshot, &placement)
-                                .seed(seed)
-                                .threads(t),
-                        )
+                    let mut session = planner
+                        .session(&PlanRequest::single_from_layout(&snapshot, &placement).seed(seed))
                         .into_single()
-                        .expect("single session")
+                        .expect("single session");
+                    session.set_threads(t);
+                    session
                 })
                 .collect();
 
@@ -252,14 +250,12 @@ fn parallel_fanout_leaves_sessions_where_sequential_replans_do() {
         let placement = ProcessPlacement::one_per_node(islands * per);
         let planner = OpassPlanner::default();
         let start = |s: u64, threads: usize| {
-            planner
-                .session(
-                    &PlanRequest::single_from_layout(&snapshot, &placement)
-                        .seed(s)
-                        .threads(threads),
-                )
+            let mut session = planner
+                .session(&PlanRequest::single_from_layout(&snapshot, &placement).seed(s))
                 .into_single()
-                .expect("single session")
+                .expect("single session");
+            session.set_threads(threads);
+            session
         };
         // A mixed fleet: per-session seeds and thread counts differ.
         let mut fleet: Vec<SingleDataSession> = (0..6)

@@ -5,8 +5,9 @@
 #
 # Modes:
 #   check.sh                 full gate (fmt, opass-lint, clippy, build, tests,
-#                            then the frozen benchmark package bench/
-#                            built against the workspace's public API)
+#                            rustdoc with warnings denied, then the frozen
+#                            benchmark package bench/ built against the
+#                            workspace's public API)
 #   check.sh --lint          determinism & invariant linter only: runs
 #                            opass-lint over the workspace (config in
 #                            lint.toml) and fails on any unsuppressed
@@ -144,6 +145,9 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --workspace --release --offline
 run cargo build --workspace --all-targets --offline
 run cargo test --workspace --quiet --offline
+# Intra-doc links are checked like code: a renamed or removed item must
+# not leave a dangling link behind.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 bench_build
 
 echo "All checks passed."
