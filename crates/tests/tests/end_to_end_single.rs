@@ -163,6 +163,63 @@ fn real_shape_owners_repeat_the_recorded_plans() {
     assert_eq!(hash, 0xf517_25ca_4fd8_baad, "owners changed: {hash:#018x}");
 }
 
+#[test]
+fn bench_shaped_single_data_owners_repeat_the_recorded_plans() {
+    // `plan_mix`'s cold plans: 128 nodes, 8 192 chunks, here one world
+    // and one plan seed per seed, so sixteen different flows are pinned.
+    let mut words = Vec::new();
+    for seed in 0..16 {
+        let mut nn = Namenode::new(128, DfsConfig::default());
+        let ds = nn.create_dataset(
+            &DatasetSpec::uniform("d", 8192, 64 << 20),
+            &Placement::Random,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        let chunks = nn.dataset(ds).expect("dataset exists").chunks.clone();
+        let snapshot = LayoutSnapshot::capture(&nn, &chunks);
+        let placement = ProcessPlacement::one_per_node(128);
+        let plan = OpassPlanner::default()
+            .plan(&PlanRequest::single_from_layout(&snapshot, &placement).seed(seed))
+            .into_single()
+            .expect("single plan");
+        words.extend([plan.matched_files, plan.filled_files]);
+        words.extend_from_slice(plan.assignment.owners());
+    }
+    let hash = fnv(words.iter().map(|&w| w as u64));
+    assert_eq!(
+        hash, 0x94f3_b854_698f_eda3,
+        "128 x 8 192 owners changed: {hash:#018x}"
+    );
+
+    // `sim_sweep`'s large single-data scene: 1024 nodes, 10 chunks per
+    // process, drawn and planned as its set-up does on seed 1.
+    let mut nn = Namenode::new(1024, DfsConfig::default());
+    let (_, tasks) = opass_workloads::single::generate(
+        &mut nn,
+        &opass_workloads::SingleDataConfig {
+            n_procs: 1024,
+            chunks_per_process: 10,
+            chunk_size: 64 << 20,
+        },
+        &Placement::Random,
+        &mut StdRng::seed_from_u64(1 ^ 1024),
+    );
+    let placement = ProcessPlacement::one_per_node(1024);
+    let plan = OpassPlanner::default()
+        .plan(&PlanRequest::single(&nn, &tasks, &placement).seed(1))
+        .into_single()
+        .expect("single plan");
+    let counts = [plan.matched_files, plan.filled_files];
+    let hash = fnv(counts
+        .iter()
+        .chain(plan.assignment.owners())
+        .map(|&w| w as u64));
+    assert_eq!(
+        hash, 0x5597_9e11_6941_a23d,
+        "1024 x 10 240 owners changed: {hash:#018x}"
+    );
+}
+
 /// FNV-1a over a sequence of words.
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, w| {
