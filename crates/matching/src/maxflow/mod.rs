@@ -1,15 +1,17 @@
 //! Max-flow machinery for the single-data matcher.
 //!
-//! Two interchangeable implementations over one [`FlowNetwork`]
-//! representation:
+//! Two implementations the matcher chooses between with [`FlowAlgo`]:
 //!
-//! * [`edmonds_karp`] — the Ford–Fulkerson variant the paper describes;
-//! * [`dinic`] — asymptotically faster on the unit-capacity bipartite
-//!   networks Opass builds, used by default.
+//! * [`dinic`] — Dinic's algorithm run in place on the locality graph,
+//!   building no network; asymptotically faster on the unit-capacity
+//!   bipartite shape Opass solves, used by default;
+//! * [`edmonds_karp`] — the Ford–Fulkerson variant the paper describes,
+//!   over a general [`FlowNetwork`].
 //!
-//! The `assignment` benches compare the two; property tests assert they
-//! always agree on the flow value, and — edge for edge — with the
-//! pre-CSR network and bodies kept under `cfg(test)` in `reference`.
+//! `dinic` keeps the general-network Dinic it replaced under `cfg(test)`
+//! and is held to it owner for owner; `reference` keeps the pre-CSR
+//! network and both bodies before that, and the general network is held
+//! to them edge for edge.
 
 pub mod dinic;
 pub mod edmonds_karp;
@@ -31,27 +33,25 @@ pub enum FlowAlgo {
     EdmondsKarp,
 }
 
-impl FlowAlgo {
-    /// Runs the selected algorithm. See [`dinic::max_flow`].
-    pub fn run(self, net: &mut FlowNetwork, s: usize, t: usize) -> u64 {
-        match self {
-            FlowAlgo::Dinic => dinic::max_flow(net, s, t),
-            FlowAlgo::EdmondsKarp => edmonds_karp::max_flow(net, s, t),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BipartiteGraph, SingleDataMatcher};
 
     #[test]
     fn both_algorithms_run_via_enum() {
+        // File 0 on both processes, file 1 on process 0 only: a maximum
+        // flow has to route file 0 through process 1.
+        let mut g = BipartiteGraph::new(2, 2);
+        g.add_edge(0, 0, 64);
+        g.add_edge(0, 1, 64);
+        g.add_edge(1, 0, 64);
         for algo in [FlowAlgo::Dinic, FlowAlgo::EdmondsKarp] {
-            let mut net = FlowNetwork::new(3);
-            net.add_edge(0, 1, 2);
-            net.add_edge(1, 2, 3);
-            assert_eq!(algo.run(&mut net, 0, 2), 2);
+            let matcher = SingleDataMatcher {
+                algo,
+                ..Default::default()
+            };
+            assert_eq!(matcher.flow_owners(&g), (vec![Some(1), Some(0)], 2));
         }
     }
 

@@ -236,9 +236,10 @@ fn the_served_world_holds_its_layouts_and_nothing_else() {
 
 #[test]
 fn the_max_flow_solve_runs_in_a_handful_of_flat_arrays() {
-    // The benchmark's session-start probe: 131 200 edges known before
-    // the first is added. Four network columns, three search arrays, the
-    // quota, owner and load vectors — no per-vertex list, no side table.
+    // The benchmark's session-start probe: 131 200 locality edges, and
+    // no network built over them. The returned owners, the quota and
+    // load vectors, and the solver's seven `u32` arrays, each allocated
+    // once at its exact size — nothing per edge.
     let (n_nodes, n_chunks) = (128, 32_768);
     let (snapshot, placement) = dataset_world(n_nodes, n_chunks);
     let graph = build_locality_graph_from_layout(&snapshot, &placement);
@@ -246,23 +247,31 @@ fn the_max_flow_solve_runs_in_a_handful_of_flat_arrays() {
     assert_eq!(owners.len(), n_chunks);
     assert!(matched > n_chunks * 9 / 10);
     assert!(
-        solve.calls <= 16,
+        solve.calls <= 12,
         "flow_owners made {} allocator calls",
         solve.calls
     );
     assert!(
-        solve.peak_bytes <= 6 << 20,
+        solve.peak_bytes <= 1 << 20,
         "flow_owners peaked at {} B",
         solve.peak_bytes
     );
 
-    // The solve's scratch stacked on the session it starts is the
-    // high-water mark of every session start.
+    // A session start keeps the graph, the matching and the plan, and
+    // needs little beyond them at any moment: the solve's scratch sits
+    // under what it goes on to keep. A debug build's cross-check of the
+    // plan's locality collects one `u64` size per chunk on top.
     let (session, start) = measure(|| start_session(&snapshot, &placement));
+    let debug_check = if cfg!(debug_assertions) {
+        8 * n_chunks
+    } else {
+        0
+    };
     assert!(
-        start.peak_bytes <= 8 << 20,
-        "a session start peaked at {} B",
-        start.peak_bytes
+        start.peak_bytes as f64 <= 1.05 * start.live_bytes as f64 + debug_check as f64,
+        "a session start peaked at {} B to keep {} B",
+        start.peak_bytes,
+        start.live_bytes
     );
     drop(session);
 }
@@ -351,7 +360,8 @@ fn a_trace_replay_draws_its_world_and_keeps_no_namenode() {
     // The layouts are drawn straight from the seed and each batch plans a
     // snapshot of the entries it read, so the replay holds no block map
     // and builds no workload. The bounds sit a few per cent above what a
-    // debug build needs.
+    // debug build needs; the peak reads 135 760 B in either build (it was
+    // 152 692 B while every solve built a flow network).
     let records = generate(&TraceSpec {
         records: 8192,
         datasets: 4,
@@ -369,12 +379,12 @@ fn a_trace_replay_draws_its_world_and_keeps_no_namenode() {
     assert_eq!(report.migrations, 11);
     assert_eq!(report.fingerprint(), 0xdac0_337a_c204_eec1);
     assert!(
-        cost.calls <= 1_950,
+        cost.calls <= 1_900,
         "replay_local made {} allocator calls",
         cost.calls
     );
     assert!(
-        cost.peak_bytes <= 160_000,
+        cost.peak_bytes <= 140_000,
         "replay_local peaked at {} B",
         cost.peak_bytes
     );
