@@ -7,8 +7,8 @@
 //!   run on (`u32` handles, zero per-visit allocation);
 //! * [`graph`] — the process↔chunk bipartite locality graph built from the
 //!   file-system layout (Figure 4), stored on the arena pools;
-//! * [`maxflow`] — Edmonds–Karp (as in the paper) and Dinic implementations
-//!   over one residual network representation;
+//! * [`maxflow`] — Dinic run in place on the locality graph (the default)
+//!   and Edmonds–Karp (as in the paper) over a flat residual network;
 //! * [`single_data`] — the flow-network matcher for equal-quota tasks with
 //!   one input each (Section IV-B, Figure 5), with the paper's random fill
 //!   for unmatched files plus a least-loaded ablation variant;

@@ -1,4 +1,5 @@
-//! Flow-network representation shared by the max-flow algorithms.
+//! The general flow network: what Edmonds–Karp runs on (the in-place
+//! Dinic needs none), and the test oracles beside it.
 //!
 //! Edges are stored in forward/reverse pairs (indices `2k` and `2k+1`), the
 //! classic residual-graph layout: pushing flow on one edge adds residual
@@ -18,8 +19,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(pub(crate) usize);
 
-/// The exact work of one max-flow solve, read with [`FlowNetwork::work`]:
-/// counts, not clocks, so they repeat to the digit on any host.
+/// The exact work of one max-flow solve, read with [`FlowNetwork::work`]
+/// or from [`super::dinic::BipartiteFlow::work`]: counts, not clocks, so
+/// they repeat to the digit on any host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowWork {
     /// Breadth-first searches run (Dinic: level graphs built, the last
@@ -28,7 +30,8 @@ pub struct FlowWork {
     pub phases: u64,
     /// Augmenting paths pushed.
     pub paths: u64,
-    /// Adjacency entries read, by the searches and the pushes together.
+    /// Adjacency entries read, by the searches and the pushes together
+    /// (the in-place Dinic reads only process→file entries).
     pub scanned: u64,
 }
 

@@ -29,11 +29,12 @@
 #                            (read-only on bench/). Also prints each
 #                            workload's peak_rss_mib and fails when it
 #                            exceeds that workload's ceiling in
-#                            RSS_CEILING_MIB below, so the memory PRs
-#                            (17, 22-25) cannot be undone silently. The
-#                            ceilings are the seed-1 readings recorded in
-#                            EXPERIMENTS.md plus 3 %; a PR that moves
-#                            memory on purpose updates both together.
+#                            RSS_CEILING_MIB below, so the memory savings
+#                            EXPERIMENTS.md records cannot be undone
+#                            silently. The ceilings are the seed-1
+#                            readings recorded in EXPERIMENTS.md plus
+#                            3 %; a PR that moves memory on purpose
+#                            updates both together.
 #
 # A performance claim is measured by its sibling, not by a mode here:
 #   scripts/pairs.sh <parent-ref> --workload W [--seed S] [--pairs N]
@@ -107,10 +108,11 @@ fi
 
 if [[ "${1:-}" == "--bench-run" ]]; then
     # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
-    # "World memory" (ISSUE 25: 21.12, 63.37, 73.43, 125.89, 18.43)
-    # plus 3 %. Updated together with it.
+    # "In-place Dinic" (plan_mix 19.99) and "World memory" (63.37,
+    # 73.43, 125.89, 18.43 for the other four, in order) plus 3 %.
+    # Updated together with them.
     declare -A RSS_CEILING_MIB=(
-        [plan_mix]=21.75
+        [plan_mix]=20.59
         [serve_hot]=65.27
         [serve_churn]=75.64
         [trace_replay]=129.67
