@@ -16,6 +16,7 @@ use crate::placement::Placement;
 use crate::replicas::Replicas;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::Rng;
 
 /// Namenode configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +132,7 @@ impl Namenode {
     ) -> DatasetId {
         let alive = self.alive_nodes();
         let replication = self.config.replication as usize;
-        let mut pool = Vec::with_capacity(alive.len());
+        let mut pool = Vec::new();
         let locations =
             (0..spec.n_chunks()).map(|i| placement.place(i, replication, &alive, rng, &mut pool));
         self.add_dataset(spec, locations)
@@ -460,17 +461,21 @@ impl Namenode {
             .max_by_key(|&&n| self.node_chunks[n.index()].len())
         {
             // A chunk on src that some under-mean node lacks.
-            let candidates: Vec<NodeId> = alive
+            let mut candidates: Vec<NodeId> = alive
                 .iter()
                 .copied()
                 .filter(|&n| (self.node_chunks[n.index()].len() as f64) < mean)
                 .collect();
             let mut done = false;
-            let src_chunks = self.node_chunks[src.index()].clone();
-            'outer: for &chunk_id in &src_chunks {
-                let mut shuffled = candidates.clone();
-                shuffled.shuffle(rng);
-                for target in shuffled {
+            'outer: for k in 0..self.node_chunks[src.index()].len() {
+                let chunk_id = self.node_chunks[src.index()][k];
+                // Candidates in a uniformly random order, drawn lazily by a
+                // partial Fisher–Yates pass: any arrangement the previous
+                // chunk left behind is as good a start as a fresh one.
+                let len = candidates.len();
+                for i in 0..len {
+                    candidates.swap(i, rng.gen_range(i..len));
+                    let target = candidates[i];
                     if !self.chunks[chunk_id.index()].is_on(target) {
                         // Move chunk replica src -> target.
                         let chunk = &mut self.chunks[chunk_id.index()];

@@ -11,6 +11,7 @@ use crate::replicas::Replicas;
 use crate::topology::RackMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::Rng;
 
 /// How replicas are placed across alive nodes at write time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,16 +44,19 @@ impl Placement {
     /// Chooses the `replication` nodes for the `chunk_seq`-th chunk placed
     /// under this policy.
     ///
-    /// `pool` is working memory: pass the same vector for every chunk of
-    /// a dataset and placement allocates nothing per chunk (its contents
-    /// on entry are ignored). The random policies shuffle all of `alive`
-    /// although only a prefix is kept: the prefix is what the descending
-    /// Fisher–Yates pass settles last, and every seeded layout in this
-    /// repository is a function of exactly those draws.
+    /// `Random` and `WriterLocal` draw their random replicas with Floyd's
+    /// sampling: one generator draw per replica (`r`, or `r − 1` beside
+    /// the writer) whatever the cluster size, and no working memory.
+    /// Every seeded layout in this repository is a function of exactly
+    /// those draws. `RackAware` reads a whole shuffled order of `alive`,
+    /// so it is the only policy that uses `pool`: pass the same vector for
+    /// every chunk of a dataset and it allocates nothing per chunk (its
+    /// contents on entry are ignored).
     ///
     /// # Panics
     ///
-    /// Panics if `replication` exceeds the number of alive nodes or is zero.
+    /// Panics if `replication` exceeds the number of alive nodes or is
+    /// zero, or if a `WriterLocal` writer is not among `alive`.
     pub fn place(
         &self,
         chunk_seq: usize,
@@ -68,27 +72,26 @@ impl Placement {
             alive.len()
         );
         let chosen: Replicas = match self {
-            Placement::Random => {
-                refill_shuffled(pool, alive.iter().copied(), rng);
-                pool[..replication].iter().copied().collect()
-            }
+            Placement::Random => floyd_sample(alive.len(), replication, rng, |i| alive[i]),
             Placement::WriterLocal { writer } => {
-                assert!(
-                    alive.contains(writer),
-                    "writer {writer} is not an alive node"
-                );
-                refill_shuffled(pool, alive.iter().copied().filter(|n| n != writer), rng);
-                pool[..replication - 1]
+                let at = alive
                     .iter()
-                    .copied()
-                    .chain([*writer])
-                    .collect()
+                    .position(|n| n == writer)
+                    .expect("the writer must be an alive node");
+                // The alive list with the writer skipped.
+                let mut chosen = floyd_sample(alive.len() - 1, replication - 1, rng, |i| {
+                    alive[i + usize::from(i >= at)]
+                });
+                chosen.insert(*writer);
+                chosen
             }
             Placement::RoundRobin => (0..replication)
                 .map(|k| alive[(chunk_seq + k) % alive.len()])
                 .collect(),
             Placement::RackAware { racks } => {
-                refill_shuffled(pool, alive.iter().copied(), rng);
+                pool.clear();
+                pool.extend_from_slice(alive);
+                pool.shuffle(rng);
                 let first = pool[0];
                 let mut chosen = Replicas::new();
                 chosen.insert(first);
@@ -133,11 +136,19 @@ impl Placement {
     }
 }
 
-/// Replaces the contents of `pool` with `nodes`, shuffled.
-fn refill_shuffled(pool: &mut Vec<NodeId>, nodes: impl Iterator<Item = NodeId>, rng: &mut StdRng) {
-    pool.clear();
-    pool.extend(nodes);
-    pool.shuffle(rng);
+/// A uniform `k`-subset of the `n` nodes `node(0..n)` by Floyd's
+/// sampling: for `j` in `n − k..n`, draw `t ≤ j` and take `node(t)`, or
+/// `node(j)` when `node(t)` is already taken. Before step `j` every taken
+/// node lies in `node(0..j)`, so the fallback is always free. `node` must
+/// be injective.
+fn floyd_sample(n: usize, k: usize, rng: &mut StdRng, node: impl Fn(usize) -> NodeId) -> Replicas {
+    let mut chosen = Replicas::new();
+    for j in n - k..n {
+        if !chosen.insert(node(rng.gen_range(0..=j))) {
+            chosen.insert(node(j));
+        }
+    }
+    chosen
 }
 
 #[cfg(test)]
@@ -149,10 +160,28 @@ mod tests {
         (0..n).map(NodeId).collect()
     }
 
-    /// `place` as it stood before replica lists went inline and the pool
-    /// became caller-owned, kept verbatim as the reference the stream
-    /// test below compares against: every seeded layout, fingerprint and
-    /// recorded figure in the repository was produced by these draws.
+    /// Floyd's sampling written out over an explicit candidate list: the
+    /// oracle for the random policies.
+    fn floyd_reference(candidates: &[NodeId], k: usize, rng: &mut StdRng) -> Vec<NodeId> {
+        let n = candidates.len();
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(k);
+        for j in n - k..n {
+            let t = rng.gen_range(0..j + 1);
+            let pick = if chosen.contains(&candidates[t]) {
+                candidates[j]
+            } else {
+                candidates[t]
+            };
+            chosen.push(pick);
+        }
+        chosen
+    }
+
+    /// The reference the stream test below compares `place` against.
+    /// The random policies are [`floyd_reference`]. `RoundRobin` and
+    /// `RackAware` are kept verbatim from before replica lists went
+    /// inline and the pool became caller-owned: their seeded layouts
+    /// never changed stream.
     fn place_reference(
         policy: &Placement,
         chunk_seq: usize,
@@ -161,18 +190,12 @@ mod tests {
         rng: &mut StdRng,
     ) -> Vec<NodeId> {
         let mut chosen: Vec<NodeId> = match policy {
-            Placement::Random => {
-                let mut pool: Vec<NodeId> = alive.to_vec();
-                pool.shuffle(rng);
-                pool.truncate(replication);
-                pool
-            }
+            Placement::Random => floyd_reference(alive, replication, rng),
             Placement::WriterLocal { writer } => {
-                let mut pool: Vec<NodeId> = alive.iter().copied().filter(|n| n != writer).collect();
-                pool.shuffle(rng);
-                pool.truncate(replication - 1);
-                pool.push(*writer);
-                pool
+                let others: Vec<NodeId> = alive.iter().copied().filter(|n| n != writer).collect();
+                let mut chosen = floyd_reference(&others, replication - 1, rng);
+                chosen.push(*writer);
+                chosen
             }
             Placement::RoundRobin => (0..replication)
                 .map(|k| alive[(chunk_seq + k) % alive.len()])
@@ -266,6 +289,123 @@ mod tests {
             assert_eq!(got_rng, want_rng, "case {case}: rng state diverged");
         }
         assert!(per_policy.iter().all(|&n| n >= 2_500), "{per_policy:?}");
+    }
+
+    #[test]
+    fn a_random_dataset_draws_once_per_replica() {
+        // A 1024-node × 10 240-chunk dataset at r = 3 advances the
+        // generator by exactly three draws per chunk, over spans 1022,
+        // 1023 and 1024 — and, no rejection occurring on this seed, by
+        // exactly three words.
+        use crate::chunk::DatasetSpec;
+        use crate::namenode::{DfsConfig, Namenode};
+        use rand::RngCore;
+        let (n_nodes, n_chunks) = (1024, 10_240);
+        let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+        let mut rng = StdRng::seed_from_u64(0x0A55);
+        let mut by_spans = rng.clone();
+        let mut by_words = rng.clone();
+        nn.create_dataset(
+            &DatasetSpec::uniform("d", n_chunks, 64),
+            &Placement::Random,
+            &mut rng,
+        );
+        for _ in 0..n_chunks {
+            for j in n_nodes - 3..n_nodes {
+                by_spans.gen_range(0..=j);
+            }
+        }
+        for _ in 0..3 * n_chunks {
+            by_words.next_u64();
+        }
+        assert_eq!(rng, by_spans);
+        assert_eq!(rng, by_words);
+    }
+
+    /// The 20 3-subsets of nodes `0..6`, ascending, in lexicographic order.
+    fn three_subsets_of_six() -> Vec<[NodeId; 3]> {
+        let mut subsets = Vec::new();
+        for a in 0..6 {
+            for b in a + 1..6 {
+                for c in b + 1..6 {
+                    subsets.push([NodeId(a), NodeId(b), NodeId(c)]);
+                }
+            }
+        }
+        subsets
+    }
+
+    /// Pearson's χ² of `counts` against equal expected counts.
+    fn chi_squared(counts: &[usize]) -> f64 {
+        let total: usize = counts.iter().sum();
+        let expected = total as f64 / counts.len() as f64;
+        counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum()
+    }
+
+    #[test]
+    fn random_and_writer_local_subsets_are_uniform() {
+        // 20 000 chunks on 6 nodes at r = 3. Critical values at
+        // p = 0.001: 43.82 for the 19 degrees of freedom of Random's 20
+        // subsets, 27.88 for the 9 of the 10 subsets holding the writer.
+        let alive = nodes(6);
+        let subsets = three_subsets_of_six();
+        let mut rng = StdRng::seed_from_u64(0xC41);
+        let writer = NodeId(4);
+        for (policy, critical) in [
+            (Placement::Random, 43.82),
+            (Placement::WriterLocal { writer }, 27.88),
+        ] {
+            let mut counts = [0usize; 20];
+            for seq in 0..20_000 {
+                let locs = policy.place(seq, 3, &alive, &mut rng, &mut Vec::new());
+                counts[subsets
+                    .iter()
+                    .position(|s| locs == s[..])
+                    .expect("a 3-subset")] += 1;
+            }
+            // Under WriterLocal only the subsets holding the writer occur.
+            let mut observed = Vec::new();
+            for (subset, &count) in subsets.iter().zip(&counts) {
+                if policy == Placement::Random || subset.contains(&writer) {
+                    observed.push(count);
+                } else {
+                    assert_eq!(count, 0, "{subset:?} lacks the writer");
+                }
+            }
+            let chi2 = chi_squared(&observed);
+            assert!(
+                chi2 < critical,
+                "{policy:?}: χ² = {chi2:.2} over {observed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_node_marginals_are_r_over_n_at_1024_nodes() {
+        // 100 000 chunks at r = 3: each node holds ≈ 293 replicas. The χ²
+        // of 1 023 degrees of freedom has mean 1 023 and deviation ≈ 45;
+        // 1 250 is five deviations out. WriterLocal's non-writers share
+        // its `r − 1` drawn replicas evenly.
+        let n_nodes = 1024;
+        let alive = nodes(n_nodes as u32);
+        let mut rng = StdRng::seed_from_u64(0x3A1);
+        let writer = NodeId(17);
+        for policy in [Placement::Random, Placement::WriterLocal { writer }] {
+            let mut counts = vec![0usize; n_nodes];
+            for seq in 0..100_000 {
+                for n in &policy.place(seq, 3, &alive, &mut rng, &mut Vec::new()) {
+                    counts[n.index()] += 1;
+                }
+            }
+            if let Placement::WriterLocal { .. } = policy {
+                assert_eq!(counts.remove(writer.index()), 100_000);
+            }
+            let chi2 = chi_squared(&counts);
+            assert!(chi2 < 1_250.0, "{policy:?}: χ² = {chi2:.1}");
+        }
     }
 
     #[test]
