@@ -52,11 +52,12 @@ pub fn overhead(out: &Path, seed: u64) -> FigureReport {
             format!("{pct:.4}"),
         ])
         .expect("row");
+        // The summary is a committed record, so it states the bound the
+        // paper claims, not the host's milliseconds (those are in the CSV).
         report.line(format!(
-            "m={m}: planning {:.2} ms vs {} s total I/O -> {:.3}% (paper: <1%)",
-            run.planning_seconds * 1e3,
+            "m={m}: planning {} 1% of {} s total I/O (paper: <1%)",
+            if pct < 1.0 { "under" } else { "OVER" },
             secs(io_total),
-            pct
         ));
     }
     report.add_file(csv.path());
@@ -71,15 +72,9 @@ mod tests {
     fn overhead_is_well_under_one_percent() {
         let dir = std::env::temp_dir().join("opass-overhead-test");
         let report = overhead(&dir, 5);
+        assert_eq!(report.summary.len(), 4);
         for line in &report.summary {
-            // Extract the percentage and assert the paper's bound.
-            let pct: f64 = line
-                .split("-> ")
-                .nth(1)
-                .and_then(|s| s.split('%').next())
-                .and_then(|s| s.parse().ok())
-                .expect("parseable line");
-            assert!(pct < 1.0, "overhead {pct}% exceeds the paper's bound");
+            assert!(line.contains("planning under 1%"), "{line}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

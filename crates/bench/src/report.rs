@@ -73,7 +73,8 @@ impl FigureReport {
         self.summary.push(line.into());
     }
 
-    /// Renders the report for stdout.
+    /// Renders the report for stdout. CSVs are named without their
+    /// directory, so the rendering is the same wherever they were written.
     pub fn render(&self) -> String {
         let mut out = format!("== {} ==\n", self.id);
         for line in &self.summary {
@@ -82,7 +83,8 @@ impl FigureReport {
             out.push('\n');
         }
         for f in &self.files {
-            out.push_str(&format!("  -> {}\n", f.display()));
+            let name = f.file_name().unwrap_or(f.as_os_str());
+            out.push_str(&format!("  -> {}\n", Path::new(name).display()));
         }
         out
     }
@@ -121,7 +123,7 @@ mod tests {
         let s = r.render();
         assert!(s.contains("== figX =="));
         assert!(s.contains("hello"));
-        assert!(s.contains("x.csv"));
+        assert!(s.contains("  -> x.csv\n"), "{s}");
     }
 
     #[test]
