@@ -8,12 +8,11 @@
 //!   and the dense `rebuild_from` write-back path.
 //! * `graph_churn` — the same churn through [`BipartiteGraph`], which
 //!   mirrors every edit into both side's pools.
-//! * `repair` — [`IncrementalMatcher::repair_batch`] sequential vs
-//!   component-parallel on an island-partitioned graph (the shape the
-//!   per-component engine exploits).
+//! * `repair` — [`IncrementalMatcher::repair_batch`] on an
+//!   island-partitioned graph at 10⁵ chunks after a churn batch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use opass_matching::{AdjPool, BipartiteGraph, IncrementalMatcher, Objective, OwnedList, NONE};
+use opass_matching::{AdjPool, BipartiteGraph, IncrementalMatcher, Objective, OwnedList};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -197,38 +196,24 @@ fn bench_repair(c: &mut Criterion) {
     let (islands, per, n, r) = (64usize, 16usize, 100_000usize, 3usize);
     let mut group = c.benchmark_group("repair");
     configure(&mut group);
-    for &(label, threads) in &[("seq", 1usize), ("par8", 8)] {
-        group.bench_function(&format!("{label}/{n}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut inc = IncrementalMatcher::new(
-                        island_graph(islands, per, n, r, 42),
-                        Objective::MatchCount,
-                    );
-                    let mut rng = StdRng::seed_from_u64(7);
-                    stage_island_churn(&mut inc, islands, per, &mut rng);
-                    inc
-                },
-                |mut inc| {
-                    inc.repair_batch_threads(threads);
-                    inc.matched_count()
-                },
-                criterion::BatchSize::SmallInput,
-            )
-        });
-    }
-    // Sanity anchor: both thread counts must land on identical owners.
-    let mut seq =
-        IncrementalMatcher::new(island_graph(islands, per, n, r, 42), Objective::MatchCount);
-    let mut par = seq.clone();
-    let mut rng_a = StdRng::seed_from_u64(7);
-    let mut rng_b = StdRng::seed_from_u64(7);
-    stage_island_churn(&mut seq, islands, per, &mut rng_a);
-    stage_island_churn(&mut par, islands, per, &mut rng_b);
-    seq.repair_batch_threads(1);
-    par.repair_batch_threads(8);
-    assert_eq!(seq.owners_dense(), par.owners_dense());
-    assert!(seq.owners_dense().iter().any(|&o| o != NONE));
+    group.bench_function(&format!("batch/{n}"), |b| {
+        b.iter_batched(
+            || {
+                let mut inc = IncrementalMatcher::new(
+                    island_graph(islands, per, n, r, 42),
+                    Objective::MatchCount,
+                );
+                let mut rng = StdRng::seed_from_u64(7);
+                stage_island_churn(&mut inc, islands, per, &mut rng);
+                inc
+            },
+            |mut inc| {
+                inc.repair_batch();
+                inc.matched_count()
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

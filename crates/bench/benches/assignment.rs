@@ -1,13 +1,12 @@
 //! End-to-end planning cost — the Section V-C overhead measurement.
 //!
 //! Benches the full Opass pipeline (layout snapshot → graph build →
-//! matching → assignment) for fig7-sized problems, for both max-flow
-//! backends and both the single- and multi-data planners.
+//! matching → assignment) for fig7-sized problems, for both the single-
+//! and multi-data planners.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use opass_core::{OpassPlanner, PlanRequest};
 use opass_dfs::{DfsConfig, Namenode, Placement};
-use opass_matching::FlowAlgo;
 use opass_runtime::ProcessPlacement;
 use opass_workloads::{multi as multi_wl, single as single_wl, MultiDataConfig, SingleDataConfig};
 use rand::rngs::StdRng;
@@ -28,18 +27,10 @@ fn bench_single_plan(c: &mut Criterion) {
         };
         let (_, workload) = single_wl::generate(&mut nn, &cfg, &Placement::Random, &mut rng);
         let placement = ProcessPlacement::one_per_node(m);
-        for (name, algo) in [
-            ("dinic", FlowAlgo::Dinic),
-            ("edmonds_karp", FlowAlgo::EdmondsKarp),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, format!("m{m}")), &m, |b, _| {
-                let planner = OpassPlanner {
-                    algo,
-                    ..Default::default()
-                };
-                b.iter(|| planner.plan(&PlanRequest::single(&nn, &workload, &placement).seed(1)))
-            });
-        }
+        group.bench_with_input(BenchmarkId::from_parameter(format!("m{m}")), &m, |b, _| {
+            let planner = OpassPlanner::default();
+            b.iter(|| planner.plan(&PlanRequest::single(&nn, &workload, &placement).seed(1)))
+        });
     }
     group.finish();
 }

@@ -1,36 +1,13 @@
-//! Max-flow algorithm benchmarks: Edmonds–Karp (as described in the paper)
-//! over the built quota network vs Dinic (the default) in place on the
-//! same Opass-shaped locality graph, plus the incremental matcher's
-//! batched repair under replica churn.
+//! Max-flow benchmarks: the single-data matcher's in-place Dinic on
+//! Opass-shaped locality graphs up to the planner's real sizes, plus the
+//! incremental matcher's batched repair under replica churn against a
+//! from-scratch solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use opass_matching::maxflow::{edmonds_karp, FlowNetwork};
 use opass_matching::{BipartiteGraph, IncrementalMatcher, Objective, SingleDataMatcher};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-
-/// Builds the single-data quota network for `m` processes and `n` files
-/// with `r` random co-locations per file — exactly what the planner builds.
-fn build_network(m: usize, n: usize, r: usize, seed: u64) -> (FlowNetwork, usize, usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let s = 0usize;
-    let t = 1 + m + n;
-    let mut net = FlowNetwork::new(t + 1);
-    let quota = (n / m).max(1) as u64;
-    for p in 0..m {
-        net.add_edge(s, 1 + p, quota);
-    }
-    let mut nodes: Vec<usize> = (0..m).collect();
-    for f in 0..n {
-        nodes.shuffle(&mut rng);
-        for &p in &nodes[..r.min(m)] {
-            net.add_edge(1 + p, 1 + m + f, 1);
-        }
-        net.add_edge(1 + m + f, t, 1);
-    }
-    (net, s, t)
-}
 
 fn bench_maxflow(c: &mut Criterion) {
     let mut group = c.benchmark_group("maxflow");
@@ -38,9 +15,7 @@ fn bench_maxflow(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(20);
     // The two largest are the planner's real shapes — a `plan_mix` cold
-    // plan and the session-start probe. Edmonds–Karp runs one BFS per
-    // file (8.7 ms at 1 280 files, seconds at 32 768), so it stays on
-    // the sizes up to 1 280.
+    // plan and the session-start probe.
     for &(m, n) in &[
         (16usize, 160usize),
         (64, 640),
@@ -48,27 +23,12 @@ fn bench_maxflow(c: &mut Criterion) {
         (128, 8192),
         (128, 32768),
     ] {
-        // The same draws as `build_network`, so both arms solve one
-        // instance; Dinic through the matcher, as the planner calls it.
+        // Through the matcher, as the planner calls it.
         let graph = build_graph(m, n, 3, 42);
         group.bench_with_input(
             BenchmarkId::new("dinic", format!("{m}x{n}")),
             &graph,
             |b, graph| b.iter(|| SingleDataMatcher::default().flow_owners(graph)),
-        );
-        if n > 1280 {
-            continue;
-        }
-        group.bench_with_input(
-            BenchmarkId::new("edmonds_karp", format!("{m}x{n}")),
-            &(m, n),
-            |b, &(m, n)| {
-                b.iter_batched(
-                    || build_network(m, n, 3, 42),
-                    |(mut net, s, t)| edmonds_karp::max_flow(&mut net, s, t),
-                    criterion::BatchSize::SmallInput,
-                )
-            },
         );
     }
     group.finish();

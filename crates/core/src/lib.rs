@@ -77,7 +77,7 @@ pub use experiment::{
 };
 pub use place::{PlacementConfig, PlacementRound, PlacementSession};
 pub use planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
-pub use replan::{replan_sessions_parallel, MultiDataSession, SingleDataSession};
+pub use replan::{MultiDataSession, SingleDataSession};
 pub use request::{PlanOutcome, PlanRequest, Session};
 
 pub use opass_analysis as analysis;

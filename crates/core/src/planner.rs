@@ -21,7 +21,9 @@ use opass_matching::{Assignment, FillPolicy, FlowAlgo, LocalityReport, Objective
 /// Planner configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpassPlanner {
-    /// Max-flow implementation for the single-data matcher.
+    /// Max-flow implementation for the single-data matcher. [`FlowAlgo`]
+    /// has one variant and no plan reads this; the field stays only
+    /// because the frozen benchmark package reads it (ROADMAP item 4(c)).
     pub algo: FlowAlgo,
     /// Fill policy for files the matching cannot place locally.
     pub fill: FillPolicy,

@@ -13,8 +13,9 @@
 //!   and replica moves, then edge adds, then file removals in descending
 //!   index order, then file additions in delta order). Replica-level
 //!   churn is staged and repaired in one batch of phase-shared
-//!   alternating searches; file-level mutations repair elementarily with
-//!   searches seeded at the touched vertices. The repaired plan has the
+//!   alternating searches, on the matcher's one sequential kernel;
+//!   file-level mutations repair elementarily with searches seeded at
+//!   the touched vertices. The repaired plan has the
 //!   same matched-file count
 //!   — and, under [`opass_matching::Objective::MatchedBytes`], the same
 //!   matched-byte total — as a from-scratch solve on the advanced layout.
@@ -61,10 +62,6 @@ pub struct SingleDataSession {
     procs_on: ProcsOn,
     fill: FillPolicy,
     seed: u64,
-    /// Worker threads for component-parallel batch repair (1, the
-    /// default, is the sequential reference path; the parallel path is
-    /// bit-identical).
-    threads: usize,
     replans: u64,
     plan: SingleDataPlan,
 }
@@ -82,9 +79,9 @@ impl SingleDataSession {
         // is bit-identical to the scratch single-data plan — not merely
         // an equally-good maximum matching.
         let scratch = SingleDataMatcher {
-            algo: planner.algo,
             fill: planner.fill,
             objective: planner.objective,
+            ..Default::default()
         };
         let (owners, _) = scratch.flow_owners(&graph);
         let matcher = IncrementalMatcher::from_matching(graph, planner.objective, owners);
@@ -98,7 +95,6 @@ impl SingleDataSession {
             procs_on,
             fill: planner.fill,
             seed,
-            threads: 1,
             replans: 0,
             plan,
         }
@@ -117,18 +113,6 @@ impl SingleDataSession {
     /// How many deltas this session has absorbed.
     pub fn replans(&self) -> u64 {
         self.replans
-    }
-
-    /// Worker threads used for batch repair.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the batch-repair thread count for subsequent replans (clamped
-    /// to at least 1). Parallel repair is bit-identical to sequential, so
-    /// this never changes what a session plans — only how fast.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// The residual matching state (read-only) — the placement engine
@@ -206,11 +190,9 @@ impl SingleDataSession {
 
         // One repair pass covers every staged edge mutation: phase-shared
         // searches amortize the proof-of-maximality cost across the whole
-        // delta instead of paying a full search per edge. With more than
-        // one worker the repair decomposes by connected component and
-        // merges bit-identically (see `opass_matching`'s parallel repair).
+        // delta instead of paying a full search per edge.
         if staged {
-            self.matcher.repair_batch_threads(self.threads);
+            self.matcher.repair_batch();
         }
 
         // 3. File removals, descending index so earlier indices stay
@@ -315,47 +297,6 @@ fn render_single_data_plan(
         filled_files,
         locality,
     }
-}
-
-/// Advances every session in `sessions` by the same `delta` on up to
-/// `threads` scoped worker threads (e.g. one session per tenant dataset
-/// absorbing one cluster-wide churn event).
-///
-/// Sessions are disjoint state, so this is deterministic by
-/// construction: each session folds the delta exactly as its own
-/// [`SingleDataSession::replan`] call would — same plans, same order,
-/// bit-identical to the sequential loop. Work is split into contiguous
-/// blocks by session index (the same discipline as the Monte-Carlo
-/// parallelism in `opass-analysis`).
-pub fn replan_sessions_parallel(
-    sessions: &mut [SingleDataSession],
-    delta: &LayoutDelta,
-    threads: usize,
-) {
-    let n = sessions.len();
-    let nt = threads.clamp(1, n.max(1));
-    if nt <= 1 {
-        for s in sessions.iter_mut() {
-            s.replan(delta);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut rest = sessions;
-        for w in 0..nt {
-            // Contiguous block [lo, hi) for worker w, differing by at
-            // most one session across workers.
-            let lo = n * w / nt;
-            let hi = n * (w + 1) / nt;
-            let (block, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            scope.spawn(move || {
-                for s in block {
-                    s.replan(delta);
-                }
-            });
-        }
-    });
 }
 
 /// Long-lived multi-data planning state advanced by layout deltas.
@@ -751,38 +692,6 @@ mod tests {
             assert_eq!(pa.locality, pb.locality);
         }
         let _ = placement;
-    }
-
-    #[test]
-    fn parallel_session_fanout_matches_sequential_replans() {
-        // Five sessions (distinct seeds) absorb the same delta stream:
-        // the scoped-thread fan-out must leave every session bit-identical
-        // to the plain sequential loop, including one session running its
-        // own batch repair on multiple threads.
-        let (mut nn, w, placement) = world(8, 48);
-        let planner = OpassPlanner::default();
-        let scope: BTreeSet<ChunkId> = w.tasks.iter().map(|t| t.inputs[0]).collect();
-        let mut sessions: Vec<SingleDataSession> = (0..5)
-            .map(|s| single_session(&planner, &nn, &w, &placement, s as u64))
-            .collect();
-        sessions[2].set_threads(4);
-        assert_eq!(sessions[2].threads(), 4);
-        let mut reference = sessions.clone();
-        let mut rng = StdRng::seed_from_u64(0xFACE);
-        for step in 0..3 {
-            churn(&mut nn, &mut rng, step);
-            let delta = LayoutDelta::from_events(&nn.take_events(), |c| scope.contains(&c));
-            for s in reference.iter_mut() {
-                s.replan(&delta);
-            }
-            replan_sessions_parallel(&mut sessions, &delta, 3);
-        }
-        for (a, b) in sessions.iter().zip(&reference) {
-            assert_eq!(a.plan().assignment.owners(), b.plan().assignment.owners());
-            assert_eq!(a.plan().locality, b.plan().locality);
-            assert_eq!(a.snapshot(), b.snapshot());
-            assert_eq!(a.replans(), 3);
-        }
     }
 
     #[test]

@@ -400,9 +400,9 @@ impl OpassPlanner {
 
     fn matcher(&self) -> SingleDataMatcher {
         SingleDataMatcher {
-            algo: self.algo,
             fill: self.fill,
             objective: self.objective,
+            ..Default::default()
         }
     }
 }

@@ -21,14 +21,13 @@
 //! The residual state lives in dense arenas (`MatchState`): `u32`
 //! owner/load/quota slabs and an intrusive [`OwnedList`] inverse index,
 //! so the searches run allocation-free over the graph's raw adjacency
-//! slices. Batch repair can additionally fan out over connected
-//! components on scoped threads
-//! ([`IncrementalMatcher::repair_batch_threads`]) while staying
-//! bit-identical to the sequential reference path.
+//! slices. Every search — rehome, feed and exchange — walks its path with
+//! an explicit frame stack kept in the state, so a path through every
+//! process of the graph needs no more call stack than a short one. Repair
+//! runs one sequential kernel.
 
 use crate::arena::{OwnedList, NONE};
 use crate::graph::BipartiteGraph;
-use crate::parallel;
 use crate::single_data::{quotas, Objective};
 
 fn quotas_u32(n_files: usize, n_procs: usize) -> Vec<u32> {
@@ -47,17 +46,17 @@ fn quotas_u32(n_files: usize, n_procs: usize) -> Vec<u32> {
 /// the split-borrow that lets the DFS walk raw neighbor slices with
 /// zero per-visit allocation.
 #[derive(Debug, Clone)]
-pub(crate) struct MatchState {
+struct MatchState {
     /// Per-process task quota (always `quotas(n_files, n_procs)`).
-    pub(crate) quota: Vec<u32>,
+    quota: Vec<u32>,
     /// `owner[f]` = process matched to file `f`, or [`NONE`].
-    pub(crate) owner: Vec<u32>,
+    owner: Vec<u32>,
     /// Inverse of `owner` (`proc -> owned files`, ascending), kept in
     /// lockstep so the repair DFS enumerates a process's matches in
     /// O(load) instead of scanning every file.
-    pub(crate) owned: OwnedList,
+    owned: OwnedList,
     /// `load[p]` = number of files matched to process `p`.
-    pub(crate) load: Vec<u32>,
+    load: Vec<u32>,
     /// DFS visited marks over processes, versioned to avoid clearing.
     mark: Vec<u64>,
     epoch: u64,
@@ -68,6 +67,8 @@ pub(crate) struct MatchState {
     rehome_stack: Vec<Rehome>,
     /// Frames of the `dfs_feed` search, kept between searches.
     feed_stack: Vec<Feed>,
+    /// Frames of the `dfs_exchange` search, kept between searches.
+    exchange_stack: Vec<Exchange>,
 }
 
 /// One file on the `dfs_rehome` path; see there.
@@ -97,12 +98,34 @@ struct Feed {
     edge: u32,
 }
 
+/// One file on the `dfs_exchange` path; see there.
+#[derive(Debug, Clone, Copy)]
+struct Exchange {
+    file: u32,
+    edge: u32,
+    proc: u32,
+    start: u32,
+    next: u32,
+}
+
+impl Exchange {
+    fn of(file: u32) -> Self {
+        Exchange {
+            file,
+            edge: 0,
+            proc: NONE,
+            start: 0,
+            next: 0,
+        }
+    }
+}
+
 impl MatchState {
-    /// The single shared construction path (also the parallel-repair
-    /// write-back): adopts a dense owner vector verbatim and derives
-    /// `load` and the `owned` inverse index from it. `quota.len()` is
-    /// the process count. Validation stays at the public callers.
-    pub(crate) fn adopt(owner: Vec<u32>, quota: Vec<u32>) -> Self {
+    /// The single shared construction path: adopts a dense owner vector
+    /// verbatim and derives `load` and the `owned` inverse index from it.
+    /// `quota.len()` is the process count. Validation stays at the public
+    /// callers.
+    fn adopt(owner: Vec<u32>, quota: Vec<u32>) -> Self {
         let m = quota.len();
         let mut load = vec![0u32; m];
         for &p in &owner {
@@ -121,6 +144,7 @@ impl MatchState {
             scratch: Vec::new(),
             rehome_stack: Vec::new(),
             feed_stack: Vec::new(),
+            exchange_stack: Vec::new(),
         }
     }
 
@@ -334,7 +358,7 @@ impl MatchState {
     /// an unmatched file; phase-sharing the marks only defers paths
     /// blocked by an earlier search in the same phase to the next phase.
     /// Finishes with the byte-optimality exchange pass.
-    pub(crate) fn repair_core(&mut self, g: &BipartiteGraph, objective: Objective) {
+    fn repair_core(&mut self, g: &BipartiteGraph, objective: Objective) {
         loop {
             self.epoch += 1;
             let mut progressed = false;
@@ -396,48 +420,81 @@ impl MatchState {
     /// victim with size < `limit`; `file` enters, the victim leaves,
     /// cardinality is unchanged and matched bytes strictly increase.
     /// Only mutates state on the committed success path.
+    ///
+    /// Depth-first with an explicit stack, like [`Self::dfs_rehome`]. A
+    /// frame is a detached file: `edge` is the next of its processes to
+    /// try, `proc` the full process it is trading into, and that
+    /// process's owned files wait smallest-first on `scratch` from
+    /// `start`, `next` the one to offer next — evict the cheapest, and
+    /// prefer direct eviction over deeper pass-through chains. A child
+    /// frame pushes its snapshot past its parent's and truncates back
+    /// before the parent resumes, so the top frame's snapshot always ends
+    /// at `scratch.len()`. A failed child gets its file back.
     fn dfs_exchange(&mut self, g: &BipartiteGraph, file: u32, limit: u64) -> bool {
-        for &p in g.procs_raw(file as usize) {
-            if self.mark[p as usize] == self.epoch {
+        let base = self.scratch.len();
+        let mut stack = std::mem::take(&mut self.exchange_stack);
+        stack.clear();
+        stack.push(Exchange::of(file));
+        let found = loop {
+            let Some(top) = stack.last_mut() else {
+                break false;
+            };
+            if top.proc != NONE && (top.next as usize) < self.scratch.len() {
+                let (w, f2) = self.scratch[top.next as usize];
+                top.next += 1;
+                self.set_owner(f2, NONE);
+                if w < limit {
+                    // The victim leaves; each file on the path enters
+                    // the process its frame was trading into.
+                    while let Some(frame) = stack.pop() {
+                        self.set_owner(frame.file, frame.proc);
+                    }
+                    break true;
+                }
+                stack.push(Exchange::of(f2));
                 continue;
             }
-            self.mark[p as usize] = self.epoch;
-            debug_assert!(
-                self.load[p as usize] >= self.quota[p as usize],
-                "spare quota next to an unmatched file contradicts maximality"
-            );
-            // Snapshot p's owned files smallest-first onto the scratch
-            // stack: evict the cheapest, and prefer direct eviction over
-            // deeper pass-through chains. Frames below ours push past
-            // `end` and truncate back to it, so our slots stay stable.
-            let frame = self.scratch.len();
-            let mut f2 = self.owned.head_of(p);
-            while f2 != NONE {
-                let w = g.weight(p as usize, f2 as usize).unwrap_or(0);
-                self.scratch.push((w, f2));
-                f2 = self.owned.next_of(f2);
+            if top.proc != NONE {
+                // `proc`'s snapshot is spent: drop it, try the next.
+                self.scratch.truncate(top.start as usize);
+                top.proc = NONE;
             }
-            self.scratch[frame..].sort_unstable();
-            let end = self.scratch.len();
-            for i in frame..end {
-                let (w, f2) = self.scratch[i];
-                if w < limit {
-                    self.set_owner(f2, NONE);
-                    self.set_owner(file, p);
-                    self.scratch.truncate(frame);
-                    return true;
+            let procs = g.procs_raw(top.file as usize);
+            while let Some(&p) = procs.get(top.edge as usize) {
+                top.edge += 1;
+                if self.mark[p as usize] == self.epoch {
+                    continue;
                 }
-                self.set_owner(f2, NONE);
-                if self.dfs_exchange(g, f2, limit) {
-                    self.set_owner(file, p);
-                    self.scratch.truncate(frame);
-                    return true;
+                self.mark[p as usize] = self.epoch;
+                debug_assert!(
+                    self.load[p as usize] >= self.quota[p as usize],
+                    "spare quota next to an unmatched file contradicts maximality"
+                );
+                top.proc = p;
+                top.start = self.scratch.len() as u32;
+                top.next = top.start;
+                let mut f2 = self.owned.head_of(p);
+                while f2 != NONE {
+                    let w = g.weight(p as usize, f2 as usize).unwrap_or(0);
+                    self.scratch.push((w, f2));
+                    f2 = self.owned.next_of(f2);
                 }
-                self.set_owner(f2, p);
+                self.scratch[top.start as usize..].sort_unstable();
+                break;
             }
-            self.scratch.truncate(frame);
-        }
-        false
+            if top.proc == NONE {
+                // Every process of this file failed: the parent's trade
+                // fails too, and its file goes back to its process.
+                let failed = top.file;
+                stack.pop();
+                if let Some(parent) = stack.last() {
+                    self.set_owner(failed, parent.proc);
+                }
+            }
+        };
+        self.scratch.truncate(base);
+        self.exchange_stack = stack;
+        found
     }
 }
 
@@ -739,35 +796,12 @@ impl IncrementalMatcher {
         }
     }
 
-    /// Restores maximality after staged mutations on the sequential
-    /// reference path; see `MatchState::repair_core` for the phase
-    /// discipline and stopping proof.
+    /// Restores maximality after staged mutations; see
+    /// `MatchState::repair_core` for the phase discipline and stopping
+    /// proof.
     pub fn repair_batch(&mut self) {
         self.state.repair_core(&self.graph, self.objective);
         self.debug_check();
-    }
-
-    /// Like [`IncrementalMatcher::repair_batch`], but fans the repair out
-    /// over the connected components of the locality graph on up to
-    /// `threads` scoped threads. Augmenting and exchange paths never
-    /// leave a component, and only components containing an unmatched
-    /// file can change, so each component repairs independently with the
-    /// *same* sequential kernel and the merged result is bit-identical
-    /// to the reference path — `threads <= 1`, or too few components,
-    /// simply falls back to it.
-    pub fn repair_batch_threads(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.repair_batch();
-            return;
-        }
-        match parallel::repair_parallel(&self.graph, &self.state, self.objective, threads) {
-            Some(owner) => {
-                let quota = std::mem::take(&mut self.state.quota);
-                self.state = MatchState::adopt(owner, quota);
-                self.debug_check();
-            }
-            None => self.repair_batch(),
-        }
     }
 
     #[cfg(debug_assertions)]
@@ -812,7 +846,6 @@ impl IncrementalMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maxflow::FlowAlgo;
     use crate::single_data::{FillPolicy, SingleDataMatcher};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -820,9 +853,9 @@ mod tests {
     /// Reference (cardinality, matched bytes) via the flow matcher.
     fn flow_reference(graph: &BipartiteGraph, objective: Objective) -> (usize, u64) {
         let matcher = SingleDataMatcher {
-            algo: FlowAlgo::Dinic,
             fill: FillPolicy::LeastLoaded,
             objective,
+            ..Default::default()
         };
         let out = matcher.assign(graph, &mut StdRng::seed_from_u64(0));
         // Matched bytes = weights of owner edges that exist in the graph
@@ -1079,9 +1112,8 @@ mod tests {
         for seed in [1u64, 9, 44] {
             let graph = random_graph(6, 40, 3, seed);
             let scratch = SingleDataMatcher {
-                algo: FlowAlgo::Dinic,
                 fill: FillPolicy::LeastLoaded,
-                objective: Objective::MatchCount,
+                ..Default::default()
             };
             let (owners, matched) = scratch.flow_owners(&graph);
             let mut inc = IncrementalMatcher::from_matching(
@@ -1116,9 +1148,9 @@ mod tests {
     fn from_matching_bytes_input_stays_byte_optimal() {
         let graph = random_graph(4, 24, 2, 123);
         let scratch = SingleDataMatcher {
-            algo: FlowAlgo::Dinic,
             fill: FillPolicy::LeastLoaded,
             objective: Objective::MatchedBytes,
+            ..Default::default()
         };
         let (owners, _) = scratch.flow_owners(&graph);
         let inc = IncrementalMatcher::from_matching(
@@ -1133,67 +1165,6 @@ mod tests {
         );
         let (_, want_bytes) = flow_reference(&graph, Objective::MatchedBytes);
         assert_eq!(inc.matched_bytes(), want_bytes);
-    }
-
-    /// A clustered world with disjoint components so the parallel path
-    /// actually partitions: `groups` islands of `m_per` procs and `n_per`
-    /// files each, randomly wired within the island only.
-    fn clustered_graph(groups: usize, m_per: usize, n_per: usize, seed: u64) -> BipartiteGraph {
-        let mut g = BipartiteGraph::new(groups * m_per, groups * n_per);
-        let mut state = seed;
-        for c in 0..groups {
-            for f in 0..n_per {
-                for p in 0..m_per {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    if state % 3 == 0 {
-                        g.add_edge(c * m_per + p, c * n_per + f, state % 500 + 1);
-                    }
-                }
-            }
-        }
-        g
-    }
-
-    #[test]
-    fn parallel_repair_is_bit_identical_to_sequential() {
-        for objective in [Objective::MatchCount, Objective::MatchedBytes] {
-            for seed in [3u64, 19, 71] {
-                let g = clustered_graph(6, 3, 9, seed);
-                let mut seq = IncrementalMatcher::new(g.clone(), objective);
-                let mut par2 = seq.clone();
-                let mut par8 = seq.clone();
-                let mut state = seed ^ 0xABCD;
-                let mut ops = Vec::new();
-                for _ in 0..30 {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let p = (state >> 8) as usize % g.n_procs();
-                    // Stay within the island so components survive churn.
-                    let island = p / 3;
-                    let f = island * 9 + (state >> 24) as usize % 9;
-                    ops.push((p, f, state % 997 + 1));
-                }
-                for m in [&mut seq, &mut par2, &mut par8] {
-                    for &(p, f, bytes) in &ops {
-                        if m.graph().weight(p, f).is_some() {
-                            m.stage_remove_edge(p, f);
-                        } else {
-                            m.stage_add_edge(p, f, bytes);
-                        }
-                    }
-                }
-                seq.repair_batch();
-                par2.repair_batch_threads(2);
-                par8.repair_batch_threads(8);
-                assert_eq!(seq, par2, "2 threads, seed {seed}");
-                assert_eq!(seq, par8, "8 threads, seed {seed}");
-                assert_eq!(seq.owners_dense(), par2.owners_dense());
-                assert_eq!(seq.owners_dense(), par8.owners_dense());
-                // And the parallel result keeps repairing identically.
-                par8.add_edge(0, 1, 42);
-                seq.add_edge(0, 1, 42);
-                assert_eq!(seq, par8, "post-merge repairs stay in lockstep");
-            }
-        }
     }
 
     /// `dfs_rehome` as it stood before its search went iterative, one
@@ -1251,6 +1222,48 @@ mod tests {
             s.set_owner(f, q);
             s.load[q as usize] += 1;
             s.load[proc as usize] -= 1;
+        }
+        false
+    }
+
+    /// `dfs_exchange` as it stood before its search went iterative.
+    fn dfs_exchange_recursive(
+        s: &mut MatchState,
+        g: &BipartiteGraph,
+        file: u32,
+        limit: u64,
+    ) -> bool {
+        for &p in g.procs_raw(file as usize) {
+            if s.mark[p as usize] == s.epoch {
+                continue;
+            }
+            s.mark[p as usize] = s.epoch;
+            let frame = s.scratch.len();
+            let mut f2 = s.owned.head_of(p);
+            while f2 != NONE {
+                let w = g.weight(p as usize, f2 as usize).unwrap_or(0);
+                s.scratch.push((w, f2));
+                f2 = s.owned.next_of(f2);
+            }
+            s.scratch[frame..].sort_unstable();
+            let end = s.scratch.len();
+            for i in frame..end {
+                let (w, f2) = s.scratch[i];
+                if w < limit {
+                    s.set_owner(f2, NONE);
+                    s.set_owner(file, p);
+                    s.scratch.truncate(frame);
+                    return true;
+                }
+                s.set_owner(f2, NONE);
+                if dfs_exchange_recursive(s, g, f2, limit) {
+                    s.set_owner(file, p);
+                    s.scratch.truncate(frame);
+                    return true;
+                }
+                s.set_owner(f2, p);
+            }
+            s.scratch.truncate(frame);
         }
         false
     }
@@ -1348,6 +1361,57 @@ mod tests {
         assert!(searches.iter().all(|&n| n >= 500), "{searches:?}");
     }
 
+    #[test]
+    fn iterative_exchange_matches_its_recursive_oracle_over_seeded_churn() {
+        // A matched-bytes matcher through seeded churn over mixed chunk
+        // sizes, every replica on half the processes so quotas leave
+        // files out; from every state, an exchange from each unmatched
+        // file at its own size (the repair's limit, which a byte-optimal
+        // state always refuses) and at larger limits that let it evict.
+        let mut searches = [0usize; 2];
+        for seed in 0..6u64 {
+            let mut g = BipartiteGraph::new(6, 30);
+            let mut state = seed ^ 0xE8C4;
+            let size = |f: usize| 8 + (f as u64 * 37 + seed) % 200;
+            for f in 0..30 {
+                for p in 0..3 {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    if state % 3 == 0 {
+                        g.add_edge(p, f, size(f));
+                    }
+                }
+            }
+            let mut inc = IncrementalMatcher::new(g, Objective::MatchedBytes);
+            for _ in 0..25 {
+                let g = inc.graph.clone();
+                let s = &inc.state;
+                for f in (0..g.n_files() as u32).filter(|&f| s.owner[f as usize] == NONE) {
+                    let own = file_size(&g, f);
+                    for limit in [own, 2 * own + 1, u64::MAX] {
+                        let found = assert_search_matches(
+                            s,
+                            &format!("seed {seed}: exchange file {f} under {limit}"),
+                            |_| {},
+                            |c| c.dfs_exchange(&g, f, limit),
+                            |c| dfs_exchange_recursive(c, &g, f, limit),
+                        );
+                        searches[usize::from(found)] += 1;
+                    }
+                }
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let p = (state >> 8) as usize % 3;
+                let f = (state >> 24) as usize % inc.graph().n_files();
+                if inc.graph().weight(p, f).is_some() {
+                    inc.remove_edge(p, f);
+                } else {
+                    inc.add_edge(p, f, size(f));
+                }
+            }
+        }
+        // Both outcomes were walked often.
+        assert!(searches.iter().all(|&n| n >= 1_000), "{searches:?}");
+    }
+
     /// `m` processes and files, one quota unit each: process `p` holds
     /// files `p − 1` and `p` (process 0 only file 0), file `f` is matched
     /// to process `f + 1`, and file `m − 1` and process 0 are free. The
@@ -1401,16 +1465,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_repair_falls_back_on_single_component() {
-        // One fully-connected component: the parallel entry point must
-        // fall back to the sequential kernel and still be identical.
-        let g = random_graph(4, 16, 2, 55);
-        let mut seq = IncrementalMatcher::new(g.clone(), Objective::MatchedBytes);
-        let mut par = seq.clone();
-        seq.stage_remove_edge(0, 0);
-        par.stage_remove_edge(0, 0);
-        seq.repair_batch();
-        par.repair_batch_threads(8);
-        assert_eq!(seq, par);
+    fn a_long_exchange_chain_fits_a_worker_sized_stack() {
+        // Process `p < m − 1` holds files `p` and `p + 1` and owns `p + 1`;
+        // the last process holds nothing, so the matching is maximum and
+        // file 0 is out. Every file weighs 100 but the last, which weighs
+        // 1: bringing file 0 in passes through every process to evict
+        // it, and then the evicted file's own exchange walks all the way
+        // back before it fails.
+        let m = 50_000;
+        let mut g = BipartiteGraph::new(m, m);
+        let size = |f: usize| if f == m - 1 { 1 } else { 100 };
+        for p in 0..m - 1 {
+            g.add_edge(p, p, size(p));
+            g.add_edge(p, p + 1, size(p + 1));
+        }
+        let owners = (0..m).map(|f| f.checked_sub(1)).collect();
+        let inc = on_a_worker_stack(move || {
+            IncrementalMatcher::from_matching(g, Objective::MatchedBytes, owners)
+        });
+        assert_eq!(inc.matched_count(), m - 1);
+        assert!((0..m - 1).all(|f| inc.owner_of(f) == Some(f)));
+        assert_eq!(inc.owner_of(m - 1), None);
+        assert_eq!(inc.matched_bytes(), 100 * (m as u64 - 1));
     }
 }

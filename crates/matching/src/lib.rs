@@ -7,14 +7,17 @@
 //!   run on (`u32` handles, zero per-visit allocation);
 //! * [`graph`] — the process↔chunk bipartite locality graph built from the
 //!   file-system layout (Figure 4), stored on the arena pools;
-//! * [`maxflow`] — Dinic run in place on the locality graph (the default)
-//!   and Edmonds–Karp (as in the paper) over a flat residual network;
+//! * [`maxflow`] — Dinic run in place on the locality graph, the one
+//!   max-flow the single-data matcher runs (the paper's Ford–Fulkerson
+//!   survives as a test oracle), and the min-cost flow of the
+//!   matched-bytes objective;
 //! * [`single_data`] — the flow-network matcher for equal-quota tasks with
 //!   one input each (Section IV-B, Figure 5), with the paper's random fill
 //!   for unmatched files plus a least-loaded ablation variant;
 //! * [`incremental`] — the delta-repair matcher: keeps the residual state
 //!   of the last solve and repairs it after layout churn with searches
-//!   seeded only from the touched vertices, instead of re-solving;
+//!   seeded only from the touched vertices, instead of re-solving — one
+//!   sequential kernel;
 //! * [`multi_data`] — Algorithm 1 for tasks with several inputs
 //!   (Section IV-C, Figure 6): quota-constrained deferred acceptance with
 //!   strict trade-up;
@@ -53,7 +56,6 @@ pub mod graph;
 pub mod incremental;
 pub mod maxflow;
 pub mod multi_data;
-mod parallel;
 pub mod placement;
 pub mod single_data;
 pub mod stable_marriage;
@@ -65,7 +67,7 @@ pub use dynamic::{
 };
 pub use graph::BipartiteGraph;
 pub use incremental::IncrementalMatcher;
-pub use maxflow::{FlowAlgo, FlowNetwork, FlowWork};
+pub use maxflow::{FlowAlgo, FlowWork};
 pub use multi_data::{assign_multi_data, repair_multi_data, MatchingValues, MultiDataOutcome};
 pub use placement::{propose_moves, PlacementPolicy, ReplicaMove};
 pub use single_data::{

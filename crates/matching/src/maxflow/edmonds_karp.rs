@@ -1,10 +1,12 @@
-//! Edmonds–Karp max-flow: Ford–Fulkerson with BFS-chosen augmenting paths.
+//! Edmonds–Karp max-flow: Ford–Fulkerson with BFS-chosen augmenting paths,
+//! compiled only under `cfg(test)`.
 //!
-//! This is the algorithm the paper cites for its single-data matcher (it
-//! refers to Ford–Fulkerson; BFS path selection makes the complexity
-//! `O(V·E²)` independent of capacities while preserving the cancellation
-//! behaviour the paper relies on — an augmenting path may reroute a
-//! previously assigned file to a different process via a residual edge).
+//! The paper's single-data matcher names Ford–Fulkerson; BFS path
+//! selection makes it `O(V·E²)` independent of capacities while keeping
+//! the cancellation the paper relies on (an augmenting path may reroute a
+//! previously assigned file through a residual edge). The shipped matcher
+//! runs Dinic in place; this body is the independent oracle its flow
+//! value is held to.
 
 use super::network::{FlowNetwork, FlowWork};
 

@@ -1,32 +1,42 @@
-//! The general flow network: what Edmonds–Karp runs on (the in-place
-//! Dinic needs none), and the test oracles beside it.
+//! The exact-work counter every max-flow solve reports, and the general
+//! flow network the test oracles run on.
+//!
+//! [`FlowWork`] is what [`super::dinic::BipartiteFlow::work`] returns.
+//! The rest of this module compiles only under `cfg(test)`: the shipped
+//! solver runs in place on the locality graph and builds no network, so
+//! the general network is kept as the ground the oracles stand on — the
+//! general-network Dinic the in-place solver is held to owner for owner,
+//! Edmonds–Karp as an independent route to the flow value, and the plain
+//! max-flow the `MinCostFlowNetwork` tests compare against.
 //!
 //! Edges are stored in forward/reverse pairs (indices `2k` and `2k+1`), the
 //! classic residual-graph layout: pushing flow on one edge adds residual
 //! capacity to its partner. Capacities are `u64` (bytes or task units).
 //!
 //! Everything lives in four flat columns (DESIGN.md §13, "Flow network
-//! layout"): `to` and `cap` per edge id, filled by [`FlowNetwork::add_edge`],
+//! layout"): `to` and `cap` per edge id, filled by `FlowNetwork::add_edge`,
 //! and a CSR adjacency (`start`, `adj`) that `FlowNetwork::adjacency`
 //! builds once, when an algorithm starts, by a *stable* counting sort of
 //! edge ids by tail vertex. Stable means every vertex lists its edges in
 //! `add_edge` order — the order the algorithms scan, and therefore the
-//! order every plan's bit-identity rests on. Nothing else is kept: the
-//! tail of edge `e` is `to[e ^ 1]`, the flow on a forward edge is its
-//! partner's residual, and its original capacity is the pair's sum.
+//! order the oracles' owner-for-owner comparisons rest on. Nothing else
+//! is kept: the tail of edge `e` is `to[e ^ 1]`, the flow on a forward
+//! edge is its partner's residual, and its original capacity is the
+//! pair's sum.
 
 /// Handle to an edge added with [`FlowNetwork::add_edge`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(pub(crate) usize);
 
-/// The exact work of one max-flow solve, read with [`FlowNetwork::work`]
-/// or from [`super::dinic::BipartiteFlow::work`]: counts, not clocks, so
-/// they repeat to the digit on any host.
+/// The exact work of one max-flow solve, read from
+/// [`super::dinic::BipartiteFlow::work`]: counts, not clocks, so they
+/// repeat to the digit on any host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowWork {
-    /// Breadth-first searches run (Dinic: level graphs built, the last
-    /// one finding `t` unreachable; Edmonds–Karp: one per path, plus the
-    /// one that finds none).
+    /// Breadth-first searches run: Dinic's level graphs, the last one
+    /// finding `t` unreachable (the test-only Edmonds–Karp counts one per
+    /// path, plus the one that finds none).
     pub phases: u64,
     /// Augmenting paths pushed.
     pub paths: u64,
@@ -36,6 +46,7 @@ pub struct FlowWork {
 }
 
 /// A directed flow network over `n` vertices.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
     n: usize,
@@ -53,6 +64,7 @@ pub struct FlowNetwork {
 
 /// The columns an algorithm works on: the adjacency read-only beside
 /// the one column a push writes.
+#[cfg(test)]
 pub(crate) struct Residual<'a> {
     pub to: &'a [u32],
     pub cap: &'a mut [u64],
@@ -60,6 +72,7 @@ pub(crate) struct Residual<'a> {
     pub adj: &'a [u32],
 }
 
+#[cfg(test)]
 impl<'a> Residual<'a> {
     /// Ids of the edges leaving `u`, in `add_edge` order.
     pub fn edges_of(&self, u: usize) -> &'a [u32] {
@@ -67,6 +80,7 @@ impl<'a> Residual<'a> {
     }
 }
 
+#[cfg(test)]
 impl FlowNetwork {
     /// Creates a network with `n` vertices and no edges.
     ///

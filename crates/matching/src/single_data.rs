@@ -8,9 +8,9 @@
 //! ```
 //!
 //! with a process→file edge wherever the locality graph has one, and runs
-//! max-flow — Dinic in place on the locality graph by default
-//! ([`crate::maxflow::dinic`]), or Edmonds–Karp over the network built
-//! out. Augmenting paths implement the paper's *cancellation policy*:
+//! max-flow — Dinic in place on the locality graph
+//! ([`crate::maxflow::dinic`]), building no network. Augmenting paths
+//! implement the paper's *cancellation policy*:
 //! a file tentatively matched to one process is rerouted when that increases
 //! the total matching. Files the flow leaves unmatched (data distribution is
 //! never perfectly even) are handed to processes with remaining quota by a
@@ -25,7 +25,7 @@
 use crate::arena::NONE;
 use crate::assignment::Assignment;
 use crate::graph::BipartiteGraph;
-use crate::maxflow::{dinic, edmonds_karp, EdgeId, FlowAlgo, FlowNetwork, MinCostFlowNetwork};
+use crate::maxflow::{dinic, FlowAlgo, MinCostFlowNetwork};
 use rand::Rng;
 
 /// How files left unmatched by max-flow are assigned.
@@ -56,7 +56,9 @@ pub enum Objective {
 /// Configuration for the single-data matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SingleDataMatcher {
-    /// Max-flow implementation to use (for [`Objective::MatchCount`]).
+    /// Max-flow implementation. [`FlowAlgo`] has one variant, so no
+    /// solve reads this; the field stays only because the frozen
+    /// benchmark package sets it (ROADMAP item 4(c)).
     pub algo: FlowAlgo,
     /// Fill policy for unmatched files.
     pub fill: FillPolicy,
@@ -183,7 +185,7 @@ impl SingleDataMatcher {
 
         let mut owner: Vec<Option<usize>> = vec![None; n];
         let mut load = vec![0usize; m];
-        let matched_files = self.flow_match(graph, quota, &mut owner, &mut load);
+        let matched_files = self.flow_match_with_residual(graph, quota, &mut owner, &mut load);
         let filled_files = self.fill(quota, &mut owner, &mut load, rng);
 
         let owner: Vec<usize> = owner.into_iter().map(|o| o.expect("all filled")).collect();
@@ -214,7 +216,7 @@ impl SingleDataMatcher {
 
         let mut owner: Vec<Option<usize>> = vec![None; n];
         let mut load = vec![0usize; m];
-        let node_matched = self.flow_match(node_graph, &quota, &mut owner, &mut load);
+        let node_matched = self.flow_match_with_residual(node_graph, &quota, &mut owner, &mut load);
 
         // Second tier: only unmatched files, only spare quota, and only
         // rack edges for files the node tier skipped.
@@ -255,26 +257,17 @@ impl SingleDataMatcher {
         let quota = quotas(graph.n_files(), m);
         let mut owner = vec![None; graph.n_files()];
         let mut load = vec![0usize; m];
-        let matched = self.flow_match(graph, &quota, &mut owner, &mut load);
+        let matched = self.flow_match_with_residual(graph, &quota, &mut owner, &mut load);
         (owner, matched)
     }
 
-    /// Runs max-flow over `graph` under `quota`, recording winners into
+    /// Runs max-flow over `graph` under `quota` — the full quotas, or
+    /// what an earlier tier left of them — recording winners into
     /// `owner`/`load`. Files already owned must not appear in the graph.
-    fn flow_match(
-        &self,
-        graph: &BipartiteGraph,
-        quota: &[usize],
-        owner: &mut [Option<usize>],
-        load: &mut [usize],
-    ) -> usize {
-        self.flow_match_with_residual(graph, quota, owner, load)
-    }
-
     fn flow_match_with_residual(
         &self,
         graph: &BipartiteGraph,
-        residual_quota: &[usize],
+        quota: &[usize],
         owner: &mut [Option<usize>],
         load: &mut [usize],
     ) -> usize {
@@ -285,79 +278,19 @@ impl SingleDataMatcher {
                 .all(|&f| owner[f as usize].is_none())),
             "a matched file is still in the graph"
         );
-        match (self.objective, self.algo) {
-            (Objective::MatchedBytes, _) => {
-                self.flow_match_bytes(graph, residual_quota, owner, load)
-            }
-            (Objective::MatchCount, FlowAlgo::Dinic) => {
-                let flow = dinic::bipartite_max_flow(graph, residual_quota);
-                let mut matched = 0;
-                for (o, &p) in owner.iter_mut().zip(&flow.owner) {
-                    if p != NONE {
-                        *o = Some(p as usize);
-                        load[p as usize] += 1;
-                        matched += 1;
-                    }
-                }
-                debug_assert_eq!(matched as u64, flow.work.paths);
-                matched
-            }
-            (Objective::MatchCount, FlowAlgo::EdmondsKarp) => {
-                Self::flow_match_edmonds_karp(graph, residual_quota, owner, load)
+        if self.objective == Objective::MatchedBytes {
+            return self.flow_match_bytes(graph, quota, owner, load);
+        }
+        let flow = dinic::bipartite_max_flow(graph, quota);
+        let mut matched = 0;
+        for (o, &p) in owner.iter_mut().zip(&flow.owner) {
+            if p != NONE {
+                *o = Some(p as usize);
+                load[p as usize] += 1;
+                matched += 1;
             }
         }
-    }
-
-    /// The paper's Ford–Fulkerson over the network itself: built, solved
-    /// by Edmonds–Karp and read back edge by edge.
-    fn flow_match_edmonds_karp(
-        graph: &BipartiteGraph,
-        residual_quota: &[usize],
-        owner: &mut [Option<usize>],
-        load: &mut [usize],
-    ) -> usize {
-        let m = graph.n_procs();
-        let n = graph.n_files();
-        // Vertex layout: s, processes, files, t.
-        let s = 0usize;
-        let proc_v = |p: usize| 1 + p;
-        let file_v = |f: usize| 1 + m + f;
-        let t = 1 + m + n;
-        // At most one edge per process, locality edge and file.
-        let mut net = FlowNetwork::with_capacity(t + 1, m + graph.edge_count() + n);
-
-        for (p, &q) in residual_quota.iter().enumerate() {
-            if q > 0 {
-                net.add_edge(s, proc_v(p), q as u64);
-            }
-        }
-        // Locality edges take consecutive ids from here, in the order
-        // the graph lists them; the read-back below walks the same order.
-        let first_match_edge = net.edge_count();
-        for p in 0..m {
-            for &f in graph.files_raw(p) {
-                net.add_edge(proc_v(p), file_v(f as usize), 1);
-            }
-        }
-        for (f, o) in owner.iter().enumerate() {
-            if o.is_none() {
-                net.add_edge(file_v(f), t, 1);
-            }
-        }
-
-        let matched = edmonds_karp::max_flow(&mut net, s, t) as usize;
-        let mut edge = 2 * first_match_edge;
-        for (p, load) in load.iter_mut().enumerate() {
-            for &f in graph.files_raw(p) {
-                if net.flow_on(EdgeId(edge)) == 1 {
-                    let f = f as usize;
-                    debug_assert!(owner[f].is_none(), "file {f} matched twice");
-                    owner[f] = Some(p);
-                    *load += 1;
-                }
-                edge += 2;
-            }
-        }
+        debug_assert_eq!(matched as u64, flow.work.paths);
         matched
     }
 
@@ -484,16 +417,10 @@ mod tests {
         g.add_edge(0, 0, 64);
         g.add_edge(1, 0, 64);
         g.add_edge(0, 1, 64);
-        for algo in [FlowAlgo::Dinic, FlowAlgo::EdmondsKarp] {
-            let matcher = SingleDataMatcher {
-                algo,
-                ..Default::default()
-            };
-            let out = matcher.assign(&g, &mut rng());
-            assert_eq!(out.matched_files, 2, "algo {algo:?}");
-            assert_eq!(out.assignment.owner_of(1), 0);
-            assert_eq!(out.assignment.owner_of(0), 1);
-        }
+        let out = SingleDataMatcher::default().assign(&g, &mut rng());
+        assert_eq!(out.matched_files, 2);
+        assert_eq!(out.assignment.owner_of(1), 0);
+        assert_eq!(out.assignment.owner_of(0), 1);
     }
 
     #[test]
@@ -718,9 +645,10 @@ mod tests {
         assert!((1..m).all(|f| owners[f] == Some(f - 1)));
     }
 
-    /// The matching stage and the fill as they stood before the flat
-    /// network: a `(p, f, edge)` table beside the pre-CSR reference
-    /// network, and a candidate list collected per unowned file.
+    /// The matching stage and the fill as they stood before the in-place
+    /// solver and the counted fill: the general-network Dinic oracle read
+    /// back through a `(p, f, edge)` table, and a candidate list collected
+    /// per unowned file.
     fn reference_match_and_fill(
         matcher: &SingleDataMatcher,
         graph: &BipartiteGraph,
@@ -730,7 +658,7 @@ mod tests {
         load: &mut [usize],
         rng: &mut StdRng,
     ) -> usize {
-        use crate::maxflow::reference::{dinic, edmonds_karp, network::FlowNetwork};
+        use crate::maxflow::{dinic, FlowNetwork};
         let (m, n) = (graph.n_procs(), graph.n_files());
         let (s, t) = (0, 1 + m + n);
         let mut net = FlowNetwork::new(t + 1);
@@ -751,10 +679,7 @@ mod tests {
                 net.add_edge(1 + m + f, t, 1);
             }
         }
-        let matched = match matcher.algo {
-            FlowAlgo::Dinic => dinic::max_flow(&mut net, s, t),
-            FlowAlgo::EdmondsKarp => edmonds_karp::max_flow(&mut net, s, t),
-        } as usize;
+        let matched = dinic::max_flow(&mut net, s, t) as usize;
         for &(p, f, e) in &match_edges {
             if net.flow_on(e) == 1 {
                 owner[f] = Some(p);
@@ -791,7 +716,6 @@ mod tests {
             let m = rng.gen_range(1usize..9);
             let n = rng.gen_range(0usize..48);
             let matcher = SingleDataMatcher {
-                algo: [FlowAlgo::Dinic, FlowAlgo::EdmondsKarp][case % 2],
                 fill: [FillPolicy::Random, FillPolicy::LeastLoaded][case / 2 % 2],
                 ..Default::default()
             };

@@ -2,11 +2,11 @@
 //! placement so the max-flow matching is no longer full; Opass must still
 //! produce balanced assignments and beat the baseline on the skewed layout.
 
-use opass_core::planner::OpassPlanner;
+use opass_core::planner::{OpassPlanner, SingleDataPlan};
 use opass_core::request::PlanRequest;
 use opass_dfs::{
-    ChunkId, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, NodeId, Placement,
-    ReplicaChoice,
+    ChunkId, ChunkLayout, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, NodeId,
+    Placement, ReplicaChoice,
 };
 use opass_runtime::{baseline, execute, ExecConfig, ProcessPlacement, TaskSource};
 use opass_workloads::{single, SingleDataConfig, Task, Workload};
@@ -165,11 +165,103 @@ fn crash_repair_cycle_preserves_readability() {
     }
 }
 
+/// Holds a repaired plan to the from-scratch plan on the same layout:
+/// matched-file count, both locality tallies, and balance.
+fn assert_tracks(repaired: &SingleDataPlan, scratch: &SingleDataPlan, at: &str) {
+    assert_eq!(
+        repaired.matched_files, scratch.matched_files,
+        "{at}: matched-file counts diverged"
+    );
+    assert_eq!(
+        repaired.locality.local_tasks, scratch.locality.local_tasks,
+        "{at}: local-task tallies diverged"
+    );
+    assert_eq!(
+        repaired.locality.local_bytes, scratch.locality.local_bytes,
+        "{at}: matched-byte totals diverged"
+    );
+    assert!(
+        repaired.assignment.is_balanced(),
+        "{at}: repaired assignment unbalanced"
+    );
+}
+
+/// An island-placed snapshot over `islands * per` nodes: every chunk's
+/// two replicas inside island `chunk % islands`, so the locality graph
+/// splits into one connected component per island.
+fn island_snapshot(islands: usize, per: usize, chunks: usize, rng: &mut StdRng) -> LayoutSnapshot {
+    let mut nn = Namenode::new(islands * per, DfsConfig { replication: 2 });
+    let locations: Vec<Vec<NodeId>> = (0..chunks)
+        .map(|i| {
+            let base = (i % islands) * per;
+            let a = base + rng.gen_range(0..per);
+            let mut b = base + rng.gen_range(0..per);
+            while b == a {
+                b = base + rng.gen_range(0..per);
+            }
+            vec![NodeId(a as u32), NodeId(b as u32)]
+        })
+        .collect();
+    let spec = DatasetSpec::uniform("islands", chunks, 64 << 20);
+    let ds = nn.create_dataset_placed(&spec, locations);
+    let chunk_ids = nn.dataset(ds).expect("dataset exists").chunks.clone();
+    LayoutSnapshot::capture(&nn, &chunk_ids)
+}
+
+/// A random island-local delta against `snapshot`: replica churn on
+/// `churn` chunks and, with `file_churn`, one file removed and one
+/// brand-new file added.
+fn island_delta(
+    snapshot: &LayoutSnapshot,
+    (islands, per): (usize, usize),
+    churn: usize,
+    file_churn: bool,
+    next_chunk_id: &mut u64,
+    rng: &mut StdRng,
+) -> LayoutDelta {
+    let n = snapshot.entries().len();
+    let mut delta = LayoutDelta::default();
+    for _ in 0..churn {
+        let ci = rng.gen_range(0..n);
+        let entry = &snapshot.entries()[ci];
+        let base = (ci % islands) * per;
+        if entry.locations.len() > 1 {
+            delta
+                .replicas_dropped
+                .push((entry.chunk, entry.locations[0]));
+        }
+        for _ in 0..8 {
+            let node = NodeId((base + rng.gen_range(0..per)) as u32);
+            if !entry.locations.contains(&node) {
+                delta.replicas_added.push((entry.chunk, node));
+                break;
+            }
+        }
+    }
+    if file_churn {
+        let victim = &snapshot.entries()[rng.gen_range(0..n)];
+        delta.files_removed.push(victim.chunk);
+        let base = rng.gen_range(0..islands) * per;
+        delta.files_added.push(ChunkLayout {
+            chunk: ChunkId(*next_chunk_id),
+            size: 64 << 20,
+            locations: vec![NodeId(base as u32), NodeId((base + 1) as u32)].into(),
+        });
+        *next_chunk_id += 1;
+    }
+    delta.normalize();
+    delta
+}
+
 /// Randomized equivalence: through arbitrary churn (failures + repair,
 /// node joins, rebalances) an incremental session must agree with a
 /// from-scratch plan on matched-file count, matched bytes, and both
 /// locality tallies at every step. Uniform chunks make the byte totals
-/// comparable even though the two maximum matchings may differ.
+/// comparable even though the two maximum matchings may differ. The
+/// last input is 64 islands of 4 nodes holding 12 800 chunks — a
+/// locality graph of 64 components — churned by island-local deltas,
+/// with and without file adds and removals, where the session's
+/// snapshot must also stay equal to the delta-applied layout.
 #[test]
 fn replan_tracks_scratch_plans_through_randomized_churn() {
     for seed in [61u64, 62, 63] {
@@ -212,22 +304,40 @@ fn replan_tracks_scratch_plans_through_randomized_churn() {
                 .plan(&PlanRequest::single(&nn, &w, &placement).seed(17))
                 .into_single()
                 .expect("single plan");
-            assert_eq!(
-                repaired.matched_files, scratch.matched_files,
-                "seed {seed} step {step}: matched-file counts diverged"
+            assert_tracks(&repaired, &scratch, &format!("seed {seed} step {step}"));
+        }
+    }
+
+    let (islands, per, chunks) = (64, 4, 12_800);
+    let placement = ProcessPlacement::one_per_node(islands * per);
+    let planner = OpassPlanner::default();
+    for file_churn in [false, true] {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut shadow = island_snapshot(islands, per, chunks, &mut rng);
+        let mut session = planner
+            .session(&PlanRequest::single_from_layout(&shadow, &placement).seed(0))
+            .into_single()
+            .expect("single session");
+        let mut next_chunk_id = 10_000_000;
+        let mut delta_rng = StdRng::seed_from_u64(0xD417A);
+        for step in 0..10 {
+            let delta = island_delta(
+                &shadow,
+                (islands, per),
+                chunks / 100,
+                file_churn,
+                &mut next_chunk_id,
+                &mut delta_rng,
             );
-            assert_eq!(
-                repaired.locality.local_tasks, scratch.locality.local_tasks,
-                "seed {seed} step {step}: local-task tallies diverged"
-            );
-            assert_eq!(
-                repaired.locality.local_bytes, scratch.locality.local_bytes,
-                "seed {seed} step {step}: matched-byte totals diverged"
-            );
-            assert!(
-                repaired.assignment.is_balanced(),
-                "seed {seed} step {step}: repaired assignment unbalanced"
-            );
+            shadow.apply_delta(&delta);
+            let repaired = session.replan(&delta).clone();
+            let scratch = planner
+                .plan(&PlanRequest::single_from_layout(&shadow, &placement).seed(0))
+                .into_single()
+                .expect("single plan");
+            let at = format!("islands, file churn {file_churn}, step {step}");
+            assert_tracks(&repaired, &scratch, &at);
+            assert_eq!(session.snapshot(), &shadow, "{at}: snapshot");
         }
     }
 }
