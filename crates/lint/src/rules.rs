@@ -232,9 +232,9 @@ fn unordered_iteration(ctx: &FileCtx, cfg: &Config, out: &mut Vec<Finding>) {
 }
 
 /// Flags completion-order result collection next to worker spawns in
-/// deterministic crates. The workspace's parallel kernels (component
-/// repair, Monte-Carlo fanout, session fanout) are bit-identical to
-/// their sequential references *because* every merge joins worker
+/// deterministic crates. The workspace's parallel kernels (Monte-Carlo
+/// fanout, trace parsing) are bit-identical to their sequential
+/// references *because* every merge joins worker
 /// handles in spawn order — fixed splits in, indexed results out. A
 /// channel delivers results in completion order, and a shared
 /// `Mutex`/`RwLock` accumulator commits writes in scheduling order;
