@@ -444,6 +444,16 @@ fn garbage_frames_draw_typed_errors_without_wedging_the_server() {
     let response = Response::from_json(&reply).expect("decodes");
     assert!(matches!(response, Response::Error { .. }));
 
+    // So does a maximum-size body of `[`: the parser stops at its depth
+    // limit instead of recursing once per byte off the shard's stack.
+    let mut raw = TcpStream::connect(&addr).expect("raw connect");
+    raw.write_all(&(MAX_FRAME as u32).to_be_bytes())
+        .expect("header");
+    raw.write_all(&vec![b'['; MAX_FRAME]).expect("body");
+    let reply = read_frame(&mut raw).expect("error reply frame");
+    let response = Response::from_json(&reply).expect("decodes");
+    assert!(matches!(response, Response::Error { .. }));
+
     // None of that wedged the server: a fresh client still gets plans.
     let mut client = Client::connect(&addr).expect("connect");
     let plan = client.plan(0, Strategy::Opass, 1).expect("plan");
