@@ -4,8 +4,8 @@ use crate::args::Flags;
 use opass_json::Json;
 use opass_serve::{replay_local, replay_remote, Client, ReplayConfig};
 use opass_trace::{
-    generate_text, parse_binary_with_threads, parse_text_with_threads, write_binary, TraceRecord,
-    TraceSpec, BINARY_MAGIC,
+    generate_text, parse_binary, parse_text_with_threads, write_binary, TraceRecord, TraceSpec,
+    BINARY_MAGIC,
 };
 use std::process::ExitCode;
 
@@ -191,8 +191,10 @@ fn cmd_replay(argv: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Reads the trace file named by the first positional and parses it on
-/// `--threads` threads, auto-detecting the binary framing by magic.
+/// Reads the trace file named by the first positional, auto-detecting the
+/// binary framing by magic. Text parses on `--threads` threads; binary
+/// decodes on one. Returns the records and the thread count that parsed
+/// them.
 fn load_trace(flags: &Flags) -> Result<(Vec<TraceRecord>, usize), ExitCode> {
     let Some(path) = flags.positionals().first() else {
         eprintln!("{TRACE_USAGE}");
@@ -213,11 +215,11 @@ fn load_trace(flags: &Flags) -> Result<(Vec<TraceRecord>, usize), ExitCode> {
             return Err(ExitCode::FAILURE);
         }
     };
-    let parsed = if bytes.starts_with(&BINARY_MAGIC) {
-        parse_binary_with_threads(&bytes, threads)
+    let (parsed, threads) = if bytes.starts_with(&BINARY_MAGIC) {
+        (parse_binary(&bytes), 1)
     } else {
         match std::str::from_utf8(&bytes) {
-            Ok(text) => parse_text_with_threads(text, threads),
+            Ok(text) => (parse_text_with_threads(text, threads), threads),
             Err(e) => {
                 eprintln!("{path} is neither a binary trace nor UTF-8 text: {e}");
                 return Err(ExitCode::FAILURE);

@@ -5,8 +5,8 @@
 
 use opass_serve::{replay_local, ReplayConfig};
 use opass_trace::{
-    generate, generate_text, parse_binary_with_threads, parse_text_with_threads, write_binary,
-    write_text, BurstSpec, TraceError, TraceRecord, TraceSpec, TEXT_HEADER,
+    generate, generate_text, parse_binary, parse_text_with_threads, write_binary, write_text,
+    BurstSpec, TraceError, TraceRecord, TraceSpec, TEXT_HEADER,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,8 +111,7 @@ fn generator_is_a_pure_function_of_its_spec() {
     // Text and binary encodings carry the same records.
     let records = generate(&spec);
     let via_text = parse_text_with_threads(&write_text(&records), 8).expect("text round-trip");
-    let via_binary =
-        parse_binary_with_threads(&write_binary(&records), 8).expect("binary round-trip");
+    let via_binary = parse_binary(&write_binary(&records)).expect("binary round-trip");
     assert_eq!(via_text, records);
     assert_eq!(via_binary, records);
 }
@@ -259,9 +258,9 @@ fn extreme_records_round_trip() {
             parse_text_with_threads(&write_text(&records), threads).expect("text"),
             records
         );
-        assert_eq!(
-            parse_binary_with_threads(&write_binary(&records), threads).expect("binary"),
-            records
-        );
     }
+    assert_eq!(
+        parse_binary(&write_binary(&records)).expect("binary"),
+        records
+    );
 }

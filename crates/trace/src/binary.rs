@@ -3,9 +3,8 @@
 //! Layout: the 8-byte magic [`BINARY_MAGIC`], a little-endian `u64`
 //! record count, then `count` fixed-width 32-byte records
 //! (`time_us: u64, client: u32, dataset: u32, chunk: u64, bytes: u64`,
-//! all little-endian). Fixed-width records make the parallel split
-//! trivial: any record range is a byte range, no newline snapping
-//! needed.
+//! all little-endian). Decoding is one sequential pass; a record-range
+//! split over two threads measured slower than one thread.
 
 use crate::record::{TraceError, TraceRecord};
 
@@ -34,25 +33,14 @@ pub fn write_binary(records: &[TraceRecord]) -> Vec<u8> {
     out
 }
 
-/// Decodes a binary trace sequentially. Equivalent to
-/// [`parse_binary_with_threads`] with one thread.
-pub fn parse_binary(input: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
-    parse_binary_with_threads(input, 1)
-}
-
-/// Decodes a binary trace on up to `threads` scoped threads. Fixed-width
-/// records are split by record ranges and the per-range outputs are
-/// concatenated by joining workers in spawn order, so the result is
-/// bit-identical at any thread count.
+/// Decodes a binary trace: validates the header, then decodes every
+/// record in order into one `Vec`.
 ///
 /// # Errors
 ///
 /// [`TraceError::BadBinary`] on bad magic, a truncated body, or trailing
 /// garbage; [`TraceError::Empty`] when the count is zero.
-pub fn parse_binary_with_threads(
-    input: &[u8],
-    threads: usize,
-) -> Result<Vec<TraceRecord>, TraceError> {
+pub fn parse_binary(input: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
     if input.len() < HEADER_BYTES {
         return Err(TraceError::BadBinary {
             offset: input.len(),
@@ -89,50 +77,14 @@ pub fn parse_binary_with_threads(
         });
     }
 
-    let threads = threads.max(1).min(count);
-    if threads < 2 {
-        return Ok(decode_range(body));
-    }
-    // Split by record ranges; every boundary is a record boundary by
-    // construction, so no snapping is needed.
-    let mut ranges = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    for i in 1..=threads {
-        let end = count * i / threads;
-        if end > start {
-            ranges.push(&body[start * RECORD_BYTES..end * RECORD_BYTES]);
-        }
-        start = end;
-    }
-    let parts: Vec<Vec<TraceRecord>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| scope.spawn(|| decode_range(range)))
-            .collect();
-        // Join in spawn order so the merge is independent of worker
-        // completion order.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("decoder worker panicked"))
-            .collect()
-    });
-    let mut records = Vec::with_capacity(count);
-    for part in parts {
-        records.extend(part);
-    }
-    Ok(records)
-}
-
-/// Decodes a byte range holding whole records (length checked by the
-/// caller).
-fn decode_range(body: &[u8]) -> Vec<TraceRecord> {
     let u64_at = |rec: &[u8], at: usize| {
         u64::from_le_bytes(rec[at..at + 8].try_into().expect("8-byte slice"))
     };
     let u32_at = |rec: &[u8], at: usize| {
         u32::from_le_bytes(rec[at..at + 4].try_into().expect("4-byte slice"))
     };
-    body.chunks_exact(RECORD_BYTES)
+    Ok(body
+        .chunks_exact(RECORD_BYTES)
         .map(|rec| TraceRecord {
             time_us: u64_at(rec, 0),
             client: u32_at(rec, 8),
@@ -140,7 +92,7 @@ fn decode_range(body: &[u8]) -> Vec<TraceRecord> {
             chunk: u64_at(rec, 16),
             bytes: u64_at(rec, 24),
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -165,15 +117,6 @@ mod tests {
         let bytes = write_binary(&records);
         assert_eq!(bytes.len(), 16 + 32 * 100);
         assert_eq!(parse_binary(&bytes).unwrap(), records);
-    }
-
-    #[test]
-    fn parallel_decode_matches_sequential() {
-        let records = sample(257);
-        let bytes = write_binary(&records);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(parse_binary_with_threads(&bytes, threads).unwrap(), records);
-        }
     }
 
     #[test]

@@ -28,11 +28,10 @@
 //!
 //! [`parse_text_with_threads`] splits the input into seek-aligned byte
 //! ranges snapped to newline boundaries, parses each range on a scoped
-//! thread, and merges by joining workers **in spawn order** — the same
-//! discipline as `matching::parallel`, kept honest by opass-lint's
-//! `unordered-parallel-merge` and `transitive-determinism` rules. The
-//! parsed output (and the first reported error, if any) is bit-identical
-//! across 1, 2, and 8 threads. [`generate`] is a pure function of its
+//! thread, and merges by joining workers **in spawn order**, kept honest
+//! by opass-lint's `unordered-parallel-merge` and
+//! `transitive-determinism` rules. The parsed output (and the first
+//! reported error, if any) is bit-identical across 1, 2, and 8 threads. [`generate`] is a pure function of its
 //! [`TraceSpec`]: equal specs yield byte-identical traces.
 
 #![warn(missing_docs)]
@@ -45,7 +44,7 @@ pub mod parser;
 pub mod record;
 pub mod spec;
 
-pub use binary::{parse_binary, parse_binary_with_threads, write_binary, BINARY_MAGIC};
+pub use binary::{parse_binary, write_binary, BINARY_MAGIC};
 pub use gen::{generate, generate_text};
 pub use lines::{split_at_newlines, RecordLines};
 pub use parser::{parse_text, parse_text_with_threads, write_text};
