@@ -74,11 +74,6 @@ impl Binomial {
         self.n as f64 * self.p
     }
 
-    /// Variance `n * p * (1 - p)`.
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
-    }
-
     /// Probability mass `P(X = k)`.
     pub fn pmf(&self, k: u64) -> f64 {
         if k > self.n {
@@ -188,7 +183,6 @@ mod tests {
     fn mean_and_variance() {
         let b = Binomial::new(512, 3.0 / 64.0);
         assert!((b.mean() - 24.0).abs() < 1e-12);
-        assert!((b.variance() - 24.0 * (1.0 - 3.0 / 64.0)).abs() < 1e-9);
     }
 
     #[test]

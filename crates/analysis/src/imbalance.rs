@@ -48,11 +48,6 @@ impl ImbalanceModel {
         self.params
     }
 
-    /// `P(Y = a)`: probability that a node stores exactly `a` chunks.
-    pub fn p_stores_exactly(&self, a: u64) -> f64 {
-        Binomial::new(self.params.n_chunks, self.params.p_local()).pmf(a)
-    }
-
     /// `P(Z <= k)`: probability that a node serves at most `k` chunks,
     /// computed with the paper's law-of-total-probability sum.
     pub fn served_cdf(&self, k: u64) -> f64 {
@@ -71,7 +66,7 @@ impl ImbalanceModel {
     }
 
     /// `P(Z > k)`.
-    pub fn served_sf(&self, k: u64) -> f64 {
+    fn served_sf(&self, k: u64) -> f64 {
         (1.0 - self.served_cdf(k)).clamp(0.0, 1.0)
     }
 
@@ -211,7 +206,8 @@ mod tests {
     #[test]
     fn storage_distribution_sums_to_one() {
         let model = paper_model();
-        let total: f64 = (0..=512).map(|a| model.p_stores_exactly(a)).sum();
+        let storage = Binomial::new(512, model.params().p_local());
+        let total: f64 = (0..=512).map(|a| storage.pmf(a)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 

@@ -31,7 +31,7 @@ pub mod montecarlo;
 
 pub use binomial::{ln_choose, ln_factorial, Binomial};
 pub use imbalance::ImbalanceModel;
-pub use locality::{figure3_families, ClusterParams, LocalityModel};
+pub use locality::{ClusterParams, LocalityModel};
 pub use montecarlo::{
     run as run_montecarlo, run_parallel as run_montecarlo_parallel, wilson_interval,
     MonteCarloConfig, MonteCarloResult,

@@ -123,43 +123,6 @@ impl LocalityModel {
     pub fn expected_local(&self) -> f64 {
         self.distribution().mean()
     }
-
-    /// Expected fraction of the dataset read *remotely* by a process that is
-    /// assigned `n/m` chunks — the headline "almost all data is remote on a
-    /// large cluster" quantity.
-    pub fn expected_remote_fraction(&self) -> f64 {
-        1.0 - self.params.p_local()
-    }
-
-    /// CDF points `(k, P(X <= k))` for `k` in `0..=k_max` — the Figure 3
-    /// series for one cluster size.
-    pub fn cdf_series(&self, k_max: u64) -> Vec<(u64, f64)> {
-        // Incremental accumulation avoids the O(k^2) of repeated cdf calls.
-        let dist = self.distribution();
-        let mut acc = 0.0;
-        (0..=k_max)
-            .map(|k| {
-                acc += dist.pmf(k);
-                (k, acc.min(1.0))
-            })
-            .collect()
-    }
-}
-
-/// The full Figure 3 family: one CDF series per cluster size.
-pub fn figure3_families(
-    n_chunks: u64,
-    replication: u32,
-    cluster_sizes: &[u32],
-    k_max: u64,
-) -> Vec<(u32, Vec<(u64, f64)>)> {
-    cluster_sizes
-        .iter()
-        .map(|&m| {
-            let model = LocalityModel::new(ClusterParams::new(n_chunks, replication, m));
-            (m, model.cdf_series(k_max))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -224,28 +187,6 @@ mod tests {
                 .collect();
             for w in p5.windows(2) {
                 assert!(w[1] < w[0], "P(X>5) must decrease with m: {p5:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn cdf_series_matches_pointwise_cdf() {
-        let model = LocalityModel::new(ClusterParams::new(512, 3, 128));
-        let series = model.cdf_series(20);
-        assert_eq!(series.len(), 21);
-        for &(k, v) in &series {
-            assert!((v - model.cdf(k)).abs() < 1e-12, "k={k}");
-        }
-    }
-
-    #[test]
-    fn figure3_has_one_family_per_cluster_size() {
-        let fams = figure3_families(512, 3, &[64, 128, 256, 512], 20);
-        assert_eq!(fams.len(), 4);
-        for (_, series) in &fams {
-            assert_eq!(series.len(), 21);
-            for w in series.windows(2) {
-                assert!(w[0].1 <= w[1].1, "CDF must be monotone");
             }
         }
     }

@@ -47,42 +47,15 @@ pub struct MonteCarloResult {
 }
 
 impl MonteCarloResult {
-    /// Empirical `P(X <= k)` for the local-read distribution.
-    pub fn local_cdf(&self, k: usize) -> f64 {
-        cdf_of(&self.local_reads, self.observations_local, k)
-    }
-
     /// Empirical `P(Z <= k)` for the served-chunks distribution.
     pub fn served_cdf(&self, k: usize) -> f64 {
         cdf_of(&self.served, self.observations_served, k)
-    }
-
-    /// 95% Wilson confidence interval around the empirical served-chunk
-    /// CDF at `k`.
-    pub fn served_cdf_ci(&self, k: usize) -> (f64, f64) {
-        let hits: u64 = self.served.iter().take(k + 1).sum();
-        wilson_interval(hits, self.observations_served)
     }
 
     /// Empirical `P(total local reads <= k)` across trials.
     pub fn total_local_cdf(&self, k: usize) -> f64 {
         let trials: u64 = self.total_local.iter().sum();
         cdf_of(&self.total_local, trials, k)
-    }
-
-    /// Mean of the per-trial total local reads.
-    pub fn mean_total_local(&self) -> f64 {
-        let trials: u64 = self.total_local.iter().sum();
-        if trials == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .total_local
-            .iter()
-            .enumerate()
-            .map(|(k, &c)| k as u64 * c)
-            .sum();
-        weighted as f64 / trials as f64
     }
 }
 
@@ -373,7 +346,9 @@ mod tests {
     fn total_local_reads_match_formula_as_written() {
         // Mean total local reads should be n * r/m = 512 * 3/128 = 12.
         let res = run(&config(128, 60));
-        let mean = res.mean_total_local();
+        let trials: u64 = res.total_local.iter().sum();
+        let weighted: u64 = (0u64..).zip(&res.total_local).map(|(k, &c)| k * c).sum();
+        let mean = weighted as f64 / trials as f64;
         assert!((mean - 12.0).abs() < 1.0, "mean={mean}");
     }
 
@@ -404,7 +379,7 @@ mod tests {
         let res = run(&cfg);
         let dist = LocalityModel::new(cfg.params).per_process_distribution();
         for k in [0usize, 1, 2, 3] {
-            let emp = res.local_cdf(k);
+            let emp = cdf_of(&res.local_reads, res.observations_local, k);
             let theory = dist.cdf(k as u64);
             assert!(
                 (emp - theory).abs() < 0.04,
@@ -464,7 +439,8 @@ mod tests {
         let cfg = config(128, 60);
         let res = run(&cfg);
         let theory = crate::imbalance::ImbalanceModel::new(cfg.params).served_cdf(4);
-        let (lo, hi) = res.served_cdf_ci(4);
+        let hits: u64 = res.served.iter().take(5).sum();
+        let (lo, hi) = wilson_interval(hits, res.observations_served);
         assert!(
             lo <= theory && theory <= hi,
             "theory {theory} outside CI [{lo}, {hi}]"

@@ -47,22 +47,6 @@ impl DatasetSpec {
         }
     }
 
-    /// A dataset totalling `total_bytes`, split into `DEFAULT_CHUNK_SIZE`
-    /// chunks with a smaller trailing chunk when not divisible.
-    pub fn from_total(name: impl Into<String>, total_bytes: u64) -> Self {
-        assert!(total_bytes > 0, "dataset must be non-empty");
-        let full = total_bytes / DEFAULT_CHUNK_SIZE;
-        let rem = total_bytes % DEFAULT_CHUNK_SIZE;
-        let mut chunk_sizes = vec![DEFAULT_CHUNK_SIZE; full as usize];
-        if rem > 0 {
-            chunk_sizes.push(rem);
-        }
-        DatasetSpec {
-            name: name.into(),
-            chunk_sizes,
-        }
-    }
-
     /// Total bytes across all chunks.
     pub fn total_bytes(&self) -> u64 {
         self.chunk_sizes.iter().sum()
@@ -96,21 +80,6 @@ mod tests {
         let s = DatasetSpec::uniform("d", 10, 64);
         assert_eq!(s.n_chunks(), 10);
         assert_eq!(s.total_bytes(), 640);
-    }
-
-    #[test]
-    fn from_total_splits_with_remainder() {
-        let s = DatasetSpec::from_total("d", DEFAULT_CHUNK_SIZE * 2 + 5);
-        assert_eq!(s.n_chunks(), 3);
-        assert_eq!(s.chunk_sizes[2], 5);
-        assert_eq!(s.total_bytes(), DEFAULT_CHUNK_SIZE * 2 + 5);
-    }
-
-    #[test]
-    fn from_total_exact_multiple() {
-        let s = DatasetSpec::from_total("d", DEFAULT_CHUNK_SIZE * 4);
-        assert_eq!(s.n_chunks(), 4);
-        assert!(s.chunk_sizes.iter().all(|&c| c == DEFAULT_CHUNK_SIZE));
     }
 
     #[test]

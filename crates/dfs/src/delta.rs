@@ -100,17 +100,6 @@ impl LayoutDelta {
             && self.nodes_joined.is_empty()
     }
 
-    /// Total number of elementary changes the delta carries — the `|Δ|`
-    /// that incremental repair cost is proportional to.
-    pub fn change_count(&self) -> usize {
-        self.files_added.len()
-            + self.files_removed.len()
-            + self.replicas_added.len()
-            + self.replicas_dropped.len()
-            + self.nodes_failed.len()
-            + self.nodes_joined.len()
-    }
-
     /// Sorts every list and drops duplicates and internal contradictions:
     /// a `(chunk, node)` pair present in both `replicas_added` and
     /// `replicas_dropped` cancels out, replica changes on removed or
@@ -295,7 +284,6 @@ mod tests {
     fn empty_delta_is_empty() {
         let d = LayoutDelta::default();
         assert!(d.is_empty());
-        assert_eq!(d.change_count(), 0);
     }
 
     #[test]
@@ -322,7 +310,6 @@ mod tests {
         let d = LayoutDelta::from_events(&events, |_| true);
         assert_eq!(d.replicas_dropped, vec![(ChunkId(3), NodeId(1))]);
         assert_eq!(d.replicas_added, vec![(ChunkId(3), NodeId(5))]);
-        assert_eq!(d.change_count(), 2);
     }
 
     #[test]

@@ -199,12 +199,6 @@ impl LayoutSnapshot {
             .collect()
     }
 
-    /// Captures every chunk the namenode knows about, in id order.
-    pub fn capture_all(namenode: &Namenode) -> Self {
-        let ids: Vec<ChunkId> = namenode.chunks().iter().map(|c| c.id).collect();
-        Self::capture(namenode, &ids)
-    }
-
     /// Entries in capture order.
     pub fn entries(&self) -> &[ChunkLayout] {
         &self.entries
@@ -416,13 +410,6 @@ mod tests {
             assert_eq!(e.size, 64);
             assert_eq!(e.locations.len(), 3);
         }
-    }
-
-    #[test]
-    fn capture_all_covers_everything() {
-        let (nn, _) = setup();
-        let snap = LayoutSnapshot::capture_all(&nn);
-        assert_eq!(snap.len(), nn.chunk_count());
     }
 
     #[test]

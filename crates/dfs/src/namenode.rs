@@ -109,7 +109,7 @@ impl Namenode {
     }
 
     /// Whether a node is alive.
-    pub fn is_alive(&self, node: NodeId) -> bool {
+    fn is_alive(&self, node: NodeId) -> bool {
         self.alive.get(node.index()).copied().unwrap_or(false)
     }
 
@@ -257,17 +257,6 @@ impl Namenode {
             .get(node.index())
             .map(Vec::as_slice)
             .ok_or(DfsError::UnknownNode(node))
-    }
-
-    /// Bytes stored on each node (raw, counting every replica).
-    pub fn stored_bytes_per_node(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.alive.len()];
-        for chunk in &self.chunks {
-            for &n in &chunk.locations {
-                out[n.index()] += chunk.size;
-            }
-        }
-        out
     }
 
     /// Registers a brand-new empty node and returns its id. Existing data is
@@ -512,7 +501,7 @@ impl Namenode {
     ///
     /// Fails when the chunk or either node is unknown, `to` is down,
     /// `from` holds no replica, or `to` already holds one.
-    pub fn migrate_replica(
+    fn migrate_replica(
         &mut self,
         chunk_id: ChunkId,
         from: NodeId,
@@ -558,8 +547,8 @@ impl Namenode {
     }
 
     /// Applies a *migration-shaped* [`LayoutDelta`] — the recommendations
-    /// the placement engine emits — as a sequence of
-    /// [`Namenode::migrate_replica`] calls, returning how many replicas
+    /// the placement engine emits — as a sequence of single-replica moves,
+    /// each journalled as a paired drop+add, returning how many replicas
     /// moved. This is the replication-factor accounting gate: deltas that
     /// would change replica counts, the file set, or node membership are
     /// rejected whole, and nothing is applied unless every individual
@@ -783,7 +772,12 @@ mod tests {
     #[test]
     fn stored_bytes_sum_to_replicated_total() {
         let (nn, _) = small_fs();
-        let per_node: u64 = nn.stored_bytes_per_node().iter().sum();
+        let per_node: u64 = nn
+            .alive_nodes()
+            .into_iter()
+            .flat_map(|n| nn.chunks_on(n).unwrap())
+            .map(|&c| nn.chunk(c).unwrap().size)
+            .sum();
         assert_eq!(per_node, nn.total_bytes() * 3);
     }
 

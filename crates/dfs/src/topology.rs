@@ -40,15 +40,6 @@ impl RackMap {
         self.rack_of.len()
     }
 
-    /// Number of racks.
-    pub fn n_racks(&self) -> usize {
-        self.rack_of
-            .iter()
-            .map(|&r| r as usize + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The rack of `node`.
     ///
     /// # Panics
@@ -62,15 +53,6 @@ impl RackMap {
     pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
         self.rack_of(a) == self.rack_of(b)
     }
-
-    /// All nodes in `rack`, ascending.
-    pub fn nodes_in(&self, rack: u32) -> Vec<NodeId> {
-        self.rack_of
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &r)| (r == rack).then_some(NodeId(i as u32)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +63,6 @@ mod tests {
     fn uniform_grouping() {
         let m = RackMap::uniform(10, 4);
         assert_eq!(m.n_nodes(), 10);
-        assert_eq!(m.n_racks(), 3);
         assert_eq!(m.rack_of(NodeId(0)), 0);
         assert_eq!(m.rack_of(NodeId(4)), 1);
         assert_eq!(m.rack_of(NodeId(9)), 2);
@@ -90,16 +71,8 @@ mod tests {
     }
 
     #[test]
-    fn nodes_in_rack() {
-        let m = RackMap::uniform(6, 2);
-        assert_eq!(m.nodes_in(1), vec![NodeId(2), NodeId(3)]);
-        assert!(m.nodes_in(9).is_empty());
-    }
-
-    #[test]
     fn explicit_map() {
         let m = RackMap::explicit(vec![1, 0, 1]);
-        assert_eq!(m.n_racks(), 2);
         assert_eq!(m.rack_of(NodeId(0)), 1);
     }
 

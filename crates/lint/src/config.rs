@@ -65,7 +65,7 @@ pub struct Config {
     /// Crates whose outputs must be bit-reproducible: `unordered-iteration`
     /// applies only here.
     pub deterministic_crates: Vec<String>,
-    /// Crates considered libraries for `panic-in-lib`.
+    /// Crates considered libraries for `panic-in-lib` and `unused-pub`.
     pub library_crates: Vec<String>,
     /// `.expect("…")` is accepted as a documented invariant by
     /// `panic-in-lib` when true.
@@ -75,7 +75,7 @@ pub struct Config {
 }
 
 /// The names of every shipped rule, in reporting order.
-pub const RULE_NAMES: [&str; 9] = [
+pub const RULE_NAMES: [&str; 10] = [
     "unordered-iteration",
     "unordered-parallel-merge",
     "no-wallclock",
@@ -84,13 +84,15 @@ pub const RULE_NAMES: [&str; 9] = [
     "panic-in-lib",
     "no-unsafe",
     "transitive-determinism",
+    "unused-pub",
     "unused-suppression",
 ];
 
 /// The workspace-level rules: they need the whole call graph / directive
 /// set, not a single file, so the per-file engine never runs them and
 /// fixture suites key off this list.
-pub const GRAPH_RULE_NAMES: [&str; 2] = ["transitive-determinism", "unused-suppression"];
+pub const GRAPH_RULE_NAMES: [&str; 3] =
+    ["transitive-determinism", "unused-pub", "unused-suppression"];
 
 impl Default for Config {
     fn default() -> Self {
@@ -115,6 +117,9 @@ impl Default for Config {
         // fixtures and property tests do), so the transitive pass only
         // guards non-test entry points by default.
         rules.insert("transitive-determinism".into(), deny(false, &[]));
+        // Public surface is what callers use; a test-only `pub fn` is the
+        // test module's business.
+        rules.insert("unused-pub".into(), deny(false, &[]));
         rules.insert("unused-suppression".into(), deny(true, &[]));
         rules.insert(
             "panic-in-lib".into(),

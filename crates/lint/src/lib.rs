@@ -12,8 +12,9 @@
 //! a `lint.toml` config layer ([`config`]), and a workspace-level graph
 //! pass — a symbol table ([`symbols`]), call-graph builder ([`callgraph`])
 //! and fixed-point taint propagator ([`taint`]) that catch determinism
-//! sinks reachable *through helper calls*, plus an audit that reports
-//! `lint:allow` directives which no longer suppress anything. See
+//! sinks reachable *through helper calls*, a public-surface rule
+//! ([`surface`]) that flags `pub` items no other file names, and an audit
+//! that reports `lint:allow` directives which no longer suppress anything. See
 //! `DESIGN.md` ("Determinism invariants & static enforcement") for the
 //! rule catalog and the rationale behind each rule.
 //!
@@ -35,6 +36,7 @@ pub mod config;
 pub mod lexer;
 pub mod report;
 pub mod rules;
+pub mod surface;
 pub mod symbols;
 pub mod taint;
 
@@ -93,7 +95,8 @@ pub fn lint_workspace_threads(
 
 /// Lints a set of in-memory `(workspace-relative path, source)` pairs as
 /// one workspace: per-site rules per file, then the graph rules
-/// (`transitive-determinism`, `unused-suppression`) across all of them.
+/// (`transitive-determinism`, `unused-pub`, `unused-suppression`) across
+/// all of them.
 /// `deps` (when given) restricts call-graph edges to real `Cargo.toml`
 /// dependency directions. Fixture suites use this to exercise cross-crate
 /// taint without touching the filesystem.
@@ -153,6 +156,7 @@ fn analyze_all(sources: &[(String, String)], cfg: &Config, threads: usize) -> Ve
 /// file set, merged with the per-site findings, in a deterministic order.
 fn finish(mut files: Vec<FileAnalysis>, cfg: &Config, deps: Option<&DepMap>) -> Vec<Finding> {
     let mut findings = taint::transitive_findings(&mut files, cfg, deps);
+    findings.extend(surface::unused_pub_findings(&mut files, cfg));
     findings.extend(taint::audit_suppressions(&mut files, cfg));
     for file in files {
         findings.extend(file.findings);

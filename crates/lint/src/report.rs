@@ -211,6 +211,7 @@ fn rule_blurb(id: &str) -> &'static str {
         "transitive-determinism" => {
             "a public function of a deterministic crate can reach a determinism sink through calls"
         }
+        "unused-pub" => "a pub item of a library crate is named by no other file",
         "unused-suppression" => "a lint:allow directive no longer suppresses anything",
         _ => "opass-lint finding",
     }

@@ -17,8 +17,10 @@
 use crate::callgraph::{self, CallSite};
 use crate::config::{Config, RuleCfg, Severity};
 use crate::lexer::{self, Tok, TokKind};
+use crate::surface::{self, PubItem};
 use crate::symbols::{self, FileSymbols};
 use crate::taint::{self, Sink};
+use std::collections::BTreeSet;
 
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone)]
@@ -56,7 +58,8 @@ pub struct Directive {
 
 /// Everything one file contributes to the workspace pass: its per-site
 /// findings (suppressions already applied), its directives, and the raw
-/// material for the graph rules (symbols, call sites, taint sinks).
+/// material for the graph rules (symbols, call sites, taint sinks,
+/// public items and the identifiers the file names).
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// Workspace-relative path.
@@ -73,6 +76,10 @@ pub struct FileAnalysis {
     pub calls: Vec<Vec<CallSite>>,
     /// Taint sinks per function (parallel to `symbols.fns`).
     pub sinks: Vec<Vec<Sink>>,
+    /// Unrestricted `pub fn` / `pub const` / `pub static` declarations.
+    pub pub_items: Vec<PubItem>,
+    /// Every identifier token text in the file (references for `unused-pub`).
+    pub idents: BTreeSet<String>,
     /// Line ranges of `#[test]` / `#[cfg(test)]` items.
     pub test_lines: Vec<(u32, u32)>,
     /// Whole file counts as test code (`tests/` / `benches/` path).
@@ -105,7 +112,7 @@ impl FileCtx {
 /// is the workspace-relative path; it determines the crate context
 /// (`crates/<name>/…` or `vendor/<name>/…`) and whether the whole file
 /// counts as test code. The graph rules (`transitive-determinism`,
-/// `unused-suppression`) need the whole workspace — use
+/// `unused-pub`, `unused-suppression`) need the whole workspace — use
 /// [`crate::lint_sources`] / [`crate::lint_workspace`] for those.
 pub fn lint_source(rel: &str, source: &str, cfg: &Config) -> Vec<Finding> {
     analyze_file(rel, source, cfg).findings
@@ -136,6 +143,13 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
     let sym = symbols::extract(rel, &ctx.crate_name, &ctx.toks);
     let calls = callgraph::extract_calls(&ctx.toks, &sym.fns);
     let sinks = taint::extract_sinks(&ctx.toks, &sym.fns);
+    let pub_items = surface::extract_pub_items(&ctx.toks);
+    let idents = ctx
+        .toks
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.clone())
+        .collect();
     FileAnalysis {
         rel: ctx.rel,
         crate_name: ctx.crate_name,
@@ -144,6 +158,8 @@ pub fn analyze_file(rel: &str, source: &str, cfg: &Config) -> FileAnalysis {
         symbols: sym,
         calls,
         sinks,
+        pub_items,
+        idents,
         test_lines: ctx.test_lines,
         path_is_test: ctx.path_is_test,
     }

@@ -268,19 +268,25 @@ pub fn transitive_findings(
 
     // Entry-site suppression: `lint:allow(transitive-determinism)` at the
     // public fn's line.
-    for f in &mut findings {
-        let fi = files
-            .iter()
-            .position(|a| a.rel == f.file)
+    suppress_at_site(&mut findings, files);
+    findings
+}
+
+/// Suppresses each graph-rule finding that a directive naming its rule
+/// covers, marking that directive used for the audit.
+pub(crate) fn suppress_at_site(findings: &mut [Finding], files: &mut [FileAnalysis]) {
+    for f in findings {
+        let file = files
+            .iter_mut()
+            .find(|a| a.rel == f.file)
             .expect("finding file came from `files`");
-        for d in &mut files[fi].directives {
-            if covers(d, f.line) && d.rules.iter().any(|r| r == "transitive-determinism") {
+        for d in &mut file.directives {
+            if covers(d, f.line) && d.rules.iter().any(|r| r == f.rule) {
                 f.suppressed.clone_from(&d.reason);
                 d.used = true;
             }
         }
     }
-    findings
 }
 
 /// Renders `entry -> … -> sink_label` for one tainted function.

@@ -2,23 +2,27 @@
 //! per-site fixtures (one file, one rule), each case here is a miniature
 //! multi-crate workspace under `tests/fixtures/taint/<tree>/` linted as a
 //! whole via [`opass_lint::lint_sources`] — the only way to exercise
-//! `transitive-determinism` (cross-crate call chains) and
-//! `unused-suppression` (directive bookkeeping across the full pass).
+//! `transitive-determinism` (cross-crate call chains), `unused-pub`
+//! (references from other files) and `unused-suppression` (directive
+//! bookkeeping across the full pass).
 
-use opass_lint::config::{Config, GRAPH_RULE_NAMES};
+use opass_lint::config::{Config, Severity, GRAPH_RULE_NAMES};
 use opass_lint::lint_sources;
 use opass_lint::rules::Finding;
 use std::path::Path;
 
 /// Trees that exist, keyed by the rule each one exercises — the
 /// counterpart of `rules_fixtures.rs`'s CASES table for the graph rules.
-const TREES: [(&str, &str); 6] = [
+const TREES: [(&str, &str); 9] = [
     ("transitive-determinism", "transitive_pos"),
     ("transitive-determinism", "transitive_neg"),
     ("transitive-determinism", "transitive_allow"),
     ("unused-suppression", "unused_pos"),
     ("unused-suppression", "unused_neg"),
     ("unused-suppression", "unused_allow"),
+    ("unused-pub", "unused_pub_pos"),
+    ("unused-pub", "unused_pub_neg"),
+    ("unused-pub", "unused_pub_allow"),
 ];
 
 fn lint_tree(tree: &str) -> Vec<Finding> {
@@ -28,9 +32,19 @@ fn lint_tree(tree: &str) -> Vec<Finding> {
     let mut sources = Vec::new();
     collect(&root, &root, &mut sources);
     assert!(!sources.is_empty(), "fixture tree {tree} is empty");
+    // The other rules' trees declare `pub fn` entries that no other file
+    // names on purpose (they are the transitive pass's subjects), so
+    // `unused-pub` runs only on its own trees.
+    let mut cfg = Config::default();
+    if !tree.starts_with("unused_pub") {
+        cfg.rules
+            .get_mut("unused-pub")
+            .expect("shipped rule")
+            .severity = Severity::Allow;
+    }
     // No DepMap: fixture trees carry no Cargo.toml, so cross-crate edges
     // are permissive — exactly what the synthetic workspaces need.
-    lint_sources(&sources, &Config::default(), None)
+    lint_sources(&sources, &cfg, None)
 }
 
 fn collect(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
@@ -179,4 +193,46 @@ fn excused_stale_directive_is_suppressed_not_active() {
         .as_deref()
         .unwrap_or("")
         .contains("documentation"));
+}
+
+#[test]
+fn pub_items_no_other_file_names_are_reported() {
+    let findings = lint_tree("unused_pub_pos");
+    let active = active(&findings);
+    assert_eq!(active.len(), 3, "{active:#?}");
+    assert!(active
+        .iter()
+        .all(|f| f.rule == "unused-pub" && f.file == "crates/core/src/lib.rs"));
+    for item in [
+        "`pub const LIMIT`",
+        "`pub fn orphan`",
+        "`pub fn mentioned_in_prose`",
+    ] {
+        assert!(
+            active.iter().any(|f| f.message.contains(item)),
+            "{item} reported (comments and string literals are not references): {active:#?}"
+        );
+    }
+}
+
+#[test]
+fn pub_items_named_elsewhere_or_not_candidates_stay_silent() {
+    let findings = lint_tree("unused_pub_neg");
+    assert!(findings.is_empty(), "expected no findings: {findings:#?}");
+}
+
+#[test]
+fn pub_item_waiver_suppresses_and_a_stale_one_is_reported() {
+    let findings = lint_tree("unused_pub_allow");
+    let suppressed: Vec<&Finding> = findings.iter().filter(|f| f.suppressed.is_some()).collect();
+    assert_eq!(suppressed.len(), 1, "{suppressed:#?}");
+    assert_eq!(suppressed[0].rule, "unused-pub");
+    assert!(suppressed[0].message.contains("`pub fn waived`"));
+    let active = active(&findings);
+    assert_eq!(active.len(), 1, "{active:#?}");
+    assert_eq!(active[0].rule, "unused-suppression");
+    assert_eq!(
+        active[0].line, 6,
+        "the stale waiver above `named_elsewhere`"
+    );
 }

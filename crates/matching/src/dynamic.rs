@@ -56,13 +56,6 @@ impl FifoScheduler {
             queue: (0..n_tasks).collect(),
         }
     }
-
-    /// Builds a queue over an explicit task order.
-    pub fn from_order(order: Vec<usize>) -> Self {
-        FifoScheduler {
-            queue: order.into(),
-        }
-    }
 }
 
 impl DynamicScheduler for FifoScheduler {
@@ -204,11 +197,6 @@ impl GuidedScheduler {
         }
     }
 
-    /// Length of worker `w`'s remaining list.
-    pub fn list_len(&self, w: usize) -> usize {
-        self.lists[w].len()
-    }
-
     fn steal(&mut self, worker: usize) -> Option<usize> {
         // Step 3: pick from the longest remaining list. Ties between lists:
         // lowest index (deterministic).
@@ -311,8 +299,6 @@ mod tests {
             [0, 1, 2].contains(&stolen),
             "must steal from worker 1's list, got {stolen}"
         );
-        assert_eq!(s.list_len(1), 2);
-        assert_eq!(s.list_len(2), 1);
     }
 
     #[test]

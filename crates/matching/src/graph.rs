@@ -110,11 +110,6 @@ impl BipartiteGraph {
         self.files.push_vertex()
     }
 
-    /// Appends a new process vertex with no edges; returns its index.
-    pub fn push_proc(&mut self) -> usize {
-        self.procs.push_vertex()
-    }
-
     /// Removes file vertex `file` and all its edges; files above it shift
     /// down by one (the same order-preserving compaction a layout snapshot
     /// applies when a chunk leaves scope). O(n_files + edges).
@@ -134,24 +129,6 @@ impl BipartiteGraph {
         self.edges -= holders.len();
         self.files.remove_vertex(file);
         self.procs.shift_keys_above(file as u32);
-    }
-
-    /// Removes process vertex `proc` and all its edges; processes above it
-    /// shift down by one. O(n_procs + edges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is out of range.
-    pub fn remove_proc(&mut self, proc: usize) {
-        assert!(proc < self.n_procs(), "process index {proc} out of range");
-        let touched: Vec<u32> = self.procs.keys_of(proc).to_vec();
-        for &f in &touched {
-            let removed = self.files.remove(f as usize, proc as u32);
-            debug_assert!(removed, "adjacency mirrors agree");
-        }
-        self.edges -= touched.len();
-        self.procs.remove_vertex(proc);
-        self.files.shift_keys_above(proc as u32);
     }
 
     /// Verifies the mirror invariant: the proc and file pools describe
@@ -237,31 +214,6 @@ impl BipartiteGraph {
     pub fn procs_raw_wts(&self, file: usize) -> &[u64] {
         self.files.wts_of(file)
     }
-
-    /// Degree of `file` (its replica co-location count).
-    pub fn file_degree(&self, file: usize) -> usize {
-        self.files.len_of(file)
-    }
-
-    /// Sum of the weights of all edges incident to `proc` — the paper's
-    /// `d(p_i)`, the total data available locally to the process.
-    pub fn local_bytes_of(&self, proc: usize) -> u64 {
-        self.files_of(proc).map(|(_, bytes)| bytes).sum()
-    }
-
-    /// Files with no co-located process at all (isolated file vertices);
-    /// these can never be read locally and force remote assignments.
-    pub fn isolated_files(&self) -> Vec<usize> {
-        (0..self.n_files())
-            .filter(|&f| self.files.len_of(f) == 0)
-            .collect()
-    }
-
-    /// Upper bound on any matching: a full matching assigns every file to a
-    /// co-located process, so the bound is the number of non-isolated files.
-    pub fn full_matching_size(&self) -> usize {
-        self.n_files() - self.isolated_files().len()
-    }
 }
 
 /// Semantic equality: same vertex counts and edge sets with equal
@@ -303,8 +255,6 @@ mod tests {
         assert_eq!(g.n_procs(), 3);
         assert_eq!(g.n_files(), 5);
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.isolated_files().len(), 5);
-        assert_eq!(g.full_matching_size(), 0);
     }
 
     #[test]
@@ -320,9 +270,10 @@ mod tests {
         assert_eq!(g.files_raw(0), &[1, 2]);
         assert_eq!(g.procs_raw(1), &[0, 1]);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.local_bytes_of(0), 128);
-        assert_eq!(g.isolated_files(), vec![0]);
-        assert_eq!(g.full_matching_size(), 2);
+        assert!(
+            procs_vec(&g, 0).is_empty(),
+            "file 0 has no co-located process"
+        );
     }
 
     #[test]
@@ -372,18 +323,10 @@ mod tests {
         assert_eq!(g.weight(0, 1), w_before, "old file 2 is now file 1");
         g.check_mirror().unwrap();
 
-        // Removing proc 0 shifts procs 1..3 down.
-        let w_before = g.weight(2, 2);
-        g.remove_proc(0);
-        assert_eq!(g.n_procs(), 2);
-        assert_eq!(g.weight(1, 2), w_before, "old proc 2 is now proc 1");
-        g.check_mirror().unwrap();
-
-        // Push new vertices and connect them.
+        // Push a new file vertex and connect it.
         let f = g.push_file();
-        let p = g.push_proc();
-        assert_eq!((p, f), (2, 3));
-        g.add_edge(p, f, 99);
+        assert_eq!(f, 3);
+        g.add_edge(2, f, 99);
         assert_eq!(g.weight(2, 3), Some(99));
         g.check_mirror().unwrap();
     }
@@ -504,10 +447,6 @@ mod tests {
         for &(p, f, b) in &edges {
             assert_eq!(exact.weight(p, f), Some(b));
         }
-        assert_eq!(
-            exact.local_bytes_of(0),
-            edges.iter().filter(|e| e.0 == 0).map(|e| e.2).sum::<u64>()
-        );
     }
 
     #[test]

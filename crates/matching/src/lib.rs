@@ -27,8 +27,6 @@
 //! * [`dynamic`] — the guided master/worker scheduler (Section IV-D):
 //!   per-worker lists from a matching, locality-aware stealing from the
 //!   longest list, plus the FIFO baseline;
-//! * [`stable_marriage`] — reference Gale–Shapley, the one-to-one ancestor
-//!   the paper cites;
 //! * [`assignment`] — the shared assignment type and locality/balance
 //!   metrics.
 //!
@@ -58,7 +56,6 @@ pub mod maxflow;
 pub mod multi_data;
 pub mod placement;
 pub mod single_data;
-pub mod stable_marriage;
 
 pub use arena::{AdjPool, OwnedList, NONE};
 pub use assignment::{locality_report, Assignment, LocalityReport};

@@ -114,7 +114,7 @@ impl MatchingValues {
     }
 
     /// Total co-located bytes achieved by an assignment under this table.
-    pub fn total_value(&self, assignment: &Assignment) -> u64 {
+    fn total_value(&self, assignment: &Assignment) -> u64 {
         (0..assignment.n_tasks())
             .map(|t| self.value(assignment.owner_of(t), t))
             .sum()

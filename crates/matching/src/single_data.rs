@@ -77,17 +77,6 @@ pub struct SingleDataOutcome {
     pub filled_files: usize,
 }
 
-impl SingleDataOutcome {
-    /// Fraction of files matched to a co-located process.
-    pub fn matched_fraction(&self) -> f64 {
-        let total = self.matched_files + self.filled_files;
-        if total == 0 {
-            return 1.0;
-        }
-        self.matched_files as f64 / total as f64
-    }
-}
-
 /// Per-process task quotas: `n_files` split as evenly as possible, the
 /// first `n_files % n_procs` processes receiving one extra.
 pub fn quotas(n_files: usize, n_procs: usize) -> Vec<usize> {
@@ -468,7 +457,8 @@ mod tests {
         g.add_edge(0, 0, 64);
         g.add_edge(1, 1, 64);
         let out = SingleDataMatcher::default().assign(&g, &mut rng());
-        assert!((out.matched_fraction() - 0.5).abs() < 1e-12);
+        // Half the files are matched to a co-located process.
+        assert_eq!((out.matched_files, out.filled_files), (2, 2));
     }
 
     #[test]

@@ -430,33 +430,6 @@ pub fn execute_bulk_synchronous(
     assignment: &Assignment,
     config: &ExecConfig,
 ) -> RunResult {
-    bulk_synchronous_inner(namenode, workload, placement, assignment, config, false)
-}
-
-/// Like [`execute_bulk_synchronous`], but records every round and attaches
-/// [`RunMetrics`] derived over the whole chained run. The event stream
-/// additionally carries the synchronization structure: a
-/// [`TraceEvent::BarrierEntered`] per process per round (at the time the
-/// process finished its round work) and a [`TraceEvent::BarrierReleased`]
-/// when the slowest process arrives and the round ends.
-pub fn execute_bulk_synchronous_instrumented(
-    namenode: &Namenode,
-    workload: &Workload,
-    placement: &ProcessPlacement,
-    assignment: &Assignment,
-    config: &ExecConfig,
-) -> RunResult {
-    bulk_synchronous_inner(namenode, workload, placement, assignment, config, true)
-}
-
-fn bulk_synchronous_inner(
-    namenode: &Namenode,
-    workload: &Workload,
-    placement: &ProcessPlacement,
-    assignment: &Assignment,
-    config: &ExecConfig,
-    instrument: bool,
-) -> RunResult {
     assert_eq!(
         assignment.n_tasks(),
         workload.len(),
@@ -473,7 +446,6 @@ fn bulk_synchronous_inner(
         .unwrap_or(0);
 
     let mut combined: Option<RunResult> = None;
-    let mut all_events: Vec<TraceEvent> = Vec::new();
     for round in 0..rounds {
         // The round's sub-workload: the k-th task of every process that
         // still has one. Owners are re-expressed against the sub-workload.
@@ -488,80 +460,35 @@ fn bulk_synchronous_inner(
             }
         }
         let sub = Workload::new(format!("{}-round{round}", workload.name), tasks);
-        let sub_assignment = Assignment::from_owners(owners.clone(), placement.n_procs());
+        let sub_assignment = Assignment::from_owners(owners, placement.n_procs());
         let round_config = ExecConfig {
             seed: config.seed ^ ((round as u64) << 16),
             ..config.clone()
         };
-        let log = instrument.then(MemoryRecorder::new);
         let mut result = execute_inner(
             namenode,
             &sub,
             placement,
             TaskSource::Static(sub_assignment),
             &round_config,
-            log.clone().map(|l| Box::new(l) as Box<dyn Recorder>),
+            None,
         );
         // Restore global task ids in the trace.
         for r in &mut result.records {
             r.task = original_ids[r.task];
-        }
-        if let Some(log) = log {
-            // Shift the round's events onto the chained clock, restore
-            // global task ids, then add the barrier structure.
-            let offset = combined.as_ref().map_or(0.0, |acc| acc.makespan);
-            let mut events = log.take_events();
-            for ev in &mut events {
-                ev.shift_at(offset);
-                match ev {
-                    TraceEvent::TaskStarted { task, .. }
-                    | TraceEvent::ReadFinished { task, .. }
-                    | TraceEvent::TaskStolen { task, .. } => *task = original_ids[*task],
-                    _ => {}
-                }
-            }
-            // A process arrives at the barrier when it runs out of round
-            // work — exactly its (already shifted) ProcFinished event.
-            let mut arrivals = vec![0.0f64; placement.n_procs()];
-            for ev in &events {
-                if let TraceEvent::ProcFinished { at, proc } = *ev {
-                    arrivals[proc] = arrivals[proc].max(at);
-                }
-            }
-            for &p in &owners {
-                events.push(TraceEvent::BarrierEntered {
-                    at: arrivals[p],
-                    round,
-                    proc: p,
-                });
-            }
-            events.push(TraceEvent::BarrierReleased {
-                at: offset + result.makespan,
-                round,
-            });
-            all_events.extend(events);
         }
         match combined.as_mut() {
             None => combined = Some(result),
             Some(acc) => acc.chain(result),
         }
     }
-    let mut combined = combined.unwrap_or(RunResult {
+    combined.unwrap_or(RunResult {
         records: Vec::new(),
         makespan: 0.0,
         served_bytes: vec![0; namenode.node_count()],
         metrics: None,
         engine: EngineStats::default(),
-    });
-    if instrument {
-        combined.metrics = Some(Box::new(RunMetrics::from_run(
-            &combined,
-            all_events,
-            namenode.node_count(),
-            &config.io,
-        )));
-    }
-    combined
+    })
 }
 
 #[cfg(test)]

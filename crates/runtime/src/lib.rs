@@ -51,8 +51,8 @@ pub mod trace;
 pub mod write;
 
 pub use exec::{
-    execute, execute_bulk_synchronous, execute_bulk_synchronous_instrumented, execute_instrumented,
-    execute_with_recorder, ExecConfig, TaskSource,
+    execute, execute_bulk_synchronous, execute_instrumented, execute_with_recorder, ExecConfig,
+    TaskSource,
 };
 pub use metrics::{NodeMetrics, NodeSeries, RunCounters, RunMetrics, TimeSeries};
 pub use monitor::BalanceReport;

@@ -131,14 +131,14 @@ pub struct RunMetrics {
 }
 
 /// Default number of time-series buckets.
-pub const DEFAULT_BUCKETS: usize = 60;
+const DEFAULT_BUCKETS: usize = 60;
 
 /// Default number of served-bytes histogram bins.
-pub const DEFAULT_HISTOGRAM_BINS: usize = 8;
+const DEFAULT_HISTOGRAM_BINS: usize = 8;
 
 impl RunMetrics {
-    /// Derives metrics from a finished run and its event stream, with
-    /// [`DEFAULT_BUCKETS`] time-series buckets.
+    /// Derives metrics from a finished run and its event stream, with the
+    /// time series cut into 60 equal buckets over the makespan.
     pub fn from_run(
         result: &RunResult,
         events: Vec<TraceEvent>,
@@ -153,7 +153,7 @@ impl RunMetrics {
     /// # Panics
     ///
     /// Panics if `n_buckets` is zero.
-    pub fn from_run_with_buckets(
+    fn from_run_with_buckets(
         result: &RunResult,
         events: Vec<TraceEvent>,
         n_nodes: usize,
@@ -286,14 +286,14 @@ impl RunMetrics {
     }
 
     /// The raw event stream as a JSON array (the structured event log).
-    pub fn events_json(&self) -> Json {
+    fn events_json(&self) -> Json {
         Json::array(self.events.iter().map(event_json))
     }
 
     /// Per-node time-series as CSV: one row per `(bucket, node)` pair with
     /// columns `t,node,disk_utilization,nic_out_utilization,
     /// nic_in_utilization,queue_depth`.
-    pub fn series_csv(&self) -> String {
+    fn series_csv(&self) -> String {
         let mut out = String::from(
             "t,node,disk_utilization,nic_out_utilization,nic_in_utilization,queue_depth\n",
         );
@@ -315,7 +315,7 @@ impl RunMetrics {
     }
 
     /// Per-node totals as CSV.
-    pub fn per_node_csv(&self) -> String {
+    fn per_node_csv(&self) -> String {
         let mut out =
             String::from("node,served_bytes,reads_served,local_reads_served,peak_queue_depth\n");
         for n in &self.per_node {
@@ -350,7 +350,7 @@ impl RunMetrics {
 }
 
 /// One event as a flat JSON object (`kind` + `at` + variant fields).
-pub fn event_json(ev: &TraceEvent) -> Json {
+fn event_json(ev: &TraceEvent) -> Json {
     let mut pairs: Vec<(String, Json)> = vec![
         ("kind".to_string(), Json::from(ev.kind())),
         ("at".to_string(), Json::from(ev.at())),

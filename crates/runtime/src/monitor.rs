@@ -66,11 +66,6 @@ impl BalanceReport {
             cov,
         }
     }
-
-    /// True when at least as balanced as `other` on every index.
-    pub fn dominates(&self, other: &BalanceReport) -> bool {
-        self.jain_index >= other.jain_index && self.gini <= other.gini && self.cov <= other.cov
-    }
 }
 
 #[cfg(test)]
@@ -104,9 +99,6 @@ mod tests {
         let even = BalanceReport::of(&[10, 10, 10, 10]);
         let mild = BalanceReport::of(&[14, 10, 9, 7]);
         let wild = BalanceReport::of(&[30, 6, 3, 1]);
-        assert!(even.dominates(&mild));
-        assert!(mild.dominates(&wild));
-        assert!(!wild.dominates(&mild));
         assert!(mild.gini > even.gini && wild.gini > mild.gini);
         assert!(mild.jain_index < even.jain_index && wild.jain_index < mild.jain_index);
     }

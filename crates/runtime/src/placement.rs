@@ -43,15 +43,6 @@ impl ProcessPlacement {
     pub fn node_of(&self, rank: usize) -> NodeId {
         self.node_of[rank]
     }
-
-    /// All ranks hosted on `node`.
-    pub fn ranks_on(&self, node: NodeId) -> Vec<usize> {
-        self.node_of
-            .iter()
-            .enumerate()
-            .filter_map(|(r, &n)| (n == node).then_some(r))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -73,13 +64,12 @@ mod tests {
         assert_eq!(p.node_of(0), NodeId(0));
         assert_eq!(p.node_of(1), NodeId(1));
         assert_eq!(p.node_of(4), NodeId(0));
-        assert_eq!(p.ranks_on(NodeId(0)), vec![0, 2, 4]);
     }
 
     #[test]
     fn explicit_placement() {
         let p = ProcessPlacement::explicit(vec![NodeId(3), NodeId(3)]);
-        assert_eq!(p.ranks_on(NodeId(3)), vec![0, 1]);
-        assert!(p.ranks_on(NodeId(0)).is_empty());
+        assert_eq!(p.n_procs(), 2);
+        assert!((0..2).all(|r| p.node_of(r) == NodeId(3)));
     }
 }

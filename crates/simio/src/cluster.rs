@@ -358,23 +358,6 @@ impl ClusterIo {
         self.engine.next_event()
     }
 
-    /// Bytes streamed by a node's disk so far (both local and remote
-    /// serving) — per-device utilization accounting.
-    pub fn disk_bytes(&self, node: usize) -> f64 {
-        self.engine.bytes_through(self.nodes[node].disk)
-    }
-
-    /// Bytes carried by a rack's uplink (both directions summed); 0 under
-    /// a flat topology.
-    pub fn uplink_bytes(&self, rack: usize) -> f64 {
-        match self.racks.get(rack) {
-            Some(r) => {
-                self.engine.bytes_through(r.uplink_out) + self.engine.bytes_through(r.uplink_in)
-            }
-            None => 0.0,
-        }
-    }
-
     /// Installs a structured-event [`Recorder`] on the underlying engine.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
         self.engine.set_recorder(recorder);
@@ -398,11 +381,6 @@ impl ClusterIo {
     #[inline]
     pub fn engine_stats(&self) -> crate::EngineStats {
         self.engine.stats()
-    }
-
-    /// Direct access to the underlying engine (for custom resource use).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 }
 
@@ -606,15 +584,28 @@ mod tests {
         assert!(d < 1.0, "local write should be disk-bound: {d}");
     }
 
+    /// Bytes streamed by a node's disk so far (local and remote serving).
+    fn disk_bytes(c: &ClusterIo, node: usize) -> f64 {
+        c.engine.bytes_through(c.nodes[node].disk)
+    }
+
+    /// Bytes carried by a rack's uplink, both directions summed; 0 under
+    /// a flat topology.
+    fn uplink_bytes(c: &ClusterIo, rack: usize) -> f64 {
+        c.racks.get(rack).map_or(0.0, |r| {
+            c.engine.bytes_through(r.uplink_out) + c.engine.bytes_through(r.uplink_in)
+        })
+    }
+
     #[test]
     fn disk_byte_accounting_matches_reads() {
         let mut c = ClusterIo::new(4, IoParams::marmot());
         c.start_read(1, 0, CHUNK, 0); // remote: disk 0 streams the chunk
         c.start_read(2, 2, CHUNK, 1); // local on node 2
         drain_durations(&mut c);
-        assert!((c.disk_bytes(0) - CHUNK as f64).abs() < 1.0);
-        assert!((c.disk_bytes(2) - CHUNK as f64).abs() < 1.0);
-        assert!(c.disk_bytes(3) < 1.0);
+        assert!((disk_bytes(&c, 0) - CHUNK as f64).abs() < 1.0);
+        assert!((disk_bytes(&c, 2) - CHUNK as f64).abs() < 1.0);
+        assert!(disk_bytes(&c, 3) < 1.0);
     }
 
     #[test]
@@ -623,13 +614,16 @@ mod tests {
         c.start_read(1, 0, CHUNK, 0); // intra-rack
         c.start_read(5, 0, CHUNK, 1); // cross-rack: rack0 -> rack1
         drain_durations(&mut c);
-        assert!((c.uplink_bytes(0) - CHUNK as f64).abs() < 1.0, "rack0 out");
-        assert!((c.uplink_bytes(1) - CHUNK as f64).abs() < 1.0, "rack1 in");
+        assert!(
+            (uplink_bytes(&c, 0) - CHUNK as f64).abs() < 1.0,
+            "rack0 out"
+        );
+        assert!((uplink_bytes(&c, 1) - CHUNK as f64).abs() < 1.0, "rack1 in");
         // Flat clusters report zero.
         let mut flat = ClusterIo::new(2, IoParams::marmot());
         flat.start_read(0, 1, CHUNK, 0);
         drain_durations(&mut flat);
-        assert_eq!(flat.uplink_bytes(0), 0.0);
+        assert_eq!(uplink_bytes(&flat, 0), 0.0);
     }
 
     #[test]

@@ -46,16 +46,6 @@ pub struct FlowPath {
     pub rate_cap: f64,
 }
 
-impl FlowPath {
-    /// A path with no per-flow ceiling.
-    pub fn uncapped(resources: Vec<usize>) -> Self {
-        FlowPath {
-            resources,
-            rate_cap: f64::INFINITY,
-        }
-    }
-}
-
 /// Reusable progressive-filling state.
 ///
 /// Resource-indexed buffers (`remaining`, `unfrozen`) are sized to the
@@ -162,11 +152,6 @@ impl RateScratch {
         }
         self.flow_caps.push(rate_cap);
         self.path_off.push(self.path_flat.len() as u32);
-    }
-
-    /// Number of flows pushed for the current solve.
-    pub fn flow_count(&self) -> usize {
-        self.flow_caps.len()
     }
 
     /// Runs progressive filling and returns one rate per pushed flow, in
@@ -310,7 +295,7 @@ impl RateScratch {
 /// // other soaks up the remaining 80.
 /// let flows = [
 ///     FlowPath { resources: vec![0], rate_cap: 20.0 },
-///     FlowPath::uncapped(vec![0]),
+///     FlowPath { resources: vec![0], rate_cap: f64::INFINITY },
 /// ];
 /// let rates = allocate_rates(&flows, &[100.0]);
 /// assert_eq!(rates, vec![20.0, 80.0]);
@@ -324,7 +309,8 @@ impl RateScratch {
 /// flows as pure latency).
 ///
 /// This is the allocating convenience form of [`RateScratch`]; hot paths
-/// should hold a scratch and use [`allocate_rates_into`] instead.
+/// hold a scratch across solves and call [`RateScratch::fill`], as the
+/// engine does.
 ///
 /// # Panics
 ///
@@ -340,7 +326,7 @@ pub fn allocate_rates(flows: &[FlowPath], capacities: &[f64]) -> Vec<f64> {
 /// Like [`allocate_rates`], but borrowing reusable buffers: intermediate
 /// state lives in `scratch` and results land in `rates` (cleared first).
 /// After warm-up the call performs no heap allocation.
-pub fn allocate_rates_into(
+fn allocate_rates_into(
     flows: &[FlowPath],
     capacities: &[f64],
     scratch: &mut RateScratch,
@@ -392,7 +378,10 @@ mod tests {
     use super::*;
 
     fn path(rs: &[usize]) -> FlowPath {
-        FlowPath::uncapped(rs.to_vec())
+        FlowPath {
+            resources: rs.to_vec(),
+            rate_cap: f64::INFINITY,
+        }
     }
 
     fn capped(rs: &[usize], cap: f64) -> FlowPath {

@@ -39,12 +39,6 @@ impl SimTime {
         self.0
     }
 
-    /// Duration from `earlier` to `self`, saturating at zero.
-    #[inline]
-    pub fn duration_since(self, earlier: SimTime) -> f64 {
-        (self.0 - earlier.0).max(0.0)
-    }
-
     /// The later of two time points.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -145,7 +139,6 @@ mod tests {
         let t = SimTime::from_secs(1.5) + 0.5;
         assert_eq!(t.as_secs(), 2.0);
         assert_eq!(t - SimTime::from_secs(0.5), 1.5);
-        assert_eq!(t.duration_since(SimTime::from_secs(3.0)), 0.0);
     }
 
     #[test]

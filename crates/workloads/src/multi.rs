@@ -31,13 +31,6 @@ impl Default for MultiDataConfig {
     }
 }
 
-impl MultiDataConfig {
-    /// Bytes read by one task.
-    pub fn bytes_per_task(&self) -> u64 {
-        self.input_sizes.iter().sum()
-    }
-}
-
 /// Creates one dataset per input class and returns the workload whose task
 /// `i` reads chunk `i` of every dataset.
 pub fn generate(
@@ -103,7 +96,7 @@ mod tests {
     #[test]
     fn default_matches_paper() {
         let cfg = MultiDataConfig::default();
-        assert_eq!(cfg.bytes_per_task(), 60 * MB);
+        assert_eq!(cfg.input_sizes.iter().sum::<u64>(), 60 * MB);
         assert_eq!(cfg.n_tasks, 640);
     }
 

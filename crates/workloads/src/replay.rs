@@ -100,7 +100,7 @@ pub fn parse(csv: &str) -> Result<Vec<TraceTask>, ReplayError> {
 }
 
 /// Builds the dataset + workload for a parsed trace.
-pub fn materialize(
+fn materialize(
     namenode: &mut Namenode,
     name: &str,
     trace: &[TraceTask],
