@@ -51,7 +51,7 @@ pub fn build_locality_graph_from_layout(
     snapshot: &LayoutSnapshot,
     placement: &ProcessPlacement,
 ) -> BipartiteGraph {
-    grouped_graph(snapshot, &ProcsOn::nodes(placement), NodeId::index)
+    grouped_graph(snapshot, &ProcsOn::nodes(placement), NodeId::index, true)
 }
 
 /// Builds the *rack-level* locality graph from a layout snapshot (entry
@@ -66,7 +66,7 @@ pub fn build_rack_graph(
 ) -> BipartiteGraph {
     let rack_of = |node: NodeId| racks.rack_of(node) as usize;
     let procs_on_rack = ProcsOn::grouped(placement.n_procs(), |p| rack_of(placement.node_of(p)));
-    grouped_graph(snapshot, &procs_on_rack, rack_of)
+    grouped_graph(snapshot, &procs_on_rack, rack_of, false)
 }
 
 /// Builds the matching-value table `m_i^j = |d(p_i) ∩ d(t_j)|` for an
@@ -136,44 +136,62 @@ impl ProcsOn {
 /// The graph with an edge of the entry's size between every entry of
 /// `snapshot` (file vertex = entry index) and every process in a group
 /// holding one of its replicas, `group_of` mapping holders to groups.
+/// `one_to_one` says that `group_of` never maps two nodes to one group,
+/// so a chunk's replicas, on distinct nodes, name distinct groups with
+/// no check.
 ///
 /// A counting pass first, so the graph is laid out at its exact degrees
-/// with no growth slack for a session to hold on to; entries arrive in
-/// ascending order, which every process's span takes as a plain append.
+/// with no growth slack for a session to hold on to; then each entry's
+/// sorted processes and weights are written once, and the graph takes
+/// them as its file side and counting-sorts its process side.
 fn grouped_graph(
     snapshot: &LayoutSnapshot,
     groups: &ProcsOn,
     group_of: impl Fn(NodeId) -> usize,
+    one_to_one: bool,
 ) -> BipartiteGraph {
-    let mut proc_degrees = vec![0u32; groups.n_procs()];
-    let mut file_degrees = vec![0u32; snapshot.len()];
-    for (entry, degree) in snapshot.entries().iter().zip(&mut file_degrees) {
-        for &p in holder_groups(entry, &group_of).flat_map(|g| groups.at(g)) {
-            proc_degrees[p] += 1;
-            *degree += 1;
-        }
+    let entries = snapshot.entries();
+    let degrees: Vec<u32> = entries
+        .iter()
+        .map(|entry| {
+            let mut degree = 0;
+            holder_procs(entry, groups, &group_of, one_to_one, |procs| {
+                degree += procs.len() as u32
+            });
+            degree
+        })
+        .collect();
+    let n_edges = degrees.iter().map(|&d| d as usize).sum();
+    let mut procs: Vec<u32> = Vec::with_capacity(n_edges);
+    let mut bytes: Vec<u64> = Vec::with_capacity(n_edges);
+    for entry in entries.iter() {
+        let span = procs.len();
+        holder_procs(entry, groups, &group_of, one_to_one, |group| {
+            procs.extend(group.iter().map(|&p| p as u32))
+        });
+        procs[span..].sort_unstable();
+        bytes.resize(procs.len(), entry.size);
     }
-    let mut graph = BipartiteGraph::with_degrees(proc_degrees, file_degrees);
-    for (file, entry) in snapshot.entries().iter().enumerate() {
-        for &p in holder_groups(entry, &group_of).flat_map(|g| groups.at(g)) {
-            graph.add_edge(p, file, entry.size);
-        }
-    }
-    graph
+    BipartiteGraph::from_file_spans(groups.n_procs(), degrees, procs, bytes)
 }
 
-/// The distinct groups holding a replica of `entry`, each named at its
-/// first holder: a few comparisons among the replicas, no buffer.
-fn holder_groups<'e>(
-    entry: &'e ChunkLayout,
-    group_of: &'e impl Fn(NodeId) -> usize,
-) -> impl Iterator<Item = usize> + 'e {
+/// Visits the processes of each group holding a replica of `entry`, in
+/// replica order, each group once: at its first holder, unless
+/// `one_to_one` says every holder names its own group.
+fn holder_procs(
+    entry: &ChunkLayout,
+    groups: &ProcsOn,
+    group_of: &impl Fn(NodeId) -> usize,
+    one_to_one: bool,
+    mut visit: impl FnMut(&[usize]),
+) {
     let holders = &entry.locations[..];
-    holders
-        .iter()
-        .enumerate()
-        .filter(move |&(k, &n)| holders[..k].iter().all(|&m| group_of(m) != group_of(n)))
-        .map(move |(_, &n)| group_of(n))
+    for (k, &node) in holders.iter().enumerate() {
+        let group = group_of(node);
+        if one_to_one || holders[..k].iter().all(|&m| group_of(m) != group) {
+            visit(groups.at(group));
+        }
+    }
 }
 
 /// Builds the matching-value table: for each `(entry, task)` read, the

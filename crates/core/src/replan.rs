@@ -33,8 +33,8 @@ use crate::builder::{build_locality_graph_from_layout, build_values, ProcsOn, Ta
 use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use opass_dfs::{ChunkId, ChunkIndex, ChunkLayout, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_matching::{
-    assign_multi_data, locality_report, quotas, repair_multi_data, Assignment, FillPolicy,
-    IncrementalMatcher, LocalityReport, MatchingValues, SingleDataMatcher, NONE,
+    assign_multi_data, locality_report, quotas, repair_multi_data, Assignment, BipartiteGraph,
+    FillPolicy, IncrementalMatcher, LocalityReport, MatchingValues, SingleDataMatcher, NONE,
 };
 use opass_runtime::ProcessPlacement;
 use rand::rngs::StdRng;
@@ -84,6 +84,45 @@ impl SingleDataSession {
             ..Default::default()
         };
         let (owners, _) = scratch.flow_owners(&graph);
+        Self::adopt(planner, snapshot, graph, owners, placement, seed)
+    }
+
+    /// Rebuilds the session a plan came from out of the plan's owners,
+    /// with no solve. A fill target is never co-located with its file
+    /// (see [`render_single_data_plan`]), so the owners that are edges
+    /// of the locality graph are exactly the plan's maximum matching.
+    pub(crate) fn resume(
+        planner: &OpassPlanner,
+        snapshot: LayoutSnapshot,
+        placement: &ProcessPlacement,
+        seed: u64,
+        owners: &[u32],
+    ) -> Self {
+        let graph = build_locality_graph_from_layout(&snapshot, placement);
+        assert_eq!(owners.len(), graph.n_files(), "one owner per file");
+        let matched = owners
+            .iter()
+            .enumerate()
+            .map(|(f, &p)| {
+                let p = p as usize;
+                assert!(p < graph.n_procs(), "owner {p} of file {f} out of range");
+                graph.weight(p, f).is_some().then_some(p)
+            })
+            .collect();
+        Self::adopt(planner, snapshot, graph, matched, placement, seed)
+    }
+
+    /// The one adopt path behind [`SingleDataSession::start`] and
+    /// [`SingleDataSession::resume`]: the matcher takes `owners` as its
+    /// matching, and the session's first plan renders around it.
+    fn adopt(
+        planner: &OpassPlanner,
+        snapshot: LayoutSnapshot,
+        graph: BipartiteGraph,
+        owners: Vec<Option<usize>>,
+        placement: &ProcessPlacement,
+        seed: u64,
+    ) -> Self {
         let matcher = IncrementalMatcher::from_matching(graph, planner.objective, owners);
         let procs_on = ProcsOn::nodes(placement);
         let plan = render_single_data_plan(&matcher, &snapshot, planner.fill, seed, 0);
@@ -692,6 +731,188 @@ mod tests {
             assert_eq!(pa.locality, pb.locality);
         }
         let _ = placement;
+    }
+
+    /// A skewed layout: three chunks in four keep all their replicas on
+    /// the first six nodes, so those nodes' processes run out of quota
+    /// and the plan fills many files. Chunks come in two sizes, which
+    /// gives the bytes objective something to choose between.
+    fn skewed_layout(n_nodes: usize, n_chunks: usize, rng: &mut StdRng) -> LayoutSnapshot {
+        let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+        let mut ids = Vec::new();
+        for (name, size) in [("big", 64u64 << 20), ("small", 8 << 20)] {
+            let locations = (0..n_chunks / 2)
+                .map(|_| {
+                    let hot = if rng.gen_range(0..4) == 0 { n_nodes } else { 6 };
+                    let mut nodes = Vec::new();
+                    while nodes.len() < 3 {
+                        let node = NodeId(rng.gen_range(0..hot as u32));
+                        if !nodes.contains(&node) {
+                            nodes.push(node);
+                        }
+                    }
+                    nodes
+                })
+                .collect();
+            let spec = DatasetSpec::uniform(name, n_chunks / 2, size);
+            let ds = nn.create_dataset_placed(&spec, locations);
+            ids.extend(nn.dataset(ds).unwrap().chunks.iter().copied());
+        }
+        LayoutSnapshot::capture(&nn, &ids)
+    }
+
+    /// A seeded delta against `layout`: replica moves on a few chunks,
+    /// now and then a node failure, a file removal and a new file.
+    fn seeded_delta(
+        layout: &LayoutSnapshot,
+        n_nodes: usize,
+        failed: &mut BTreeSet<NodeId>,
+        next_chunk: &mut u64,
+        rng: &mut StdRng,
+    ) -> LayoutDelta {
+        let entries = layout.entries();
+        let alive: Vec<NodeId> = (0..n_nodes as u32)
+            .map(NodeId)
+            .filter(|n| !failed.contains(n))
+            .collect();
+        let mut delta = LayoutDelta::default();
+        for _ in 0..rng.gen_range(1..5) {
+            let entry = &entries[rng.gen_range(0..entries.len())];
+            let to = alive[rng.gen_range(0..alive.len())];
+            if entry.locations.len() > 1 && !entry.locations.contains(&to) {
+                let from = entry.locations[rng.gen_range(0..entry.locations.len())];
+                delta.replicas_dropped.push((entry.chunk, from));
+                delta.replicas_added.push((entry.chunk, to));
+            }
+        }
+        if rng.gen_range(0..6) == 0 && alive.len() > 6 {
+            let node = alive[rng.gen_range(3..alive.len())];
+            failed.insert(node);
+            delta.nodes_failed.push(node);
+            for (ci, _) in layout.colocated_with(node) {
+                delta.replicas_dropped.push((entries[ci].chunk, node));
+            }
+        }
+        if rng.gen_bool(0.5) {
+            delta
+                .files_removed
+                .push(entries[rng.gen_range(0..entries.len())].chunk);
+        }
+        if rng.gen_bool(0.5) {
+            let mut locations = Vec::new();
+            while locations.len() < 2 {
+                let node = alive[rng.gen_range(0..alive.len())];
+                if !locations.contains(&node) {
+                    locations.push(node);
+                }
+            }
+            delta.files_added.push(ChunkLayout {
+                chunk: ChunkId(*next_chunk),
+                size: 8 << 20,
+                locations: locations.into(),
+            });
+            *next_chunk += 1;
+        }
+        // A chunk both removed and moved keeps only the removal.
+        let gone: BTreeSet<ChunkId> = delta.files_removed.iter().copied().collect();
+        delta.replicas_added.retain(|(c, _)| !gone.contains(c));
+        delta.replicas_dropped.retain(|(c, _)| !gone.contains(c));
+        delta.normalize();
+        delta
+    }
+
+    fn assert_same_plan(resumed: &SingleDataPlan, started: &SingleDataPlan, at: &str) {
+        assert_eq!(
+            resumed.assignment.owners(),
+            started.assignment.owners(),
+            "{at}: owners"
+        );
+        assert_eq!(
+            resumed.matched_files, started.matched_files,
+            "{at}: matched"
+        );
+        assert_eq!(resumed.filled_files, started.filled_files, "{at}: filled");
+        assert_eq!(resumed.locality, started.locality, "{at}: locality");
+        assert_eq!(
+            resumed.locality.byte_fraction().to_bits(),
+            started.locality.byte_fraction().to_bits(),
+            "{at}: byte fraction"
+        );
+    }
+
+    #[test]
+    fn a_session_resumed_from_plan_owners_tracks_a_started_one() {
+        let n_nodes = 12;
+        let placements = [
+            ("one per node", ProcessPlacement::one_per_node(n_nodes)),
+            (
+                "two per node",
+                ProcessPlacement::round_robin(2 * n_nodes, n_nodes),
+            ),
+            (
+                "nodes without processes",
+                ProcessPlacement::explicit([0, 1, 2, 3, 4, 5, 0, 1].map(NodeId).to_vec()),
+            ),
+        ];
+        for objective in [Objective::MatchCount, Objective::MatchedBytes] {
+            for fill in [FillPolicy::Random, FillPolicy::LeastLoaded] {
+                let planner = OpassPlanner {
+                    objective,
+                    fill,
+                    ..Default::default()
+                };
+                for (name, placement) in &placements {
+                    let mut rng = StdRng::seed_from_u64(0x2E5 ^ placement.n_procs() as u64);
+                    let layout = skewed_layout(n_nodes, 96, &mut rng);
+                    let request = PlanRequest::single_from_layout(&layout, placement).seed(5);
+                    let plan = planner.plan(&request).into_single().expect("single plan");
+                    assert!(plan.filled_files > 0, "{name}: the layout fills files");
+                    let owners: Vec<u32> =
+                        plan.assignment.owners().iter().map(|&p| p as u32).collect();
+                    let mut resumed = planner.resume_session(&request, &owners);
+                    let mut started = planner
+                        .session(&request)
+                        .into_single()
+                        .expect("single session");
+                    let at = format!("{objective:?} {fill:?} {name}");
+                    assert_eq!(resumed.plan().matched_files, plan.matched_files, "{at}");
+                    assert_same_plan(resumed.plan(), &plan, &at);
+                    assert_same_plan(resumed.plan(), started.plan(), &at);
+                    assert_eq!(resumed.matcher(), started.matcher(), "{at}: matching");
+
+                    let (mut failed, mut next_chunk) = (BTreeSet::new(), 1 << 40);
+                    for step in 0..24 {
+                        let delta = seeded_delta(
+                            resumed.snapshot(),
+                            n_nodes,
+                            &mut failed,
+                            &mut next_chunk,
+                            &mut rng,
+                        );
+                        let at = format!("{at} step {step}");
+                        let want = started.replan(&delta).clone();
+                        assert_same_plan(resumed.replan(&delta), &want, &at);
+                        assert_eq!(resumed.snapshot(), started.snapshot(), "{at}: layout");
+                        // And both stay maximum: a scratch plan on the
+                        // advanced layout matches no more files or bytes.
+                        let scratch = planner
+                            .plan(
+                                &PlanRequest::single_from_layout(resumed.snapshot(), placement)
+                                    .seed(5),
+                            )
+                            .into_single()
+                            .expect("single plan");
+                        assert_eq!(want.matched_files, scratch.matched_files, "{at}: scratch");
+                        if objective == Objective::MatchedBytes {
+                            assert_eq!(
+                                want.locality.local_bytes, scratch.locality.local_bytes,
+                                "{at}: scratch bytes"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -373,6 +373,31 @@ impl OpassPlanner {
         session.expect("sessions exist for plain single- and multi-data requests only")
     }
 
+    /// Resumes the single-data session behind a plan from the plan's
+    /// owners, without a solve: equal to [`OpassPlanner::session`] on
+    /// the same request when `owners` are those of
+    /// [`OpassPlanner::plan`] on it. A plan's owners fix its maximum
+    /// matching, because a fill target is never co-located with its
+    /// file, so resuming costs one graph build.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the request is a plain single-data request and
+    /// `owners` names one in-range process per task.
+    pub fn resume_session(&self, request: &PlanRequest<'_>, owners: &[u32]) -> SingleDataSession {
+        assert!(
+            matches!(request.mode, Mode::Single),
+            "sessions resume for plain single-data requests only"
+        );
+        SingleDataSession::resume(
+            self,
+            request.layout.single().clone(),
+            request.placement,
+            request.seed,
+            owners,
+        )
+    }
+
     /// The shared single-data flow solve: graph build, matching under
     /// even quotas or quotas proportional to `speeds`, report.
     fn solve_single_layout(

@@ -9,7 +9,7 @@
 //! * [`AdjPool`] — struct-of-arrays CSR-style adjacency: every vertex's
 //!   sorted neighbor span lives in two shared pools (`u32` keys and a
 //!   weight column, `u64` or absent) with per-vertex `(start, len, cap)`
-//!   descriptors, exact-capacity construction from known degrees,
+//!   descriptors, exact construction from ready spans,
 //!   doubling relocation on overflow, and garbage compaction. Neighbor
 //!   iteration is a dense `u32` slice scan — 4 bytes per probe instead
 //!   of a 16-byte AoS tuple.
@@ -53,35 +53,36 @@ pub struct AdjPool<W = u64> {
 impl<W: Copy + Default> AdjPool<W> {
     /// An empty pool with `n` vertices and no neighbors.
     pub fn with_vertices(n: usize) -> Self {
-        Self::with_capacities(vec![0; n])
+        Self::from_spans(vec![0; n], Vec::new(), Vec::new())
     }
 
-    /// An empty pool with one vertex per entry of `cap`, vertex `v`'s
-    /// span reserving exactly `cap[v]` slots, laid out in vertex order.
-    /// Filling every span up to its announced capacity never relocates
-    /// and leaves no slack; a span that outgrows it relocates like any
-    /// other.
-    pub fn with_capacities(cap: Vec<u32>) -> Self {
+    /// A pool of ready spans laid out in vertex order: vertex `v`'s keys
+    /// (sorted, distinct) and weights are the next `len[v]` entries of
+    /// `keys` and `wts`. Every span's capacity is its length, so the pool
+    /// holds no slack and takes the vectors as they are.
+    pub fn from_spans(len: Vec<u32>, keys: Vec<u32>, wts: Vec<W>) -> Self {
         assert!(
-            cap.len() < NONE as usize,
+            len.len() < NONE as usize,
             "vertex count must fit u32 handles"
         );
+        assert!(keys.len() < NONE as usize, "adjacency pool full");
+        assert_eq!(keys.len(), wts.len(), "one weight per key");
         let mut total = 0usize;
-        let start = cap
+        let start = len
             .iter()
-            .map(|&c| {
+            .map(|&l| {
                 let s = total;
-                total += c as usize;
+                total += l as usize;
                 s as u32
             })
             .collect();
-        assert!(total < NONE as usize, "adjacency pool full");
+        assert_eq!(total, keys.len(), "the spans cover the keys");
         AdjPool {
             start,
-            len: vec![0; cap.len()],
-            cap,
-            keys: vec![0; total],
-            wts: vec![W::default(); total],
+            cap: len.clone(),
+            len,
+            keys,
+            wts,
             dead: 0,
         }
     }
@@ -462,18 +463,15 @@ mod tests {
 
     #[test]
     fn exact_capacities_fill_without_relocating() {
+        // Spans handed over at their exact lengths: the pool takes the
+        // vectors as they are, with no slack and nothing relocated.
         let caps: Vec<u32> = (0..40).map(|v| v % 7).collect();
         let total: usize = caps.iter().map(|&c| c as usize).sum();
-        let mut pool: AdjPool = AdjPool::with_capacities(caps.clone());
+        let mut keys: Vec<u32> = Vec::with_capacity(total);
+        keys.extend(caps.iter().flat_map(|&c| (0..c).map(|j| j * 3)));
+        let wts: Vec<u64> = keys.iter().map(|&k| u64::from(k / 3)).collect();
+        let mut pool: AdjPool = AdjPool::from_spans(caps.clone(), keys, wts);
         assert_eq!((pool.keys.len(), pool.keys.capacity()), (total, total));
-        // Fill every span to its capacity, odd vertices in descending
-        // key order so both the append and the shifting path run.
-        for (v, &c) in caps.iter().enumerate() {
-            for j in 0..c {
-                let key = if v % 2 == 0 { j } else { c - 1 - j };
-                assert!(pool.insert(v, key * 3, u64::from(key)));
-            }
-        }
         assert_eq!(pool.dead, 0);
         assert_eq!((pool.keys.len(), pool.wts.len()), (total, total));
         assert_eq!(pool.total_len(), total);
@@ -481,6 +479,7 @@ mod tests {
         for (v, &c) in caps.iter().enumerate() {
             let want: Vec<u32> = (0..c).map(|j| j * 3).collect();
             assert_eq!(pool.keys_of(v), &want[..]);
+            assert_eq!(pool.get(v, 3), (c > 1).then_some(1));
         }
         // The first insert past a capacity relocates that span alone.
         assert!(pool.insert(5, 1, 9));
@@ -498,8 +497,8 @@ mod tests {
         // relocations and compactions included, the key spans must agree
         // after every step's worth of churn, and the keys-only pool must
         // never have allocated a weight.
-        let mut weighted: AdjPool<u64> = AdjPool::with_capacities(vec![2; 48]);
-        let mut keys_only: AdjPool<()> = AdjPool::with_capacities(vec![2; 48]);
+        let mut weighted: AdjPool<u64> = AdjPool::with_vertices(48);
+        let mut keys_only: AdjPool<()> = AdjPool::with_vertices(48);
         let mut state = 0xA9E0u64;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);

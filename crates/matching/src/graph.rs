@@ -39,19 +39,76 @@ pub struct BipartiteGraph {
 impl BipartiteGraph {
     /// Creates an empty graph with the given vertex counts.
     pub fn new(n_procs: usize, n_files: usize) -> Self {
-        Self::with_degrees(vec![0; n_procs], vec![0; n_files])
+        BipartiteGraph {
+            procs: AdjPool::with_vertices(n_procs),
+            files: AdjPool::with_vertices(n_files),
+            edges: 0,
+        }
     }
 
-    /// Creates an empty graph with one vertex per entry of each vector,
-    /// reserving room for exactly the announced number of edges at every
-    /// vertex. A build that then adds those edges allocates nothing more
-    /// and leaves no slack; degrees are a sizing hint, not a limit — a
-    /// vertex that outgrows its announcement grows like any other.
-    pub fn with_degrees(proc_degrees: Vec<u32>, file_degrees: Vec<u32>) -> Self {
+    /// Builds the graph from every file's edges at once: file `f`'s
+    /// edges are the next `degrees[f]` entries of `procs` (ascending,
+    /// distinct), each weighing the matching entry of `bytes`. The file
+    /// side takes the vectors as its spans and the process side is
+    /// filled by one counting sort over them, so both are laid out at
+    /// their exact degrees, sorted, with no search, shift or growth
+    /// slack. The graph mutates afterwards like any other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the degrees do not cover `procs`, a process index is
+    /// out of range, a file's processes do not ascend, or a weight is
+    /// zero.
+    pub fn from_file_spans(
+        n_procs: usize,
+        degrees: Vec<u32>,
+        procs: Vec<u32>,
+        bytes: Vec<u64>,
+    ) -> Self {
+        assert!(
+            bytes.iter().all(|&b| b > 0),
+            "locality edges must carry positive bytes"
+        );
+        let files = AdjPool::from_spans(degrees, procs, bytes);
+        // Process degrees, then a counting sort in the same array: the
+        // degrees become span ends, each file (descending) is written
+        // just below its processes' ends, which leaves every span
+        // ascending and every end at its start; the starts then turn back
+        // into lengths.
+        let mut at = vec![0u32; n_procs];
+        for f in 0..files.n_vertices() {
+            let keys = files.keys_of(f);
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "file {f}: processes must ascend"
+            );
+            for &p in keys {
+                assert!((p as usize) < n_procs, "process index {p} out of range");
+                at[p as usize] += 1;
+            }
+        }
+        let edges = files.total_len();
+        let mut end = 0u32;
+        for d in &mut at {
+            end += *d;
+            *d = end;
+        }
+        let mut keys = vec![0u32; edges];
+        for f in (0..files.n_vertices()).rev() {
+            for &p in files.keys_of(f) {
+                let slot = &mut at[p as usize];
+                *slot -= 1;
+                keys[*slot as usize] = f as u32;
+            }
+        }
+        for p in 0..n_procs {
+            let next = at.get(p + 1).copied().unwrap_or(edges as u32);
+            at[p] = next - at[p];
+        }
         BipartiteGraph {
-            procs: AdjPool::with_capacities(proc_degrees),
-            files: AdjPool::with_capacities(file_degrees),
-            edges: 0,
+            procs: AdjPool::from_spans(at, keys, vec![(); edges]),
+            files,
+            edges,
         }
     }
 
@@ -404,49 +461,74 @@ mod tests {
 
     #[test]
     fn announced_degrees_do_not_change_the_graph() {
-        // One edge set, three construction histories: exact degrees fed
-        // in build order, no degrees fed in shuffled order, and degrees
-        // announced too low (spans relocate mid-build).
+        // One edge set, three construction histories: file spans at their
+        // announced degrees, inserts in build order, and inserts in
+        // shuffled order.
         let (m, n) = (6usize, 40usize);
         let mut edges: Vec<(usize, usize, u64)> = Vec::new();
         for f in 0..n {
-            for k in 0..3 {
-                edges.push(((f * 5 + k * 2) % m, f, (f as u64 % 4 + 1) * 16));
-            }
+            let mut procs: Vec<usize> = (0..3).map(|k| (f * 5 + k * 2) % m).collect();
+            procs.sort_unstable();
+            procs.dedup();
+            edges.extend(procs.into_iter().map(|p| (p, f, (f as u64 % 4 + 1) * 16)));
         }
-        let degrees = |scale: u32| {
-            let mut procs = vec![0u32; m];
-            let mut files = vec![0u32; n];
-            for &(p, f, _) in &edges {
-                procs[p] += 1;
-                files[f] += 1;
-            }
-            let shrink = |d: Vec<u32>| d.into_iter().map(|x| x / scale).collect();
-            (shrink(procs), shrink(files))
-        };
-        let build = |mut g: BipartiteGraph, order: &[(usize, usize, u64)]| {
+        let mut degrees = vec![0u32; n];
+        for &(_, f, _) in &edges {
+            degrees[f] += 1;
+        }
+        let spans = BipartiteGraph::from_file_spans(
+            m,
+            degrees,
+            edges.iter().map(|&(p, _, _)| p as u32).collect(),
+            edges.iter().map(|&(_, _, b)| b).collect(),
+        );
+        spans.check_mirror().unwrap();
+        let build = |order: &[(usize, usize, u64)]| {
+            let mut g = BipartiteGraph::new(m, n);
             for &(p, f, b) in order {
                 g.add_edge(p, f, b);
             }
             g.check_mirror().unwrap();
             g
         };
-        let with_degrees = |(procs, files)| BipartiteGraph::with_degrees(procs, files);
-        let exact = build(with_degrees(degrees(1)), &edges);
         let mut shuffled = edges.clone();
         let mut state = 0x51DEu64;
         for i in (1..shuffled.len()).rev() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             shuffled.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let grown = build(BipartiteGraph::new(m, n), &shuffled);
-        let under_announced = build(with_degrees(degrees(2)), &edges);
-        assert_eq!(exact, grown);
-        assert_eq!(exact, under_announced);
-        assert_eq!(exact.edge_count(), edges.len());
-        for &(p, f, b) in &edges {
-            assert_eq!(exact.weight(p, f), Some(b));
+        assert_eq!(spans, build(&edges));
+        assert_eq!(spans, build(&shuffled));
+        assert_eq!(spans.edge_count(), edges.len());
+        for p in 0..m {
+            let want: Vec<(usize, u64)> = edges
+                .iter()
+                .filter(|&&(q, _, _)| q == p)
+                .map(|&(_, f, b)| (f, b))
+                .collect();
+            assert_eq!(files_vec(&spans, p), want, "process {p}");
         }
+        // A span-built graph mutates like an inserted one.
+        let mut grown = spans.clone();
+        grown.add_edge(0, 0, 7);
+        grown.remove_file(3);
+        let mut inserted = build(&edges);
+        inserted.add_edge(0, 0, 7);
+        inserted.remove_file(3);
+        grown.check_mirror().unwrap();
+        assert_eq!(grown, inserted);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive bytes")]
+    fn span_build_rejects_zero_weight() {
+        BipartiteGraph::from_file_spans(2, vec![1, 1], vec![0, 1], vec![8, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend")]
+    fn span_build_rejects_unsorted_files() {
+        BipartiteGraph::from_file_spans(2, vec![2], vec![1, 0], vec![8, 8]);
     }
 
     #[test]

@@ -720,10 +720,19 @@ impl IncrementalMatcher {
         }
         let gainer = (self.graph.n_files() - 1) % self.state.load.len();
         self.state.quota[gainer] += 1;
-        self.state.try_augment(&self.graph, f as u32);
-        self.state.try_augment_into(&self.graph, gainer as u32);
-        self.state
-            .restore_bytes_optimality(&self.graph, self.objective);
+        let entered = self.state.try_augment(&self.graph, f as u32);
+        if entered && self.state.load[gainer] == self.state.quota[gainer] {
+            // The new file's path took the grown quota unit. The flow may
+            // still rise by one more, along a path from an older
+            // unmatched file through the new file to another spare
+            // process; no search seeded at the now-full gainer reaches
+            // it, so run one phase over every unmatched file.
+            self.state.repair_core(&self.graph, self.objective);
+        } else {
+            self.state.try_augment_into(&self.graph, gainer as u32);
+            self.state
+                .restore_bytes_optimality(&self.graph, self.objective);
+        }
         self.debug_check();
         f
     }
@@ -1131,6 +1140,23 @@ mod tests {
             inc.remove_file(seed as usize % 40);
             let (want, _) = flow_reference(inc.graph(), Objective::MatchCount);
             assert_eq!(inc.matched_count(), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn an_added_file_that_takes_the_grown_quota_unit_leaves_no_augmenting_path() {
+        // Two files that only process 0 holds, so one stays unmatched
+        // while process 1 idles. The new file's search lands on process
+        // 0's grown quota unit first; the maximum moves it to process 1
+        // and lets the unmatched file take process 0.
+        for objective in [Objective::MatchCount, Objective::MatchedBytes] {
+            let mut g = BipartiteGraph::new(2, 2);
+            g.add_edge(0, 0, 8);
+            g.add_edge(0, 1, 8);
+            let mut m = IncrementalMatcher::new(g, objective);
+            assert_eq!(m.matched_count(), 1);
+            m.add_file(&[(0, 8), (1, 8)]);
+            assert_eq!(m.matched_count(), 3, "{objective:?}");
         }
     }
 

@@ -5,6 +5,13 @@
 //! replies for equal `(spec, generation, strategy, seed)` tuples. The
 //! reactor owns caching, coalescing, and metrics; this module owns the
 //! answers.
+//!
+//! A cold plan is the one-shot planner's, and what it keeps for repair
+//! is that plan's layout handle and owners ([`Repairable::Owners`]). A
+//! session starts only at the plan's first delta, resumed from those
+//! owners: they fix the plan's maximum matching, so the resume is a
+//! graph build with no max-flow, and a plan that is never repaired never
+//! holds a locality graph.
 
 use crate::protocol::{LayoutEntry, LayoutReply, PlaceReply, PlaceRoundReply, PlanReply, Response};
 use opass_core::dfs::{LayoutDelta, LayoutSnapshot};
@@ -12,36 +19,56 @@ use opass_core::matching::locality_report;
 use opass_core::runtime::baseline::{random_assignment, rank_interval};
 use opass_core::runtime::ProcessPlacement;
 use opass_core::{
-    build_locality_graph_from_layout, OpassPlanner, PlacementConfig, PlanRequest,
+    build_locality_graph_from_layout, OpassPlanner, PlacementConfig, PlanRequest, SingleDataPlan,
     SingleDataSession, Strategy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Plan cache / coalescing key: `(dataset, strategy label, seed)` — with
 /// the generation, everything in a plan reply that is not the plan.
 pub(crate) type PlanKey = (usize, String, u64);
 
+/// What a cached planner-strategy plan keeps so that a later delta
+/// invalidation can repair it in place.
+pub(crate) enum Repairable {
+    /// A cold plan's inputs and answer: the layout it planned against
+    /// (a shared handle) and its owners, 4 B per chunk. The first repair
+    /// resumes a session from them with one graph build and no solve
+    /// ([`OpassPlanner::resume_session`]).
+    Owners {
+        /// The layout snapshot the plan was computed against.
+        snapshot: Arc<LayoutSnapshot>,
+        /// The plan's owner process per task.
+        owners: Box<[u32]>,
+    },
+    /// The live session of a plan repaired at least once; later repairs
+    /// advance it.
+    Session(Box<SingleDataSession>),
+}
+
 /// A freshly computed (or repaired) plan: the wire reply plus — for
-/// planner-backed strategies — the live planning session that produced
-/// it, so a later delta invalidation can repair the plan in place.
-/// Baselines carry no session and always recompute.
+/// planner-backed strategies — what a later delta invalidation needs to
+/// repair it in place. A cold plan carries its layout and owners, a
+/// repaired one the session that repaired it. Baselines carry neither
+/// and always recompute.
 pub(crate) struct ComputedPlan {
     /// The canonical reply: `cached`/`coalesced` false, `repaired` set
     /// only by [`repair_plan`]. The reactor adjusts the flags per request.
     pub reply: PlanReply,
-    /// The planning session behind the reply, when repairable.
-    pub session: Option<SingleDataSession>,
+    /// How the plan is repaired, when it is repairable.
+    pub repair: Option<Repairable>,
 }
 
 /// The cold planning path: graph + matching (or baseline) from a layout
 /// snapshot. Pure — byte-identical for equal inputs. Planner strategies
-/// start a planning session (whose initial plan is bit-identical to the
-/// one-shot planner) and keep it alongside the reply.
+/// run the one-shot planner and keep the snapshot handle and the owners
+/// beside the reply; no session is started until a delta needs one.
 pub(crate) fn compute_plan(
     planner: &OpassPlanner,
     placement: &ProcessPlacement,
-    snapshot: &LayoutSnapshot,
+    snapshot: &Arc<LayoutSnapshot>,
     dataset: usize,
     strategy: &Strategy,
     seed: u64,
@@ -74,32 +101,37 @@ pub(crate) fn compute_plan(
                     coalesced: false,
                     repaired: false,
                 },
-                session: None,
+                repair: None,
             }
         }
         _ => {
-            let session = planner
-                .session(&PlanRequest::single_from_layout(snapshot, placement).seed(seed))
+            let plan = planner
+                .plan(&PlanRequest::single_from_layout(snapshot, placement).seed(seed))
                 .into_single()
-                .expect("single-data requests always yield single-data sessions");
+                .expect("single-data requests always yield single-data plans");
+            let owners = plan.assignment.owners().iter().map(|&p| p as u32).collect();
             let key = (dataset, strategy.label(), seed);
-            session_plan(key, generation, session, false)
+            ComputedPlan {
+                reply: plan_reply(key, generation, &plan, false),
+                repair: Some(Repairable::Owners {
+                    snapshot: Arc::clone(snapshot),
+                    owners,
+                }),
+            }
         }
     }
 }
 
-/// Renders the reply for `key` around a session's current plan (fresh
-/// flags) and keeps the session alongside it. The key, the generation
-/// and the session's plan are everything a reply holds, which is why
-/// caches keep no reply beside a session.
-fn session_plan(
+/// Renders the reply for `key` around a single-data plan, with fresh
+/// flags. The key, the generation and the plan are everything a reply
+/// holds.
+fn plan_reply(
     (dataset, strategy, seed): PlanKey,
     generation: u64,
-    session: SingleDataSession,
+    plan: &SingleDataPlan,
     repaired: bool,
-) -> ComputedPlan {
-    let plan = session.plan();
-    let reply = PlanReply {
+) -> PlanReply {
+    PlanReply {
         dataset,
         generation,
         strategy,
@@ -112,27 +144,36 @@ fn session_plan(
         cached: false,
         coalesced: false,
         repaired,
-    };
-    ComputedPlan {
-        reply,
-        session: Some(session),
     }
 }
 
 /// Brings a superseded plan up to `generation` by replaying journalled
-/// layout deltas through its planning session, and renders the reply
-/// for `key` around the repaired assignment (`repaired` set, fresh
-/// flags otherwise).
+/// layout deltas through its planning session — resumed from the cold
+/// plan's layout and owners when it has none yet — and renders the reply
+/// for `key` around the repaired assignment (`repaired` set, fresh flags
+/// otherwise). The session stays with the result.
 pub(crate) fn repair_plan(
-    mut session: SingleDataSession,
+    planner: &OpassPlanner,
+    placement: &ProcessPlacement,
+    repair: Repairable,
     deltas: &[LayoutDelta],
     key: &PlanKey,
     generation: u64,
 ) -> ComputedPlan {
+    let mut session = match repair {
+        Repairable::Session(session) => session,
+        Repairable::Owners { snapshot, owners } => Box::new(planner.resume_session(
+            &PlanRequest::single_from_layout(&snapshot, placement).seed(key.2),
+            &owners,
+        )),
+    };
     for delta in deltas {
         session.replan(delta);
     }
-    session_plan(key.clone(), generation, session, true)
+    ComputedPlan {
+        reply: plan_reply(key.clone(), generation, session.plan(), true),
+        repair: Some(Repairable::Session(session)),
+    }
 }
 
 /// Builds the wire layout reply from a snapshot.
@@ -218,5 +259,19 @@ pub(crate) fn place_reply(
 pub(crate) fn unknown_dataset(dataset: usize, n_datasets: usize) -> Response {
     Response::Error {
         message: format!("unknown dataset {dataset} (world has {n_datasets})"),
+    }
+}
+
+/// Whether `delta` adds a file of no bytes. A locality edge carries its
+/// chunk's bytes, so such a file could never be planned: the world must
+/// not take it in.
+pub(crate) fn adds_an_empty_file(delta: &LayoutDelta) -> bool {
+    delta.files_added.iter().any(|entry| entry.size == 0)
+}
+
+/// The typed refusal for a delta that adds a file of no bytes.
+pub(crate) fn empty_file_refusal() -> Response {
+    Response::Error {
+        message: "field \"size\" must be a positive integer".into(),
     }
 }

@@ -30,7 +30,7 @@
 use crate::conn::{FrameBuf, WriteProgress, WriteQueue};
 use crate::frame::{encode_frame, FrameError};
 use crate::metrics::{ServeMetrics, ShardStats, Timer};
-use crate::planning::{self, ComputedPlan, PlanKey};
+use crate::planning::{self, ComputedPlan, PlanKey, Repairable};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::protocol::{
     PlanReply, Request, Response, ShardStatsReply, StatsReply, PROTOCOL_VERSION,
@@ -38,7 +38,7 @@ use crate::protocol::{
 use crate::spec::World;
 use opass_core::dfs::LayoutSnapshot;
 use opass_core::runtime::ProcessPlacement;
-use opass_core::{OpassPlanner, SingleDataSession, Strategy};
+use opass_core::{OpassPlanner, Strategy};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
@@ -119,7 +119,7 @@ enum Done {
 struct PlanDone {
     key: PlanKey,
     generation: u64,
-    session: Option<SingleDataSession>,
+    repair: Option<Repairable>,
     /// Pre-encoded `cached = true` variant, stored for future hits.
     hit_bytes: Arc<Vec<u8>>,
     /// Pre-encoded reply for the flight leader (fresh flags).
@@ -373,12 +373,13 @@ fn plan_variants(reply: PlanReply) -> (FrameBytes, FrameBytes, FrameBytes) {
 }
 
 /// One cached plan in a shard's slice: the encoded hit and, for planner
-/// strategies, the session whose plan it renders. No reply is kept — a
-/// repair renders its own from the key and the session.
+/// strategies, what repairs it — the layout handle and owners of a cold
+/// plan, or the session of a repaired one. No reply is kept — a repair
+/// renders its own from the key and the session.
 struct PlanEntry {
     generation: u64,
     hit_bytes: Arc<Vec<u8>>,
-    session: Option<SingleDataSession>,
+    repair: Option<Repairable>,
 }
 
 /// One cached layout in a shard's slice. `hit_bytes` is lazily filled:
@@ -730,13 +731,16 @@ impl Shard {
                 dataset: Some(dataset),
                 delta,
             } => {
-                let generation = match delta {
-                    Some(delta) => self.ctx.world.invalidate_dataset(dataset, &delta),
-                    None => self.ctx.world.invalidate_dataset_opaque(dataset),
+                let world = &self.ctx.world;
+                let generation = match &delta {
+                    Some(delta) if planning::adds_an_empty_file(delta) => None,
+                    Some(delta) => world.invalidate_dataset(dataset, delta),
+                    None => world.invalidate_dataset_opaque(dataset),
                 };
                 let resp = match generation {
                     Some(generation) => Response::Invalidated { generation },
-                    None => planning::unknown_dataset(dataset, self.ctx.world.spec().n_datasets),
+                    None if world.has_dataset(dataset) => planning::empty_file_refusal(),
+                    None => planning::unknown_dataset(dataset, world.spec().n_datasets),
                 };
                 let bytes = encode_response(&resp);
                 self.push_inline(idx, bytes);
@@ -893,17 +897,17 @@ impl Shard {
             return;
         }
         // Claim a stale predecessor: repairable when the journal covers
-        // the span and the entry kept its planning session. Claiming
-        // retires the entry either way.
-        let mut repair: Option<(SingleDataSession, Vec<opass_core::dfs::LayoutDelta>)> = None;
+        // the span and the entry kept what repairs it. Claiming retires
+        // the entry either way.
+        let mut repair: Option<(Repairable, Vec<opass_core::dfs::LayoutDelta>)> = None;
         if let Some(stale) = self.plan_cache.remove(&key) {
             self.me()
                 .stats
                 .cache_invalidated
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(session) = stale.session {
+            if let Some(basis) = stale.repair {
                 if let Some(deltas) = self.ctx.world.deltas_since(dataset, stale.generation) {
-                    repair = Some((session, deltas));
+                    repair = Some((basis, deltas));
                 }
             }
         }
@@ -919,17 +923,23 @@ impl Shard {
         let job_key = key;
         let submitted = self.ctx.pool.try_submit(move || {
             let done = match repair {
-                Some((session, deltas)) => {
+                Some((basis, deltas)) => {
                     let timer = Timer::start();
-                    let ComputedPlan { reply, session } =
-                        planning::repair_plan(session, &deltas, &job_key, generation);
+                    let ComputedPlan { reply, repair } = planning::repair_plan(
+                        &ctx.planner,
+                        &ctx.placement,
+                        basis,
+                        &deltas,
+                        &job_key,
+                        generation,
+                    );
                     ctx.metrics.repaired.fetch_add(1, Ordering::Relaxed);
                     ctx.metrics.repair_latency.record(timer.elapsed_us());
                     let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(reply);
                     PlanDone {
                         key: job_key,
                         generation,
-                        session,
+                        repair,
                         hit_bytes,
                         leader_bytes,
                         follower_bytes,
@@ -950,7 +960,7 @@ impl Shard {
                         }
                     };
                     let timer = Timer::start();
-                    let ComputedPlan { reply, session } = planning::compute_plan(
+                    let ComputedPlan { reply, repair } = planning::compute_plan(
                         &ctx.planner,
                         &ctx.placement,
                         &snapshot,
@@ -964,7 +974,7 @@ impl Shard {
                     PlanDone {
                         key: job_key,
                         generation,
-                        session,
+                        repair,
                         hit_bytes,
                         leader_bytes,
                         follower_bytes,
@@ -1132,7 +1142,7 @@ impl Shard {
                 let PlanDone {
                     key,
                     generation,
-                    session,
+                    repair,
                     hit_bytes,
                     leader_bytes,
                     follower_bytes,
@@ -1152,7 +1162,7 @@ impl Shard {
                         key.clone(),
                         PlanEntry {
                             generation,
-                            session,
+                            repair,
                             hit_bytes: Arc::clone(&hit_bytes),
                         },
                     );

@@ -6,7 +6,7 @@
 //! plan spans many scheduler slices, so overlap between requests is
 //! structural rather than a preemption-timing accident.
 
-use opass_core::dfs::{ChunkId, LayoutDelta, NodeId};
+use opass_core::dfs::{ChunkId, ChunkLayout, LayoutDelta, NodeId};
 use opass_core::{OpassPlanner, PlanRequest};
 use opass_serve::frame::{encode_frame, read_frame, write_frame};
 use opass_serve::{
@@ -296,6 +296,120 @@ fn churn_never_leaks_between_holders_of_a_shared_layout() {
         "a snapshot captured before the churn keeps its layout"
     );
     assert_eq!(served_entries(&mut client, 1), wire_entries(1));
+    handle.shutdown();
+}
+
+#[test]
+fn a_repaired_plan_equals_an_in_process_session_owner_for_owner() {
+    // A cold plan keeps its layout and owners, not a session; its first
+    // repair resumes one from them. Each repaired reply must equal an
+    // in-process session started on the same layout and fed the same
+    // delta, through two cycles of cold plan, delta and repair (the
+    // second after a bare invalidation), and every resume counts as a
+    // repair, not a plan.
+    let spec = spec_small();
+    let handle = boot(spec, 2, 32);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let placement = spec.placement();
+    let oracle = World::new(spec);
+    let dataset = 1;
+    let seed = 13;
+    for cycle in 0..2u64 {
+        if cycle > 0 {
+            client.invalidate().expect("bare invalidate");
+        }
+        let base = oracle.capture_layout(dataset).expect("dataset exists");
+        let request = PlanRequest::single_from_layout(&base, &placement).seed(seed);
+        let mut session = OpassPlanner::default()
+            .session(&request)
+            .into_single()
+            .expect("single session");
+
+        let cold = client
+            .plan(dataset, Strategy::Opass, seed)
+            .expect("cold plan");
+        assert!(!cold.cached && !cold.repaired, "cycle {cycle}: cold");
+        assert_eq!(cold.owners, session.plan().assignment.owners());
+
+        // Move one replica of chunk `cycle` to a node that holds none,
+        // and drop one replica of the chunk after it.
+        let (moved, dropped) = (&base.entries()[cycle as usize], &base.entries()[5]);
+        let to = (0..spec.n_nodes as u32)
+            .map(NodeId)
+            .find(|n| !moved.locations.contains(n))
+            .expect("r < n_nodes leaves a free node");
+        let mut delta = LayoutDelta::migration(moved.chunk, moved.locations[0], to);
+        delta
+            .replicas_dropped
+            .push((dropped.chunk, dropped.locations[1]));
+        delta.normalize();
+        client
+            .invalidate_with_delta(dataset, &delta)
+            .expect("delta invalidate");
+        oracle
+            .invalidate_dataset(dataset, &delta)
+            .expect("valid dataset");
+        let want = session.replan(&delta);
+
+        let repaired = client.plan(dataset, Strategy::Opass, seed).expect("repair");
+        assert!(repaired.repaired, "cycle {cycle}: repaired");
+        assert_eq!(repaired.owners, want.assignment.owners(), "cycle {cycle}");
+        assert_eq!(repaired.matched_files, want.matched_files);
+        assert_eq!(repaired.filled_files, want.filled_files);
+        assert_eq!(repaired.local_task_fraction, want.locality.task_fraction());
+        assert_eq!(repaired.local_byte_fraction, want.locality.byte_fraction());
+
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.planned, cycle + 1, "cycle {cycle}: cold plans");
+        assert_eq!(
+            stats.repaired,
+            cycle + 1,
+            "cycle {cycle}: resumes are repairs"
+        );
+        assert_eq!(stats.repair_us.count, stats.repaired);
+        assert_eq!(stats.cold_plan_us.count, stats.planned);
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn an_added_file_of_no_bytes_is_refused_and_the_dataset_keeps_planning() {
+    let spec = spec_small();
+    let handle = boot(spec, 2, 32);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let before = client.plan(0, Strategy::Opass, 3).expect("cold plan");
+
+    let empty_file = LayoutDelta {
+        files_added: vec![ChunkLayout {
+            chunk: ChunkId(5000),
+            size: 0,
+            locations: vec![NodeId(2)].into(),
+        }],
+        ..Default::default()
+    };
+    match client.invalidate_with_delta(0, &empty_file) {
+        Err(ClientError::Server(message)) => {
+            assert!(
+                message.contains("field \"size\" must be a positive integer"),
+                "{message}"
+            )
+        }
+        other => panic!("a zero-size file must draw a typed error, got {other:?}"),
+    }
+
+    // Nothing changed: the plan is still cached at its generation, and a
+    // fresh key plans cold.
+    let after = client
+        .plan(0, Strategy::Opass, 3)
+        .expect("plan after refusal");
+    assert!(after.cached);
+    assert_eq!(after.generation, before.generation);
+    assert_eq!(after.owners, before.owners);
+    let fresh = client
+        .plan(0, Strategy::Opass, 4)
+        .expect("cold plan after refusal");
+    assert!(!fresh.cached);
+    assert_eq!(fresh.owners.len(), spec.chunks_per_dataset);
     handle.shutdown();
 }
 
