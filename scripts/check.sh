@@ -108,13 +108,14 @@ fi
 
 if [[ "${1:-}" == "--bench-run" ]]; then
     # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
-    # "In-place Dinic" (plan_mix 19.99) and "World memory" (63.37,
-    # 73.43, 125.89, 18.43 for the other four, in order) plus 3 %.
-    # Updated together with them.
+    # "In-place Dinic" (plan_mix 19.99), "Cached plans keep owners"
+    # (serve_hot 34.13, serve_churn 44.65) and "World memory"
+    # (trace_replay 125.89, sim_sweep 18.43) plus 3 %. Updated together
+    # with them.
     declare -A RSS_CEILING_MIB=(
         [plan_mix]=20.59
-        [serve_hot]=65.27
-        [serve_churn]=75.64
+        [serve_hot]=35.16
+        [serve_churn]=45.99
         [trace_replay]=129.67
         [sim_sweep]=18.98
     )
