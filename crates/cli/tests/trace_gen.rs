@@ -1,0 +1,27 @@
+//! `opass trace gen` refuses a spec it cannot generate with the spec's
+//! own error and exit code 1, before it reserves anything.
+
+use std::process::Command;
+
+#[test]
+fn a_spec_asking_for_u64_max_records_is_refused_not_aborted() {
+    let dir = std::env::temp_dir().join(format!("opass-trace-gen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = dir.join("huge.json");
+    std::fs::write(&spec, format!(r#"{{"records": {}}}"#, u64::MAX)).expect("write spec");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_opass"))
+        .args(["trace", "gen", "--spec"])
+        .arg(&spec)
+        .output()
+        .expect("run opass");
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("records must be at most 4294967296"),
+        "{stderr}"
+    );
+}

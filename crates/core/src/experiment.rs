@@ -822,17 +822,15 @@ impl Experiment for Racked {
         let storage = self.storage_nodes();
         let spec = opass_dfs::DatasetSpec::uniform("racked", n_chunks, self.cluster.chunk_size);
         let mut pool = Vec::new();
-        let locations: Vec<Vec<opass_dfs::NodeId>> = (0..n_chunks)
+        let locations: Vec<opass_dfs::Replicas> = (0..n_chunks)
             .map(|i| {
-                placement_policy
-                    .place(
-                        i,
-                        self.cluster.replication as usize,
-                        &storage,
-                        &mut rng,
-                        &mut pool,
-                    )
-                    .to_vec()
+                placement_policy.place(
+                    i,
+                    self.cluster.replication as usize,
+                    &storage,
+                    &mut rng,
+                    &mut pool,
+                )
             })
             .collect();
         let ds = nn.create_dataset_placed(&spec, locations);

@@ -741,7 +741,7 @@ mod tests {
         let mut nn = Namenode::new(n_nodes, DfsConfig::default());
         let mut ids = Vec::new();
         for (name, size) in [("big", 64u64 << 20), ("small", 8 << 20)] {
-            let locations = (0..n_chunks / 2)
+            let locations: Vec<Vec<NodeId>> = (0..n_chunks / 2)
                 .map(|_| {
                     let hot = if rng.gen_range(0..4) == 0 { n_nodes } else { 6 };
                     let mut nodes = Vec::new();

@@ -139,8 +139,11 @@ impl Namenode {
     }
 
     /// Registers a dataset whose replica locations were decided elsewhere
-    /// (e.g. by the simulated parallel write path). Locations are
-    /// validated: the correct replica count, distinct alive nodes.
+    /// (e.g. by the simulated parallel write path), one set per chunk:
+    /// [`Replicas`] as placement policies return them, or anything that
+    /// converts, such as a `Vec<NodeId>`. Locations are validated: the
+    /// correct replica count of distinct nodes (a repeated holder counts
+    /// once), all alive.
     ///
     /// # Panics
     ///
@@ -149,29 +152,25 @@ impl Namenode {
     pub fn create_dataset_placed(
         &mut self,
         spec: &DatasetSpec,
-        mut locations: Vec<Vec<NodeId>>,
+        locations: impl IntoIterator<Item = impl Into<Replicas>>,
     ) -> DatasetId {
+        let locations: Vec<Replicas> = locations.into_iter().map(Into::into).collect();
         assert_eq!(
             locations.len(),
             spec.n_chunks(),
             "one location set per chunk"
         );
-        for (i, locs) in locations.iter_mut().enumerate() {
-            locs.sort_unstable();
+        for (i, locs) in locations.iter().enumerate() {
             assert_eq!(
                 locs.len(),
                 self.config.replication as usize,
                 "chunk {i} has wrong replica count"
             );
-            assert!(
-                locs.windows(2).all(|w| w[0] != w[1]),
-                "chunk {i} has duplicate replicas"
-            );
-            for &n in locs.iter() {
+            for &n in locs {
                 assert!(self.is_alive(n), "chunk {i} placed on dead {n}");
             }
         }
-        self.add_dataset(spec, locations.into_iter().map(Replicas::from))
+        self.add_dataset(spec, locations.into_iter())
     }
 
     /// Registers `spec` with one replica set per chunk. The chunk table,
@@ -711,10 +710,10 @@ mod tests {
         // The served world's shape (scaled to 16 datasets) and the
         // simulator's 1024-node scene. At r = 3 no replica list leaves
         // its chunk's table slot, and the whole map stays within a
-        // budget that does not depend on the cluster size: 56 B of chunk
+        // budget that does not depend on the cluster size: 48 B of chunk
         // table, 3 × 8 B of per-node lists (their doubling growth may
         // hold up to twice that) and 8 B of dataset id list per chunk.
-        assert_eq!(std::mem::size_of::<LayoutEvent>(), 40);
+        assert_eq!(std::mem::size_of::<LayoutEvent>(), 32);
         for (n_nodes, n_datasets, per_dataset) in [(64, 16, 1280), (1024, 1, 10_240)] {
             let mut nn = Namenode::new(n_nodes, DfsConfig::default());
             let mut r = rng();
@@ -727,7 +726,7 @@ mod tests {
             assert_eq!(nn.chunk_count(), n_chunks);
             assert!(nn.chunks().iter().all(|c| !c.locations.is_spilled()));
             let per_chunk = heap_bytes(&nn) / n_chunks;
-            assert!(per_chunk <= 120, "{n_nodes} nodes: {per_chunk} B/chunk");
+            assert!(per_chunk <= 104, "{n_nodes} nodes: {per_chunk} B/chunk");
             nn.check_invariants().unwrap();
         }
     }
@@ -905,6 +904,20 @@ mod tests {
         let mut nn = Namenode::new(5, DfsConfig::default());
         let spec = DatasetSpec::uniform("bad", 1, 64);
         nn.create_dataset_placed(&spec, vec![vec![NodeId(0)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk 1 has wrong replica count")]
+    fn create_dataset_placed_counts_a_repeated_holder_once() {
+        let mut nn = Namenode::new(5, DfsConfig::default());
+        let spec = DatasetSpec::uniform("dupes", 2, 64);
+        nn.create_dataset_placed(
+            &spec,
+            [
+                Replicas::from(vec![NodeId(0), NodeId(1), NodeId(2)]),
+                Replicas::from(vec![NodeId(3), NodeId(4), NodeId(3)]),
+            ],
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the HDFS default — but the block map stores one such set per chunk, and
 //! every layout snapshot copies them all. A `Vec<NodeId>` pays a heap
 //! block (and an allocator round trip on every copy) for those twelve
-//! bytes. [`Replicas`] keeps up to four holders inside the value itself
+//! bytes. [`Replicas`] keeps up to three holders inside its 16-byte value
 //! and spills to the heap only above that, so chunk tables and layout
 //! snapshots are flat arrays that copy with one `memcpy`.
 
@@ -12,10 +12,10 @@ use crate::ids::NodeId;
 use std::fmt;
 use std::ops::Deref;
 
-/// Holders stored inline. Four is what fits for free: the spilled
-/// variant makes the value 24 bytes anyway, and a tag, a length and four
-/// node ids take 20.
-const INLINE: usize = 4;
+/// Holders stored inline: the HDFS default replication. A tag, a length
+/// and three node ids take 16 bytes, and so does the spilled variant's
+/// tag and thin pointer, so three slots is what 16 bytes hold.
+const INLINE: usize = 3;
 
 /// The nodes holding a replica of one chunk: sorted ascending, no
 /// duplicates — every constructor and mutator keeps that true, which is
@@ -27,8 +27,11 @@ pub struct Replicas(Repr);
 enum Repr {
     /// `nodes[..len]` are the holders.
     Inline { len: u8, nodes: [NodeId; INLINE] },
-    /// More than [`INLINE`] holders, exact size.
-    Spilled(Box<[NodeId]>),
+    /// More than [`INLINE`] holders. The `Vec` is boxed so the variant
+    /// is one thin pointer: a `Box<[NodeId]>` is a 16-byte fat pointer
+    /// and would make the value 24 bytes.
+    #[allow(clippy::box_collection)] // the extra heap hop is the point
+    Spilled(Box<Vec<NodeId>>),
 }
 
 /// Sorts `nodes` and moves the distinct values to the front, returning
@@ -57,7 +60,7 @@ impl Replicas {
     /// `sorted` must already be ascending and duplicate-free.
     fn from_sorted(sorted: &[NodeId]) -> Self {
         if sorted.len() > INLINE {
-            return Replicas(Repr::Spilled(sorted.into()));
+            return Replicas(Repr::Spilled(Box::new(sorted.to_vec())));
         }
         let mut nodes = [NodeId(0); INLINE];
         nodes[..sorted.len()].copy_from_slice(sorted);
@@ -79,13 +82,14 @@ impl Replicas {
                 nodes[pos] = node;
                 *len += 1;
             }
-            _ => {
-                let mut grown = Vec::with_capacity(self.len() + 1);
-                grown.extend_from_slice(&self[..pos]);
+            Repr::Inline { nodes, .. } => {
+                let mut grown = Vec::with_capacity(INLINE + 1);
+                grown.extend_from_slice(&nodes[..pos]);
                 grown.push(node);
-                grown.extend_from_slice(&self[pos..]);
-                self.0 = Repr::Spilled(grown.into());
+                grown.extend_from_slice(&nodes[pos..]);
+                self.0 = Repr::Spilled(Box::new(grown));
             }
+            Repr::Spilled(nodes) => nodes.insert(pos, node),
         }
         true
     }
@@ -105,9 +109,9 @@ impl Replicas {
                 *len = kept as u8;
             }
             Repr::Spilled(nodes) => {
-                let kept: Vec<NodeId> = nodes.iter().copied().filter(|n| keep(n)).collect();
-                if kept.len() != nodes.len() {
-                    *self = Self::from_sorted(&kept);
+                nodes.retain(|n| keep(n));
+                if nodes.len() <= INLINE {
+                    *self = Self::from_sorted(nodes);
                 }
             }
         }
@@ -225,9 +229,9 @@ mod tests {
 
     #[test]
     fn sizes_keep_the_block_map_flat() {
-        assert_eq!(std::mem::size_of::<Replicas>(), 24);
-        assert_eq!(std::mem::size_of::<ChunkMeta>(), 56);
-        assert_eq!(std::mem::size_of::<ChunkLayout>(), 40);
+        assert_eq!(std::mem::size_of::<Replicas>(), 16);
+        assert_eq!(std::mem::size_of::<ChunkMeta>(), 48);
+        assert_eq!(std::mem::size_of::<ChunkLayout>(), 32);
     }
 
     #[test]
@@ -246,26 +250,26 @@ mod tests {
 
     #[test]
     fn spills_only_above_the_inline_capacity() {
-        let four = Replicas::from(ids(&[4, 3, 2, 1]));
-        assert!(!four.is_spilled());
-        let five: Replicas = ids(&[5, 4, 3, 2, 1]).into_iter().collect();
-        assert!(five.is_spilled());
-        assert_eq!(five, ids(&[1, 2, 3, 4, 5]));
-        assert!(Replicas::from(ids(&[6, 5, 4, 3, 2, 1])).is_spilled());
+        let three = Replicas::from(ids(&[3, 2, 1]));
+        assert!(!three.is_spilled());
+        let four: Replicas = ids(&[4, 3, 2, 1]).into_iter().collect();
+        assert!(four.is_spilled());
+        assert_eq!(four, ids(&[1, 2, 3, 4]));
+        assert!(Replicas::from(ids(&[5, 4, 3, 2, 1])).is_spilled());
 
         // insert crosses the boundary upward, retain downward.
-        let mut r = four.clone();
+        let mut r = three.clone();
         assert!(r.insert(NodeId(0)));
         assert!(r.is_spilled());
-        assert_eq!(r, ids(&[0, 1, 2, 3, 4]));
+        assert_eq!(r, ids(&[0, 1, 2, 3]));
         assert!(r.insert(NodeId(9)));
-        assert_eq!(r, ids(&[0, 1, 2, 3, 4, 9]));
+        assert_eq!(r, ids(&[0, 1, 2, 3, 9]));
         r.retain(|&n| n != NodeId(2));
-        assert!(r.is_spilled(), "five holders still need the heap");
+        assert!(r.is_spilled(), "four holders still need the heap");
         r.retain(|&n| n != NodeId(9));
         assert!(!r.is_spilled());
-        assert_eq!(r, ids(&[0, 1, 3, 4]));
-        assert_eq!(four, ids(&[1, 2, 3, 4]), "the clone was independent");
+        assert_eq!(r, ids(&[0, 1, 3]));
+        assert_eq!(three, ids(&[1, 2, 3]), "the clone was independent");
     }
 
     #[test]

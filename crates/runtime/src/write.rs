@@ -11,7 +11,7 @@
 
 use crate::placement::ProcessPlacement;
 use crate::trace::RunResult;
-use opass_dfs::{DatasetId, DatasetSpec, Namenode, Placement};
+use opass_dfs::{DatasetId, DatasetSpec, Namenode, Placement, Replicas};
 use opass_simio::{ClusterIo, Event, IoParams, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,12 +77,11 @@ pub fn write_dataset(
     let alive = namenode.alive_nodes();
     let replication = namenode.config().replication as usize;
     let mut pool = Vec::new();
-    let locations: Vec<Vec<opass_dfs::NodeId>> = (0..n_chunks)
+    let locations: Vec<Replicas> = (0..n_chunks)
         .map(|i| {
             config
                 .placement
                 .place(i, replication, &alive, &mut rng, &mut pool)
-                .to_vec()
         })
         .collect();
 

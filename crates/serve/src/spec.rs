@@ -120,8 +120,10 @@ struct DatasetState {
     layout: LayoutSnapshot,
     /// Recent invalidations, oldest first: the effective generation each
     /// one produced and the delta that produced it (`None` for a bare
-    /// flush, which is never repairable).
-    journal: VecDeque<(u64, Option<LayoutDelta>)>,
+    /// flush, which is never repairable). Boxed, an entry is 16 bytes,
+    /// so the markers every bare flush leaves in every dataset's journal
+    /// cost `JOURNAL_CAP × 16` bytes per dataset at most.
+    journal: VecDeque<(u64, Option<Box<LayoutDelta>>)>,
 }
 
 /// The server's shared world: each dataset's layout plus per-dataset
@@ -191,6 +193,11 @@ impl World {
     /// without saying what). Returns the new global generation.
     pub fn invalidate(&self) -> u64 {
         let new = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        // Each marker also guards a race. A delta invalidation that bumped
+        // its dataset before this bump but read its generation after it
+        // journals this bump's generation; a plan stamped in between
+        // already saw that delta, and only the marker journalled behind
+        // it keeps `deltas_since` from replaying it onto that plan.
         for dataset in 0..self.spec.n_datasets {
             let mut state = self.datasets[dataset]
                 .lock()
@@ -220,7 +227,7 @@ impl World {
         state.layout.apply_delta(&delta);
         self.dataset_bumps[dataset].fetch_add(1, Ordering::AcqRel);
         let generation = self.generation_of(dataset);
-        Self::push_journal(&mut state, generation, Some(delta));
+        Self::push_journal(&mut state, generation, Some(Box::new(delta)));
         Some(generation)
     }
 
@@ -245,11 +252,14 @@ impl World {
         Some(generation)
     }
 
-    fn push_journal(state: &mut DatasetState, generation: u64, delta: Option<LayoutDelta>) {
-        state.journal.push_back((generation, delta));
-        while state.journal.len() > JOURNAL_CAP {
+    /// Journals one invalidation, evicting the oldest first once the
+    /// journal is full, so it never holds (or grows its buffer for) more
+    /// than [`JOURNAL_CAP`] entries.
+    fn push_journal(state: &mut DatasetState, generation: u64, delta: Option<Box<LayoutDelta>>) {
+        if state.journal.len() == JOURNAL_CAP {
             state.journal.pop_front();
         }
+        state.journal.push_back((generation, delta));
     }
 
     /// The deltas that advance `dataset` from generation `from` to the
@@ -274,7 +284,7 @@ impl World {
             if *gen != expected {
                 return None;
             }
-            deltas.push(delta.clone()?);
+            deltas.push(delta.as_deref()?.clone());
             expected += 1;
         }
         (expected == to + 1).then_some(deltas)
@@ -612,6 +622,90 @@ mod tests {
                 .len(),
             3
         );
+    }
+
+    #[test]
+    fn journals_stop_at_their_cap() {
+        let world = World::new(ServeSpec {
+            n_nodes: 4,
+            n_datasets: 2,
+            chunks_per_dataset: 8,
+            ..Default::default()
+        });
+        let capacities = |world: &World| -> Vec<usize> {
+            world
+                .datasets
+                .iter()
+                .map(|d| d.lock().expect("not poisoned").journal.capacity())
+                .collect()
+        };
+        let empty = LayoutDelta::default();
+        for _ in 0..3 * JOURNAL_CAP {
+            for dataset in 0..2 {
+                world
+                    .invalidate_dataset(dataset, &empty)
+                    .expect("valid dataset");
+            }
+        }
+        assert!(capacities(&world).iter().all(|&c| c <= JOURNAL_CAP));
+        // Bare flushes journal a marker in every dataset: the same cap.
+        for _ in 0..3 * JOURNAL_CAP {
+            world.invalidate();
+        }
+        assert!(capacities(&world).iter().all(|&c| c <= JOURNAL_CAP));
+        for dataset in 0..2 {
+            let state = world.datasets[dataset].lock().expect("not poisoned");
+            assert_eq!(state.journal.len(), JOURNAL_CAP);
+            assert!(state.journal.iter().all(|(_, delta)| delta.is_none()));
+        }
+    }
+
+    #[test]
+    fn a_plan_stamped_before_a_bare_flush_is_not_repairable() {
+        let world = World::new(ServeSpec {
+            n_nodes: 6,
+            n_datasets: 2,
+            chunks_per_dataset: 12,
+            ..Default::default()
+        });
+        let failed = LayoutDelta {
+            nodes_failed: vec![NodeId(0)],
+            ..Default::default()
+        };
+        world.invalidate_dataset(0, &failed).expect("valid dataset");
+        let stamp = world.generation_of(0);
+        world.invalidate();
+        world.invalidate_dataset(0, &failed).expect("valid dataset");
+        assert_eq!(world.deltas_since(0, stamp), None);
+        assert_eq!(world.deltas_since(1, 0), None, "every dataset was flushed");
+        // A stamp taken after the flush repairs across later deltas.
+        let stamp = world.generation_of(0);
+        world.invalidate_dataset(0, &failed).expect("valid dataset");
+        assert_eq!(world.deltas_since(0, stamp).map(|d| d.len()), Some(1));
+    }
+
+    #[test]
+    fn a_marker_keeps_a_delta_sharing_its_generation_from_replaying() {
+        // The interleaving `invalidate`'s markers guard, played in order
+        // on one thread: a delta invalidation bumps its dataset, a plan
+        // is stamped, a bare flush bumps the global counter, and only
+        // then does the delta read its generation and journal it.
+        let world = World::new(ServeSpec {
+            n_nodes: 4,
+            n_datasets: 1,
+            chunks_per_dataset: 8,
+            ..Default::default()
+        });
+        let mut state = world.datasets[0].lock().expect("not poisoned");
+        world.dataset_bumps[0].fetch_add(1, Ordering::AcqRel);
+        let stamp = world.generation_of(0);
+        world.generation.fetch_add(1, Ordering::AcqRel);
+        let shared = world.generation_of(0);
+        World::push_journal(&mut state, shared, Some(Box::default()));
+        World::push_journal(&mut state, shared, None);
+        drop(state);
+        assert_eq!(world.deltas_since(0, stamp), None);
+        assert_eq!(world.deltas_since(0, shared), Some(vec![]));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use opass_core::{
     build_locality_graph_from_layout, build_matching_values, build_rack_graph, SingleDataSession,
 };
 use opass_dfs::{
-    ChunkIndex, ChunkLayout, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode,
+    ChunkIndex, ChunkLayout, DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, NodeId,
     Placement, RackMap,
 };
 use opass_matching::{assign_multi_data, BipartiteGraph, SingleDataMatcher};
@@ -188,12 +188,12 @@ fn the_served_world_holds_its_layouts_and_nothing_else() {
     };
     let n_chunks = spec.n_datasets * spec.chunks_per_dataset;
 
-    // 40 B of `ChunkLayout` per chunk and a few dozen bytes per dataset.
+    // 32 B of `ChunkLayout` per chunk and a few dozen bytes per dataset.
     // Built straight into place: no block map beside it, not even for a
     // moment, and two allocations per dataset (its entries, their `Arc`).
     let (world, built) = measure(|| World::new(spec));
     let per_chunk = built.live_bytes as f64 / n_chunks as f64;
-    assert!(per_chunk <= 41.0, "the world holds {per_chunk:.2} B/chunk");
+    assert!(per_chunk <= 33.0, "the world holds {per_chunk:.2} B/chunk");
     assert!(
         built.peak_bytes - built.live_bytes <= 64 << 10,
         "building the world peaked {} B above what it holds",
@@ -232,6 +232,56 @@ fn the_served_world_holds_its_layouts_and_nothing_else() {
         "a first delta with no handle out kept {} B",
         in_place.live_bytes
     );
+}
+
+#[test]
+fn bare_flushes_fill_each_journal_to_its_cap_and_no_further() {
+    // Every bare `invalidate` journals a marker in every dataset. Three
+    // journals' worth of them leave each dataset `JOURNAL_CAP` (64)
+    // entries of 16 B, and no buffer grown past that.
+    const JOURNAL_CAP: usize = 64;
+    let spec = ServeSpec {
+        n_nodes: 16,
+        n_datasets: 32,
+        chunks_per_dataset: 64,
+        ..ServeSpec::default()
+    };
+    let world = World::new(spec);
+    let (_, flushed) = measure(|| {
+        for _ in 0..3 * JOURNAL_CAP {
+            world.invalidate();
+        }
+    });
+    let bound = (spec.n_datasets * JOURNAL_CAP * 16) as isize;
+    assert!(
+        flushed.live_bytes <= bound,
+        "{} bare flushes kept {} B (bound {bound})",
+        3 * JOURNAL_CAP,
+        flushed.live_bytes
+    );
+}
+
+#[test]
+fn a_replica_migration_at_three_replicas_allocates_nothing() {
+    // A move drops the old holder before it adds the new one, so a
+    // three-holder set never passes through four (a heap spill): a
+    // migration delta applied in place makes no allocator call.
+    let (mut snapshot, _) = dataset_world(16, 256);
+    let mut index = ChunkIndex::build(&snapshot);
+    let mut delta = LayoutDelta::default();
+    for entry in snapshot.entries().iter().take(64) {
+        let to = (0..16)
+            .map(NodeId)
+            .find(|n| !entry.locations.contains(n))
+            .expect("r = 3 on 16 nodes leaves a free node");
+        delta
+            .replicas_dropped
+            .push((entry.chunk, entry.locations[0]));
+        delta.replicas_added.push((entry.chunk, to));
+    }
+    let (_, applied) = measure(|| snapshot.apply_delta_indexed(&delta, &mut index));
+    assert_eq!(applied.calls, 0, "a migration delta");
+    assert!(snapshot.entries().iter().all(|e| e.locations.len() == 3));
 }
 
 #[test]

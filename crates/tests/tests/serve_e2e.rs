@@ -418,42 +418,35 @@ fn saturated_queue_sheds_with_typed_overloaded() {
     // One worker, queue of one, and plans that take many milliseconds:
     // a burst of eight distinct keys cannot all be admitted, and the
     // refusals must be typed `Overloaded`, never a hang or a dropped
-    // connection.
+    // connection. The burst is eight plan frames pipelined in one write,
+    // so the server reads and submits all of them in one shard sweep,
+    // long before the first admitted plan can finish.
     let handle = boot(spec_slow_plan(), 1, 1);
     let addr = handle.addr().to_string();
 
     const BURST: usize = 8;
-    let mut clients: Vec<Client> = (0..BURST)
-        .map(|_| {
-            let mut c = Client::connect(&addr).expect("connect");
-            c.ping().expect("ping");
-            c
-        })
+    let mut burst = Vec::new();
+    for seed in 0..BURST as u64 {
+        let plan = Request::Plan {
+            dataset: 0,
+            strategy: Strategy::Opass,
+            seed,
+        };
+        burst.extend(encode_frame(&plan.to_json()).expect("encode plan"));
+    }
+    let mut raw = TcpStream::connect(&addr).expect("raw connect");
+    raw.write_all(&burst).expect("write burst");
+    let outcomes: Vec<Response> = (0..BURST)
+        .map(|_| Response::from_json(&read_frame(&mut raw).expect("reply frame")).expect("decodes"))
         .collect();
 
-    let barrier = std::sync::Barrier::new(BURST);
-    let outcomes: Vec<Result<_, ClientError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    c.plan(0, Strategy::Opass, i as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("burst thread"))
-            .collect()
-    });
-
-    let served = outcomes.iter().filter(|r| r.is_ok()).count();
+    let served = outcomes
+        .iter()
+        .filter(|r| matches!(r, Response::Plan(_)))
+        .count();
     let shed = outcomes
         .iter()
-        .filter(|r| matches!(r, Err(ClientError::Overloaded { .. })))
+        .filter(|r| matches!(r, Response::Overloaded { .. }))
         .count();
     assert_eq!(
         served + shed,

@@ -11,6 +11,10 @@ use crate::spec::TraceSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The most records [`generate`] reserves room for up front (512 MiB of
+/// records); a larger trace grows its vector past that as it goes.
+const MAX_RESERVED: u64 = 1 << 24;
+
 /// Generates the spec's records, sorted by time (times are produced
 /// monotonically). Panics only if the spec fails
 /// [`TraceSpec::validate`] — validate first when the spec comes from
@@ -33,7 +37,7 @@ pub fn generate(spec: &TraceSpec) -> Vec<TraceRecord> {
     // flash crowd both skews popularity and raises the arrival rate.
     let base_rate = spec.records as f64 / spec.duration_s;
 
-    let mut records = Vec::with_capacity(spec.records as usize);
+    let mut records = Vec::with_capacity(spec.records.min(MAX_RESERVED) as usize);
     let mut t = 0.0f64;
     let mut last_us = 0u64;
     for i in 0..spec.records {

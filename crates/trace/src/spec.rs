@@ -2,6 +2,11 @@
 
 use opass_json::Json;
 
+/// The most records a spec may ask for: 2³², 128 GiB of generated
+/// records, far past any trace this crate is used for, and small enough
+/// that a count read from user input cannot ask for the impossible.
+const MAX_RECORDS: u64 = 1 << 32;
+
 /// A flash-crowd burst: between `start_s` and `start_s + duration_s`,
 /// accesses to `dataset` are `multiplier`× more likely and the overall
 /// arrival rate rises with them.
@@ -26,7 +31,7 @@ pub struct TraceSpec {
     pub name: String,
     /// Master RNG seed.
     pub seed: u64,
-    /// Number of records to emit.
+    /// Number of records to emit, 1 to 2³².
     pub records: u64,
     /// Trace length in seconds; arrival intensity is scaled so the
     /// expected last arrival lands near this horizon.
@@ -203,6 +208,9 @@ impl TraceSpec {
         if self.records == 0 {
             return Err("records must be at least 1".to_string());
         }
+        if self.records > MAX_RECORDS {
+            return Err(format!("records must be at most {MAX_RECORDS}"));
+        }
         if self.clients == 0 || self.datasets == 0 || self.chunks_per_dataset == 0 {
             return Err("clients, datasets, and chunks_per_dataset must be at least 1".to_string());
         }
@@ -256,6 +264,21 @@ mod tests {
         assert_eq!(spec.records, 42);
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.datasets, TraceSpec::default().datasets);
+    }
+
+    #[test]
+    fn records_are_bounded() {
+        let spec = |records| TraceSpec {
+            records,
+            ..TraceSpec::default()
+        };
+        assert_eq!(spec(MAX_RECORDS).validate(), Ok(()));
+        for records in [MAX_RECORDS + 1, u64::MAX] {
+            assert_eq!(
+                spec(records).validate(),
+                Err("records must be at most 4294967296".to_string())
+            );
+        }
     }
 
     #[test]

@@ -108,16 +108,15 @@ fi
 
 if [[ "${1:-}" == "--bench-run" ]]; then
     # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
-    # "In-place Dinic" (plan_mix 19.99), "Cached plans keep owners"
-    # (serve_hot 34.13, serve_churn 44.65) and "World memory"
-    # (trace_replay 125.89, sim_sweep 18.43) plus 3 %. Updated together
-    # with them.
+    # "Sixteen-byte replica sets" (plan_mix 18.63, serve_hot 29.08,
+    # serve_churn 34.78, sim_sweep 17.40) and "World memory"
+    # (trace_replay 125.89) plus 3 %. Updated together with them.
     declare -A RSS_CEILING_MIB=(
-        [plan_mix]=20.59
-        [serve_hot]=35.16
-        [serve_churn]=45.99
+        [plan_mix]=19.18
+        [serve_hot]=29.95
+        [serve_churn]=35.82
         [trace_replay]=129.67
-        [sim_sweep]=18.98
+        [sim_sweep]=17.92
     )
     bench_build
     run bash bench/run.sh --self-test
