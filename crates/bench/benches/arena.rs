@@ -9,10 +9,20 @@
 //! * `graph_churn` — the same churn through [`BipartiteGraph`], which
 //!   mirrors every edit into both side's pools.
 //! * `repair` — [`IncrementalMatcher::repair_batch`] on an
-//!   island-partitioned graph at 10⁵ chunks after a churn batch.
+//!   island-partitioned graph at 10⁵ chunks after a churn batch, and a
+//!   session's warm replan of 164 replica migrations at 128 × 32 768
+//!   (`plan_mix`'s replan).
+//! * `placement` — [`propose_moves`] on `plan_mix`'s hot spot: 1 280
+//!   chunks whose replicas all sit on 16 of 128 nodes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use opass_matching::{AdjPool, BipartiteGraph, IncrementalMatcher, Objective, OwnedList};
+use opass_core::{OpassPlanner, PlanRequest};
+use opass_dfs::{DatasetSpec, DfsConfig, LayoutDelta, LayoutSnapshot, Namenode, NodeId, Placement};
+use opass_matching::{
+    propose_moves, AdjPool, BipartiteGraph, IncrementalMatcher, Objective, OwnedList,
+    PlacementPolicy,
+};
+use opass_runtime::ProcessPlacement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -214,6 +224,72 @@ fn bench_repair(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
+
+    let (nodes, chunks, moves) = (128usize, 32_768usize, 164usize);
+    let mut nn = Namenode::new(nodes, DfsConfig::default());
+    let mut rng = StdRng::seed_from_u64(1);
+    let ds = nn.create_dataset(
+        &DatasetSpec::uniform("session", chunks, 64 << 20),
+        &Placement::Random,
+        &mut rng,
+    );
+    let ids = nn.dataset(ds).expect("dataset exists").chunks.clone();
+    let snapshot = LayoutSnapshot::capture(&nn, &ids);
+    let placement = ProcessPlacement::one_per_node(nodes);
+    let mut session = OpassPlanner::default()
+        .session(&PlanRequest::single_from_layout(&snapshot, &placement).seed(1))
+        .into_single()
+        .expect("single session");
+    // Each of `moves` evenly spaced chunks hands its first replica to a
+    // random node that holds none, and back: the session absorbs the
+    // two deltas in turn, one replan per iteration, with no copy of the
+    // session in the timed loop.
+    let migrations: Vec<_> = (0..moves)
+        .map(|i| {
+            let entry = &snapshot.entries()[i * (chunks / moves)];
+            let to = loop {
+                let node = NodeId(rng.gen_range(0..nodes as u32));
+                if !entry.locations.contains(&node) {
+                    break node;
+                }
+            };
+            (entry.chunk, entry.locations[0], to)
+        })
+        .collect();
+    let back: Vec<_> = migrations
+        .iter()
+        .map(|&(c, from, to)| (c, to, from))
+        .collect();
+    let deltas = [
+        LayoutDelta::migrations(&migrations),
+        LayoutDelta::migrations(&back),
+    ];
+    group.bench_function(&format!("session_replan/{nodes}x{chunks}"), |b| {
+        b.iter(|| {
+            let delta = &deltas[session.replans() as usize % 2];
+            session.replan(delta).matched_files
+        })
+    });
+    group.finish();
+}
+
+fn bench_placement(c: &mut Criterion) {
+    // `plan_mix`'s hot spot: chunk `i`'s three replicas on nodes
+    // `(i + r) mod 16`, one process per node of 128.
+    let (procs, hot, chunks) = (128usize, 16usize, 1280usize);
+    let mut graph = BipartiteGraph::new(procs, chunks);
+    for f in 0..chunks {
+        for r in 0..3 {
+            graph.add_edge((f + r) % hot, f, 64 << 20);
+        }
+    }
+    let matcher = IncrementalMatcher::new(graph, Objective::default());
+    let sizes = vec![64u64 << 20; chunks];
+    let mut group = c.benchmark_group("placement");
+    configure(&mut group);
+    group.bench_function(&format!("propose_moves/hot_{chunks}"), |b| {
+        b.iter(|| propose_moves(&matcher, &sizes, &PlacementPolicy::default()).len())
+    });
     group.finish();
 }
 
@@ -222,6 +298,7 @@ criterion_group!(
     bench_adj_pool,
     bench_owned_list,
     bench_graph_churn,
-    bench_repair
+    bench_repair,
+    bench_placement
 );
 criterion_main!(benches);

@@ -34,11 +34,12 @@ use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use opass_dfs::{ChunkId, ChunkIndex, ChunkLayout, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_matching::{
     assign_multi_data, locality_report, quotas, repair_multi_data, Assignment, BipartiteGraph,
-    FillPolicy, IncrementalMatcher, LocalityReport, MatchingValues, SingleDataMatcher, NONE,
+    FillPolicy, IncrementalMatcher, LocalityReport, MatchingValues, SingleDataMatcher, SpareQuota,
+    NONE,
 };
 use opass_runtime::ProcessPlacement;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Mixes the session seed with the replan counter so every replan draws
@@ -273,33 +274,14 @@ fn render_single_data_plan(
     let n = graph.n_files();
     let m = graph.n_procs();
     let quota = quotas(n, m);
-    // Dense arena views: `owner` uses the `NONE` sentinel and `load` is
-    // the matcher's `u32` slab — no per-render Option boxing.
     let mut owner: Vec<u32> = matcher.owners_dense().to_vec();
-    let mut load: Vec<u32> = matcher.load().to_vec();
+    let mut load: Vec<usize> = matcher.load().iter().map(|&l| l as usize).collect();
     let matched_files = matcher.matched_count();
     let mut rng = fill_rng(seed, replans);
+    let mut spare = SpareQuota::new(&quota, &load);
     let mut filled_files = 0usize;
-    let mut candidates: Vec<usize> = Vec::with_capacity(m);
-    // Indexed loop: the candidate scan reads `load` while `owner[f]` is
-    // written, matching the from-scratch fill exactly.
-    #[allow(clippy::needless_range_loop)]
-    for f in 0..n {
-        if owner[f] != NONE {
-            continue;
-        }
-        candidates.clear();
-        candidates.extend((0..m).filter(|&p| (load[p] as usize) < quota[p]));
-        debug_assert!(!candidates.is_empty(), "quotas sum to n");
-        let chosen = match fill {
-            FillPolicy::Random => candidates[rng.gen_range(0..candidates.len())],
-            FillPolicy::LeastLoaded => *candidates
-                .iter()
-                .min_by_key(|&&p| (load[p], p))
-                .expect("non-empty candidates"),
-        };
-        owner[f] = chosen as u32;
-        load[chosen] += 1;
+    for o in owner.iter_mut().filter(|o| **o == NONE) {
+        *o = spare.take(fill, &quota, &mut load, &mut rng) as u32;
         filled_files += 1;
     }
     // The locality report follows from the matching alone: a fill target
@@ -527,6 +509,7 @@ mod tests {
     use opass_dfs::{DatasetSpec, DfsConfig, Namenode, Placement};
     use opass_matching::Objective;
     use opass_workloads::{Task, Workload};
+    use rand::Rng;
 
     fn single_session(
         planner: &OpassPlanner,

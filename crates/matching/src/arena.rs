@@ -269,8 +269,10 @@ impl<W: Copy + Default> AdjPool<W> {
 /// Lists are kept in **ascending file order** (inserts walk to the
 /// sorted position), so enumeration order is a pure function of the
 /// owner relation — exactly the `BTreeSet` order the repair searches
-/// were tuned against, at O(1) unlink and O(position) link cost with
-/// zero allocation.
+/// were tuned against, with zero allocation. Unlinking is O(1), and so
+/// is putting an unlinked file back where it was ([`OwnedList::relink`],
+/// the undo of a failed trade); linking a file into a new chain (a
+/// commit) walks to its position, O(position).
 #[derive(Debug, Clone)]
 pub struct OwnedList {
     head: Vec<u32>,
@@ -341,7 +343,8 @@ impl OwnedList {
         }
     }
 
-    /// Unlinks `f` from `p`'s chain in O(1).
+    /// Unlinks `f` from `p`'s chain in O(1). `f` keeps its own
+    /// `prev`/`next` links, so [`OwnedList::relink`] can put it back.
     pub fn remove(&mut self, p: u32, f: u32) {
         let (pr, nx) = (self.prev[f as usize], self.next[f as usize]);
         if pr == NONE {
@@ -351,6 +354,26 @@ impl OwnedList {
         }
         if nx != NONE {
             self.prev[nx as usize] = pr;
+        }
+    }
+
+    /// Puts `f`, unlinked from `p`'s chain by [`OwnedList::remove`], back
+    /// between the two links it kept ("dancing links"), in O(1).
+    ///
+    /// Exact only while `p`'s chain is as `remove` left it. Removals
+    /// nested inside that window must be undone first, last in first out
+    /// — then each relink finds its neighbours adjacent again, and the
+    /// chain comes back in ascending order. A file that moved to another
+    /// chain in the meantime goes through [`OwnedList::insert`] instead.
+    pub fn relink(&mut self, p: u32, f: u32) {
+        let (pr, nx) = (self.prev[f as usize], self.next[f as usize]);
+        if pr == NONE {
+            self.head[p as usize] = f;
+        } else {
+            self.next[pr as usize] = f;
+        }
+        if nx != NONE {
+            self.prev[nx as usize] = f;
         }
     }
 
@@ -543,6 +566,57 @@ mod tests {
         assert_eq!(list.iter(0).collect::<Vec<_>>(), vec![4, 9]);
         list.insert(0, 7);
         assert_eq!(list.iter(0).collect::<Vec<_>>(), vec![4, 7, 9]);
+    }
+
+    #[test]
+    fn nested_removes_relinked_last_in_first_out_restore_every_chain() {
+        // Seeded nests of unlinks, from one chain or several, undone in
+        // reverse: after each relink every chain must read exactly as it
+        // did before the matching remove — order and links both.
+        let mut state = 0x0D1Cu64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % bound
+        };
+        let chains = |list: &OwnedList, m: u32| -> Vec<Vec<u32>> {
+            (0..m).map(|p| list.iter(p).collect()).collect()
+        };
+        for case in 0..400 {
+            let (m, n) = (1 + next(4) as u32, 1 + next(40) as usize);
+            let owner: Vec<u32> = (0..n)
+                .map(|_| match next(m as u64 + 1) as u32 {
+                    p if p == m => NONE,
+                    p => p,
+                })
+                .collect();
+            let mut list = OwnedList::rebuild_from(&owner, m as usize);
+            let mut linked: Vec<u32> = (0..n as u32)
+                .filter(|&f| owner[f as usize] != NONE)
+                .collect();
+            let mut undo: Vec<(u32, u32, Vec<Vec<u32>>)> = Vec::new();
+            for _ in 0..60 {
+                if !linked.is_empty() && (undo.is_empty() || next(3) != 0) {
+                    let f = linked.swap_remove(next(linked.len() as u64) as usize);
+                    let p = owner[f as usize];
+                    undo.push((p, f, chains(&list, m)));
+                    list.remove(p, f);
+                } else if let Some((p, f, before)) = undo.pop() {
+                    list.relink(p, f);
+                    linked.push(f);
+                    assert_eq!(chains(&list, m), before, "case {case}");
+                }
+            }
+            while let Some((p, f, before)) = undo.pop() {
+                list.relink(p, f);
+                assert_eq!(chains(&list, m), before, "case {case}");
+            }
+            let rebuilt = OwnedList::rebuild_from(&owner, m as usize);
+            assert_eq!(list.head, rebuilt.head, "case {case}");
+            for f in (0..n).filter(|&f| owner[f] != NONE) {
+                assert_eq!(list.next[f], rebuilt.next[f], "case {case}: next of {f}");
+                assert_eq!(list.prev[f], rebuilt.prev[f], "case {case}: prev of {f}");
+            }
+        }
     }
 
     #[test]

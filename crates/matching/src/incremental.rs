@@ -69,6 +69,9 @@ struct MatchState {
     feed_stack: Vec<Feed>,
     /// Frames of the `dfs_exchange` search, kept between searches.
     exchange_stack: Vec<Exchange>,
+    /// The files still unmatched during `repair_core`, ascending; empty
+    /// between repairs, so a clone copies none of it.
+    open: Vec<u32>,
 }
 
 /// One file on the `dfs_rehome` path; see there.
@@ -145,6 +148,7 @@ impl MatchState {
             rehome_stack: Vec::new(),
             feed_stack: Vec::new(),
             exchange_stack: Vec::new(),
+            open: Vec::new(),
         }
     }
 
@@ -159,6 +163,22 @@ impl MatchState {
         if proc != NONE {
             self.owned.insert(proc, file);
         }
+        self.owner[file as usize] = proc;
+    }
+
+    /// Undoes a failed trade: `file`, detached from `proc` by
+    /// [`Self::set_owner`]`(file, NONE)`, goes back to `proc` and to the
+    /// place in its chain it left, in O(1) ([`OwnedList::relink`]).
+    ///
+    /// Exact because no search touches `proc`'s chain between the unlink
+    /// and the relink: `proc` is marked, so nothing is assigned to it or
+    /// evicted from it, and every deeper frame undoes its own unlinks
+    /// before it returns (last in, first out). The chain comes back as it
+    /// was, still ascending. A commit, which moves a file to a new owner,
+    /// links through the sorted walk of [`Self::set_owner`] instead.
+    fn restore_owner(&mut self, file: u32, proc: u32) {
+        debug_assert_eq!(self.owner[file as usize], NONE, "restored file is detached");
+        self.owned.relink(proc, file);
         self.owner[file as usize] = proc;
     }
 
@@ -183,7 +203,8 @@ impl MatchState {
     /// `next` that chain's resume point, captured before the child frame
     /// unlinks its file. No deeper frame touches `proc`'s chain (`proc`
     /// is marked, so none assigns to or evicts from it): a failed child
-    /// relinks its file in place and `next` is still right.
+    /// relinks its file in place ([`Self::restore_owner`]) and `next` is
+    /// still right.
     fn dfs_rehome(&mut self, g: &BipartiteGraph, file: u32) -> bool {
         let mut stack = std::mem::take(&mut self.rehome_stack);
         stack.clear();
@@ -218,7 +239,7 @@ impl MatchState {
                 // fails too, and its file goes back to its process.
                 stack.pop();
                 if let Some(parent) = stack.last() {
-                    self.set_owner(failed, parent.proc);
+                    self.restore_owner(failed, parent.proc);
                 }
             } else if self.load[p as usize] < self.quota[p as usize] {
                 // Spare quota ends the path: each process on it trades its
@@ -344,7 +365,7 @@ impl MatchState {
             if self.dfs_rehome(g, f2) {
                 return true;
             }
-            self.set_owner(f2, proc);
+            self.restore_owner(f2, proc);
             self.load[proc as usize] += 1;
             f2 = nxt;
         }
@@ -358,19 +379,31 @@ impl MatchState {
     /// an unmatched file; phase-sharing the marks only defers paths
     /// blocked by an earlier search in the same phase to the next phase.
     /// Finishes with the byte-optimality exchange pass.
+    ///
+    /// The unmatched files are collected once, ascending, and each phase
+    /// visits only those still open; a phase that made progress prunes
+    /// the list. No file becomes unmatched in here — a successful search
+    /// matches every file on its path, a failed one restores them — so
+    /// the phases search the same files in the same order as a scan of
+    /// every owner would.
     fn repair_core(&mut self, g: &BipartiteGraph, objective: Objective) {
+        let mut open = std::mem::take(&mut self.open);
+        open.extend((0..self.owner.len() as u32).filter(|&f| self.owner[f as usize] == NONE));
         loop {
             self.epoch += 1;
             let mut progressed = false;
-            for f in 0..self.owner.len() {
-                if self.owner[f] == NONE && self.dfs_rehome(g, f as u32) {
+            for &f in &open {
+                if self.owner[f as usize] == NONE && self.dfs_rehome(g, f) {
                     progressed = true;
                 }
             }
             if !progressed {
                 break;
             }
+            open.retain(|&f| self.owner[f as usize] == NONE);
         }
+        open.clear();
+        self.open = open;
         self.restore_bytes_optimality(g, objective);
     }
 
@@ -488,7 +521,7 @@ impl MatchState {
                 let failed = top.file;
                 stack.pop();
                 if let Some(parent) = stack.last() {
-                    self.set_owner(failed, parent.proc);
+                    self.restore_owner(failed, parent.proc);
                 }
             }
         };
@@ -1436,6 +1469,171 @@ mod tests {
         }
         // Both outcomes were walked often.
         assert!(searches.iter().all(|&n| n >= 1_000), "{searches:?}");
+    }
+
+    /// `repair_core` as it stood before its phases visited only the open
+    /// files: every phase scans every owner.
+    fn repair_core_full_scan(s: &mut MatchState, g: &BipartiteGraph, objective: Objective) {
+        loop {
+            s.epoch += 1;
+            let mut progressed = false;
+            for f in 0..s.owner.len() {
+                if s.owner[f] == NONE && s.dfs_rehome(g, f as u32) {
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        s.restore_bytes_optimality(g, objective);
+    }
+
+    /// `release_capacity` as it stood before a failed trade relinked its
+    /// file: the file goes back through the sorted walk, behind the
+    /// recursive search.
+    fn release_capacity_recursive(s: &mut MatchState, g: &BipartiteGraph, proc: u32) -> bool {
+        if s.load[proc as usize] < s.quota[proc as usize] {
+            return true;
+        }
+        let mut f2 = s.owned.head_of(proc);
+        while f2 != NONE {
+            let nxt = s.owned.next_of(f2);
+            s.epoch += 1;
+            s.mark[proc as usize] = s.epoch;
+            s.set_owner(f2, NONE);
+            s.load[proc as usize] -= 1;
+            if dfs_rehome_recursive(s, g, f2) {
+                return true;
+            }
+            s.set_owner(f2, proc);
+            s.load[proc as usize] += 1;
+            f2 = nxt;
+        }
+        false
+    }
+
+    /// A matcher over `m` processes and `n` files whose replicas sit on
+    /// the first half of the processes, so quotas leave files out; sizes
+    /// are mixed under the bytes objective.
+    fn half_placed(m: usize, n: usize, seed: u64, objective: Objective) -> IncrementalMatcher {
+        let mut g = BipartiteGraph::new(m, n);
+        let mut state = seed ^ 0x0F11;
+        for f in 0..n {
+            for p in 0..m / 2 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                if state % 3 == 0 {
+                    g.add_edge(p, f, churn_size(objective, f, seed));
+                }
+            }
+        }
+        IncrementalMatcher::new(g, objective)
+    }
+
+    fn churn_size(objective: Objective, f: usize, seed: u64) -> u64 {
+        match objective {
+            Objective::MatchCount => 64,
+            Objective::MatchedBytes => 8 + (f as u64 * 37 + seed) % 200,
+        }
+    }
+
+    #[test]
+    fn open_file_phases_and_relinked_releases_repeat_their_old_bodies_over_seeded_churn() {
+        // Staged batches of edge churn, both objectives: the repair that
+        // visits only the open files must leave owners, loads, chains and
+        // marks as the every-owner scan does, and from every state a
+        // release of each full process must leave them as the sorted-walk
+        // undo behind the recursive search does.
+        let (mut multi_phase, mut released) = (0usize, [0usize; 2]);
+        for objective in [Objective::MatchCount, Objective::MatchedBytes] {
+            for seed in 0..6u64 {
+                let mut inc = half_placed(6, 30, seed, objective);
+                let mut state = seed ^ 0xBA7C;
+                for step in 0..25 {
+                    for _ in 0..6 {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let p = (state >> 8) as usize % 6;
+                        let f = (state >> 24) as usize % 30;
+                        if inc.graph().weight(p, f).is_some() {
+                            inc.stage_remove_edge(p, f);
+                        } else {
+                            inc.stage_add_edge(p, f, churn_size(objective, f, seed));
+                        }
+                    }
+                    let g = inc.graph.clone();
+                    let (mut a, mut b) = (inc.state.clone(), inc.state.clone());
+                    a.repair_core(&g, objective);
+                    repair_core_full_scan(&mut b, &g, objective);
+                    let what = format!("{objective:?} seed {seed} step {step}");
+                    assert_eq!(search_state(&a), search_state(&b), "{what}: repair");
+                    // Under the count objective an epoch is a phase: a
+                    // third one means the pruned list was searched again.
+                    if objective == Objective::MatchCount {
+                        multi_phase += usize::from(b.epoch - inc.state.epoch > 2);
+                    }
+                    inc.repair_batch();
+                    let full = (0..6u32).filter(|&p| inc.state.load[p as usize] > 0);
+                    for p in
+                        full.filter(|&p| inc.state.load[p as usize] == inc.state.quota[p as usize])
+                    {
+                        let (mut a, mut b) = (inc.state.clone(), inc.state.clone());
+                        let found = a.release_capacity(&g, p);
+                        assert_eq!(found, release_capacity_recursive(&mut b, &g, p), "{what}");
+                        assert_eq!(search_state(&a), search_state(&b), "{what}: release {p}");
+                        released[usize::from(found)] += 1;
+                    }
+                }
+            }
+        }
+        // Repairs ran several phases, and releases both won and failed.
+        assert!(multi_phase >= 20, "{multi_phase}");
+        assert!(released.iter().all(|&n| n >= 100), "{released:?}");
+    }
+
+    #[test]
+    fn an_edge_into_an_unmatched_file_repairs_as_staging_it_and_repairing_does() {
+        // From every maximum matching of a seeded churn, both objectives:
+        // `add_edge(p, f)` for an unmatched `f` — one search seeded at `f`
+        // — leaves graph, owners, loads and chains as staging the edge and
+        // running the full repair does.
+        let mut gained = [0usize; 2];
+        for objective in [Objective::MatchCount, Objective::MatchedBytes] {
+            for seed in 0..4u64 {
+                let mut inc = half_placed(6, 30, seed, objective);
+                let mut state = seed ^ 0xADD;
+                for step in 0..20 {
+                    for f in (0..30).filter(|&f| inc.owner_of(f).is_none()) {
+                        let size = churn_size(objective, f, seed);
+                        for p in (0..6).filter(|&p| inc.graph().weight(p, f).is_none()) {
+                            let (mut a, mut b) = (inc.clone(), inc.clone());
+                            a.add_edge(p, f, size);
+                            b.stage_add_edge(p, f, size);
+                            b.repair_batch();
+                            let what = format!("{objective:?} seed {seed} step {step}: ({p},{f})");
+                            assert!(a == b, "{what}");
+                            assert_eq!(
+                                search_state(&a.state).2,
+                                search_state(&b.state).2,
+                                "{what}"
+                            );
+                            let spare = inc.state.load[p] < inc.state.quota[p];
+                            gained[usize::from(spare)] +=
+                                usize::from(a.matched_count() > inc.matched_count());
+                        }
+                    }
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let p = (state >> 8) as usize % 6;
+                    let f = (state >> 24) as usize % 30;
+                    if inc.graph().weight(p, f).is_some() {
+                        inc.remove_edge(p, f);
+                    } else {
+                        inc.add_edge(p, f, churn_size(objective, f, seed));
+                    }
+                }
+            }
+        }
+        // Edges to full processes and to spare ones both let files in.
+        assert!(gained.iter().all(|&n| n >= 100), "{gained:?}");
     }
 
     /// `m` processes and files, one quota unit each: process `p` holds

@@ -69,5 +69,5 @@ pub use multi_data::{assign_multi_data, repair_multi_data, MatchingValues, Multi
 pub use placement::{propose_moves, PlacementPolicy, ReplicaMove};
 pub use single_data::{
     quotas, weighted_quotas, FillPolicy, Objective, SingleDataMatcher, SingleDataOutcome,
-    TwoTierOutcome,
+    SpareQuota, TwoTierOutcome,
 };

@@ -18,6 +18,24 @@
 //! the repaired matching must absorb the file, so every accepted move is
 //! worth its full size in newly-local bytes.
 //!
+//! A simulated move is one augmenting search seeded at the file
+//! ([`IncrementalMatcher::add_edge`]), not a full repair. The clone is
+//! maximum before the edge, and an unmatched file cannot be entered
+//! through a matching edge, so every augmenting path the edge opens
+//! starts at that file. A repair phase over every unmatched file would
+//! fail the searches before it — they mark only processes that cannot
+//! reach spare quota, which the seeded search could not pass through
+//! either — commit the same path from the file, and fail every search
+//! after it.
+//!
+//! A candidate is still unmatched when its turn comes. An accepted move
+//! adds exactly its file to the matched set, and under
+//! [`crate::Objective::MatchedBytes`] the exchange pass lets nothing else
+//! in: a file the old optimum left out was spanned by the heavier files
+//! matched beside it, and a new edge at another file only widens what
+//! they span. An undone move restores the old graph and a matching of
+//! the old cardinality over the old files.
+//!
 //! Determinism: proposals are a pure function of the matcher state and
 //! the policy. Candidate files are ordered by `(size desc, file index)`,
 //! targets by `(load, proc index)`; no RNG, no map iteration order.
@@ -99,6 +117,7 @@ pub fn propose_moves(
 
     let mut moves = Vec::new();
     let mut spent = 0u64;
+    let mut matched = sim.matched_bytes();
     for (size, file) in candidates {
         if moves.len() >= policy.max_moves_per_round {
             break;
@@ -114,16 +133,18 @@ pub fn propose_moves(
         let Some(to_proc) = target else {
             continue;
         };
-        let before = sim.matched_bytes();
-        sim.stage_add_edge(to_proc, file, size);
-        sim.repair_batch();
-        let gain_bytes = sim.matched_bytes().saturating_sub(before);
+        debug_assert!(sim.owner_of(file).is_none(), "candidates stay unmatched");
+        sim.add_edge(to_proc, file, size);
+        let after = sim.matched_bytes();
+        let gain_bytes = after.saturating_sub(matched);
         if gain_bytes < policy.min_gain_bytes {
             // Undo the speculative edge so later simulations stay honest.
             sim.stage_remove_edge(to_proc, file);
             sim.repair_batch();
+            debug_assert_eq!(sim.matched_bytes(), matched, "the old files match again");
             continue;
         }
+        matched = after;
         spent += size;
         moves.push(ReplicaMove {
             file,
@@ -140,6 +161,8 @@ mod tests {
     use super::*;
     use crate::graph::BipartiteGraph;
     use crate::single_data::Objective;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// 4 procs (quota 2 each), 8 files, all co-located with procs 0 and
     /// 1 only — the classic hot spot.
@@ -204,6 +227,140 @@ mod tests {
         let moves = propose_moves(&m, &sizes, &policy);
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].size, 10, "largest unmatched file goes first");
+    }
+
+    /// What the old body of [`propose_moves`] did along the way.
+    #[derive(Debug, Default)]
+    struct Walked {
+        undone: usize,
+        over_budget: usize,
+    }
+
+    /// `propose_moves` as it stood before a simulated move became one
+    /// seeded augment: every move stages its edge and runs the full
+    /// repair, and measures matched bytes before and after.
+    fn propose_moves_full_repair(
+        matcher: &IncrementalMatcher,
+        sizes: &[u64],
+        policy: &PlacementPolicy,
+        walked: &mut Walked,
+    ) -> Vec<ReplicaMove> {
+        let mut sim = matcher.clone();
+        let n_procs = sim.graph().n_procs();
+        let mut candidates: Vec<(u64, usize)> = (0..sim.graph().n_files())
+            .filter(|&f| sim.owner_of(f).is_none())
+            .map(|f| (sizes[f], f))
+            .collect();
+        candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut moves = Vec::new();
+        let mut spent = 0u64;
+        for (size, file) in candidates {
+            if moves.len() >= policy.max_moves_per_round {
+                break;
+            }
+            if size > policy.round_byte_budget.saturating_sub(spent) {
+                walked.over_budget += 1;
+                continue;
+            }
+            let target = (0..n_procs)
+                .filter(|&p| {
+                    sim.load()[p] < sim.quota()[p] && sim.graph().weight(p, file).is_none()
+                })
+                .min_by_key(|&p| (sim.load()[p], p));
+            let Some(to_proc) = target else {
+                continue;
+            };
+            let before = sim.matched_bytes();
+            sim.stage_add_edge(to_proc, file, size);
+            sim.repair_batch();
+            let gain_bytes = sim.matched_bytes().saturating_sub(before);
+            if gain_bytes < policy.min_gain_bytes {
+                walked.undone += 1;
+                sim.stage_remove_edge(to_proc, file);
+                sim.repair_batch();
+                continue;
+            }
+            spent += size;
+            moves.push(ReplicaMove {
+                file,
+                to_proc,
+                size,
+                gain_bytes,
+            });
+        }
+        moves
+    }
+
+    /// A seeded layout of `n` files over `nodes` nodes with 1–3
+    /// processes each (`case` picks), replicas on a hot quarter of the
+    /// nodes or anywhere, 0–3 per file; sizes uniform or mixed.
+    fn seeded_layout(case: usize, rng: &mut StdRng) -> (IncrementalMatcher, Vec<u64>) {
+        let nodes = rng.gen_range(2usize..12);
+        let per_node = 1 + case % 3;
+        let n = rng.gen_range(1usize..60);
+        let hot = case / 3 % 2 == 0;
+        let pool = if hot { (nodes / 4).max(1) } else { nodes };
+        let mixed = case / 6 % 2 == 0;
+        let objective = [Objective::MatchCount, Objective::MatchedBytes][case / 12 % 2];
+        let sizes: Vec<u64> = (0..n)
+            .map(|_| if mixed { rng.gen_range(1u64..200) } else { 64 })
+            .collect();
+        let mut g = BipartiteGraph::new(nodes * per_node, n);
+        for (f, &size) in sizes.iter().enumerate() {
+            let r = rng.gen_range(0usize..4).min(pool);
+            let mut held: Vec<usize> = Vec::new();
+            while held.len() < r {
+                let node = rng.gen_range(0..pool);
+                if !held.contains(&node) {
+                    held.push(node);
+                }
+            }
+            for node in held {
+                for p in node * per_node..(node + 1) * per_node {
+                    g.add_edge(p, f, size);
+                }
+            }
+        }
+        (IncrementalMatcher::new(g, objective), sizes)
+    }
+
+    #[test]
+    fn seeded_augments_propose_what_full_repairs_proposed() {
+        let mut rng = StdRng::seed_from_u64(0x9_1ACE);
+        let mut walked = Walked::default();
+        let mut moved = 0usize;
+        for case in 0..2_400 {
+            let (matcher, sizes) = seeded_layout(case, &mut rng);
+            let total: u64 = sizes.iter().sum();
+            let policy = PlacementPolicy {
+                round_byte_budget: if case % 5 == 0 {
+                    u64::MAX
+                } else {
+                    rng.gen_range(0..=total / 2)
+                },
+                max_moves_per_round: if case % 7 == 0 {
+                    64
+                } else {
+                    rng.gen_range(1usize..10)
+                },
+                min_gain_bytes: if case % 4 == 0 {
+                    1
+                } else {
+                    rng.gen_range(1u64..220)
+                },
+            };
+            let want = propose_moves_full_repair(&matcher, &sizes, &policy, &mut walked);
+            assert_eq!(
+                propose_moves(&matcher, &sizes, &policy),
+                want,
+                "case {case}"
+            );
+            moved += want.len();
+        }
+        // Every branch of the loop was taken, and often.
+        assert!(moved >= 5_000, "{moved} moves");
+        assert!(walked.undone >= 500, "{walked:?}");
+        assert!(walked.over_budget >= 500, "{walked:?}");
     }
 
     #[test]

@@ -123,6 +123,58 @@ pub fn weighted_quotas(n_files: usize, weights: &[f64]) -> Vec<usize> {
     quota
 }
 
+/// The processes still below quota, in ascending order: the one fill
+/// behind [`SingleDataMatcher`]'s plans and a session's renders. A
+/// process leaves the list when it reaches its quota, so each unowned
+/// file costs one draw, not a scan of every process.
+#[derive(Debug, Clone)]
+pub struct SpareQuota {
+    spare: Vec<usize>,
+}
+
+impl SpareQuota {
+    /// The processes whose `load` is below their `quota`.
+    pub fn new(quota: &[usize], load: &[usize]) -> Self {
+        SpareQuota {
+            spare: (0..quota.len()).filter(|&p| load[p] < quota[p]).collect(),
+        }
+    }
+
+    /// Picks the process for the next unowned file and charges it one
+    /// unit of `load`. [`FillPolicy::Random`] takes the `k`-th spare
+    /// process in ascending order, `k` drawn over their count;
+    /// [`FillPolicy::LeastLoaded`] takes the least `(load, process)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no process has spare quota — quotas that sum to the
+    /// file count always leave one for an unowned file.
+    pub fn take<R: Rng>(
+        &mut self,
+        policy: FillPolicy,
+        quota: &[usize],
+        load: &mut [usize],
+        rng: &mut R,
+    ) -> usize {
+        assert!(
+            !self.spare.is_empty(),
+            "quotas sum to n, so spare capacity must exist"
+        );
+        let i = match policy {
+            FillPolicy::Random => rng.gen_range(0..self.spare.len()),
+            FillPolicy::LeastLoaded => (0..self.spare.len())
+                .min_by_key(|&i| (load[self.spare[i]], self.spare[i]))
+                .expect("spare list is not empty"),
+        };
+        let p = self.spare[i];
+        load[p] += 1;
+        if load[p] == quota[p] {
+            self.spare.remove(i);
+        }
+        p
+    }
+}
+
 /// Result of the two-tier (node-then-rack) matcher — this repository's
 /// rack-locality extension.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,8 +381,8 @@ impl SingleDataMatcher {
         matched as usize
     }
 
-    /// Fills unowned files into spare quota per the fill policy. Returns
-    /// how many files were filled.
+    /// Fills unowned files into spare quota per the fill policy
+    /// ([`SpareQuota`]). Returns how many files were filled.
     fn fill<R: Rng>(
         &self,
         quota: &[usize],
@@ -338,21 +390,10 @@ impl SingleDataMatcher {
         load: &mut [usize],
         rng: &mut R,
     ) -> usize {
+        let mut spare = SpareQuota::new(quota, load);
         let mut filled = 0usize;
         for o in owner.iter_mut().filter(|o| o.is_none()) {
-            let mut spare = (0..quota.len()).filter(|&p| load[p] < quota[p]);
-            let chosen = match self.fill {
-                // The `k`-th spare process in ascending order, `k` drawn
-                // over their count — no candidate list is built.
-                FillPolicy::Random => {
-                    let k = rng.gen_range(0..spare.clone().count());
-                    spare.nth(k)
-                }
-                FillPolicy::LeastLoaded => spare.min_by_key(|&p| (load[p], p)),
-            }
-            .expect("quotas sum to n, so spare capacity must exist");
-            *o = Some(chosen);
-            load[chosen] += 1;
+            *o = Some(spare.take(self.fill, quota, load, rng));
             filled += 1;
         }
         filled
@@ -633,6 +674,105 @@ mod tests {
         assert_eq!(matched, m);
         assert_eq!(owners[0], Some(m - 1));
         assert!((1..m).all(|f| owners[f] == Some(f - 1)));
+    }
+
+    /// The fill as it stood before [`SpareQuota`]: every unowned file
+    /// scans every process for spare quota.
+    fn fill_by_scan(
+        policy: FillPolicy,
+        quota: &[usize],
+        owner: &mut [Option<usize>],
+        load: &mut [usize],
+        rng: &mut StdRng,
+    ) {
+        for o in owner.iter_mut().filter(|o| o.is_none()) {
+            let mut spare = (0..quota.len()).filter(|&p| load[p] < quota[p]);
+            let chosen = match policy {
+                FillPolicy::Random => {
+                    let k = rng.gen_range(0..spare.clone().count());
+                    spare.nth(k)
+                }
+                FillPolicy::LeastLoaded => spare.min_by_key(|&p| (load[p], p)),
+            }
+            .expect("quotas sum to n, so spare capacity must exist");
+            *o = Some(chosen);
+            load[chosen] += 1;
+        }
+    }
+
+    #[test]
+    fn the_spare_list_fills_as_the_per_file_scan_did() {
+        // Seeded plans, both policies: one process or several, quotas
+        // with zeros in them (more processes than files, or weighted),
+        // nothing owned, some owned, or every file owned already. Owners,
+        // loads and the generator state must all come out equal.
+        let mut rng = StdRng::seed_from_u64(0x5FA2E);
+        let mut filled = 0usize;
+        for case in 0..3_000 {
+            let m = if case % 5 == 0 {
+                1
+            } else {
+                rng.gen_range(1usize..12)
+            };
+            let n = rng.gen_range(0usize..40);
+            let quota = if case % 2 == 0 {
+                quotas(n, m)
+            } else {
+                let weights: Vec<f64> = (0..m)
+                    .map(|p| {
+                        if p == 0 {
+                            1.0
+                        } else {
+                            f64::from(rng.gen_range(0u8..3))
+                        }
+                    })
+                    .collect();
+                weighted_quotas(n, &weights)
+            };
+            let owned_percent = [0, 30, 80, 100][case % 4];
+            let mut owner: Vec<Option<usize>> = vec![None; n];
+            let mut load = vec![0usize; m];
+            for o in owner.iter_mut() {
+                let p = rng.gen_range(0..m);
+                if rng.gen_range(0u32..100) < owned_percent && load[p] < quota[p] {
+                    *o = Some(p);
+                    load[p] += 1;
+                }
+            }
+            if owned_percent == 100 {
+                // Every file owned: fill what the draw left by scan.
+                fill_by_scan(
+                    FillPolicy::LeastLoaded,
+                    &quota,
+                    &mut owner,
+                    &mut load,
+                    &mut rng,
+                );
+            }
+            let policy = [FillPolicy::Random, FillPolicy::LeastLoaded][case / 4 % 2];
+            let (mut want_owner, mut want_load) = (owner.clone(), load.clone());
+            let mut want_rng = StdRng::seed_from_u64(case as u64);
+            fill_by_scan(
+                policy,
+                &quota,
+                &mut want_owner,
+                &mut want_load,
+                &mut want_rng,
+            );
+
+            let mut got_rng = StdRng::seed_from_u64(case as u64);
+            let matcher = SingleDataMatcher {
+                fill: policy,
+                ..Default::default()
+            };
+            let count = matcher.fill(&quota, &mut owner, &mut load, &mut got_rng);
+            assert_eq!(owner, want_owner, "case {case}");
+            assert_eq!(load, want_load, "case {case}");
+            assert_eq!(got_rng, want_rng, "case {case}: draws made by the fill");
+            assert_eq!(load, quota, "case {case}: every quota met");
+            filled += count;
+        }
+        assert!(filled >= 20_000, "{filled} files filled");
     }
 
     /// The matching stage and the fill as they stood before the in-place

@@ -5,12 +5,15 @@ use opass_core::{
     build_matching_values, ClusterSpec, Dynamic, Experiment, MultiData, OpassPlanner, PlanRequest,
     Strategy,
 };
-use opass_dfs::{DatasetSpec, DfsConfig, Namenode, Placement};
-use opass_matching::{assign_multi_data, DynamicScheduler};
+use opass_dfs::{ChunkId, DatasetSpec, DfsConfig, LayoutDelta, Namenode, NodeId, Placement};
+use opass_matching::maxflow::MinCostFlowNetwork;
+use opass_matching::{
+    assign_multi_data, quotas, repair_multi_data, DynamicScheduler, MatchingValues,
+};
 use opass_runtime::ProcessPlacement;
 use opass_workloads::{multi as multi_wl, MultiDataConfig, Task, Workload};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn multi(m: usize, seed: u64) -> MultiData {
     MultiData {
@@ -152,6 +155,94 @@ fn algorithm1_repeats_its_exact_counts_on_the_benchmark_scenes() {
             assert_eq!(p.assignment, out.assignment, "{n_nodes} x {n_tasks}");
             assert_eq!(p.matched_bytes, out.matched_bytes);
             assert_eq!(p.reassignments, reassignments);
+        }
+    }
+}
+
+/// The exact optimum of Algorithm 1's problem — every task to one
+/// process, every process exactly its quota, the most co-located bytes
+/// — as a min-cost flow: source → process (its quota), process → task
+/// (1, cost −MiB) wherever the value is non-zero, and a zero-cost hub
+/// that lets any process take any task at value zero; task → sink (1).
+/// Returns the flow and the optimum in bytes.
+fn exact_optimum(values: &MatchingValues) -> (u64, u64) {
+    let (m, n) = (values.n_procs(), values.n_tasks());
+    let (s, hub, t) = (0, 1 + m, 2 + m + n);
+    let task = |i: usize| 2 + m + i;
+    let mut net = MinCostFlowNetwork::new(t + 1);
+    for (p, q) in quotas(n, m).into_iter().enumerate() {
+        net.add_edge(s, 1 + p, q as u64, 0);
+        net.add_edge(1 + p, hub, q as u64, 0);
+        for &(i, bytes) in values.tasks_of(p) {
+            assert_eq!(bytes % (1 << 20), 0, "values are whole MiB");
+            net.add_edge(1 + p, task(i), 1, -((bytes >> 20) as i64));
+        }
+    }
+    for i in 0..n {
+        net.add_edge(hub, task(i), 1, 0);
+        net.add_edge(task(i), t, 1, 0);
+    }
+    let (flow, cost) = net.min_cost_max_flow(s, t);
+    (flow, ((-cost) as u64) << 20)
+}
+
+#[test]
+fn algorithm1_and_its_repair_stay_at_or_below_the_exact_optimum() {
+    // The benchmark scenes' generator at two shapes and three seeds;
+    // then one replica of every eighth task's first input moves, and the
+    // repair re-auctions the tasks that read a moved chunk.
+    for (n_nodes, n_tasks) in [(64, 640), (128, 256)] {
+        for seed in [1u64, 7, 20_150_525] {
+            let mut rng = StdRng::seed_from_u64(seed ^ n_nodes as u64);
+            let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+            let (_, tasks) = multi_wl::generate(
+                &mut nn,
+                &MultiDataConfig {
+                    n_tasks,
+                    input_sizes: vec![30 << 20, 20 << 20, 10 << 20],
+                },
+                &Placement::Random,
+                &mut rng,
+            );
+            let placement = ProcessPlacement::one_per_node(n_nodes);
+            let values = build_matching_values(&nn, &tasks, &placement);
+            let out = assign_multi_data(&values);
+            let (flow, optimum) = exact_optimum(&values);
+            let what = format!("{n_nodes} x {n_tasks}, seed {seed}");
+            assert_eq!(flow, n_tasks as u64, "{what}: every task placed");
+            assert!(out.matched_bytes <= optimum, "{what}");
+
+            let moves: Vec<_> = tasks
+                .tasks
+                .iter()
+                .step_by(8)
+                .map(|task| {
+                    let chunk = task.inputs[0];
+                    let held = &nn.chunk(chunk).expect("chunk exists").locations;
+                    let to = loop {
+                        let node = NodeId(rng.gen_range(0..n_nodes as u32));
+                        if !held.contains(&node) {
+                            break node;
+                        }
+                    };
+                    (chunk, held[0], to)
+                })
+                .collect();
+            nn.apply_migrations(&LayoutDelta::migrations(&moves))
+                .expect("migrations apply");
+            let moved: Vec<ChunkId> = moves.iter().map(|&(c, _, _)| c).collect();
+            let affected: Vec<usize> = (0..n_tasks)
+                .filter(|&i| tasks.tasks[i].inputs.iter().any(|c| moved.contains(c)))
+                .collect();
+            let churned = build_matching_values(&nn, &tasks, &placement);
+            let repaired = repair_multi_data(&churned, &out.assignment, &affected);
+            let (flow, optimum_after) = exact_optimum(&churned);
+            assert_eq!(
+                flow, n_tasks as u64,
+                "{what}: every task placed after churn"
+            );
+            assert!(repaired.assignment.is_balanced(), "{what}");
+            assert!(repaired.matched_bytes <= optimum_after, "{what}: repair");
         }
     }
 }
