@@ -434,11 +434,32 @@ fn saturated_queue_sheds_with_typed_overloaded() {
         };
         burst.extend(encode_frame(&plan.to_json()).expect("encode plan"));
     }
+    // A layout and a place request behind the plans meet the same full
+    // queue and draw the same typed refusal.
+    let tail = [
+        Request::Layout { dataset: 0 },
+        Request::Place {
+            dataset: 0,
+            rounds: 1,
+            budget: None,
+            seed: 0,
+        },
+    ];
+    for request in &tail {
+        burst.extend(encode_frame(&request.to_json()).expect("encode tail"));
+    }
     let mut raw = TcpStream::connect(&addr).expect("raw connect");
     raw.write_all(&burst).expect("write burst");
-    let outcomes: Vec<Response> = (0..BURST)
+    let mut outcomes: Vec<Response> = (0..BURST + tail.len())
         .map(|_| Response::from_json(&read_frame(&mut raw).expect("reply frame")).expect("decodes"))
         .collect();
+    let tail_outcomes = outcomes.split_off(BURST);
+    assert!(
+        tail_outcomes
+            .iter()
+            .all(|r| matches!(r, Response::Overloaded { .. })),
+        "the layout and the place behind a full queue are typed-shed: {tail_outcomes:?}"
+    );
 
     let served = outcomes
         .iter()
@@ -461,7 +482,7 @@ fn saturated_queue_sheds_with_typed_overloaded() {
 
     let mut control = Client::connect(&addr).expect("control connect");
     let stats = control.stats().expect("stats");
-    assert_eq!(stats.shed, shed as u64);
+    assert_eq!(stats.shed, (shed + tail.len()) as u64);
     assert_eq!(stats.queue_capacity, 1);
     assert_eq!(stats.workers, 1);
     handle.shutdown();
@@ -516,6 +537,72 @@ fn stampede_after_invalidation_coalesces_to_one_computation() {
         coalesced > 0,
         "concurrent same-key requests must share the leader's computation"
     );
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_same_key_requests_share_one_flight() {
+    // One shard, one worker, and four plan frames for one key followed
+    // by four layout frames in a single write: the shard reads them all
+    // in one sweep while the first cold plan holds the worker, so each
+    // kind runs exactly one computation and the other three join it.
+    let handle = boot_sharded(spec_slow_plan(), 1, 8, 1);
+    let addr = handle.addr().to_string();
+
+    const EACH: usize = 4;
+    let plan = Request::Plan {
+        dataset: 0,
+        strategy: Strategy::Opass,
+        seed: 7,
+    };
+    let layout = Request::Layout { dataset: 0 };
+    let mut burst = Vec::new();
+    for _ in 0..EACH {
+        burst.extend(encode_frame(&plan.to_json()).expect("encode plan"));
+    }
+    for _ in 0..EACH {
+        burst.extend(encode_frame(&layout.to_json()).expect("encode layout"));
+    }
+    let mut raw = TcpStream::connect(&addr).expect("raw connect");
+    raw.write_all(&burst).expect("write burst");
+    let mut next =
+        || Response::from_json(&read_frame(&mut raw).expect("reply frame")).expect("decodes");
+
+    let plans: Vec<_> = (0..EACH)
+        .map(|_| match next() {
+            Response::Plan(p) => p,
+            other => panic!("expected a plan, got {other:?}"),
+        })
+        .collect();
+    assert!(
+        !plans[0].coalesced && !plans[0].cached,
+        "the first request leads the flight"
+    );
+    for follower in &plans[1..] {
+        assert!(follower.coalesced && !follower.cached, "the rest join it");
+        assert_eq!(follower.owners, plans[0].owners);
+    }
+
+    let layouts: Vec<_> = (0..EACH)
+        .map(|_| match next() {
+            Response::Layout(l) => l,
+            other => panic!("expected a layout, got {other:?}"),
+        })
+        .collect();
+    assert!(!layouts[0].cached, "the layout was walked, not cached");
+    for follower in &layouts[1..] {
+        assert_eq!(follower, &layouts[0], "followers get the leader's bytes");
+    }
+
+    let mut control = Client::connect(&addr).expect("control connect");
+    let stats = control.stats().expect("stats");
+    assert_eq!(stats.coalesced, 2 * (EACH as u64 - 1));
+    let warm = control.plan(0, Strategy::Opass, 7).expect("fifth plan");
+    assert!(warm.cached);
+    assert_eq!(warm.owners, plans[0].owners);
+    let warm = control.layout(0).expect("fifth layout");
+    assert!(warm.cached);
+    assert_eq!(warm.entries, layouts[0].entries);
     handle.shutdown();
 }
 
