@@ -20,14 +20,14 @@
 //! * **Request coalescing**: concurrent requests for the same
 //!   `(dataset, strategy, seed)` share a single computation — the
 //!   stampede after an invalidation runs the planner once.
-//! * **Admission control** ([`pool`]): a bounded worker queue; when it is
-//!   full the server replies `overloaded` immediately instead of queueing
-//!   without bound. Admitted work always completes, even across graceful
-//!   shutdown.
-//! * **Metrics** ([`metrics`]): per-request latency histogram
+//! * **Admission control** (the `pool` module): a bounded worker queue;
+//!   when it is full the server replies `overloaded` immediately instead
+//!   of queueing without bound. Admitted work always completes, even
+//!   across graceful shutdown.
+//! * **Metrics** (the `metrics` module): per-request latency histogram
 //!   (power-of-two microsecond buckets, p50/p99), cache hit/miss,
-//!   coalesce and shed counters — merged and per shard — all exported by
-//!   the `stats` request.
+//!   coalesce and shed counters — per shard, and merged as the sum of
+//!   the shards — all exported by the `stats` request.
 //!
 //! Determinism is the contract: the served world is built from a
 //! [`ServeSpec`], and for a fixed `(spec, generation, strategy, seed)` a
@@ -54,9 +54,9 @@
 pub mod client;
 mod conn;
 pub mod frame;
-pub mod metrics;
+mod metrics;
 mod planning;
-pub mod pool;
+mod pool;
 pub mod protocol;
 mod reactor;
 pub mod replay;
@@ -65,8 +65,6 @@ pub mod spec;
 
 pub use client::{Client, ClientError};
 pub use frame::{FrameError, MAX_FRAME};
-pub use metrics::{LatencyHistogram, ServeMetrics, ShardStats, Timer};
-pub use pool::{SubmitError, WorkerPool};
 pub use protocol::{
     LatencyBin, LatencySummary, LayoutEntry, LayoutReply, PlaceReply, PlaceRoundReply, PlanReply,
     ProtoError, Request, Response, ShardStatsReply, StatsReply, PROTOCOL_VERSION,

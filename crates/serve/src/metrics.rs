@@ -93,13 +93,23 @@ impl LatencyHistogram {
     /// A consistent-enough snapshot: `(count, mean_us, p50_us, p99_us,
     /// non-empty bins)`. Quantiles are bucket upper bounds.
     pub fn snapshot(&self) -> (u64, f64, f64, f64, Vec<LatencyBin>) {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        Self::snapshot_sum([self])
+    }
+
+    /// The [`LatencyHistogram::snapshot`] of the histogram holding every
+    /// sample of `parts`, bucket by bucket.
+    pub fn snapshot_sum<'a>(
+        parts: impl IntoIterator<Item = &'a LatencyHistogram>,
+    ) -> (u64, f64, f64, f64, Vec<LatencyBin>) {
+        let mut counts = [0u64; NBUCKETS];
+        let mut sum = 0u64;
+        for part in parts {
+            for (total, bucket) in counts.iter_mut().zip(&part.buckets) {
+                *total += bucket.load(Ordering::Relaxed);
+            }
+            sum = sum.wrapping_add(part.sum_us.load(Ordering::Relaxed));
+        }
         let count: u64 = counts.iter().sum();
-        let sum = self.sum_us.load(Ordering::Relaxed);
         let mean = if count == 0 {
             0.0
         } else {
@@ -148,32 +158,6 @@ impl LatencyHistogram {
 impl Default for LatencyHistogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Top-level request counters for the service.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Requests received (all types).
-    pub requests: AtomicU64,
-    /// Plans computed on the cold path (cache miss, leader flight).
-    pub planned: AtomicU64,
-    /// Plans repaired in place from a cached predecessor via a layout
-    /// delta (a leader flight that skipped the from-scratch planner).
-    pub repaired: AtomicU64,
-    /// Latency of plan/layout request handling.
-    pub latency: LatencyHistogram,
-    /// Latency of delta repairs alone (the matching-repair part of a
-    /// flight, excluding queueing).
-    pub repair_latency: LatencyHistogram,
-    /// Latency of from-scratch plan computations alone.
-    pub cold_plan_latency: LatencyHistogram,
-}
-
-impl ServeMetrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> ServeMetrics {
-        ServeMetrics::default()
     }
 }
 
@@ -246,6 +230,28 @@ mod tests {
         assert_eq!(bins.len(), 2);
         assert_eq!(bins[0].count, 99);
         assert_eq!(bins[1].count, 1);
+    }
+
+    #[test]
+    fn a_summed_snapshot_is_the_snapshot_of_every_sample() {
+        let (a, b, both) = (
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+        );
+        for us in [0, 1, 3, 900, 70_000] {
+            a.record(us);
+            both.record(us);
+        }
+        for us in [2, 2, 5, 1 << 40] {
+            b.record(us);
+            both.record(us);
+        }
+        assert_eq!(LatencyHistogram::snapshot_sum([&a, &b]), both.snapshot());
+        assert_eq!(
+            LatencyHistogram::snapshot_sum([]),
+            LatencyHistogram::new().snapshot()
+        );
     }
 
     #[test]

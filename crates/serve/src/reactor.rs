@@ -13,11 +13,13 @@
 //! Cross-shard traffic rides three per-shard mailboxes (one mutex +
 //! condvar each): `routed` requests toward a dataset's owner, completed
 //! `replies` back to the connection's shard, and `done` computation
-//! results from the worker pool toward the owning slice. Singleflight
-//! coalescing is structural here: the owner shard keeps one in-flight
-//! table per slice, so a stampede of same-key requests admits exactly
-//! one pool job and every follower waits on the same completion —
-//! deterministic, no condvar races.
+//! results from the worker pool toward the owning slice. Every dataset
+//! request — plan, layout, place — takes one path: [`Shard::route`] to
+//! the owner, a slice lookup there, then a pool job whose refusal is
+//! one typed reply. Singleflight coalescing is structural: the owner
+//! shard keeps one in-flight table keyed by [`Flight`], so a stampede of
+//! same-key requests admits exactly one pool job and every follower
+//! waits on the same completion — deterministic, no condvar races.
 //!
 //! Shutdown is a two-phase drain. Phase one: every shard observes
 //! `closing`, stops parsing new frames, and checks in on the quiesce
@@ -29,7 +31,7 @@
 
 use crate::conn::{FrameBuf, WriteProgress, WriteQueue};
 use crate::frame::{encode_frame, FrameError};
-use crate::metrics::{ServeMetrics, ShardStats, Timer};
+use crate::metrics::{LatencyHistogram, ShardStats, Timer};
 use crate::planning::{self, ComputedPlan, PlanKey, Repairable};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::protocol::{
@@ -77,28 +79,51 @@ pub(crate) struct Ticket {
     slot: u64,
 }
 
-/// A request forwarded to the shard owning its dataset's cache slice.
-enum Routed {
+/// One request's reserved reply slot and the shard its connection lives
+/// on.
+#[derive(Clone, Copy)]
+struct Waiter {
+    origin: usize,
+    ticket: Ticket,
+}
+
+/// What a dataset request asks of the dataset's owner shard.
+enum Ask {
     Plan {
-        origin: usize,
-        ticket: Ticket,
-        dataset: usize,
         strategy: Strategy,
         seed: u64,
     },
-    Layout {
-        origin: usize,
-        ticket: Ticket,
-        dataset: usize,
-    },
+    Layout,
     Place {
-        origin: usize,
-        ticket: Ticket,
-        dataset: usize,
         rounds: usize,
         budget: Option<u64>,
         seed: u64,
     },
+}
+
+/// A dataset request on its way to (or at) the shard owning the
+/// dataset's cache slice.
+struct Routed {
+    waiter: Waiter,
+    dataset: usize,
+    ask: Ask,
+}
+
+/// One in-flight computation on an owner shard: a plan key or a layout,
+/// at the dataset generation it computes for.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Flight {
+    Plan(PlanKey, u64),
+    Layout(usize, u64),
+}
+
+impl Flight {
+    fn dataset(&self) -> usize {
+        match self {
+            Flight::Plan(key, _) => key.0,
+            Flight::Layout(dataset, _) => *dataset,
+        }
+    }
 }
 
 /// A completed reply heading back to the shard that owns the connection.
@@ -110,33 +135,24 @@ struct RemoteReply {
     count_latency: bool,
 }
 
-/// A finished pool job heading back to the owning shard's cache slice.
-enum Done {
-    Plan(Box<PlanDone>),
-    Layout(Box<LayoutDone>),
-}
-
-struct PlanDone {
-    key: PlanKey,
-    generation: u64,
-    repair: Option<Repairable>,
-    /// Pre-encoded `cached = true` variant, stored for future hits.
-    hit_bytes: Arc<Vec<u8>>,
+/// A finished flight heading back to the owning shard's cache slice.
+struct Done {
+    flight: Flight,
     /// Pre-encoded reply for the flight leader (fresh flags).
-    leader_bytes: Arc<Vec<u8>>,
-    /// Pre-encoded `coalesced = true` variant for flight followers.
-    follower_bytes: Arc<Vec<u8>>,
-    /// A snapshot the job had to walk (cold plan without a cached
-    /// layout), offered back to the slice so later requests reuse it.
-    walked: Option<Arc<LayoutSnapshot>>,
+    leader: FrameBytes,
+    /// Pre-encoded reply for every follower: the `coalesced = true`
+    /// variant of a plan, the leader's own bytes for a layout.
+    follower: FrameBytes,
+    keep: Keep,
 }
 
-struct LayoutDone {
-    dataset: usize,
-    generation: u64,
-    snapshot: Arc<LayoutSnapshot>,
-    hit_bytes: Arc<Vec<u8>>,
-    miss_bytes: Arc<Vec<u8>>,
+/// What a finished flight leaves in the owner's slice.
+struct Keep {
+    /// The plan entry a plan flight computed.
+    plan: Option<PlanEntry>,
+    /// The layout a layout flight encoded, or a snapshot a cold plan had
+    /// to walk, offered back so later requests reuse it.
+    layout: Option<LayoutSlot>,
 }
 
 /// The cross-thread face of one shard: its mailboxes and counters.
@@ -204,11 +220,18 @@ impl ShardShared {
 
 /// State shared by the accept loop, shard threads, and pool workers.
 pub(crate) struct Ctx {
-    pub(crate) world: World,
-    pub(crate) placement: ProcessPlacement,
-    pub(crate) planner: OpassPlanner,
+    world: World,
+    placement: ProcessPlacement,
+    planner: OpassPlanner,
     pub(crate) pool: WorkerPool,
-    pub(crate) metrics: ServeMetrics,
+    /// The listener's address: connecting to it wakes the accept loop.
+    pub(crate) addr: SocketAddr,
+    /// Time spent in delta repairs alone (the matching-repair part of a
+    /// flight, excluding queueing); its count is the `repaired` total.
+    repair_latency: LatencyHistogram,
+    /// Time spent in from-scratch plan computations alone; its count is
+    /// the `planned` total.
+    cold_plan_latency: LatencyHistogram,
     pub(crate) closing: AtomicBool,
     quiesced: AtomicUsize,
     shards: Vec<Arc<ShardShared>>,
@@ -224,6 +247,7 @@ impl Ctx {
         world: World,
         placement: ProcessPlacement,
         pool: WorkerPool,
+        addr: SocketAddr,
         n_shards: usize,
         backlog: usize,
     ) -> Arc<Ctx> {
@@ -237,7 +261,9 @@ impl Ctx {
             placement,
             planner: OpassPlanner::default(),
             pool,
-            metrics: ServeMetrics::new(),
+            addr,
+            repair_latency: LatencyHistogram::new(),
+            cold_plan_latency: LatencyHistogram::new(),
             closing: AtomicBool::new(false),
             quiesced: AtomicUsize::new(0),
             shards: (0..n_shards.max(1))
@@ -269,24 +295,34 @@ impl Ctx {
             .sum()
     }
 
+    /// Walks a validated dataset's layout into a shareable snapshot.
+    fn walk(&self, dataset: usize) -> Arc<LayoutSnapshot> {
+        Arc::new(
+            self.world
+                .capture_layout(dataset)
+                .expect("dataset validated before submission"),
+        )
+    }
+
     /// Marks the server as closing and wakes every blocked thread: the
     /// accept loop via a throwaway connection, the shards via their
     /// condvars.
-    pub(crate) fn begin_close(&self, addr: SocketAddr) {
+    pub(crate) fn begin_close(&self) {
         if !self.closing.swap(true, Ordering::AcqRel) {
             // Wake the accept loop; errors are fine (listener may be gone).
-            let _ = TcpStream::connect(addr);
+            let _ = TcpStream::connect(self.addr);
         }
         for shard in &self.shards {
             shard.nudge();
         }
     }
 
-    /// Snapshot of every counter the service exports: the merged view
-    /// plus one entry per shard, in ascending shard order (a guaranteed,
-    /// deterministic ordering).
+    /// Snapshot of every counter the service exports: one entry per
+    /// shard, in ascending shard order (a guaranteed, deterministic
+    /// ordering), and the merged view as their sum.
     pub(crate) fn stats_reply(&self) -> StatsReply {
-        let (count, mean, p50, p99, bins) = self.metrics.latency.snapshot();
+        let (count, mean, p50, p99, bins) =
+            LatencyHistogram::snapshot_sum(self.shards.iter().map(|s| &s.stats.latency));
         let load = |v: &std::sync::atomic::AtomicU64| v.load(Ordering::Relaxed);
         let shards = self
             .shards
@@ -311,9 +347,9 @@ impl Ctx {
         };
         StatsReply {
             generation: self.world.generation(),
-            requests: self.metrics.requests.load(Ordering::Relaxed),
-            planned: self.metrics.planned.load(Ordering::Relaxed),
-            repaired: self.metrics.repaired.load(Ordering::Relaxed),
+            requests: sum(|s| &s.requests),
+            planned: self.cold_plan_latency.count(),
+            repaired: self.repair_latency.count(),
             layout_walks: self.world.layout_walks(),
             cache_hits: sum(|s| &s.cache_hits),
             cache_misses: sum(|s| &s.cache_misses),
@@ -328,8 +364,8 @@ impl Ctx {
             latency_p50_us: p50,
             latency_p99_us: p99,
             latency_histogram: bins,
-            repair_us: self.metrics.repair_latency.summary(),
-            cold_plan_us: self.metrics.cold_plan_latency.summary(),
+            repair_us: self.repair_latency.summary(),
+            cold_plan_us: self.cold_plan_latency.summary(),
             shards,
         }
     }
@@ -391,12 +427,6 @@ struct LayoutSlot {
     hit_bytes: Option<Arc<Vec<u8>>>,
 }
 
-/// One request waiting on an in-flight computation.
-struct Waiter {
-    origin: usize,
-    ticket: Ticket,
-}
-
 /// A live connection owned by one shard.
 struct Conn {
     stream: TcpStream,
@@ -418,8 +448,8 @@ struct Shard {
     free: Vec<usize>,
     plan_cache: BTreeMap<PlanKey, PlanEntry>,
     layout_cache: BTreeMap<usize, LayoutSlot>,
-    plan_flights: BTreeMap<(PlanKey, u64), Vec<Waiter>>,
-    layout_flights: BTreeMap<(usize, u64), Vec<Waiter>>,
+    /// Waiters per in-flight computation, the leader first.
+    flights: BTreeMap<Flight, Vec<Waiter>>,
 }
 
 /// Runs one shard's event loop until drain completes.
@@ -432,8 +462,7 @@ pub(crate) fn run_shard(ctx: Arc<Ctx>, index: usize) {
         free: Vec::new(),
         plan_cache: BTreeMap::new(),
         layout_cache: BTreeMap::new(),
-        plan_flights: BTreeMap::new(),
-        layout_flights: BTreeMap::new(),
+        flights: BTreeMap::new(),
     };
     let mut idle_sweeps = 0u32;
     let mut acked_close = false;
@@ -668,9 +697,7 @@ impl Shard {
         if let Some(timer) = conn.wq.fill(ticket.slot, bytes) {
             self.me().stats.pending.fetch_sub(1, Ordering::AcqRel);
             if count_latency {
-                let us = timer.elapsed_us();
-                self.me().stats.latency.record(us);
-                self.ctx.metrics.latency.record(us);
+                self.me().stats.latency.record(timer.elapsed_us());
             }
         }
     }
@@ -678,12 +705,12 @@ impl Shard {
     /// Sends a completed reply toward the connection that asked:
     /// directly when the slot is local, via the origin's mailbox
     /// otherwise.
-    fn deliver(&mut self, origin: usize, ticket: Ticket, bytes: Arc<Vec<u8>>, count_latency: bool) {
-        if origin == self.index {
-            self.fill(ticket, bytes, count_latency);
+    fn deliver(&mut self, waiter: Waiter, bytes: Arc<Vec<u8>>, count_latency: bool) {
+        if waiter.origin == self.index {
+            self.fill(waiter.ticket, bytes, count_latency);
         } else {
-            self.ctx.shard(origin).push_reply(RemoteReply {
-                ticket,
+            self.ctx.shard(waiter.origin).push_reply(RemoteReply {
+                ticket: waiter.ticket,
                 bytes,
                 count_latency,
             });
@@ -698,7 +725,6 @@ impl Shard {
 
     fn handle_frame(&mut self, idx: usize, frame: opass_json::Json) {
         self.me().stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.ctx.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let request = match Request::from_json(&frame) {
             Ok(r) => r,
             Err(e) => {
@@ -746,221 +772,203 @@ impl Shard {
                 self.push_inline(idx, bytes);
             }
             Request::Shutdown => {
-                let bytes = encode_response(&Response::ShuttingDown);
-                let addr = self.conns[idx]
-                    .as_ref()
-                    .and_then(|c| c.stream.local_addr().ok());
                 if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.wq.push_ready(bytes);
+                    conn.wq.push_ready(encode_response(&Response::ShuttingDown));
                     conn.close_after_flush = true;
                 }
-                if let Some(addr) = addr {
-                    // The accepted socket's local address is the
-                    // listener's address: use it to wake the accept loop.
-                    self.ctx.begin_close(addr);
-                }
+                self.ctx.begin_close();
             }
             Request::Plan {
                 dataset,
                 strategy,
                 seed,
-            } => {
-                if !self.guard_dataset(idx, dataset) {
-                    return;
-                }
-                let ticket = self.reserve(idx);
-                let owner = self.ctx.owner_of(dataset);
-                if owner == self.index {
-                    self.handle_plan(self.index, ticket, dataset, strategy, seed);
-                } else {
-                    self.me().stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.ctx.shard(owner).push_routed(Routed::Plan {
-                        origin: self.index,
-                        ticket,
-                        dataset,
-                        strategy,
-                        seed,
-                    });
-                }
-            }
-            Request::Layout { dataset } => {
-                if !self.guard_dataset(idx, dataset) {
-                    return;
-                }
-                let ticket = self.reserve(idx);
-                let owner = self.ctx.owner_of(dataset);
-                if owner == self.index {
-                    self.handle_layout(self.index, ticket, dataset);
-                } else {
-                    self.me().stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.ctx.shard(owner).push_routed(Routed::Layout {
-                        origin: self.index,
-                        ticket,
-                        dataset,
-                    });
-                }
-            }
+            } => self.route(idx, dataset, Ask::Plan { strategy, seed }),
+            Request::Layout { dataset } => self.route(idx, dataset, Ask::Layout),
             Request::Place {
                 dataset,
                 rounds,
                 budget,
                 seed,
-            } => {
-                if !self.guard_dataset(idx, dataset) {
-                    return;
-                }
-                let ticket = self.reserve(idx);
-                let owner = self.ctx.owner_of(dataset);
-                if owner == self.index {
-                    self.handle_place(self.index, ticket, dataset, rounds, budget, seed);
-                } else {
-                    self.me().stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.ctx.shard(owner).push_routed(Routed::Place {
-                        origin: self.index,
-                        ticket,
-                        dataset,
-                        rounds,
-                        budget,
-                        seed,
-                    });
-                }
-            }
+            } => self.route(
+                idx,
+                dataset,
+                Ask::Place {
+                    rounds,
+                    budget,
+                    seed,
+                },
+            ),
         }
     }
 
-    /// Replies with a typed error for an unknown dataset. Returns whether
-    /// the dataset is valid.
-    fn guard_dataset(&mut self, idx: usize, dataset: usize) -> bool {
-        if self.ctx.world.has_dataset(dataset) {
-            return true;
+    /// Reserves a reply slot for a dataset request and hands it to the
+    /// dataset's owner shard — this one, or another through its mailbox.
+    /// An unknown dataset is refused inline with a typed error.
+    fn route(&mut self, idx: usize, dataset: usize, ask: Ask) {
+        if !self.ctx.world.has_dataset(dataset) {
+            let n_datasets = self.ctx.world.spec().n_datasets;
+            let bytes = encode_response(&planning::unknown_dataset(dataset, n_datasets));
+            self.push_inline(idx, bytes);
+            return;
         }
-        let bytes = encode_response(&planning::unknown_dataset(
+        let waiter = Waiter {
+            origin: self.index,
+            ticket: self.reserve(idx),
+        };
+        let routed = Routed {
+            waiter,
             dataset,
-            self.ctx.world.spec().n_datasets,
-        ));
-        self.push_inline(idx, bytes);
-        false
+            ask,
+        };
+        let owner = self.ctx.owner_of(dataset);
+        if owner == self.index {
+            self.handle_routed(routed);
+        } else {
+            self.me().stats.forwarded.fetch_add(1, Ordering::Relaxed);
+            self.ctx.shard(owner).push_routed(routed);
+        }
     }
 
+    /// The owner-shard side of [`Shard::route`].
     fn handle_routed(&mut self, routed: Routed) {
-        match routed {
-            Routed::Plan {
-                origin,
-                ticket,
-                dataset,
-                strategy,
-                seed,
-            } => self.handle_plan(origin, ticket, dataset, strategy, seed),
-            Routed::Layout {
-                origin,
-                ticket,
-                dataset,
-            } => self.handle_layout(origin, ticket, dataset),
-            Routed::Place {
-                origin,
-                ticket,
-                dataset,
+        let Routed {
+            waiter,
+            dataset,
+            ask,
+        } = routed;
+        match ask {
+            Ask::Plan { strategy, seed } => self.handle_plan(waiter, dataset, strategy, seed),
+            Ask::Layout => self.handle_layout(waiter, dataset),
+            Ask::Place {
                 rounds,
                 budget,
                 seed,
-            } => self.handle_place(origin, ticket, dataset, rounds, budget, seed),
+            } => self.handle_place(waiter, dataset, rounds, budget, seed),
         }
+    }
+
+    /// The slice's layout for `dataset` if it is at `generation`.
+    fn current_layout(&self, dataset: usize, generation: u64) -> Option<&LayoutSlot> {
+        self.layout_cache
+            .get(&dataset)
+            .filter(|slot| slot.generation == generation)
+    }
+
+    /// Counts one slice lookup as a hit or a miss.
+    fn count_lookup(&self, hit: bool) {
+        let stats = &self.me().stats;
+        let counter = if hit {
+            &stats.cache_hits
+        } else {
+            &stats.cache_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Hands a job to the pool. A refusal answers `waiter` at once with
+    /// the typed `overloaded` or `shutting_down` reply; returns whether
+    /// the job was admitted.
+    fn submit(&mut self, waiter: Waiter, job: impl FnOnce() + Send + 'static) -> bool {
+        let refusal = match self.ctx.pool.try_submit(job) {
+            Ok(()) => return true,
+            Err(SubmitError::Overloaded { queue_depth }) => Response::Overloaded { queue_depth },
+            Err(SubmitError::ShuttingDown) => Response::ShuttingDown,
+        };
+        self.deliver(waiter, encode_response(&refusal), false);
+        false
+    }
+
+    /// Starts `flight` with `waiter` as its leader: the job runs on the
+    /// pool and its [`Done`] comes back to this shard.
+    fn lead(
+        &mut self,
+        flight: Flight,
+        waiter: Waiter,
+        job: impl FnOnce() -> Done + Send + 'static,
+    ) {
+        let ctx = Arc::clone(&self.ctx);
+        let owner = self.index;
+        if self.submit(waiter, move || ctx.shard(owner).push_done(job())) {
+            self.flights.insert(flight, vec![waiter]);
+        }
+    }
+
+    /// Adds `waiter` to `flight` if it is in the air; returns whether it
+    /// was.
+    fn join(&mut self, flight: &Flight, waiter: Waiter) -> bool {
+        let Some(waiters) = self.flights.get_mut(flight) else {
+            return false;
+        };
+        waiters.push(waiter);
+        self.me().stats.coalesced.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// The owner-shard plan path: slice hit → flight join → repair claim
     /// → pool submission. Only this shard touches the slice, so the hit
-    /// path is lock-free and the singleflight table needs no
-    /// synchronization.
-    fn handle_plan(
-        &mut self,
-        origin: usize,
-        ticket: Ticket,
-        dataset: usize,
-        strategy: Strategy,
-        seed: u64,
-    ) {
+    /// path is lock-free and the flight table needs no synchronization.
+    fn handle_plan(&mut self, waiter: Waiter, dataset: usize, strategy: Strategy, seed: u64) {
         let generation = self.ctx.world.generation_of(dataset);
         let key: PlanKey = (dataset, strategy.label(), seed);
-        if let Some(entry) = self.plan_cache.get(&key) {
-            if entry.generation == generation {
-                self.me().stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let bytes = Arc::clone(&entry.hit_bytes);
-                self.deliver(origin, ticket, bytes, true);
-                return;
-            }
+        let hit = self
+            .plan_cache
+            .get(&key)
+            .filter(|entry| entry.generation == generation)
+            .map(|entry| Arc::clone(&entry.hit_bytes));
+        self.count_lookup(hit.is_some());
+        if let Some(bytes) = hit {
+            self.deliver(waiter, bytes, true);
+            return;
         }
-        self.me().stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let flight_key = (key.clone(), generation);
-        if let Some(waiters) = self.plan_flights.get_mut(&flight_key) {
-            waiters.push(Waiter { origin, ticket });
-            self.me().stats.coalesced.fetch_add(1, Ordering::Relaxed);
+        let flight = Flight::Plan(key.clone(), generation);
+        if self.join(&flight, waiter) {
             return;
         }
         // Claim a stale predecessor: repairable when the journal covers
         // the span and the entry kept what repairs it. Claiming retires
         // the entry either way.
-        let mut repair: Option<(Repairable, Vec<opass_core::dfs::LayoutDelta>)> = None;
+        let mut repair = None;
         if let Some(stale) = self.plan_cache.remove(&key) {
             self.me()
                 .stats
                 .cache_invalidated
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(basis) = stale.repair {
-                if let Some(deltas) = self.ctx.world.deltas_since(dataset, stale.generation) {
-                    repair = Some((basis, deltas));
-                }
-            }
+            repair = stale.repair.and_then(|basis| {
+                let deltas = self.ctx.world.deltas_since(dataset, stale.generation)?;
+                Some((basis, deltas))
+            });
         }
         // Cold plans reuse the slice's cached snapshot when it is
         // current; otherwise the job walks (and offers the walk back).
         let snapshot = self
-            .layout_cache
-            .get(&dataset)
-            .filter(|slot| slot.generation == generation)
+            .current_layout(dataset, generation)
             .map(|slot| Arc::clone(&slot.snapshot));
         let ctx = Arc::clone(&self.ctx);
-        let owner = self.index;
-        let job_key = key;
-        let submitted = self.ctx.pool.try_submit(move || {
-            let done = match repair {
+        self.lead(flight.clone(), waiter, move || {
+            let (ComputedPlan { reply, repair }, walked) = match repair {
                 Some((basis, deltas)) => {
                     let timer = Timer::start();
-                    let ComputedPlan { reply, repair } = planning::repair_plan(
+                    let computed = planning::repair_plan(
                         &ctx.planner,
                         &ctx.placement,
                         basis,
                         &deltas,
-                        &job_key,
+                        &key,
                         generation,
                     );
-                    ctx.metrics.repaired.fetch_add(1, Ordering::Relaxed);
-                    ctx.metrics.repair_latency.record(timer.elapsed_us());
-                    let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(reply);
-                    PlanDone {
-                        key: job_key,
-                        generation,
-                        repair,
-                        hit_bytes,
-                        leader_bytes,
-                        follower_bytes,
-                        walked: None,
-                    }
+                    ctx.repair_latency.record(timer.elapsed_us());
+                    (computed, None)
                 }
                 None => {
-                    ctx.metrics.planned.fetch_add(1, Ordering::Relaxed);
                     let (snapshot, walked) = match snapshot {
-                        Some(snap) => (snap, None),
+                        Some(snapshot) => (snapshot, None),
                         None => {
-                            let snap = Arc::new(
-                                ctx.world
-                                    .capture_layout(dataset)
-                                    .expect("dataset validated before submission"),
-                            );
-                            (Arc::clone(&snap), Some(snap))
+                            let snapshot = ctx.walk(dataset);
+                            (Arc::clone(&snapshot), Some(snapshot))
                         }
                     };
                     let timer = Timer::start();
-                    let ComputedPlan { reply, repair } = planning::compute_plan(
+                    let computed = planning::compute_plan(
                         &ctx.planner,
                         &ctx.placement,
                         &snapshot,
@@ -969,109 +977,78 @@ impl Shard {
                         seed,
                         generation,
                     );
-                    ctx.metrics.cold_plan_latency.record(timer.elapsed_us());
-                    let (hit_bytes, leader_bytes, follower_bytes) = plan_variants(reply);
-                    PlanDone {
-                        key: job_key,
-                        generation,
-                        repair,
-                        hit_bytes,
-                        leader_bytes,
-                        follower_bytes,
-                        walked,
-                    }
+                    ctx.cold_plan_latency.record(timer.elapsed_us());
+                    (computed, walked)
                 }
             };
-            ctx.shard(owner).push_done(Done::Plan(Box::new(done)));
+            let (hit_bytes, leader, follower) = plan_variants(reply);
+            Done {
+                flight,
+                leader,
+                follower,
+                keep: Keep {
+                    plan: Some(PlanEntry {
+                        generation,
+                        hit_bytes,
+                        repair,
+                    }),
+                    layout: walked.map(|snapshot| LayoutSlot {
+                        generation,
+                        snapshot,
+                        hit_bytes: None,
+                    }),
+                },
+            }
         });
-        match submitted {
-            Ok(()) => {
-                self.plan_flights
-                    .insert(flight_key, vec![Waiter { origin, ticket }]);
-            }
-            Err(SubmitError::Overloaded { queue_depth }) => {
-                let bytes = encode_response(&Response::Overloaded { queue_depth });
-                self.deliver(origin, ticket, bytes, false);
-            }
-            Err(SubmitError::ShuttingDown) => {
-                let bytes = encode_response(&Response::ShuttingDown);
-                self.deliver(origin, ticket, bytes, false);
-            }
-        }
     }
 
     /// The owner-shard layout path. A slice hit with encoded bytes is
     /// answered zero-copy; a hit whose snapshot was walked for a plan
     /// (no wire encoding yet) runs an encode-only flight; a miss walks.
-    fn handle_layout(&mut self, origin: usize, ticket: Ticket, dataset: usize) {
+    fn handle_layout(&mut self, waiter: Waiter, dataset: usize) {
         let generation = self.ctx.world.generation_of(dataset);
-        let cached_snapshot = match self
-            .layout_cache
-            .get(&dataset)
-            .filter(|slot| slot.generation == generation)
-        {
-            Some(slot) => {
-                self.me().stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(bytes) = &slot.hit_bytes {
-                    let bytes = Arc::clone(bytes);
-                    self.deliver(origin, ticket, bytes, true);
-                    return;
-                }
-                Some(Arc::clone(&slot.snapshot))
+        let cached = self
+            .current_layout(dataset, generation)
+            .map(|slot| (Arc::clone(&slot.snapshot), slot.hit_bytes.clone()));
+        self.count_lookup(cached.is_some());
+        let snapshot = match cached {
+            Some((_, Some(bytes))) => {
+                self.deliver(waiter, bytes, true);
+                return;
             }
-            None => {
-                self.me().stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            Some((snapshot, None)) => Some(snapshot),
+            None => None,
         };
-        let flight_key = (dataset, generation);
-        if let Some(waiters) = self.layout_flights.get_mut(&flight_key) {
-            waiters.push(Waiter { origin, ticket });
-            self.me().stats.coalesced.fetch_add(1, Ordering::Relaxed);
+        let flight = Flight::Layout(dataset, generation);
+        if self.join(&flight, waiter) {
             return;
         }
         let ctx = Arc::clone(&self.ctx);
-        let owner = self.index;
-        let submitted = self.ctx.pool.try_submit(move || {
-            let (snapshot, was_cached) = match cached_snapshot {
-                Some(snap) => (snap, true),
-                None => (
-                    Arc::new(
-                        ctx.world
-                            .capture_layout(dataset)
-                            .expect("dataset validated before submission"),
-                    ),
-                    false,
-                ),
-            };
-            let mut reply = planning::layout_reply(dataset, generation, was_cached, &snapshot);
-            reply.cached = was_cached;
-            let miss_bytes = encode_response(&Response::Layout(reply.clone()));
-            reply.cached = true;
-            let hit_bytes = encode_response(&Response::Layout(reply));
-            ctx.shard(owner)
-                .push_done(Done::Layout(Box::new(LayoutDone {
-                    dataset,
-                    generation,
-                    snapshot,
-                    hit_bytes,
-                    miss_bytes,
-                })));
+        self.lead(flight.clone(), waiter, move || {
+            let was_cached = snapshot.is_some();
+            let snapshot = snapshot.unwrap_or_else(|| ctx.walk(dataset));
+            let mut resp = Response::Layout(planning::layout_reply(
+                dataset, generation, was_cached, &snapshot,
+            ));
+            let miss_bytes = encode_response(&resp);
+            if let Response::Layout(reply) = &mut resp {
+                reply.cached = true;
+            }
+            let hit_bytes = encode_response(&resp);
+            Done {
+                flight,
+                leader: Arc::clone(&miss_bytes),
+                follower: miss_bytes,
+                keep: Keep {
+                    plan: None,
+                    layout: Some(LayoutSlot {
+                        generation,
+                        snapshot,
+                        hit_bytes: Some(hit_bytes),
+                    }),
+                },
+            }
         });
-        match submitted {
-            Ok(()) => {
-                self.layout_flights
-                    .insert(flight_key, vec![Waiter { origin, ticket }]);
-            }
-            Err(SubmitError::Overloaded { queue_depth }) => {
-                let bytes = encode_response(&Response::Overloaded { queue_depth });
-                self.deliver(origin, ticket, bytes, false);
-            }
-            Err(SubmitError::ShuttingDown) => {
-                let bytes = encode_response(&Response::ShuttingDown);
-                self.deliver(origin, ticket, bytes, false);
-            }
-        }
     }
 
     /// The owner-shard place path: no caching or coalescing (placement
@@ -1079,8 +1056,7 @@ impl Shard {
     /// reused and the reply goes straight back to the origin shard.
     fn handle_place(
         &mut self,
-        origin: usize,
-        ticket: Ticket,
+        waiter: Waiter,
         dataset: usize,
         rounds: usize,
         budget: Option<u64>,
@@ -1088,24 +1064,12 @@ impl Shard {
     ) {
         let generation = self.ctx.world.generation_of(dataset);
         let snapshot = self
-            .layout_cache
-            .get(&dataset)
-            .filter(|slot| slot.generation == generation)
+            .current_layout(dataset, generation)
             .map(|slot| Arc::clone(&slot.snapshot));
-        match snapshot {
-            Some(_) => self.me().stats.cache_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.me().stats.cache_misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.count_lookup(snapshot.is_some());
         let ctx = Arc::clone(&self.ctx);
-        let submitted = self.ctx.pool.try_submit(move || {
-            let snapshot = match snapshot {
-                Some(snap) => snap,
-                None => Arc::new(
-                    ctx.world
-                        .capture_layout(dataset)
-                        .expect("dataset validated before submission"),
-                ),
-            };
+        self.submit(waiter, move || {
+            let snapshot = snapshot.unwrap_or_else(|| ctx.walk(dataset));
             let reply = planning::place_reply(
                 &ctx.planner,
                 &ctx.placement,
@@ -1116,116 +1080,57 @@ impl Shard {
                 budget,
                 seed,
             );
-            let bytes = encode_response(&Response::Place(reply));
-            ctx.shard(origin).push_reply(RemoteReply {
-                ticket,
-                bytes,
+            ctx.shard(waiter.origin).push_reply(RemoteReply {
+                ticket: waiter.ticket,
+                bytes: encode_response(&Response::Place(reply)),
                 count_latency: true,
             });
         });
-        match submitted {
-            Ok(()) => {}
-            Err(SubmitError::Overloaded { queue_depth }) => {
-                let bytes = encode_response(&Response::Overloaded { queue_depth });
-                self.deliver(origin, ticket, bytes, false);
-            }
-            Err(SubmitError::ShuttingDown) => {
-                let bytes = encode_response(&Response::ShuttingDown);
-                self.deliver(origin, ticket, bytes, false);
-            }
-        }
     }
 
+    /// Files a finished flight's results in the slice, then answers its
+    /// leader and every follower.
     fn handle_done(&mut self, done: Done) {
-        match done {
-            Done::Plan(done) => {
-                let PlanDone {
-                    key,
-                    generation,
-                    repair,
-                    hit_bytes,
-                    leader_bytes,
-                    follower_bytes,
-                    walked,
-                } = *done;
-                if let Some(snapshot) = walked {
-                    self.offer_layout(key.0, generation, snapshot, None);
-                }
-                // Completion order can invert across generations; never
-                // let an older flight overwrite a fresher entry.
-                let fresher = self
-                    .plan_cache
-                    .get(&key)
-                    .is_some_and(|e| e.generation > generation);
-                if !fresher {
-                    self.plan_cache.insert(
-                        key.clone(),
-                        PlanEntry {
-                            generation,
-                            repair,
-                            hit_bytes: Arc::clone(&hit_bytes),
-                        },
-                    );
-                }
-                let waiters = self
-                    .plan_flights
-                    .remove(&(key, generation))
-                    .unwrap_or_default();
-                for (i, w) in waiters.into_iter().enumerate() {
-                    let bytes = if i == 0 {
-                        Arc::clone(&leader_bytes)
-                    } else {
-                        Arc::clone(&follower_bytes)
-                    };
-                    self.deliver(w.origin, w.ticket, bytes, true);
-                }
+        let Done {
+            flight,
+            leader,
+            follower,
+            keep,
+        } = done;
+        if let Some(slot) = keep.layout {
+            self.offer_layout(flight.dataset(), slot);
+        }
+        if let (Flight::Plan(key, _), Some(entry)) = (&flight, keep.plan) {
+            // Completion order can invert across generations; never let
+            // an older flight overwrite a fresher entry.
+            let fresher = self
+                .plan_cache
+                .get(key)
+                .is_some_and(|e| e.generation > entry.generation);
+            if !fresher {
+                self.plan_cache.insert(key.clone(), entry);
             }
-            Done::Layout(done) => {
-                let LayoutDone {
-                    dataset,
-                    generation,
-                    snapshot,
-                    hit_bytes,
-                    miss_bytes,
-                } = *done;
-                self.offer_layout(dataset, generation, snapshot, Some(hit_bytes));
-                let waiters = self
-                    .layout_flights
-                    .remove(&(dataset, generation))
-                    .unwrap_or_default();
-                for w in waiters {
-                    self.deliver(w.origin, w.ticket, Arc::clone(&miss_bytes), true);
-                }
-            }
+        }
+        let waiters = self.flights.remove(&flight).unwrap_or_default();
+        for (i, waiter) in waiters.into_iter().enumerate() {
+            let bytes = if i == 0 { &leader } else { &follower };
+            self.deliver(waiter, Arc::clone(bytes), true);
         }
     }
 
     /// Inserts a snapshot into the slice unless a fresher one is there.
     /// Encoded bytes are kept when offered, and never discarded by a
     /// same-generation offer without them.
-    fn offer_layout(
-        &mut self,
-        dataset: usize,
-        generation: u64,
-        snapshot: Arc<LayoutSnapshot>,
-        hit_bytes: Option<Arc<Vec<u8>>>,
-    ) {
+    fn offer_layout(&mut self, dataset: usize, offer: LayoutSlot) {
         match self.layout_cache.get_mut(&dataset) {
-            Some(slot) if slot.generation > generation => {}
-            Some(slot) if slot.generation == generation => {
+            Some(slot) if slot.generation > offer.generation => {}
+            Some(slot) if slot.generation == offer.generation => {
                 if slot.hit_bytes.is_none() {
-                    slot.hit_bytes = hit_bytes;
+                    slot.hit_bytes = offer.hit_bytes;
                 }
             }
             _ => {
-                self.layout_cache.insert(
-                    dataset,
-                    LayoutSlot {
-                        generation,
-                        snapshot,
-                        hit_bytes,
-                    },
-                );
+                self.layout_cache.insert(dataset, offer);
             }
         }
     }

@@ -73,7 +73,6 @@ pub fn default_shards() -> usize {
 
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
-    addr: SocketAddr,
     ctx: Arc<Ctx>,
     accept: Mutex<Option<JoinHandle<()>>>,
 }
@@ -81,14 +80,14 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (with the OS-assigned port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.ctx.addr
     }
 
     /// Initiates shutdown (idempotent) and waits for the server to drain:
     /// in-flight planning jobs finish, every reply flushes, connections
     /// close, threads join.
     pub fn shutdown(&self) {
-        self.ctx.begin_close(self.addr);
+        self.ctx.begin_close();
         self.wait();
     }
 
@@ -131,6 +130,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, String> {
         World::new(config.spec),
         placement,
         pool,
+        addr,
         n_shards,
         config.shard_backlog,
     );
@@ -152,7 +152,6 @@ pub fn serve(config: ServerConfig) -> Result<ServerHandle, String> {
             .expect("accept thread spawns")
     };
     Ok(ServerHandle {
-        addr,
         ctx,
         accept: Mutex::new(Some(accept)),
     })
