@@ -139,7 +139,7 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         }
     }
     if let Some(dir) = &trace_dir {
-        if let Err(e) = scenario::dump_traces(dir, &file, &ok_reports) {
+        if let Err(e) = scenario::dump_traces(dir, &ok_reports) {
             eprintln!("cannot write traces to {}: {e}", dir.display());
             failed = true;
         } else {

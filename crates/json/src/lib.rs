@@ -108,11 +108,6 @@ impl Json {
         }
     }
 
-    /// The value as a `usize`, if it is a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
