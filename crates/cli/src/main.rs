@@ -100,7 +100,7 @@ fn cmd_run(argv: &[String]) -> ExitCode {
     let file = match ScenarioFile::parse(&content) {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("invalid scenario {path}: {e}");
+            eprintln!("{path}: {e}");
             return ExitCode::FAILURE;
         }
     };

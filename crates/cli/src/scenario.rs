@@ -192,6 +192,13 @@ kinds! {
     } refuses |x| {
         x.nodes_per_rack <= x.late_per_rack =>
             format!("nodes_per_rack must exceed its {} late nodes", x.late_per_rack),
+        x.storage_node_count() < x.cluster.replication as usize => format!(
+            "n_nodes {} in racks of nodes_per_rack {} leaves {} storage nodes for {} replicas",
+            x.cluster.n_nodes,
+            x.nodes_per_rack,
+            x.storage_node_count(),
+            x.cluster.replication
+        ),
     }
     /// Replay of a user task trace.
     Replay(Replay) = "replay" {
@@ -734,6 +741,10 @@ mod tests {
             (r#""type": "paraview", "n_steps": 0"#, "n_steps"),
             (r#""type": "racked", "nodes_per_rack": 2"#, "nodes_per_rack"),
             (r#""type": "racked", "nodes_per_rack": 0"#, "nodes_per_rack"),
+            (
+                r#""type": "racked", "n_nodes": 4, "nodes_per_rack": 3"#,
+                "nodes_per_rack",
+            ),
             (r#""type": "dynamic", "seed": 9007199254740993"#, "seed"),
         ];
         for (fields, field) in probes {

@@ -141,9 +141,10 @@ impl ProcsOn {
 /// no check.
 ///
 /// A counting pass first, so the graph is laid out at its exact degrees
-/// with no growth slack for a session to hold on to; then each entry's
-/// sorted processes and weights are written once, and the graph takes
-/// them as its file side and counting-sorts its process side.
+/// with no growth slack for a session to hold on to; then one pass
+/// writes each entry's processes and weights, sorting a span only when
+/// its groups did not already arrive in process order, and the graph
+/// takes them as its file side and counting-sorts its process side.
 fn grouped_graph(
     snapshot: &LayoutSnapshot,
     groups: &ProcsOn,
@@ -151,26 +152,32 @@ fn grouped_graph(
     one_to_one: bool,
 ) -> BipartiteGraph {
     let entries = snapshot.entries();
+    let mut n_edges = 0;
     let degrees: Vec<u32> = entries
         .iter()
         .map(|entry| {
             let mut degree = 0;
             holder_procs(entry, groups, &group_of, one_to_one, |procs| {
-                degree += procs.len() as u32
+                degree += procs.len()
             });
-            degree
+            n_edges += degree;
+            degree as u32
         })
         .collect();
-    let n_edges = degrees.iter().map(|&d| d as usize).sum();
     let mut procs: Vec<u32> = Vec::with_capacity(n_edges);
     let mut bytes: Vec<u64> = Vec::with_capacity(n_edges);
     for entry in entries.iter() {
         let span = procs.len();
         holder_procs(entry, groups, &group_of, one_to_one, |group| {
-            procs.extend(group.iter().map(|&p| p as u32))
+            for &p in group {
+                procs.push(p as u32);
+                bytes.push(entry.size);
+            }
         });
-        procs[span..].sort_unstable();
-        bytes.resize(procs.len(), entry.size);
+        let span = &mut procs[span..];
+        if span.windows(2).any(|w| w[0] > w[1]) {
+            span.sort_unstable();
+        }
     }
     BipartiteGraph::from_file_spans(groups.n_procs(), degrees, procs, bytes)
 }

@@ -772,6 +772,18 @@ impl Racked {
             .collect()
     }
 
+    /// How many nodes hold data at write time: the dataset's replicas
+    /// must fit on that many distinct nodes. Needs `late_per_rack` below
+    /// `nodes_per_rack`, as every run does.
+    pub fn storage_node_count(&self) -> usize {
+        let storage_per_rack = self.nodes_per_rack - self.late_per_rack;
+        let (full_racks, last_rack) = (
+            self.cluster.n_nodes / self.nodes_per_rack,
+            self.cluster.n_nodes % self.nodes_per_rack,
+        );
+        full_racks * storage_per_rack + last_rack.min(storage_per_rack)
+    }
+
     /// Fraction of reads in `result` that crossed a rack boundary.
     pub fn cross_rack_fraction(&self, result: &RunResult) -> f64 {
         if result.records.is_empty() {
@@ -1265,5 +1277,29 @@ mod tests {
         assert_eq!(Strategy::parse("guided"), Some(Strategy::OpassGuided));
         assert_eq!(Strategy::parse("delay:nope"), None);
         assert_eq!(Strategy::parse("nonsense"), None);
+    }
+
+    #[test]
+    fn racked_storage_count_is_the_storage_nodes_a_run_places_on() {
+        for n_nodes in 0..40 {
+            for nodes_per_rack in 1..10 {
+                for late_per_rack in 0..nodes_per_rack {
+                    let exp = Racked {
+                        cluster: ClusterSpec {
+                            n_nodes,
+                            ..Racked::default().cluster
+                        },
+                        nodes_per_rack,
+                        late_per_rack,
+                        ..Racked::default()
+                    };
+                    assert_eq!(
+                        exp.storage_node_count(),
+                        exp.storage_nodes().len(),
+                        "{n_nodes} nodes, racks of {nodes_per_rack}, {late_per_rack} late"
+                    );
+                }
+            }
+        }
     }
 }

@@ -16,7 +16,10 @@
 //! are gone; [`OpassPlanner::plan`] and [`OpassPlanner::session`] are
 //! the only entry points.
 
-use opass_matching::{Assignment, FillPolicy, FlowAlgo, LocalityReport, Objective};
+use opass_dfs::LayoutSnapshot;
+use opass_matching::{
+    locality_report, Assignment, BipartiteGraph, FillPolicy, FlowAlgo, LocalityReport, Objective,
+};
 
 /// Planner configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,6 +46,61 @@ pub struct SingleDataPlan {
     pub filled_files: usize,
     /// Locality metrics under the produced assignment.
     pub locality: LocalityReport,
+}
+
+impl SingleDataPlan {
+    /// The locality report of a single-data plan, from its maximum
+    /// matching alone: `matched(f)` says whether file `f` is matched.
+    /// A fill target is never co-located with its file (a co-located
+    /// process with spare quota would give the maximum matching an
+    /// augmenting path of length one), so exactly the matched files read
+    /// locally. One pass over the snapshot's sizes replaces the per-file
+    /// edge lookups of [`locality_report`], which [`Self::assemble`]
+    /// keeps as a debug cross-check. The one derivation behind cold
+    /// plans and session renders.
+    pub(crate) fn matched_locality(
+        snapshot: &LayoutSnapshot,
+        matched: impl Fn(usize) -> bool,
+    ) -> LocalityReport {
+        let mut report = LocalityReport {
+            local_tasks: 0,
+            total_tasks: snapshot.len(),
+            local_bytes: 0,
+            total_bytes: 0,
+        };
+        for (f, entry) in snapshot.entries().iter().enumerate() {
+            report.total_bytes += entry.size;
+            if matched(f) {
+                report.local_tasks += 1;
+                report.local_bytes += entry.size;
+            }
+        }
+        report
+    }
+
+    /// The plan of the filled owners `owner`, whose matching
+    /// [`Self::matched_locality`] measured as `locality`; in a debug
+    /// build, `locality` is checked against the assignment's edges.
+    pub(crate) fn assemble(
+        graph: &BipartiteGraph,
+        snapshot: &LayoutSnapshot,
+        owner: Vec<usize>,
+        filled_files: usize,
+        locality: LocalityReport,
+    ) -> SingleDataPlan {
+        let assignment = Assignment::from_owners(owner, graph.n_procs());
+        debug_assert_eq!(
+            locality,
+            locality_report(&assignment, graph, &snapshot.sizes()),
+            "derived locality must equal the measured report"
+        );
+        SingleDataPlan {
+            assignment,
+            matched_files: locality.local_tasks,
+            filled_files,
+            locality,
+        }
+    }
 }
 
 /// A multi-data plan.
@@ -247,5 +305,48 @@ mod tests {
             plan.locality.task_fraction(),
             base_report.task_fraction()
         );
+    }
+
+    /// A two-process, two-file layout, file `f` on node `f` only.
+    fn diagonal() -> (BipartiteGraph, LayoutSnapshot) {
+        let snapshot: LayoutSnapshot = (0..2u32)
+            .map(|f| opass_dfs::ChunkLayout {
+                chunk: opass_dfs::ChunkId(u64::from(f)),
+                size: 10 + u64::from(f),
+                locations: vec![opass_dfs::NodeId(f)].into(),
+            })
+            .collect();
+        let placement = ProcessPlacement::one_per_node(2);
+        let graph = crate::builder::build_locality_graph_from_layout(&snapshot, &placement);
+        (graph, snapshot)
+    }
+
+    #[test]
+    fn the_matching_alone_gives_the_locality() {
+        let (graph, snapshot) = diagonal();
+        let locality = SingleDataPlan::matched_locality(&snapshot, |f| f == 1);
+        assert_eq!(
+            (
+                locality.local_tasks,
+                locality.local_bytes,
+                locality.total_bytes
+            ),
+            (1, 11, 21)
+        );
+        // File 1 matched to process 1, file 0 filled onto it as well.
+        let plan = SingleDataPlan::assemble(&graph, &snapshot, vec![1, 1], 1, locality);
+        assert_eq!((plan.matched_files, plan.filled_files), (1, 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "derived locality must equal the measured report")]
+    fn the_cross_check_trips_on_a_fill_onto_a_co_located_process() {
+        // Nothing matched although both files could be, and the fill put
+        // each file on the process that holds it: the derived report (no
+        // file local) disagrees with the measured one.
+        let (graph, snapshot) = diagonal();
+        let locality = SingleDataPlan::matched_locality(&snapshot, |_| false);
+        SingleDataPlan::assemble(&graph, &snapshot, vec![0, 1], 2, locality);
     }
 }

@@ -33,9 +33,8 @@ use crate::builder::{build_locality_graph_from_layout, build_values, ProcsOn, Ta
 use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use opass_dfs::{ChunkId, ChunkIndex, ChunkLayout, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_matching::{
-    assign_multi_data, locality_report, quotas, repair_multi_data, Assignment, BipartiteGraph,
-    FillPolicy, IncrementalMatcher, LocalityReport, MatchingValues, SingleDataMatcher, SpareQuota,
-    NONE,
+    assign_multi_data, quotas, repair_multi_data, BipartiteGraph, FillPolicy, IncrementalMatcher,
+    MatchingValues, SingleDataMatcher, SpareQuota, NONE,
 };
 use opass_runtime::ProcessPlacement;
 use rand::rngs::StdRng;
@@ -90,8 +89,9 @@ impl SingleDataSession {
 
     /// Rebuilds the session a plan came from out of the plan's owners,
     /// with no solve. A fill target is never co-located with its file
-    /// (see [`render_single_data_plan`]), so the owners that are edges
-    /// of the locality graph are exactly the plan's maximum matching.
+    /// (see [`SingleDataPlan::matched_locality`]), so the owners that are
+    /// edges of the locality graph are exactly the plan's maximum
+    /// matching.
     pub(crate) fn resume(
         planner: &OpassPlanner,
         snapshot: LayoutSnapshot,
@@ -262,7 +262,8 @@ impl SingleDataSession {
 }
 
 /// Completes the matched owners into a full balanced assignment with the
-/// fill policy and computes the quality metrics.
+/// fill policy and reports its locality
+/// ([`SingleDataPlan::matched_locality`]).
 fn render_single_data_plan(
     matcher: &IncrementalMatcher,
     snapshot: &LayoutSnapshot,
@@ -271,12 +272,9 @@ fn render_single_data_plan(
     replans: u64,
 ) -> SingleDataPlan {
     let graph = matcher.graph();
-    let n = graph.n_files();
-    let m = graph.n_procs();
-    let quota = quotas(n, m);
+    let quota = quotas(graph.n_files(), graph.n_procs());
     let mut owner: Vec<u32> = matcher.owners_dense().to_vec();
     let mut load: Vec<usize> = matcher.load().iter().map(|&l| l as usize).collect();
-    let matched_files = matcher.matched_count();
     let mut rng = fill_rng(seed, replans);
     let mut spare = SpareQuota::new(&quota, &load);
     let mut filled_files = 0usize;
@@ -284,40 +282,9 @@ fn render_single_data_plan(
         *o = spare.take(fill, &quota, &mut load, &mut rng) as u32;
         filled_files += 1;
     }
-    // The locality report follows from the matching alone: a fill target
-    // can never be co-located with its file (a co-located process with
-    // spare quota would give the "maximum" matching an augmenting path
-    // of length one), so exactly the matched files read locally, and
-    // every edge of file `f` carries `f`'s size as its weight. One pass
-    // over the snapshot replaces the per-file edge lookups of
-    // `locality_report`.
-    let mut local_bytes = 0u64;
-    let mut total_bytes = 0u64;
-    for (f, entry) in snapshot.entries().iter().enumerate() {
-        total_bytes += entry.size;
-        if matcher.owner_of(f).is_some() {
-            local_bytes += entry.size;
-        }
-    }
-    let locality = LocalityReport {
-        local_tasks: matched_files,
-        total_tasks: n,
-        local_bytes,
-        total_bytes,
-    };
+    let locality = SingleDataPlan::matched_locality(snapshot, |f| matcher.owner_of(f).is_some());
     let owner: Vec<usize> = owner.into_iter().map(|o| o as usize).collect();
-    let assignment = Assignment::from_owners(owner, m);
-    debug_assert_eq!(
-        locality,
-        locality_report(&assignment, graph, &snapshot.sizes()),
-        "derived locality must equal the measured report"
-    );
-    SingleDataPlan {
-        assignment,
-        matched_files,
-        filled_files,
-        locality,
-    }
+    SingleDataPlan::assemble(graph, snapshot, owner, filled_files, locality)
 }
 
 /// Long-lived multi-data planning state advanced by layout deltas.

@@ -39,8 +39,7 @@ use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use crate::replan::{MultiDataSession, SingleDataSession};
 use opass_dfs::{LayoutDelta, LayoutSnapshot, RackMap};
 use opass_matching::{
-    assign_multi_data, locality_report, quotas, weighted_quotas, GuidedScheduler,
-    SingleDataMatcher, TwoTierOutcome,
+    assign_multi_data, quotas, weighted_quotas, GuidedScheduler, SingleDataMatcher, TwoTierOutcome,
 };
 use opass_runtime::ProcessPlacement;
 use opass_workloads::Workload;
@@ -399,7 +398,8 @@ impl OpassPlanner {
     }
 
     /// The shared single-data flow solve: graph build, matching under
-    /// even quotas or quotas proportional to `speeds`, report.
+    /// even quotas or quotas proportional to `speeds`, the report of
+    /// [`SingleDataPlan::matched_locality`], then the fill.
     fn solve_single_layout(
         &self,
         snapshot: &LayoutSnapshot,
@@ -412,15 +412,20 @@ impl OpassPlanner {
             Some(speeds) => weighted_quotas(snapshot.len(), speeds),
             None => quotas(snapshot.len(), placement.n_procs().max(1)),
         };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = self.matcher().assign_with_quotas(&graph, &quota, &mut rng);
-        let locality = locality_report(&outcome.assignment, &graph, &snapshot.sizes());
-        SingleDataPlan {
-            assignment: outcome.assignment,
-            matched_files: outcome.matched_files,
-            filled_files: outcome.filled_files,
-            locality,
+        let matcher = self.matcher();
+        let (mut owner, _) = matcher.flow_owners_with_quotas(&graph, &quota);
+        let locality = SingleDataPlan::matched_locality(snapshot, |f| owner[f].is_some());
+        let mut load = vec![0usize; quota.len()];
+        for &p in owner.iter().flatten() {
+            load[p] += 1;
         }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let filled_files = matcher.fill(&quota, &mut owner, &mut load, &mut rng);
+        let owner = owner
+            .into_iter()
+            .map(|o| o.expect("every file is filled"))
+            .collect();
+        SingleDataPlan::assemble(&graph, snapshot, owner, filled_files, locality)
     }
 
     fn matcher(&self) -> SingleDataMatcher {

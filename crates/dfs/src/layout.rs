@@ -13,7 +13,7 @@
 use crate::delta::LayoutDelta;
 use crate::ids::{ChunkId, NodeId};
 use crate::namenode::Namenode;
-use crate::placement::Placement;
+use crate::placement::floyd_sample;
 use crate::replicas::Replicas;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -325,10 +325,12 @@ impl LayoutSnapshot {
 
 /// Each dataset's layout as a namenode of `n_nodes` nodes would hold it
 /// after creating one uniform dataset per `(chunks, chunk size)` of
-/// `datasets` with [`Placement::Random`] and one RNG seeded with `seed`,
-/// drawn without the namenode: the same draws, chunk ids consecutive
-/// across datasets. How a world that only plans gets its layouts. Panics
-/// where the namenode path panics, with the same messages.
+/// `datasets` with [`Random`](crate::Placement::Random) placement and
+/// one RNG seeded with `seed`, drawn without the namenode: the same
+/// Floyd draws, straight into each chunk's replica set, chunk ids
+/// consecutive across datasets. How a world that only plans gets its
+/// layouts. Panics where the namenode path panics, with the same
+/// messages.
 pub fn seeded_layouts(
     n_nodes: usize,
     replication: u32,
@@ -340,7 +342,6 @@ pub fn seeded_layouts(
         n_nodes >= replication as usize,
         "cluster of {n_nodes} cannot hold {replication} replicas"
     );
-    let alive: Vec<NodeId> = (0..n_nodes as u32).map(NodeId).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_id = 0u64;
     datasets.into_iter().map(move |(n_chunks, chunk_size)| {
@@ -351,13 +352,9 @@ pub fn seeded_layouts(
             .map(|j| ChunkLayout {
                 chunk: ChunkId(first + j as u64),
                 size: chunk_size,
-                locations: Placement::Random.place(
-                    j,
-                    replication as usize,
-                    &alive,
-                    &mut rng,
-                    &mut Vec::new(),
-                ),
+                locations: floyd_sample(n_nodes, replication as usize, &mut rng, |i| {
+                    NodeId(i as u32)
+                }),
             })
             .collect()
     })

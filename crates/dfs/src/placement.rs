@@ -7,7 +7,7 @@
 //! depends on how skewed placement is).
 
 use crate::ids::NodeId;
-use crate::replicas::Replicas;
+use crate::replicas::{Replicas, INLINE};
 use crate::topology::RackMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -141,14 +141,45 @@ impl Placement {
 /// `node(j)` when `node(t)` is already taken. Before step `j` every taken
 /// node lies in `node(0..j)`, so the fallback is always free. `node` must
 /// be injective.
-fn floyd_sample(n: usize, k: usize, rng: &mut StdRng, node: impl Fn(usize) -> NodeId) -> Replicas {
-    let mut chosen = Replicas::new();
-    for j in n - k..n {
-        if !chosen.insert(node(rng.gen_range(0..=j))) {
-            chosen.insert(node(j));
+///
+/// Up to [`INLINE`] picks are drawn into a stack array, sorted by a
+/// three-element network and kept as the set's inline array; more go to
+/// a vector. Either way the set is built once, from the sorted picks.
+pub(crate) fn floyd_sample(
+    n: usize,
+    k: usize,
+    rng: &mut StdRng,
+    node: impl Fn(usize) -> NodeId,
+) -> Replicas {
+    let draw = |picks: &mut [NodeId], rng: &mut StdRng| {
+        for (taken, j) in (n - k..n).enumerate() {
+            let pick = node(rng.gen_range(0..=j));
+            picks[taken] = if picks[..taken].contains(&pick) {
+                node(j)
+            } else {
+                pick
+            };
         }
+    };
+    if k <= INLINE {
+        // The slots past `k` hold the largest id, so they sort last.
+        let mut picks = [NodeId(u32::MAX); INLINE];
+        draw(&mut picks[..k], rng);
+        Replicas::inline(sort_three(picks), k)
+    } else {
+        let mut picks = vec![NodeId(0); k];
+        draw(&mut picks, rng);
+        picks.sort_unstable();
+        Replicas::from_sorted(&picks)
     }
-    chosen
+}
+
+/// Sorts three ids with three compare-exchanges and no branch.
+fn sort_three([a, b, c]: [NodeId; INLINE]) -> [NodeId; INLINE] {
+    let (a, b) = (a.min(b), a.max(b));
+    let (b, c) = (b.min(c), b.max(c));
+    let (a, b) = (a.min(b), a.max(b));
+    [a, b, c]
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::ops::Deref;
 /// Holders stored inline: the HDFS default replication. A tag, a length
 /// and three node ids take 16 bytes, and so does the spilled variant's
 /// tag and thin pointer, so three slots is what 16 bytes hold.
-const INLINE: usize = 3;
+pub(crate) const INLINE: usize = 3;
 
 /// The nodes holding a replica of one chunk: sorted ascending, no
 /// duplicates — every constructor and mutator keeps that true, which is
@@ -57,17 +57,24 @@ impl Replicas {
         })
     }
 
+    /// The set of `nodes[..len]`, which must be ascending and
+    /// duplicate-free; the slots past `len` are ignored.
+    pub(crate) fn inline(nodes: [NodeId; INLINE], len: usize) -> Self {
+        debug_assert!(len <= INLINE && nodes[..len].windows(2).all(|w| w[0] < w[1]));
+        Replicas(Repr::Inline {
+            len: len as u8,
+            nodes,
+        })
+    }
+
     /// `sorted` must already be ascending and duplicate-free.
-    fn from_sorted(sorted: &[NodeId]) -> Self {
+    pub(crate) fn from_sorted(sorted: &[NodeId]) -> Self {
         if sorted.len() > INLINE {
             return Replicas(Repr::Spilled(Box::new(sorted.to_vec())));
         }
         let mut nodes = [NodeId(0); INLINE];
         nodes[..sorted.len()].copy_from_slice(sorted);
-        Replicas(Repr::Inline {
-            len: sorted.len() as u8,
-            nodes,
-        })
+        Self::inline(nodes, sorted.len())
     }
 
     /// Adds `node` at its sorted position. Returns `false` (and changes

@@ -227,25 +227,57 @@ fn write_number(n: f64, out: &mut String) {
         // JSON has no Inf/NaN; emit null like serde_json's lossy mode.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
+        write_integer(n as i64, out);
     } else {
         out.push_str(&format!("{n}"));
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `v` in decimal, as `format!("{v}")` does, from a stack buffer.
+fn write_integer(v: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if v < 0 {
+        out.push('-');
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Writes `s` quoted, each run of characters that need no escape with
+/// one copy.
+fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` and `i + 1` are character boundaries.
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -535,6 +567,85 @@ impl fmt::Display for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn numbers_and_strings_write_as_their_format_bodies_did() {
+        // The writers before the stack-buffer integers and the run
+        // copies, verbatim.
+        let number = |n: f64| {
+            if !n.is_finite() {
+                "null".to_string()
+            } else if n.fract() == 0.0 && n.abs() < 1e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            }
+        };
+        let string = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let two_53 = (1u64 << 53) as f64;
+        let mut numbers = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            99.0,
+            100.0,
+            two_53,
+            -two_53,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15,
+            -1e15,
+            0.5,
+            -3.25,
+            1e-7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        numbers.extend((0..15).flat_map(|e| {
+            let p = 10f64.powi(e);
+            [p - 1.0, p, p + 1.0, -p]
+        }));
+        for n in numbers {
+            let mut out = String::new();
+            write_number(n, &mut out);
+            assert_eq!(out, number(n), "{n:?}");
+        }
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "a\"b\\c",
+            "\n\r\t",
+            "\u{0}\u{1}\u{1f}\u{20}\u{7f}",
+            "héllo ✓ 😀",
+            "\u{8}é\"\n end\\",
+            "trailing escape\u{c}",
+        ] {
+            let mut out = String::new();
+            write_string(s, &mut out);
+            assert_eq!(out, string(s), "{s:?}");
+        }
+    }
 
     #[test]
     fn round_trips_nested_document() {

@@ -65,16 +65,12 @@ impl BipartiteGraph {
         procs: Vec<u32>,
         bytes: Vec<u64>,
     ) -> Self {
-        assert!(
-            bytes.iter().all(|&b| b > 0),
-            "locality edges must carry positive bytes"
-        );
         let files = AdjPool::from_spans(degrees, procs, bytes);
-        // Process degrees, then a counting sort in the same array: the
-        // degrees become span ends, each file (descending) is written
-        // just below its processes' ends, which leaves every span
-        // ascending and every end at its start; the starts then turn back
-        // into lengths.
+        // Process degrees, checked edge by edge as they are counted; then
+        // a counting sort in the same array: the degrees become span
+        // ends, each file (descending) is written just below its
+        // processes' ends, which leaves every span ascending and every
+        // end at its start; the starts then turn back into lengths.
         let mut at = vec![0u32; n_procs];
         for f in 0..files.n_vertices() {
             let keys = files.keys_of(f);
@@ -82,7 +78,8 @@ impl BipartiteGraph {
                 keys.windows(2).all(|w| w[0] < w[1]),
                 "file {f}: processes must ascend"
             );
-            for &p in keys {
+            for (&p, &b) in keys.iter().zip(files.wts_of(f)) {
+                assert!(b > 0, "locality edges must carry positive bytes");
                 assert!((p as usize) < n_procs, "process index {p} out of range");
                 at[p as usize] += 1;
             }

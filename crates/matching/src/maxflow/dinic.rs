@@ -32,6 +32,16 @@
 //! 4. The source walks processes with residual quota in ascending order
 //!    and stays on one while it keeps pushing.
 //!
+//! 5. The first phase starts with every file free, so its level graph
+//!    is every process with quota over every file it reaches, and every
+//!    augmenting path is one edge. It is a greedy pass in process order:
+//!    a process takes the free files of its list in order until its
+//!    quota fills. Its work is counted as the
+//!    levelled phase would count it — the level search reads the lists
+//!    of the processes with quota, and each cursor stops on the last
+//!    file its process took when the quota fills, at the list's end when
+//!    it does not.
+//!
 //! The blocking-flow search is iterative: an augmenting path can be as
 //! long as the graph (a chain of `m` processes gives one of `2m` edges),
 //! and a recursion per level overflowed a pool worker's stack there.
@@ -64,44 +74,20 @@ pub struct BipartiteFlow {
 /// Panics unless `quota` has one entry per process, or if a vertex count
 /// does not fit below [`NONE`].
 pub fn bipartite_max_flow(graph: &BipartiteGraph, quota: &[usize]) -> BipartiteFlow {
-    let (m, n) = (graph.n_procs(), graph.n_files());
-    assert_eq!(quota.len(), m, "one quota per process");
-    assert!(
-        u32::try_from(m.max(n)).is_ok_and(|v| v < NONE),
-        "too many vertices ({m} processes, {n} files)"
-    );
-    let mut s = Search {
-        graph,
-        owner: vec![NONE; n],
-        // No process can take more than every file, so the clamp changes
-        // no admissibility test.
-        left: quota.iter().map(|&q| q.min(n) as u32).collect(),
-        proc_level: vec![NONE; m],
-        file_level: vec![NONE; n],
-        cursor: vec![0; m],
-        queue: Vec::with_capacity(m),
-        stack: Vec::with_capacity(m),
-        work: FlowWork::default(),
-    };
-    loop {
-        s.work.phases += 1;
-        if !s.level() {
-            break;
-        }
-        s.cursor.fill(0);
-        for p in 0..m {
-            while s.left[p] > 0 && s.augment(p) {
-                s.left[p] -= 1;
-                s.work.paths += 1;
-            }
-        }
-        // Every entry a process's cursor passed was read once.
-        s.work.scanned += s.cursor.iter().map(|&c| u64::from(c)).sum::<u64>();
+    let mut s = Search::new(graph, quota);
+    if s.first_phase() {
+        s.levelled_phases();
     }
-    BipartiteFlow {
-        owner: s.owner,
-        work: s.work,
-    }
+    s.into_flow()
+}
+
+/// [`bipartite_max_flow`] with every phase levelled, the first one too:
+/// the reference fact 5 is held to.
+#[cfg(test)]
+fn levelled_max_flow(graph: &BipartiteGraph, quota: &[usize]) -> BipartiteFlow {
+    let mut s = Search::new(graph, quota);
+    s.levelled_phases();
+    s.into_flow()
 }
 
 /// The residual state and the per-phase scratch of one solve.
@@ -122,7 +108,86 @@ struct Search<'g> {
     work: FlowWork,
 }
 
-impl Search<'_> {
+impl<'g> Search<'g> {
+    fn new(graph: &'g BipartiteGraph, quota: &[usize]) -> Self {
+        let (m, n) = (graph.n_procs(), graph.n_files());
+        assert_eq!(quota.len(), m, "one quota per process");
+        assert!(
+            u32::try_from(m.max(n)).is_ok_and(|v| v < NONE),
+            "too many vertices ({m} processes, {n} files)"
+        );
+        Search {
+            graph,
+            owner: vec![NONE; n],
+            // No process can take more than every file, so the clamp
+            // changes no admissibility test.
+            left: quota.iter().map(|&q| q.min(n) as u32).collect(),
+            proc_level: vec![NONE; m],
+            file_level: vec![NONE; n],
+            cursor: vec![0; m],
+            queue: Vec::with_capacity(m),
+            stack: Vec::with_capacity(m),
+            work: FlowWork::default(),
+        }
+    }
+
+    fn into_flow(self) -> BipartiteFlow {
+        BipartiteFlow {
+            owner: self.owner,
+            work: self.work,
+        }
+    }
+
+    /// The first phase in closed form (fact 5), on a search no phase has
+    /// touched. Returns whether it reached `t`, which is whether a later
+    /// phase can push anything.
+    fn first_phase(&mut self) -> bool {
+        self.work.phases += 1;
+        let mut reached_t = false;
+        for p in 0..self.left.len() {
+            if self.left[p] == 0 {
+                continue;
+            }
+            let files = self.graph.files_raw(p);
+            reached_t |= !files.is_empty();
+            let mut cursor = files.len();
+            for (at, &f) in files.iter().enumerate() {
+                if self.owner[f as usize] == NONE {
+                    self.owner[f as usize] = p as u32;
+                    self.left[p] -= 1;
+                    self.work.paths += 1;
+                    if self.left[p] == 0 {
+                        cursor = at;
+                        break;
+                    }
+                }
+            }
+            // The level search read the whole list; the blocking flow
+            // read it up to the cursor.
+            self.work.scanned += (files.len() + cursor) as u64;
+        }
+        reached_t
+    }
+
+    /// Levelled phases until `t` is out of reach.
+    fn levelled_phases(&mut self) {
+        loop {
+            self.work.phases += 1;
+            if !self.level() {
+                break;
+            }
+            self.cursor.fill(0);
+            for p in 0..self.left.len() {
+                while self.left[p] > 0 && self.augment(p) {
+                    self.left[p] -= 1;
+                    self.work.paths += 1;
+                }
+            }
+            // Every entry a process's cursor passed was read once.
+            self.work.scanned += self.cursor.iter().map(|&c| u64::from(c)).sum::<u64>();
+        }
+    }
+
     /// Builds the level graph; returns whether `t` is reachable.
     fn level(&mut self) -> bool {
         self.proc_level.fill(NONE);
@@ -440,10 +505,12 @@ mod tests {
     }
 
     /// Holds every owner and the flow value of the in-place solve equal
-    /// to the oracle's.
+    /// to the oracle's, and its owners and work equal to the all-levelled
+    /// reference's.
     fn assert_same_flow(graph: &BipartiteGraph, quota: &[usize], owned: &[bool], case: &str) {
         let (want, value) = network_flow(graph, quota, owned);
         let got = bipartite_max_flow(graph, quota);
+        assert_eq!(got, levelled_max_flow(graph, quota), "{case}: levelled");
         assert_eq!(got.work.paths, value, "{case}: flow value");
         assert_eq!(got.owner, want, "{case}: owners");
         let taken = got.owner.iter().filter(|&&p| p != NONE).count();
@@ -452,6 +519,74 @@ mod tests {
             let load = got.owner.iter().filter(|&&o| o == p as u32).count();
             assert!(load <= q, "{case}: process {p} over its quota");
         }
+    }
+
+    #[test]
+    fn the_closed_form_first_phase_repeats_the_levelled_one() {
+        // Owners and work, phase for phase: random graphs whose quotas,
+        // degrees and sizes reach every corner the greedy pass must count
+        // as the level search did — zero quotas, processes and files with
+        // no edge, no edges at all, more processes than files, quotas
+        // above the file count.
+        let mut rng = StdRng::seed_from_u64(0xD1_20);
+        let mut shapes = [0usize; 3];
+        for case in 0..6_000 {
+            let m = rng.gen_range(1usize..12);
+            let n = match case % 4 {
+                0 => rng.gen_range(0..m),
+                _ => rng.gen_range(0usize..40),
+            };
+            let mut g = BipartiteGraph::new(m, n);
+            let density = [0u32, 10, 40, 90][rng.gen_range(0..4)];
+            for p in 0..m {
+                // A third of the processes isolated.
+                if rng.gen_range(0u32..3) == 0 {
+                    continue;
+                }
+                for f in 0..n {
+                    if rng.gen_range(0u32..100) < density {
+                        g.add_edge(p, f, 64);
+                    }
+                }
+            }
+            let quota: Vec<usize> = (0..m)
+                .map(|_| [0, 0, 1, 2, rng.gen_range(0..=n + 2)][rng.gen_range(0..5)])
+                .collect();
+            let got = bipartite_max_flow(&g, &quota);
+            assert_eq!(got, levelled_max_flow(&g, &quota), "case {case}");
+            shapes[match (g.edge_count(), got.work.phases) {
+                (0, _) => 0,
+                (_, 1) => 1,
+                _ => 2,
+            }] += 1;
+        }
+        // Every shape occurred: no edges; edges, but none from a process
+        // with quota; a first phase that pushes.
+        assert!(shapes.iter().all(|&s| s > 0), "{shapes:?}");
+    }
+
+    #[test]
+    fn the_first_phase_counts_its_reads_as_the_level_search_did() {
+        // Process 0 (quota 1) takes file 0 and its cursor stops there;
+        // process 1 (quota 0) reads nothing; process 2 (quota 2) finds
+        // file 0 taken, takes 1 and 2, stops on 2. Phase 1 reads the
+        // two lists with quota (2 + 3) and the cursors (0 + 2); phase 2
+        // starts with no quota left and reads nothing.
+        let mut g = BipartiteGraph::new(3, 4);
+        for (p, f) in [(0, 0), (0, 3), (1, 0), (2, 0), (2, 1), (2, 2)] {
+            g.add_edge(p, f, 64);
+        }
+        let flow = bipartite_max_flow(&g, &[1, 0, 2]);
+        assert_eq!(flow.owner, [0, 2, 2, NONE]);
+        assert_eq!(
+            flow.work,
+            FlowWork {
+                phases: 2,
+                paths: 3,
+                scanned: 7,
+            }
+        );
+        assert_eq!(flow, levelled_max_flow(&g, &[1, 0, 2]));
     }
 
     #[test]

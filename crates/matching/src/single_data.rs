@@ -200,15 +200,13 @@ impl SingleDataMatcher {
         self.assign_with_quotas(graph, &quota, rng)
     }
 
-    /// Like [`Self::assign`] but with explicit per-process quotas — the
-    /// heterogeneous-cluster extension (quotas proportional to node
-    /// capability; see [`weighted_quotas`]).
+    /// Like [`Self::assign`] but with explicit per-process quotas.
     ///
     /// # Panics
     ///
     /// Panics unless `quota` has one entry per process and sums to the
     /// file count.
-    pub fn assign_with_quotas<R: Rng>(
+    fn assign_with_quotas<R: Rng>(
         &self,
         graph: &BipartiteGraph,
         quota: &[usize],
@@ -293,12 +291,27 @@ impl SingleDataMatcher {
     /// [`crate::IncrementalMatcher::from_matching`]) and stay
     /// bit-identical to the from-scratch solve.
     pub fn flow_owners(&self, graph: &BipartiteGraph) -> (Vec<Option<usize>>, usize) {
+        self.flow_owners_with_quotas(graph, &quotas(graph.n_files(), graph.n_procs()))
+    }
+
+    /// [`Self::flow_owners`] under explicit quotas — even ones, or the
+    /// heterogeneous-cluster extension's (quotas proportional to node
+    /// capability; see [`weighted_quotas`]) — for a caller that
+    /// completes the plan itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the graph has a process and `quota` one entry per
+    /// process.
+    pub fn flow_owners_with_quotas(
+        &self,
+        graph: &BipartiteGraph,
+        quota: &[usize],
+    ) -> (Vec<Option<usize>>, usize) {
         let m = graph.n_procs();
         assert!(m > 0, "need at least one process");
-        let quota = quotas(graph.n_files(), m);
         let mut owner = vec![None; graph.n_files()];
-        let mut load = vec![0usize; m];
-        let matched = self.flow_match_with_residual(graph, &quota, &mut owner, &mut load);
+        let matched = self.flow_match_with_residual(graph, quota, &mut owner, &mut vec![0; m]);
         (owner, matched)
     }
 
@@ -382,8 +395,9 @@ impl SingleDataMatcher {
     }
 
     /// Fills unowned files into spare quota per the fill policy
-    /// ([`SpareQuota`]). Returns how many files were filled.
-    fn fill<R: Rng>(
+    /// ([`SpareQuota`]), `load` counting each process's files so far.
+    /// Returns how many files were filled.
+    pub fn fill<R: Rng>(
         &self,
         quota: &[usize],
         owner: &mut [Option<usize>],
@@ -637,6 +651,40 @@ mod tests {
         }
         .assign(&g, &mut rng());
         assert_eq!(unit.matched_files, bytes.matched_files);
+    }
+
+    #[test]
+    fn quota_owners_are_the_matching_the_assignment_fills_around() {
+        let mut rng = StdRng::seed_from_u64(0x0D5E);
+        for case in 0..600 {
+            let m = rng.gen_range(1usize..8);
+            let n = rng.gen_range(1usize..40);
+            let mut g = BipartiteGraph::new(m, n);
+            for _ in 0..rng.gen_range(0usize..100) {
+                g.add_edge(
+                    rng.gen_range(0..m),
+                    rng.gen_range(0..n),
+                    rng.gen_range(1..200),
+                );
+            }
+            let weights: Vec<f64> = (0..m).map(|_| rng.gen_range(1..5) as f64).collect();
+            let quota = weighted_quotas(n, &weights);
+            for objective in [Objective::MatchCount, Objective::MatchedBytes] {
+                let matcher = SingleDataMatcher {
+                    objective,
+                    ..Default::default()
+                };
+                let out = matcher.assign_with_quotas(&g, &quota, &mut StdRng::seed_from_u64(7));
+                let (owners, matched) = matcher.flow_owners_with_quotas(&g, &quota);
+                assert_eq!(matched, out.matched_files, "case {case}, {objective:?}");
+                assert_eq!(owners.iter().flatten().count(), matched);
+                for (f, p) in owners.iter().enumerate() {
+                    if let Some(p) = *p {
+                        assert_eq!(out.assignment.owner_of(f), p, "case {case}, file {f}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
