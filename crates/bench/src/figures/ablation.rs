@@ -13,11 +13,11 @@ use crate::report::{mb, secs, CsvWriter, FigureReport};
 use opass_core::planner::OpassPlanner;
 use opass_core::request::PlanRequest;
 use opass_core::{ClusterSpec, Experiment, SingleData, Strategy};
-use opass_dfs::{DatasetSpec, DfsConfig, Namenode, Placement, ReplicaChoice};
+use opass_dfs::{DfsConfig, Namenode, Placement, ReplicaChoice};
 use opass_matching::{FillPolicy, GuidedScheduler, StealPolicy};
-use opass_runtime::{baseline, execute, ExecConfig, ProcessPlacement, RunResult, TaskSource};
+use opass_runtime::{baseline, execute, ExecConfig, ProcessPlacement, TaskSource};
 use opass_simio::IoParams;
-use opass_workloads::{single as single_wl, SingleDataConfig, Task, Workload};
+use opass_workloads::{single as single_wl, SingleDataConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -332,36 +332,38 @@ pub fn ablate_steal(out: &Path, seed: u64) -> FigureReport {
     report
 }
 
-/// Runs a tiny single-data scenario used by unit tests below.
-#[allow(dead_code)]
-fn smoke_run(seed: u64) -> RunResult {
-    let mut nn = Namenode::new(4, DfsConfig::default());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ds = nn.create_dataset(
-        &DatasetSpec::uniform("s", 8, 1 << 20),
-        &Placement::Random,
-        &mut rng,
-    );
-    let tasks: Vec<Task> = nn
-        .dataset(ds)
-        .unwrap()
-        .chunks
-        .iter()
-        .map(|&c| Task::single(c))
-        .collect();
-    let w = Workload::new("s", tasks);
-    execute(
-        &nn,
-        &w,
-        &ProcessPlacement::one_per_node(4),
-        TaskSource::Static(baseline::rank_interval(8, 4)),
-        &ExecConfig::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opass_dfs::DatasetSpec;
+    use opass_runtime::RunResult;
+    use opass_workloads::{Task, Workload};
+
+    /// Runs a tiny single-data scenario.
+    fn smoke_run(seed: u64) -> RunResult {
+        let mut nn = Namenode::new(4, DfsConfig::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ds = nn.create_dataset(
+            &DatasetSpec::uniform("s", 8, 1 << 20),
+            &Placement::Random,
+            &mut rng,
+        );
+        let tasks: Vec<Task> = nn
+            .dataset(ds)
+            .unwrap()
+            .chunks
+            .iter()
+            .map(|&c| Task::single(c))
+            .collect();
+        let w = Workload::new("s", tasks);
+        execute(
+            &nn,
+            &w,
+            &ProcessPlacement::one_per_node(4),
+            TaskSource::Static(baseline::rank_interval(8, 4)),
+            &ExecConfig::default(),
+        )
+    }
 
     #[test]
     fn smoke_runs_deterministically() {

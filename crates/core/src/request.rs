@@ -413,12 +413,8 @@ impl OpassPlanner {
             None => quotas(snapshot.len(), placement.n_procs().max(1)),
         };
         let matcher = self.matcher();
-        let (mut owner, _) = matcher.flow_owners_with_quotas(&graph, &quota);
+        let (mut owner, mut load) = matcher.flow_owners_with_quotas(&graph, &quota);
         let locality = SingleDataPlan::matched_locality(snapshot, |f| owner[f].is_some());
-        let mut load = vec![0usize; quota.len()];
-        for &p in owner.iter().flatten() {
-            load[p] += 1;
-        }
         let mut rng = StdRng::seed_from_u64(seed);
         let filled_files = matcher.fill(&quota, &mut owner, &mut load, &mut rng);
         let owner = owner

@@ -291,13 +291,16 @@ impl SingleDataMatcher {
     /// [`crate::IncrementalMatcher::from_matching`]) and stay
     /// bit-identical to the from-scratch solve.
     pub fn flow_owners(&self, graph: &BipartiteGraph) -> (Vec<Option<usize>>, usize) {
-        self.flow_owners_with_quotas(graph, &quotas(graph.n_files(), graph.n_procs()))
+        let (owner, load) =
+            self.flow_owners_with_quotas(graph, &quotas(graph.n_files(), graph.n_procs()));
+        (owner, load.iter().sum())
     }
 
     /// [`Self::flow_owners`] under explicit quotas — even ones, or the
     /// heterogeneous-cluster extension's (quotas proportional to node
     /// capability; see [`weighted_quotas`]) — for a caller that
-    /// completes the plan itself.
+    /// completes the plan itself: the owner per file and the matched
+    /// files per process, the `load` [`Self::fill`] continues from.
     ///
     /// # Panics
     ///
@@ -307,12 +310,13 @@ impl SingleDataMatcher {
         &self,
         graph: &BipartiteGraph,
         quota: &[usize],
-    ) -> (Vec<Option<usize>>, usize) {
+    ) -> (Vec<Option<usize>>, Vec<usize>) {
         let m = graph.n_procs();
         assert!(m > 0, "need at least one process");
         let mut owner = vec![None; graph.n_files()];
-        let matched = self.flow_match_with_residual(graph, quota, &mut owner, &mut vec![0; m]);
-        (owner, matched)
+        let mut load = vec![0; m];
+        self.flow_match_with_residual(graph, quota, &mut owner, &mut load);
+        (owner, load)
     }
 
     /// Runs max-flow over `graph` under `quota` — the full quotas, or
@@ -675,9 +679,12 @@ mod tests {
                     ..Default::default()
                 };
                 let out = matcher.assign_with_quotas(&g, &quota, &mut StdRng::seed_from_u64(7));
-                let (owners, matched) = matcher.flow_owners_with_quotas(&g, &quota);
+                let (owners, load) = matcher.flow_owners_with_quotas(&g, &quota);
+                let matched = owners.iter().flatten().count();
                 assert_eq!(matched, out.matched_files, "case {case}, {objective:?}");
-                assert_eq!(owners.iter().flatten().count(), matched);
+                for (p, &l) in load.iter().enumerate() {
+                    assert_eq!(owners.iter().filter(|&&o| o == Some(p)).count(), l);
+                }
                 for (f, p) in owners.iter().enumerate() {
                     if let Some(p) = *p {
                         assert_eq!(out.assignment.owner_of(f), p, "case {case}, file {f}");

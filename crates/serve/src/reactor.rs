@@ -10,16 +10,23 @@
 //! hot path (cache hit on an affine connection) takes zero locks and
 //! writes a pre-encoded reply frame zero-copy from a shared buffer.
 //!
-//! Cross-shard traffic rides three per-shard mailboxes (one mutex +
-//! condvar each): `routed` requests toward a dataset's owner, completed
-//! `replies` back to the connection's shard, and `done` computation
-//! results from the worker pool toward the owning slice. Every dataset
-//! request — plan, layout, place — takes one path: [`Shard::route`] to
-//! the owner, a slice lookup there, then a pool job whose refusal is
-//! one typed reply. Singleflight coalescing is structural: the owner
-//! shard keeps one in-flight table keyed by [`Flight`], so a stampede of
-//! same-key requests admits exactly one pool job and every follower
-//! waits on the same completion — deterministic, no condvar races.
+//! Cross-shard traffic rides one mailbox per shard (a mutex + condvar),
+//! handled in arrival order: `Routed` requests toward a dataset's owner,
+//! completed `Reply`s back to the connection's shard, and `Done`
+//! computation results from the worker pool toward the owning slice.
+//! Every dataset request — plan, layout, place — takes one path:
+//! [`Shard::route`] to the owner, a slice lookup there, then a pool job
+//! whose refusal is one typed reply. Singleflight coalescing is
+//! structural: the owner shard keeps one in-flight table keyed by
+//! [`Flight`], so a stampede of same-key requests admits exactly one
+//! pool job and every follower waits on the same completion —
+//! deterministic, no condvar races.
+//!
+//! [`Shard`] itself is a single-threaded state machine over any
+//! [`Stream`] and an injected job sink; [`run_shard`] is its one driver
+//! and the only code here that touches sockets, the condvar park, the
+//! worker pool or [`Ctx::begin_close`]. A test drives a shard on one
+//! thread over in-memory pipes and runs its jobs when it chooses.
 //!
 //! Shutdown is a two-phase drain. Phase one: every shard observes
 //! `closing`, stops parsing new frames, and checks in on the quiesce
@@ -33,7 +40,7 @@ use crate::conn::{FrameBuf, WriteProgress, WriteQueue};
 use crate::frame::{encode_frame, FrameError};
 use crate::metrics::{LatencyHistogram, ShardStats, Timer};
 use crate::planning::{self, ComputedPlan, PlanKey, Repairable};
-use crate::pool::{SubmitError, WorkerPool};
+use crate::pool::{Job, SubmitError, WorkerPool};
 use crate::protocol::{
     PlanReply, Request, Response, ShardStatsReply, StatsReply, PROTOCOL_VERSION,
 };
@@ -42,7 +49,7 @@ use opass_core::dfs::LayoutSnapshot;
 use opass_core::runtime::ProcessPlacement;
 use opass_core::{OpassPlanner, Strategy};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -155,7 +162,15 @@ struct Keep {
     layout: Option<LayoutSlot>,
 }
 
-/// The cross-thread face of one shard: its mailboxes and counters.
+/// One item in a shard's mailbox.
+enum Mail {
+    Routed(Routed),
+    Reply(RemoteReply),
+    Done(Done),
+}
+
+/// The cross-thread face of one shard: its mailbox and counters.
+#[derive(Default)]
 pub(crate) struct ShardShared {
     inbox: Mutex<Inbox>,
     wake: Condvar,
@@ -166,44 +181,17 @@ pub(crate) struct ShardShared {
 #[derive(Default)]
 struct Inbox {
     conns: Vec<TcpStream>,
-    routed: VecDeque<Routed>,
-    replies: VecDeque<RemoteReply>,
-    done: VecDeque<Done>,
-}
-
-impl Inbox {
-    fn is_empty(&self) -> bool {
-        self.conns.is_empty()
-            && self.routed.is_empty()
-            && self.replies.is_empty()
-            && self.done.is_empty()
-    }
+    mail: VecDeque<Mail>,
 }
 
 impl ShardShared {
-    fn new() -> ShardShared {
-        ShardShared {
-            inbox: Mutex::new(Inbox::default()),
-            wake: Condvar::new(),
-            stats: ShardStats::default(),
-        }
-    }
-
     /// Hands a freshly accepted connection to this shard.
     pub(crate) fn push_conn(&self, stream: TcpStream) {
         self.with_inbox(|i| i.conns.push(stream));
     }
 
-    fn push_routed(&self, r: Routed) {
-        self.with_inbox(|i| i.routed.push_back(r));
-    }
-
-    fn push_reply(&self, r: RemoteReply) {
-        self.with_inbox(|i| i.replies.push_back(r));
-    }
-
-    fn push_done(&self, d: Done) {
-        self.with_inbox(|i| i.done.push_back(d));
+    fn post(&self, mail: Mail) {
+        self.with_inbox(|i| i.mail.push_back(mail));
     }
 
     fn with_inbox(&self, f: impl FnOnce(&mut Inbox)) {
@@ -266,9 +254,7 @@ impl Ctx {
             cold_plan_latency: LatencyHistogram::new(),
             closing: AtomicBool::new(false),
             quiesced: AtomicUsize::new(0),
-            shards: (0..n_shards.max(1))
-                .map(|_| Arc::new(ShardShared::new()))
-                .collect(),
+            shards: (0..n_shards.max(1)).map(|_| Arc::default()).collect(),
             pong,
             backlog,
         })
@@ -427,9 +413,21 @@ struct LayoutSlot {
     hit_bytes: Option<Arc<Vec<u8>>>,
 }
 
+/// A connection's byte stream as a shard drives it: nonblocking reads
+/// and writes (`WouldBlock` when nothing moves) and a hang-up.
+pub(crate) trait Stream: Read + Write {
+    fn hang_up(&mut self);
+}
+
+impl Stream for TcpStream {
+    fn hang_up(&mut self) {
+        let _ = self.shutdown(std::net::Shutdown::Both);
+    }
+}
+
 /// A live connection owned by one shard.
-struct Conn {
-    stream: TcpStream,
+struct Conn<S> {
+    stream: S,
     epoch: u64,
     frames: FrameBuf,
     wq: WriteQueue,
@@ -437,12 +435,16 @@ struct Conn {
     dead: bool,
 }
 
+/// Where a shard's pool jobs go; a refusal becomes the waiter's typed
+/// reply.
+type Submit = Box<dyn FnMut(Job) -> Result<(), SubmitError>>;
+
 /// One shard's private state: its connection slab and its slice of the
 /// generation-stamped caches. Everything here is single-threaded.
-struct Shard {
+struct Shard<S> {
     ctx: Arc<Ctx>,
     index: usize,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Conn<S>>>,
     /// Reuse epoch per slab slot (bumped on reap).
     epochs: Vec<u64>,
     free: Vec<usize>,
@@ -450,48 +452,26 @@ struct Shard {
     layout_cache: BTreeMap<usize, LayoutSlot>,
     /// Waiters per in-flight computation, the leader first.
     flights: BTreeMap<Flight, Vec<Waiter>>,
+    submit: Submit,
+    /// A `shutdown` request arrived; the driver begins the close.
+    close_requested: bool,
 }
 
-/// Runs one shard's event loop until drain completes.
+/// Runs one shard's event loop over its sockets until drain completes.
 pub(crate) fn run_shard(ctx: Arc<Ctx>, index: usize) {
-    let mut shard = Shard {
-        ctx,
-        index,
-        conns: Vec::new(),
-        epochs: Vec::new(),
-        free: Vec::new(),
-        plan_cache: BTreeMap::new(),
-        layout_cache: BTreeMap::new(),
-        flights: BTreeMap::new(),
-    };
+    let sink = Arc::clone(&ctx);
+    let mut shard = Shard::new(ctx, index, Box::new(move |job| sink.pool.try_submit(job)));
     let mut idle_sweeps = 0u32;
     let mut acked_close = false;
     loop {
-        let mut progress = false;
-        let (new_conns, routed, replies, done) = {
-            let mut inbox = shard.me().inbox.lock().expect("shard inbox not poisoned");
-            (
-                std::mem::take(&mut inbox.conns),
-                std::mem::take(&mut inbox.routed),
-                std::mem::take(&mut inbox.replies),
-                std::mem::take(&mut inbox.done),
-            )
-        };
-        progress |=
-            !new_conns.is_empty() || !routed.is_empty() || !replies.is_empty() || !done.is_empty();
-        for stream in new_conns {
-            shard.register(stream);
+        let Inbox { conns, mail } =
+            std::mem::take(&mut *shard.me().inbox.lock().expect("shard inbox not poisoned"));
+        let mut progress = !conns.is_empty();
+        for stream in conns {
+            if stream.set_nonblocking(true).is_ok() {
+                shard.register(stream);
+            }
         }
-        for r in routed {
-            shard.handle_routed(r);
-        }
-        for d in done {
-            shard.handle_done(d);
-        }
-        for r in replies {
-            shard.fill(r.ticket, r.bytes, r.count_latency);
-        }
-
         let closing = shard.ctx.closing.load(Ordering::Acquire);
         if closing && !acked_close {
             // Phase one of the drain: stop parsing new frames, check in
@@ -501,13 +481,9 @@ pub(crate) fn run_shard(ctx: Arc<Ctx>, index: usize) {
             shard.ctx.quiesced.fetch_add(1, Ordering::AcqRel);
             progress = true;
         }
-        if !closing {
-            for idx in 0..shard.conns.len() {
-                progress |= shard.pump_reads(idx);
-            }
-        }
-        for idx in 0..shard.conns.len() {
-            progress |= shard.pump_writes(idx);
+        progress |= shard.sweep(mail, closing);
+        if std::mem::take(&mut shard.close_requested) {
+            shard.ctx.begin_close();
         }
 
         if closing
@@ -526,7 +502,7 @@ pub(crate) fn run_shard(ctx: Arc<Ctx>, index: usize) {
                 std::thread::yield_now();
             } else {
                 let inbox = shard.me().inbox.lock().expect("shard inbox not poisoned");
-                if inbox.is_empty() {
+                if inbox.conns.is_empty() && inbox.mail.is_empty() {
                     // Sockets have no waker: cap the park so newly
                     // arrived frames are picked up within one PARK.
                     let _ = shard
@@ -540,15 +516,50 @@ pub(crate) fn run_shard(ctx: Arc<Ctx>, index: usize) {
     }
 }
 
-impl Shard {
+impl<S: Stream> Shard<S> {
+    fn new(ctx: Arc<Ctx>, index: usize, submit: Submit) -> Shard<S> {
+        Shard {
+            ctx,
+            index,
+            conns: Vec::new(),
+            epochs: Vec::new(),
+            free: Vec::new(),
+            plan_cache: BTreeMap::new(),
+            layout_cache: BTreeMap::new(),
+            flights: BTreeMap::new(),
+            submit,
+            close_requested: false,
+        }
+    }
+
     fn me(&self) -> &Arc<ShardShared> {
         self.ctx.shard(self.index)
     }
 
-    fn register(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
+    /// One pass: handles `mail` in arrival order, reads and handles new
+    /// frames unless `closing`, and flushes every write queue. Returns
+    /// whether anything moved.
+    fn sweep(&mut self, mail: VecDeque<Mail>, closing: bool) -> bool {
+        let mut progress = !mail.is_empty();
+        for mail in mail {
+            match mail {
+                Mail::Routed(r) => self.handle_routed(r),
+                Mail::Reply(r) => self.fill(r.ticket, r.bytes, r.count_latency),
+                Mail::Done(d) => self.handle_done(d),
+            }
         }
+        if !closing {
+            for idx in 0..self.conns.len() {
+                progress |= self.pump_reads(idx);
+            }
+        }
+        for idx in 0..self.conns.len() {
+            progress |= self.pump_writes(idx);
+        }
+        progress
+    }
+
+    fn register(&mut self, stream: S) {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -654,7 +665,7 @@ impl Shard {
     }
 
     fn reap(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].take() else {
+        let Some(mut conn) = self.conns[idx].take() else {
             return;
         };
         // Slots that died unanswered stop counting toward the drain /
@@ -668,7 +679,7 @@ impl Shard {
         }
         self.epochs[idx] += 1;
         self.free.push(idx);
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        conn.stream.hang_up();
     }
 
     /// Reserves the next in-order reply slot on a connection.
@@ -709,11 +720,11 @@ impl Shard {
         if waiter.origin == self.index {
             self.fill(waiter.ticket, bytes, count_latency);
         } else {
-            self.ctx.shard(waiter.origin).push_reply(RemoteReply {
+            self.ctx.shard(waiter.origin).post(Mail::Reply(RemoteReply {
                 ticket: waiter.ticket,
                 bytes,
                 count_latency,
-            });
+            }));
         }
     }
 
@@ -776,7 +787,7 @@ impl Shard {
                     conn.wq.push_ready(encode_response(&Response::ShuttingDown));
                     conn.close_after_flush = true;
                 }
-                self.ctx.begin_close();
+                self.close_requested = true;
             }
             Request::Plan {
                 dataset,
@@ -825,7 +836,7 @@ impl Shard {
             self.handle_routed(routed);
         } else {
             self.me().stats.forwarded.fetch_add(1, Ordering::Relaxed);
-            self.ctx.shard(owner).push_routed(routed);
+            self.ctx.shard(owner).post(Mail::Routed(routed));
         }
     }
 
@@ -869,7 +880,7 @@ impl Shard {
     /// the typed `overloaded` or `shutting_down` reply; returns whether
     /// the job was admitted.
     fn submit(&mut self, waiter: Waiter, job: impl FnOnce() + Send + 'static) -> bool {
-        let refusal = match self.ctx.pool.try_submit(job) {
+        let refusal = match (self.submit)(Box::new(job)) {
             Ok(()) => return true,
             Err(SubmitError::Overloaded { queue_depth }) => Response::Overloaded { queue_depth },
             Err(SubmitError::ShuttingDown) => Response::ShuttingDown,
@@ -888,7 +899,7 @@ impl Shard {
     ) {
         let ctx = Arc::clone(&self.ctx);
         let owner = self.index;
-        if self.submit(waiter, move || ctx.shard(owner).push_done(job())) {
+        if self.submit(waiter, move || ctx.shard(owner).post(Mail::Done(job()))) {
             self.flights.insert(flight, vec![waiter]);
         }
     }
@@ -1080,11 +1091,11 @@ impl Shard {
                 budget,
                 seed,
             );
-            ctx.shard(waiter.origin).push_reply(RemoteReply {
+            ctx.shard(waiter.origin).post(Mail::Reply(RemoteReply {
                 ticket: waiter.ticket,
                 bytes: encode_response(&Response::Place(reply)),
                 count_latency: true,
-            });
+            }));
         });
     }
 
@@ -1156,5 +1167,310 @@ impl Shard {
         for idx in 0..self.conns.len() {
             self.reap(idx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::read_frame;
+    use crate::spec::ServeSpec;
+    use std::cell::RefCell;
+    use std::io::ErrorKind;
+    use std::rc::Rc;
+
+    /// Both directions of an in-memory connection.
+    #[derive(Default)]
+    struct Wire {
+        /// Bytes the peer sent that the shard has not read yet.
+        inbound: VecDeque<u8>,
+        /// Bytes the shard wrote.
+        outbound: Vec<u8>,
+        /// The peer closed its side: reads past `inbound` see the end.
+        eof: bool,
+        /// The peer took a write since the shard's last blocked call.
+        busy: bool,
+        hung_up: bool,
+    }
+
+    /// The shard's end of a [`Wire`]: each `read` hands over at most
+    /// `read_chunk` bytes, and each `write` takes at most `write_chunk`,
+    /// after which the peer is busy for one call (`WouldBlock`).
+    struct Pipe {
+        wire: Rc<RefCell<Wire>>,
+        read_chunk: usize,
+        write_chunk: usize,
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let mut wire = self.wire.borrow_mut();
+            if wire.inbound.is_empty() {
+                return if wire.eof {
+                    Ok(0)
+                } else {
+                    Err(ErrorKind::WouldBlock.into())
+                };
+            }
+            let n = buf.len().min(self.read_chunk).min(wire.inbound.len());
+            for (slot, byte) in buf.iter_mut().zip(wire.inbound.drain(..n)) {
+                *slot = byte;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut wire = self.wire.borrow_mut();
+            wire.busy = !wire.busy;
+            if !wire.busy {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.write_chunk);
+            wire.outbound.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Stream for Pipe {
+        fn hang_up(&mut self) {
+            self.wire.borrow_mut().hung_up = true;
+        }
+    }
+
+    /// Jobs the test's sink admitted and has not run yet.
+    type Held = Rc<RefCell<VecDeque<Job>>>;
+
+    fn spec() -> ServeSpec {
+        ServeSpec {
+            n_nodes: 8,
+            n_datasets: 2,
+            chunks_per_dataset: 48,
+            ..Default::default()
+        }
+    }
+
+    /// The only shard of a server over [`spec`], with a sink that holds
+    /// up to `queue` jobs and refuses the rest as a full pool does.
+    fn shard(queue: usize) -> (Shard<Pipe>, Held) {
+        let spec = spec();
+        let placement = spec.placement();
+        let addr = "127.0.0.1:0".parse().expect("socket address");
+        let pool = WorkerPool::new(1, 1);
+        let ctx = Ctx::new(World::new(spec), placement, pool, addr, 1, 1024);
+        let held = Held::default();
+        let sink = Rc::clone(&held);
+        let submit = Box::new(move |job| {
+            let mut held = sink.borrow_mut();
+            if held.len() >= queue {
+                return Err(SubmitError::Overloaded {
+                    queue_depth: held.len(),
+                });
+            }
+            held.push_back(job);
+            Ok(())
+        });
+        (Shard::new(ctx, 0, submit), held)
+    }
+
+    fn connect(
+        shard: &mut Shard<Pipe>,
+        read_chunk: usize,
+        write_chunk: usize,
+    ) -> Rc<RefCell<Wire>> {
+        let wire = Rc::default();
+        shard.register(Pipe {
+            wire: Rc::clone(&wire),
+            read_chunk,
+            write_chunk,
+        });
+        wire
+    }
+
+    /// Pipelines `requests` into the wire as one burst.
+    fn send(wire: &RefCell<Wire>, requests: &[Request]) {
+        for request in requests {
+            let frame = encode_frame(&request.to_json()).expect("request encodes");
+            wire.borrow_mut().inbound.extend(frame);
+        }
+    }
+
+    /// One sweep over the shard's mail and connections.
+    fn sweep(shard: &mut Shard<Pipe>) -> bool {
+        let mail = std::mem::take(&mut shard.me().inbox.lock().expect("inbox").mail);
+        shard.sweep(mail, false)
+    }
+
+    fn run_held(held: &Held) {
+        let jobs: Vec<Job> = held.borrow_mut().drain(..).collect();
+        for job in jobs {
+            job();
+        }
+    }
+
+    /// Sweeps and runs every admitted job until nothing moves, no job
+    /// is held and every write queue is empty.
+    fn settle(shard: &mut Shard<Pipe>, held: &Held) {
+        for _ in 0..1_000_000 {
+            let moved = sweep(shard);
+            let flushed = shard.conns.iter().flatten().all(|c| c.wq.is_empty());
+            if !moved && flushed && held.borrow().is_empty() {
+                return;
+            }
+            run_held(held);
+        }
+        panic!("the shard never settled");
+    }
+
+    fn replies(bytes: &[u8]) -> Vec<Response> {
+        let mut rest = bytes;
+        let mut out = Vec::new();
+        while !rest.is_empty() {
+            let frame = read_frame(&mut rest).expect("whole reply frame");
+            out.push(Response::from_json(&frame).expect("reply decodes"));
+        }
+        out
+    }
+
+    fn pending(shard: &Shard<Pipe>) -> u64 {
+        shard.me().stats.pending.load(Ordering::Acquire)
+    }
+
+    fn plan(dataset: usize, seed: u64) -> Request {
+        Request::Plan {
+            dataset,
+            strategy: Strategy::Opass,
+            seed,
+        }
+    }
+
+    #[test]
+    fn a_full_queue_sheds_everything_behind_the_admitted_plan() {
+        // The time-free twin of serve_e2e's
+        // `saturated_queue_sheds_with_typed_overloaded`: the admitted
+        // plan cannot finish before the burst is handled, because its
+        // job runs only when the test runs it.
+        let run = || {
+            let (mut shard, held) = shard(1);
+            let wire = connect(&mut shard, usize::MAX, usize::MAX);
+            let mut burst: Vec<Request> = (0..8).map(|seed| plan(0, seed)).collect();
+            burst.push(Request::Layout { dataset: 0 });
+            burst.push(Request::Place {
+                dataset: 0,
+                rounds: 1,
+                budget: None,
+                seed: 0,
+            });
+            send(&wire, &burst);
+            sweep(&mut shard);
+            assert_eq!(held.borrow().len(), 1, "exactly one job is admitted");
+            assert!(
+                wire.borrow().outbound.is_empty(),
+                "nothing is written while the plan heads the queue"
+            );
+            run_held(&held);
+            settle(&mut shard, &held);
+            assert_eq!(pending(&shard), 0);
+            wire.take().outbound
+        };
+        let bytes = run();
+        let replies = replies(&bytes);
+        assert!(matches!(&replies[0], Response::Plan(p) if !p.cached && !p.coalesced));
+        assert_eq!(
+            replies[1..],
+            vec![Response::Overloaded { queue_depth: 1 }; 9]
+        );
+        assert_eq!(run(), bytes, "the same bytes on every run");
+    }
+
+    /// Replies to one pipelined burst of every request kind, with jobs
+    /// run as soon as they are admitted.
+    fn burst_replies(read_chunk: usize, write_chunk: usize) -> Vec<u8> {
+        let (mut shard, held) = shard(usize::MAX);
+        let wire = connect(&mut shard, read_chunk, write_chunk);
+        let burst = [
+            Request::Ping,
+            plan(0, 1),
+            plan(1, 1),
+            plan(0, 1),
+            Request::Layout { dataset: 1 },
+            Request::Layout { dataset: 7 },
+            Request::Place {
+                dataset: 0,
+                rounds: 2,
+                budget: None,
+                seed: 3,
+            },
+            Request::Invalidate {
+                dataset: Some(0),
+                delta: None,
+            },
+            plan(0, 1),
+            plan(1, 1),
+        ];
+        send(&wire, &burst);
+        settle(&mut shard, &held);
+        assert_eq!(pending(&shard), 0);
+        let bytes = wire.take().outbound;
+        let replies = replies(&bytes);
+        assert_eq!(replies.len(), burst.len());
+        assert!(matches!(&replies[3], Response::Plan(p) if p.coalesced));
+        assert!(matches!(replies[5], Response::Error { .. }));
+        assert_eq!(replies[7], Response::Invalidated { generation: 1 });
+        assert!(matches!(&replies[8], Response::Plan(p) if p.generation == 1));
+        bytes
+    }
+
+    #[test]
+    fn replies_do_not_depend_on_how_the_bytes_are_split() {
+        let whole = burst_replies(usize::MAX, usize::MAX);
+        assert_eq!(burst_replies(1, usize::MAX), whole, "one byte per read");
+        assert_eq!(burst_replies(usize::MAX, 1), whole, "one byte per write");
+    }
+
+    #[test]
+    fn a_reply_for_a_reaped_connection_is_dropped_by_epoch() {
+        let (mut shard, held) = shard(2);
+        let old = connect(&mut shard, usize::MAX, usize::MAX);
+        send(&old, &[plan(0, 5)]);
+        sweep(&mut shard);
+        assert_eq!((held.borrow().len(), pending(&shard)), (1, 1));
+        // The peer hangs up before its plan is computed: the slot is
+        // reaped and stops counting as pending.
+        old.borrow_mut().eof = true;
+        sweep(&mut shard);
+        assert!(old.borrow().hung_up);
+        assert_eq!(pending(&shard), 0);
+
+        // A new connection takes the same slab slot, and its first
+        // request the same write-queue slot id as the orphaned one.
+        let new = connect(&mut shard, usize::MAX, usize::MAX);
+        assert_eq!(shard.conns.len(), 1, "the new connection reuses the slot");
+        send(&new, &[plan(1, 5)]);
+        sweep(&mut shard);
+        let orphan = held.borrow_mut().pop_front().expect("the orphaned job");
+        orphan();
+        sweep(&mut shard);
+        assert_eq!(pending(&shard), 1, "the new plan is still pending");
+        assert!(
+            new.borrow().outbound.is_empty(),
+            "the stale reply is dropped"
+        );
+
+        send(&new, &[plan(0, 5)]);
+        settle(&mut shard, &held);
+        assert_eq!(pending(&shard), 0);
+        let replies = replies(&new.take().outbound);
+        assert!(matches!(&replies[0], Response::Plan(p) if p.dataset == 1 && !p.cached));
+        assert!(
+            matches!(&replies[1], Response::Plan(p) if p.dataset == 0 && p.cached),
+            "the orphaned flight still filled the cache: {replies:?}"
+        );
+        assert_eq!(replies.len(), 2);
     }
 }

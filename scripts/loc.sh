@@ -3,8 +3,9 @@
 # simplicity change is measured by, so that both trees of a comparison
 # are counted the same way.
 #
-#   scripts/loc.sh            # the working tree
-#   scripts/loc.sh <ref>      # a `git archive` export of <ref>
+#   scripts/loc.sh              # the working tree
+#   scripts/loc.sh <ref>        # a `git archive` export of <ref>
+#   scripts/loc.sh --diff <ref> # <ref> against the working tree
 #   scripts/loc.sh HEAD~1 | grep -E 'reactor.rs|crates/serve/src$'
 #
 # A counted line is a non-blank line under crates/*/src that is not a
@@ -14,26 +15,36 @@
 # is test code as a whole, and so is every file below it; each such file
 # prints 0. Prints one `<count> <file>` line per file, then
 # one `<count> <dir>` subtotal per crate's src directory, then `<count>
-# total`. A ref is exported under $TMPDIR the way scripts/pairs.sh
-# exports a parent, and removed on exit; nothing is registered in .git.
+# total`. With `--diff`, each row is `<before> <after> <delta> <name>`:
+# one per file whose count differs (a file missing on one side counts
+# 0 there), then every crate's subtotal and the total. A ref is exported
+# under $TMPDIR the way scripts/pairs.sh exports a parent, and removed
+# on exit; nothing is registered in .git.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-[ $# -le 1 ] || { echo "usage: scripts/loc.sh [<ref>]" >&2; exit 2; }
-tree="$root"
-if [ $# -eq 1 ]; then
-    commit="$(git -C "$root" rev-parse --verify --quiet "$1^{commit}")" || {
-        echo "error: $1 is not a commit" >&2
+usage() { echo "usage: scripts/loc.sh [<ref> | --diff <ref>]" >&2; exit 2; }
+trees=("$root")
+case "$#:${1:-}" in
+    0:) ;;
+    1:--diff) usage ;;
+    1:*) ref="$1"; trees=() ;;
+    2:--diff) ref="$2" ;;
+    *) usage ;;
+esac
+if [ -n "${ref:-}" ]; then
+    commit="$(git -C "$root" rev-parse --verify --quiet "$ref^{commit}")" || {
+        echo "error: $ref is not a commit" >&2
         exit 2
     }
-    tree="$(mktemp -d "${TMPDIR:-/tmp}/opass-loc.XXXXXX")"
-    trap 'rm -rf "$tree"' EXIT
-    git -C "$root" archive "$commit" crates | tar -x -C "$tree"
+    export="$(mktemp -d "${TMPDIR:-/tmp}/opass-loc.XXXXXX")"
+    trap 'rm -rf "$export"' EXIT
+    git -C "$root" archive "$commit" crates | tar -x -C "$export"
+    trees=("$export" "${trees[@]}")
 fi
 
-cd "$tree"
-python3 - <<'EOF'
-import glob, re
+python3 - "${trees[@]}" <<'EOF'
+import glob, os, re, sys
 
 def code(line, open_quote):
     """The line with string/char literals blanked and any `//` comment cut,
@@ -99,27 +110,44 @@ def count(path):
             total += 1
     return total, test_mods
 
-paths = sorted(glob.glob("crates/*/src/**/*.rs", recursive=True))
-counted = {path: count(path) for path in paths}
-# A module file lives beside its declaring file (`lib.rs`, `main.rs`,
-# `mod.rs`) or in the directory named after it (`engine.rs` -> `engine/`).
-test_roots = []
-for path, (_, mods) in counted.items():
-    stem, base = path[: -len(".rs")], path.rsplit("/", 1)[-1]
-    parent = path.rsplit("/", 1)[0] if base in ("lib.rs", "main.rs", "mod.rs") else stem
-    test_roots += [f"{parent}/{m}" for m in mods]
+def count_tree(tree):
+    """Counted lines per file of the tree at `tree`, by path below it."""
+    os.chdir(tree)
+    paths = sorted(glob.glob("crates/*/src/**/*.rs", recursive=True))
+    counted = {path: count(path) for path in paths}
+    # A module file lives beside its declaring file (`lib.rs`, `main.rs`,
+    # `mod.rs`) or in the directory named after it (`engine.rs` -> `engine/`).
+    test_roots = []
+    for path, (_, mods) in counted.items():
+        stem, base = path[: -len(".rs")], path.rsplit("/", 1)[-1]
+        parent = path.rsplit("/", 1)[0] if base in ("lib.rs", "main.rs", "mod.rs") else stem
+        test_roots += [f"{parent}/{m}" for m in mods]
 
-def is_test_file(path):
-    return any(path == root + ".rs" or path.startswith(root + "/") for root in test_roots)
+    def is_test_file(path):
+        return any(path == root + ".rs" or path.startswith(root + "/") for root in test_roots)
 
-per_dir, grand = {}, 0
-for path in paths:
-    n = 0 if is_test_file(path) else counted[path][0]
-    print(f"{n:7d} {path}")
-    d = "/".join(path.split("/")[:3])
-    per_dir[d] = per_dir.get(d, 0) + n
-    grand += n
-for d, n in sorted(per_dir.items()):
-    print(f"{n:7d} {d}")
-print(f"{grand:7d} total")
+    return {path: 0 if is_test_file(path) else counted[path][0] for path in paths}
+
+def totals(files):
+    """Per-crate subtotals and the total of per-file counts."""
+    per_dir = {}
+    for path, n in files.items():
+        d = "/".join(path.split("/")[:3])
+        per_dir[d] = per_dir.get(d, 0) + n
+    return sorted(per_dir.items()) + [("total", sum(files.values()))]
+
+counts = [count_tree(tree) for tree in sys.argv[1:]]
+if len(counts) == 1:
+    files = counts[0]
+    for name, n in sorted(files.items()) + totals(files):
+        print(f"{n:7d} {name}")
+else:
+    before, after = counts
+    rows = [(f, before.get(f, 0), after.get(f, 0)) for f in sorted(before.keys() | after.keys())]
+    rows = [row for row in rows if row[1] != row[2]]
+    old, new = dict(totals(before)), dict(totals(after))
+    rows += [(d, old.get(d, 0), new.get(d, 0)) for d in sorted(old.keys() | new.keys()) if d != "total"]
+    rows.append(("total", old["total"], new["total"]))
+    for name, b, a in rows:
+        print(f"{b:7d} {a:7d} {a - b:+7d} {name}")
 EOF
