@@ -15,56 +15,57 @@ pub mod theory;
 use crate::report::FigureReport;
 use std::path::Path;
 
-/// All figure ids the harness knows, in presentation order.
-pub const ALL_FIGURES: &[&str] = &[
-    "fig1",
-    "fig3",
-    "sec3b",
-    "fig7ab",
-    "fig7c",
-    "fig9",
-    "fig11",
-    "fig12",
-    "overhead",
-    "ablate-replication",
-    "ablate-seek",
-    "ablate-fill",
-    "ablate-steal",
-    "ablate-barrier",
-    "ext-rack",
-    "ext-hetero",
-    "ext-write",
-    "ext-dynamic-baselines",
-    "ext-matching-prob",
+/// One figure generator: writes its CSVs under the directory and returns
+/// the summary.
+type Generator = fn(&Path, u64) -> FigureReport;
+
+/// Every figure the harness knows, in presentation order.
+const FIGURES: &[(&str, Generator)] = &[
+    ("fig1", motivation::fig1),
+    ("fig3", theory::fig3),
+    ("sec3b", theory::sec3b),
+    ("fig7ab", single::fig7ab_fig8ab),
+    ("fig7c", single::fig7c_fig8c),
+    ("fig9", multi::fig9_fig10),
+    ("fig11", dynamic::fig11),
+    ("fig12", paraview::fig12),
+    ("overhead", overhead::overhead),
+    ("ablate-replication", ablation::ablate_replication),
+    ("ablate-seek", ablation::ablate_seek),
+    ("ablate-fill", ablation::ablate_fill),
+    ("ablate-steal", ablation::ablate_steal),
+    ("ablate-barrier", ablation::ablate_barrier),
+    ("ext-rack", extensions::ext_rack),
+    ("ext-hetero", extensions::ext_hetero),
+    ("ext-write", extensions::ext_write),
+    ("ext-dynamic-baselines", extensions::ext_dynamic_baselines),
+    ("ext-matching-prob", extensions::ext_matching_probability),
 ];
 
-/// Dispatches a figure id to its generator. `fig7ab` also produces
-/// `fig8ab`, `fig7c` also produces `fig8c`, and `fig9` also produces
-/// `fig10` (the paper derives them from the same runs).
+/// Figures the paper derives from another figure's runs: `fig7ab` also
+/// produces `fig8ab`, `fig7c` also produces `fig8c`, and `fig9` also
+/// produces `fig10`.
+const ALIASES: &[(&str, &str)] = &[("fig8ab", "fig7ab"), ("fig8c", "fig7c"), ("fig10", "fig9")];
+
+/// All figure ids the harness knows, in presentation order.
+pub const ALL_FIGURES: &[&str] = &{
+    let mut ids = [""; FIGURES.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = FIGURES[i].0;
+        i += 1;
+    }
+    ids
+};
+
+/// Runs the generator of figure `id` or of an alias of it.
 pub fn run_figure(id: &str, out: &Path, seed: u64) -> Option<FigureReport> {
-    let report = match id {
-        "fig1" => motivation::fig1(out, seed),
-        "fig3" => theory::fig3(out, seed),
-        "sec3b" => theory::sec3b(out, seed),
-        "fig7ab" | "fig8ab" => single::fig7ab_fig8ab(out, seed),
-        "fig7c" | "fig8c" => single::fig7c_fig8c(out, seed),
-        "fig9" | "fig10" => multi::fig9_fig10(out, seed),
-        "fig11" => dynamic::fig11(out, seed),
-        "fig12" => paraview::fig12(out, seed),
-        "overhead" => overhead::overhead(out, seed),
-        "ablate-replication" => ablation::ablate_replication(out, seed),
-        "ablate-seek" => ablation::ablate_seek(out, seed),
-        "ablate-fill" => ablation::ablate_fill(out, seed),
-        "ablate-steal" => ablation::ablate_steal(out, seed),
-        "ablate-barrier" => ablation::ablate_barrier(out, seed),
-        "ext-rack" => extensions::ext_rack(out, seed),
-        "ext-hetero" => extensions::ext_hetero(out, seed),
-        "ext-write" => extensions::ext_write(out, seed),
-        "ext-dynamic-baselines" => extensions::ext_dynamic_baselines(out, seed),
-        "ext-matching-prob" => extensions::ext_matching_probability(out, seed),
-        _ => return None,
-    };
-    Some(report)
+    let id = ALIASES
+        .iter()
+        .find(|&&(alias, _)| alias == id)
+        .map_or(id, |&(_, target)| target);
+    let &(_, generate) = FIGURES.iter().find(|&&(known, _)| known == id)?;
+    Some(generate(out, seed))
 }
 
 #[cfg(test)]
@@ -78,38 +79,9 @@ mod tests {
     }
 
     #[test]
-    fn all_ids_resolve() {
-        // Dispatch-table coverage: every id must be wired (we don't run
-        // them here — the heavy ones run in the harness and integration
-        // tests).
-        for id in ALL_FIGURES {
-            // match arm exists <=> run_figure would return Some; verify via
-            // the cheap ones and the arm structure for the rest.
-            assert!(
-                matches!(
-                    *id,
-                    "fig1"
-                        | "fig3"
-                        | "sec3b"
-                        | "fig7ab"
-                        | "fig7c"
-                        | "fig9"
-                        | "fig11"
-                        | "fig12"
-                        | "overhead"
-                        | "ablate-replication"
-                        | "ablate-seek"
-                        | "ablate-fill"
-                        | "ablate-steal"
-                        | "ablate-barrier"
-                        | "ext-rack"
-                        | "ext-hetero"
-                        | "ext-write"
-                        | "ext-dynamic-baselines"
-                        | "ext-matching-prob"
-                ),
-                "unwired id {id}"
-            );
+    fn every_alias_names_a_figure() {
+        for (alias, target) in ALIASES {
+            assert!(ALL_FIGURES.contains(target), "{alias} -> {target}");
         }
     }
 }

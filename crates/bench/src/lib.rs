@@ -1,11 +1,9 @@
-//! # opass-bench — figure harness and benchmarks for the Opass reproduction
+//! # opass-bench — figure harness for the Opass reproduction
 //!
 //! * [`figures`] — one generator per paper figure/table; the `figures`
 //!   binary (`cargo run -p opass-bench --release --bin figures -- all`)
 //!   regenerates every evaluation artifact as CSV plus summary rows.
 //! * [`report`] — CSV emission and report formatting.
-//! * `benches/` — Criterion micro-benchmarks of the matching algorithms,
-//!   the planner, the simulator, and the analysis code.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

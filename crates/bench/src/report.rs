@@ -30,12 +30,6 @@ impl CsvWriter {
         writeln!(self.out, "{}", fields.join(","))
     }
 
-    /// Convenience: writes a row of displayable values.
-    pub fn row_display(&mut self, fields: &[&dyn std::fmt::Display]) -> std::io::Result<()> {
-        let strings: Vec<String> = fields.iter().map(|f| f.to_string()).collect();
-        self.row(&strings)
-    }
-
     /// The file path being written.
     pub fn path(&self) -> &Path {
         &self.path
@@ -109,7 +103,7 @@ mod tests {
         let dir = std::env::temp_dir().join("opass-csv-test");
         let mut w = CsvWriter::create(&dir, "t", &["a", "b"]).unwrap();
         w.row(&["1".into(), "2".into()]).unwrap();
-        w.row_display(&[&3.5, &"x"]).unwrap();
+        w.row(&["3.5".into(), "x".into()]).unwrap();
         let content = std::fs::read_to_string(w.path()).unwrap();
         assert_eq!(content, "a,b\n1,2\n3.5,x\n");
         std::fs::remove_dir_all(&dir).ok();

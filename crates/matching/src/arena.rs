@@ -92,11 +92,6 @@ impl<W: Copy + Default> AdjPool<W> {
         self.start.len()
     }
 
-    /// Neighbor count of vertex `v`.
-    pub fn len_of(&self, v: usize) -> usize {
-        self.len[v] as usize
-    }
-
     /// Sorted neighbor keys of `v` as a dense slice.
     pub fn keys_of(&self, v: usize) -> &[u32] {
         let s = self.start[v] as usize;
@@ -429,7 +424,7 @@ mod tests {
         assert!(pool.remove(0, 7));
         assert!(!pool.remove(0, 7));
         assert_eq!(pool.keys_of(0), &[2, 9]);
-        assert_eq!(pool.len_of(1), 0);
+        assert!(pool.keys_of(1).is_empty());
         assert_eq!(pool.total_len(), 2);
     }
 

@@ -38,8 +38,6 @@ pub struct RunCounters {
     pub steals: usize,
     /// Max-min fair-share rate recomputations in the engine.
     pub rate_recomputes: usize,
-    /// Bulk-synchronous barrier rounds crossed (0 outside BSP execution).
-    pub barrier_rounds: usize,
 }
 
 impl RunCounters {
@@ -262,7 +260,6 @@ impl RunMetrics {
             ("tasks_started".to_string(), Json::from(c.tasks_started)),
             ("steals".to_string(), Json::from(c.steals)),
             ("rate_recomputes".to_string(), Json::from(c.rate_recomputes)),
-            ("barrier_rounds".to_string(), Json::from(c.barrier_rounds)),
         ])
     }
 
@@ -428,13 +425,6 @@ fn event_json(ev: &TraceEvent) -> Json {
         TraceEvent::ProcFinished { proc, .. } => {
             push("proc", Json::from(proc));
         }
-        TraceEvent::BarrierEntered { round, proc, .. } => {
-            push("round", Json::from(round));
-            push("proc", Json::from(proc));
-        }
-        TraceEvent::BarrierReleased { round, .. } => {
-            push("round", Json::from(round));
-        }
         TraceEvent::TaskStolen {
             thief,
             victim,
@@ -465,7 +455,6 @@ fn count(result: &RunResult, events: &[TraceEvent]) -> RunCounters {
             c.remote_bytes += r.bytes;
         }
     }
-    let mut rounds_seen = 0usize;
     for ev in events {
         match ev {
             TraceEvent::ReadFinished { degraded: true, .. } => c.degraded_reads += 1,
@@ -473,13 +462,9 @@ fn count(result: &RunResult, events: &[TraceEvent]) -> RunCounters {
             TraceEvent::TaskStarted { .. } => c.tasks_started += 1,
             TraceEvent::TaskStolen { .. } => c.steals += 1,
             TraceEvent::RatesRecomputed { .. } => c.rate_recomputes += 1,
-            TraceEvent::BarrierReleased { round, .. } => {
-                rounds_seen = rounds_seen.max(round + 1);
-            }
             _ => {}
         }
     }
-    c.barrier_rounds = rounds_seen;
     c
 }
 
@@ -680,7 +665,6 @@ mod tests {
                 victim: 0,
                 task: 2,
             },
-            TraceEvent::BarrierReleased { at: 2.0, round: 1 },
         ];
         let m = RunMetrics::from_run(&result, events, 3, &IoParams::marmot());
         assert_eq!(m.counters.reads, 3);
@@ -692,7 +676,6 @@ mod tests {
         assert_eq!(m.counters.tasks_started, 1);
         assert_eq!(m.counters.steals, 1);
         assert_eq!(m.counters.rate_recomputes, 1);
-        assert_eq!(m.counters.barrier_rounds, 2);
         assert!((m.counters.local_byte_fraction() - 0.6).abs() < 1e-12);
     }
 

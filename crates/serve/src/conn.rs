@@ -98,17 +98,6 @@ pub(crate) struct WriteQueue {
     next_id: u64,
 }
 
-/// What one [`WriteQueue::write_to`] pump accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WriteProgress {
-    /// Nothing writable: queue empty or head still pending.
-    Idle,
-    /// Some bytes moved; the queue may still hold more.
-    Wrote,
-    /// The stream cannot take more bytes right now (`WouldBlock`).
-    Blocked,
-}
-
 impl WriteQueue {
     pub(crate) fn new() -> WriteQueue {
         WriteQueue::default()
@@ -158,17 +147,14 @@ impl WriteQueue {
 
     /// Drains ready replies from the head into `w` until the queue is
     /// empty, the head is still pending, or the stream would block.
+    /// Returns whether any bytes moved, including before a `WouldBlock`.
     /// Interrupted writes retry; any other error propagates (the caller
     /// reaps the connection).
-    pub(crate) fn write_to<W: Write>(&mut self, w: &mut W) -> std::io::Result<WriteProgress> {
+    pub(crate) fn write_to<W: Write>(&mut self, w: &mut W) -> std::io::Result<bool> {
         let mut progressed = false;
         loop {
             let Some(Slot::Ready(bytes)) = self.slots.front() else {
-                return Ok(if progressed {
-                    WriteProgress::Wrote
-                } else {
-                    WriteProgress::Idle
-                });
+                return Ok(progressed);
             };
             match w.write(&bytes[self.written..]) {
                 Ok(0) => {
@@ -185,9 +171,7 @@ impl WriteQueue {
                         self.written = 0;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(WriteProgress::Blocked)
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(progressed),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
@@ -303,13 +287,14 @@ mod tests {
             budget: 300,
             cap: 7,
         };
-        // Dribbles 7 bytes at a time until the 300-byte budget runs dry.
-        assert_eq!(wq.write_to(&mut sink).expect("io"), WriteProgress::Blocked);
+        // Dribbles 7 bytes at a time until the 300-byte budget runs dry;
+        // the bytes moved before `WouldBlock` count as progress.
+        assert!(wq.write_to(&mut sink).expect("io"));
         assert_eq!(sink.out.len(), 300);
         assert!(!wq.is_empty(), "frame partially written");
         // Re-arm: the queue resumes exactly where it stopped.
         sink.budget = usize::MAX;
-        assert_eq!(wq.write_to(&mut sink).expect("io"), WriteProgress::Wrote);
+        assert!(wq.write_to(&mut sink).expect("io"));
         assert_eq!(sink.out, payload);
         assert!(wq.is_empty());
     }
@@ -328,14 +313,14 @@ mod tests {
             cap: usize::MAX,
         };
         // Head is pending: nothing drains even though B is ready.
-        assert_eq!(wq.write_to(&mut sink).expect("io"), WriteProgress::Idle);
+        assert!(!wq.write_to(&mut sink).expect("io"));
         assert!(sink.out.is_empty());
 
         // C completes before A; order still holds once A lands.
         assert!(wq.fill(c, Arc::new(b"C".to_vec())).is_some());
-        assert_eq!(wq.write_to(&mut sink).expect("io"), WriteProgress::Idle);
+        assert!(!wq.write_to(&mut sink).expect("io"));
         assert!(wq.fill(a, Arc::new(b"A".to_vec())).is_some());
-        assert_eq!(wq.write_to(&mut sink).expect("io"), WriteProgress::Wrote);
+        assert!(wq.write_to(&mut sink).expect("io"));
         assert_eq!(sink.out, b"ABC");
         assert_eq!(wq.pending(), 0);
         assert!(wq.fill(99, Arc::new(Vec::new())).is_none(), "unknown slot");

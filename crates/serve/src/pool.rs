@@ -83,7 +83,7 @@ impl WorkerPool {
     }
 
     /// Admits `job` if the queue has room; sheds it otherwise.
-    pub fn try_submit<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), SubmitError> {
+    pub fn try_submit(&self, job: Job) -> Result<(), SubmitError> {
         let mut queue = self.inner.queue.lock().expect("pool queue not poisoned");
         if queue.closed {
             return Err(SubmitError::ShuttingDown);
@@ -94,7 +94,7 @@ impl WorkerPool {
                 queue_depth: queue.jobs.len(),
             });
         }
-        queue.jobs.push_back(Box::new(job));
+        queue.jobs.push_back(job);
         drop(queue);
         self.inner.available.notify_one();
         Ok(())
@@ -186,7 +186,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..8u32 {
             let tx = tx.clone();
-            pool.try_submit(move || tx.send(i).expect("receiver alive"))
+            pool.try_submit(Box::new(move || tx.send(i).expect("receiver alive")))
                 .expect("queue has room");
         }
         let mut got: Vec<u32> = (0..8).map(|_| rx.recv().expect("job ran")).collect();
@@ -199,23 +199,23 @@ mod tests {
         let pool = WorkerPool::new(1, 2);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
-        pool.try_submit(move || {
+        pool.try_submit(Box::new(move || {
             started_tx.send(()).expect("test listening");
             block_rx.recv().expect("test releases");
-        })
+        }))
         .expect("first job admitted");
         started_rx.recv().expect("worker picked up the blocker");
         // Worker is busy; fill the queue to capacity.
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..2 {
             let ran = Arc::clone(&ran);
-            pool.try_submit(move || {
+            pool.try_submit(Box::new(move || {
                 ran.fetch_add(1, Ordering::SeqCst);
-            })
+            }))
             .expect("queue has room");
         }
         // Next submission must shed, reporting the observed depth.
-        let refused = pool.try_submit(|| {});
+        let refused = pool.try_submit(Box::new(|| {}));
         assert_eq!(refused, Err(SubmitError::Overloaded { queue_depth: 2 }));
         assert_eq!(pool.shed(), 1);
         // Release the blocker; shutdown drains the admitted jobs.
@@ -230,14 +230,17 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
             let ran = Arc::clone(&ran);
-            pool.try_submit(move || {
+            pool.try_submit(Box::new(move || {
                 ran.fetch_add(1, Ordering::SeqCst);
-            })
+            }))
             .expect("queue has room");
         }
         pool.shutdown();
         assert_eq!(ran.load(Ordering::SeqCst), 32, "every admitted job ran");
-        assert_eq!(pool.try_submit(|| {}), Err(SubmitError::ShuttingDown));
+        assert_eq!(
+            pool.try_submit(Box::new(|| {})),
+            Err(SubmitError::ShuttingDown)
+        );
         // Idempotent.
         pool.shutdown();
     }
@@ -246,9 +249,9 @@ mod tests {
     fn panicking_job_leaves_its_worker_running() {
         let pool = WorkerPool::new(1, 4);
         let (tx, rx) = mpsc::channel();
-        pool.try_submit(|| panic!("job panics on purpose"))
+        pool.try_submit(Box::new(|| panic!("job panics on purpose")))
             .expect("queue has room");
-        pool.try_submit(move || tx.send(7u32).expect("receiver alive"))
+        pool.try_submit(Box::new(move || tx.send(7u32).expect("receiver alive")))
             .expect("queue has room");
         // A dead worker would leave the second job queued forever; the
         // timeout turns that hang into a failure.

@@ -36,7 +36,7 @@
 //! is lost to a shard exiting while a sibling still holds a forward for
 //! it.
 
-use crate::conn::{FrameBuf, WriteProgress, WriteQueue};
+use crate::conn::{FrameBuf, WriteQueue};
 use crate::frame::{encode_frame, FrameError};
 use crate::metrics::{LatencyHistogram, ShardStats, Timer};
 use crate::planning::{self, ComputedPlan, PlanKey, Repairable};
@@ -650,8 +650,7 @@ impl<S: Stream> Shard<S> {
         if let Some(conn) = self.conns[idx].as_mut() {
             let Conn { stream, wq, .. } = conn;
             match wq.write_to(stream) {
-                Ok(WriteProgress::Wrote) => progress = true,
-                Ok(_) => {}
+                Ok(wrote) => progress = wrote,
                 Err(_) => conn.dead = true,
             }
             if conn.dead || (conn.close_after_flush && conn.wq.is_empty()) {
@@ -1431,6 +1430,28 @@ mod tests {
         let whole = burst_replies(usize::MAX, usize::MAX);
         assert_eq!(burst_replies(1, usize::MAX), whole, "one byte per read");
         assert_eq!(burst_replies(usize::MAX, 1), whole, "one byte per write");
+    }
+
+    #[test]
+    fn a_sweep_that_writes_then_blocks_makes_progress() {
+        // Each write takes one byte and leaves the peer busy for the next
+        // call, so every sweep after the first moves one byte of the pong
+        // and then blocks. Those sweeps must not count toward the park.
+        let (mut shard, _held) = shard(1);
+        let wire = connect(&mut shard, usize::MAX, 1);
+        send(&wire, &[Request::Ping]);
+        assert!(sweep(&mut shard), "the ping is read");
+        let mut written = wire.borrow().outbound.len();
+        while !shard.conns.iter().flatten().all(|c| c.wq.is_empty()) {
+            assert!(sweep(&mut shard), "the sweep wrote a byte");
+            let now = wire.borrow().outbound.len();
+            assert_eq!(now, written + 1);
+            written = now;
+        }
+        assert!(matches!(
+            replies(&wire.take().outbound)[..],
+            [Response::Pong { .. }]
+        ));
     }
 
     #[test]

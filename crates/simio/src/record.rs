@@ -4,7 +4,7 @@
 //! [`Recorder`]: the engine reports fair-share rate recomputations and flow
 //! completions, [`crate::ClusterIo`] reports read/write submissions with
 //! their endpoints, and the `opass-runtime` executor adds task dispatch,
-//! per-read locality context, barrier crossings, and steal decisions. The
+//! per-read locality context, and steal decisions. The
 //! default is [`NoopRecorder`]: recording costs one branch per emit site,
 //! and a run without a recorder is bit-identical to one that never heard of
 //! this module — events observe the simulation, they never perturb it.
@@ -117,22 +117,6 @@ pub enum TraceEvent {
         /// Process rank.
         proc: usize,
     },
-    /// A process reached the barrier ending a bulk-synchronous round.
-    BarrierEntered {
-        /// Time the process arrived at the barrier.
-        at: f64,
-        /// Round index.
-        round: usize,
-        /// Process rank.
-        proc: usize,
-    },
-    /// All processes crossed the barrier; the next round may start.
-    BarrierReleased {
-        /// Release time (the slowest process's arrival).
-        at: f64,
-        /// Round index.
-        round: usize,
-    },
     /// The dynamic scheduler stole a task from another worker's list.
     TaskStolen {
         /// Time of the steal decision.
@@ -158,8 +142,6 @@ impl TraceEvent {
             | TraceEvent::ReadFinished { at, .. }
             | TraceEvent::ComputeStarted { at, .. }
             | TraceEvent::ProcFinished { at, .. }
-            | TraceEvent::BarrierEntered { at, .. }
-            | TraceEvent::BarrierReleased { at, .. }
             | TraceEvent::TaskStolen { at, .. } => at,
         }
     }
@@ -177,8 +159,6 @@ impl TraceEvent {
             | TraceEvent::ReadFinished { at, .. }
             | TraceEvent::ComputeStarted { at, .. }
             | TraceEvent::ProcFinished { at, .. }
-            | TraceEvent::BarrierEntered { at, .. }
-            | TraceEvent::BarrierReleased { at, .. }
             | TraceEvent::TaskStolen { at, .. } => *at += offset,
         }
     }
@@ -194,8 +174,6 @@ impl TraceEvent {
             TraceEvent::ReadFinished { .. } => "read_finished",
             TraceEvent::ComputeStarted { .. } => "compute_started",
             TraceEvent::ProcFinished { .. } => "proc_finished",
-            TraceEvent::BarrierEntered { .. } => "barrier_entered",
-            TraceEvent::BarrierReleased { .. } => "barrier_released",
             TraceEvent::TaskStolen { .. } => "task_stolen",
         }
     }
@@ -359,7 +337,7 @@ mod tests {
         let log = MemoryRecorder::new();
         slot.install(Box::new(log.clone()));
         assert!(slot.enabled());
-        slot.emit_with(|| TraceEvent::BarrierReleased { at: 2.0, round: 1 });
+        slot.emit_with(|| TraceEvent::ProcFinished { at: 2.0, proc: 1 });
         assert_eq!(log.len(), 1);
     }
 

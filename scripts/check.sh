@@ -145,7 +145,6 @@ run cargo fmt --all -- --check
 lint
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --workspace --release --offline
-run cargo build --workspace --all-targets --offline
 run cargo test --workspace --quiet --offline
 # The committed figure record is the harness's summary for its default
 # seed (0x0A55), byte for byte. After a change that moves a figure on
