@@ -7,6 +7,8 @@
 //! opass run scenario.json --parallel
 //! opass run scenario.json --metrics out/   # per-node metrics + event log
 //! opass analyze --chunks 512 --replication 3 --nodes 128
+//! opass figures all                 # every paper figure, CSVs under target/figures/
+//! opass figures --out /tmp/figs --seed 7 fig7ab fig12
 //! opass serve --addr 127.0.0.1:7455 --workers 4
 //! opass plan --remote 127.0.0.1:7455 --dataset 0 --strategy opass
 //! opass place --remote 127.0.0.1:7455 --dataset 0 --rounds 4 --apply
@@ -21,6 +23,7 @@ mod scenario;
 mod trace;
 
 use args::Flags;
+use opass_cli::{figure, ALL_FIGURES};
 use scenario::{ExperimentReport, ScenarioFile};
 use std::process::ExitCode;
 
@@ -30,17 +33,19 @@ fn main() -> ExitCode {
         Some("init") => cmd_init(&argv[1..]),
         Some("run") => cmd_run(&argv[1..]),
         Some("analyze") => cmd_analyze(&argv[1..]),
+        Some("figures") => cmd_figures(&argv[1..]),
         Some("serve") => remote::cmd_serve(&argv[1..]),
         Some("plan") => remote::cmd_plan(&argv[1..]),
         Some("place") => remote::cmd_place(&argv[1..]),
         Some("trace") => trace::cmd_trace(&argv[1..]),
         _ => {
-            eprintln!("usage: opass <init|run|analyze|serve|plan|place|trace> ...");
+            eprintln!("usage: opass <init|run|analyze|figures|serve|plan|place|trace> ...");
             eprintln!("  opass init <file.json>           write a template scenario");
             eprintln!(
                 "  opass run <file.json> [--json] [--parallel] [--trace-dir DIR] [--metrics DIR]"
             );
             eprintln!("  opass analyze --chunks N --replication R --nodes M");
+            eprintln!("  {FIGURES_USAGE}");
             eprintln!("  {}", remote::SERVE_USAGE);
             eprintln!("  {}", remote::PLAN_USAGE);
             eprintln!("  {}", remote::PLACE_USAGE);
@@ -254,6 +259,77 @@ fn cmd_analyze(argv: &[String]) -> ExitCode {
     println!(
         "  nodes serving >= 8 chunks          {:.1}",
         imbalance.expected_nodes_serving_more_than(7)
+    );
+    ExitCode::SUCCESS
+}
+
+const FIGURES_USAGE: &str = "opass figures [--out DIR] [--seed N] [--list] <figure-id>... | all";
+
+/// Regenerates the paper's figures and tables as CSVs plus summary rows,
+/// printed and collected in `<out>/SUMMARY.txt`. Every flag and id is
+/// checked before the first figure runs.
+fn cmd_figures(argv: &[String]) -> ExitCode {
+    let parsed = Flags::parse(argv, &["--list"], &["--out", "--seed"]).and_then(|flags| {
+        let seed = flags.value_or("--seed", 0x0A55u64)?;
+        let generators = flags
+            .positionals()
+            .iter()
+            .flat_map(|id| match id.as_str() {
+                "all" => ALL_FIGURES.to_vec(),
+                id => vec![id],
+            })
+            .map(|id| figure(id).ok_or_else(|| format!("unknown figure id: {id} (try --list)")))
+            .collect::<Result<Vec<_>, _>>()?;
+        if generators.is_empty() && !flags.is_set("--list") {
+            return Err(format!("known ids: {}", ALL_FIGURES.join(", ")));
+        }
+        Ok((flags, seed, generators))
+    });
+    let (flags, seed, generators) = match parsed {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            eprintln!("usage: {FIGURES_USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if flags.is_set("--list") {
+        for id in ALL_FIGURES {
+            println!("{id}");
+        }
+        return ExitCode::SUCCESS;
+    }
+    let out = std::path::PathBuf::from(flags.value("--out").unwrap_or("target/figures"));
+
+    let started = std::time::Instant::now();
+    let mut summary = String::new();
+    for generate in &generators {
+        match generate(&out, seed) {
+            Ok(report) => {
+                let rendered = report.render();
+                print!("{rendered}");
+                summary.push_str(&rendered);
+            }
+            Err(e) => {
+                eprintln!("cannot write figures under {}: {e}", out.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    // The combined summary sits next to the CSVs so EXPERIMENTS.md can be
+    // refreshed from one artifact.
+    let summary_path = out.join("SUMMARY.txt");
+    if let Err(e) =
+        std::fs::create_dir_all(&out).and_then(|()| std::fs::write(&summary_path, &summary))
+    {
+        eprintln!("cannot write {}: {e}", summary_path.display());
+        return ExitCode::FAILURE;
+    }
+    eprintln!(
+        "regenerated {} figure(s) in {:.1}s; CSVs + SUMMARY.txt under {}",
+        generators.len(),
+        started.elapsed().as_secs_f64(),
+        out.display()
     );
     ExitCode::SUCCESS
 }

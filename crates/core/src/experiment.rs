@@ -332,7 +332,9 @@ impl Default for SingleData {
 }
 
 impl SingleData {
-    fn build(&self) -> (Namenode, Workload, ProcessPlacement) {
+    /// The cluster, workload and process placement every strategy of this
+    /// experiment runs on.
+    pub fn build(&self) -> (Namenode, Workload, ProcessPlacement) {
         let mut nn = self.cluster.namenode();
         let mut rng = StdRng::seed_from_u64(self.cluster.seed);
         let cfg = SingleDataConfig {
@@ -518,7 +520,9 @@ impl Default for Dynamic {
 }
 
 impl Dynamic {
-    fn build(&self) -> (Namenode, Workload, ProcessPlacement) {
+    /// The cluster, workload and process placement every strategy of this
+    /// experiment runs on.
+    pub fn build(&self) -> (Namenode, Workload, ProcessPlacement) {
         let mut nn = self.cluster.namenode();
         let mut rng = StdRng::seed_from_u64(self.cluster.seed);
         let cfg = DynamicConfig {

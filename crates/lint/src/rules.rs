@@ -744,7 +744,7 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         assert_eq!(lint("crates/core/src/x.rs", src).len(), 1);
         assert_eq!(lint("crates/cli/src/x.rs", src).len(), 0);
-        assert_eq!(lint("crates/bench/src/x.rs", src).len(), 0);
+        assert_eq!(lint("bench/src/x.rs", src).len(), 0);
     }
 
     #[test]

@@ -825,9 +825,8 @@ mod tests {
         }
     }
 
-    /// The table of `crates/bench/benches/multidata.rs`: every task has
-    /// up to nine non-zero process affinities (three inputs × three
-    /// replicas).
+    /// A paper-shaped value table: every task has up to nine non-zero
+    /// process affinities (three inputs × three replicas).
     fn paper_shaped_values(m: usize, n: usize, seed: u64) -> MatchingValues {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut values = MatchingValues::new(m, n);
