@@ -13,7 +13,7 @@
 use opass_core::experiment::Experiment as Driver;
 use opass_core::runtime::{IoRecord, RunMetrics};
 use opass_core::{ClusterSpec, Strategy};
-use opass_json::Json;
+use opass_json::{field, fill, get, Field, FieldError, Json};
 
 /// A batch of experiments, each run under each of its strategies.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,59 +32,6 @@ pub struct Experiment {
     /// Strategy strings, run in order (`rank_interval`, `opass`,
     /// `delay:16`, …); each kind accepts its driver's strategies.
     pub strategies: Vec<String>,
-}
-
-/// The type of a scenario field: how a JSON value reads into it. Printing
-/// goes through `Json::from`.
-trait Value: Sized + Clone + Into<Json> {
-    /// What the value must be, for the error message.
-    const WANT: &'static str;
-    /// The value `v` holds, if it holds one.
-    fn read(v: &Json) -> Option<Self>;
-}
-
-/// A JSON number is an `f64`: from 2^53 on, an integer read back may be
-/// the rounding of a neighbour, so such seeds and sizes are refused.
-impl Value for u64 {
-    const WANT: &'static str = "a non-negative integer below 2^53";
-    fn read(v: &Json) -> Option<u64> {
-        v.as_u64().filter(|&n| n < 1 << 53)
-    }
-}
-
-impl Value for usize {
-    const WANT: &'static str = u64::WANT;
-    fn read(v: &Json) -> Option<usize> {
-        u64::read(v).and_then(|n| usize::try_from(n).ok())
-    }
-}
-
-impl Value for u32 {
-    const WANT: &'static str = "an integer from 0 to 4294967295";
-    fn read(v: &Json) -> Option<u32> {
-        u64::read(v).and_then(|n| u32::try_from(n).ok())
-    }
-}
-
-impl Value for String {
-    const WANT: &'static str = "a string";
-    fn read(v: &Json) -> Option<String> {
-        v.as_str().map(str::to_string)
-    }
-}
-
-/// Overwrites `slot` with field `key` of `obj`, when `obj` has it.
-fn take<T: Value>(obj: &Json, key: &str, slot: &mut T) -> Result<(), ScenarioError> {
-    if let Some(v) = obj.get(key) {
-        *slot =
-            T::read(v).ok_or_else(|| parse_err(format!("field {key:?} must be {}", T::WANT)))?;
-    }
-    Ok(())
-}
-
-/// Field `key` with `value`, as printed.
-fn put<T: Value>(key: &str, value: &T) -> (String, Json) {
-    (key.to_string(), value.clone().into())
 }
 
 /// Why a namenode cannot be built for `cluster`, if it cannot: it needs
@@ -128,14 +75,14 @@ macro_rules! kinds {
             }
 
             /// The kind named `label` with the keys of `obj`, checked.
-            fn from_json(label: &str, obj: &Json) -> Result<Kind, ScenarioError> {
+            fn from_json(label: &str, obj: &Json) -> Result<Kind, FieldError> {
                 let kind = match label {
                     $($label => {
                         let mut $x = <$ty>::default();
-                        $(take(obj, $key, &mut $x.$($field).+)?;)*
+                        $(fill(obj, $key, &mut $x.$($field).+)?;)*
                         Kind::$variant($x)
                     })*
-                    other => return Err(parse_err(format!("unknown experiment type {other:?}"))),
+                    other => return Err(FieldError(format!("unknown experiment type {other:?}"))),
                 };
                 let refused = match &kind {
                     $(Kind::$variant($x) => {
@@ -143,7 +90,7 @@ macro_rules! kinds {
                     })*
                 };
                 match refused {
-                    Some(why) => Err(parse_err(format!("{label}: {why}"))),
+                    Some(why) => Err(FieldError(format!("{label}: {why}"))),
                     None => Ok(kind),
                 }
             }
@@ -151,7 +98,7 @@ macro_rules! kinds {
             /// The keys with their values, in print order.
             fn keys(&self) -> Vec<(String, Json)> {
                 match self {
-                    $(Kind::$variant($x) => vec![$(put($key, &$x.$($field).+)),*],)*
+                    $(Kind::$variant($x) => vec![$(($key.to_string(), $x.$($field).+.put())),*],)*
                 }
             }
         }
@@ -382,74 +329,50 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-fn parse_err(message: impl Into<String>) -> ScenarioError {
-    ScenarioError::Parse {
-        message: message.into(),
+impl From<FieldError> for ScenarioError {
+    fn from(e: FieldError) -> ScenarioError {
+        ScenarioError::Parse { message: e.0 }
     }
-}
-
-fn field_strategies(obj: &Json) -> Result<Vec<String>, ScenarioError> {
-    let arr = obj
-        .get("strategies")
-        .and_then(Json::as_array)
-        .ok_or_else(|| parse_err("every experiment needs a \"strategies\" array"))?;
-    arr.iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| parse_err("strategies must be strings"))
-        })
-        .collect()
 }
 
 impl ScenarioFile {
     /// Parses a scenario from its JSON text.
     pub fn parse(input: &str) -> Result<ScenarioFile, ScenarioError> {
-        let root = Json::parse(input).map_err(|e| parse_err(e.to_string()))?;
-        let name = root
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or("unnamed scenario")
-            .to_string();
-        let experiments = root
-            .get("experiments")
-            .and_then(Json::as_array)
-            .ok_or_else(|| parse_err("scenario needs an \"experiments\" array"))?
+        let root = Json::parse(input).map_err(|e| FieldError(e.to_string()))?;
+        let mut name = "unnamed scenario".to_string();
+        fill(&root, "name", &mut name)?;
+        let experiments = field(&root, "experiments")?
+            .as_array()
+            .ok_or_else(|| FieldError::must_be("experiments", "an array"))?
             .iter()
             .map(Experiment::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<_, _>>()?;
         Ok(ScenarioFile { name, experiments })
     }
 
     /// The scenario as a JSON document (inverse of [`ScenarioFile::parse`]).
     pub fn to_json(&self) -> Json {
-        Json::object([
-            ("name".to_string(), Json::from(self.name.as_str())),
-            (
-                "experiments".to_string(),
-                Json::array(self.experiments.iter().map(Experiment::to_json)),
-            ),
-        ])
+        let experiments = Json::array(self.experiments.iter().map(Experiment::to_json));
+        let pairs = [("name", self.name.put()), ("experiments", experiments)];
+        Json::object(pairs.map(|(key, value)| (key.to_string(), value)))
     }
 }
 
 impl Experiment {
-    fn from_json(v: &Json) -> Result<Experiment, ScenarioError> {
-        let label = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| parse_err("every experiment needs a \"type\" string"))?;
-        let strategies = field_strategies(v)?;
-        let kind = Kind::from_json(label, v)?;
-        Ok(Experiment { kind, strategies })
+    fn from_json(v: &Json) -> Result<Experiment, FieldError> {
+        let label: String = get(v, "type")?;
+        Ok(Experiment {
+            strategies: get(v, "strategies")?,
+            kind: Kind::from_json(&label, v)?,
+        })
     }
 
-    /// The experiment as a JSON object.
+    /// The experiment as a JSON object: its `type`, its kind's keys,
+    /// then its strategies.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![("type".to_string(), Json::from(self.kind.label()))];
         pairs.extend(self.kind.keys());
-        let strategies = self.strategies.iter().map(|s| Json::from(s.as_str()));
-        pairs.push(("strategies".to_string(), Json::array(strategies)));
+        pairs.push(("strategies".to_string(), self.strategies.put()));
         Json::Object(pairs)
     }
 
@@ -977,6 +900,40 @@ mod tests {
             assert_eq!((row.0.as_str(), row.1.as_str()), (pin.0, pin.1));
             assert_eq!((row.2, row.3), (pin.2, pin.3), "{} {}", pin.0, pin.1);
         }
+    }
+
+    /// Every truncation prefix of `input` and every single-bit flip of
+    /// each of its bytes, as text (a flip that breaks UTF-8 reads
+    /// lossily); the twin of `decode_mutants.rs`'s mutator.
+    fn mutants(input: &str) -> impl Iterator<Item = String> + '_ {
+        let bytes = input.as_bytes();
+        let cuts = (0..bytes.len()).map(move |n| bytes[..n].to_vec());
+        let flips = (0..bytes.len() * 8).map(move |i| {
+            let mut flipped = bytes.to_vec();
+            flipped[i / 8] ^= 1 << (i % 8);
+            flipped
+        });
+        cuts.chain(flips)
+            .map(|b| String::from_utf8_lossy(&b).into_owned())
+    }
+
+    #[test]
+    fn mutated_scenarios_parse_or_are_refused() {
+        let (mut refused, mut accepted) = (0, 0);
+        for mutant in mutants(&seven_kinds("trace.csv")) {
+            let parse = std::panic::catch_unwind(|| ScenarioFile::parse(&mutant));
+            match parse {
+                Ok(Ok(_)) => accepted += 1,
+                Ok(Err(_)) if Json::parse(&mutant).is_ok() => refused += 1,
+                Ok(Err(_)) => {}
+                Err(_) => panic!("parsing {mutant:?} panicked"),
+            }
+        }
+        // Both outcomes happen, so the mutants reach the field codec.
+        assert!(
+            refused > 0 && accepted > 0,
+            "{refused} refused, {accepted} accepted"
+        );
     }
 
     #[test]

@@ -89,18 +89,21 @@ fn cmd_parse(argv: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(code) => return code,
     };
-    let summary = summarize(&records, threads);
+    let (datasets, clients, total_bytes, duration_s) = summarize(&records);
     if flags.is_set("--json") {
+        let summary = [
+            ("records", Json::from(records.len())),
+            ("datasets", Json::from(datasets)),
+            ("clients", Json::from(clients)),
+            ("total_bytes", Json::from(total_bytes)),
+            ("duration_s", Json::from(duration_s)),
+            ("threads", Json::from(threads)),
+        ];
+        let summary = Json::object(summary.map(|(key, value)| (key.to_string(), value)));
         println!("{}", summary.to_pretty());
     } else {
-        let datasets = summary.get("datasets").and_then(Json::as_u64).unwrap_or(0);
-        let clients = summary.get("clients").and_then(Json::as_u64).unwrap_or(0);
-        let span = summary
-            .get("duration_s")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
         println!(
-            "{} records over {span:.3}s: {datasets} datasets, {clients} clients ({threads} threads)",
+            "{} records over {duration_s:.3}s: {datasets} datasets, {clients} clients ({threads} threads)",
             records.len()
         );
     }
@@ -242,8 +245,9 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Summary statistics of a parsed trace as a JSON object.
-fn summarize(records: &[TraceRecord], threads: usize) -> Json {
+/// The datasets, clients, total bytes and span in seconds of a parsed
+/// trace.
+fn summarize(records: &[TraceRecord]) -> (u64, u64, u64, f64) {
     let mut datasets = 0u64;
     let mut clients = 0u64;
     let mut bytes = 0u64;
@@ -254,14 +258,7 @@ fn summarize(records: &[TraceRecord], threads: usize) -> Json {
         bytes += r.bytes;
         last_us = last_us.max(r.time_us);
     }
-    Json::object([
-        ("records".to_string(), Json::from(records.len())),
-        ("datasets".to_string(), Json::from(datasets)),
-        ("clients".to_string(), Json::from(clients)),
-        ("total_bytes".to_string(), Json::from(bytes)),
-        ("duration_s".to_string(), Json::from(last_us as f64 / 1e6)),
-        ("threads".to_string(), Json::from(threads)),
-    ])
+    (datasets, clients, bytes, last_us as f64 / 1e6)
 }
 
 /// Writes `payload` to `out` (stdout when absent) and reports it.

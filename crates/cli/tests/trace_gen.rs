@@ -21,7 +21,7 @@ fn a_spec_asking_for_u64_max_records_is_refused_not_aborted() {
     assert!(out.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("records must be at most 4294967296"),
+        stderr.contains("field \"records\" must be below 2^53"),
         "{stderr}"
     );
 }

@@ -26,6 +26,7 @@
 use crate::planner::OpassPlanner;
 use crate::request::PlanRequest;
 use opass_dfs::{DfsConfig, Namenode, Placement, RackMap, ReplicaChoice};
+use opass_json::{Field, FieldError, Json};
 use opass_runtime::{
     baseline, execute, execute_instrumented, execute_with_recorder, ExecConfig, ProcessPlacement,
     RunMetrics, RunResult, TaskSource,
@@ -167,6 +168,19 @@ impl Strategy {
 impl std::fmt::Display for Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
+    }
+}
+
+/// A strategy reads and writes as its label.
+impl Field for Strategy {
+    fn put(&self) -> Json {
+        Json::from(self.label())
+    }
+    fn take(v: &Json, key: &str) -> Result<Strategy, FieldError> {
+        let label = v
+            .as_str()
+            .ok_or_else(|| FieldError::must_be(key, "a string"))?;
+        Strategy::parse(label).ok_or_else(|| FieldError(format!("unknown strategy {label:?}")))
     }
 }
 

@@ -39,6 +39,7 @@ pub mod datanode;
 pub mod delta;
 pub mod error;
 pub mod ids;
+mod json;
 pub mod layout;
 pub mod namenode;
 pub mod placement;

@@ -4,7 +4,9 @@
 //! parser, depth-bounded so hostile input cannot exhaust the stack, and a
 //! pretty/compact writer. It exists so the CLI scenario files, experiment
 //! reports, and the observability metrics exporter can round-trip JSON
-//! without an external serialization framework.
+//! without an external serialization framework. Every JSON input — the
+//! `serve` wire, `opass run` scenarios, trace specs — decodes through
+//! one field codec: the [`Field`] trait and the [`json_object!`] tables.
 //!
 //! Objects preserve insertion order, which keeps emitted reports diffable.
 //!
@@ -83,7 +85,7 @@ impl Json {
     }
 
     /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
+    fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -562,6 +564,207 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_compact())
     }
+}
+
+/// Why a field could not be read: `missing field "k"`, or
+/// `field "k" must be …` naming what the value should have been.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError(pub String);
+
+impl FieldError {
+    /// Field `key` holds a value that is not `what`.
+    pub fn must_be(key: &str, what: &str) -> FieldError {
+        FieldError(format!("field {key:?} must be {what}"))
+    }
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// A value that is read from and written as one JSON value: the one
+/// codec behind the wire protocol, scenario files and trace specs.
+/// Structs get both directions from one table of `field: "key"` rows
+/// with [`json_object!`].
+pub trait Field: Sized {
+    /// Encodes the value.
+    fn put(&self) -> Json;
+    /// Decodes `v`, the value of field `key` (named in errors).
+    fn take(v: &Json, key: &str) -> Result<Self, FieldError>;
+    /// Overwrites `self` with what `v` holds. An object overwrites only
+    /// the keys `v` has, so whatever `self` started as fills the rest.
+    fn fill(&mut self, v: &Json, key: &str) -> Result<(), FieldError> {
+        *self = Self::take(v, key)?;
+        Ok(())
+    }
+}
+
+/// The value of the required field `key` of object `v`.
+pub fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, FieldError> {
+    v.get(key)
+        .ok_or_else(|| FieldError(format!("missing field {key:?}")))
+}
+
+/// Decodes the required field `key` of object `v`.
+pub fn get<T: Field>(v: &Json, key: &str) -> Result<T, FieldError> {
+    T::take(field(v, key)?, key)
+}
+
+/// Decodes the optional field `key` of object `v`: absent is `None`.
+pub fn get_opt<T: Field>(v: &Json, key: &str) -> Result<Option<T>, FieldError> {
+    v.get(key).map(|x| T::take(x, key)).transpose()
+}
+
+/// Fills `slot` from field `key` of object `v` when `v` has it.
+pub fn fill<T: Field>(v: &Json, key: &str, slot: &mut T) -> Result<(), FieldError> {
+    match v.get(key) {
+        Some(x) => slot.fill(x, key),
+        None => Ok(()),
+    }
+}
+
+/// Integers below this are exact in a JSON number (an `f64`); from here
+/// on, a decoded value may be the rounding of a neighbour the writer
+/// meant.
+const EXACT_LIMIT: u64 = 1 << 53;
+
+impl Field for u64 {
+    fn put(&self) -> Json {
+        Json::from(*self)
+    }
+    fn take(v: &Json, key: &str) -> Result<u64, FieldError> {
+        match v.as_u64() {
+            Some(n) if n < EXACT_LIMIT => Ok(n),
+            Some(_) => Err(FieldError::must_be(key, "below 2^53")),
+            None => Err(FieldError::must_be(key, "an unsigned integer")),
+        }
+    }
+}
+
+impl Field for usize {
+    fn put(&self) -> Json {
+        Json::from(*self)
+    }
+    fn take(v: &Json, key: &str) -> Result<usize, FieldError> {
+        usize::try_from(u64::take(v, key)?).map_err(|_| FieldError::must_be(key, "a usize"))
+    }
+}
+
+impl Field for u32 {
+    fn put(&self) -> Json {
+        Json::from(*self)
+    }
+    fn take(v: &Json, key: &str) -> Result<u32, FieldError> {
+        u32::try_from(u64::take(v, key)?).map_err(|_| FieldError::must_be(key, "below 2^32"))
+    }
+}
+
+impl Field for f64 {
+    fn put(&self) -> Json {
+        Json::from(*self)
+    }
+    fn take(v: &Json, key: &str) -> Result<f64, FieldError> {
+        v.as_f64()
+            .ok_or_else(|| FieldError::must_be(key, "a number"))
+    }
+}
+
+impl Field for bool {
+    fn put(&self) -> Json {
+        Json::from(*self)
+    }
+    fn take(v: &Json, key: &str) -> Result<bool, FieldError> {
+        v.as_bool()
+            .ok_or_else(|| FieldError::must_be(key, "a boolean"))
+    }
+}
+
+impl Field for String {
+    fn put(&self) -> Json {
+        Json::from(self.as_str())
+    }
+    fn take(v: &Json, key: &str) -> Result<String, FieldError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| FieldError::must_be(key, "a string"))
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self) -> Json {
+        Json::Array(self.iter().map(Field::put).collect())
+    }
+    fn take(v: &Json, key: &str) -> Result<Vec<T>, FieldError> {
+        v.as_array()
+            .ok_or_else(|| FieldError::must_be(key, "an array"))?
+            .iter()
+            .map(|x| T::take(x, key))
+            .collect()
+    }
+}
+
+/// A pair is a two-element array.
+impl<A: Field, B: Field> Field for (A, B) {
+    fn put(&self) -> Json {
+        Json::Array(vec![self.0.put(), self.1.put()])
+    }
+    fn take(v: &Json, key: &str) -> Result<(A, B), FieldError> {
+        match v.as_array() {
+            Some([a, b]) => Ok((A::take(a, key)?, B::take(b, key)?)),
+            _ => Err(FieldError::must_be(key, "a two-element array")),
+        }
+    }
+}
+
+/// Implements [`Field`] for structs, one `field: "key"` row per field, in
+/// key order: `put` writes an object with those keys in that order,
+/// `take` reads every key back into its field, and `fill` overwrites the
+/// fields whose keys are present (and refuses a value that is not an
+/// object).
+///
+/// ```
+/// use opass_json::{json_object, Field, Json};
+///
+/// #[derive(Debug, Default, PartialEq)]
+/// struct Run {
+///     nodes: u32,
+///     label: String,
+/// }
+/// json_object! { Run { nodes: "n_nodes", label: "label" } }
+///
+/// let run = Run { nodes: 8, label: "a".into() };
+/// assert_eq!(run.put().to_compact(), r#"{"n_nodes":8,"label":"a"}"#);
+/// assert_eq!(Run::take(&run.put(), "run"), Ok(run));
+///
+/// let mut partial = Run::default();
+/// partial.fill(&Json::parse(r#"{"n_nodes": 3}"#).unwrap(), "run").unwrap();
+/// assert_eq!(partial, Run { nodes: 3, label: String::new() });
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    ($($ty:ident { $($field:ident: $key:literal),* $(,)? })*) => {$(
+        impl $crate::Field for $ty {
+            fn put(&self) -> $crate::Json {
+                $crate::Json::Object(vec![
+                    $(($key.to_string(), $crate::Field::put(&self.$field))),*
+                ])
+            }
+            fn take(v: &$crate::Json, _key: &str) -> Result<$ty, $crate::FieldError> {
+                Ok($ty { $($field: $crate::get(v, $key)?),* })
+            }
+            fn fill(&mut self, v: &$crate::Json, key: &str) -> Result<(), $crate::FieldError> {
+                if v.as_object().is_none() {
+                    return Err($crate::FieldError::must_be(key, "an object"));
+                }
+                $($crate::fill(v, $key, &mut self.$field)?;)*
+                Ok(())
+            }
+        }
+    )*};
 }
 
 #[cfg(test)]

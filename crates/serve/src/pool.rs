@@ -20,6 +20,37 @@ use std::thread::JoinHandle;
 
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A job that always reports: `report(Some(result))` once `run` returns,
+/// `report(None)` if `run` unwinds. A guard makes the report from its
+/// drop, so the worker's `catch_unwind` cannot swallow it and whoever
+/// waits on the job is answered either way.
+pub(crate) fn reporting<T>(
+    run: impl FnOnce() -> T + Send + 'static,
+    report: impl FnOnce(Option<T>) + Send + 'static,
+) -> Job {
+    Box::new(move || {
+        let mut guard = Report {
+            result: None,
+            report: Some(report),
+        };
+        guard.result = Some(run());
+    })
+}
+
+/// The drop guard of [`reporting`].
+struct Report<T, F: FnOnce(Option<T>)> {
+    result: Option<T>,
+    report: Option<F>,
+}
+
+impl<T, F: FnOnce(Option<T>)> Drop for Report<T, F> {
+    fn drop(&mut self) {
+        if let Some(report) = self.report.take() {
+            report(self.result.take());
+        }
+    }
+}
+
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -258,5 +289,24 @@ mod tests {
         let ran = rx.recv_timeout(std::time::Duration::from_secs(30));
         assert_eq!(ran, Ok(7), "the lone worker survived the panic");
         pool.shutdown();
+    }
+
+    #[test]
+    fn a_reporting_job_reports_even_when_it_panics() {
+        let pool = WorkerPool::new(1, 4);
+        let (tx, rx) = mpsc::channel();
+        for panics in [true, false] {
+            let tx = tx.clone();
+            let run = move || {
+                assert!(!panics, "job panics on purpose");
+                7u32
+            };
+            let report = move |result| tx.send(result).expect("receiver alive");
+            pool.try_submit(reporting(run, report))
+                .expect("queue has room");
+        }
+        pool.shutdown();
+        let reports: Vec<Option<u32>> = rx.try_iter().collect();
+        assert_eq!(reports, [None, Some(7)], "the panic reported a lost job");
     }
 }

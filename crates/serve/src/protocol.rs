@@ -8,16 +8,16 @@
 //! errors — a request that decodes successfully is structurally valid.
 //!
 //! Each wire struct is one table of `field: "key"` rows
-//! (`wire_object!`), from which both its encoder and its decoder are
-//! generated, so a key is spelled once. The value types a row may hold
-//! implement the private `Wire` trait, whose decoders range-check what
-//! the peer sent: integers must be exact in a JSON number (below 2⁵³)
-//! and node ids must fit in `u32`.
+//! ([`opass_json::json_object!`]), from which both its encoder and its
+//! decoder are generated, so a key is spelled once. The value types a
+//! row may hold implement [`opass_json::Field`], whose decoders
+//! range-check what the peer sent: integers must be exact in a JSON
+//! number (below 2⁵³) and node ids must fit in `u32`.
 
 use crate::frame::FrameError;
-use opass_core::dfs::{ChunkId, ChunkLayout, LayoutDelta, NodeId, Replicas};
+use opass_core::dfs::LayoutDelta;
 use opass_core::Strategy;
-use opass_json::Json;
+use opass_json::{field, get, get_opt, json_object, Field, FieldError, Json};
 
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -48,187 +48,13 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-// ---------------------------------------------------------------------------
-// The field codec
-// ---------------------------------------------------------------------------
-
-/// A value that crosses the wire as one JSON value.
-trait Wire: Sized {
-    /// Encodes the value.
-    fn put(&self) -> Json;
-    /// Decodes `v`, the value of field `key` (named in errors).
-    fn take(v: &Json, key: &str) -> Result<Self, ProtoError>;
-}
-
-fn malformed(key: &str, what: &str) -> ProtoError {
-    ProtoError::Malformed(format!("field {key:?} must be {what}"))
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ProtoError> {
-    v.get(key)
-        .ok_or_else(|| ProtoError::Malformed(format!("missing field {key:?}")))
-}
-
-/// Decodes the required field `key` of object `v`.
-fn get<T: Wire>(v: &Json, key: &str) -> Result<T, ProtoError> {
-    T::take(field(v, key)?, key)
-}
-
-/// Decodes the optional field `key` of object `v`: absent is `None`.
-fn get_opt<T: Wire>(v: &Json, key: &str) -> Result<Option<T>, ProtoError> {
-    v.get(key).map(|x| T::take(x, key)).transpose()
-}
-
-/// Integers below this are exact in a JSON number (an `f64`); from here
-/// on, a decoded value may be the rounding of a neighbour the peer sent.
-const EXACT_LIMIT: u64 = 1 << 53;
-
-impl Wire for u64 {
-    fn put(&self) -> Json {
-        Json::from(*self)
-    }
-    fn take(v: &Json, key: &str) -> Result<u64, ProtoError> {
-        match v.as_u64() {
-            Some(n) if n < EXACT_LIMIT => Ok(n),
-            Some(_) => Err(malformed(key, "below 2^53")),
-            None => Err(malformed(key, "an unsigned integer")),
-        }
+impl From<FieldError> for ProtoError {
+    fn from(e: FieldError) -> ProtoError {
+        ProtoError::Malformed(e.0)
     }
 }
 
-impl Wire for usize {
-    fn put(&self) -> Json {
-        Json::from(*self)
-    }
-    fn take(v: &Json, key: &str) -> Result<usize, ProtoError> {
-        usize::try_from(u64::take(v, key)?).map_err(|_| malformed(key, "a usize"))
-    }
-}
-
-impl Wire for f64 {
-    fn put(&self) -> Json {
-        Json::from(*self)
-    }
-    fn take(v: &Json, key: &str) -> Result<f64, ProtoError> {
-        v.as_f64().ok_or_else(|| malformed(key, "a number"))
-    }
-}
-
-impl Wire for bool {
-    fn put(&self) -> Json {
-        Json::from(*self)
-    }
-    fn take(v: &Json, key: &str) -> Result<bool, ProtoError> {
-        v.as_bool().ok_or_else(|| malformed(key, "a boolean"))
-    }
-}
-
-impl Wire for String {
-    fn put(&self) -> Json {
-        Json::from(self.as_str())
-    }
-    fn take(v: &Json, key: &str) -> Result<String, ProtoError> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| malformed(key, "a string"))
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self) -> Json {
-        Json::Array(self.iter().map(Wire::put).collect())
-    }
-    fn take(v: &Json, key: &str) -> Result<Vec<T>, ProtoError> {
-        v.as_array()
-            .ok_or_else(|| malformed(key, "an array"))?
-            .iter()
-            .map(|x| T::take(x, key))
-            .collect()
-    }
-}
-
-/// A pair rides as a two-element array.
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self) -> Json {
-        Json::Array(vec![self.0.put(), self.1.put()])
-    }
-    fn take(v: &Json, key: &str) -> Result<(A, B), ProtoError> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::take(a, key)?, B::take(b, key)?)),
-            _ => Err(malformed(key, "a two-element array")),
-        }
-    }
-}
-
-impl Wire for ChunkId {
-    fn put(&self) -> Json {
-        self.0.put()
-    }
-    fn take(v: &Json, key: &str) -> Result<ChunkId, ProtoError> {
-        u64::take(v, key).map(ChunkId)
-    }
-}
-
-impl Wire for NodeId {
-    fn put(&self) -> Json {
-        Json::from(self.0)
-    }
-    fn take(v: &Json, key: &str) -> Result<NodeId, ProtoError> {
-        u32::try_from(u64::take(v, key)?)
-            .map(NodeId)
-            .map_err(|_| malformed(key, "a node id below 2^32"))
-    }
-}
-
-impl Wire for Replicas {
-    fn put(&self) -> Json {
-        Json::Array(self.iter().map(Wire::put).collect())
-    }
-    fn take(v: &Json, key: &str) -> Result<Replicas, ProtoError> {
-        Vec::<NodeId>::take(v, key).map(Replicas::from)
-    }
-}
-
-/// A strategy rides as its label.
-impl Wire for Strategy {
-    fn put(&self) -> Json {
-        Json::from(self.label())
-    }
-    fn take(v: &Json, key: &str) -> Result<Strategy, ProtoError> {
-        let label = v.as_str().ok_or_else(|| malformed(key, "a string"))?;
-        Strategy::parse(label)
-            .ok_or_else(|| ProtoError::Malformed(format!("unknown strategy {label:?}")))
-    }
-}
-
-/// Implements [`Wire`] for structs, one `field: "key"` row per field, in
-/// wire order: the encoder writes an object with those keys in that
-/// order, the decoder reads each key back into its field.
-macro_rules! wire_object {
-    ($($ty:ident { $($field:ident: $key:literal),* $(,)? })*) => {$(
-        impl Wire for $ty {
-            fn put(&self) -> Json {
-                Json::Object(vec![$(($key.to_string(), self.$field.put())),*])
-            }
-            fn take(v: &Json, _key: &str) -> Result<$ty, ProtoError> {
-                Ok($ty { $($field: get(v, $key)?),* })
-            }
-        }
-    )*};
-}
-
-wire_object! {
-    // Added files reuse the layout-entry shape; replica changes ride as
-    // `[chunk, node]` pairs.
-    ChunkLayout { chunk: "chunk", size: "size", locations: "locations" }
-    LayoutDelta {
-        files_added: "files_added",
-        files_removed: "files_removed",
-        replicas_added: "replicas_added",
-        replicas_dropped: "replicas_dropped",
-        nodes_failed: "nodes_failed",
-        nodes_joined: "nodes_joined",
-    }
+json_object! {
     PlanReply {
         dataset: "dataset",
         generation: "generation",
@@ -312,7 +138,7 @@ fn open(v: &Json) -> Result<&str, ProtoError> {
     }
     field(v, "type")?
         .as_str()
-        .ok_or_else(|| malformed("type", "a string"))
+        .ok_or_else(|| FieldError::must_be("type", "a string").into())
 }
 
 // ---------------------------------------------------------------------------
@@ -705,7 +531,7 @@ impl StatsReply {
 }
 
 /// The flat struct rides as nested sections.
-impl Wire for StatsReply {
+impl Field for StatsReply {
     fn put(&self) -> Json {
         object([
             ("generation", self.generation.put()),
@@ -747,7 +573,7 @@ impl Wire for StatsReply {
         ])
     }
 
-    fn take(v: &Json, _key: &str) -> Result<StatsReply, ProtoError> {
+    fn take(v: &Json, _key: &str) -> Result<StatsReply, FieldError> {
         let counters = field(v, "counters")?;
         let queue = field(v, "queue")?;
         let latency = field(v, "latency_us")?;
@@ -859,10 +685,10 @@ impl Response {
                 nodes: get(v, "nodes")?,
                 datasets: get(v, "datasets")?,
             }),
-            "plan" => PlanReply::take(v, "plan").map(Response::Plan),
-            "layout" => LayoutReply::take(v, "layout").map(Response::Layout),
-            "place" => PlaceReply::take(v, "place").map(Response::Place),
-            "stats" => StatsReply::take(v, "stats").map(Response::Stats),
+            "plan" => Ok(Response::Plan(PlanReply::take(v, "plan")?)),
+            "layout" => Ok(Response::Layout(LayoutReply::take(v, "layout")?)),
+            "place" => Ok(Response::Place(PlaceReply::take(v, "place")?)),
+            "stats" => Ok(Response::Stats(StatsReply::take(v, "stats")?)),
             "invalidated" => Ok(Response::Invalidated {
                 generation: get(v, "generation")?,
             }),
@@ -891,6 +717,7 @@ impl From<ProtoError> for FrameError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opass_core::dfs::{ChunkId, ChunkLayout, NodeId};
 
     #[test]
     fn requests_round_trip() {

@@ -40,7 +40,7 @@ use crate::conn::{FrameBuf, WriteQueue};
 use crate::frame::{encode_frame, FrameError};
 use crate::metrics::{LatencyHistogram, ShardStats, Timer};
 use crate::planning::{self, ComputedPlan, PlanKey, Repairable};
-use crate::pool::{Job, SubmitError, WorkerPool};
+use crate::pool::{reporting, Job, SubmitError, WorkerPool};
 use crate::protocol::{
     PlanReply, Request, Response, ShardStatsReply, StatsReply, PROTOCOL_VERSION,
 };
@@ -151,6 +151,23 @@ struct Done {
     /// variant of a plan, the leader's own bytes for a layout.
     follower: FrameBytes,
     keep: Keep,
+}
+
+impl Done {
+    /// The outcome of a flight whose job was lost: every waiter gets the
+    /// typed `error` reply, and the slice keeps nothing.
+    fn lost(flight: Flight) -> Done {
+        let error = lost_reply();
+        Done {
+            flight,
+            leader: Arc::clone(&error),
+            follower: error,
+            keep: Keep {
+                plan: None,
+                layout: None,
+            },
+        }
+    }
 }
 
 /// What a finished flight leaves in the owner's slice.
@@ -360,6 +377,13 @@ impl Ctx {
 /// A pre-encoded reply frame, shared zero-copy between the caches and
 /// every connection write queue it lands in.
 type FrameBytes = Arc<Vec<u8>>;
+
+/// The reply to a request whose pool job was lost: it panicked.
+fn lost_reply() -> FrameBytes {
+    encode_response(&Response::Error {
+        message: "the job serving this request failed".into(),
+    })
+}
 
 /// Encodes a response frame, downgrading an over-cap body to a typed
 /// error so a huge reply never kills a worker or wedges a connection.
@@ -878,8 +902,8 @@ impl<S: Stream> Shard<S> {
     /// Hands a job to the pool. A refusal answers `waiter` at once with
     /// the typed `overloaded` or `shutting_down` reply; returns whether
     /// the job was admitted.
-    fn submit(&mut self, waiter: Waiter, job: impl FnOnce() + Send + 'static) -> bool {
-        let refusal = match (self.submit)(Box::new(job)) {
+    fn submit(&mut self, waiter: Waiter, job: Job) -> bool {
+        let refusal = match (self.submit)(job) {
             Ok(()) => return true,
             Err(SubmitError::Overloaded { queue_depth }) => Response::Overloaded { queue_depth },
             Err(SubmitError::ShuttingDown) => Response::ShuttingDown,
@@ -889,16 +913,20 @@ impl<S: Stream> Shard<S> {
     }
 
     /// Starts `flight` with `waiter` as its leader: the job runs on the
-    /// pool and its [`Done`] comes back to this shard.
+    /// pool and its [`Done`] comes back to this shard — a lost one if
+    /// the job panics.
     fn lead(
         &mut self,
         flight: Flight,
         waiter: Waiter,
         job: impl FnOnce() -> Done + Send + 'static,
     ) {
-        let ctx = Arc::clone(&self.ctx);
-        let owner = self.index;
-        if self.submit(waiter, move || ctx.shard(owner).post(Mail::Done(job()))) {
+        let owner = Arc::clone(self.me());
+        let lost = flight.clone();
+        let report = move |done: Option<Done>| {
+            owner.post(Mail::Done(done.unwrap_or_else(|| Done::lost(lost))));
+        };
+        if self.submit(waiter, reporting(job, report)) {
             self.flights.insert(flight, vec![waiter]);
         }
     }
@@ -1078,7 +1106,7 @@ impl<S: Stream> Shard<S> {
             .map(|slot| Arc::clone(&slot.snapshot));
         self.count_lookup(snapshot.is_some());
         let ctx = Arc::clone(&self.ctx);
-        self.submit(waiter, move || {
+        let run = move || {
             let snapshot = snapshot.unwrap_or_else(|| ctx.walk(dataset));
             let reply = planning::place_reply(
                 &ctx.planner,
@@ -1090,12 +1118,17 @@ impl<S: Stream> Shard<S> {
                 budget,
                 seed,
             );
-            ctx.shard(waiter.origin).post(Mail::Reply(RemoteReply {
+            encode_response(&Response::Place(reply))
+        };
+        let origin = Arc::clone(self.ctx.shard(waiter.origin));
+        let report = move |bytes: Option<FrameBytes>| {
+            origin.post(Mail::Reply(RemoteReply {
                 ticket: waiter.ticket,
-                bytes: encode_response(&Response::Place(reply)),
+                bytes: bytes.unwrap_or_else(lost_reply),
                 count_latency: true,
             }));
-        });
+        };
+        self.submit(waiter, reporting(run, report));
     }
 
     /// Files a finished flight's results in the slice, then answers its
@@ -1257,8 +1290,12 @@ mod tests {
     /// The only shard of a server over [`spec`], with a sink that holds
     /// up to `queue` jobs and refuses the rest as a full pool does.
     fn shard(queue: usize) -> (Shard<Pipe>, Held) {
+        shard_placing(queue, spec().placement())
+    }
+
+    /// [`shard`] with its processes at `placement`.
+    fn shard_placing(queue: usize, placement: ProcessPlacement) -> (Shard<Pipe>, Held) {
         let spec = spec();
-        let placement = spec.placement();
         let addr = "127.0.0.1:0".parse().expect("socket address");
         let pool = WorkerPool::new(1, 1);
         let ctx = Ctx::new(World::new(spec), placement, pool, addr, 1, 1024);
@@ -1452,6 +1489,54 @@ mod tests {
             replies(&wire.take().outbound)[..],
             [Response::Pong { .. }]
         ));
+    }
+
+    #[test]
+    fn a_lost_job_answers_every_waiter_and_wedges_nothing() {
+        // With no process to assign tasks to, the baseline planner and
+        // the placement session panic inside their pool jobs.
+        let (mut shard, held) = shard_placing(usize::MAX, ProcessPlacement::explicit(Vec::new()));
+        let wire = connect(&mut shard, usize::MAX, usize::MAX);
+        let plan = Request::Plan {
+            dataset: 0,
+            strategy: Strategy::RankInterval,
+            seed: 1,
+        };
+        let place = Request::Place {
+            dataset: 1,
+            rounds: 1,
+            budget: None,
+            seed: 0,
+        };
+        send(&wire, &[plan.clone(), plan.clone(), place]);
+        sweep(&mut shard);
+        assert_eq!((held.borrow().len(), pending(&shard)), (2, 3));
+        let jobs: Vec<Job> = held.borrow_mut().drain(..).collect();
+        for job in jobs {
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            assert!(ran.is_err(), "the job panics");
+        }
+        settle(&mut shard, &held);
+        assert_eq!(pending(&shard), 0, "every waiter is answered");
+        let error = Response::Error {
+            message: "the job serving this request failed".into(),
+        };
+        assert_eq!(replies(&wire.take().outbound), vec![error; 3]);
+
+        // The cluster regains its processes: the next plan for the key
+        // leads a fresh flight, as nothing was cached or left in the air.
+        let ctx = Arc::get_mut(&mut shard.ctx).expect("no job holds the context");
+        ctx.placement = spec().placement();
+        send(&wire, &[plan]);
+        sweep(&mut shard);
+        assert_eq!(held.borrow().len(), 1, "the plan is admitted afresh");
+        settle(&mut shard, &held);
+        assert_eq!(pending(&shard), 0);
+        let replies = replies(&wire.take().outbound);
+        assert!(
+            matches!(&replies[..], [Response::Plan(p)] if !p.cached && !p.coalesced),
+            "{replies:?}"
+        );
     }
 
     #[test]

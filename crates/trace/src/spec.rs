@@ -1,6 +1,6 @@
 //! The generator's JSON-serializable parameter block.
 
-use opass_json::Json;
+use opass_json::{json_object, Field, Json};
 
 /// The most records a spec may ask for: 2³², 128 GiB of generated
 /// records, far past any trace this crate is used for, and small enough
@@ -80,48 +80,39 @@ impl Default for TraceSpec {
     }
 }
 
+json_object! {
+    TraceSpec {
+        name: "name",
+        seed: "seed",
+        records: "records",
+        duration_s: "duration_s",
+        clients: "clients",
+        datasets: "datasets",
+        chunks_per_dataset: "chunks_per_dataset",
+        chunk_size: "chunk_size",
+        zipf_exponent: "zipf_exponent",
+        diurnal_amplitude: "diurnal_amplitude",
+        diurnal_period_s: "diurnal_period_s",
+        bursts: "bursts",
+    }
+    BurstSpec {
+        start_s: "start_s",
+        duration_s: "duration_s",
+        dataset: "dataset",
+        multiplier: "multiplier",
+    }
+}
+
 impl TraceSpec {
     /// Serializes to a JSON object (pretty-print with
     /// [`Json::to_pretty`]).
     pub fn to_json(&self) -> Json {
-        Json::object([
-            ("name".to_string(), Json::from(self.name.as_str())),
-            ("seed".to_string(), Json::from(self.seed)),
-            ("records".to_string(), Json::from(self.records)),
-            ("duration_s".to_string(), Json::from(self.duration_s)),
-            ("clients".to_string(), Json::from(self.clients)),
-            ("datasets".to_string(), Json::from(self.datasets)),
-            (
-                "chunks_per_dataset".to_string(),
-                Json::from(self.chunks_per_dataset),
-            ),
-            ("chunk_size".to_string(), Json::from(self.chunk_size)),
-            ("zipf_exponent".to_string(), Json::from(self.zipf_exponent)),
-            (
-                "diurnal_amplitude".to_string(),
-                Json::from(self.diurnal_amplitude),
-            ),
-            (
-                "diurnal_period_s".to_string(),
-                Json::from(self.diurnal_period_s),
-            ),
-            (
-                "bursts".to_string(),
-                Json::array(self.bursts.iter().map(|b| {
-                    Json::object([
-                        ("start_s".to_string(), Json::from(b.start_s)),
-                        ("duration_s".to_string(), Json::from(b.duration_s)),
-                        ("dataset".to_string(), Json::from(b.dataset)),
-                        ("multiplier".to_string(), Json::from(b.multiplier)),
-                    ])
-                })),
-            ),
-        ])
+        self.put()
     }
 
     /// Parses and validates a spec from JSON text. Missing fields fall
     /// back to [`TraceSpec::default`], so a spec file only has to name
-    /// what it changes.
+    /// what it changes; a burst names all four of its keys.
     ///
     /// # Errors
     ///
@@ -129,72 +120,8 @@ impl TraceSpec {
     /// field, or a value [`TraceSpec::validate`] rejects.
     pub fn from_json_str(text: &str) -> Result<TraceSpec, String> {
         let v = Json::parse(text).map_err(|e| format!("bad spec JSON: {e}"))?;
-        let d = TraceSpec::default();
-        let u64_field = |key: &str, fallback: u64| -> Result<u64, String> {
-            match v.get(key) {
-                Some(j) => j
-                    .as_u64()
-                    .ok_or_else(|| format!("field {key:?} must be an unsigned integer")),
-                None => Ok(fallback),
-            }
-        };
-        let f64_field = |v: &Json, key: &str, fallback: f64| -> Result<f64, String> {
-            match v.get(key) {
-                Some(j) => j
-                    .as_f64()
-                    .ok_or_else(|| format!("field {key:?} must be a number")),
-                None => Ok(fallback),
-            }
-        };
-        let bursts = match v.get("bursts") {
-            Some(j) => {
-                let items = j
-                    .as_array()
-                    .ok_or_else(|| "field \"bursts\" must be an array".to_string())?;
-                items
-                    .iter()
-                    .map(|b| {
-                        Ok(BurstSpec {
-                            start_s: f64_field(b, "start_s", 0.0)?,
-                            duration_s: f64_field(b, "duration_s", 0.0)?,
-                            dataset: b
-                                .get("dataset")
-                                .and_then(Json::as_u64)
-                                .and_then(|d| u32::try_from(d).ok())
-                                .ok_or_else(|| {
-                                    "burst field \"dataset\" must be a u32".to_string()
-                                })?,
-                            multiplier: f64_field(b, "multiplier", 1.0)?,
-                        })
-                    })
-                    .collect::<Result<Vec<BurstSpec>, String>>()?
-            }
-            None => d.bursts.clone(),
-        };
-        let spec = TraceSpec {
-            name: match v.get("name") {
-                Some(j) => j
-                    .as_str()
-                    .ok_or_else(|| "field \"name\" must be a string".to_string())?
-                    .to_string(),
-                None => d.name.clone(),
-            },
-            seed: u64_field("seed", d.seed)?,
-            records: u64_field("records", d.records)?,
-            duration_s: f64_field(&v, "duration_s", d.duration_s)?,
-            clients: u64_field("clients", u64::from(d.clients))?
-                .try_into()
-                .map_err(|_| "field \"clients\" must fit in u32".to_string())?,
-            datasets: u64_field("datasets", u64::from(d.datasets))?
-                .try_into()
-                .map_err(|_| "field \"datasets\" must fit in u32".to_string())?,
-            chunks_per_dataset: u64_field("chunks_per_dataset", d.chunks_per_dataset)?,
-            chunk_size: u64_field("chunk_size", d.chunk_size)?,
-            zipf_exponent: f64_field(&v, "zipf_exponent", d.zipf_exponent)?,
-            diurnal_amplitude: f64_field(&v, "diurnal_amplitude", d.diurnal_amplitude)?,
-            diurnal_period_s: f64_field(&v, "diurnal_period_s", d.diurnal_period_s)?,
-            bursts,
-        };
+        let mut spec = TraceSpec::default();
+        spec.fill(&v, "spec").map_err(|e| e.0)?;
         spec.validate()?;
         Ok(spec)
     }
@@ -264,6 +191,11 @@ mod tests {
         assert_eq!(spec.records, 42);
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.datasets, TraceSpec::default().datasets);
+        // 2^53 + 1 would run as its neighbour 2^53.
+        assert_eq!(
+            TraceSpec::from_json_str(r#"{"seed": 9007199254740993}"#),
+            Err("field \"seed\" must be below 2^53".to_string())
+        );
     }
 
     #[test]
@@ -288,8 +220,8 @@ mod tests {
             r#"{"datasets": 0}"#,
             r#"{"duration_s": 0}"#,
             r#"{"diurnal_amplitude": 1.5}"#,
-            r#"{"bursts": [{"dataset": 99, "duration_s": 1, "multiplier": 2}]}"#,
-            r#"{"bursts": [{"dataset": 0, "duration_s": 1, "multiplier": 0.5}]}"#,
+            r#"{"bursts": [{"dataset": 99, "start_s": 0, "duration_s": 1, "multiplier": 2}]}"#,
+            r#"{"bursts": [{"dataset": 0, "start_s": 0, "duration_s": 1, "multiplier": 0.5}]}"#,
         ] {
             assert!(TraceSpec::from_json_str(bad).is_err(), "{bad}");
         }
