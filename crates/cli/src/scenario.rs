@@ -13,7 +13,7 @@
 use opass_core::experiment::Experiment as Driver;
 use opass_core::runtime::{IoRecord, RunMetrics};
 use opass_core::{ClusterSpec, Strategy};
-use opass_json::{field, fill, get, Field, FieldError, Json};
+use opass_json::{field, fill, get, only_keys, Field, FieldError, Json};
 
 /// A batch of experiments, each run under each of its strategies.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,9 +50,10 @@ fn cluster_refuses(cluster: &ClusterSpec) -> Option<String> {
 /// Declares every experiment kind once: its [`Kind`] variant and the
 /// struct it wraps, its scenario `type` label, one `"key" => field.path`
 /// row per scenario key (in print order), and what it refuses, as
-/// `condition => message` over the filled struct. Parsing starts from the
-/// struct's `Default`, overwrites the keys present, then checks the
-/// whole struct once: its refusals, then its cluster.
+/// `condition => message` over the filled struct. Parsing refuses a key
+/// no row names, starts from the struct's `Default`, overwrites the keys
+/// present, then checks the whole struct once: its refusals, then its
+/// cluster.
 macro_rules! kinds {
     ($(
         $(#[$doc:meta])*
@@ -78,6 +79,7 @@ macro_rules! kinds {
             fn from_json(label: &str, obj: &Json) -> Result<Kind, FieldError> {
                 let kind = match label {
                     $($label => {
+                        only_keys(obj, $label, &["type", "strategies", $($key),*])?;
                         let mut $x = <$ty>::default();
                         $(fill(obj, $key, &mut $x.$($field).+)?;)*
                         Kind::$variant($x)
@@ -339,6 +341,7 @@ impl ScenarioFile {
     /// Parses a scenario from its JSON text.
     pub fn parse(input: &str) -> Result<ScenarioFile, ScenarioError> {
         let root = Json::parse(input).map_err(|e| FieldError(e.to_string()))?;
+        only_keys(&root, "scenario", &["name", "experiments"])?;
         let mut name = "unnamed scenario".to_string();
         fill(&root, "name", &mut name)?;
         let experiments = field(&root, "experiments")?
@@ -669,6 +672,11 @@ mod tests {
                 "nodes_per_rack",
             ),
             (r#""type": "dynamic", "seed": 9007199254740993"#, "seed"),
+            // A key of another kind is unknown to this one.
+            (
+                r#""type": "multi_data", "chunks_per_process": 2"#,
+                "chunks_per_process",
+            ),
         ];
         for (fields, field) in probes {
             let json = format!(r#"{{"experiments": [{{{fields}, "strategies": ["opass"]}}]}}"#);
@@ -689,6 +697,11 @@ mod tests {
         assert!(ScenarioFile::parse(bad_type).is_err());
         let no_strategies = r#"{"experiments":[{"type":"single_data"}]}"#;
         assert!(ScenarioFile::parse(no_strategies).is_err());
+        let typo = ScenarioFile::parse(r#"{"nme": "x", "experiments": []}"#);
+        assert!(
+            matches!(&typo, Err(ScenarioError::Parse { message }) if message.contains("\"nme\"")),
+            "{typo:?}"
+        );
     }
 
     #[test]

@@ -255,7 +255,7 @@ fn summarize(records: &[TraceRecord]) -> (u64, u64, u64, f64) {
     for r in records {
         datasets = datasets.max(u64::from(r.dataset) + 1);
         clients = clients.max(u64::from(r.client) + 1);
-        bytes += r.bytes;
+        bytes += u64::from(r.bytes);
         last_us = last_us.max(r.time_us);
     }
     (datasets, clients, bytes, last_us as f64 / 1e6)

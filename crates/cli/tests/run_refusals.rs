@@ -57,3 +57,18 @@ fn a_refused_scenario_names_its_error_once() {
     );
     assert_eq!(stderr.matches("invalid scenario").count(), 1);
 }
+
+#[test]
+fn a_misspelt_experiment_key_is_refused_by_name() {
+    let (code, stdout, stderr) = run_scenario(
+        "typo",
+        r#"{"experiments": [{"type": "single_data", "n_node": 8,
+            "strategies": ["opass"]}]}"#,
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert_eq!(
+        stderr,
+        "<path>: invalid scenario: unknown field \"n_node\" in \"single_data\"\n"
+    );
+}

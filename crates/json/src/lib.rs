@@ -601,6 +601,11 @@ pub trait Field: Sized {
         *self = Self::take(v, key)?;
         Ok(())
     }
+    /// Refuses a key of `v` that `fill` would not read; only a table
+    /// ([`json_object!`]) has keys to check.
+    fn only_known_keys(_v: &Json, _key: &str) -> Result<(), FieldError> {
+        Ok(())
+    }
 }
 
 /// The value of the required field `key` of object `v`.
@@ -623,6 +628,17 @@ pub fn get_opt<T: Field>(v: &Json, key: &str) -> Result<Option<T>, FieldError> {
 pub fn fill<T: Field>(v: &Json, key: &str, slot: &mut T) -> Result<(), FieldError> {
     match v.get(key) {
         Some(x) => slot.fill(x, key),
+        None => Ok(()),
+    }
+}
+
+/// Refuses the first key of object `v` (the value of field `key`) that
+/// is not in `known`: authored input names only keys its table reads,
+/// so a misspelt key is an error rather than a silent default.
+pub fn only_keys(v: &Json, key: &str, known: &[&str]) -> Result<(), FieldError> {
+    let pairs = v.as_object().unwrap_or_default();
+    match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(FieldError(format!("unknown field {k:?} in {key:?}"))),
         None => Ok(()),
     }
 }
@@ -705,6 +721,15 @@ impl<T: Field> Field for Vec<T> {
             .map(|x| T::take(x, key))
             .collect()
     }
+    /// Replaces the vector, refusing an element with a key its table
+    /// does not read.
+    fn fill(&mut self, v: &Json, key: &str) -> Result<(), FieldError> {
+        for x in v.as_array().into_iter().flatten() {
+            T::only_known_keys(x, key)?;
+        }
+        *self = Self::take(v, key)?;
+        Ok(())
+    }
 }
 
 /// A pair is a two-element array.
@@ -724,7 +749,7 @@ impl<A: Field, B: Field> Field for (A, B) {
 /// key order: `put` writes an object with those keys in that order,
 /// `take` reads every key back into its field, and `fill` overwrites the
 /// fields whose keys are present (and refuses a value that is not an
-/// object).
+/// object, or that has a key no row names).
 ///
 /// ```
 /// use opass_json::{json_object, Field, Json};
@@ -743,6 +768,11 @@ impl<A: Field, B: Field> Field for (A, B) {
 /// let mut partial = Run::default();
 /// partial.fill(&Json::parse(r#"{"n_nodes": 3}"#).unwrap(), "run").unwrap();
 /// assert_eq!(partial, Run { nodes: 3, label: String::new() });
+/// let typo = Json::parse(r#"{"n_node": 3}"#).unwrap();
+/// assert_eq!(
+///     partial.fill(&typo, "run").unwrap_err().0,
+///     r#"unknown field "n_node" in "run""#
+/// );
 /// ```
 #[macro_export]
 macro_rules! json_object {
@@ -760,8 +790,12 @@ macro_rules! json_object {
                 if v.as_object().is_none() {
                     return Err($crate::FieldError::must_be(key, "an object"));
                 }
+                Self::only_known_keys(v, key)?;
                 $($crate::fill(v, $key, &mut self.$field)?;)*
                 Ok(())
+            }
+            fn only_known_keys(v: &$crate::Json, key: &str) -> Result<(), $crate::FieldError> {
+                $crate::only_keys(v, key, &[$($key),*])
             }
         }
     )*};

@@ -213,8 +213,8 @@ pub fn replay_local(
     let mut chunk_size = 1u64;
     for r in records {
         let slot = &mut chunks_per_dataset[r.dataset as usize];
-        *slot = (*slot).max(r.chunk + 1);
-        chunk_size = chunk_size.max(r.bytes);
+        *slot = (*slot).max(u64::from(r.chunk) + 1);
+        chunk_size = chunk_size.max(u64::from(r.bytes));
     }
     let replication = config.replication.min(config.n_nodes as u32);
     // Each dataset's layout until its first batch hands it to the
@@ -263,9 +263,9 @@ pub fn replay_local(
             let layout = session.snapshot().entries();
 
             // Access histograms: per chunk index and per client.
-            let mut per_chunk: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut per_chunk: BTreeMap<u32, u64> = BTreeMap::new();
             let mut per_client: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut accessed_order: Vec<u64> = Vec::new();
+            let mut accessed_order: Vec<u32> = Vec::new();
             for r in &accesses {
                 let count = per_chunk.entry(r.chunk).or_insert(0);
                 if *count == 0 {
@@ -377,7 +377,7 @@ pub fn replay_remote(
         }
         for (dataset, accesses) in by_dataset {
             seen_datasets = seen_datasets.max(dataset + 1);
-            let mut per_chunk: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut per_chunk: BTreeMap<u32, u64> = BTreeMap::new();
             let mut per_client: BTreeMap<u32, u64> = BTreeMap::new();
             for r in &accesses {
                 *per_chunk.entry(r.chunk).or_insert(0) += 1;

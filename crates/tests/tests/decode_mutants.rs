@@ -1,18 +1,21 @@
-//! No input the field codec reads may panic it. Every truncation prefix
+//! No input the decoders read may panic them. Every truncation prefix
 //! and every single-bit flip of each byte of the frames `wire_bytes.rs`
-//! pins and of the trace-spec template decodes to a value or a typed
-//! error. The scenario half of the check is `scenario::tests` in the
-//! CLI, which owns that decoder.
+//! pins, of the trace-spec template, and of a slice of the template trace
+//! in text and in `OPTRACE1` decodes to a value or a typed error. The
+//! scenario half of the check is `scenario::tests` in the CLI, which owns
+//! that decoder.
 
 use opass_json::Json;
 use opass_serve::{Request, Response};
-use opass_trace::TraceSpec;
+use opass_trace::{
+    generate, parse_binary, parse_text_with_threads, write_binary, write_text, TraceError,
+    TraceSpec,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Every truncation prefix of `input` and every single-bit flip of each
-/// of its bytes, as text (a flip that breaks UTF-8 reads lossily).
-fn mutants(input: &str) -> impl Iterator<Item = String> + '_ {
-    let bytes = input.as_bytes();
+/// Every truncation prefix of `bytes` and every single-bit flip of each
+/// of its bytes.
+fn byte_mutants(bytes: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
     let cuts = (0..bytes.len()).map(move |n| bytes[..n].to_vec());
     let flips = (0..bytes.len() * 8).map(move |i| {
         let mut flipped = bytes.to_vec();
@@ -20,7 +23,12 @@ fn mutants(input: &str) -> impl Iterator<Item = String> + '_ {
         flipped
     });
     cuts.chain(flips)
-        .map(|b| String::from_utf8_lossy(&b).into_owned())
+}
+
+/// [`byte_mutants`] of `input` as text (a flip that breaks UTF-8 reads
+/// lossily).
+fn mutants(input: &str) -> impl Iterator<Item = String> + '_ {
+    byte_mutants(input.as_bytes()).map(|b| String::from_utf8_lossy(&b).into_owned())
 }
 
 /// Decodes every mutant of `input` with `decode`, which says whether
@@ -92,4 +100,55 @@ fn mutated_trace_specs_decode_or_are_refused() {
         refused > 0 && accepted > 0,
         "{refused} refused, {accepted} accepted"
     );
+}
+
+/// The first 64 records of the template trace.
+fn template_slice() -> Vec<opass_trace::TraceRecord> {
+    let mut records = generate(&TraceSpec::default());
+    records.truncate(64);
+    records
+}
+
+#[test]
+fn mutated_text_traces_parse_or_are_refused_alike_at_any_thread_count() {
+    let text = write_text(&template_slice());
+    let (mut refused, mut accepted) = (0, 0);
+    for mutant in mutants(&text) {
+        let parse = |threads| {
+            catch_unwind(|| parse_text_with_threads(&mutant, threads))
+                .unwrap_or_else(|_| panic!("parsing {mutant:?} on {threads} threads panicked"))
+        };
+        let one = parse(1);
+        assert_eq!(parse(2), one, "{mutant:?}");
+        match one {
+            Ok(_) => accepted += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(
+        refused > 0 && accepted > 0,
+        "{refused} refused, {accepted} accepted"
+    );
+}
+
+#[test]
+fn mutated_binary_traces_decode_or_are_refused() {
+    let bytes = write_binary(&template_slice());
+    let (mut accepted, mut out_of_range) = (0, 0);
+    for mutant in byte_mutants(&bytes) {
+        let decoded = catch_unwind(|| parse_binary(&mutant))
+            .unwrap_or_else(|_| panic!("decoding {mutant:?} panicked"));
+        match decoded {
+            Ok(_) => accepted += 1,
+            Err(TraceError::BadBinary { offset, reason }) if reason.contains("2^32") => {
+                // A high bit of an on-disk `chunk` (+16) or `bytes` (+24).
+                assert!(matches!((offset - 16) % 32, 16 | 24), "{offset}");
+                out_of_range += 1;
+            }
+            Err(_) => {}
+        }
+    }
+    // 64 records, two fields each, 32 high bits per field.
+    assert_eq!(out_of_range, 64 * 2 * 32);
+    assert!(accepted > 0);
 }

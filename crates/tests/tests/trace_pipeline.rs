@@ -249,8 +249,8 @@ fn extreme_records_round_trip() {
             time_us: u64::MAX / 2,
             client: u32::MAX,
             dataset: u32::MAX,
-            chunk: u64::MAX,
-            bytes: u64::MAX,
+            chunk: u32::MAX,
+            bytes: u32::MAX,
         },
     ];
     for threads in [1, 2, 8] {
@@ -263,4 +263,59 @@ fn extreme_records_round_trip() {
         parse_binary(&write_binary(&records)).expect("binary"),
         records
     );
+}
+
+/// A record is 24 bytes in memory: `chunk` and `bytes` are `u32`.
+#[test]
+fn a_record_is_24_bytes() {
+    assert_eq!(std::mem::size_of::<TraceRecord>(), 24);
+}
+
+/// 2³² in the `chunk` or `bytes` column is refused as a `BadValue` naming
+/// the field, at the same line at any thread count.
+#[test]
+fn text_refuses_chunk_and_bytes_of_2_pow_32() {
+    let body = "0.1,1,0,5,1024\n0.2,1,0,6,1024\n";
+    for bad in ["0.3,1,0,4294967296,1024", "0.3,1,0,7,4294967296"] {
+        let input = format!("{TEXT_HEADER}\n# c\n{body}{bad}\n{body}");
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                parse_text_with_threads(&input, threads),
+                Err(TraceError::BadValue {
+                    line: 5,
+                    field: "4294967296".into()
+                }),
+                "{bad} at {threads} threads"
+            );
+        }
+    }
+}
+
+/// An `OPTRACE1` record whose `u64` on-disk `chunk` or `bytes` exceeds
+/// `u32::MAX` is refused at that field's byte offset.
+#[test]
+fn binary_refuses_chunk_and_bytes_above_u32() {
+    let records = vec![
+        TraceRecord {
+            time_us: 1,
+            client: 2,
+            dataset: 3,
+            chunk: 4,
+            bytes: 5,
+        };
+        3
+    ];
+    let good = write_binary(&records);
+    // Header 16 bytes, records 32 bytes, `chunk` at +16 and `bytes` at +24.
+    for field_at in [16, 24] {
+        let offset = 16 + 32 + field_at;
+        let mut bad = good.clone();
+        bad[offset..offset + 8].copy_from_slice(&(u64::from(u32::MAX) + 1).to_le_bytes());
+        match parse_binary(&bad) {
+            Err(TraceError::BadBinary { offset: at, .. }) => assert_eq!(at, offset),
+            other => panic!("field at +{field_at}: expected BadBinary, got {other:?}"),
+        }
+        bad[offset..offset + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        assert!(parse_binary(&bad).is_ok(), "u32::MAX at +{field_at} fits");
+    }
 }

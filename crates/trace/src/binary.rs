@@ -3,8 +3,11 @@
 //! Layout: the 8-byte magic [`BINARY_MAGIC`], a little-endian `u64`
 //! record count, then `count` fixed-width 32-byte records
 //! (`time_us: u64, client: u32, dataset: u32, chunk: u64, bytes: u64`,
-//! all little-endian). Decoding is one sequential pass; a record-range
-//! split over two threads measured slower than one thread.
+//! all little-endian). The on-disk `chunk` and `bytes` are `u64` while a
+//! [`TraceRecord`] holds them as `u32` (24 bytes in memory), so a value
+//! of 2³² or above is refused at that field's byte offset. Decoding is
+//! one sequential pass; a record-range split over two threads measured
+//! slower than one thread.
 
 use crate::record::{TraceError, TraceRecord};
 
@@ -27,8 +30,8 @@ pub fn write_binary(records: &[TraceRecord]) -> Vec<u8> {
         out.extend_from_slice(&r.time_us.to_le_bytes());
         out.extend_from_slice(&r.client.to_le_bytes());
         out.extend_from_slice(&r.dataset.to_le_bytes());
-        out.extend_from_slice(&r.chunk.to_le_bytes());
-        out.extend_from_slice(&r.bytes.to_le_bytes());
+        out.extend_from_slice(&u64::from(r.chunk).to_le_bytes());
+        out.extend_from_slice(&u64::from(r.bytes).to_le_bytes());
     }
     out
 }
@@ -38,8 +41,9 @@ pub fn write_binary(records: &[TraceRecord]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`TraceError::BadBinary`] on bad magic, a truncated body, or trailing
-/// garbage; [`TraceError::Empty`] when the count is zero.
+/// [`TraceError::BadBinary`] on bad magic, a truncated body, trailing
+/// garbage, or a `chunk` or `bytes` field of 2³² or above (at that
+/// field's offset); [`TraceError::Empty`] when the count is zero.
 pub fn parse_binary(input: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
     if input.len() < HEADER_BYTES {
         return Err(TraceError::BadBinary {
@@ -83,16 +87,24 @@ pub fn parse_binary(input: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
     let u32_at = |rec: &[u8], at: usize| {
         u32::from_le_bytes(rec[at..at + 4].try_into().expect("4-byte slice"))
     };
-    Ok(body
-        .chunks_exact(RECORD_BYTES)
-        .map(|rec| TraceRecord {
+    let mut records = Vec::with_capacity(count);
+    for (i, rec) in body.chunks_exact(RECORD_BYTES).enumerate() {
+        // `chunk` and `bytes` are `u64` on disk and `u32` in memory.
+        let narrow = |at: usize, reason: &'static str| {
+            u32::try_from(u64_at(rec, at)).map_err(|_| TraceError::BadBinary {
+                offset: HEADER_BYTES + i * RECORD_BYTES + at,
+                reason,
+            })
+        };
+        records.push(TraceRecord {
             time_us: u64_at(rec, 0),
             client: u32_at(rec, 8),
             dataset: u32_at(rec, 12),
-            chunk: u64_at(rec, 16),
-            bytes: u64_at(rec, 24),
-        })
-        .collect())
+            chunk: narrow(16, "chunk is 2^32 or above")?,
+            bytes: narrow(24, "bytes is 2^32 or above")?,
+        });
+    }
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -105,7 +117,7 @@ mod tests {
                 time_us: i * 137,
                 client: (i % 11) as u32,
                 dataset: (i % 5) as u32,
-                chunk: i * 3 % 640,
+                chunk: (i * 3 % 640) as u32,
                 bytes: 64 << 20,
             })
             .collect()

@@ -11,7 +11,7 @@ use crate::spec::TraceSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The most records [`generate`] reserves room for up front (512 MiB of
+/// The most records [`generate`] reserves room for up front (384 MiB of
 /// records); a larger trace grows its vector past that as it goes.
 const MAX_RESERVED: u64 = 1 << 24;
 
@@ -86,8 +86,10 @@ pub fn generate(spec: &TraceSpec) -> Vec<TraceRecord> {
             time_us,
             client: rng.gen_range(0..spec.clients),
             dataset,
-            chunk: rng.gen_range(0..spec.chunks_per_dataset),
-            bytes: spec.chunk_size,
+            // Drawn as `u64`, so the RNG stream does not depend on the
+            // column's width; `validate` keeps both values within `u32`.
+            chunk: rng.gen_range(0..spec.chunks_per_dataset) as u32,
+            bytes: spec.chunk_size as u32,
         });
     }
     records
@@ -166,8 +168,8 @@ mod tests {
         for r in &records {
             assert!(r.client < spec.clients);
             assert!(r.dataset < spec.datasets);
-            assert!(r.chunk < spec.chunks_per_dataset);
-            assert_eq!(r.bytes, spec.chunk_size);
+            assert!(u64::from(r.chunk) < spec.chunks_per_dataset);
+            assert_eq!(u64::from(r.bytes), spec.chunk_size);
         }
         // The serialized form parses back to the same records.
         assert_eq!(parse_text(&generate_text(&spec)).unwrap(), records);

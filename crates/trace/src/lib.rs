@@ -24,6 +24,12 @@
 //! text → records → text round-trips byte-identically with no float
 //! formatting in the loop.
 //!
+//! A [`TraceRecord`] is 24 bytes: `chunk` (an index below 2³²) and
+//! `bytes` (a read below 4 GiB) are `u32`. A larger value in either
+//! column is refused as [`TraceError::BadValue`] in text and as
+//! [`TraceError::BadBinary`] in the binary framing, whose 32-byte
+//! records keep both columns `u64` on disk.
+//!
 //! ## Determinism discipline
 //!
 //! [`parse_text_with_threads`] splits the input into seek-aligned byte

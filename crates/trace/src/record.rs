@@ -23,10 +23,10 @@ pub struct TraceRecord {
     pub client: u32,
     /// Dataset id.
     pub dataset: u32,
-    /// Chunk index within the dataset.
-    pub chunk: u64,
-    /// Bytes read.
-    pub bytes: u64,
+    /// Chunk index within the dataset, below 2³².
+    pub chunk: u32,
+    /// Bytes read, below 4 GiB.
+    pub bytes: u32,
 }
 
 impl TraceRecord {
@@ -44,13 +44,8 @@ impl TraceRecord {
         let mut buf = [0u8; LINE_MAX];
         let mut at = LINE_MAX - 1;
         buf[at] = b'\n';
-        for field in [
-            self.bytes,
-            self.chunk,
-            self.dataset.into(),
-            self.client.into(),
-        ] {
-            at = put_decimal(&mut buf, at, field);
+        for field in [self.bytes, self.chunk, self.dataset, self.client] {
+            at = put_decimal(&mut buf, at, field.into());
             at -= 1;
             buf[at] = b',';
         }
@@ -95,9 +90,8 @@ impl TraceRecord {
 }
 
 /// The longest line a record can write: 14 digits of seconds, the point
-/// and six of fraction, two `u32` and two `u64` fields, four commas and
-/// the newline.
-const LINE_MAX: usize = 14 + 1 + 6 + 2 * 10 + 2 * 20 + 4 + 1;
+/// and six of fraction, four `u32` fields, four commas and the newline.
+const LINE_MAX: usize = 14 + 1 + 6 + 4 * 10 + 4 + 1;
 
 /// `"00" "01" … "99"`: two digits per division step.
 const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
@@ -247,7 +241,7 @@ mod tests {
 
     #[test]
     fn written_line_is_byte_equal_to_the_formatted_one() {
-        let wide = [0, 9, 10, u64::MAX];
+        let wide = [0, 9, 10, u32::MAX];
         for time_us in [0, 999_999, 1_000_000, u64::MAX] {
             for client in [0, u32::MAX] {
                 for dataset in [0, u32::MAX] {

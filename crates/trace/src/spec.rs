@@ -7,6 +7,10 @@ use opass_json::{json_object, Field, Json};
 /// that a count read from user input cannot ask for the impossible.
 const MAX_RECORDS: u64 = 1 << 32;
 
+/// The most chunks a dataset may have: a record's `chunk` is a `u32`, so
+/// indices run `0..2³²`.
+const MAX_CHUNKS: u64 = 1 << 32;
+
 /// A flash-crowd burst: between `start_s` and `start_s + duration_s`,
 /// accesses to `dataset` are `multiplier`× more likely and the overall
 /// arrival rate rises with them.
@@ -40,9 +44,10 @@ pub struct TraceSpec {
     pub clients: u32,
     /// Number of datasets (ids `0..datasets`).
     pub datasets: u32,
-    /// Chunks per dataset (chunk indices `0..chunks_per_dataset`).
+    /// Chunks per dataset (chunk indices `0..chunks_per_dataset`), 1 to
+    /// 2³².
     pub chunks_per_dataset: u64,
-    /// Bytes read per access (one chunk).
+    /// Bytes read per access (one chunk), at most `u32::MAX`.
     pub chunk_size: u64,
     /// Zipf exponent `s` for dataset popularity: dataset `d` has weight
     /// `1/(d+1)^s`. `0` means uniform.
@@ -141,6 +146,12 @@ impl TraceSpec {
         if self.clients == 0 || self.datasets == 0 || self.chunks_per_dataset == 0 {
             return Err("clients, datasets, and chunks_per_dataset must be at least 1".to_string());
         }
+        if self.chunks_per_dataset > MAX_CHUNKS {
+            return Err(format!("chunks_per_dataset must be at most {MAX_CHUNKS}"));
+        }
+        if self.chunk_size > u64::from(u32::MAX) {
+            return Err(format!("chunk_size must be at most {}", u32::MAX));
+        }
         // NaN fails every comparison below, so NaN inputs are rejected.
         let positive = |x: f64| x.is_finite() && x > 0.0;
         if !positive(self.duration_s) {
@@ -199,6 +210,20 @@ mod tests {
     }
 
     #[test]
+    fn unknown_keys_are_refused_by_name() {
+        assert_eq!(
+            TraceSpec::from_json_str(r#"{"records": 10, "sede": 3}"#),
+            Err("unknown field \"sede\" in \"spec\"".to_string())
+        );
+        let burst = r#"{"bursts": [{"dataset": 0, "start_s": 0, "duration_s": 1,
+            "multiplier": 2, "multipler": 3}]}"#;
+        assert_eq!(
+            TraceSpec::from_json_str(burst),
+            Err("unknown field \"multipler\" in \"bursts\"".to_string())
+        );
+    }
+
+    #[test]
     fn records_are_bounded() {
         let spec = |records| TraceSpec {
             records,
@@ -211,6 +236,24 @@ mod tests {
                 Err("records must be at most 4294967296".to_string())
             );
         }
+    }
+
+    #[test]
+    fn chunk_columns_fit_in_u32() {
+        let spec = |chunks_per_dataset, chunk_size| TraceSpec {
+            chunks_per_dataset,
+            chunk_size,
+            ..TraceSpec::default()
+        };
+        assert_eq!(spec(MAX_CHUNKS, u64::from(u32::MAX)).validate(), Ok(()));
+        assert_eq!(
+            spec(MAX_CHUNKS + 1, 1).validate(),
+            Err("chunks_per_dataset must be at most 4294967296".to_string())
+        );
+        assert_eq!(
+            spec(1, 1 << 32).validate(),
+            Err("chunk_size must be at most 4294967295".to_string())
+        );
     }
 
     #[test]

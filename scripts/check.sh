@@ -109,13 +109,13 @@ fi
 if [[ "${1:-}" == "--bench-run" ]]; then
     # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
     # "Sixteen-byte replica sets" (plan_mix 18.63, serve_hot 29.08,
-    # serve_churn 34.78, sim_sweep 17.40) and "World memory"
-    # (trace_replay 125.89) plus 3 %. Updated together with them.
+    # serve_churn 34.78, sim_sweep 17.40) and "Trace records in 24
+    # bytes" (trace_replay 110.51) plus 3 %. Updated together with them.
     declare -A RSS_CEILING_MIB=(
         [plan_mix]=19.18
         [serve_hot]=29.95
         [serve_churn]=35.82
-        [trace_replay]=129.67
+        [trace_replay]=113.83
         [sim_sweep]=17.92
     )
     bench_build
