@@ -4,9 +4,11 @@ use crate::args::Flags;
 use opass_json::Json;
 use opass_serve::{replay_local, replay_remote, Client, ReplayConfig};
 use opass_trace::{
-    generate_text, parse_binary, parse_text_with_threads, write_binary, TraceRecord, TraceSpec,
-    BINARY_MAGIC,
+    generate_binary_to, generate_text_to, parse_binary, parse_text_with_threads, TraceRecord,
+    TraceSpec, BINARY_MAGIC,
 };
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 pub const TRACE_USAGE: &str = "usage: opass trace <gen|parse|replay> ...\n\
@@ -41,7 +43,10 @@ fn cmd_gen(argv: &[String]) -> ExitCode {
     };
     if flags.is_set("--template") {
         let text = TraceSpec::default().to_json().to_pretty();
-        return emit(flags.value("--out"), text.into_bytes(), "spec template");
+        return emit(flags.value("--out"), "spec template", |out| {
+            out.write_all(text.as_bytes())?;
+            Ok(text.len() as u64)
+        });
     }
     let spec = match flags.value("--spec") {
         Some(path) => {
@@ -62,16 +67,16 @@ fn cmd_gen(argv: &[String]) -> ExitCode {
         }
         None => TraceSpec::default(),
     };
-    let payload = if flags.is_set("--binary") {
-        write_binary(&opass_trace::generate(&spec))
+    let what = format!("trace ({} records)", spec.records);
+    if flags.is_set("--binary") {
+        emit(flags.value("--out"), &what, |out| {
+            generate_binary_to(&spec, out)
+        })
     } else {
-        generate_text(&spec).into_bytes()
-    };
-    emit(
-        flags.value("--out"),
-        payload,
-        &format!("trace ({} records)", spec.records),
-    )
+        emit(flags.value("--out"), &what, |out| {
+            generate_text_to(&spec, out)
+        })
+    }
 }
 
 /// `opass trace parse`: parse a trace (text or binary, auto-detected)
@@ -261,25 +266,38 @@ fn summarize(records: &[TraceRecord]) -> (u64, u64, u64, f64) {
     (datasets, clients, bytes, last_us as f64 / 1e6)
 }
 
-/// Writes `payload` to `out` (stdout when absent) and reports it.
-fn emit(out: Option<&str>, payload: Vec<u8>, what: &str) -> ExitCode {
+/// Streams `write`'s bytes to `out` (stdout when absent) through one
+/// buffer and reports them; `write` returns how many it wrote.
+fn emit(
+    out: Option<&str>,
+    what: &str,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<u64>,
+) -> ExitCode {
     match out {
-        Some(path) => match std::fs::write(path, &payload) {
-            Ok(()) => {
-                println!("wrote {what} to {path} ({} bytes)", payload.len());
-                ExitCode::SUCCESS
+        Some(path) => {
+            let written = File::create(path).and_then(|file| {
+                let mut file = BufWriter::new(file);
+                let written = write(&mut file)?;
+                file.flush()?;
+                Ok(written)
+            });
+            match written {
+                Ok(bytes) => {
+                    println!("wrote {what} to {path} ({bytes} bytes)");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("cannot write {path}: {e}");
+                    ExitCode::FAILURE
+                }
             }
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        }
         None => {
-            use std::io::Write as _;
-            if std::io::stdout().write_all(&payload).is_err() {
-                return ExitCode::FAILURE;
+            let mut stdout = BufWriter::new(io::stdout().lock());
+            match write(&mut stdout).and_then(|_| stdout.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(_) => ExitCode::FAILURE,
             }
-            ExitCode::SUCCESS
         }
     }
 }

@@ -24,16 +24,28 @@ const HEADER_BYTES: usize = 16;
 /// [`parse_binary`].
 pub fn write_binary(records: &[TraceRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + RECORD_BYTES * records.len());
-    out.extend_from_slice(&BINARY_MAGIC);
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    out.extend_from_slice(&binary_header(records.len() as u64));
     for r in records {
-        out.extend_from_slice(&r.time_us.to_le_bytes());
-        out.extend_from_slice(&r.client.to_le_bytes());
-        out.extend_from_slice(&r.dataset.to_le_bytes());
-        out.extend_from_slice(&u64::from(r.chunk).to_le_bytes());
-        out.extend_from_slice(&u64::from(r.bytes).to_le_bytes());
+        put_record(r, &mut out);
     }
     out
+}
+
+/// The framing's header for a trace of `count` records.
+pub(crate) fn binary_header(count: u64) -> [u8; HEADER_BYTES] {
+    let mut header = [0u8; HEADER_BYTES];
+    header[..8].copy_from_slice(&BINARY_MAGIC);
+    header[8..].copy_from_slice(&count.to_le_bytes());
+    header
+}
+
+/// Appends one record's [`RECORD_BYTES`] bytes.
+pub(crate) fn put_record(r: &TraceRecord, out: &mut Vec<u8>) {
+    out.extend_from_slice(&r.time_us.to_le_bytes());
+    out.extend_from_slice(&r.client.to_le_bytes());
+    out.extend_from_slice(&r.dataset.to_le_bytes());
+    out.extend_from_slice(&u64::from(r.chunk).to_le_bytes());
+    out.extend_from_slice(&u64::from(r.bytes).to_le_bytes());
 }
 
 /// Decodes a binary trace: validates the header, then decodes every

@@ -37,8 +37,21 @@
 //! thread, and merges by joining workers **in spawn order**, kept honest
 //! by opass-lint's `unordered-parallel-merge` and
 //! `transitive-determinism` rules. The parsed output (and the first
-//! reported error, if any) is bit-identical across 1, 2, and 8 threads. [`generate`] is a pure function of its
-//! [`TraceSpec`]: equal specs yield byte-identical traces.
+//! reported error, if any) is bit-identical across 1, 2, and 8 threads.
+//!
+//! [`generate`] is a pure function of its [`TraceSpec`]: equal specs
+//! yield byte-identical traces. It runs on two threads without changing
+//! a bit: only the arrival times form a serial chain, so the calling
+//! thread runs that chain (and the dataset pick that reads it) one block
+//! at a time while one scoped worker makes the next block's RNG draws
+//! and appends the previous block's records. The generator moves through
+//! the workers in spawn order, so it draws the stream a single loop
+//! would; a test oracle keeps that loop and the pipeline is compared to
+//! it bit for bit. [`generate_text_to`] and [`generate_binary_to`] stream
+//! the same pipeline's blocks to a writer, holding one block rather than
+//! the trace. [`write_text`] sums its lines' lengths first, then formats
+//! the two halves of a large input on two threads, each into its own
+//! part of one exactly-sized buffer.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -51,7 +64,7 @@ pub mod record;
 pub mod spec;
 
 pub use binary::{parse_binary, write_binary, BINARY_MAGIC};
-pub use gen::{generate, generate_text};
+pub use gen::{generate, generate_binary_to, generate_text, generate_text_to};
 pub use lines::{split_at_newlines, RecordLines};
 pub use parser::{parse_text, parse_text_with_threads, write_text};
 pub use record::{TraceError, TraceRecord, TEXT_HEADER};

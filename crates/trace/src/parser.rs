@@ -74,19 +74,68 @@ pub fn parse_text_with_threads(
     Ok(records)
 }
 
+/// Records below which [`write_text`] formats on the calling thread
+/// alone: under this, a scoped worker costs more to start than the half
+/// it would format saves.
+const SPLIT_MIN: usize = 8_192;
+
 /// Serializes records to the text format, header included. The inverse
 /// of [`parse_text`]: `parse_text(&write_text(r)) == Ok(r)` for any
 /// non-empty `r`.
+///
+/// From 8 192 records on, the second half is formatted on one
+/// scoped worker, into its own part of the same exactly-sized buffer.
 pub fn write_text(records: &[TraceRecord]) -> String {
-    // ~26 bytes per typical line; headroom avoids doubling reallocations.
-    let mut out = String::with_capacity(32 * records.len() + 64);
-    out.push_str(TEXT_HEADER);
-    out.push('\n');
-    out.push_str("# columns: time_s,client,dataset,chunk,bytes\n");
-    for record in records {
-        record.write_line(&mut out);
+    render_text(&text_preamble(), records)
+}
+
+/// The header line and the column comment that open every text trace
+/// this crate writes.
+pub(crate) fn text_preamble() -> String {
+    format!("{TEXT_HEADER}\n# columns: time_s,client,dataset,chunk,bytes\n")
+}
+
+/// `preamble` followed by the records' lines, in one buffer sized to the
+/// byte: the lines' lengths are summed first, so the buffer is never
+/// grown and each half lands where it belongs.
+pub(crate) fn render_text(preamble: &str, records: &[TraceRecord]) -> String {
+    let mid = if records.len() < SPLIT_MIN {
+        records.len()
+    } else {
+        records.len() / 2
+    };
+    let (head, tail) = records.split_at(mid);
+    let head_end = preamble.len() + lines_len(head);
+    let mut out = vec![0u8; head_end + lines_len(tail)];
+    let (front, back) = out.split_at_mut(head_end);
+    let (front_preamble, front_lines) = front.split_at_mut(preamble.len());
+    front_preamble.copy_from_slice(preamble.as_bytes());
+    if tail.is_empty() {
+        put_lines(head, front_lines);
+    } else {
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| put_lines(tail, back));
+            put_lines(head, front_lines);
+            worker.join().expect("text writer worker panicked");
+        });
     }
-    out
+    String::from_utf8(out).expect("trace text is ASCII")
+}
+
+/// The bytes the records' lines take.
+pub(crate) fn lines_len(records: &[TraceRecord]) -> usize {
+    records.iter().map(TraceRecord::line_len).sum()
+}
+
+/// Writes the records' lines back to back into `out`, which is exactly
+/// [`lines_len`] bytes. The lines are placed last first, each ending where
+/// the next begins, so no line is measured twice or copied.
+pub(crate) fn put_lines(records: &[TraceRecord], out: &mut [u8]) {
+    let mut end = out.len();
+    for record in records.iter().rev() {
+        end = record.encode_line(&mut out[..end]);
+    }
+    debug_assert_eq!(end, 0, "lines_len sized the buffer");
 }
 
 /// Validates the version header and returns the body after it.
@@ -168,6 +217,48 @@ mod tests {
         assert_eq!(parse_text(&text).unwrap(), records);
         // And the re-serialization is a fixed point.
         assert_eq!(write_text(&parse_text(&text).unwrap()), text);
+    }
+
+    #[test]
+    fn split_writer_matches_the_line_writer() {
+        let widest = TraceRecord {
+            time_us: u64::MAX,
+            client: u32::MAX,
+            dataset: u32::MAX,
+            chunk: u32::MAX,
+            bytes: u32::MAX,
+        };
+        for len in [
+            0,
+            1,
+            2,
+            3,
+            101,
+            SPLIT_MIN - 1,
+            SPLIT_MIN,
+            SPLIT_MIN + 1,
+            2 * SPLIT_MIN + 1,
+        ] {
+            // The widest fields land in both halves and at both ends.
+            let records: Vec<TraceRecord> = (0..len)
+                .map(|i| match i % 97 {
+                    _ if i + 1 == len => widest,
+                    5 => widest,
+                    r => TraceRecord {
+                        time_us: i as u64 * 7_919,
+                        client: r as u32,
+                        dataset: (i % 5) as u32,
+                        chunk: (i * 31 % 100_000) as u32,
+                        bytes: 1 << (i % 32),
+                    },
+                })
+                .collect();
+            let mut lines = text_preamble();
+            for record in &records {
+                record.write_line(&mut lines);
+            }
+            assert_eq!(write_text(&records), lines, "{len} records");
+        }
     }
 
     #[test]

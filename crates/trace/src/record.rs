@@ -36,29 +36,50 @@ impl TraceRecord {
     }
 
     /// Appends the record's text line (including the trailing newline).
-    ///
-    /// The digits go straight into a stack buffer, last field first, and
-    /// reach `out` in one `push_str` — no `fmt` machinery on the path
-    /// that writes a line per record.
     pub fn write_line(&self, out: &mut String) {
         let mut buf = [0u8; LINE_MAX];
-        let mut at = LINE_MAX - 1;
+        let at = self.encode_line(&mut buf);
+        out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+    }
+
+    /// The length of the record's text line, newline included, without
+    /// writing it.
+    pub(crate) fn line_len(&self) -> usize {
+        // Whole seconds, the point and six digits of `time_s`, the other
+        // four fields, four commas and the newline.
+        decimal_len(self.time_us / 1_000_000)
+            + 7
+            + decimal_len(self.client.into())
+            + decimal_len(self.dataset.into())
+            + decimal_len(self.chunk.into())
+            + decimal_len(self.bytes.into())
+            + 5
+    }
+
+    /// The one line writer: formats the record's line so that it ends at
+    /// the end of `buf`, and returns where it starts. `buf` must hold the
+    /// line: [`TraceRecord::line_len`] bytes, which `LINE_MAX` always
+    /// covers.
+    ///
+    /// The digits go straight into place, last field first — no `fmt`
+    /// machinery on the path that writes a line per record.
+    pub(crate) fn encode_line(&self, buf: &mut [u8]) -> usize {
+        let mut at = buf.len() - 1;
         buf[at] = b'\n';
         for field in [self.bytes, self.chunk, self.dataset, self.client] {
-            at = put_decimal(&mut buf, at, field.into());
+            at = put_decimal(buf, at, field.into());
             at -= 1;
             buf[at] = b',';
         }
         // `time_s`: whole seconds, a point, exactly six fractional digits.
         let mut micros = self.time_us % 1_000_000;
         for _ in 0..3 {
-            at = put_pair(&mut buf, at, micros % 100);
+            at = put_pair(buf, at, micros % 100);
             micros /= 100;
         }
         at -= 1;
         buf[at] = b'.';
-        at = put_decimal(&mut buf, at, self.time_us / 1_000_000);
-        out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+        put_decimal(buf, at, self.time_us / 1_000_000)
     }
 
     /// Parses one record line (already stripped of comments/blanks).
@@ -102,14 +123,14 @@ const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 
 /// Writes the two digits of `value < 100` just before `buf[end]`;
 /// returns where they start.
-fn put_pair(buf: &mut [u8; LINE_MAX], end: usize, value: u64) -> usize {
+fn put_pair(buf: &mut [u8], end: usize, value: u64) -> usize {
     buf[end - 2..end].copy_from_slice(&DIGIT_PAIRS[2 * value as usize..][..2]);
     end - 2
 }
 
 /// Writes `value` in decimal so that it ends just before `buf[end]`;
 /// returns where it starts.
-fn put_decimal(buf: &mut [u8; LINE_MAX], end: usize, mut value: u64) -> usize {
+fn put_decimal(buf: &mut [u8], end: usize, mut value: u64) -> usize {
     let mut at = end;
     while value >= 100 {
         at = put_pair(buf, at, value % 100);
@@ -120,6 +141,41 @@ fn put_decimal(buf: &mut [u8; LINE_MAX], end: usize, mut value: u64) -> usize {
     } else {
         buf[at - 1] = b'0' + value as u8;
         at - 1
+    }
+}
+
+/// D. Lemire's branch-free digit count. A `u32` whose highest set bit is
+/// bit `i` has `d` or `d + 1` digits, `d` being the digit count of `2^i`.
+/// Adding `DIGIT_STEPS[i] = ((d + 1) << 32) - 10^d` and shifting right by
+/// 32 gives `d` below `10^d` and `d + 1` from it. Where `10^d` is 2³² or
+/// more, every such value has `d` digits and the entry is `d << 32`.
+const DIGIT_STEPS: [u64; 32] = {
+    let mut steps = [0u64; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        // `next` is the least power of ten above `2^bit`, `10^digits`.
+        let (mut digits, mut next) = (1u64, 10u64);
+        while next <= 1 << bit {
+            digits += 1;
+            next *= 10;
+        }
+        steps[bit] = if next < 1 << 32 {
+            ((digits + 1) << 32) - next
+        } else {
+            digits << 32
+        };
+        bit += 1;
+    }
+    steps
+};
+
+/// The number of decimal digits of `value`.
+fn decimal_len(value: u64) -> usize {
+    match u32::try_from(value) {
+        Ok(small) => {
+            ((u64::from(small) + DIGIT_STEPS[(small | 1).ilog2() as usize]) >> 32) as usize
+        }
+        Err(_) => value.ilog10() as usize + 1,
     }
 }
 
@@ -268,6 +324,42 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn decimal_len_counts_the_written_digits() {
+        let mut values = vec![0, u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX];
+        let mut power = 1u64;
+        while let Some(next) = power.checked_mul(10) {
+            values.extend([power - 1, power, power + 1]);
+            power = next;
+        }
+        for bit in 0..64 {
+            values.extend([(1 << bit) - 1, 1 << bit]);
+        }
+        for value in values {
+            assert_eq!(decimal_len(value), value.to_string().len(), "{value}");
+        }
+        for record in [
+            TraceRecord {
+                time_us: 0,
+                client: 0,
+                dataset: 0,
+                chunk: 0,
+                bytes: 0,
+            },
+            TraceRecord {
+                time_us: u64::MAX,
+                client: u32::MAX,
+                dataset: 9,
+                chunk: 10,
+                bytes: 99_999,
+            },
+        ] {
+            let mut line = String::new();
+            record.write_line(&mut line);
+            assert_eq!(record.line_len(), line.len());
         }
     }
 
