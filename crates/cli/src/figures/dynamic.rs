@@ -12,7 +12,7 @@ use std::io;
 use std::path::Path;
 
 /// Regenerates Figure 11. Runs instrumented so the steal counter — which
-/// only the event recorder tracks — makes it into the summary.
+/// only the event log tracks — makes it into the summary.
 pub(crate) fn fig11(out: &Path, seed: u64) -> io::Result<FigureReport> {
     let mut report = FigureReport::new("fig11");
     let experiment = Dynamic {
@@ -52,7 +52,7 @@ pub(crate) fn fig11(out: &Path, seed: u64) -> io::Result<FigureReport> {
         fifo.result.local_fraction() * 100.0,
         guided.result.local_fraction() * 100.0
     ));
-    let gm = guided.metrics().expect("instrumented");
+    let gm = guided.metrics.as_ref().expect("instrumented");
     report.line(format!(
         "guided run: {} of {} tasks stolen cross-list (locality-aware stealing keeps workers busy)",
         gm.counters.steals, gm.counters.tasks_started

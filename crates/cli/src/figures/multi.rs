@@ -54,11 +54,11 @@ pub(crate) fn fig9_fig10(out: &Path, seed: u64) -> io::Result<FigureReport> {
         base.result.local_byte_fraction() * 100.0,
         opass.result.local_byte_fraction() * 100.0
     ));
-    // The byte counters from the event recorder restate the same story in
+    // The byte counters of the recorded run restate the same story in
     // absolute volume.
     let (bm, om) = (
-        base.metrics().expect("instrumented"),
-        opass.metrics().expect("instrumented"),
+        base.metrics.as_ref().expect("instrumented"),
+        opass.metrics.as_ref().expect("instrumented"),
     );
     report.line(format!(
         "bytes moved: without {} MB local / {} MB remote; with {} MB local / {} MB remote",

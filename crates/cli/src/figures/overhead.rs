@@ -5,8 +5,8 @@
 //! (host wall clock) against the *simulated* I/O time of the run it plans —
 //! the same comparison the paper makes, with the caveat (recorded in
 //! EXPERIMENTS.md) that our I/O seconds are simulated. Runs stay
-//! uninstrumented on purpose: recording would bill the recorder's own cost
-//! to the planner.
+//! uninstrumented on purpose: recording would bill the event log's own
+//! cost to the planner.
 
 use crate::report::{secs, FigureReport};
 use opass_core::{ClusterSpec, Experiment, SingleData, Strategy};

@@ -169,7 +169,7 @@ pub(crate) fn fig7c_fig8c(out: &Path, seed: u64) -> io::Result<FigureReport> {
     ));
     // The recorded event stream must agree with the trace-derived
     // counters; quote both views plus the queue-depth contrast only the
-    // recorder can see.
+    // metrics can see.
     let mb_ = |m: &opass_core::runtime::RunMetrics| {
         m.per_node
             .iter()
@@ -178,8 +178,8 @@ pub(crate) fn fig7c_fig8c(out: &Path, seed: u64) -> io::Result<FigureReport> {
             .unwrap_or(0)
     };
     let (bm, om) = (
-        base.metrics().expect("instrumented"),
-        opass.metrics().expect("instrumented"),
+        base.metrics.as_ref().expect("instrumented"),
+        opass.metrics.as_ref().expect("instrumented"),
     );
     report.line(format!(
         "recorder: {} reads ({} local / {} remote) without vs {} local with; peak queue depth {} -> {}",

@@ -207,7 +207,7 @@ fn dump_metrics(dir: &std::path::Path, reports: &[ExperimentReport]) -> std::io:
                 report.experiment,
                 scenario::sanitize(&strat.strategy)
             );
-            written += metrics.write_files(dir, &prefix)?.len();
+            written += metrics.write_files(&strat.events, dir, &prefix)?.len();
         }
     }
     Ok(written)

@@ -12,6 +12,7 @@
 
 use opass_core::experiment::Experiment as Driver;
 use opass_core::runtime::{IoRecord, RunMetrics};
+use opass_core::simio::TraceEvent;
 use opass_core::{ClusterSpec, Strategy};
 use opass_json::{field, fill, get, only_keys, Field, FieldError, Json};
 
@@ -193,9 +194,11 @@ pub struct StrategyReport {
     /// of the JSON report to keep it small.
     pub trace: Vec<IoRecord>,
     /// Observability metrics, present when the scenario ran instrumented
-    /// (`--metrics`); dumped to files by the CLI, not inlined in the
-    /// report JSON.
-    pub metrics: Option<Box<RunMetrics>>,
+    /// (`--metrics`); dumped to files by the CLI with [`Self::events`],
+    /// not inlined in the report JSON.
+    pub metrics: Option<RunMetrics>,
+    /// The run's recorded events; empty unless it ran instrumented.
+    pub events: Vec<TraceEvent>,
     /// Strategy label as given in the scenario.
     pub strategy: String,
     /// Fraction of reads served node-locally.
@@ -412,7 +415,8 @@ fn report_from(strategy: &str, run: opass_core::experiment::ExperimentRun) -> St
         max_io_seconds: io.max,
         makespan_seconds: result.makespan,
         planning_seconds: run.planning_seconds,
-        metrics: result.metrics,
+        metrics: run.metrics,
+        events: result.events.unwrap_or_default(),
         trace: result.records,
     }
 }
@@ -443,9 +447,8 @@ impl Replay {
         instrument: bool,
     ) -> Result<ExperimentReport, ScenarioError> {
         use opass_core::dfs::{DfsConfig, Namenode, Placement, ReplicaChoice};
-        use opass_core::runtime::{
-            baseline, execute, execute_instrumented, ExecConfig, ProcessPlacement, TaskSource,
-        };
+        use opass_core::experiment::{run_planned, time_planning};
+        use opass_core::runtime::{baseline, ExecConfig, ProcessPlacement, TaskSource};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let Replay {
@@ -480,51 +483,36 @@ impl Replay {
                 experiment: "replay".into(),
                 strategy: s.clone(),
             };
-            let started = std::time::Instant::now();
-            let assignment = match Strategy::parse(s).ok_or_else(unknown)? {
-                Strategy::RankInterval => baseline::rank_interval(workload.len(), n_nodes),
-                Strategy::Opass => {
-                    opass_core::OpassPlanner::default()
-                        .plan(
-                            &opass_core::PlanRequest::single(&nn, &workload, &placement).seed(seed),
-                        )
-                        .into_single()
-                        .expect("single plan")
-                        .assignment
-                }
-                _ => return Err(unknown()),
-            };
-            let planning_seconds = started.elapsed().as_secs_f64();
+            let strategy = Strategy::parse(s).ok_or_else(unknown)?;
+            let (assignment, planning_seconds) = time_planning(|| {
+                Ok(match strategy {
+                    Strategy::RankInterval => baseline::rank_interval(workload.len(), n_nodes),
+                    Strategy::Opass => {
+                        let request =
+                            opass_core::PlanRequest::single(&nn, &workload, &placement).seed(seed);
+                        opass_core::OpassPlanner::default()
+                            .plan(&request)
+                            .into_single()
+                            .expect("single plan")
+                            .assignment
+                    }
+                    _ => return Err(unknown()),
+                })
+            });
             let config = ExecConfig {
                 replica_choice: ReplicaChoice::PreferLocalRandom,
                 seed: seed ^ 0xEE,
                 ..Default::default()
             };
-            let mut result = if instrument {
-                execute_instrumented(
-                    &nn,
-                    &workload,
-                    &placement,
-                    TaskSource::Static(assignment),
-                    &config,
-                )
-            } else {
-                execute(
-                    &nn,
-                    &workload,
-                    &placement,
-                    TaskSource::Static(assignment),
-                    &config,
-                )
-            };
-            if let Some(m) = result.metrics.as_mut() {
-                m.planning_seconds = planning_seconds;
-            }
-            let run = opass_core::ExperimentRun {
-                result,
+            let run = run_planned(
+                &nn,
+                &workload,
+                &placement,
+                TaskSource::Static(assignment?),
+                &config,
+                instrument,
                 planning_seconds,
-                step_makespans: Vec::new(),
-            };
+            );
             out.push(report_from(s, run));
         }
         Ok(ExperimentReport {

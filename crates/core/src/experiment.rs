@@ -19,19 +19,19 @@
 //! Each accepts a subset of the unified [`Strategy`] enum; passing an
 //! unsupported strategy returns [`UnsupportedStrategy`] listing what the
 //! experiment does accept. [`Experiment::run_instrumented`] additionally
-//! records the structured event trace and derives
-//! [`RunMetrics`] (utilization time-series,
-//! counters, histograms), exposed as `run.result.metrics`.
+//! records the structured event trace on `run.result.events` and derives
+//! [`RunMetrics`] (utilization time-series, counters, histograms) from it,
+//! exposed as `run.metrics`.
 
 use crate::planner::OpassPlanner;
 use crate::request::PlanRequest;
 use opass_dfs::{DfsConfig, Namenode, Placement, RackMap, ReplicaChoice};
 use opass_json::{Field, FieldError, Json};
 use opass_runtime::{
-    baseline, execute, execute_instrumented, execute_with_recorder, ExecConfig, ProcessPlacement,
-    RunMetrics, RunResult, TaskSource,
+    baseline, execute, execute_instrumented, ExecConfig, ProcessPlacement, RunMetrics, RunResult,
+    TaskSource,
 };
-use opass_simio::{IoParams, MemoryRecorder, Recorder, Topology};
+use opass_simio::{IoParams, Topology};
 use opass_workloads::{
     dynamic as dyn_wl, multi as multi_wl, paraview as pv_wl, single as single_wl, DynamicConfig,
     MultiDataConfig, ParaViewConfig, SingleDataConfig, Workload,
@@ -214,7 +214,7 @@ impl std::error::Error for UnsupportedStrategy {}
 /// A run result annotated with how long planning took (host wall clock).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRun {
-    /// The simulated execution trace.
+    /// The simulated execution trace (with its events when recorded).
     pub result: RunResult,
     /// Host seconds spent computing the assignment (0 for trivial
     /// baselines) — the Section V-C overhead discussion.
@@ -222,31 +222,24 @@ pub struct ExperimentRun {
     /// Makespan of every phase for multi-phase experiments ([`ParaView`]
     /// rendering steps); empty for single-phase runs.
     pub step_makespans: Vec<f64>,
+    /// The observability metrics derived from the recorded events;
+    /// present after [`Experiment::run_instrumented`], absent after
+    /// [`Experiment::run`].
+    pub metrics: Option<RunMetrics>,
 }
 
-impl ExperimentRun {
-    /// The derived observability metrics; present after
-    /// [`Experiment::run_instrumented`], absent after [`Experiment::run`].
-    pub fn metrics(&self) -> Option<&RunMetrics> {
-        self.result.metrics.as_deref()
-    }
+/// Runs `plan` and measures it on the host clock: its output and the
+/// seconds it took. Every experiment's `planning_seconds` is read here.
+pub fn time_planning<T>(plan: impl FnOnce() -> T) -> (T, f64) {
+    // lint:allow(no-wallclock): observability only — planning_seconds reports real solver cost and never feeds simulated state
+    let started = Instant::now();
+    let planned = plan();
+    (planned, started.elapsed().as_secs_f64())
 }
 
-/// Stamps the planner cost into any attached metrics and wraps up a
-/// single-phase run.
-fn finish(mut result: RunResult, planning_seconds: f64) -> ExperimentRun {
-    if let Some(m) = result.metrics.as_mut() {
-        m.planning_seconds = planning_seconds;
-    }
-    ExperimentRun {
-        result,
-        planning_seconds,
-        step_makespans: Vec::new(),
-    }
-}
-
-/// Dispatches to the plain or instrumented executor.
-fn run_source(
+/// Executes one planned phase on the simulator, recorded when
+/// `instrument` is set.
+fn run_phase(
     nn: &Namenode,
     workload: &Workload,
     placement: &ProcessPlacement,
@@ -259,6 +252,43 @@ fn run_source(
     } else {
         execute(nn, workload, placement, source, config)
     }
+}
+
+/// Wraps a finished (or chained) run: when it recorded its events,
+/// derives its [`RunMetrics`] once and stamps the planning time in.
+fn finish(
+    result: RunResult,
+    planning_seconds: f64,
+    step_makespans: Vec<f64>,
+    io: &IoParams,
+) -> ExperimentRun {
+    let metrics = result.events.is_some().then(|| RunMetrics {
+        planning_seconds,
+        ..RunMetrics::from_run(&result, io)
+    });
+    ExperimentRun {
+        result,
+        planning_seconds,
+        step_makespans,
+        metrics,
+    }
+}
+
+/// Runs a single-phase plan: executes `source` on the simulator,
+/// recorded when `instrument` is set, and wraps the result with its
+/// planning time and, when recorded, its metrics. Every single-phase
+/// experiment ends here.
+pub fn run_planned(
+    nn: &Namenode,
+    workload: &Workload,
+    placement: &ProcessPlacement,
+    source: TaskSource,
+    config: &ExecConfig,
+    instrument: bool,
+    planning_seconds: f64,
+) -> ExperimentRun {
+    let result = run_phase(nn, workload, placement, source, config, instrument);
+    finish(result, planning_seconds, Vec::new(), &config.io)
 }
 
 /// Builds the rejection error for an experiment.
@@ -281,7 +311,8 @@ fn unsupported(
 /// *same* layout — the side-by-side view all of Section V's figures are
 /// built from. [`run_instrumented`](Experiment::run_instrumented) is `run`
 /// plus the observability pipeline: the structured event trace is recorded
-/// and distilled into [`RunMetrics`] on `result.metrics`.
+/// on `result.events` and distilled into [`RunMetrics`] on
+/// [`ExperimentRun::metrics`].
 pub trait Experiment {
     /// Snake-case scenario label (`single_data`, `racked`, …).
     fn name(&self) -> &'static str;
@@ -306,7 +337,8 @@ pub trait Experiment {
     }
 
     /// Runs the experiment under `strategy` with event recording; the
-    /// returned run carries [`RunMetrics`] in `result.metrics`.
+    /// returned run carries its events in `result.events` and
+    /// [`RunMetrics`] in [`ExperimentRun::metrics`].
     fn run_instrumented(&self, strategy: Strategy) -> Result<ExperimentRun, UnsupportedStrategy> {
         self.run_with(strategy, true)
     }
@@ -383,29 +415,28 @@ impl Experiment for SingleData {
         let (nn, workload, placement) = self.build();
         let n = workload.len();
         let seed = self.cluster.seed;
-        // lint:allow(no-wallclock): observability only — planning_seconds reports real solver cost and never feeds simulated state
-        let started = Instant::now();
-        let assignment = match strategy {
-            Strategy::RankInterval => baseline::rank_interval(n, self.cluster.n_nodes),
-            Strategy::RandomAssign => {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
-                baseline::random_assignment(n, self.cluster.n_nodes, &mut rng)
-            }
-            Strategy::Opass => {
-                OpassPlanner::default()
-                    .plan(&PlanRequest::single(&nn, &workload, &placement).seed(seed ^ 0x51))
-                    .into_single()
-                    .expect("single plan")
-                    .assignment
-            }
-            other => return Err(unsupported(self.name(), other, self.strategies())),
-        };
-        let planning_seconds = started.elapsed().as_secs_f64();
-        let result = run_source(
+        let (assignment, planning_seconds) = time_planning(|| {
+            Ok(match strategy {
+                Strategy::RankInterval => baseline::rank_interval(n, self.cluster.n_nodes),
+                Strategy::RandomAssign => {
+                    let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
+                    baseline::random_assignment(n, self.cluster.n_nodes, &mut rng)
+                }
+                Strategy::Opass => {
+                    OpassPlanner::default()
+                        .plan(&PlanRequest::single(&nn, &workload, &placement).seed(seed ^ 0x51))
+                        .into_single()
+                        .expect("single plan")
+                        .assignment
+                }
+                other => return Err(unsupported(self.name(), other, self.strategies())),
+            })
+        });
+        Ok(run_planned(
             &nn,
             &workload,
             &placement,
-            TaskSource::Static(assignment),
+            TaskSource::Static(assignment?),
             &ExecConfig {
                 io: self.cluster.io,
                 replica_choice: ReplicaChoice::PreferLocalRandom,
@@ -413,8 +444,8 @@ impl Experiment for SingleData {
                 ..Default::default()
             },
             instrument,
-        );
-        Ok(finish(result, planning_seconds))
+            planning_seconds,
+        ))
     }
 }
 
@@ -474,25 +505,26 @@ impl Experiment for MultiData {
         instrument: bool,
     ) -> Result<ExperimentRun, UnsupportedStrategy> {
         let (nn, workload, placement) = self.build();
-        // lint:allow(no-wallclock): observability only — planning_seconds reports real solver cost and never feeds simulated state
-        let started = Instant::now();
-        let assignment = match strategy {
-            Strategy::RankInterval => baseline::rank_interval(workload.len(), self.cluster.n_nodes),
-            Strategy::Opass => {
-                OpassPlanner::default()
-                    .plan(&PlanRequest::multi(&nn, &workload, &placement))
-                    .into_multi()
-                    .expect("multi plan")
-                    .assignment
-            }
-            other => return Err(unsupported(self.name(), other, self.strategies())),
-        };
-        let planning_seconds = started.elapsed().as_secs_f64();
-        let result = run_source(
+        let (assignment, planning_seconds) = time_planning(|| {
+            Ok(match strategy {
+                Strategy::RankInterval => {
+                    baseline::rank_interval(workload.len(), self.cluster.n_nodes)
+                }
+                Strategy::Opass => {
+                    OpassPlanner::default()
+                        .plan(&PlanRequest::multi(&nn, &workload, &placement))
+                        .into_multi()
+                        .expect("multi plan")
+                        .assignment
+                }
+                other => return Err(unsupported(self.name(), other, self.strategies())),
+            })
+        });
+        Ok(run_planned(
             &nn,
             &workload,
             &placement,
-            TaskSource::Static(assignment),
+            TaskSource::Static(assignment?),
             &ExecConfig {
                 io: self.cluster.io,
                 replica_choice: ReplicaChoice::PreferLocalRandom,
@@ -500,8 +532,8 @@ impl Experiment for MultiData {
                 ..Default::default()
             },
             instrument,
-        );
-        Ok(finish(result, planning_seconds))
+            planning_seconds,
+        ))
     }
 }
 
@@ -571,37 +603,36 @@ impl Experiment for Dynamic {
     ) -> Result<ExperimentRun, UnsupportedStrategy> {
         let (nn, workload, placement) = self.build();
         let seed = self.cluster.seed;
-        // lint:allow(no-wallclock): observability only — planning_seconds reports real solver cost and never feeds simulated state
-        let started = Instant::now();
-        let source: TaskSource = match strategy {
-            Strategy::Fifo => {
-                TaskSource::Dynamic(Box::new(opass_matching::FifoScheduler::new(workload.len())))
-            }
-            Strategy::DelayScheduling { max_skips } => {
-                let values = crate::builder::build_matching_values(&nn, &workload, &placement);
-                TaskSource::Dynamic(Box::new(opass_matching::DelayScheduler::new(
-                    workload.len(),
-                    values,
-                    max_skips,
-                )))
-            }
-            // `opass` means "the paper's method" everywhere; here that is
-            // the guided scheduler.
-            Strategy::OpassGuided | Strategy::Opass => {
-                let sched = OpassPlanner::default()
-                    .plan(&PlanRequest::dynamic(&nn, &workload, &placement).seed(seed ^ 0x6D))
-                    .into_dynamic()
-                    .expect("guided scheduler");
-                TaskSource::Dynamic(Box::new(sched))
-            }
-            other => return Err(unsupported(self.name(), other, self.strategies())),
-        };
-        let planning_seconds = started.elapsed().as_secs_f64();
-        let result = run_source(
+        let (source, planning_seconds) = time_planning(|| {
+            Ok(match strategy {
+                Strategy::Fifo => TaskSource::Dynamic(Box::new(
+                    opass_matching::FifoScheduler::new(workload.len()),
+                )),
+                Strategy::DelayScheduling { max_skips } => {
+                    let values = crate::builder::build_matching_values(&nn, &workload, &placement);
+                    TaskSource::Dynamic(Box::new(opass_matching::DelayScheduler::new(
+                        workload.len(),
+                        values,
+                        max_skips,
+                    )))
+                }
+                // `opass` means "the paper's method" everywhere; here that is
+                // the guided scheduler.
+                Strategy::OpassGuided | Strategy::Opass => {
+                    let sched = OpassPlanner::default()
+                        .plan(&PlanRequest::dynamic(&nn, &workload, &placement).seed(seed ^ 0x6D))
+                        .into_dynamic()
+                        .expect("guided scheduler");
+                    TaskSource::Dynamic(Box::new(sched))
+                }
+                other => return Err(unsupported(self.name(), other, self.strategies())),
+            })
+        });
+        Ok(run_planned(
             &nn,
             &workload,
             &placement,
-            source,
+            source?,
             &ExecConfig {
                 io: self.cluster.io,
                 replica_choice: ReplicaChoice::PreferLocalRandom,
@@ -609,8 +640,8 @@ impl Experiment for Dynamic {
                 ..Default::default()
             },
             instrument,
-        );
-        Ok(finish(result, planning_seconds))
+            planning_seconds,
+        ))
     }
 }
 
@@ -664,17 +695,13 @@ impl Experiment for ParaView {
         let mut combined: Option<RunResult> = None;
         let mut step_makespans = Vec::with_capacity(run.steps.len());
         let mut planning_seconds = 0.0;
-        let mut all_events = Vec::new();
-        let mut offset = 0.0;
         // The vtk reader overhead rides on the per-read latency: it delays
         // every block read without consuming disk or network bandwidth.
         let mut io = self.cluster.io;
         io.local_latency += self.workload.reader_overhead_seconds;
         io.remote_latency += self.workload.reader_overhead_seconds;
         for (i, step) in run.steps.iter().enumerate() {
-            // lint:allow(no-wallclock): observability only — accumulates this step's real solver cost into planning_seconds; never feeds simulated state
-            let started = Instant::now();
-            let assignment = match strategy {
+            let (assignment, seconds) = time_planning(|| match strategy {
                 Strategy::RankInterval => baseline::rank_interval(step.len(), self.cluster.n_nodes),
                 _ => {
                     OpassPlanner::default()
@@ -683,61 +710,24 @@ impl Experiment for ParaView {
                         .expect("single plan")
                         .assignment
                 }
-            };
-            planning_seconds += started.elapsed().as_secs_f64();
+            });
+            planning_seconds += seconds;
             let config = ExecConfig {
                 io,
                 replica_choice: ReplicaChoice::PreferLocalRandom,
                 seed: seed ^ 0xE3 ^ (i as u64) << 8,
                 ..Default::default()
             };
-            let result = if instrument {
-                // Record each step with its own log and shift the events
-                // onto the chained timeline, mirroring what `chain` does
-                // to the records below.
-                let log = MemoryRecorder::new();
-                let result = execute_with_recorder(
-                    &nn,
-                    step,
-                    &placement,
-                    TaskSource::Static(assignment),
-                    &config,
-                    Box::new(log.clone()) as Box<dyn Recorder>,
-                );
-                let mut events = log.take_events();
-                for ev in &mut events {
-                    ev.shift_at(offset);
-                }
-                all_events.extend(events);
-                result
-            } else {
-                execute(
-                    &nn,
-                    step,
-                    &placement,
-                    TaskSource::Static(assignment),
-                    &config,
-                )
-            };
-            offset += result.makespan;
+            let source = TaskSource::Static(assignment);
+            let result = run_phase(&nn, step, &placement, source, &config, instrument);
             step_makespans.push(result.makespan);
             match combined.as_mut() {
                 None => combined = Some(result),
                 Some(acc) => acc.chain(result),
             }
         }
-        let mut combined = combined.expect("at least one step");
-        if instrument {
-            let mut metrics =
-                RunMetrics::from_run(&combined, all_events, self.cluster.n_nodes, &io);
-            metrics.planning_seconds = planning_seconds;
-            combined.metrics = Some(Box::new(metrics));
-        }
-        Ok(ExperimentRun {
-            result: combined,
-            planning_seconds,
-            step_makespans,
-        })
+        let combined = combined.expect("at least one step");
+        Ok(finish(combined, planning_seconds, step_makespans, &io))
     }
 }
 
@@ -875,38 +865,39 @@ impl Experiment for Racked {
         );
         let placement = ProcessPlacement::one_per_node(self.cluster.n_nodes);
 
-        // lint:allow(no-wallclock): observability only — planning_seconds reports real solver cost and never feeds simulated state
-        let started = Instant::now();
-        let assignment = match strategy {
-            Strategy::RankInterval => baseline::rank_interval(workload.len(), self.cluster.n_nodes),
-            // Node-level matching only (reads still prefer local, then
-            // rack).
-            Strategy::Opass => {
-                OpassPlanner::default()
-                    .plan(&PlanRequest::single(&nn, &workload, &placement).seed(seed ^ 0x11))
-                    .into_single()
-                    .expect("single plan")
-                    .assignment
-            }
-            Strategy::OpassRackAware => {
-                OpassPlanner::default()
-                    .plan(
-                        &PlanRequest::single(&nn, &workload, &placement)
-                            .rack_aware(&racks)
-                            .seed(seed ^ 0x12),
-                    )
-                    .into_two_tier()
-                    .expect("two-tier outcome")
-                    .assignment
-            }
-            other => return Err(unsupported(self.name(), other, self.strategies())),
-        };
-        let planning_seconds = started.elapsed().as_secs_f64();
-        let result = run_source(
+        let (assignment, planning_seconds) = time_planning(|| {
+            Ok(match strategy {
+                Strategy::RankInterval => {
+                    baseline::rank_interval(workload.len(), self.cluster.n_nodes)
+                }
+                // Node-level matching only (reads still prefer local, then
+                // rack).
+                Strategy::Opass => {
+                    OpassPlanner::default()
+                        .plan(&PlanRequest::single(&nn, &workload, &placement).seed(seed ^ 0x11))
+                        .into_single()
+                        .expect("single plan")
+                        .assignment
+                }
+                Strategy::OpassRackAware => {
+                    OpassPlanner::default()
+                        .plan(
+                            &PlanRequest::single(&nn, &workload, &placement)
+                                .rack_aware(&racks)
+                                .seed(seed ^ 0x12),
+                        )
+                        .into_two_tier()
+                        .expect("two-tier outcome")
+                        .assignment
+                }
+                other => return Err(unsupported(self.name(), other, self.strategies())),
+            })
+        });
+        Ok(run_planned(
             &nn,
             &workload,
             &placement,
-            TaskSource::Static(assignment),
+            TaskSource::Static(assignment?),
             &ExecConfig {
                 io: self.cluster.io,
                 topology: Topology::Racked {
@@ -918,8 +909,8 @@ impl Experiment for Racked {
                 ..Default::default()
             },
             instrument,
-        );
-        Ok(finish(result, planning_seconds))
+            planning_seconds,
+        ))
     }
 }
 
@@ -997,36 +988,35 @@ impl Experiment for Heterogeneous {
         let placement = ProcessPlacement::one_per_node(self.cluster.n_nodes);
         let factors = self.disk_factors();
 
-        // lint:allow(no-wallclock): observability only — planning_seconds reports real solver cost and never feeds simulated state
-        let started = Instant::now();
-        let assignment = match strategy {
-            // Uniform quotas — the paper's homogeneity assumption.
-            Strategy::Opass => {
-                OpassPlanner::default()
-                    .plan(&PlanRequest::single(&nn, &workload, &placement).seed(seed ^ 0x21))
-                    .into_single()
-                    .expect("single plan")
-                    .assignment
-            }
-            Strategy::OpassWeighted => {
-                OpassPlanner::default()
-                    .plan(
-                        &PlanRequest::single(&nn, &workload, &placement)
-                            .weighted(&factors)
-                            .seed(seed ^ 0x22),
-                    )
-                    .into_single()
-                    .expect("single plan")
-                    .assignment
-            }
-            other => return Err(unsupported(self.name(), other, self.strategies())),
-        };
-        let planning_seconds = started.elapsed().as_secs_f64();
-        let result = run_source(
+        let (assignment, planning_seconds) = time_planning(|| {
+            Ok(match strategy {
+                // Uniform quotas — the paper's homogeneity assumption.
+                Strategy::Opass => {
+                    OpassPlanner::default()
+                        .plan(&PlanRequest::single(&nn, &workload, &placement).seed(seed ^ 0x21))
+                        .into_single()
+                        .expect("single plan")
+                        .assignment
+                }
+                Strategy::OpassWeighted => {
+                    OpassPlanner::default()
+                        .plan(
+                            &PlanRequest::single(&nn, &workload, &placement)
+                                .weighted(&factors)
+                                .seed(seed ^ 0x22),
+                        )
+                        .into_single()
+                        .expect("single plan")
+                        .assignment
+                }
+                other => return Err(unsupported(self.name(), other, self.strategies())),
+            })
+        });
+        Ok(run_planned(
             &nn,
             &workload,
             &placement,
-            TaskSource::Static(assignment),
+            TaskSource::Static(assignment?),
             &ExecConfig {
                 io: self.cluster.io,
                 disk_factors: Some(factors),
@@ -1035,8 +1025,8 @@ impl Experiment for Heterogeneous {
                 ..Default::default()
             },
             instrument,
-        );
-        Ok(finish(result, planning_seconds))
+            planning_seconds,
+        ))
     }
 }
 
@@ -1111,9 +1101,16 @@ mod tests {
         let exp = single(8, 2);
         let plain = exp.run(Strategy::Opass).unwrap();
         let inst = exp.run_instrumented(Strategy::Opass).unwrap();
-        assert!(plain.metrics().is_none());
-        let metrics = inst.metrics().expect("instrumented run carries metrics");
+        assert!(plain.metrics.is_none() && plain.result.events.is_none());
+        let metrics = inst
+            .metrics
+            .as_ref()
+            .expect("instrumented run carries metrics");
         assert_eq!(metrics.counters.reads, 16);
+        assert_eq!(
+            Some(metrics.events),
+            inst.result.events.as_ref().map(Vec::len)
+        );
         assert_eq!(metrics.planning_seconds, inst.planning_seconds);
         // Instrumentation is observational: the trace is identical.
         assert_eq!(plain.result.records, inst.result.records);
@@ -1266,10 +1263,11 @@ mod tests {
         let plain = exp.run(Strategy::Opass).unwrap();
         let inst = exp.run_instrumented(Strategy::Opass).unwrap();
         assert_eq!(plain.result.records, inst.result.records);
-        let metrics = inst.metrics().expect("metrics attached");
+        let metrics = inst.metrics.as_ref().expect("metrics attached");
         // All three steps' reads are counted, on the chained timeline.
         assert_eq!(metrics.counters.reads, 24);
-        let last_event_at = metrics.events.iter().map(|e| e.at()).fold(0.0f64, f64::max);
+        let events = inst.result.events.as_ref().expect("events recorded");
+        let last_event_at = events.iter().map(|e| e.at()).fold(0.0f64, f64::max);
         assert!(last_event_at > inst.step_makespans[0]);
         assert!(last_event_at <= inst.result.makespan + 1e-9);
     }

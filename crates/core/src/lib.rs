@@ -54,7 +54,7 @@
 //! // `run_instrumented` additionally records the structured event trace
 //! // and derives per-node utilization metrics (see `RunMetrics`):
 //! let observed = experiment.run_instrumented(Strategy::Opass).unwrap();
-//! assert!(observed.metrics().is_some());
+//! assert!(observed.result.events.is_some() && observed.metrics.is_some());
 //! ```
 
 #![warn(missing_docs)]

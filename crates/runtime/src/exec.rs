@@ -10,13 +10,11 @@
 //! * **dynamic** (master/worker / mpiBLAST): an idle process asks a
 //!   [`DynamicScheduler`] for its next task.
 
-use crate::metrics::RunMetrics;
 use crate::placement::ProcessPlacement;
 use crate::trace::{IoRecord, RunResult};
 use opass_dfs::{Namenode, ReplicaChoice};
 use opass_matching::{Assignment, DynamicScheduler, StealRecord};
-use opass_simio::record::Recorder;
-use opass_simio::{ClusterIo, EngineStats, Event, IoParams, MemoryRecorder, Topology, TraceEvent};
+use opass_simio::{ClusterIo, EngineStats, Event, IoParams, Topology, TraceEvent};
 use opass_workloads::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,7 +92,7 @@ struct Pending {
     source: opass_dfs::NodeId,
     bytes: u64,
     /// No replica on the reader's node: the read is forced remote (only
-    /// computed when a recorder is installed).
+    /// computed while recording).
     degraded: bool,
 }
 
@@ -112,38 +110,17 @@ pub fn execute(
     source: TaskSource,
     config: &ExecConfig,
 ) -> RunResult {
-    execute_inner(namenode, workload, placement, source, config, None)
+    execute_inner(namenode, workload, placement, source, config, false)
 }
 
-/// Like [`execute`] with a structured-event [`Recorder`] installed on the
-/// simulator: the recorder sees the full interleaved stream (task
-/// dispatch, read issue/finish with locality context, rate recomputes,
-/// steal decisions). The returned result itself carries no derived
-/// metrics — use [`execute_instrumented`] for that.
-pub fn execute_with_recorder(
-    namenode: &Namenode,
-    workload: &Workload,
-    placement: &ProcessPlacement,
-    source: TaskSource,
-    config: &ExecConfig,
-    recorder: Box<dyn Recorder>,
-) -> RunResult {
-    execute_inner(
-        namenode,
-        workload,
-        placement,
-        source,
-        config,
-        Some(recorder),
-    )
-}
-
-/// Like [`execute`], but records the run and attaches derived
-/// [`RunMetrics`] (counters, per-node utilization time-series, served
-/// histograms, and the raw event log) to [`RunResult::metrics`].
+/// Like [`execute`], but records the run: [`RunResult::events`] carries
+/// the simulator's full interleaved event stream (task dispatch, read
+/// issue/finish with locality context, rate recomputes, steal
+/// decisions), from which [`crate::RunMetrics::from_run`] derives the
+/// metrics.
 ///
 /// The simulated outcome (records, makespan, served bytes) is identical
-/// to an uninstrumented [`execute`]: recording observes, never perturbs.
+/// to an unrecorded [`execute`]: recording observes, never perturbs.
 pub fn execute_instrumented(
     namenode: &Namenode,
     workload: &Workload,
@@ -151,22 +128,7 @@ pub fn execute_instrumented(
     source: TaskSource,
     config: &ExecConfig,
 ) -> RunResult {
-    let log = MemoryRecorder::new();
-    let mut result = execute_inner(
-        namenode,
-        workload,
-        placement,
-        source,
-        config,
-        Some(Box::new(log.clone())),
-    );
-    result.metrics = Some(Box::new(RunMetrics::from_run(
-        &result,
-        log.take_events(),
-        namenode.node_count(),
-        &config.io,
-    )));
-    result
+    execute_inner(namenode, workload, placement, source, config, true)
 }
 
 fn execute_inner(
@@ -175,7 +137,7 @@ fn execute_inner(
     placement: &ProcessPlacement,
     source: TaskSource,
     config: &ExecConfig,
-    recorder: Option<Box<dyn Recorder>>,
+    record: bool,
 ) -> RunResult {
     let n_procs = placement.n_procs();
     assert!(n_procs > 0, "need at least one process");
@@ -217,8 +179,8 @@ fn execute_inner(
             ClusterIo::with_disk_factors(config.io, config.topology, factors)
         }
     };
-    if let Some(recorder) = recorder {
-        cluster.set_recorder(recorder);
+    if record {
+        cluster.record_events();
     }
 
     let mut engine = ExecEngine {
@@ -246,7 +208,7 @@ fn execute_inner(
         records: engine.records,
         makespan: engine.makespan,
         served_bytes: engine.served_bytes,
-        metrics: None,
+        events: engine.cluster.take_events(),
         engine: engine.cluster.engine_stats(),
     }
 }
@@ -471,7 +433,7 @@ pub fn execute_bulk_synchronous(
             placement,
             TaskSource::Static(sub_assignment),
             &round_config,
-            None,
+            false,
         );
         // Restore global task ids in the trace.
         for r in &mut result.records {
@@ -486,7 +448,7 @@ pub fn execute_bulk_synchronous(
         records: Vec::new(),
         makespan: 0.0,
         served_bytes: vec![0; namenode.node_count()],
-        metrics: None,
+        events: None,
         engine: EngineStats::default(),
     })
 }

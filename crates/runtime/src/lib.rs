@@ -50,10 +50,7 @@ pub mod placement;
 pub mod trace;
 pub mod write;
 
-pub use exec::{
-    execute, execute_bulk_synchronous, execute_instrumented, execute_with_recorder, ExecConfig,
-    TaskSource,
-};
+pub use exec::{execute, execute_bulk_synchronous, execute_instrumented, ExecConfig, TaskSource};
 pub use metrics::{NodeMetrics, NodeSeries, RunCounters, RunMetrics, TimeSeries};
 pub use monitor::BalanceReport;
 pub use placement::ProcessPlacement;

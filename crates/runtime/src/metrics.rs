@@ -1,12 +1,14 @@
 //! Derived run metrics: counters, per-node time-series, and exporters.
 //!
-//! [`RunMetrics`] condenses the raw [`TraceEvent`] stream plus the
-//! [`RunResult`] trace into the aggregates the paper's figures are built
-//! from: local vs. remote traffic split (the Section III analysis), disk
-//! and NIC utilization over time (the contention Figures 3–5 visualize),
-//! per-node queue depths, and served-bytes histograms (Figures 1a, 8, 10).
-//! Exporters write the whole bundle as JSON and flat CSV in the same
-//! spirit as [`crate::trace`]: plain data, no I/O until asked.
+//! [`RunMetrics`] condenses a recorded [`RunResult`] — its read trace
+//! and its [`TraceEvent`] stream — into the aggregates the paper's
+//! figures are built from: local vs. remote traffic split (the Section
+//! III analysis), disk and NIC utilization over time (the contention
+//! Figures 3–5 visualize), per-node queue depths, and served-bytes
+//! histograms (Figures 1a, 8, 10).
+//! Exporters write the whole bundle, with the run's event log, as JSON
+//! and flat CSV in the same spirit as [`crate::trace`]: plain data, no
+//! I/O until asked.
 
 use crate::trace::{IoRecord, RunResult};
 use opass_json::Json;
@@ -124,8 +126,9 @@ pub struct RunMetrics {
     /// [`RunResult::engine`]): how many recompute passes ran, how many
     /// flow rates actually changed, ETA-heap churn.
     pub engine: EngineStats,
-    /// The raw event stream the aggregates were derived from.
-    pub events: Vec<TraceEvent>,
+    /// How many events the run recorded (the events themselves stay in
+    /// [`RunResult::events`]).
+    pub events: usize,
 }
 
 /// Default number of time-series buckets.
@@ -135,15 +138,12 @@ const DEFAULT_BUCKETS: usize = 60;
 const DEFAULT_HISTOGRAM_BINS: usize = 8;
 
 impl RunMetrics {
-    /// Derives metrics from a finished run and its event stream, with the
-    /// time series cut into 60 equal buckets over the makespan.
-    pub fn from_run(
-        result: &RunResult,
-        events: Vec<TraceEvent>,
-        n_nodes: usize,
-        io: &IoParams,
-    ) -> RunMetrics {
-        Self::from_run_with_buckets(result, events, n_nodes, io, DEFAULT_BUCKETS)
+    /// Derives metrics from a finished (or chained) run, over every node
+    /// of its [`RunResult::served_bytes`] and from its recorded events (a
+    /// run that recorded none counts none), with the time series cut
+    /// into 60 equal buckets over the makespan.
+    pub fn from_run(result: &RunResult, io: &IoParams) -> RunMetrics {
+        Self::from_run_with_buckets(result, io, DEFAULT_BUCKETS)
     }
 
     /// Like [`RunMetrics::from_run`] with an explicit bucket count.
@@ -151,15 +151,11 @@ impl RunMetrics {
     /// # Panics
     ///
     /// Panics if `n_buckets` is zero.
-    fn from_run_with_buckets(
-        result: &RunResult,
-        events: Vec<TraceEvent>,
-        n_nodes: usize,
-        io: &IoParams,
-        n_buckets: usize,
-    ) -> RunMetrics {
+    fn from_run_with_buckets(result: &RunResult, io: &IoParams, n_buckets: usize) -> RunMetrics {
         assert!(n_buckets > 0, "need at least one time-series bucket");
-        let counters = count(result, &events);
+        let n_nodes = result.served_bytes.len();
+        let events = result.events.as_deref().unwrap_or_default();
+        let counters = count(result, events);
         let per_node = per_node_totals(result, n_nodes);
         let series = build_series(&result.records, n_nodes, result.makespan, io, n_buckets);
         let served_histogram = served_histogram(&result.served_bytes, DEFAULT_HISTOGRAM_BINS);
@@ -170,7 +166,7 @@ impl RunMetrics {
             served_histogram,
             planning_seconds: 0.0,
             engine: result.engine,
-            events,
+            events: events.len(),
         }
     }
 
@@ -239,7 +235,7 @@ impl RunMetrics {
                     ])
                 })),
             ),
-            ("events".to_string(), Json::from(self.events.len() as u64)),
+            ("events".to_string(), Json::from(self.events as u64)),
         ])
     }
 
@@ -282,11 +278,6 @@ impl RunMetrics {
         ])
     }
 
-    /// The raw event stream as a JSON array (the structured event log).
-    fn events_json(&self) -> Json {
-        Json::array(self.events.iter().map(event_json))
-    }
-
     /// Per-node time-series as CSV: one row per `(bucket, node)` pair with
     /// columns `t,node,disk_utilization,nic_out_utilization,
     /// nic_in_utilization,queue_depth`.
@@ -324,11 +315,16 @@ impl RunMetrics {
         out
     }
 
-    /// Writes the full bundle into `dir` (created if missing):
-    /// `<prefix>metrics.json`, `<prefix>events.json`,
+    /// Writes the full bundle with the run's `events` into `dir` (created
+    /// if missing): `<prefix>metrics.json`, `<prefix>events.json`,
     /// `<prefix>node_series.csv`, `<prefix>per_node.csv`. Returns the
     /// paths written.
-    pub fn write_files(&self, dir: &Path, prefix: &str) -> std::io::Result<Vec<PathBuf>> {
+    pub fn write_files(
+        &self,
+        events: &[TraceEvent],
+        dir: &Path,
+        prefix: &str,
+    ) -> std::io::Result<Vec<PathBuf>> {
         std::fs::create_dir_all(dir)?;
         let mut written = Vec::new();
         let mut emit = |name: &str, contents: String| -> std::io::Result<()> {
@@ -339,11 +335,16 @@ impl RunMetrics {
             Ok(())
         };
         emit("metrics.json", self.to_json().to_pretty())?;
-        emit("events.json", self.events_json().to_pretty())?;
+        emit("events.json", events_json(events).to_pretty())?;
         emit("node_series.csv", self.series_csv())?;
         emit("per_node.csv", self.per_node_csv())?;
         Ok(written)
     }
+}
+
+/// The event stream as a JSON array (the structured event log).
+fn events_json(events: &[TraceEvent]) -> Json {
+    Json::array(events.iter().map(event_json))
 }
 
 /// One event as a flat JSON object (`kind` + `at` + variant fields).
@@ -628,15 +629,15 @@ mod tests {
             ],
             makespan: 2.0,
             served_bytes: vec![200, 0, 50],
-            metrics: None,
+            events: None,
             engine: EngineStats::default(),
         }
     }
 
     #[test]
     fn counters_reconcile_with_trace() {
-        let result = sample_result();
-        let events = vec![
+        let mut result = sample_result();
+        result.events = Some(vec![
             TraceEvent::TaskStarted {
                 at: 0.0,
                 proc: 0,
@@ -665,8 +666,9 @@ mod tests {
                 victim: 0,
                 task: 2,
             },
-        ];
-        let m = RunMetrics::from_run(&result, events, 3, &IoParams::marmot());
+        ]);
+        let m = RunMetrics::from_run(&result, &IoParams::marmot());
+        assert_eq!(m.events, 4);
         assert_eq!(m.counters.reads, 3);
         assert_eq!(m.counters.local_reads, 2);
         assert_eq!(m.counters.remote_reads, 1);
@@ -682,7 +684,8 @@ mod tests {
     #[test]
     fn per_node_totals_and_queue_depth() {
         let result = sample_result();
-        let m = RunMetrics::from_run(&result, Vec::new(), 3, &IoParams::marmot());
+        let m = RunMetrics::from_run(&result, &IoParams::marmot());
+        assert_eq!(m.events, 0, "an unrecorded run counts no events");
         assert_eq!(m.per_node.len(), 3);
         assert_eq!(m.per_node[0].served_bytes, 200);
         assert_eq!(m.per_node[0].reads_served, 2);
@@ -697,7 +700,7 @@ mod tests {
     fn series_conserves_bytes() {
         let result = sample_result();
         let io = IoParams::marmot();
-        let m = RunMetrics::from_run_with_buckets(&result, Vec::new(), 3, &io, 10);
+        let m = RunMetrics::from_run_with_buckets(&result, &io, 10);
         assert_eq!(m.series.n_buckets, 10);
         let dt = m.series.dt;
         // Total bytes re-derived from disk utilization must equal served.
@@ -733,9 +736,10 @@ mod tests {
 
     #[test]
     fn exporters_produce_parseable_output() {
-        let result = sample_result();
+        let mut result = sample_result();
         let events = vec![TraceEvent::ProcFinished { at: 2.0, proc: 0 }];
-        let m = RunMetrics::from_run(&result, events, 3, &IoParams::marmot());
+        result.events = Some(events.clone());
+        let m = RunMetrics::from_run(&result, &IoParams::marmot());
         let doc = Json::parse(&m.to_json().to_pretty()).expect("metrics JSON parses");
         assert_eq!(
             doc.get("counters")
@@ -743,7 +747,7 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(3)
         );
-        let evs = Json::parse(&m.events_json().to_compact()).expect("events JSON parses");
+        let evs = Json::parse(&events_json(&events).to_compact()).expect("events JSON parses");
         let arr = evs.as_array().expect("array");
         assert_eq!(arr.len(), 1);
         assert_eq!(
@@ -760,8 +764,8 @@ mod tests {
     #[test]
     fn write_files_round_trips() {
         let dir = std::env::temp_dir().join(format!("opass-metrics-test-{}", std::process::id()));
-        let m = RunMetrics::from_run(&sample_result(), Vec::new(), 3, &IoParams::marmot());
-        let written = m.write_files(&dir, "demo_").expect("write ok");
+        let m = RunMetrics::from_run(&sample_result(), &IoParams::marmot());
+        let written = m.write_files(&[], &dir, "demo_").expect("write ok");
         assert_eq!(written.len(), 4);
         for p in &written {
             assert!(p.exists(), "{p:?} missing");

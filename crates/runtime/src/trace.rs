@@ -6,7 +6,7 @@
 //! comparison).
 
 use opass_dfs::{ChunkId, NodeId};
-use opass_simio::{empirical_cdf, CdfPoint, EngineStats, Summary};
+use opass_simio::{empirical_cdf, CdfPoint, EngineStats, Summary, TraceEvent};
 
 /// One completed chunk read.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,12 +50,11 @@ pub struct RunResult {
     pub makespan: f64,
     /// Bytes served by each node (indexed by raw node id).
     pub served_bytes: Vec<u64>,
-    /// Derived observability metrics. `None` unless the run was executed
-    /// through an instrumented entry point
-    /// ([`crate::exec::execute_instrumented`] and friends); plain
-    /// [`crate::exec::execute`] leaves it empty so uninstrumented results
-    /// are identical to what the executor always produced.
-    pub metrics: Option<Box<crate::metrics::RunMetrics>>,
+    /// The simulator's event stream, in simulated-time order, when the
+    /// run was recorded ([`crate::exec::execute_instrumented`]); `None`
+    /// after plain [`crate::exec::execute`]. [`crate::RunMetrics::from_run`]
+    /// derives the observability metrics from it.
+    pub events: Option<Vec<TraceEvent>>,
     /// Simulator work counters (recompute passes, rerated flows, ETA
     /// churn). Always populated — the engine counts regardless of
     /// instrumentation; chained runs carry the summed totals.
@@ -152,13 +151,11 @@ impl RunResult {
         (last, mean, 1.0 - mean / last)
     }
 
-    /// Merges another run into this one, offsetting its records by this
-    /// run's makespan — used to chain ParaView rendering steps. Any
-    /// attached metrics are dropped: aggregates derived for a single
-    /// segment do not describe the chained whole (instrumented entry
-    /// points re-derive them after chaining).
+    /// Merges another run into this one, offsetting its records and
+    /// events by this run's makespan — used to chain ParaView rendering
+    /// steps and bulk-synchronous rounds. The chained run keeps events
+    /// only when both parts recorded them.
     pub fn chain(&mut self, mut next: RunResult) {
-        self.metrics = None;
         self.engine.merge(&next.engine);
         let offset = self.makespan;
         for r in &mut next.records {
@@ -166,6 +163,13 @@ impl RunResult {
             r.completed_at += offset;
         }
         self.records.extend(next.records);
+        match (&mut self.events, next.events) {
+            (Some(events), Some(more)) => events.extend(more.into_iter().map(|mut ev| {
+                ev.shift_at(offset);
+                ev
+            })),
+            (events, _) => *events = None,
+        }
         self.makespan += next.makespan;
         if self.served_bytes.len() < next.served_bytes.len() {
             self.served_bytes.resize(next.served_bytes.len(), 0);
@@ -202,7 +206,7 @@ mod tests {
             ],
             makespan: 3.0,
             served_bytes: vec![100, 0, 200],
-            metrics: None,
+            events: None,
             engine: EngineStats::default(),
         }
     }
@@ -254,7 +258,7 @@ mod tests {
             records: vec![],
             makespan: 0.0,
             served_bytes: vec![],
-            metrics: None,
+            events: None,
             engine: EngineStats::default(),
         };
         assert_eq!(empty.straggler_report(4), (0.0, 0.0, 0.0));
@@ -281,12 +285,30 @@ mod tests {
     }
 
     #[test]
+    fn chain_shifts_events_and_keeps_them_only_when_both_parts_recorded() {
+        let finished = |at| TraceEvent::ProcFinished { at, proc: 0 };
+        let recorded = |at| RunResult {
+            events: Some(vec![finished(at)]),
+            ..sample()
+        };
+        let mut a = recorded(1.0);
+        a.chain(recorded(2.0));
+        // The second run's events sit 3 s later, like its records.
+        assert_eq!(a.events, Some(vec![finished(1.0), finished(5.0)]));
+        a.chain(sample());
+        assert_eq!(
+            a.events, None,
+            "an unrecorded part leaves the whole unrecorded"
+        );
+    }
+
+    #[test]
     fn empty_run_is_trivially_local() {
         let r = RunResult {
             records: vec![],
             makespan: 0.0,
             served_bytes: vec![],
-            metrics: None,
+            events: None,
             engine: EngineStats::default(),
         };
         assert_eq!(r.local_fraction(), 1.0);

@@ -142,7 +142,7 @@ pub fn write_dataset(
             records,
             makespan,
             served_bytes,
-            metrics: None,
+            events: None,
             engine: cluster.engine_stats(),
         },
     }

@@ -197,12 +197,10 @@ pub fn replay_local(
     records: &[TraceRecord],
     config: &ReplayConfig,
 ) -> Result<ReplayReport, ReplayDriverError> {
-    if records.is_empty() {
-        return Err(ReplayDriverError::BadInput("trace has no records"));
-    }
-    if config.n_nodes == 0 || config.batch_records == 0 || config.replication == 0 {
+    check_input(records, config)?;
+    if config.n_nodes == 0 || config.replication == 0 {
         return Err(ReplayDriverError::BadInput(
-            "n_nodes, batch_records, and replication must be at least 1",
+            "n_nodes and replication must be at least 1",
         ));
     }
 
@@ -238,89 +236,61 @@ pub fn replay_local(
 
     let mut digests = Vec::new();
     let mut migrations = 0u64;
-    for (batch_no, batch) in records.chunks(config.batch_records).enumerate() {
-        // Group the batch by dataset; BTreeMap keeps dataset order (and
-        // therefore digest order) deterministic.
-        let mut by_dataset: BTreeMap<u32, Vec<&TraceRecord>> = BTreeMap::new();
-        for r in batch {
-            by_dataset.entry(r.dataset).or_default().push(r);
-        }
-        for (dataset, accesses) in by_dataset {
-            // The session takes the dataset's only layout handle, so its
-            // replans advance the layout in place; from then on its
-            // snapshot is the dataset's current layout.
-            let session = sessions.entry(dataset).or_insert_with(|| {
-                let layout = layouts[dataset as usize]
-                    .take()
-                    .expect("a dataset's session starts once");
-                let request =
-                    PlanRequest::single_from_layout(&layout, &placement).seed(config.seed);
-                planner
-                    .session(&request)
-                    .into_single()
-                    .expect("single request yields single session")
-            });
-            let layout = session.snapshot().entries();
-
-            // Access histograms: per chunk index and per client.
-            let mut per_chunk: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut per_client: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut accessed_order: Vec<u32> = Vec::new();
-            for r in &accesses {
-                let count = per_chunk.entry(r.chunk).or_insert(0);
-                if *count == 0 {
-                    accessed_order.push(r.chunk);
-                }
-                *count += 1;
-                *per_client.entry(r.client).or_insert(0) += 1;
-            }
-
-            // Fresh plan over exactly the chunks this batch read.
-            let accessed: LayoutSnapshot = accessed_order
-                .iter()
-                .map(|&idx| layout[idx as usize].clone())
-                .collect();
-            let request = PlanRequest::single_from_layout(&accessed, &placement)
-                .seed(config.seed ^ batch_no as u64);
-            let plan = planner
-                .plan(&request)
+    for group in batch_groups(records, config.batch_records, |d| d) {
+        let dataset = group.dataset;
+        // The session takes the dataset's only layout handle, so its
+        // replans advance the layout in place; from then on its snapshot
+        // is the dataset's current layout.
+        let session = sessions.entry(dataset).or_insert_with(|| {
+            let layout = layouts[dataset as usize]
+                .take()
+                .expect("a dataset's session starts once");
+            let request = PlanRequest::single_from_layout(&layout, &placement).seed(config.seed);
+            planner
+                .session(&request)
                 .into_single()
-                .expect("single request yields single plan");
+                .expect("single request yields single session")
+        });
+        let layout = session.snapshot().entries();
 
-            // Optionally migrate one replica of the hottest chunk toward
-            // the busiest client's node, then replan the session.
-            let mut migrated = false;
-            if config.churn {
-                let (&hot_chunk, _) = per_chunk
-                    .iter()
-                    .max_by_key(|&(idx, count)| (*count, std::cmp::Reverse(*idx)))
-                    .expect("batch group is non-empty");
-                let (&top_client, _) = per_client
-                    .iter()
-                    .max_by_key(|&(id, count)| (*count, std::cmp::Reverse(*id)))
-                    .expect("batch group is non-empty");
-                let target = NodeId((top_client as usize % config.n_nodes) as u32);
-                let hot = &layout[hot_chunk as usize];
-                if !hot.locations.contains(&target) {
-                    let delta = LayoutDelta::migration(hot.chunk, hot.locations[0], target);
-                    session.replan(&delta);
-                    migrations += 1;
-                    migrated = true;
-                }
+        // Fresh plan over exactly the chunks this batch read.
+        let accessed: LayoutSnapshot = group
+            .chunks
+            .iter()
+            .map(|&idx| layout[idx as usize].clone())
+            .collect();
+        let request = PlanRequest::single_from_layout(&accessed, &placement)
+            .seed(config.seed ^ group.batch as u64);
+        let plan = planner
+            .plan(&request)
+            .into_single()
+            .expect("single request yields single plan");
+
+        // Optionally migrate one replica of the hottest chunk toward the
+        // busiest client's node, then replan the session.
+        let mut migrated = false;
+        if config.churn {
+            let target = NodeId((group.top_client() as usize % config.n_nodes) as u32);
+            let hot = &layout[group.hot_chunk() as usize];
+            if !hot.locations.contains(&target) {
+                let delta = LayoutDelta::migration(hot.chunk, hot.locations[0], target);
+                session.replan(&delta);
+                migrations += 1;
+                migrated = true;
             }
-
-            digests.push(BatchDigest {
-                batch: batch_no,
-                dataset,
-                records: accesses.len() as u64,
-                distinct_chunks: accessed_order.len(),
-                matched_files: plan.matched_files,
-                filled_files: plan.filled_files,
-                local_task_fraction: plan.locality.task_fraction(),
-                migrated,
-                session_local_fraction: session.plan().locality.task_fraction(),
-            });
         }
+
+        digests.push(BatchDigest {
+            batch: group.batch,
+            dataset,
+            records: group.records,
+            distinct_chunks: group.chunks.len(),
+            matched_files: plan.matched_files,
+            filled_files: plan.filled_files,
+            local_task_fraction: plan.locality.task_fraction(),
+            migrated,
+            session_local_fraction: session.plan().locality.task_fraction(),
+        });
     }
 
     Ok(finish_report(
@@ -349,14 +319,7 @@ pub fn replay_remote(
     config: &ReplayConfig,
     client: &mut Client,
 ) -> Result<ReplayReport, ReplayDriverError> {
-    if records.is_empty() {
-        return Err(ReplayDriverError::BadInput("trace has no records"));
-    }
-    if config.batch_records == 0 {
-        return Err(ReplayDriverError::BadInput(
-            "batch_records must be at least 1",
-        ));
-    }
+    check_input(records, config)?;
     let (_, served_nodes, served_datasets) = client.ping()?;
     if served_nodes == 0 || served_datasets == 0 {
         return Err(ReplayDriverError::BadInput(
@@ -367,65 +330,43 @@ pub fn replay_remote(
     let mut digests = Vec::new();
     let mut migrations = 0u64;
     let mut seen_datasets = 0u32;
-    for (batch_no, batch) in records.chunks(config.batch_records).enumerate() {
-        let mut by_dataset: BTreeMap<u32, Vec<&TraceRecord>> = BTreeMap::new();
-        for r in batch {
-            by_dataset
-                .entry(r.dataset % served_datasets as u32)
-                .or_default()
-                .push(r);
-        }
-        for (dataset, accesses) in by_dataset {
-            seen_datasets = seen_datasets.max(dataset + 1);
-            let mut per_chunk: BTreeMap<u32, u64> = BTreeMap::new();
-            let mut per_client: BTreeMap<u32, u64> = BTreeMap::new();
-            for r in &accesses {
-                *per_chunk.entry(r.chunk).or_insert(0) += 1;
-                *per_client.entry(r.client).or_insert(0) += 1;
-            }
-
-            let mut migrated = false;
-            if config.churn {
-                let (&hot_chunk, _) = per_chunk
-                    .iter()
-                    .max_by_key(|&(idx, count)| (*count, std::cmp::Reverse(*idx)))
-                    .expect("batch group is non-empty");
-                let (&top_client, _) = per_client
-                    .iter()
-                    .max_by_key(|&(id, count)| (*count, std::cmp::Reverse(*id)))
-                    .expect("batch group is non-empty");
-                let layout = client.layout(dataset as usize)?;
-                if !layout.entries.is_empty() {
-                    let entry = &layout.entries[hot_chunk as usize % layout.entries.len()];
-                    let target = u64::from(top_client) % served_nodes as u64;
-                    if !entry.locations.is_empty() && !entry.locations.contains(&target) {
-                        let delta = LayoutDelta::migration(
-                            ChunkId(entry.chunk),
-                            NodeId(entry.locations[0] as u32),
-                            NodeId(target as u32),
-                        );
-                        client.invalidate_with_delta(dataset as usize, &delta)?;
-                        migrations += 1;
-                        migrated = true;
-                    }
+    let served = served_datasets as u32;
+    for group in batch_groups(records, config.batch_records, |d| d % served) {
+        let dataset = group.dataset;
+        seen_datasets = seen_datasets.max(dataset + 1);
+        let mut migrated = false;
+        if config.churn {
+            let layout = client.layout(dataset as usize)?;
+            if !layout.entries.is_empty() {
+                let entry = &layout.entries[group.hot_chunk() as usize % layout.entries.len()];
+                let target = u64::from(group.top_client()) % served_nodes as u64;
+                if !entry.locations.is_empty() && !entry.locations.contains(&target) {
+                    let delta = LayoutDelta::migration(
+                        ChunkId(entry.chunk),
+                        NodeId(entry.locations[0] as u32),
+                        NodeId(target as u32),
+                    );
+                    client.invalidate_with_delta(dataset as usize, &delta)?;
+                    migrations += 1;
+                    migrated = true;
                 }
             }
-
-            let reply = client.plan(dataset as usize, Strategy::Opass, config.seed)?;
-            digests.push(BatchDigest {
-                batch: batch_no,
-                dataset,
-                records: accesses.len() as u64,
-                distinct_chunks: per_chunk.len(),
-                matched_files: reply.matched_files,
-                filled_files: reply.filled_files,
-                local_task_fraction: reply.local_task_fraction,
-                migrated,
-                // The served plan covers the whole dataset, so its
-                // locality doubles as the session view.
-                session_local_fraction: reply.local_task_fraction,
-            });
         }
+
+        let reply = client.plan(dataset as usize, Strategy::Opass, config.seed)?;
+        digests.push(BatchDigest {
+            batch: group.batch,
+            dataset,
+            records: group.records,
+            distinct_chunks: group.chunks.len(),
+            matched_files: reply.matched_files,
+            filled_files: reply.filled_files,
+            local_task_fraction: reply.local_task_fraction,
+            migrated,
+            // The served plan covers the whole dataset, so its locality
+            // doubles as the session view.
+            session_local_fraction: reply.local_task_fraction,
+        });
     }
 
     Ok(finish_report(
@@ -435,6 +376,96 @@ pub fn replay_remote(
         migrations,
         digests,
     ))
+}
+
+/// The input checks both drivers share: a trace with records, cut into
+/// batches of at least one record.
+fn check_input(records: &[TraceRecord], config: &ReplayConfig) -> Result<(), ReplayDriverError> {
+    if records.is_empty() {
+        return Err(ReplayDriverError::BadInput("trace has no records"));
+    }
+    if config.batch_records == 0 {
+        return Err(ReplayDriverError::BadInput(
+            "batch_records must be at least 1",
+        ));
+    }
+    Ok(())
+}
+
+/// One dataset's accesses within one batch.
+#[derive(Default)]
+struct BatchGroup {
+    /// Batch index.
+    batch: usize,
+    /// The dataset, after the driver's mapping.
+    dataset: u32,
+    /// Records of this dataset in the batch.
+    records: u64,
+    /// The distinct chunks read, in first-access order.
+    chunks: Vec<u32>,
+    /// Reads per chunk index.
+    per_chunk: BTreeMap<u32, u64>,
+    /// Reads per client.
+    per_client: BTreeMap<u32, u64>,
+}
+
+impl BatchGroup {
+    fn add(&mut self, r: &TraceRecord) {
+        self.records += 1;
+        let count = self.per_chunk.entry(r.chunk).or_insert(0);
+        if *count == 0 {
+            self.chunks.push(r.chunk);
+        }
+        *count += 1;
+        *self.per_client.entry(r.client).or_insert(0) += 1;
+    }
+
+    /// The most-read chunk; ties go to the lowest index.
+    fn hot_chunk(&self) -> u32 {
+        busiest(&self.per_chunk)
+    }
+
+    /// The client with the most reads; ties go to the lowest id.
+    fn top_client(&self) -> u32 {
+        busiest(&self.per_client)
+    }
+}
+
+/// The key with the highest count; `Reverse` hands ties to the lowest key.
+fn busiest(counts: &BTreeMap<u32, u64>) -> u32 {
+    counts
+        .iter()
+        .max_by_key(|&(key, count)| (*count, std::cmp::Reverse(*key)))
+        .map(|(&key, _)| key)
+        .expect("a batch group is non-empty")
+}
+
+/// Walks `records` in batches of `batch_records` and groups each batch by
+/// dataset (as `dataset_of` maps it), one batch at a time: groups come in
+/// batch order, then ascending dataset order.
+fn batch_groups<'a>(
+    records: &'a [TraceRecord],
+    batch_records: usize,
+    dataset_of: impl Fn(u32) -> u32 + 'a,
+) -> impl Iterator<Item = BatchGroup> + 'a {
+    records
+        .chunks(batch_records)
+        .enumerate()
+        .flat_map(move |(batch, slice)| {
+            let mut groups: BTreeMap<u32, BatchGroup> = BTreeMap::new();
+            for r in slice {
+                let dataset = dataset_of(r.dataset);
+                groups
+                    .entry(dataset)
+                    .or_insert_with(|| BatchGroup {
+                        batch,
+                        dataset,
+                        ..BatchGroup::default()
+                    })
+                    .add(r);
+            }
+            groups.into_values()
+        })
 }
 
 /// Folds step digests into the aggregate report (sequential float

@@ -10,7 +10,7 @@
 
 use crate::engine::{Engine, Event};
 use crate::flow::{FlowId, FlowSpec};
-use crate::record::{Recorder, TraceEvent};
+use crate::record::TraceEvent;
 use crate::resource::{Resource, ResourceId};
 use crate::time::SimTime;
 use crate::topology::Topology;
@@ -358,17 +358,35 @@ impl ClusterIo {
         self.engine.next_event()
     }
 
-    /// Installs a structured-event [`Recorder`] on the underlying engine.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.engine.set_recorder(recorder);
+    /// Turns event recording on in the underlying engine (see
+    /// [`Engine::record_events`]).
+    ///
+    /// ```
+    /// use opass_simio::{ClusterIo, IoParams, TraceEvent, MB_U64};
+    ///
+    /// let mut cluster = ClusterIo::new(2, IoParams::marmot());
+    /// cluster.record_events();
+    /// cluster.start_read(1, 0, 64 * MB_U64, 7);
+    /// while cluster.next_event().is_some() {}
+    /// let events = cluster.take_events().expect("recording is on");
+    /// assert!(matches!(events[0], TraceEvent::ReadIssued { token: 7, .. }));
+    /// ```
+    pub fn record_events(&mut self) {
+        self.engine.record_events();
     }
 
-    /// Whether a recorder is installed.
+    /// Whether recording is on.
     pub fn recording(&self) -> bool {
         self.engine.recording()
     }
 
-    /// Emits an event into the recorder stream (no-op without a recorder).
+    /// The events recorded so far (see [`Engine::take_events`]); `None`
+    /// while recording is off.
+    pub fn take_events(&mut self) -> Option<Vec<TraceEvent>> {
+        self.engine.take_events()
+    }
+
+    /// Appends an event to the log while recording (no-op otherwise).
     /// Lets callers above the I/O layer (the executor) interleave their
     /// own events with the simulator's.
     #[inline]

@@ -40,7 +40,7 @@ pub mod reference;
 use crate::components::ComponentIndex;
 use crate::fairshare::RateScratch;
 use crate::flow::{FlowCompletion, FlowId, FlowPhase, FlowSpec, FlowState};
-use crate::record::{Recorder, RecorderSlot, TraceEvent};
+use crate::record::TraceEvent;
 use crate::resource::{Resource, ResourceId};
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -263,8 +263,9 @@ pub struct Engine {
     /// Bytes settled through each resource; [`Engine::bytes_through`] adds
     /// the in-flight (not yet settled) complement.
     delivered: Vec<f64>,
-    /// Optional structured-event sink (observability; disabled by default).
-    recorder: RecorderSlot,
+    /// The recorded event log; `None` while recording is off (the
+    /// default).
+    events: Option<Vec<TraceEvent>>,
     /// Work counters.
     stats: EngineStats,
 }
@@ -294,28 +295,38 @@ impl Engine {
             comp_flows: Vec::new(),
             comp_res: Vec::new(),
             delivered: Vec::new(),
-            recorder: RecorderSlot::empty(),
+            events: None,
             stats: EngineStats::default(),
         }
     }
 
-    /// Installs a structured-event [`Recorder`]. Without one, emit sites
-    /// cost a single branch and build no events.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder.install(recorder);
+    /// Turns event recording on: from now on every emit site appends a
+    /// [`TraceEvent`] to the engine's log. While recording is off, emit
+    /// sites cost a single branch and build no events.
+    pub fn record_events(&mut self) {
+        self.events.get_or_insert_with(Vec::new);
     }
 
-    /// Whether a recorder is installed.
+    /// Whether recording is on.
     pub fn recording(&self) -> bool {
-        self.recorder.enabled()
+        self.events.is_some()
     }
 
-    /// Emits an event to the installed recorder (no-op without one). Public
-    /// so higher layers ([`crate::ClusterIo`], the runtime executor) can
-    /// interleave their own events with the engine's in one stream.
+    /// The events recorded so far, leaving the log empty and recording
+    /// on; `None` while recording is off.
+    pub fn take_events(&mut self) -> Option<Vec<TraceEvent>> {
+        self.events.as_mut().map(std::mem::take)
+    }
+
+    /// Appends an event to the log while recording (no-op otherwise).
+    /// Public so higher layers ([`crate::ClusterIo`], the runtime
+    /// executor) can interleave their own events with the engine's in one
+    /// stream.
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
-        self.recorder.emit(event);
+        if let Some(log) = &mut self.events {
+            log.push(event);
+        }
     }
 
     /// Work counters accumulated since construction.
@@ -519,7 +530,7 @@ impl Engine {
         self.dirty_res.clear();
         self.rates_dirty = false;
         self.stats.recompute_passes += 1;
-        if self.recorder.enabled() {
+        if let Some(log) = &mut self.events {
             let (mut min_rate, mut max_rate) = (f64::INFINITY, 0.0f64);
             for f in self.active.iter() {
                 let r = self.flows[f as usize].rate;
@@ -529,7 +540,7 @@ impl Engine {
             if self.active.len() == 0 {
                 min_rate = 0.0;
             }
-            self.recorder.emit(TraceEvent::RatesRecomputed {
+            log.push(TraceEvent::RatesRecomputed {
                 at: self.now.as_secs(),
                 active_flows: self.active.len(),
                 min_rate,
@@ -664,11 +675,13 @@ impl Engine {
                 self.index.remove(f);
                 self.rates_dirty = true;
                 self.stats.completions += 1;
-                self.recorder.emit_with(|| TraceEvent::FlowFinished {
-                    at: completion.completed_at.as_secs(),
-                    token: completion.token,
-                    bytes: completion.bytes,
-                });
+                if let Some(log) = &mut self.events {
+                    log.push(TraceEvent::FlowFinished {
+                        at: completion.completed_at.as_secs(),
+                        token: completion.token,
+                        bytes: completion.bytes,
+                    });
+                }
                 return Some(Event::FlowCompleted(completion));
             }
         }
@@ -1034,20 +1047,18 @@ mod tests {
 
     #[test]
     fn rates_recomputed_emitted_once_per_pass() {
-        use crate::record::MemoryRecorder;
-
         // Two staggered flows: passes happen at activation(t=0),
         // activation(t=0.5), completion, completion — four total, emitted
         // exactly once each regardless of how many components were solved.
-        let log = MemoryRecorder::new();
         let mut e = Engine::new();
         let r = constant(&mut e, 100.0);
-        e.set_recorder(Box::new(log.clone()));
+        e.record_events();
         e.start_flow(FlowSpec::new(100, vec![r], 1));
         e.start_flow(FlowSpec::new(100, vec![r], 2).with_latency(0.5));
         e.drain();
-        let recomputes = log
-            .snapshot()
+        let recomputes = e
+            .take_events()
+            .expect("recording")
             .iter()
             .filter(|ev| matches!(ev, TraceEvent::RatesRecomputed { .. }))
             .count();
@@ -1056,15 +1067,13 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_does_not_change_results_or_stats() {
-        use crate::record::NoopRecorder;
-
-        let run = |with_recorder: bool| {
+    fn recording_does_not_change_results_or_stats() {
+        let run = |record: bool| {
             let mut e = Engine::new();
             let a = e.add_resource(Resource::disk("a", 72e6, 0.25, 0.2));
             let b = e.add_resource(Resource::constant("b", 117e6));
-            if with_recorder {
-                e.set_recorder(Box::new(NoopRecorder));
+            if record {
+                e.record_events();
             }
             for i in 0..12 {
                 let path = if i % 3 == 0 { vec![a] } else { vec![a, b] };
@@ -1090,7 +1099,6 @@ mod equivalence {
 
     use super::reference::ReferenceEngine;
     use super::*;
-    use crate::record::MemoryRecorder;
     use rand::{Rng, SeedableRng};
 
     const TIME_TOL: f64 = 1e-6;
@@ -1157,8 +1165,7 @@ mod equivalence {
         ($engine:expr, $w:expr) => {{
             let engine = $engine;
             let w = $w;
-            let log = MemoryRecorder::new();
-            engine.set_recorder(Box::new(log.clone()));
+            engine.record_events();
             let ids: Vec<_> = w
                 .resources
                 .iter()
@@ -1179,7 +1186,7 @@ mod equivalence {
             let bytes_through = ids.iter().map(|&r| engine.bytes_through(r)).collect();
             RunTrace {
                 events,
-                trace: log.snapshot(),
+                trace: engine.take_events().expect("recording"),
                 final_now: engine.now().as_secs(),
                 bytes_through,
             }

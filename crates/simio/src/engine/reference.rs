@@ -11,7 +11,7 @@
 use super::{Event, BYTES_EPS};
 use crate::fairshare::{allocate_rates, FlowPath};
 use crate::flow::{FlowCompletion, FlowId, FlowPhase, FlowSpec, FlowState};
-use crate::record::{Recorder, RecorderSlot, TraceEvent};
+use crate::record::TraceEvent;
 use crate::resource::{Resource, ResourceId};
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -57,8 +57,8 @@ pub struct ReferenceEngine {
     rates_dirty: bool,
     /// Bytes that have traversed each resource (utilization accounting).
     delivered: Vec<f64>,
-    /// Optional structured-event sink (observability; disabled by default).
-    recorder: RecorderSlot,
+    /// The recorded event log; `None` while recording is off.
+    events: Option<Vec<TraceEvent>>,
 }
 
 impl Default for ReferenceEngine {
@@ -79,24 +79,19 @@ impl ReferenceEngine {
             timer_seq: 0,
             rates_dirty: false,
             delivered: Vec::new(),
-            recorder: RecorderSlot::empty(),
+            events: None,
         }
     }
 
-    /// Installs a structured-event [`Recorder`].
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder.install(recorder);
+    /// Turns event recording on.
+    pub fn record_events(&mut self) {
+        self.events.get_or_insert_with(Vec::new);
     }
 
-    /// Whether a recorder is installed.
-    pub fn recording(&self) -> bool {
-        self.recorder.enabled()
-    }
-
-    /// Emits an event to the installed recorder (no-op without one).
-    #[inline]
-    pub fn emit(&mut self, event: TraceEvent) {
-        self.recorder.emit(event);
+    /// The events recorded so far, leaving the log empty; `None` while
+    /// recording is off.
+    pub fn take_events(&mut self) -> Option<Vec<TraceEvent>> {
+        self.events.as_mut().map(std::mem::take)
     }
 
     /// Registers a resource and returns its id.
@@ -228,7 +223,7 @@ impl ReferenceEngine {
             self.flows[fi].rate = rate;
         }
         self.rates_dirty = false;
-        if self.recorder.enabled() {
+        if let Some(log) = &mut self.events {
             let (mut min_rate, mut max_rate) = (f64::INFINITY, 0.0f64);
             for &fi in &self.active {
                 let r = self.flows[fi].rate;
@@ -238,7 +233,7 @@ impl ReferenceEngine {
             if self.active.is_empty() {
                 min_rate = 0.0;
             }
-            self.recorder.emit(TraceEvent::RatesRecomputed {
+            log.push(TraceEvent::RatesRecomputed {
                 at: self.now.as_secs(),
                 active_flows: self.active.len(),
                 min_rate,
@@ -347,11 +342,13 @@ impl ReferenceEngine {
                     .expect("completed flow must be active");
                 self.active.remove(pos);
                 self.rates_dirty = true;
-                self.recorder.emit_with(|| TraceEvent::FlowFinished {
-                    at: completion.completed_at.as_secs(),
-                    token: completion.token,
-                    bytes: completion.bytes,
-                });
+                if let Some(log) = &mut self.events {
+                    log.push(TraceEvent::FlowFinished {
+                        at: completion.completed_at.as_secs(),
+                        token: completion.token,
+                        bytes: completion.bytes,
+                    });
+                }
                 return Some(Event::FlowCompleted(completion));
             }
         }

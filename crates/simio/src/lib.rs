@@ -33,6 +33,12 @@
 //!     }
 //! }
 //! ```
+//!
+//! ## Recording events
+//!
+//! Recording is off by default. [`ClusterIo::record_events`] (or
+//! [`Engine::record_events`]) turns on the engine's structured event log;
+//! [`ClusterIo::take_events`] hands the recorded [`TraceEvent`]s back.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -51,7 +57,7 @@ pub mod topology;
 pub use cluster::{ClusterIo, IoParams, MB, MB_U64};
 pub use engine::{Engine, EngineStats, Event};
 pub use flow::{FlowCompletion, FlowId, FlowSpec};
-pub use record::{MemoryRecorder, NoopRecorder, Recorder, TraceEvent};
+pub use record::TraceEvent;
 pub use resource::{Degradation, Resource, ResourceId};
 pub use stats::{empirical_cdf, quantile, CdfPoint, Summary};
 pub use time::SimTime;

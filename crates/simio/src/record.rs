@@ -1,21 +1,18 @@
-//! Structured event recording for the simulator.
+//! Structured events the simulator records.
 //!
-//! Every layer of the stack can narrate what it is doing through a
-//! [`Recorder`]: the engine reports fair-share rate recomputations and flow
-//! completions, [`crate::ClusterIo`] reports read/write submissions with
-//! their endpoints, and the `opass-runtime` executor adds task dispatch,
-//! per-read locality context, and steal decisions. The
-//! default is [`NoopRecorder`]: recording costs one branch per emit site,
-//! and a run without a recorder is bit-identical to one that never heard of
-//! this module — events observe the simulation, they never perturb it.
+//! Every layer of the stack can narrate what it is doing into one event
+//! log, kept by the [`crate::Engine`] once [`crate::Engine::record_events`]
+//! turns recording on: the engine reports fair-share rate recomputations
+//! and flow completions, [`crate::ClusterIo`] reports read/write
+//! submissions with their endpoints, and the `opass-runtime` executor adds
+//! task dispatch, per-read locality context, and steal decisions.
+//! Recording is off by default and then costs one branch per emit site;
+//! a recorded run is bit-identical to an unrecorded one — events observe
+//! the simulation, they never perturb it.
 //!
 //! Events are plain data (`f64` timestamps, `usize` node/process indices)
 //! so downstream crates can aggregate or serialize them without pulling in
 //! simulator types.
-
-use std::cell::RefCell;
-use std::fmt;
-use std::rc::Rc;
 
 /// One structured simulation event. Timestamps (`at`) are simulated
 /// seconds; node and process identifiers are raw indices.
@@ -179,166 +176,48 @@ impl TraceEvent {
     }
 }
 
-/// A sink for [`TraceEvent`]s.
-///
-/// Implementations must be passive observers: recording an event must not
-/// change simulation behaviour. The engine only constructs events when a
-/// recorder is installed, so the disabled path stays allocation-free.
-pub trait Recorder {
-    /// Consumes one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// Discards every event — the default, zero-cost sink.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
-/// Collects events in memory behind a shared, cloneable handle.
-///
-/// Clone the recorder, install one clone on the engine, and keep the other
-/// to read the log back after the run (the simulator is single-threaded, so
-/// an `Rc<RefCell<_>>` suffices).
-///
-/// # Example
-///
-/// ```
-/// use opass_simio::{ClusterIo, IoParams, MemoryRecorder, MB_U64};
-///
-/// let log = MemoryRecorder::new();
-/// let mut cluster = ClusterIo::new(2, IoParams::marmot());
-/// cluster.set_recorder(Box::new(log.clone()));
-/// cluster.start_read(1, 0, 64 * MB_U64, 7);
-/// while cluster.next_event().is_some() {}
-/// assert!(!log.snapshot().is_empty());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MemoryRecorder {
-    log: Rc<RefCell<Vec<TraceEvent>>>,
-}
-
-impl MemoryRecorder {
-    /// Creates an empty shared log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.log.borrow().len()
-    }
-
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.log.borrow().is_empty()
-    }
-
-    /// Copies the current log.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.log.borrow().clone()
-    }
-
-    /// Removes and returns the current log, leaving it empty.
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.log.take()
-    }
-}
-
-impl Recorder for MemoryRecorder {
-    fn record(&mut self, event: TraceEvent) {
-        self.log.borrow_mut().push(event);
-    }
-}
-
-/// The engine's recorder slot: `Debug` even though recorders aren't, and
-/// `None` by default so recording stays strictly opt-in.
-#[derive(Default)]
-pub struct RecorderSlot(Option<Box<dyn Recorder>>);
-
-impl RecorderSlot {
-    /// An empty (disabled) slot.
-    pub fn empty() -> Self {
-        RecorderSlot(None)
-    }
-
-    /// Installs a recorder, replacing any previous one.
-    pub fn install(&mut self, recorder: Box<dyn Recorder>) {
-        self.0 = Some(recorder);
-    }
-
-    /// Whether a recorder is installed.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Builds the event lazily and records it if a recorder is installed.
-    #[inline]
-    pub fn emit_with(&mut self, make: impl FnOnce() -> TraceEvent) {
-        if let Some(r) = self.0.as_mut() {
-            r.record(make());
-        }
-    }
-
-    /// Records an already-built event if a recorder is installed.
-    #[inline]
-    pub fn emit(&mut self, event: TraceEvent) {
-        if let Some(r) = self.0.as_mut() {
-            r.record(event);
-        }
-    }
-}
-
-impl fmt::Debug for RecorderSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("RecorderSlot")
-            .field(&if self.0.is_some() {
-                "installed"
-            } else {
-                "none"
-            })
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
+
+    fn finished(at: f64) -> TraceEvent {
+        TraceEvent::ProcFinished { at, proc: 1 }
+    }
 
     #[test]
     fn memory_recorder_shares_its_log() {
-        let handle = MemoryRecorder::new();
-        let mut writer = handle.clone();
-        writer.record(TraceEvent::ProcFinished { at: 1.0, proc: 3 });
-        assert_eq!(handle.len(), 1);
-        assert_eq!(
-            handle.snapshot(),
-            vec![TraceEvent::ProcFinished { at: 1.0, proc: 3 }]
-        );
-        let taken = handle.take_events();
-        assert_eq!(taken.len(), 1);
-        assert!(handle.is_empty());
+        // The engine's log is the one memory recorder: every layer emits
+        // into it, and `take_events` hands it back drained.
+        let mut e = Engine::new();
+        e.record_events();
+        e.emit(finished(2.0));
+        e.emit(finished(3.0));
+        assert_eq!(e.take_events(), Some(vec![finished(2.0), finished(3.0)]));
+        // Taking drains the log; recording stays on.
+        assert!(e.recording());
+        assert_eq!(e.take_events(), Some(Vec::new()));
+        e.emit(finished(4.0));
+        assert_eq!(e.take_events(), Some(vec![finished(4.0)]));
     }
 
     #[test]
     fn slot_skips_event_construction_when_empty() {
-        let mut slot = RecorderSlot::empty();
-        assert!(!slot.enabled());
+        let mut e = Engine::new();
+        assert!(!e.recording());
         let mut built = false;
-        slot.emit_with(|| {
+        if e.recording() {
             built = true;
-            TraceEvent::ProcFinished { at: 0.0, proc: 0 }
-        });
-        assert!(!built, "no recorder, so the closure must not run");
+            e.emit(finished(0.0));
+        }
+        assert!(!built, "recording is off, so emit sites build no event");
+        e.emit(finished(1.0));
+        assert_eq!(e.take_events(), None, "nothing is kept before recording");
 
-        let log = MemoryRecorder::new();
-        slot.install(Box::new(log.clone()));
-        assert!(slot.enabled());
-        slot.emit_with(|| TraceEvent::ProcFinished { at: 2.0, proc: 1 });
-        assert_eq!(log.len(), 1);
+        e.record_events();
+        assert!(e.recording());
+        e.emit(finished(2.0));
+        assert_eq!(e.take_events(), Some(vec![finished(2.0)]));
     }
 
     #[test]

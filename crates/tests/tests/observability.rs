@@ -1,18 +1,17 @@
 //! Integration: the observability subsystem end to end.
 //!
-//! Three contracts the recorder must honor:
-//! 1. recording is deterministic — two identical seeded runs emit the
+//! Three contracts event recording must honor:
+//! 1. recording is deterministic — two identical seeded runs record the
 //!    same event stream;
-//! 2. recording is non-invasive — a run with the no-op recorder (or no
-//!    recorder at all) produces the identical `RunResult`;
+//! 2. recording is non-invasive — a recorded run produces the identical
+//!    `RunResult` as an unrecorded one, apart from carrying its events;
 //! 3. the derived `RunMetrics` reconcile with the trace-level aggregates
 //!    the rest of the repo computes from `RunResult`.
 
 use opass_core::runtime::{
-    baseline, execute, execute_instrumented, execute_with_recorder, ExecConfig, ProcessPlacement,
-    RunMetrics, TaskSource,
+    baseline, execute, execute_instrumented, ExecConfig, ProcessPlacement, RunMetrics, RunResult,
+    TaskSource,
 };
-use opass_core::simio::{MemoryRecorder, NoopRecorder, Recorder};
 use opass_core::{ClusterSpec, Dynamic, Experiment, SingleData, Strategy};
 use opass_dfs::{DatasetSpec, DfsConfig, Namenode, Placement};
 use opass_workloads::{Task, Workload};
@@ -45,8 +44,7 @@ fn small_setup(seed: u64) -> (Namenode, Workload, ProcessPlacement) {
 fn event_stream_is_deterministic_across_identical_runs() {
     let capture = || {
         let (nn, workload, placement) = small_setup(77);
-        let log = MemoryRecorder::new();
-        let result = execute_with_recorder(
+        let result = execute_instrumented(
             &nn,
             &workload,
             &placement,
@@ -55,9 +53,9 @@ fn event_stream_is_deterministic_across_identical_runs() {
                 seed: 99,
                 ..Default::default()
             },
-            Box::new(log.clone()) as Box<dyn Recorder>,
         );
-        (result, log.take_events())
+        let events = result.events.clone().expect("recorded");
+        (result, events)
     };
     let (result_a, events_a) = capture();
     let (result_b, events_b) = capture();
@@ -71,7 +69,7 @@ fn event_stream_is_deterministic_across_identical_runs() {
 }
 
 #[test]
-fn noop_recorder_does_not_change_the_run() {
+fn recording_does_not_change_the_run() {
     let (nn, workload, placement) = small_setup(5);
     let config = ExecConfig {
         seed: 31,
@@ -79,17 +77,20 @@ fn noop_recorder_does_not_change_the_run() {
     };
     let source = || TaskSource::Static(baseline::rank_interval(24, 8));
     let plain = execute(&nn, &workload, &placement, source(), &config);
-    let noop = execute_with_recorder(
-        &nn,
-        &workload,
-        &placement,
-        source(),
-        &config,
-        Box::new(NoopRecorder),
+    let recorded = execute_instrumented(&nn, &workload, &placement, source(), &config);
+    assert!(plain.events.is_none());
+    assert!(recorded.events.as_ref().is_some_and(|e| !e.is_empty()));
+    assert_eq!(
+        plain,
+        RunResult {
+            events: None,
+            ..recorded
+        },
+        "recording must be invisible"
     );
-    assert_eq!(plain, noop, "a no-op recorder must be invisible");
 
-    // The trait-level instrumented run likewise only *adds* metrics.
+    // The trait-level instrumented run likewise only *adds* events and
+    // metrics.
     let exp = SingleData {
         cluster: ClusterSpec {
             n_nodes: 8,
@@ -100,8 +101,8 @@ fn noop_recorder_does_not_change_the_run() {
     };
     let bare = exp.run(Strategy::Opass).unwrap();
     let inst = exp.run_instrumented(Strategy::Opass).unwrap();
-    assert!(bare.result.metrics.is_none());
-    assert!(inst.result.metrics.is_some());
+    assert!(bare.result.events.is_none() && bare.metrics.is_none());
+    assert!(inst.result.events.is_some() && inst.metrics.is_some());
     assert_eq!(bare.result.records, inst.result.records);
     assert_eq!(bare.result.makespan, inst.result.makespan);
     assert_eq!(bare.result.served_bytes, inst.result.served_bytes);
@@ -151,9 +152,11 @@ fn metrics_totals_reconcile_with_run_aggregates() {
             ..Default::default()
         },
     );
-    let metrics = result.metrics.as_deref().expect("instrumented");
-    reconcile(metrics, &result, 8);
-    assert!(!metrics.events.is_empty());
+    let metrics = RunMetrics::from_run(&result, &ExecConfig::default().io);
+    reconcile(&metrics, &result, 8);
+    let events = result.events.as_ref().expect("recorded");
+    assert!(!events.is_empty());
+    assert_eq!(metrics.events, events.len());
     assert!(metrics.series.n_buckets > 0);
 
     // Same reconciliation through the experiment trait, including the
@@ -168,7 +171,7 @@ fn metrics_totals_reconcile_with_run_aggregates() {
         ..Default::default()
     };
     let run = exp.run_instrumented(Strategy::OpassGuided).unwrap();
-    let metrics = run.metrics().expect("instrumented");
+    let metrics = run.metrics.as_ref().expect("instrumented");
     reconcile(metrics, &run.result, 8);
     assert_eq!(metrics.counters.tasks_started, 32);
 }
@@ -184,11 +187,12 @@ fn exported_files_round_trip_the_headline_numbers() {
         chunks_per_process: 2,
     };
     let run = exp.run_instrumented(Strategy::Opass).unwrap();
-    let metrics = run.metrics().expect("instrumented");
+    let metrics = run.metrics.as_ref().expect("instrumented");
+    let events = run.result.events.as_deref().expect("recorded");
 
     let dir = std::env::temp_dir().join("opass-observability-files-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let files = metrics.write_files(&dir, "t_").unwrap();
+    let files = metrics.write_files(events, &dir, "t_").unwrap();
     assert_eq!(files.len(), 4);
     let json = std::fs::read_to_string(dir.join("t_metrics.json")).unwrap();
     assert!(json.contains(&format!("\"reads\": {}", metrics.counters.reads)));

@@ -10,9 +10,10 @@ use opass_core::dfs::{ChunkId, ChunkLayout, LayoutDelta, NodeId};
 use opass_core::{OpassPlanner, PlanRequest};
 use opass_serve::frame::{encode_frame, read_frame, write_frame};
 use opass_serve::{
-    serve, Client, ClientError, Request, Response, ServeSpec, ServerConfig, Strategy, World,
-    MAX_FRAME,
+    replay_remote, serve, Client, ClientError, ReplayConfig, ReplayDriverError, Request, Response,
+    ServeSpec, ServerConfig, Strategy, World, MAX_FRAME,
 };
+use opass_trace::{generate, TraceSpec};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -837,4 +838,67 @@ fn graceful_shutdown_drains_and_stops_accepting() {
         },
         "a drained server accepts no new work"
     );
+}
+
+/// `replay_remote` against a fresh in-process server: the report is a
+/// pure function of `(records, config)` and the served world, whatever
+/// the shard count, and it repeats the recorded fingerprint.
+#[test]
+fn remote_replay_repeats_its_fingerprint_on_fresh_servers_at_any_shard_count() {
+    let records = generate(&TraceSpec {
+        records: 2_000,
+        duration_s: 20.0,
+        clients: 12,
+        datasets: 4,
+        chunks_per_dataset: 80,
+        chunk_size: 1 << 20,
+        ..TraceSpec::default()
+    });
+    let config = ReplayConfig {
+        batch_records: 300,
+        ..ReplayConfig::default()
+    };
+    let replay = |shards: usize, config: &ReplayConfig, records: &[opass_trace::TraceRecord]| {
+        let handle = boot_sharded(spec_small(), 2, 32, shards);
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        replay_remote(records, config, &mut client)
+    };
+    let runs: Vec<_> = [1, 1, 2, 2]
+        .into_iter()
+        .map(|shards| replay(shards, &config, &records).expect("remote replay"))
+        .collect();
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(run, &runs[0], "run {i} differs from run 0");
+    }
+    let report = &runs[0];
+    assert_eq!(report.records, 2_000);
+    assert_eq!(report.batches, 7);
+    // Four trace datasets fold onto the three served ones.
+    assert_eq!(report.datasets, 3);
+    assert!(report.migrations > 0, "churn migrates replicas");
+    assert_eq!(
+        report.fingerprint(),
+        0xa2f0_5685_9056_35c1,
+        "fingerprint changed: {:#018x}",
+        report.fingerprint()
+    );
+
+    let quiet = ReplayConfig {
+        churn: false,
+        ..config
+    };
+    assert_eq!(replay(1, &quiet, &records).expect("quiet").migrations, 0);
+
+    assert!(matches!(
+        replay(1, &config, &[]),
+        Err(ReplayDriverError::BadInput(_))
+    ));
+    let no_batches = ReplayConfig {
+        batch_records: 0,
+        ..config
+    };
+    assert!(matches!(
+        replay(1, &no_batches, &records),
+        Err(ReplayDriverError::BadInput(_))
+    ));
 }
