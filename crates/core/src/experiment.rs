@@ -254,17 +254,18 @@ fn run_phase(
     }
 }
 
-/// Wraps a finished (or chained) run: when it recorded its events,
-/// derives its [`RunMetrics`] once and stamps the planning time in.
+/// Wraps a finished (or chained) run of `config`: when it recorded its
+/// events, derives its [`RunMetrics`] once and stamps the planning time
+/// in.
 fn finish(
     result: RunResult,
     planning_seconds: f64,
     step_makespans: Vec<f64>,
-    io: &IoParams,
+    config: &ExecConfig,
 ) -> ExperimentRun {
     let metrics = result.events.is_some().then(|| RunMetrics {
         planning_seconds,
-        ..RunMetrics::from_run(&result, io)
+        ..RunMetrics::from_run(&result, config)
     });
     ExperimentRun {
         result,
@@ -288,7 +289,7 @@ pub fn run_planned(
     planning_seconds: f64,
 ) -> ExperimentRun {
     let result = run_phase(nn, workload, placement, source, config, instrument);
-    finish(result, planning_seconds, Vec::new(), &config.io)
+    finish(result, planning_seconds, Vec::new(), config)
 }
 
 /// Builds the rejection error for an experiment.
@@ -700,6 +701,11 @@ impl Experiment for ParaView {
         let mut io = self.cluster.io;
         io.local_latency += self.workload.reader_overhead_seconds;
         io.remote_latency += self.workload.reader_overhead_seconds;
+        let mut config = ExecConfig {
+            io,
+            replica_choice: ReplicaChoice::PreferLocalRandom,
+            ..Default::default()
+        };
         for (i, step) in run.steps.iter().enumerate() {
             let (assignment, seconds) = time_planning(|| match strategy {
                 Strategy::RankInterval => baseline::rank_interval(step.len(), self.cluster.n_nodes),
@@ -712,12 +718,7 @@ impl Experiment for ParaView {
                 }
             });
             planning_seconds += seconds;
-            let config = ExecConfig {
-                io,
-                replica_choice: ReplicaChoice::PreferLocalRandom,
-                seed: seed ^ 0xE3 ^ (i as u64) << 8,
-                ..Default::default()
-            };
+            config.seed = seed ^ 0xE3 ^ (i as u64) << 8;
             let source = TaskSource::Static(assignment);
             let result = run_phase(&nn, step, &placement, source, &config, instrument);
             step_makespans.push(result.makespan);
@@ -727,7 +728,7 @@ impl Experiment for ParaView {
             }
         }
         let combined = combined.expect("at least one step");
-        Ok(finish(combined, planning_seconds, step_makespans, &io))
+        Ok(finish(combined, planning_seconds, step_makespans, &config))
     }
 }
 

@@ -18,7 +18,6 @@ use opass_simio::{ClusterIo, EngineStats, Event, IoParams, Topology, TraceEvent}
 use opass_workloads::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 
 /// Execution parameters.
 #[derive(Debug, Clone)]
@@ -57,21 +56,30 @@ pub enum TaskSource {
 }
 
 enum SourceState {
-    Static(Vec<VecDeque<usize>>),
+    /// The assignment itself, and how many of each process's tasks were
+    /// handed out.
+    Static {
+        assignment: Assignment,
+        taken: Vec<usize>,
+    },
     Dynamic(Box<dyn DynamicScheduler>),
 }
 
 impl SourceState {
     fn next_task(&mut self, proc: usize) -> Option<usize> {
         match self {
-            SourceState::Static(queues) => queues[proc].pop_front(),
+            SourceState::Static { assignment, taken } => {
+                let task = assignment.tasks_of(proc).get(taken[proc]).copied();
+                taken[proc] += usize::from(task.is_some());
+                task
+            }
             SourceState::Dynamic(sched) => sched.next_task(proc),
         }
     }
 
     fn drain_steals(&mut self) -> Vec<StealRecord> {
         match self {
-            SourceState::Static(_) => Vec::new(),
+            SourceState::Static { .. } => Vec::new(),
             SourceState::Dynamic(sched) => sched.drain_steals(),
         }
     }
@@ -163,11 +171,10 @@ fn execute_inner(
                 n_procs,
                 "assignment process count mismatch"
             );
-            SourceState::Static(
-                (0..n_procs)
-                    .map(|p| assignment.tasks_of(p).iter().copied().collect())
-                    .collect(),
-            )
+            SourceState::Static {
+                assignment,
+                taken: vec![0; n_procs],
+            }
         }
         TaskSource::Dynamic(sched) => SourceState::Dynamic(sched),
     };

@@ -10,9 +10,10 @@
 //! and flat CSV in the same spirit as [`crate::trace`]: plain data, no
 //! I/O until asked.
 
+use crate::exec::ExecConfig;
 use crate::trace::{IoRecord, RunResult};
 use opass_json::Json;
-use opass_simio::{EngineStats, IoParams, TraceEvent};
+use opass_simio::{EngineStats, TraceEvent};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -141,9 +142,11 @@ impl RunMetrics {
     /// Derives metrics from a finished (or chained) run, over every node
     /// of its [`RunResult::served_bytes`] and from its recorded events (a
     /// run that recorded none counts none), with the time series cut
-    /// into 60 equal buckets over the makespan.
-    pub fn from_run(result: &RunResult, io: &IoParams) -> RunMetrics {
-        Self::from_run_with_buckets(result, io, DEFAULT_BUCKETS)
+    /// into 60 equal buckets over the makespan. `config` is the run's
+    /// own: utilization is a fraction of each node's bandwidth under it
+    /// (a disk's base bandwidth times its disk factor).
+    pub fn from_run(result: &RunResult, config: &ExecConfig) -> RunMetrics {
+        Self::from_run_with_buckets(result, config, DEFAULT_BUCKETS)
     }
 
     /// Like [`RunMetrics::from_run`] with an explicit bucket count.
@@ -151,13 +154,17 @@ impl RunMetrics {
     /// # Panics
     ///
     /// Panics if `n_buckets` is zero.
-    fn from_run_with_buckets(result: &RunResult, io: &IoParams, n_buckets: usize) -> RunMetrics {
+    fn from_run_with_buckets(
+        result: &RunResult,
+        config: &ExecConfig,
+        n_buckets: usize,
+    ) -> RunMetrics {
         assert!(n_buckets > 0, "need at least one time-series bucket");
         let n_nodes = result.served_bytes.len();
         let events = result.events.as_deref().unwrap_or_default();
         let counters = count(result, events);
         let per_node = per_node_totals(result, n_nodes);
-        let series = build_series(&result.records, n_nodes, result.makespan, io, n_buckets);
+        let series = build_series(&result.records, n_nodes, result.makespan, config, n_buckets);
         let served_histogram = served_histogram(&result.served_bytes, DEFAULT_HISTOGRAM_BINS);
         RunMetrics {
             counters,
@@ -504,7 +511,7 @@ fn build_series(
     records: &[IoRecord],
     n_nodes: usize,
     makespan: f64,
-    io: &IoParams,
+    config: &ExecConfig,
     n_buckets: usize,
 ) -> TimeSeries {
     let dt = if makespan > 0.0 {
@@ -553,10 +560,13 @@ fn build_series(
             }
         }
     }
-    // Normalize byte totals into utilization fractions of base bandwidth.
-    let disk_cap = io.disk_bandwidth * dt;
+    // Normalize byte totals into utilization fractions of each node's
+    // bandwidth: its disk's is the base times its disk factor.
+    let io = &config.io;
     let nic_cap = io.nic_bandwidth * dt;
     for n in &mut nodes {
+        let factor = config.disk_factors.as_ref().map_or(1.0, |f| f[n.node]);
+        let disk_cap = io.disk_bandwidth * factor * dt;
         for u in &mut n.disk_utilization {
             *u /= disk_cap;
         }
@@ -667,7 +677,7 @@ mod tests {
                 task: 2,
             },
         ]);
-        let m = RunMetrics::from_run(&result, &IoParams::marmot());
+        let m = RunMetrics::from_run(&result, &ExecConfig::default());
         assert_eq!(m.events, 4);
         assert_eq!(m.counters.reads, 3);
         assert_eq!(m.counters.local_reads, 2);
@@ -684,7 +694,7 @@ mod tests {
     #[test]
     fn per_node_totals_and_queue_depth() {
         let result = sample_result();
-        let m = RunMetrics::from_run(&result, &IoParams::marmot());
+        let m = RunMetrics::from_run(&result, &ExecConfig::default());
         assert_eq!(m.events, 0, "an unrecorded run counts no events");
         assert_eq!(m.per_node.len(), 3);
         assert_eq!(m.per_node[0].served_bytes, 200);
@@ -699,8 +709,8 @@ mod tests {
     #[test]
     fn series_conserves_bytes() {
         let result = sample_result();
-        let io = IoParams::marmot();
-        let m = RunMetrics::from_run_with_buckets(&result, &io, 10);
+        let io = ExecConfig::default().io;
+        let m = RunMetrics::from_run_with_buckets(&result, &ExecConfig::default(), 10);
         assert_eq!(m.series.n_buckets, 10);
         let dt = m.series.dt;
         // Total bytes re-derived from disk utilization must equal served.
@@ -739,7 +749,7 @@ mod tests {
         let mut result = sample_result();
         let events = vec![TraceEvent::ProcFinished { at: 2.0, proc: 0 }];
         result.events = Some(events.clone());
-        let m = RunMetrics::from_run(&result, &IoParams::marmot());
+        let m = RunMetrics::from_run(&result, &ExecConfig::default());
         let doc = Json::parse(&m.to_json().to_pretty()).expect("metrics JSON parses");
         assert_eq!(
             doc.get("counters")
@@ -764,7 +774,7 @@ mod tests {
     #[test]
     fn write_files_round_trips() {
         let dir = std::env::temp_dir().join(format!("opass-metrics-test-{}", std::process::id()));
-        let m = RunMetrics::from_run(&sample_result(), &IoParams::marmot());
+        let m = RunMetrics::from_run(&sample_result(), &ExecConfig::default());
         let written = m.write_files(&[], &dir, "demo_").expect("write ok");
         assert_eq!(written.len(), 4);
         for p in &written {

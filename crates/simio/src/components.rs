@@ -8,30 +8,37 @@
 //! recompute pass extracts just the components reachable from the dirty
 //! seeds (the activated flow, or the resources a completed flow released).
 //!
-//! Everything is index-based and amortized allocation-free:
+//! Flows are addressed by the engine's *slot*, not their id: a slot holds
+//! one live flow at a time and is reused once that flow's completion is
+//! delivered, together with its row here. Everything is index-based and
+//! amortized allocation-free:
 //!
 //! * per-resource active-flow lists support O(1) insert and O(1)
-//!   `swap_remove` (each flow remembers its position in every list it is
-//!   on, and the displaced flow's position is patched after a removal);
+//!   `swap_remove` (each slot remembers its position in every list it is
+//!   on, and the displaced slot's position is patched after a removal);
 //! * component extraction is a BFS over the bipartite graph using
 //!   epoch-stamped visit marks, so marks are never cleared between passes;
-//! * flow → resource adjacency is stored in CSR form (flows get engine ids
-//!   in submission order, so rows are appended once and never resized).
+//! * slot → resource adjacency is one row per slot, rewritten in place
+//!   (keeping its allocation) when the slot takes a new flow.
 
-/// Bipartite adjacency index between active flows and the resources they
-/// traverse, supporting incremental updates and component BFS.
+/// One entry of a slot's row: a resource its flow traverses, and the
+/// slot's position in that resource's active list (valid only while the
+/// flow is inserted).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    res: u32,
+    pos: u32,
+}
+
+/// Bipartite adjacency index between active flow slots and the resources
+/// they traverse, supporting incremental updates and component BFS.
 #[derive(Debug, Default)]
 pub(crate) struct ComponentIndex {
-    /// Per resource: ids of active flows traversing it (unordered).
+    /// Per resource: slots of the active flows traversing it (unordered).
     res_flows: Vec<Vec<u32>>,
-    /// CSR offsets into `flow_res` / `flow_pos`; `len == flows + 1`.
-    flow_off: Vec<u32>,
-    /// Flattened flow → resource adjacency (sorted within each row, since
-    /// it mirrors the flow's deduplicated, sorted resource list).
-    flow_res: Vec<u32>,
-    /// Position of the flow inside `res_flows[flow_res[k]]`, parallel to
-    /// `flow_res`. Valid only while the flow is inserted.
-    flow_pos: Vec<u32>,
+    /// Per slot: its flow's resources, ascending (it mirrors the flow's
+    /// deduplicated, sorted resource list).
+    rows: Vec<Vec<Link>>,
     /// Epoch-stamped BFS visit marks.
     flow_mark: Vec<u32>,
     res_mark: Vec<u32>,
@@ -42,10 +49,7 @@ pub(crate) struct ComponentIndex {
 impl ComponentIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
-        ComponentIndex {
-            flow_off: vec![0],
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Registers a new resource (ids are sequential, matching the engine).
@@ -54,56 +58,61 @@ impl ComponentIndex {
         self.res_mark.push(0);
     }
 
-    /// Registers a new flow's adjacency row (ids are sequential, matching
-    /// the engine; `resources` is the flow's sorted, deduplicated resource
-    /// list). The flow is *not* inserted into the active lists yet.
-    pub fn register_flow(&mut self, resources: &[usize]) {
+    /// Writes the row of `slot` (the next new slot, or one whose flow was
+    /// removed) for a flow over `resources`, the flow's sorted,
+    /// deduplicated resource list. The flow is *not* inserted into the
+    /// active lists yet.
+    pub fn set_row(&mut self, slot: u32, resources: &[usize]) {
         debug_assert!(resources.windows(2).all(|w| w[0] < w[1]));
-        for &r in resources {
+        let s = slot as usize;
+        if s == self.rows.len() {
+            self.rows.push(Vec::new());
+            self.flow_mark.push(0);
+        }
+        let row = &mut self.rows[s];
+        row.clear();
+        row.extend(resources.iter().map(|&r| {
             debug_assert!(r < self.res_flows.len());
-            self.flow_res.push(r as u32);
-            self.flow_pos.push(0);
-        }
-        self.flow_off.push(self.flow_res.len() as u32);
-        self.flow_mark.push(0);
+            Link {
+                res: r as u32,
+                pos: 0,
+            }
+        }));
     }
 
-    #[inline]
-    fn row(&self, f: u32) -> std::ops::Range<usize> {
-        self.flow_off[f as usize] as usize..self.flow_off[f as usize + 1] as usize
-    }
-
-    /// Inserts an activated flow into the active lists of its resources.
+    /// Inserts an activated flow's slot into the active lists of its
+    /// resources.
     pub fn insert(&mut self, f: u32) {
-        for k in self.row(f) {
-            let r = self.flow_res[k] as usize;
-            self.flow_pos[k] = self.res_flows[r].len() as u32;
-            self.res_flows[r].push(f);
+        for link in &mut self.rows[f as usize] {
+            let list = &mut self.res_flows[link.res as usize];
+            link.pos = list.len() as u32;
+            list.push(f);
         }
     }
 
-    /// Removes a completed flow from the active lists of its resources.
+    /// Removes a completed flow's slot from the active lists of its
+    /// resources.
     pub fn remove(&mut self, f: u32) {
-        for k in self.row(f) {
-            let r = self.flow_res[k] as usize;
-            let p = self.flow_pos[k] as usize;
+        for k in 0..self.rows[f as usize].len() {
+            let Link { res, pos } = self.rows[f as usize][k];
+            let (r, p) = (res as usize, pos as usize);
             let list = &mut self.res_flows[r];
             debug_assert_eq!(list[p], f);
             list.swap_remove(p);
             if p < list.len() {
-                // Patch the displaced flow's remembered position for `r`.
-                let moved = list[p];
-                let row = self.row(moved);
-                let idx = self.flow_res[row.clone()]
-                    .binary_search(&(r as u32))
+                // Patch the displaced slot's remembered position for `r`.
+                let row = &mut self.rows[list[p] as usize];
+                let idx = row
+                    .binary_search_by_key(&res, |l| l.res)
                     .expect("moved flow must traverse this resource");
-                self.flow_pos[row.start + idx] = p as u32;
+                row[idx].pos = p as u32;
             }
         }
     }
 
-    /// Active flows currently traversing resource `r`. The list length is
-    /// the resource's concurrency count (feeds degraded capacity).
+    /// Slots of the active flows currently traversing resource `r`. The
+    /// list length is the resource's concurrency count (feeds degraded
+    /// capacity).
     #[inline]
     pub fn flows_on(&self, r: usize) -> &[u32] {
         &self.res_flows[r]
@@ -133,7 +142,7 @@ impl ComponentIndex {
         self.res_mark[r as usize] == self.epoch
     }
 
-    /// Collects the connected component containing active flow `seed` into
+    /// Collects the connected component containing active slot `seed` into
     /// `out_flows` / `out_res` (cleared first; unsorted).
     pub fn component_from_flow(
         &mut self,
@@ -174,8 +183,7 @@ impl ComponentIndex {
             if i < out_flows.len() {
                 let f = out_flows[i];
                 i += 1;
-                for k in self.row(f) {
-                    let r = self.flow_res[k];
+                for &Link { res: r, .. } in &self.rows[f as usize] {
                     if self.res_mark[r as usize] != self.epoch {
                         self.res_mark[r as usize] = self.epoch;
                         out_res.push(r);
@@ -208,7 +216,7 @@ mod tests {
             ix.add_resource();
         }
         for (f, rs) in flows.iter().enumerate() {
-            ix.register_flow(rs);
+            ix.set_row(f as u32, rs);
             ix.insert(f as u32);
         }
         ix

@@ -27,6 +27,13 @@
 //! * **Virtual work.** A flow's byte progress is settled into `remaining`
 //!   only when its rate changes or it completes; events leave flows in
 //!   untouched components entirely unvisited.
+//! * **A slot table.** A flow's state lives in a *slot* only while the
+//!   flow is live: once its completion is delivered the slot, its
+//!   adjacency row and its active-set position go on a free list and the
+//!   next [`Engine::start_flow`] reuses them. Engine state is O(live
+//!   flows), not O(flows submitted). Slots are labels and [`FlowId`]s
+//!   (submission sequence numbers) are order: everything order-sensitive
+//!   — the ETA heap, the solve order inside a component — keys by id.
 //!
 //! The previous dense implementation — global recompute plus linear
 //! completion scan — is retained verbatim as a test-only oracle,
@@ -66,7 +73,7 @@ pub enum Event {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
     User { token: u64 },
-    Activate(FlowId),
+    Activate { slot: u32 },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,20 +95,34 @@ impl PartialOrd for TimerEntry {
     }
 }
 
-/// A predicted completion in the ETA heap. Ordered by `(at, flow)` so that
-/// simultaneous completions are delivered in ascending flow-id order — the
-/// same tie-break the dense engine's keep-first linear scan produced.
+/// A predicted completion in the ETA heap. Ordered by `(at, id, gen)` so
+/// that simultaneous completions are delivered in ascending flow-id order
+/// — the same tie-break the dense engine's keep-first linear scan
+/// produced. The slot only locates the flow; it never orders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EtaEntry {
     at: SimTime,
-    flow: u32,
+    id: FlowId,
+    slot: u32,
     /// Flow generation at prediction time; a mismatch marks the entry stale.
     gen: u32,
 }
 
+impl EtaEntry {
+    /// A prediction that the flow in `slot` completes at `at`.
+    fn new(at: SimTime, slot: u32, flow: &FlowState) -> Self {
+        EtaEntry {
+            at,
+            id: flow.id,
+            slot,
+            gen: flow.gen,
+        }
+    }
+}
+
 impl Ord for EtaEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.flow, self.gen).cmp(&(other.at, other.flow, other.gen))
+        (self.at, self.id, self.gen).cmp(&(other.at, other.id, other.gen))
     }
 }
 
@@ -111,18 +132,18 @@ impl PartialOrd for EtaEntry {
     }
 }
 
-/// O(1)-insert / O(1)-remove set of active flow ids. Iteration order is
-/// unspecified; everything order-sensitive goes through the sorted
-/// component extraction or the ETA heap instead.
+/// O(1)-insert / O(1)-remove set of the slots of active flows. Iteration
+/// order is unspecified; everything order-sensitive goes through the
+/// sorted component extraction or the ETA heap instead.
 #[derive(Debug, Default)]
 struct ActiveSet {
     list: Vec<u32>,
-    /// Position of each flow in `list` (`u32::MAX` = not active).
+    /// Position of each slot in `list` (`u32::MAX` = not active).
     pos: Vec<u32>,
 }
 
 impl ActiveSet {
-    /// Reserves a slot for a newly submitted flow (ids are sequential).
+    /// Registers a new slot (slots are sequential).
     fn register(&mut self) {
         self.pos.push(u32::MAX);
     }
@@ -236,8 +257,14 @@ fn settle(flow: &mut FlowState, delivered: &mut [f64], at: SimTime) {
 pub struct Engine {
     now: SimTime,
     resources: Vec<Resource>,
+    /// The slot table: the state of each live flow, and of the flow a
+    /// free slot last held (`Completed`).
     flows: Vec<FlowState>,
-    /// Flows in the `Active` phase.
+    /// Slots whose flow's completion was delivered, for reuse.
+    free: Vec<u32>,
+    /// The id of the next submitted flow.
+    next_id: u64,
+    /// Slots of the flows in the `Active` phase.
     active: ActiveSet,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
@@ -247,7 +274,7 @@ pub struct Engine {
     /// (and by pathless activations, which seed nothing but still count as
     /// a pass, matching the dense engine's emission cadence).
     rates_dirty: bool,
-    /// Activated flows whose component must be re-solved.
+    /// Slots of activated flows whose component must be re-solved.
     dirty_flows: Vec<u32>,
     /// Resources released by completed flows whose components must be
     /// re-solved (may contain duplicates; the pass epoch dedupes).
@@ -283,6 +310,8 @@ impl Engine {
             now: SimTime::ZERO,
             resources: Vec::new(),
             flows: Vec::new(),
+            free: Vec::new(),
+            next_id: 0,
             active: ActiveSet::default(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -397,6 +426,8 @@ impl Engine {
     }
 
     /// Submits a flow. It starts transferring after its startup latency.
+    /// Its state takes a free slot when there is one, so once warm the
+    /// engine allocates nothing per flow; the spec's path is dropped here.
     ///
     /// # Panics
     ///
@@ -409,16 +440,28 @@ impl Engine {
                 r
             );
         }
-        let id = FlowId(self.flows.len() as u64);
-        let latency = spec.latency;
-        let state = FlowState::new(spec, self.now);
-        self.index.register_flow(&state.resources);
-        self.active.register();
-        self.flows.push(state);
-        if latency > 0.0 {
-            self.push_timer(self.now + latency, TimerKind::Activate(id));
+        let id = FlowId(self.next_id);
+        self.next_id += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let flow = &mut self.flows[slot as usize];
+                let buffer = std::mem::take(&mut flow.resources);
+                *flow = FlowState::reusing(buffer, id, &spec, self.now);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.flows.len()).expect("too many live flows");
+                self.flows.push(FlowState::new(id, &spec, self.now));
+                self.active.register();
+                slot
+            }
+        };
+        self.index
+            .set_row(slot, &self.flows[slot as usize].resources);
+        if spec.latency > 0.0 {
+            self.push_timer(self.now + spec.latency, TimerKind::Activate { slot });
         } else {
-            self.activate(id);
+            self.activate(slot);
         }
         id
     }
@@ -442,21 +485,18 @@ impl Engine {
         self.timers.push(Reverse(entry));
     }
 
-    fn activate(&mut self, id: FlowId) {
-        let idx = id.index();
-        let f = idx as u32;
+    fn activate(&mut self, f: u32) {
         let now = self.now;
-        let flow = &mut self.flows[idx];
+        let flow = &mut self.flows[f as usize];
         debug_assert_eq!(flow.phase, FlowPhase::Latent);
         flow.phase = FlowPhase::Active;
-        flow.active_at = Some(now);
         flow.updated_at = now;
         let pathless = flow.resources.is_empty();
         if pathless {
             // No shared resources: the allocator would hand the flow its
             // rate cap (infinite when uncapped), so assign it directly and
             // skip component recomputation entirely.
-            flow.rate = flow.spec.rate_cap;
+            flow.rate = flow.rate_cap;
             flow.gen = flow.gen.wrapping_add(1);
         }
         self.active.insert(f);
@@ -469,7 +509,8 @@ impl Engine {
         self.rates_dirty = true;
     }
 
-    /// Pushes a predicted completion for flow `f` from its current state.
+    /// Pushes a predicted completion for the flow in slot `f` from its
+    /// current state.
     fn push_eta(&mut self, f: u32) {
         let flow = &self.flows[f as usize];
         let at = if flow.remaining <= BYTES_EPS || flow.rate.is_infinite() {
@@ -477,15 +518,15 @@ impl Engine {
         } else {
             debug_assert!(
                 flow.rate > 0.0,
-                "active flow {f} has zero rate; resources saturated to zero?"
+                "active flow {:?} has zero rate; resources saturated to zero?",
+                flow.id
             );
             if flow.rate <= 0.0 {
                 return; // defensive: stuck flow, no predicted completion
             }
             self.now + flow.remaining / flow.rate
         };
-        let gen = flow.gen;
-        self.etas.push(Reverse(EtaEntry { at, flow: f, gen }));
+        self.etas.push(Reverse(EtaEntry::new(at, f, flow)));
         self.stats.eta_pushed += 1;
     }
 
@@ -551,10 +592,13 @@ impl Engine {
 
     /// Water-fills one component (the `comp_flows` / `comp_res` buffers)
     /// and applies the resulting rates. Components are solved with flows
-    /// and resources in ascending id order, which makes the arithmetic —
-    /// and hence the rates — bit-identical to a global dense recompute.
+    /// and resources in ascending id order (flows by [`FlowId`], not by
+    /// slot), which makes the arithmetic — and hence the rates —
+    /// bit-identical to a global dense recompute.
     fn solve_component(&mut self) {
-        self.comp_flows.sort_unstable();
+        let flows = &self.flows;
+        self.comp_flows
+            .sort_unstable_by_key(|&f| flows[f as usize].id);
         self.comp_res.sort_unstable();
         self.scratch.begin();
         for &r in &self.comp_res {
@@ -565,7 +609,7 @@ impl Engine {
         }
         for &f in &self.comp_flows {
             let flow = &self.flows[f as usize];
-            self.scratch.push_flow(&flow.resources, flow.spec.rate_cap);
+            self.scratch.push_flow(&flow.resources, flow.rate_cap);
         }
         let rates = self.scratch.fill();
         let now = self.now;
@@ -584,26 +628,28 @@ impl Engine {
             } else {
                 debug_assert!(
                     new_rate > 0.0,
-                    "active flow {f} has zero rate; resources saturated to zero?"
+                    "active flow {:?} has zero rate; resources saturated to zero?",
+                    flow.id
                 );
                 if new_rate <= 0.0 {
                     continue; // defensive: stuck flow, no predicted completion
                 }
                 now + flow.remaining / new_rate
             };
-            let gen = flow.gen;
-            self.etas.push(Reverse(EtaEntry { at, flow: f, gen }));
+            self.etas.push(Reverse(EtaEntry::new(at, f, flow)));
             self.stats.eta_pushed += 1;
         }
         self.stats.components_recomputed += 1;
     }
 
-    /// Earliest valid predicted completion, discarding stale heap entries.
+    /// Earliest valid predicted completion (its time and slot),
+    /// discarding stale heap entries: those whose slot has since taken
+    /// another flow, whose flow is no longer active, or whose rate changed.
     fn peek_completion(&mut self) -> Option<(SimTime, u32)> {
         while let Some(&Reverse(e)) = self.etas.peek() {
-            let flow = &self.flows[e.flow as usize];
-            if flow.phase == FlowPhase::Active && flow.gen == e.gen {
-                return Some((e.at, e.flow));
+            let flow = &self.flows[e.slot as usize];
+            if flow.id == e.id && flow.phase == FlowPhase::Active && flow.gen == e.gen {
+                return Some((e.at, e.slot));
             }
             self.etas.pop();
             self.stats.eta_stale += 1;
@@ -638,8 +684,8 @@ impl Engine {
                 );
                 self.now = self.now.max(entry.at);
                 match entry.kind {
-                    TimerKind::Activate(id) => {
-                        self.activate(id);
+                    TimerKind::Activate { slot } => {
+                        self.activate(slot);
                         continue;
                     }
                     TimerKind::User { token } => {
@@ -655,6 +701,9 @@ impl Engine {
                 self.etas.pop();
                 debug_assert!(at - self.now >= -1e-12, "time must not move backwards");
                 self.now = self.now.max(at);
+                // Every activation is solved before the next completion
+                // is picked, so no dirty seed can name the slot freed here.
+                debug_assert!(self.dirty_flows.is_empty());
                 let fi = f as usize;
                 settle(&mut self.flows[fi], &mut self.delivered, self.now);
                 let flow = &mut self.flows[fi];
@@ -662,9 +711,9 @@ impl Engine {
                 flow.phase = FlowPhase::Completed;
                 flow.gen = flow.gen.wrapping_add(1);
                 let completion = FlowCompletion {
-                    flow: FlowId(fi as u64),
-                    token: flow.spec.token,
-                    bytes: flow.spec.bytes,
+                    flow: flow.id,
+                    token: flow.token,
+                    bytes: flow.bytes,
                     issued_at: flow.issued_at,
                     completed_at: self.now,
                 };
@@ -673,6 +722,7 @@ impl Engine {
                     self.dirty_res.push(r as u32);
                 }
                 self.index.remove(f);
+                self.free.push(f);
                 self.rates_dirty = true;
                 self.stats.completions += 1;
                 if let Some(log) = &mut self.events {
@@ -1064,6 +1114,51 @@ mod tests {
             .count();
         assert_eq!(recomputes, 4);
         assert_eq!(e.stats().recompute_passes, 4);
+    }
+
+    #[test]
+    fn slots_follow_live_flows_not_flows_submitted() {
+        use rand::{Rng, SeedableRng};
+
+        // One flow at a time: fifty reads, one slot.
+        let mut e = Engine::new();
+        let r = constant(&mut e, 100.0);
+        for t in 0..50u64 {
+            e.start_flow(FlowSpec::new(100, vec![r], t));
+            assert!(matches!(e.next_event(), Some(Event::FlowCompleted(c)) if c.token == t));
+        }
+        assert_eq!(e.flows.len(), 1);
+
+        // Seeded churn over four resources: submissions and deliveries
+        // interleave at random, and the table grows only to the most
+        // flows ever live at once. Ids stay submission numbers.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5107);
+        let mut e = Engine::new();
+        let rs: Vec<ResourceId> = (0..4).map(|_| constant(&mut e, 100.0)).collect();
+        let (mut submitted, mut live, mut peak) = (0u64, 0usize, 0usize);
+        let mut delivered = Vec::new();
+        while submitted < 300 || live > 0 {
+            if submitted < 300 && (live == 0 || rng.gen_bool(0.55)) {
+                let path = (0..rng.gen_range(0..=3))
+                    .map(|_| rs[rng.gen_range(0..4)])
+                    .collect();
+                let spec = FlowSpec::new(rng.gen_range(1..1_000), path, submitted)
+                    .with_latency(rng.gen_range(0.0..0.5));
+                assert_eq!(e.start_flow(spec), FlowId(submitted));
+                submitted += 1;
+                live += 1;
+                peak = peak.max(live);
+            } else if let Some(Event::FlowCompleted(c)) = e.next_event() {
+                assert_eq!(c.flow.index() as u64, c.token);
+                delivered.push(c.token);
+                live -= 1;
+            }
+        }
+        assert_eq!(e.next_event(), None);
+        delivered.sort_unstable();
+        assert_eq!(delivered, (0..300).collect::<Vec<_>>());
+        assert!(peak < 100, "the churn kept {peak} flows live");
+        assert_eq!(e.flows.len(), peak);
     }
 
     #[test]

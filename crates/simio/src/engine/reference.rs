@@ -153,7 +153,7 @@ impl ReferenceEngine {
         }
         let id = FlowId(self.flows.len() as u64);
         let latency = spec.latency;
-        let state = FlowState::new(spec, self.now);
+        let state = FlowState::new(id, &spec, self.now);
         self.flows.push(state);
         if latency > 0.0 {
             self.push_timer(self.now + latency, TimerKind::Activate(id));
@@ -187,7 +187,6 @@ impl ReferenceEngine {
         let flow = &mut self.flows[idx];
         debug_assert_eq!(flow.phase, FlowPhase::Latent);
         flow.phase = FlowPhase::Active;
-        flow.active_at = Some(self.now);
         // Keep `active` sorted; flow indices are monotonically increasing so
         // a push preserves order, but activation can happen out of submission
         // order when latencies differ.
@@ -215,7 +214,7 @@ impl ReferenceEngine {
             .iter()
             .map(|&fi| FlowPath {
                 resources: self.flows[fi].resources.clone(),
-                rate_cap: self.flows[fi].spec.rate_cap,
+                rate_cap: self.flows[fi].rate_cap,
             })
             .collect();
         let rates = allocate_rates(&paths, &capacities);
@@ -330,8 +329,8 @@ impl ReferenceEngine {
                 flow.phase = FlowPhase::Completed;
                 let completion = FlowCompletion {
                     flow: FlowId(fi as u64),
-                    token: flow.spec.token,
-                    bytes: flow.spec.bytes,
+                    token: flow.token,
+                    bytes: flow.bytes,
                     issued_at: flow.issued_at,
                     completed_at: self.now,
                 };

@@ -48,9 +48,10 @@ pub struct FlowPath {
 
 /// Reusable progressive-filling state.
 ///
-/// Resource-indexed buffers (`remaining`, `unfrozen`) are sized to the
-/// largest resource id ever pushed and addressed by *global* resource
-/// index, so a caller can solve a sparse component without remapping ids.
+/// Resource-indexed buffers (`capacity`, `remaining`, `unfrozen`) are
+/// sized to the largest resource id ever pushed and addressed by *global*
+/// resource index, so a caller can solve a sparse component without
+/// remapping ids.
 /// Flow-indexed buffers are local to one solve. Nothing is freed between
 /// solves; after warm-up, [`RateScratch::fill`] allocates nothing.
 ///
@@ -68,8 +69,13 @@ pub struct FlowPath {
 /// algorithm's tie-breaking (lowest resource id wins bottleneck ties,
 /// flows freeze in ascending id order), which keeps results bit-identical
 /// with [`allocate_rates`] over the same component.
+///
+/// In builds with debug assertions, every [`fill`](RateScratch::fill)
+/// checks the max-min certificate of the rates it returns.
 #[derive(Debug, Default)]
 pub struct RateScratch {
+    /// Pushed capacity per resource (global index).
+    capacity: Vec<f64>,
     /// Remaining capacity per resource (global index).
     remaining: Vec<f64>,
     /// Unfrozen-flow count per resource (global index).
@@ -92,6 +98,10 @@ pub struct RateScratch {
     rates: Vec<f64>,
     /// `(cap, flow_slot)` for finitely-capped flows, sorted ascending.
     caps_sorted: Vec<(f64, u32)>,
+    /// Per resource (global index), the certificate check's load and
+    /// highest rate; sized only by the check.
+    load: Vec<f64>,
+    top: Vec<f64>,
 }
 
 impl RateScratch {
@@ -120,6 +130,7 @@ impl RateScratch {
     /// ascending id order.
     pub fn push_resource(&mut self, r: usize, capacity: f64) {
         if r >= self.remaining.len() {
+            self.capacity.resize(r + 1, 0.0);
             self.remaining.resize(r + 1, 0.0);
             self.unfrozen.resize(r + 1, 0);
             self.res_stamp.resize(r + 1, 0);
@@ -128,6 +139,7 @@ impl RateScratch {
             self.res_list.last().map_or(true, |&p| (p as usize) < r),
             "resources must be pushed in ascending order"
         );
+        self.capacity[r] = capacity;
         self.remaining[r] = capacity;
         self.unfrozen[r] = 0;
         self.res_stamp[r] = self.stamp;
@@ -157,7 +169,75 @@ impl RateScratch {
     /// Runs progressive filling and returns one rate per pushed flow, in
     /// push order. Flows with empty paths get their `rate_cap`
     /// (`f64::INFINITY` when uncapped).
+    ///
+    /// # Panics
+    ///
+    /// With debug assertions on, panics if the rates fail their max-min
+    /// certificate: each within its cap, each resource within its
+    /// capacity, and each flow with a path at its cap or on a saturated
+    /// resource where no flow gets a higher rate.
     pub fn fill(&mut self) -> &[f64] {
+        self.progressive_fill();
+        debug_assert!(self.certified(), "max-min certificate failed");
+        &self.rates
+    }
+
+    /// Checks the max-min bottleneck certificate of the current rates
+    /// against the pushed problem, in O(Σ path length): every rate is
+    /// within its cap, every resource's load within its capacity, and
+    /// every flow with a path is at its cap or crosses a saturated
+    /// resource on which no flow gets a higher rate. Comparisons allow a
+    /// relative 1e-9 of float dust.
+    fn certified(&mut self) -> bool {
+        const TOL: f64 = 1e-9;
+        if self.load.len() < self.capacity.len() {
+            self.load.resize(self.capacity.len(), 0.0);
+            self.top.resize(self.capacity.len(), 0.0);
+        }
+        let RateScratch {
+            capacity,
+            res_list,
+            flow_caps,
+            path_flat,
+            path_off,
+            rates,
+            load,
+            top,
+            ..
+        } = self;
+        let path = |fi: usize| &path_flat[path_off[fi] as usize..path_off[fi + 1] as usize];
+        for &r in res_list.iter() {
+            load[r as usize] = 0.0;
+            top[r as usize] = 0.0;
+        }
+        for (fi, &rate) in rates.iter().enumerate() {
+            if rate > flow_caps[fi] * (1.0 + TOL) {
+                return false;
+            }
+            for &r in path(fi) {
+                load[r as usize] += rate;
+                top[r as usize] = top[r as usize].max(rate);
+            }
+        }
+        if res_list
+            .iter()
+            .any(|&r| load[r as usize] > capacity[r as usize] * (1.0 + TOL))
+        {
+            return false;
+        }
+        rates.iter().enumerate().all(|(fi, &rate)| {
+            path(fi).is_empty()
+                || rate >= flow_caps[fi] * (1.0 - TOL)
+                || path(fi).iter().any(|&r| {
+                    let r = r as usize;
+                    load[r] >= capacity[r] * (1.0 - TOL) && rate >= top[r] * (1.0 - TOL)
+                })
+        })
+    }
+
+    /// Progressive filling proper: writes one rate per pushed flow into
+    /// `rates`.
+    fn progressive_fill(&mut self) {
         let nf = self.flow_caps.len();
         let RateScratch {
             remaining,
@@ -281,8 +361,6 @@ impl RateScratch {
                 break; // defensive: avoid an infinite loop in release builds
             }
         }
-
-        rates
     }
 }
 
@@ -526,6 +604,38 @@ mod tests {
         for (flows, caps) in &problems {
             allocate_rates_into(flows, caps, &mut scratch, &mut rates);
             assert_eq!(rates, allocate_rates(flows, caps));
+        }
+    }
+
+    #[test]
+    fn a_rate_below_its_max_min_level_fails_the_certificate() {
+        // Every flow of each problem, scaled by 0.99 after a solve,
+        // leaves its resources unsaturated and itself under its cap.
+        let problems: Vec<(Vec<FlowPath>, Vec<f64>)> = vec![
+            (vec![path(&[0]), path(&[0, 1]), path(&[1])], vec![10.0, 4.0]),
+            (vec![capped(&[0], 2.0), path(&[0])], vec![10.0]),
+            (
+                vec![
+                    capped(&[0, 1], 4.0),
+                    capped(&[0], 3.0),
+                    path(&[1]),
+                    capped(&[0, 1], 100.0),
+                ],
+                vec![8.0, 6.0],
+            ),
+            (vec![path(&[0])], vec![5.0]),
+        ];
+        let mut scratch = RateScratch::new();
+        for (flows, caps) in &problems {
+            let mut rates = Vec::new();
+            allocate_rates_into(flows, caps, &mut scratch, &mut rates);
+            assert!(scratch.certified());
+            for (k, &rate) in rates.iter().enumerate() {
+                scratch.rates[k] = 0.99 * rate;
+                assert!(!scratch.certified(), "flow {k} of {caps:?} at 0.99");
+                scratch.rates[k] = rate;
+                assert!(scratch.certified());
+            }
         }
     }
 

@@ -3,12 +3,18 @@
 use crate::resource::ResourceId;
 use crate::time::SimTime;
 
-/// Identifies a flow submitted to an [`crate::Engine`].
+/// Identifies a flow submitted to an [`crate::Engine`]: its submission
+/// sequence number (the engine's first flow is 0, its second 1, …).
+///
+/// Ids order flows — simultaneous completions are delivered in ascending
+/// id — but index nothing: the engine keeps a flow's state in a reused
+/// slot only while the flow is live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub(crate) u64);
 
 impl FlowId {
-    /// Returns the raw index of this flow.
+    /// Returns the submission sequence number as a `usize` (not an index
+    /// into anything the engine holds).
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -71,14 +77,23 @@ pub(crate) enum FlowPhase {
     Latent,
     /// Actively transferring.
     Active,
-    /// Done; kept only until the completion event is delivered.
+    /// Done: its completion was delivered (in the engine, the slot is
+    /// free for the next flow).
     Completed,
 }
 
-/// Internal per-flow state.
+/// Internal per-flow state: what the engine keeps of a submitted
+/// [`FlowSpec`] (not its path) and the flow's progress.
 #[derive(Debug, Clone)]
 pub(crate) struct FlowState {
-    pub spec: FlowSpec,
+    /// The flow this state belongs to.
+    pub id: FlowId,
+    /// Caller tag from the spec.
+    pub token: u64,
+    /// Payload size from the spec.
+    pub bytes: u64,
+    /// Rate ceiling from the spec.
+    pub rate_cap: f64,
     /// Deduplicated resource indices (engine-internal form).
     pub resources: Vec<usize>,
     pub phase: FlowPhase,
@@ -96,26 +111,38 @@ pub(crate) struct FlowState {
     pub gen: u32,
     /// When the flow was submitted.
     pub issued_at: SimTime,
-    /// When the transfer became active (after latency).
-    pub active_at: Option<SimTime>,
 }
 
 impl FlowState {
-    pub fn new(spec: FlowSpec, issued_at: SimTime) -> Self {
-        let mut resources: Vec<usize> = spec.path.iter().map(|r| r.index()).collect();
-        resources.sort_unstable();
-        resources.dedup();
-        let remaining = spec.bytes as f64;
+    /// The latent state of flow `id`, submitted at `issued_at`.
+    pub fn new(id: FlowId, spec: &FlowSpec, issued_at: SimTime) -> Self {
+        Self::reusing(Vec::new(), id, spec, issued_at)
+    }
+
+    /// Like [`FlowState::new`], writing the resource list into `buffer`
+    /// (cleared first), so a reused slot keeps its allocation.
+    pub fn reusing(
+        mut buffer: Vec<usize>,
+        id: FlowId,
+        spec: &FlowSpec,
+        issued_at: SimTime,
+    ) -> Self {
+        buffer.clear();
+        buffer.extend(spec.path.iter().map(|r| r.index()));
+        buffer.sort_unstable();
+        buffer.dedup();
         FlowState {
-            spec,
-            resources,
+            id,
+            token: spec.token,
+            bytes: spec.bytes,
+            rate_cap: spec.rate_cap,
+            resources: buffer,
             phase: FlowPhase::Latent,
-            remaining,
+            remaining: spec.bytes as f64,
             rate: 0.0,
             updated_at: issued_at,
             gen: 0,
             issued_at,
-            active_at: None,
         }
     }
 }
@@ -157,7 +184,7 @@ mod tests {
     #[test]
     fn state_dedups_path() {
         let spec = FlowSpec::new(10, vec![ResourceId(2), ResourceId(1), ResourceId(2)], 0);
-        let st = FlowState::new(spec, SimTime::ZERO);
+        let st = FlowState::new(FlowId(0), &spec, SimTime::ZERO);
         assert_eq!(st.resources, vec![1, 2]);
     }
 

@@ -2,7 +2,8 @@
 //! what the served world, a planning session and the layout handles
 //! around them hold, what the rack graph holds, and what the max-flow
 //! solve, Algorithm 1 and one trace replay need while they run, in
-//! requested bytes and in allocator calls. `peak_rss_mib` is the metric
+//! requested bytes and in allocator calls, and what a simulated run's
+//! engine keeps per flow. `peak_rss_mib` is the metric
 //! the benchmark gates; these are the per-structure numbers under it
 //! (DESIGN.md §16), so a per-chunk `Vec` or a copy that creeps back in
 //! fails here the day it is written.
@@ -26,10 +27,12 @@ use opass_dfs::{
     Placement, RackMap,
 };
 use opass_matching::{assign_multi_data, BipartiteGraph, SingleDataMatcher};
-use opass_runtime::ProcessPlacement;
+use opass_runtime::baseline::rank_interval;
+use opass_runtime::{execute, ExecConfig, IoRecord, ProcessPlacement, TaskSource};
 use opass_serve::{replay_local, ReplayConfig, ServeSpec, World};
+use opass_simio::{Engine, Event, FlowSpec, Resource, ResourceId};
 use opass_trace::{generate, TraceSpec};
-use opass_workloads::{multi as multi_wl, MultiDataConfig};
+use opass_workloads::{multi as multi_wl, single as single_wl, MultiDataConfig, SingleDataConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -498,4 +501,100 @@ fn a_warm_replan_allocates_nothing_per_file() {
             cost.peak_bytes
         );
     }
+}
+
+/// Runs `specs` through `engine` as `procs` closed-loop readers: each
+/// starts one flow, and a delivered flow's reader starts its next. The
+/// specs are handed over in order; `specs.len()` flows complete.
+fn closed_loop(engine: &mut Engine, specs: Vec<FlowSpec>, procs: usize) {
+    let mut specs = specs.into_iter();
+    for spec in specs.by_ref().take(procs) {
+        engine.start_flow(spec);
+    }
+    while let Some(event) = engine.next_event() {
+        if let (Event::FlowCompleted(_), Some(spec)) = (event, specs.next()) {
+            engine.start_flow(spec);
+        }
+    }
+}
+
+#[test]
+fn a_warm_engine_allocates_nothing_per_flow() {
+    // 64 readers over 16 disks, NIC pairs behind them: local reads on a
+    // disk, remote ones on a disk and two NIC directions, capped. Once
+    // one round has sized the slot table, its rows and the heaps, a
+    // second round of 2 048 flows makes no allocator call: the specs
+    // (and their paths) are built before the measured region.
+    let mut engine = Engine::new();
+    let disks: Vec<ResourceId> = (0..16)
+        .map(|_| engine.add_resource(Resource::disk("d", 72e6, 0.25, 0.2)))
+        .collect();
+    let nics: Vec<ResourceId> = (0..32)
+        .map(|_| engine.add_resource(Resource::constant("n", 117e6)))
+        .collect();
+    let round = || -> Vec<FlowSpec> {
+        (0..2048u64)
+            .map(|t| {
+                let (src, dst) = ((t * 7) as usize % 16, (t * 3) as usize % 16);
+                let path = if src == dst {
+                    vec![disks[src]]
+                } else {
+                    vec![disks[src], nics[2 * src], nics[2 * dst + 1]]
+                };
+                let spec = FlowSpec::new(64 << 20, path, t).with_latency(1e-3);
+                if src == dst {
+                    spec
+                } else {
+                    spec.with_rate_cap(32e6)
+                }
+            })
+            .collect()
+    };
+    closed_loop(&mut engine, round(), 64);
+    let warm = engine.stats().completions;
+    let specs = round();
+    let ((), cost) = measure(|| closed_loop(&mut engine, specs, 64));
+    assert_eq!(engine.stats().completions, warm + 2048);
+    assert_eq!(
+        cost.calls, 0,
+        "a warm engine made {} allocator calls for 2 048 flows",
+        cost.calls
+    );
+}
+
+#[test]
+fn a_simulated_run_peaks_by_live_flows_not_reads() {
+    // 1 024 processes, one read in flight each, at 10 and at 40 chunks
+    // per process. What `execute` needs beyond the records it returns
+    // is engine state for the reads in flight, so it barely moves with
+    // the read count: about 1.07 MB at either size. While the engine
+    // kept every flow it had started, it grew 3.4x (3.72 to 12.65 MB).
+    let n_nodes = 1024;
+    let mut beyond_records = Vec::new();
+    for per_process in [10, 40] {
+        let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+        let (_, tasks) = single_wl::generate(
+            &mut nn,
+            &SingleDataConfig {
+                n_procs: n_nodes,
+                chunks_per_process: per_process,
+                chunk_size: 64 << 20,
+            },
+            &Placement::Random,
+            &mut StdRng::seed_from_u64(1),
+        );
+        let placement = ProcessPlacement::one_per_node(n_nodes);
+        let source = TaskSource::Static(rank_interval(tasks.len(), n_nodes));
+        let (result, cost) =
+            measure(|| execute(&nn, &tasks, &placement, source, &ExecConfig::default()));
+        let records = (result.records.capacity() * std::mem::size_of::<IoRecord>()) as isize;
+        beyond_records.push(cost.peak_bytes - records);
+    }
+    let growth = beyond_records[1] as f64 / beyond_records[0] as f64;
+    assert!(
+        (0.9..=1.1).contains(&growth),
+        "beyond its records, execute peaked at {} B at 10 chunks per process and {} B at 40",
+        beyond_records[0],
+        beyond_records[1]
+    );
 }

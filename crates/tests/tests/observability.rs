@@ -12,7 +12,7 @@ use opass_core::runtime::{
     baseline, execute, execute_instrumented, ExecConfig, ProcessPlacement, RunMetrics, RunResult,
     TaskSource,
 };
-use opass_core::{ClusterSpec, Dynamic, Experiment, SingleData, Strategy};
+use opass_core::{ClusterSpec, Dynamic, Experiment, Heterogeneous, SingleData, Strategy};
 use opass_dfs::{DatasetSpec, DfsConfig, Namenode, Placement};
 use opass_workloads::{Task, Workload};
 use rand::rngs::StdRng;
@@ -142,17 +142,18 @@ fn reconcile(metrics: &RunMetrics, result: &opass_core::runtime::RunResult, n_no
 #[test]
 fn metrics_totals_reconcile_with_run_aggregates() {
     let (nn, workload, placement) = small_setup(13);
+    let config = ExecConfig {
+        seed: 17,
+        ..Default::default()
+    };
     let result = execute_instrumented(
         &nn,
         &workload,
         &placement,
         TaskSource::Static(baseline::rank_interval(24, 8)),
-        &ExecConfig {
-            seed: 17,
-            ..Default::default()
-        },
+        &config,
     );
-    let metrics = RunMetrics::from_run(&result, &ExecConfig::default().io);
+    let metrics = RunMetrics::from_run(&result, &config);
     reconcile(&metrics, &result, 8);
     let events = result.events.as_ref().expect("recorded");
     assert!(!events.is_empty());
@@ -174,6 +175,45 @@ fn metrics_totals_reconcile_with_run_aggregates() {
     let metrics = run.metrics.as_ref().expect("instrumented");
     reconcile(metrics, &run.result, 8);
     assert_eq!(metrics.counters.tasks_started, 32);
+}
+
+#[test]
+fn a_slow_disk_reads_busy_against_its_own_bandwidth() {
+    // Every other node's disk runs at half speed, and the weighted plan
+    // keeps every disk streaming: a saturated slow disk is as busy as a
+    // saturated fast one. Normalised by the base bandwidth it read
+    // about half (0.497 against 0.989).
+    let exp = Heterogeneous {
+        cluster: ClusterSpec {
+            n_nodes: 8,
+            seed: 3,
+            ..Heterogeneous::default().cluster
+        },
+        ..Heterogeneous::default()
+    };
+    let metrics = exp
+        .run_with(Strategy::OpassWeighted, true)
+        .expect("supported")
+        .metrics
+        .expect("recorded");
+    let factors = exp.disk_factors();
+    let peak = |slow: bool| -> Vec<f64> {
+        metrics
+            .series
+            .nodes
+            .iter()
+            .filter(|n| (factors[n.node] < 1.0) == slow)
+            .map(|n| n.disk_utilization.iter().copied().fold(0.0, f64::max))
+            .collect()
+    };
+    let (slow, fast) = (peak(true), peak(false));
+    assert!(!slow.is_empty() && !fast.is_empty());
+    for &u in slow.iter().chain(&fast) {
+        assert!(
+            (0.9..=1.0 + 1e-9).contains(&u),
+            "peak disk utilization {u} (slow {slow:?}, fast {fast:?})"
+        );
+    }
 }
 
 #[test]

@@ -109,14 +109,15 @@ fi
 if [[ "${1:-}" == "--bench-run" ]]; then
     # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
     # "Sixteen-byte replica sets" (plan_mix 18.63, serve_hot 29.08,
-    # serve_churn 34.78, sim_sweep 17.40) and "Trace records in 24
-    # bytes" (trace_replay 110.51) plus 3 %. Updated together with them.
+    # serve_churn 34.78), "Trace records in 24 bytes" (trace_replay
+    # 110.51) and "Engine state for live flows only" (sim_sweep 14.63)
+    # plus 3 %. Updated together with them.
     declare -A RSS_CEILING_MIB=(
         [plan_mix]=19.18
         [serve_hot]=29.95
         [serve_churn]=35.82
         [trace_replay]=113.83
-        [sim_sweep]=17.92
+        [sim_sweep]=15.07
     )
     bench_build
     run bash bench/run.sh --self-test
