@@ -32,7 +32,4 @@ pub mod montecarlo;
 pub use binomial::{ln_choose, ln_factorial, Binomial};
 pub use imbalance::ImbalanceModel;
 pub use locality::{ClusterParams, LocalityModel};
-pub use montecarlo::{
-    run as run_montecarlo, run_parallel as run_montecarlo_parallel, wilson_interval,
-    MonteCarloConfig, MonteCarloResult,
-};
+pub use montecarlo::{run as run_montecarlo, wilson_interval, MonteCarloConfig, MonteCarloResult};

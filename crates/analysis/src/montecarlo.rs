@@ -93,14 +93,12 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seed for trial `t`: trials are independent RNG streams, so a run's
-/// histograms do not depend on which thread executes which trial.
+/// Seed for trial `t`: each trial is an independent RNG stream.
 fn trial_seed(seed: u64, trial: u32) -> u64 {
     splitmix64(seed ^ splitmix64(0x5EED_0000_0000_0000 ^ trial as u64))
 }
 
-/// Additive per-thread accumulator; merging is plain integer addition, so
-/// any partition of trials across threads sums to the same totals.
+/// Histograms and read totals summed over a run's trials.
 struct Accum {
     local_hist: Vec<u64>,
     total_local_hist: Vec<u64>,
@@ -119,27 +117,9 @@ impl Accum {
             reads_total: 0,
         }
     }
-
-    fn merge(&mut self, other: &Accum) {
-        for (a, b) in self.local_hist.iter_mut().zip(&other.local_hist) {
-            *a += b;
-        }
-        for (a, b) in self
-            .total_local_hist
-            .iter_mut()
-            .zip(&other.total_local_hist)
-        {
-            *a += b;
-        }
-        for (a, b) in self.served_hist.iter_mut().zip(&other.served_hist) {
-            *a += b;
-        }
-        self.local_reads_total += other.local_reads_total;
-        self.reads_total += other.reads_total;
-    }
 }
 
-/// Per-trial scratch buffers, reused across the trials a thread runs.
+/// Per-trial scratch buffers, reused across a run's trials.
 struct Scratch {
     node_pool: Vec<usize>,
     local_count: Vec<u64>,
@@ -222,9 +202,7 @@ fn finish(config: &MonteCarloConfig, acc: Accum) -> MonteCarloResult {
 /// uniformly at random, reads served locally when possible and otherwise by
 /// a uniformly random replica holder.
 ///
-/// Trials use independent per-trial RNG streams (seed split via SplitMix64),
-/// so this sequential runner and [`run_parallel`] produce byte-identical
-/// results for the same config.
+/// Trials use independent per-trial RNG streams (seed split via SplitMix64).
 pub fn run(config: &MonteCarloConfig) -> MonteCarloResult {
     let n = config.params.n_chunks as usize;
     let m = config.params.cluster_size as usize;
@@ -233,55 +211,6 @@ pub fn run(config: &MonteCarloConfig) -> MonteCarloResult {
     for t in 0..config.trials {
         let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, t));
         run_trial(&config.params, &mut rng, &mut scratch, &mut acc);
-    }
-    finish(config, acc)
-}
-
-/// Parallel variant of [`run`]: trials are partitioned into contiguous
-/// blocks across `threads` scoped worker threads (capped to the trial
-/// count; `None` = available parallelism) and the per-thread histograms are
-/// summed in block order. Because trials are independent RNG streams and
-/// the accumulators merge by addition, the result is identical to [`run`].
-pub fn run_parallel(config: &MonteCarloConfig, threads: Option<usize>) -> MonteCarloResult {
-    let n = config.params.n_chunks as usize;
-    let m = config.params.cluster_size as usize;
-    let trials = config.trials as usize;
-    let nt = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, trials.max(1));
-    if nt <= 1 {
-        return run(config);
-    }
-
-    let mut partials: Vec<Accum> = Vec::with_capacity(nt);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nt);
-        for w in 0..nt {
-            // Contiguous block [lo, hi) for worker w; blocks differ by at
-            // most one trial.
-            let lo = trials * w / nt;
-            let hi = trials * (w + 1) / nt;
-            handles.push(scope.spawn(move || {
-                let mut acc = Accum::new(n);
-                let mut scratch = Scratch::new(m);
-                for t in lo..hi {
-                    let mut rng = StdRng::seed_from_u64(trial_seed(config.seed, t as u32));
-                    run_trial(&config.params, &mut rng, &mut scratch, &mut acc);
-                }
-                acc
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("monte-carlo worker panicked"));
-        }
-    });
-    let mut acc = Accum::new(n);
-    for p in &partials {
-        acc.merge(p);
     }
     finish(config, acc)
 }
@@ -305,30 +234,6 @@ mod tests {
         let a = run(&config(64, 5));
         let b = run(&config(64, 5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        // Trials are independent RNG streams, so the thread partition must
-        // not affect the histograms at all.
-        let cfg = config(64, 23);
-        let seq = run(&cfg);
-        for threads in [1, 2, 3, 8, 64] {
-            let par = run_parallel(&cfg, Some(threads));
-            assert_eq!(seq, par, "threads={threads}");
-        }
-        // Auto-sized thread pool agrees too.
-        assert_eq!(seq, run_parallel(&cfg, None));
-    }
-
-    #[test]
-    fn parallel_handles_degenerate_sizes() {
-        // Zero trials and more threads than trials must not panic.
-        let empty = run_parallel(&config(16, 0), Some(4));
-        assert_eq!(empty.observations_local, 0);
-        assert_eq!(empty.local_fraction, 0.0);
-        let one = run_parallel(&config(16, 1), Some(8));
-        assert_eq!(one, run(&config(16, 1)));
     }
 
     #[test]

@@ -81,23 +81,11 @@ impl Flags {
         }
     }
 
-    /// Parses the shared `--threads N` flag: a thread count of at least 1
-    /// (defaulting to `default` when absent). Zero and non-numeric values
-    /// are rejected — every parallel path in the workspace treats the
-    /// thread count as a divisor.
-    pub fn threads(&self, default: usize) -> Result<usize, String> {
-        let n: usize = self.value_or("--threads", default)?;
-        if n == 0 {
-            return Err("flag --threads expects a positive thread count".to_string());
-        }
-        Ok(n)
-    }
-
     /// Parses the `--shards N` flag for the serving reactor: a shard
     /// count of at least 1, defaulting to the host's available
     /// parallelism (thread-per-core) when absent. Zero and non-numeric
-    /// values are rejected, exactly like [`Flags::threads`] — the shard
-    /// count is a divisor in the dataset-affinity rule.
+    /// values are rejected — the shard count is a divisor in the
+    /// dataset-affinity rule.
     pub fn shards(&self, default: usize) -> Result<usize, String> {
         let n: usize = self.value_or("--shards", default)?;
         if n == 0 {
@@ -119,13 +107,13 @@ mod tests {
     fn positionals_flags_and_values_parse() {
         let f = Flags::parse(
             &argv(&["scenario.json", "--json", "--metrics", "out", "extra"]),
-            &["--json", "--parallel"],
+            &["--json", "--no-churn"],
             &["--metrics"],
         )
         .unwrap();
         assert_eq!(f.positionals(), &["scenario.json", "extra"]);
         assert!(f.is_set("--json"));
-        assert!(!f.is_set("--parallel"));
+        assert!(!f.is_set("--no-churn"));
         assert_eq!(f.value("--metrics"), Some("out"));
     }
 
@@ -145,24 +133,6 @@ mod tests {
     fn missing_value_is_an_error() {
         let err = Flags::parse(&argv(&["--metrics"]), &[], &["--metrics"]).unwrap_err();
         assert!(err.contains("--metrics"));
-    }
-
-    #[test]
-    fn threads_accepts_positive_counts_and_defaults() {
-        let f = Flags::parse(&argv(&["--threads", "8"]), &[], &["--threads"]).unwrap();
-        assert_eq!(f.threads(1).unwrap(), 8);
-        let absent = Flags::parse(&argv(&[]), &[], &["--threads"]).unwrap();
-        assert_eq!(absent.threads(4).unwrap(), 4);
-    }
-
-    #[test]
-    fn threads_rejects_zero_and_non_numeric() {
-        let zero = Flags::parse(&argv(&["--threads", "0"]), &[], &["--threads"]).unwrap();
-        assert!(zero.threads(1).unwrap_err().contains("positive"));
-        let junk = Flags::parse(&argv(&["--threads", "many"]), &[], &["--threads"]).unwrap();
-        assert!(junk.threads(1).unwrap_err().contains("--threads"));
-        let negative = Flags::parse(&argv(&["--threads", "-2"]), &[], &["--threads"]).unwrap();
-        assert!(negative.threads(1).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::report::FigureReport;
 use opass_core::analysis::{
-    run_montecarlo_parallel, ClusterParams, ImbalanceModel, LocalityModel, MonteCarloConfig,
+    run_montecarlo, ClusterParams, ImbalanceModel, LocalityModel, MonteCarloConfig,
 };
 use std::io;
 use std::path::Path;
@@ -26,16 +26,11 @@ pub(crate) fn fig3(out: &Path, seed: u64) -> io::Result<FigureReport> {
         let model = LocalityModel::new(params);
         let published = model.published_distribution();
         let formula = model.distribution();
-        // Parallel runner: per-trial RNG streams make this bit-identical
-        // to the sequential one, so figure outputs stay reproducible.
-        let mc = run_montecarlo_parallel(
-            &MonteCarloConfig {
-                params,
-                trials: 40,
-                seed: seed ^ u64::from(m),
-            },
-            None,
-        );
+        let mc = run_montecarlo(&MonteCarloConfig {
+            params,
+            trials: 40,
+            seed: seed ^ u64::from(m),
+        });
         for k in 0..=k_max {
             csv.row(&[
                 m.to_string(),

@@ -4,7 +4,6 @@
 //! opass init scenario.json          # write a template scenario
 //! opass run scenario.json           # run it, print a text comparison
 //! opass run scenario.json --json    # machine-readable report
-//! opass run scenario.json --parallel
 //! opass run scenario.json --metrics out/   # per-node metrics + event log
 //! opass analyze --chunks 512 --replication 3 --nodes 128
 //! opass figures all                 # every paper figure, CSVs under target/figures/
@@ -41,9 +40,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: opass <init|run|analyze|figures|serve|plan|place|trace> ...");
             eprintln!("  opass init <file.json>           write a template scenario");
-            eprintln!(
-                "  opass run <file.json> [--json] [--parallel] [--trace-dir DIR] [--metrics DIR]"
-            );
+            eprintln!("  opass run <file.json> [--json] [--trace-dir DIR] [--metrics DIR]");
             eprintln!("  opass analyze --chunks N --replication R --nodes M");
             eprintln!("  {FIGURES_USAGE}");
             eprintln!("  {}", remote::SERVE_USAGE);
@@ -69,15 +66,10 @@ fn cmd_init(argv: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-const RUN_USAGE: &str =
-    "usage: opass run <file.json> [--json] [--parallel] [--trace-dir DIR] [--metrics DIR]";
+const RUN_USAGE: &str = "usage: opass run <file.json> [--json] [--trace-dir DIR] [--metrics DIR]";
 
 fn cmd_run(argv: &[String]) -> ExitCode {
-    let flags = match Flags::parse(
-        argv,
-        &["--json", "--parallel"],
-        &["--trace-dir", "--metrics"],
-    ) {
+    let flags = match Flags::parse(argv, &["--json"], &["--trace-dir", "--metrics"]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");
@@ -90,7 +82,6 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let as_json = flags.is_set("--json");
-    let parallel = flags.is_set("--parallel");
     let trace_dir = flags.value("--trace-dir").map(std::path::PathBuf::from);
     let metrics_dir = flags.value("--metrics").map(std::path::PathBuf::from);
     let instrument = metrics_dir.is_some();
@@ -110,27 +101,11 @@ fn cmd_run(argv: &[String]) -> ExitCode {
         }
     };
 
-    let reports: Vec<Result<ExperimentReport, String>> = if parallel {
-        // Experiments are independent; run each on a scoped thread. The
-        // joins preserve scenario order by construction — no shared slot
-        // vector or lock needed.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = file
-                .experiments
-                .iter()
-                .map(|exp| scope.spawn(move || exp.run_with(instrument).map_err(|e| e.to_string())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("experiment thread"))
-                .collect()
-        })
-    } else {
-        file.experiments
-            .iter()
-            .map(|e| e.run_with(instrument).map_err(|e| e.to_string()))
-            .collect()
-    };
+    let reports: Vec<Result<ExperimentReport, String>> = file
+        .experiments
+        .iter()
+        .map(|e| e.run_with(instrument).map_err(|e| e.to_string()))
+        .collect();
 
     let mut failed = false;
     let mut ok_reports = Vec::new();

@@ -4,8 +4,8 @@ use crate::args::Flags;
 use opass_json::Json;
 use opass_serve::{replay_local, replay_remote, Client, ReplayConfig};
 use opass_trace::{
-    generate_binary_to, generate_text_to, parse_binary, parse_text_with_threads, TraceRecord,
-    TraceSpec, BINARY_MAGIC,
+    generate_binary_to, generate_text_to, parse_binary, parse_text, TraceRecord, TraceSpec,
+    BINARY_MAGIC,
 };
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -13,8 +13,8 @@ use std::process::ExitCode;
 
 pub const TRACE_USAGE: &str = "usage: opass trace <gen|parse|replay> ...\n\
   opass trace gen [--spec FILE] [--out FILE] [--binary] [--template]\n\
-  opass trace parse <trace-file> [--threads N] [--json]\n\
-  opass trace replay <trace-file> [--threads N] [--batch N] [--nodes N] [--replication R] \
+  opass trace parse <trace-file> [--json]\n\
+  opass trace replay <trace-file> [--batch N] [--nodes N] [--replication R] \
      [--seed S] [--no-churn] [--remote HOST:PORT] [--json]";
 
 /// Dispatches `opass trace <gen|parse|replay>`.
@@ -82,7 +82,7 @@ fn cmd_gen(argv: &[String]) -> ExitCode {
 /// `opass trace parse`: parse a trace (text or binary, auto-detected)
 /// and print a summary.
 fn cmd_parse(argv: &[String]) -> ExitCode {
-    let flags = match Flags::parse(argv, &["--json"], &["--threads"]) {
+    let flags = match Flags::parse(argv, &["--json"], &[]) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");
@@ -90,7 +90,7 @@ fn cmd_parse(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (records, threads) = match load_trace(&flags) {
+    let records = match load_trace(&flags) {
         Ok(r) => r,
         Err(code) => return code,
     };
@@ -102,13 +102,12 @@ fn cmd_parse(argv: &[String]) -> ExitCode {
             ("clients", Json::from(clients)),
             ("total_bytes", Json::from(total_bytes)),
             ("duration_s", Json::from(duration_s)),
-            ("threads", Json::from(threads)),
         ];
         let summary = Json::object(summary.map(|(key, value)| (key.to_string(), value)));
         println!("{}", summary.to_pretty());
     } else {
         println!(
-            "{} records over {duration_s:.3}s: {datasets} datasets, {clients} clients ({threads} threads)",
+            "{} records over {duration_s:.3}s: {datasets} datasets, {clients} clients",
             records.len()
         );
     }
@@ -121,14 +120,7 @@ fn cmd_replay(argv: &[String]) -> ExitCode {
     let flags = match Flags::parse(
         argv,
         &["--json", "--no-churn"],
-        &[
-            "--threads",
-            "--batch",
-            "--nodes",
-            "--replication",
-            "--seed",
-            "--remote",
-        ],
+        &["--batch", "--nodes", "--replication", "--seed", "--remote"],
     ) {
         Ok(f) => f,
         Err(e) => {
@@ -137,7 +129,7 @@ fn cmd_replay(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (records, _) = match load_trace(&flags) {
+    let records = match load_trace(&flags) {
         Ok(r) => r,
         Err(code) => return code,
     };
@@ -200,21 +192,11 @@ fn cmd_replay(argv: &[String]) -> ExitCode {
 }
 
 /// Reads the trace file named by the first positional, auto-detecting the
-/// binary framing by magic. Text parses on `--threads` threads; binary
-/// decodes on one. Returns the records and the thread count that parsed
-/// them.
-fn load_trace(flags: &Flags) -> Result<(Vec<TraceRecord>, usize), ExitCode> {
+/// binary framing by magic.
+fn load_trace(flags: &Flags) -> Result<Vec<TraceRecord>, ExitCode> {
     let Some(path) = flags.positionals().first() else {
         eprintln!("{TRACE_USAGE}");
         return Err(ExitCode::FAILURE);
-    };
-    let threads = match flags.threads(default_threads()) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{TRACE_USAGE}");
-            return Err(ExitCode::FAILURE);
-        }
     };
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -223,31 +205,21 @@ fn load_trace(flags: &Flags) -> Result<(Vec<TraceRecord>, usize), ExitCode> {
             return Err(ExitCode::FAILURE);
         }
     };
-    let (parsed, threads) = if bytes.starts_with(&BINARY_MAGIC) {
-        (parse_binary(&bytes), 1)
+    let parsed = if bytes.starts_with(&BINARY_MAGIC) {
+        parse_binary(&bytes)
     } else {
         match std::str::from_utf8(&bytes) {
-            Ok(text) => (parse_text_with_threads(text, threads), threads),
+            Ok(text) => parse_text(text),
             Err(e) => {
                 eprintln!("{path} is neither a binary trace nor UTF-8 text: {e}");
                 return Err(ExitCode::FAILURE);
             }
         }
     };
-    match parsed {
-        Ok(records) => Ok((records, threads)),
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-/// Default parse parallelism: the machine's cores.
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    parsed.map_err(|e| {
+        eprintln!("cannot parse {path}: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// The datasets, clients, total bytes and span in seconds of a parsed

@@ -2,7 +2,7 @@
 //!
 //! The Opass reproduction's correctness story rests on bit-exact replay:
 //! the incremental engine is asserted identical to `ReferenceEngine`, and
-//! parallel Monte Carlo must match sequential runs bit for bit. Nothing in
+//! every figure must repeat bit for bit from its seed. Nothing in
 //! `rustc` or clippy stops the classic determinism killers — unordered
 //! `HashMap` iteration, wall-clock reads, ambient RNG — from creeping into
 //! the simulation crates. This crate is the static gate that does.
@@ -61,22 +61,7 @@ pub fn load_config(root: &Path) -> Result<Config, ConfigError> {
 
 /// Lints every `.rs` file under `root`, honoring `cfg.exclude`, and
 /// returns all findings (suppressed ones included — callers filter).
-/// Equivalent to [`lint_workspace_threads`] with one thread.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
-    lint_workspace_threads(root, cfg, 1)
-}
-
-/// Lints every `.rs` file under `root` using up to `threads` worker
-/// threads for the per-file phase, then runs the workspace-level graph
-/// rules. Output is byte-identical for every thread count: files are
-/// sorted by path, split into contiguous chunks, and the chunk results
-/// are joined **in spawn order** — the same merge discipline the
-/// `unordered-parallel-merge` rule demands of the code it lints.
-pub fn lint_workspace_threads(
-    root: &Path,
-    cfg: &Config,
-    threads: usize,
-) -> std::io::Result<Vec<Finding>> {
     let mut paths = Vec::new();
     collect_rs_files(root, root, cfg, &mut paths)?;
     paths.sort();
@@ -90,13 +75,13 @@ pub fn lint_workspace_threads(
         sources.push((rel, std::fs::read_to_string(&path)?));
     }
     let deps = DepMap::from_workspace(root);
-    Ok(lint_sources_threads(&sources, cfg, Some(&deps), threads))
+    Ok(lint_sources(&sources, cfg, Some(&deps)))
 }
 
 /// Lints a set of in-memory `(workspace-relative path, source)` pairs as
-/// one workspace: per-site rules per file, then the graph rules
-/// (`transitive-determinism`, `unused-pub`, `unused-suppression`) across
-/// all of them.
+/// one workspace: per-site rules per file, in path-sorted order, then the
+/// graph rules (`transitive-determinism`, `unused-pub`,
+/// `unused-suppression`) across all of them.
 /// `deps` (when given) restricts call-graph edges to real `Cargo.toml`
 /// dependency directions. Fixture suites use this to exercise cross-crate
 /// taint without touching the filesystem.
@@ -105,51 +90,13 @@ pub fn lint_sources(
     cfg: &Config,
     deps: Option<&DepMap>,
 ) -> Vec<Finding> {
-    lint_sources_threads(sources, cfg, deps, 1)
-}
-
-/// [`lint_sources`] with a worker-thread count for the per-file phase.
-pub fn lint_sources_threads(
-    sources: &[(String, String)],
-    cfg: &Config,
-    deps: Option<&DepMap>,
-    threads: usize,
-) -> Vec<Finding> {
-    let files = analyze_all(sources, cfg, threads);
+    let mut order: Vec<&(String, String)> = sources.iter().collect();
+    order.sort_by(|a, b| a.0.cmp(&b.0));
+    let files = order
+        .into_iter()
+        .map(|(path, source)| rules::analyze_file(path, source, cfg))
+        .collect();
     finish(files, cfg, deps)
-}
-
-/// Runs [`rules::analyze_file`] over every source, in path-sorted order,
-/// on up to `threads` threads (contiguous chunks, joined in spawn order).
-fn analyze_all(sources: &[(String, String)], cfg: &Config, threads: usize) -> Vec<FileAnalysis> {
-    let mut order: Vec<usize> = (0..sources.len()).collect();
-    order.sort_by(|&a, &b| sources[a].0.cmp(&sources[b].0));
-    let threads = threads.clamp(1, order.len().max(1));
-    if threads == 1 {
-        return order
-            .iter()
-            .map(|&i| rules::analyze_file(&sources[i].0, &sources[i].1, cfg))
-            .collect();
-    }
-    let chunk = order.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = order
-            .chunks(chunk)
-            .map(|ids| {
-                scope.spawn(move || {
-                    ids.iter()
-                        .map(|&i| rules::analyze_file(&sources[i].0, &sources[i].1, cfg))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        // Join in spawn order: chunk k's results land before chunk k+1's
-        // regardless of which thread finishes first.
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("lint worker panicked"))
-            .collect()
-    })
 }
 
 /// The workspace-level tail of the pipeline: graph rules over the full

@@ -1,8 +1,8 @@
 //! `opass-lint` binary: walk the workspace, run every rule, report.
 //!
 //! ```text
-//! opass-lint [--root DIR] [--format human|json|sarif] [--threads N]
-//!            [--fix-hints] [--strict] [--show-suppressed] [PATH...]
+//! opass-lint [--root DIR] [--format human|json|sarif] [--fix-hints]
+//!            [--strict] [--show-suppressed] [PATH...]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 deny-level findings (any finding under
@@ -26,7 +26,6 @@ enum Format {
 struct Args {
     root: Option<PathBuf>,
     format: Format,
-    threads: usize,
     fix_hints: bool,
     strict: bool,
     show_suppressed: bool,
@@ -34,13 +33,12 @@ struct Args {
 }
 
 const USAGE: &str = "usage: opass-lint [--root DIR] [--format human|json|sarif] \
-                     [--threads N] [--fix-hints] [--strict] [--show-suppressed] [PATH...]";
+                     [--fix-hints] [--strict] [--show-suppressed] [PATH...]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         format: Format::Human,
-        threads: 1,
         fix_hints: false,
         strict: false,
         show_suppressed: false,
@@ -58,14 +56,6 @@ fn parse_args() -> Result<Args, String> {
                 Some("sarif") => args.format = Format::Sarif,
                 other => return Err(format!("--format human|json|sarif, got {other:?}")),
             },
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--threads needs a positive integer, got `{n}`"))?;
-            }
             "--fix-hints" => args.fix_hints = true,
             "--strict" => args.strict = true,
             "--show-suppressed" => args.show_suppressed = true,
@@ -111,7 +101,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut findings = match opass_lint::lint_workspace_threads(&root, &cfg, args.threads) {
+    let mut findings = match opass_lint::lint_workspace(&root, &cfg) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("opass-lint: {}: {e}", root.display());

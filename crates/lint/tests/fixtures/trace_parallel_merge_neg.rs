@@ -1,4 +1,4 @@
-// Negative fixture: the 1BRC merge discipline the trace parser ships —
+// Negative fixture: the 1BRC merge discipline —
 // newline-snapped chunk splits, one scoped worker per chunk, results
 // concatenated by joining handles in spawn order. Linted under a
 // deterministic-crate path; never compiled.

@@ -1,7 +1,6 @@
 // Positive fixture: a chunked trace parser whose merge depends on worker
-// completion order — the exact failure the 1BRC-style parser in
-// `opass-trace` must avoid. Linted under a deterministic-crate path;
-// never compiled.
+// completion order — the failure any parallel path in `opass-trace`
+// must avoid. Linted under a deterministic-crate path; never compiled.
 
 /// Parsed chunks arrive through a channel in whatever order workers
 /// finish, so the record order varies with thread timing.

@@ -57,10 +57,11 @@ const CASES: [Case; 10] = [
         allow: ("unordered_parallel_merge_allow.rs", 1),
     },
     Case {
-        // Same rule, trace-parser shape: the 1BRC chunked parse promises
-        // byte-identical output at any thread count, so parsed chunks
-        // must be concatenated in spawn order — channel collects and
-        // lock-wrapped accumulators merge in completion order (§14).
+        // Same rule in the trace crate: its generator pipeline and split
+        // text writer promise output byte-identical to one loop, so
+        // worker results must be joined in spawn order — channel
+        // collects and lock-wrapped accumulators merge in completion
+        // order (§14).
         rule: "unordered-parallel-merge",
         context: "crates/trace/src/fixture.rs",
         pos: ("trace_parallel_merge_pos.rs", 2),

@@ -5,7 +5,7 @@
 //! gate.
 
 use opass_lint::report::{self, HumanOpts};
-use opass_lint::{lint_workspace, lint_workspace_threads, load_config, rules::Finding};
+use opass_lint::{lint_workspace, load_config, rules::Finding};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -50,13 +50,10 @@ fn linter_own_source_is_clean() {
     );
 }
 
-/// Renders one full workspace lint in all three formats at a given
-/// thread count. Byte-equality of the returned strings is the driver's
-/// determinism contract.
-fn render_all(threads: usize) -> (String, String, String) {
-    let root = workspace_root();
-    let cfg = load_config(&root).expect("committed lint.toml parses");
-    let findings = lint_workspace_threads(&root, &cfg, threads).expect("workspace walk succeeds");
+/// Renders one full workspace lint in all three formats. Byte-equality
+/// of the returned strings is the driver's determinism contract.
+fn render_all() -> (String, String, String) {
+    let findings = lint_all();
     let (suppressed, active): (Vec<Finding>, Vec<Finding>) =
         findings.into_iter().partition(|f| f.suppressed.is_some());
     let denies = active
@@ -76,32 +73,8 @@ fn render_all(threads: usize) -> (String, String, String) {
 }
 
 #[test]
-fn output_is_byte_identical_across_thread_counts() {
-    // The parallel driver joins contiguous chunks in spawn order — the
-    // same discipline `unordered-parallel-merge` demands of the code it
-    // lints — so every format must come out byte-identical at 1, 2, and
-    // 8 threads.
-    let baseline = render_all(1);
-    for threads in [2, 8] {
-        let got = render_all(threads);
-        assert_eq!(
-            baseline.0, got.0,
-            "human output differs at {threads} threads"
-        );
-        assert_eq!(
-            baseline.1, got.1,
-            "json output differs at {threads} threads"
-        );
-        assert_eq!(
-            baseline.2, got.2,
-            "sarif output differs at {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn output_is_byte_identical_across_repeated_runs() {
-    let (first, second) = (render_all(4), render_all(4));
+    let (first, second) = (render_all(), render_all());
     assert_eq!(first.0, second.0, "human output differs between runs");
     assert_eq!(first.1, second.1, "json output differs between runs");
     assert_eq!(first.2, second.2, "sarif output differs between runs");

@@ -140,6 +140,9 @@ pub struct ClusterIo {
     racks: Vec<RackResources>,
     topology: Topology,
     params: IoParams,
+    /// The path of the flow being issued, kept across calls so a read
+    /// or a write allocates nothing for it.
+    path: Vec<ResourceId>,
 }
 
 impl ClusterIo {
@@ -221,6 +224,7 @@ impl ClusterIo {
             racks,
             topology,
             params,
+            path: Vec::new(),
         }
     }
 
@@ -229,14 +233,10 @@ impl ClusterIo {
         self.topology
     }
 
-    /// Appends the rack-uplink hops a `from -> to` transfer crosses.
-    fn push_uplinks(&self, from: usize, to: usize, path: &mut Vec<ResourceId>) {
-        if let (Some(ra), Some(rb)) = (self.topology.rack_of(from), self.topology.rack_of(to)) {
-            if ra != rb {
-                path.push(self.racks[ra].uplink_out);
-                path.push(self.racks[rb].uplink_in);
-            }
-        }
+    /// The rack-uplink hops a `from -> to` transfer crosses, if any.
+    fn uplinks(&self, from: usize, to: usize) -> Option<[ResourceId; 2]> {
+        let (ra, rb) = (self.topology.rack_of(from)?, self.topology.rack_of(to)?);
+        (ra != rb).then(|| [self.racks[ra].uplink_out, self.racks[rb].uplink_in])
     }
 
     /// Number of nodes.
@@ -279,17 +279,17 @@ impl ClusterIo {
                 local: reader == source,
             });
         }
+        self.path.clear();
+        self.path.push(self.nodes[source].disk);
         let spec = if reader == source {
-            FlowSpec::new(bytes, vec![self.nodes[source].disk], token)
-                .with_latency(self.params.local_latency)
+            FlowSpec::new(bytes, &self.path[..], token).with_latency(self.params.local_latency)
         } else {
-            let mut path = vec![
-                self.nodes[source].disk,
-                self.nodes[source].nic_out,
-                self.nodes[reader].nic_in,
-            ];
-            self.push_uplinks(source, reader, &mut path);
-            let spec = FlowSpec::new(bytes, path, token).with_latency(self.params.remote_latency);
+            let uplinks = self.uplinks(source, reader);
+            self.path
+                .extend([self.nodes[source].nic_out, self.nodes[reader].nic_in]);
+            self.path.extend(uplinks.into_iter().flatten());
+            let spec = FlowSpec::new(bytes, &self.path[..], token)
+                .with_latency(self.params.remote_latency);
             if self.params.remote_stream_bandwidth.is_finite() {
                 spec.with_rate_cap(self.params.remote_stream_bandwidth)
             } else {
@@ -330,21 +330,23 @@ impl ClusterIo {
                 bytes,
             });
         }
-        let mut path = Vec::with_capacity(2 + 3 * targets.len());
+        self.path.clear();
         let mut any_remote = false;
         for &t in targets {
             assert!(t < self.nodes.len(), "target node {t} out of range");
-            path.push(self.nodes[t].disk);
+            self.path.push(self.nodes[t].disk);
             if t != writer {
                 any_remote = true;
-                path.push(self.nodes[t].nic_in);
-                self.push_uplinks(writer, t, &mut path);
+                let uplinks = self.uplinks(writer, t);
+                self.path.push(self.nodes[t].nic_in);
+                self.path.extend(uplinks.into_iter().flatten());
             }
         }
         if any_remote {
-            path.push(self.nodes[writer].nic_out);
+            self.path.push(self.nodes[writer].nic_out);
         }
-        let spec = FlowSpec::new(bytes, path, token).with_latency(self.params.remote_latency);
+        let spec =
+            FlowSpec::new(bytes, &self.path[..], token).with_latency(self.params.remote_latency);
         self.engine.start_flow(spec)
     }
 

@@ -426,14 +426,15 @@ impl Engine {
     }
 
     /// Submits a flow. It starts transferring after its startup latency.
-    /// Its state takes a free slot when there is one, so once warm the
-    /// engine allocates nothing per flow; the spec's path is dropped here.
+    /// Its state takes a free slot when there is one, and the spec's path
+    /// is copied into that slot's buffer, so once warm the engine
+    /// allocates nothing per flow.
     ///
     /// # Panics
     ///
     /// Panics if the spec references an unknown resource.
-    pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
-        for r in &spec.path {
+    pub fn start_flow(&mut self, spec: FlowSpec<'_>) -> FlowId {
+        for r in spec.path.iter() {
             assert!(
                 r.index() < self.resources.len(),
                 "flow references unknown resource {:?}",
@@ -1139,7 +1140,7 @@ mod tests {
         let mut delivered = Vec::new();
         while submitted < 300 || live > 0 {
             if submitted < 300 && (live == 0 || rng.gen_bool(0.55)) {
-                let path = (0..rng.gen_range(0..=3))
+                let path: Vec<_> = (0..rng.gen_range(0..=3))
                     .map(|_| rs[rng.gen_range(0..4)])
                     .collect();
                 let spec = FlowSpec::new(rng.gen_range(1..1_000), path, submitted)
@@ -1203,7 +1204,7 @@ mod equivalence {
     /// into both engines.
     struct Workload {
         resources: Vec<Resource>,
-        specs: Vec<FlowSpec>,
+        specs: Vec<FlowSpec<'static>>,
         timers: Vec<(f64, u64)>,
     }
 
@@ -1392,7 +1393,7 @@ mod equivalence {
             let mut w = random_workload(seed);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xDEAD);
             for spec in &mut w.specs {
-                spec.path = vec![ResourceId(0)];
+                spec.path = vec![ResourceId(0)].into();
                 if rng.gen_bool(0.5) {
                     spec.latency = 0.0;
                 }

@@ -143,8 +143,8 @@ impl ReferenceEngine {
     /// # Panics
     ///
     /// Panics if the spec references an unknown resource.
-    pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
-        for r in &spec.path {
+    pub fn start_flow(&mut self, spec: FlowSpec<'_>) -> FlowId {
+        for r in spec.path.iter() {
             assert!(
                 r.index() < self.resources.len(),
                 "flow references unknown resource {:?}",

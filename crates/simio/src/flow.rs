@@ -2,6 +2,7 @@
 
 use crate::resource::ResourceId;
 use crate::time::SimTime;
+use std::borrow::Cow;
 
 /// Identifies a flow submitted to an [`crate::Engine`]: its submission
 /// sequence number (the engine's first flow is 0, its second 1, …).
@@ -22,13 +23,17 @@ impl FlowId {
 }
 
 /// Description of a data transfer submitted to the engine.
+///
+/// The path is borrowed or owned: a caller that issues many flows keeps
+/// one path buffer and lends it to each spec, so submitting a flow
+/// allocates nothing for its path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlowSpec {
+pub struct FlowSpec<'a> {
     /// Payload size in bytes. Zero-byte flows complete after `latency`.
     pub bytes: u64,
     /// Resources traversed, in path order (e.g. source disk, source NIC-out,
     /// destination NIC-in). Duplicates are merged.
-    pub path: Vec<ResourceId>,
+    pub path: Cow<'a, [ResourceId]>,
     /// Fixed startup latency (seconds) before the transfer consumes any
     /// bandwidth: request dispatch, positioning, protocol setup.
     pub latency: f64,
@@ -40,12 +45,13 @@ pub struct FlowSpec {
     pub token: u64,
 }
 
-impl FlowSpec {
-    /// Creates a flow spec with zero latency and no rate cap.
-    pub fn new(bytes: u64, path: Vec<ResourceId>, token: u64) -> Self {
+impl<'a> FlowSpec<'a> {
+    /// Creates a flow spec with zero latency and no rate cap. `path` is a
+    /// `Vec` or a borrowed slice.
+    pub fn new(bytes: u64, path: impl Into<Cow<'a, [ResourceId]>>, token: u64) -> Self {
         FlowSpec {
             bytes,
-            path,
+            path: path.into(),
             latency: 0.0,
             rate_cap: f64::INFINITY,
             token,
@@ -115,7 +121,7 @@ pub(crate) struct FlowState {
 
 impl FlowState {
     /// The latent state of flow `id`, submitted at `issued_at`.
-    pub fn new(id: FlowId, spec: &FlowSpec, issued_at: SimTime) -> Self {
+    pub fn new(id: FlowId, spec: &FlowSpec<'_>, issued_at: SimTime) -> Self {
         Self::reusing(Vec::new(), id, spec, issued_at)
     }
 
@@ -124,7 +130,7 @@ impl FlowState {
     pub fn reusing(
         mut buffer: Vec<usize>,
         id: FlowId,
-        spec: &FlowSpec,
+        spec: &FlowSpec<'_>,
         issued_at: SimTime,
     ) -> Self {
         buffer.clear();

@@ -506,7 +506,7 @@ fn a_warm_replan_allocates_nothing_per_file() {
 /// Runs `specs` through `engine` as `procs` closed-loop readers: each
 /// starts one flow, and a delivered flow's reader starts its next. The
 /// specs are handed over in order; `specs.len()` flows complete.
-fn closed_loop(engine: &mut Engine, specs: Vec<FlowSpec>, procs: usize) {
+fn closed_loop(engine: &mut Engine, specs: Vec<FlowSpec<'_>>, procs: usize) {
     let mut specs = specs.into_iter();
     for spec in specs.by_ref().take(procs) {
         engine.start_flow(spec);
@@ -532,7 +532,7 @@ fn a_warm_engine_allocates_nothing_per_flow() {
     let nics: Vec<ResourceId> = (0..32)
         .map(|_| engine.add_resource(Resource::constant("n", 117e6)))
         .collect();
-    let round = || -> Vec<FlowSpec> {
+    let round = || -> Vec<FlowSpec<'static>> {
         (0..2048u64)
             .map(|t| {
                 let (src, dst) = ((t * 7) as usize % 16, (t * 3) as usize % 16);
@@ -562,6 +562,30 @@ fn a_warm_engine_allocates_nothing_per_flow() {
     );
 }
 
+/// What one `execute` costs at 1 024 processes with `per_process` reads
+/// each, one in flight per process, and the bytes its returned records
+/// hold.
+fn measured_run(per_process: usize) -> (Cost, isize) {
+    let n_nodes = 1024;
+    let mut nn = Namenode::new(n_nodes, DfsConfig::default());
+    let (_, tasks) = single_wl::generate(
+        &mut nn,
+        &SingleDataConfig {
+            n_procs: n_nodes,
+            chunks_per_process: per_process,
+            chunk_size: 64 << 20,
+        },
+        &Placement::Random,
+        &mut StdRng::seed_from_u64(1),
+    );
+    let placement = ProcessPlacement::one_per_node(n_nodes);
+    let source = TaskSource::Static(rank_interval(tasks.len(), n_nodes));
+    let (result, cost) =
+        measure(|| execute(&nn, &tasks, &placement, source, &ExecConfig::default()));
+    let records = (result.records.capacity() * std::mem::size_of::<IoRecord>()) as isize;
+    (cost, records)
+}
+
 #[test]
 fn a_simulated_run_peaks_by_live_flows_not_reads() {
     // 1 024 processes, one read in flight each, at 10 and at 40 chunks
@@ -569,32 +593,38 @@ fn a_simulated_run_peaks_by_live_flows_not_reads() {
     // is engine state for the reads in flight, so it barely moves with
     // the read count: about 1.07 MB at either size. While the engine
     // kept every flow it had started, it grew 3.4x (3.72 to 12.65 MB).
-    let n_nodes = 1024;
-    let mut beyond_records = Vec::new();
-    for per_process in [10, 40] {
-        let mut nn = Namenode::new(n_nodes, DfsConfig::default());
-        let (_, tasks) = single_wl::generate(
-            &mut nn,
-            &SingleDataConfig {
-                n_procs: n_nodes,
-                chunks_per_process: per_process,
-                chunk_size: 64 << 20,
-            },
-            &Placement::Random,
-            &mut StdRng::seed_from_u64(1),
-        );
-        let placement = ProcessPlacement::one_per_node(n_nodes);
-        let source = TaskSource::Static(rank_interval(tasks.len(), n_nodes));
-        let (result, cost) =
-            measure(|| execute(&nn, &tasks, &placement, source, &ExecConfig::default()));
-        let records = (result.records.capacity() * std::mem::size_of::<IoRecord>()) as isize;
-        beyond_records.push(cost.peak_bytes - records);
-    }
+    let beyond_records: Vec<isize> = [10, 40]
+        .into_iter()
+        .map(|per_process| {
+            let (cost, records) = measured_run(per_process);
+            cost.peak_bytes - records
+        })
+        .collect();
     let growth = beyond_records[1] as f64 / beyond_records[0] as f64;
     assert!(
         (0.9..=1.1).contains(&growth),
         "beyond its records, execute peaked at {} B at 10 chunks per process and {} B at 40",
         beyond_records[0],
         beyond_records[1]
+    );
+}
+
+#[test]
+fn a_simulated_run_allocates_nothing_per_read() {
+    // The same runs, 10 240 and 40 960 reads. The records vector is sized
+    // once to the workload, and each read lends the cluster's one path
+    // buffer to the engine. What still grows is high-water marks (each
+    // resource's list of active flows, each slot's buffers), which move
+    // with the logarithm of the run's length: about 450 calls per
+    // doubling, 8 683 and 9 382 calls in a release build. While every read
+    // built its own path `Vec`, they read 18 926 and 50 347, 1.02 calls
+    // per extra read; the bound is one per 20.
+    let (runs, extra_reads) = ([10, 40], 1024 * 30);
+    let calls = runs.map(|per_process| measured_run(per_process).0.calls);
+    assert!(
+        calls[1].saturating_sub(calls[0]) <= extra_reads / 20,
+        "execute made {} allocator calls at 10 240 reads and {} at 40 960",
+        calls[0],
+        calls[1]
     );
 }

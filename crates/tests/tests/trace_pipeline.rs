@@ -1,19 +1,19 @@
-//! Cross-crate properties of the trace pipeline: the 1BRC-style
-//! parallel parse is byte-identical to the sequential parse on
-//! randomized ragged inputs, generation is a pure function of its spec,
-//! and replay-through-planner produces a reproducible fingerprint.
+//! Cross-crate properties of the trace pipeline: the text parser reads
+//! every record of randomized ragged inputs and names the first bad line,
+//! generation is a pure function of its spec, and replay-through-planner
+//! produces a reproducible fingerprint.
 
 use opass_serve::{replay_local, ReplayConfig};
 use opass_trace::{
-    generate, generate_text, parse_binary, parse_text_with_threads, write_binary, write_text,
-    BurstSpec, TraceError, TraceRecord, TraceSpec, TEXT_HEADER,
+    generate, generate_text, parse_binary, parse_text, write_binary, write_text, BurstSpec,
+    TraceError, TraceRecord, TraceSpec, TEXT_HEADER,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Builds a randomized ragged trace text: valid records interleaved with
 /// comments, blank lines, stray whitespace, and (optionally) no trailing
-/// newline, so chunk boundaries land on every line shape.
+/// newline.
 fn ragged_trace(rng: &mut StdRng, records: usize, trailing_newline: bool) -> String {
     let mut out = String::from(TEXT_HEADER);
     out.push('\n');
@@ -43,27 +43,23 @@ fn ragged_trace(rng: &mut StdRng, records: usize, trailing_newline: bool) -> Str
 }
 
 #[test]
-fn parallel_parse_is_byte_identical_across_thread_counts() {
+fn ragged_text_parses_every_record_line() {
     let mut rng = StdRng::seed_from_u64(0x9A99ED);
     for case in 0..12 {
         let trailing = case % 2 == 0;
         let n = 50 + case * 137;
         let text = ragged_trace(&mut rng, n, trailing);
-        let seq = parse_text_with_threads(&text, 1).expect("sequential parse");
-        assert_eq!(seq.len(), n, "case {case}: every record line parses");
-        for threads in [2, 8] {
-            let par = parse_text_with_threads(&text, threads).expect("parallel parse");
-            assert_eq!(
-                par, seq,
-                "case {case}: {threads}-thread parse must equal sequential \
-                 (trailing newline: {trailing})"
-            );
-        }
+        let records = parse_text(&text).expect("ragged trace parses");
+        assert_eq!(
+            records.len(),
+            n,
+            "case {case}: every record line parses (trailing newline: {trailing})"
+        );
     }
 }
 
 #[test]
-fn parallel_parse_reports_the_sequential_first_error() {
+fn ragged_text_reports_the_first_bad_line() {
     let mut rng = StdRng::seed_from_u64(0xE4401);
     for case in 0..8 {
         let mut text = ragged_trace(&mut rng, 400, true);
@@ -75,19 +71,14 @@ fn parallel_parse_reports_the_sequential_first_error() {
             .nth(100 + case * 30)
             .expect("enough lines");
         text.insert_str(victim + 1, "bogus,line\n");
-        let seq_err = parse_text_with_threads(&text, 1).expect_err("corrupted input");
-        assert!(matches!(
-            seq_err,
-            TraceError::BadShape { .. } | TraceError::BadValue { .. }
-        ));
-        for threads in [2, 8] {
-            let par_err = parse_text_with_threads(&text, threads).expect_err("corrupted input");
-            assert_eq!(
-                par_err, seq_err,
-                "case {case}: {threads}-thread parse must report the same \
-                 first error (with the same global line number)"
-            );
-        }
+        // The inserted line follows the victim's newline: its number is
+        // one more than the newlines up to and including that one.
+        let line = text[..=victim].matches('\n').count() + 1;
+        assert_eq!(
+            parse_text(&text),
+            Err(TraceError::BadShape { line }),
+            "case {case}"
+        );
     }
 }
 
@@ -110,7 +101,7 @@ fn generator_is_a_pure_function_of_its_spec() {
     assert_ne!(generate_text(&reseeded), generate_text(&spec));
     // Text and binary encodings carry the same records.
     let records = generate(&spec);
-    let via_text = parse_text_with_threads(&write_text(&records), 8).expect("text round-trip");
+    let via_text = parse_text(&write_text(&records)).expect("text round-trip");
     let via_binary = parse_binary(&write_binary(&records)).expect("binary round-trip");
     assert_eq!(via_text, records);
     assert_eq!(via_binary, records);
@@ -234,7 +225,7 @@ fn bench_shaped_replays_repeat_the_recorded_fingerprints() {
 }
 
 /// A record with every field at its extreme round-trips through both
-/// encodings and any thread count.
+/// encodings.
 #[test]
 fn extreme_records_round_trip() {
     let records = vec![
@@ -253,12 +244,7 @@ fn extreme_records_round_trip() {
             bytes: u32::MAX,
         },
     ];
-    for threads in [1, 2, 8] {
-        assert_eq!(
-            parse_text_with_threads(&write_text(&records), threads).expect("text"),
-            records
-        );
-    }
+    assert_eq!(parse_text(&write_text(&records)).expect("text"), records);
     assert_eq!(
         parse_binary(&write_binary(&records)).expect("binary"),
         records
@@ -272,22 +258,20 @@ fn a_record_is_24_bytes() {
 }
 
 /// 2³² in the `chunk` or `bytes` column is refused as a `BadValue` naming
-/// the field, at the same line at any thread count.
+/// the field, at its line.
 #[test]
 fn text_refuses_chunk_and_bytes_of_2_pow_32() {
     let body = "0.1,1,0,5,1024\n0.2,1,0,6,1024\n";
     for bad in ["0.3,1,0,4294967296,1024", "0.3,1,0,7,4294967296"] {
         let input = format!("{TEXT_HEADER}\n# c\n{body}{bad}\n{body}");
-        for threads in [1, 2, 8] {
-            assert_eq!(
-                parse_text_with_threads(&input, threads),
-                Err(TraceError::BadValue {
-                    line: 5,
-                    field: "4294967296".into()
-                }),
-                "{bad} at {threads} threads"
-            );
-        }
+        assert_eq!(
+            parse_text(&input),
+            Err(TraceError::BadValue {
+                line: 5,
+                field: "4294967296".into()
+            }),
+            "{bad}"
+        );
     }
 }
 

@@ -3,9 +3,9 @@
 //! Every other workload in the workspace is a synthetic generator; this
 //! crate makes access patterns *data*. It defines a line-oriented trace
 //! format (one access record per line), a compact binary framing for
-//! multi-GB traces, a chunked parallel parser in the 1BRC style, and a
-//! seeded generator producing Zipfian dataset popularity, diurnal load
-//! swings, and flash-crowd bursts from a JSON [`TraceSpec`].
+//! multi-GB traces, a one-pass text parser, and a seeded generator
+//! producing Zipfian dataset popularity, diurnal load swings, and
+//! flash-crowd bursts from a JSON [`TraceSpec`].
 //!
 //! ## Text format
 //!
@@ -31,13 +31,6 @@
 //! records keep both columns `u64` on disk.
 //!
 //! ## Determinism discipline
-//!
-//! [`parse_text_with_threads`] splits the input into seek-aligned byte
-//! ranges snapped to newline boundaries, parses each range on a scoped
-//! thread, and merges by joining workers **in spawn order**, kept honest
-//! by opass-lint's `unordered-parallel-merge` and
-//! `transitive-determinism` rules. The parsed output (and the first
-//! reported error, if any) is bit-identical across 1, 2, and 8 threads.
 //!
 //! [`generate`] is a pure function of its [`TraceSpec`]: equal specs
 //! yield byte-identical traces. It runs on two threads without changing
@@ -65,7 +58,7 @@ pub mod spec;
 
 pub use binary::{parse_binary, write_binary, BINARY_MAGIC};
 pub use gen::{generate, generate_binary_to, generate_text, generate_text_to};
-pub use lines::{split_at_newlines, RecordLines};
-pub use parser::{parse_text, parse_text_with_threads, write_text};
+pub use lines::RecordLines;
+pub use parser::{parse_text, write_text};
 pub use record::{TraceError, TraceRecord, TEXT_HEADER};
 pub use spec::{BurstSpec, TraceSpec};

@@ -1,7 +1,6 @@
 //! Shared line-splitting machinery: the one place in the workspace that
 //! knows how to walk a line-oriented record file (blank lines and `#`
-//! comments skipped, 1-based line numbers tracked) and how to cut a big
-//! input into seek-aligned chunks snapped to newline boundaries.
+//! comments skipped, 1-based line numbers tracked).
 //!
 //! Both the trace parser here and `opass_workloads::replay` iterate with
 //! [`RecordLines`], so the two formats share a single line-splitting and
@@ -26,9 +25,8 @@ impl<'a> RecordLines<'a> {
         RecordLines::with_base(input, 1)
     }
 
-    /// Walks `input` with line numbers starting at `first_line` — how a
-    /// chunked parser keeps global line numbers while iterating one
-    /// chunk.
+    /// Walks `input` with line numbers starting at `first_line` — how the
+    /// trace parser numbers the body that follows its header line.
     pub fn with_base(input: &'a str, first_line: usize) -> Self {
         RecordLines {
             rest: input,
@@ -58,46 +56,6 @@ impl<'a> Iterator for RecordLines<'a> {
     }
 }
 
-/// Cuts `input` into at most `parts` contiguous slices whose boundaries
-/// sit immediately after a `'\n'` — the 1BRC seek-and-snap split. The
-/// slices concatenate back to `input` exactly; only the last slice can
-/// end without a newline. Returns fewer than `parts` slices when the
-/// input has too few lines to split further.
-pub fn split_at_newlines(input: &str, parts: usize) -> Vec<&str> {
-    let parts = parts.max(1);
-    let bytes = input.as_bytes();
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for i in 1..=parts {
-        if start >= bytes.len() {
-            break;
-        }
-        let end = if i == parts {
-            bytes.len()
-        } else {
-            // Seek to the naive boundary, then snap forward past the
-            // next newline so no record straddles two chunks.
-            let target = (input.len() * i / parts).max(start);
-            match bytes[target..].iter().position(|&b| b == b'\n') {
-                Some(off) => target + off + 1,
-                None => bytes.len(),
-            }
-        };
-        if end > start {
-            out.push(&input[start..end]);
-        }
-        start = end;
-    }
-    out
-}
-
-/// Number of newline bytes in `chunk` — the line-count contribution a
-/// fully newline-terminated chunk makes, used to convert chunk-relative
-/// line numbers to global ones.
-pub fn newline_count(chunk: &str) -> usize {
-    chunk.bytes().filter(|&b| b == b'\n').count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,32 +77,5 @@ mod tests {
     fn base_offsets_line_numbers() {
         let got: Vec<(usize, &str)> = RecordLines::with_base("a\nb\n", 40).collect();
         assert_eq!(got, vec![(40, "a"), (41, "b")]);
-    }
-
-    #[test]
-    fn split_concatenates_back_and_snaps_to_newlines() {
-        let input = "one\ntwo\nthree\nfour\nfive\nsix\n";
-        for parts in 1..=8 {
-            let chunks = split_at_newlines(input, parts);
-            assert_eq!(chunks.concat(), input, "parts={parts}");
-            for chunk in &chunks[..chunks.len().saturating_sub(1)] {
-                assert!(chunk.ends_with('\n'), "parts={parts}: {chunk:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_handles_no_trailing_newline_and_tiny_inputs() {
-        let chunks = split_at_newlines("a\nb\nc", 2);
-        assert_eq!(chunks.concat(), "a\nb\nc");
-        assert!(split_at_newlines("", 4).is_empty());
-        assert_eq!(split_at_newlines("only", 4), vec!["only"]);
-    }
-
-    #[test]
-    fn newline_count_counts() {
-        assert_eq!(newline_count("a\nb\n"), 2);
-        assert_eq!(newline_count("a\nb"), 1);
-        assert_eq!(newline_count(""), 0);
     }
 }

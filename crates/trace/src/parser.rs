@@ -1,27 +1,9 @@
-//! Sequential and chunked-parallel parsing of the text trace format.
-//!
-//! The parallel path follows the 1BRC recipe: cut the body into
-//! `threads` byte ranges snapped to newline boundaries
-//! ([`crate::lines::split_at_newlines`]), parse each range on a scoped
-//! thread, then merge by joining the workers **in spawn order**. Because
-//! chunk boundaries never split a record and each worker counts its own
-//! lines, the concatenated output — and the first error, if any — is
-//! bit-identical to the sequential parse at any thread count.
+//! Parsing and writing of the text trace format.
 
-use crate::lines::{newline_count, split_at_newlines, RecordLines};
+use crate::lines::RecordLines;
 use crate::record::{TraceError, TraceRecord, TEXT_HEADER};
 
-/// Parses a text trace sequentially. Equivalent to
-/// [`parse_text_with_threads`] with one thread.
-pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceError> {
-    parse_text_with_threads(input, 1)
-}
-
-/// Parses a text trace on up to `threads` scoped threads.
-///
-/// Bit-identical to the sequential parse: same records in the same
-/// order, and on malformed input the same first error (with the global
-/// line number) the sequential pass would report.
+/// Parses a text trace.
 ///
 /// # Errors
 ///
@@ -29,45 +11,13 @@ pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceError> {
 /// [`TEXT_HEADER`], [`TraceError::BadShape`] / [`TraceError::BadValue`]
 /// for the first malformed record, [`TraceError::Empty`] when no
 /// records remain after comments and blanks.
-pub fn parse_text_with_threads(
-    input: &str,
-    threads: usize,
-) -> Result<Vec<TraceRecord>, TraceError> {
+pub fn parse_text(input: &str) -> Result<Vec<TraceRecord>, TraceError> {
     let body = strip_header(input)?;
-    let chunks = split_at_newlines(body, threads.max(1));
+    let mut records = Vec::new();
     // The header is line 1, so the body starts at line 2.
-    let records = if chunks.len() < 2 {
-        parse_chunk(body, 2)?
-    } else {
-        // Each worker parses its chunk with chunk-local line numbers; the
-        // spawn-order join below restores global numbering by summing the
-        // newline counts of the chunks before it.
-        let partials: Vec<Result<Vec<TraceRecord>, TraceError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| scope.spawn(|| parse_chunk(chunk, 1)))
-                .collect();
-            // Join in spawn order: the merge must not depend on which
-            // worker finishes first.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parser worker panicked"))
-                .collect()
-        });
-        let mut records = Vec::new();
-        let mut lines_before = 1; // the header line
-        for (chunk, partial) in chunks.iter().zip(partials) {
-            match partial {
-                Ok(part) => records.extend(part),
-                // The first failing chunk in input order holds the first
-                // failing line in input order (workers stop at their
-                // first error), so this matches the sequential report.
-                Err(e) => return Err(e.offset_lines(lines_before)),
-            }
-            lines_before += newline_count(chunk);
-        }
-        records
-    };
+    for (line_no, line) in RecordLines::with_base(body, 2) {
+        records.push(TraceRecord::parse_line(line, line_no)?);
+    }
     if records.is_empty() {
         return Err(TraceError::Empty);
     }
@@ -152,16 +102,6 @@ fn strip_header(input: &str) -> Result<&str, TraceError> {
     Ok(rest)
 }
 
-/// Parses one newline-aligned chunk, stopping at the first error
-/// (reported with a line number relative to `first_line`).
-fn parse_chunk(chunk: &str, first_line: usize) -> Result<Vec<TraceRecord>, TraceError> {
-    let mut records = Vec::new();
-    for (line_no, line) in RecordLines::with_base(chunk, first_line) {
-        records.push(TraceRecord::parse_line(line, line_no)?);
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,28 +126,16 @@ mod tests {
     }
 
     #[test]
-    fn error_line_numbers_are_global_at_any_thread_count() {
+    fn error_line_numbers_count_the_header_and_comments() {
         // Line 4 (after header + comment) is malformed.
         let input = "#opass-trace v1\n# c\n0.1,1,0,5,1024\nbogus,1,0,5,1024\n0.2,1,0,5,1024\n";
-        let seq = parse_text(input).unwrap_err();
         assert_eq!(
-            seq,
+            parse_text(input).unwrap_err(),
             TraceError::BadValue {
                 line: 4,
                 field: "bogus".into()
             }
         );
-        for threads in [2, 3, 8] {
-            assert_eq!(parse_text_with_threads(input, threads).unwrap_err(), seq);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let seq = parse_text(SAMPLE).unwrap();
-        for threads in [2, 4, 8, 16] {
-            assert_eq!(parse_text_with_threads(SAMPLE, threads).unwrap(), seq);
-        }
     }
 
     #[test]

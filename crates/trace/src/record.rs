@@ -234,22 +234,6 @@ pub enum TraceError {
     Empty,
 }
 
-impl TraceError {
-    /// Shifts the error's line number by `delta` lines — how a chunked
-    /// parser converts a worker's chunk-relative error into the global
-    /// line number the sequential parser would have reported.
-    pub fn offset_lines(self, delta: usize) -> TraceError {
-        match self {
-            TraceError::BadShape { line } => TraceError::BadShape { line: line + delta },
-            TraceError::BadValue { line, field } => TraceError::BadValue {
-                line: line + delta,
-                field,
-            },
-            other => other,
-        }
-    }
-}
-
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -390,10 +374,6 @@ mod tests {
                 line: 9,
                 field: "x".into()
             })
-        );
-        assert_eq!(
-            TraceError::BadShape { line: 2 }.offset_lines(40),
-            TraceError::BadShape { line: 42 }
         );
     }
 }

@@ -15,8 +15,8 @@
 #                            transitive call-graph pass — printing fix
 #                            hints and archiving lint.sarif for CI diffing
 #   check.sh --lint-timing   lint-throughput smoke: full-workspace lint
-#                            (8 threads) must finish under the committed
-#                            wall-time budget below
+#                            must finish under the committed wall-time
+#                            budget below
 #   check.sh --bench-run     benchmark dry run: builds the frozen bench/
 #                            package as the full gate does, then runs what
 #                            the pipeline runs — all five workloads once
@@ -95,7 +95,7 @@ if [[ "${1:-}" == "--lint-timing" ]]; then
     LINT_BUDGET_SECONDS=20
     run cargo build --release -p opass-lint --offline
     start=$(date +%s)
-    run ./target/release/opass-lint --root . --strict --threads 8
+    run ./target/release/opass-lint --root . --strict
     elapsed=$(( $(date +%s) - start ))
     echo "full-workspace lint took ${elapsed}s (budget ${LINT_BUDGET_SECONDS}s)"
     if (( elapsed > LINT_BUDGET_SECONDS )); then
