@@ -15,6 +15,7 @@
 //! snapshot can be cached and planned against again without the walk.
 
 use opass_dfs::{ChunkId, ChunkLayout, LayoutSnapshot, Namenode, NodeId, RackMap};
+use opass_matching::maxflow::dinic::FileLists;
 use opass_matching::{BipartiteGraph, MatchingValues};
 use opass_runtime::ProcessPlacement;
 use opass_workloads::Workload;
@@ -130,6 +131,74 @@ impl ProcsOn {
     /// Number of processes.
     pub(crate) fn n_procs(&self) -> usize {
         self.procs.len()
+    }
+}
+
+/// Every node's files in ascending order, as the per-process lists the
+/// in-place max-flow reads (`matching::maxflow::dinic::FileLists`): a
+/// process's list in the locality graph is its node's list, so the
+/// processes on one node share one span, and a cold plan builds these
+/// instead of the graph — no file side, no weights. Holders on nodes
+/// with no process are skipped.
+#[derive(Debug)]
+pub(crate) struct NodeLists {
+    n_files: usize,
+    /// Per process, where its node's span starts in `keys`; then, per
+    /// process, the span's length.
+    spans: Vec<u32>,
+    keys: Vec<u32>,
+}
+
+impl NodeLists {
+    /// One counting sort over the snapshot's replica lists: count each
+    /// node's files, turn the counts into span ends, then write the
+    /// files in descending order just below their nodes' ends, which
+    /// leaves every span ascending and every end at its start.
+    pub(crate) fn build(snapshot: &LayoutSnapshot, procs_on: &ProcsOn) -> Self {
+        let entries = snapshot.entries();
+        let n_nodes = procs_on.starts.len() - 1;
+        let hosts = |node: NodeId| {
+            let g = node.index();
+            g < n_nodes && procs_on.starts[g] < procs_on.starts[g + 1]
+        };
+        let mut at = vec![0u32; n_nodes + 1];
+        for entry in entries.iter() {
+            for &node in entry.locations.iter().filter(|&&n| hosts(n)) {
+                at[node.index()] += 1;
+            }
+        }
+        let mut end = 0u32;
+        for a in &mut at {
+            end += *a;
+            *a = end;
+        }
+        let mut keys = vec![0u32; end as usize];
+        for (f, entry) in entries.iter().enumerate().rev() {
+            for &node in entry.locations.iter().filter(|&&n| hosts(n)) {
+                let slot = &mut at[node.index()];
+                *slot -= 1;
+                keys[*slot as usize] = f as u32;
+            }
+        }
+        let m = procs_on.n_procs();
+        let mut spans = vec![0u32; 2 * m];
+        for g in 0..n_nodes {
+            for &p in procs_on.at(g) {
+                spans[p] = at[g];
+                spans[m + p] = at[g + 1] - at[g];
+            }
+        }
+        NodeLists {
+            n_files: entries.len(),
+            spans,
+            keys,
+        }
+    }
+
+    /// The lists, as the max-flow reads them.
+    pub(crate) fn lists(&self) -> FileLists<'_> {
+        let (start, len) = self.spans.split_at(self.spans.len() / 2);
+        FileLists::new(self.n_files, start, len, &self.keys)
     }
 }
 

@@ -16,10 +16,12 @@
 //! are gone; [`OpassPlanner::plan`] and [`OpassPlanner::session`] are
 //! the only entry points.
 
+use crate::builder::ProcsOn;
 use opass_dfs::LayoutSnapshot;
 use opass_matching::{
-    locality_report, Assignment, BipartiteGraph, FillPolicy, FlowAlgo, LocalityReport, Objective,
+    Assignment, FillPolicy, FlowAlgo, LocalityReport, Objective, SpareQuota, NONE,
 };
+use rand::Rng;
 
 /// Planner configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,49 +51,46 @@ pub struct SingleDataPlan {
 }
 
 impl SingleDataPlan {
-    /// The locality report of a single-data plan, from its maximum
-    /// matching alone: `matched(f)` says whether file `f` is matched.
+    /// The plan around a maximum matching: `owner` names each matched
+    /// file's process and is [`NONE`] elsewhere, `load` counts each
+    /// process's matched files, and `quota` caps every process. The
+    /// unmatched files go, in file order, to processes with spare quota
+    /// under `fill` ([`SpareQuota`], drawing from `rng`). The one
+    /// assembly behind cold plans and session renders.
+    ///
     /// A fill target is never co-located with its file (a co-located
     /// process with spare quota would give the maximum matching an
     /// augmenting path of length one), so exactly the matched files read
-    /// locally. One pass over the snapshot's sizes replaces the per-file
-    /// edge lookups of [`locality_report`], which [`Self::assemble`]
-    /// keeps as a debug cross-check. The one derivation behind cold
-    /// plans and session renders.
-    pub(crate) fn matched_locality(
+    /// locally, and one pass over the snapshot's sizes gives the
+    /// locality report. A debug build checks it against the placement:
+    /// a task is local when its owner runs on a holder of its chunk.
+    pub(crate) fn assemble<R: Rng>(
         snapshot: &LayoutSnapshot,
-        matched: impl Fn(usize) -> bool,
-    ) -> LocalityReport {
-        let mut report = LocalityReport {
-            local_tasks: 0,
-            total_tasks: snapshot.len(),
-            local_bytes: 0,
-            total_bytes: 0,
-        };
-        for (f, entry) in snapshot.entries().iter().enumerate() {
-            report.total_bytes += entry.size;
-            if matched(f) {
-                report.local_tasks += 1;
-                report.local_bytes += entry.size;
-            }
-        }
-        report
-    }
-
-    /// The plan of the filled owners `owner`, whose matching
-    /// [`Self::matched_locality`] measured as `locality`; in a debug
-    /// build, `locality` is checked against the assignment's edges.
-    pub(crate) fn assemble(
-        graph: &BipartiteGraph,
-        snapshot: &LayoutSnapshot,
-        owner: Vec<usize>,
-        filled_files: usize,
-        locality: LocalityReport,
+        procs_on: &ProcsOn,
+        quota: &[usize],
+        mut owner: Vec<u32>,
+        mut load: Vec<usize>,
+        fill: FillPolicy,
+        rng: &mut R,
     ) -> SingleDataPlan {
-        let assignment = Assignment::from_owners(owner, graph.n_procs());
+        let locality = matched_locality(snapshot, |f| owner[f] != NONE);
+        let mut spare = SpareQuota::new(quota, &load);
+        let mut filled_files = 0;
+        for o in owner.iter_mut().filter(|o| **o == NONE) {
+            *o = spare.take(fill, quota, &mut load, rng) as u32;
+            filled_files += 1;
+        }
+        let owner = owner.into_iter().map(|o| o as usize).collect();
+        let assignment = Assignment::from_owners(owner, procs_on.n_procs());
         debug_assert_eq!(
             locality,
-            locality_report(&assignment, graph, &snapshot.sizes()),
+            matched_locality(snapshot, |f| {
+                let p = assignment.owner_of(f);
+                snapshot.entries()[f]
+                    .locations
+                    .iter()
+                    .any(|&node| procs_on.at(node.index()).contains(&p))
+            }),
             "derived locality must equal the measured report"
         );
         SingleDataPlan {
@@ -101,6 +100,25 @@ impl SingleDataPlan {
             locality,
         }
     }
+}
+
+/// The locality report of a single-data plan whose local files are those
+/// `local(f)` names.
+fn matched_locality(snapshot: &LayoutSnapshot, local: impl Fn(usize) -> bool) -> LocalityReport {
+    let mut report = LocalityReport {
+        local_tasks: 0,
+        total_tasks: snapshot.len(),
+        local_bytes: 0,
+        total_bytes: 0,
+    };
+    for (f, entry) in snapshot.entries().iter().enumerate() {
+        report.total_bytes += entry.size;
+        if local(f) {
+            report.local_tasks += 1;
+            report.local_bytes += entry.size;
+        }
+    }
+    report
 }
 
 /// A multi-data plan.
@@ -308,7 +326,7 @@ mod tests {
     }
 
     /// A two-process, two-file layout, file `f` on node `f` only.
-    fn diagonal() -> (BipartiteGraph, LayoutSnapshot) {
+    fn diagonal() -> (ProcsOn, LayoutSnapshot) {
         let snapshot: LayoutSnapshot = (0..2u32)
             .map(|f| opass_dfs::ChunkLayout {
                 chunk: opass_dfs::ChunkId(u64::from(f)),
@@ -316,26 +334,33 @@ mod tests {
                 locations: vec![opass_dfs::NodeId(f)].into(),
             })
             .collect();
-        let placement = ProcessPlacement::one_per_node(2);
-        let graph = crate::builder::build_locality_graph_from_layout(&snapshot, &placement);
-        (graph, snapshot)
+        (ProcsOn::nodes(&ProcessPlacement::one_per_node(2)), snapshot)
     }
 
     #[test]
     fn the_matching_alone_gives_the_locality() {
-        let (graph, snapshot) = diagonal();
-        let locality = SingleDataPlan::matched_locality(&snapshot, |f| f == 1);
+        // File 1 matched to process 1, which has the only quota, so the
+        // fill puts file 0 on it as well: a remote read.
+        let (procs_on, snapshot) = diagonal();
+        let plan = SingleDataPlan::assemble(
+            &snapshot,
+            &procs_on,
+            &[0, 2],
+            vec![NONE, 1],
+            vec![0, 1],
+            FillPolicy::Random,
+            &mut StdRng::seed_from_u64(1),
+        );
         assert_eq!(
             (
-                locality.local_tasks,
-                locality.local_bytes,
-                locality.total_bytes
+                plan.locality.local_tasks,
+                plan.locality.local_bytes,
+                plan.locality.total_bytes
             ),
             (1, 11, 21)
         );
-        // File 1 matched to process 1, file 0 filled onto it as well.
-        let plan = SingleDataPlan::assemble(&graph, &snapshot, vec![1, 1], 1, locality);
         assert_eq!((plan.matched_files, plan.filled_files), (1, 1));
+        assert_eq!(plan.assignment.tasks_of(1), [0, 1]);
     }
 
     #[test]
@@ -345,8 +370,15 @@ mod tests {
         // Nothing matched although both files could be, and the fill put
         // each file on the process that holds it: the derived report (no
         // file local) disagrees with the measured one.
-        let (graph, snapshot) = diagonal();
-        let locality = SingleDataPlan::matched_locality(&snapshot, |_| false);
-        SingleDataPlan::assemble(&graph, &snapshot, vec![0, 1], 2, locality);
+        let (procs_on, snapshot) = diagonal();
+        SingleDataPlan::assemble(
+            &snapshot,
+            &procs_on,
+            &[1, 1],
+            vec![NONE, NONE],
+            vec![0, 0],
+            FillPolicy::LeastLoaded,
+            &mut StdRng::seed_from_u64(1),
+        );
     }
 }

@@ -34,7 +34,7 @@ use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use opass_dfs::{ChunkId, ChunkIndex, ChunkLayout, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_matching::{
     assign_multi_data, quotas, repair_multi_data, BipartiteGraph, FillPolicy, IncrementalMatcher,
-    MatchingValues, SingleDataMatcher, SpareQuota, NONE,
+    MatchingValues, SingleDataMatcher,
 };
 use opass_runtime::ProcessPlacement;
 use rand::rngs::StdRng;
@@ -89,7 +89,7 @@ impl SingleDataSession {
 
     /// Rebuilds the session a plan came from out of the plan's owners,
     /// with no solve. A fill target is never co-located with its file
-    /// (see [`SingleDataPlan::matched_locality`]), so the owners that are
+    /// (see [`SingleDataPlan::assemble`]), so the owners that are
     /// edges of the locality graph are exactly the plan's maximum
     /// matching.
     pub(crate) fn resume(
@@ -126,7 +126,7 @@ impl SingleDataSession {
     ) -> Self {
         let matcher = IncrementalMatcher::from_matching(graph, planner.objective, owners);
         let procs_on = ProcsOn::nodes(placement);
-        let plan = render_single_data_plan(&matcher, &snapshot, planner.fill, seed, 0);
+        let plan = render_single_data_plan(&matcher, &snapshot, &procs_on, planner.fill, seed, 0);
         let index = ChunkIndex::build(&snapshot);
         SingleDataSession {
             snapshot,
@@ -174,6 +174,7 @@ impl SingleDataSession {
         self.plan = render_single_data_plan(
             &self.matcher,
             &self.snapshot,
+            &self.procs_on,
             self.fill,
             self.seed,
             self.replans,
@@ -262,29 +263,21 @@ impl SingleDataSession {
 }
 
 /// Completes the matched owners into a full balanced assignment with the
-/// fill policy and reports its locality
-/// ([`SingleDataPlan::matched_locality`]).
+/// fill policy and reports its locality ([`SingleDataPlan::assemble`]).
 fn render_single_data_plan(
     matcher: &IncrementalMatcher,
     snapshot: &LayoutSnapshot,
+    procs_on: &ProcsOn,
     fill: FillPolicy,
     seed: u64,
     replans: u64,
 ) -> SingleDataPlan {
     let graph = matcher.graph();
     let quota = quotas(graph.n_files(), graph.n_procs());
-    let mut owner: Vec<u32> = matcher.owners_dense().to_vec();
-    let mut load: Vec<usize> = matcher.load().iter().map(|&l| l as usize).collect();
+    let owner = matcher.owners_dense().to_vec();
+    let load = matcher.load().iter().map(|&l| l as usize).collect();
     let mut rng = fill_rng(seed, replans);
-    let mut spare = SpareQuota::new(&quota, &load);
-    let mut filled_files = 0usize;
-    for o in owner.iter_mut().filter(|o| **o == NONE) {
-        *o = spare.take(fill, &quota, &mut load, &mut rng) as u32;
-        filled_files += 1;
-    }
-    let locality = SingleDataPlan::matched_locality(snapshot, |f| matcher.owner_of(f).is_some());
-    let owner: Vec<usize> = owner.into_iter().map(|o| o as usize).collect();
-    SingleDataPlan::assemble(graph, snapshot, owner, filled_files, locality)
+    SingleDataPlan::assemble(snapshot, procs_on, &quota, owner, load, fill, &mut rng)
 }
 
 /// Long-lived multi-data planning state advanced by layout deltas.

@@ -34,12 +34,16 @@
 //! assert!(plan.assignment.is_balanced());
 //! ```
 
-use crate::builder::{build_locality_graph_from_layout, build_rack_graph, TaskLayout};
+use crate::builder::{
+    build_locality_graph_from_layout, build_rack_graph, NodeLists, ProcsOn, TaskLayout,
+};
 use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
 use crate::replan::{MultiDataSession, SingleDataSession};
 use opass_dfs::{LayoutDelta, LayoutSnapshot, RackMap};
+use opass_matching::maxflow::dinic::bipartite_max_flow;
 use opass_matching::{
-    assign_multi_data, quotas, weighted_quotas, GuidedScheduler, SingleDataMatcher, TwoTierOutcome,
+    assign_multi_data, quotas, weighted_quotas, GuidedScheduler, Objective, SingleDataMatcher,
+    TwoTierOutcome, NONE,
 };
 use opass_runtime::ProcessPlacement;
 use opass_workloads::Workload;
@@ -397,9 +401,12 @@ impl OpassPlanner {
         )
     }
 
-    /// The shared single-data flow solve: graph build, matching under
-    /// even quotas or quotas proportional to `speeds`, the report of
-    /// [`SingleDataPlan::matched_locality`], then the fill.
+    /// The shared single-data flow solve: matching under even quotas or
+    /// quotas proportional to `speeds`, then [`SingleDataPlan::assemble`].
+    /// Under [`Objective::MatchCount`] the in-place Dinic reads each
+    /// process's node list ([`NodeLists`]) and no graph is built; the
+    /// min-cost flow of [`Objective::MatchedBytes`] needs the graph's
+    /// weights.
     fn solve_single_layout(
         &self,
         snapshot: &LayoutSnapshot,
@@ -407,21 +414,28 @@ impl OpassPlanner {
         seed: u64,
         speeds: Option<&[f64]>,
     ) -> SingleDataPlan {
-        let graph = build_locality_graph_from_layout(snapshot, placement);
         let quota = match speeds {
             Some(speeds) => weighted_quotas(snapshot.len(), speeds),
             None => quotas(snapshot.len(), placement.n_procs().max(1)),
         };
-        let matcher = self.matcher();
-        let (mut owner, mut load) = matcher.flow_owners_with_quotas(&graph, &quota);
-        let locality = SingleDataPlan::matched_locality(snapshot, |f| owner[f].is_some());
+        let procs_on = ProcsOn::nodes(placement);
+        let (owner, load) = match self.objective {
+            Objective::MatchCount => {
+                let flow =
+                    bipartite_max_flow(NodeLists::build(snapshot, &procs_on).lists(), &quota);
+                (flow.owner, flow.load)
+            }
+            Objective::MatchedBytes => {
+                let graph = build_locality_graph_from_layout(snapshot, placement);
+                let (owner, load) = self.matcher().flow_owners_with_quotas(&graph, &quota);
+                let owner = owner.iter().map(|o| o.map_or(NONE, |p| p as u32)).collect();
+                (owner, load)
+            }
+        };
         let mut rng = StdRng::seed_from_u64(seed);
-        let filled_files = matcher.fill(&quota, &mut owner, &mut load, &mut rng);
-        let owner = owner
-            .into_iter()
-            .map(|o| o.expect("every file is filled"))
-            .collect();
-        SingleDataPlan::assemble(&graph, snapshot, owner, filled_files, locality)
+        SingleDataPlan::assemble(
+            snapshot, &procs_on, &quota, owner, load, self.fill, &mut rng,
+        )
     }
 
     fn matcher(&self) -> SingleDataMatcher {
@@ -430,5 +444,136 @@ impl OpassPlanner {
             objective: self.objective,
             ..Default::default()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use opass_dfs::{ChunkId, DatasetSpec, DfsConfig, Namenode, NodeId, Placement};
+    use opass_matching::{locality_report, Assignment, FillPolicy};
+    use rand::Rng;
+
+    /// `n_chunks` chunks of two sizes on `n_nodes` nodes, `r` replicas
+    /// each, in dataset order.
+    fn layout(n_nodes: usize, n_chunks: usize, r: u32, seed: u64) -> LayoutSnapshot {
+        let mut nn = Namenode::new(n_nodes, DfsConfig { replication: r });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut chunks: Vec<ChunkId> = Vec::new();
+        for (name, n, size) in [
+            ("a", n_chunks.div_ceil(2), 64 << 20),
+            ("b", n_chunks / 2, 40 << 20),
+        ] {
+            let ds = nn.create_dataset(
+                &DatasetSpec::uniform(name, n, size),
+                &Placement::Random,
+                &mut rng,
+            );
+            chunks.extend(&nn.dataset(ds).expect("dataset").chunks);
+        }
+        LayoutSnapshot::capture(&nn, &chunks)
+    }
+
+    /// The cold plan as it was assembled from the locality graph: the
+    /// flow, the fill and the assignment, and the report measured on the
+    /// graph's edges.
+    fn graph_plan(
+        snapshot: &LayoutSnapshot,
+        placement: &ProcessPlacement,
+        quota: &[usize],
+        fill: FillPolicy,
+        seed: u64,
+    ) -> SingleDataPlan {
+        let graph = build_locality_graph_from_layout(snapshot, placement);
+        let matcher = SingleDataMatcher {
+            fill,
+            ..Default::default()
+        };
+        let (mut owner, mut load) = matcher.flow_owners_with_quotas(&graph, quota);
+        let matched_files = owner.iter().flatten().count();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let filled_files = matcher.fill(quota, &mut owner, &mut load, &mut rng);
+        let owner = owner.into_iter().map(|o| o.expect("filled")).collect();
+        let assignment = Assignment::from_owners(owner, placement.n_procs());
+        let locality = locality_report(&assignment, &graph, &snapshot.sizes());
+        SingleDataPlan {
+            assignment,
+            matched_files,
+            filled_files,
+            locality,
+        }
+    }
+
+    #[test]
+    fn a_cold_plan_over_node_lists_is_the_graph_plan_owner_for_owner() {
+        // Placements with one process per node, several per node, and
+        // fewer processes than nodes (holders with no process); one
+        // replica, three, and five (a spilled replica set); even and
+        // weighted quotas; a one-chunk layout. The flow, its load and
+        // its work must be the graph's, and the plan must be the one
+        // the graph path assembled.
+        let mut rng = StdRng::seed_from_u64(0x40DE);
+        let mut weighted = 0;
+        for case in 0..240 {
+            let n_nodes = rng.gen_range(5usize..40);
+            let r = [1, 3, 5][case % 3];
+            let n_chunks = if case % 16 == 0 {
+                1
+            } else {
+                rng.gen_range(2..400)
+            };
+            let snapshot = layout(n_nodes, n_chunks, r, case as u64);
+            let placement = match case / 3 % 4 {
+                0 => ProcessPlacement::one_per_node(n_nodes),
+                1 => ProcessPlacement::round_robin(2 * n_nodes + 1, n_nodes),
+                2 => ProcessPlacement::round_robin(n_nodes / 2 + 1, n_nodes),
+                _ => ProcessPlacement::explicit(
+                    (0..rng.gen_range(1..2 * n_nodes))
+                        .map(|_| NodeId(rng.gen_range(0..n_nodes as u32)))
+                        .collect(),
+                ),
+            };
+            let m = placement.n_procs();
+            let speeds: Vec<f64> = (0..m).map(|_| f64::from(rng.gen_range(1u8..4))).collect();
+            let weigh = case % 5 == 4;
+            let quota = if weigh {
+                weighted += 1;
+                weighted_quotas(n_chunks, &speeds)
+            } else {
+                quotas(n_chunks, m)
+            };
+            let fill = [FillPolicy::Random, FillPolicy::LeastLoaded][case % 2];
+            let label =
+                format!("case {case}: {n_nodes} nodes, {m} processes, {n_chunks} chunks, r {r}");
+
+            let graph = build_locality_graph_from_layout(&snapshot, &placement);
+            let procs_on = ProcsOn::nodes(&placement);
+            let lists = NodeLists::build(&snapshot, &procs_on);
+            assert_eq!(
+                bipartite_max_flow(lists.lists(), &quota),
+                bipartite_max_flow(&graph, &quota),
+                "{label}: flow"
+            );
+
+            let planner = OpassPlanner {
+                fill,
+                ..Default::default()
+            };
+            let request = PlanRequest::single_from_layout(&snapshot, &placement).seed(case as u64);
+            let request = if weigh {
+                request.weighted(&speeds)
+            } else {
+                request
+            };
+            let got = planner.plan(&request).into_single().expect("single plan");
+            let want = graph_plan(&snapshot, &placement, &quota, fill, case as u64);
+            assert_eq!(got.assignment, want.assignment, "{label}: owners");
+            assert_eq!(
+                (got.matched_files, got.filled_files, got.locality),
+                (want.matched_files, want.filled_files, want.locality),
+                "{label}: counts and locality"
+            );
+        }
+        assert!(weighted > 0);
     }
 }

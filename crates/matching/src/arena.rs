@@ -98,6 +98,12 @@ impl<W: Copy + Default> AdjPool<W> {
         &self.keys[s..s + self.len[v] as usize]
     }
 
+    /// The span columns: vertex `v`'s keys are
+    /// `keys[start[v]..start[v] + len[v]]`.
+    pub(crate) fn spans(&self) -> (&[u32], &[u32], &[u32]) {
+        (&self.start, &self.len, &self.keys)
+    }
+
     /// Neighbor weights of `v`, parallel to [`AdjPool::keys_of`].
     pub fn wts_of(&self, v: usize) -> &[W] {
         let s = self.start[v] as usize;

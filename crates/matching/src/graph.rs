@@ -16,6 +16,7 @@
 //! keys only.
 
 use crate::arena::AdjPool;
+use crate::maxflow::dinic::FileLists;
 
 /// Weighted bipartite graph between `n_procs` processes and `n_files` files.
 ///
@@ -290,6 +291,15 @@ impl PartialEq for BipartiteGraph {
 }
 
 impl Eq for BipartiteGraph {}
+
+/// Every process's [`BipartiteGraph::files_raw`] at once, as stored: the
+/// view the in-place max-flow reads.
+impl<'a> From<&'a BipartiteGraph> for FileLists<'a> {
+    fn from(graph: &'a BipartiteGraph) -> Self {
+        let (start, len, keys) = graph.procs.spans();
+        FileLists::new(graph.n_files(), start, len, keys)
+    }
+}
 
 #[cfg(test)]
 mod tests {

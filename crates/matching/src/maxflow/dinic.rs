@@ -1,13 +1,15 @@
 //! Dinic's max-flow algorithm: BFS level graphs + DFS blocking flows,
-//! run in place on the locality graph.
+//! run in place on per-process file lists.
 //!
 //! The single-data matcher's network is `s → process → file → t`, with
-//! capacities quota, 1 and 1 and a `p → f` edge wherever the locality
-//! graph has one. [`bipartite_max_flow`] solves it without building it:
-//! the graph's sorted process→file lists are the only per-edge data, and
-//! the residual state is one owner per file and one remaining quota per
-//! process. `O(E·√V)` on this unit-capacity shape — four phases on the
-//! planner's.
+//! capacities quota, 1 and 1 and a `p → f` edge wherever `f` is on `p`'s
+//! list. [`bipartite_max_flow`] solves it without building it: the
+//! sorted process→file lists ([`FileLists`]) are the only per-edge data,
+//! and the residual state is one owner per file and one remaining quota
+//! per process. A locality graph yields its lists as they are stored; a
+//! cold plan hands it its nodes' lists, shared by the processes on each
+//! node, and builds no graph. `O(E·√V)` on this unit-capacity shape —
+//! four phases on the planner's.
 //!
 //! The contract is the flow the general-network body finds on the
 //! network the matcher used to build, not merely one as large: every
@@ -26,8 +28,8 @@
 //!    in a phase (a path through `f` leaves its new owner one level below
 //!    it, and a matched file's `t` edge is full), so a visit unlevels the
 //!    file and it needs no cursor.
-//! 3. A process's cursor over `files_raw(p)` is the network's cursor
-//!    minus the reverse `p → s` edge, which is never admissible because
+//! 3. A process's cursor over its list is the network's cursor minus the
+//!    reverse `p → s` edge, which is never admissible because
 //!    `level[s] = 0`.
 //! 4. The source walks processes with residual quota in ascending order
 //!    and stays on one while it keeps pushing.
@@ -42,6 +44,15 @@
 //!    file its process took when the quota fills, at the list's end when
 //!    it does not.
 //!
+//! The two loops that read every list entry run on selects, not on
+//! branches: which file is free and which owner is new is data, and a
+//! mispredicted branch per entry cost more than the work. The greedy
+//! pass writes each owner whether or not it changes and exits its loop
+//! only on the list's end or a full quota; the level search sends a
+//! visit with nothing to push to a sentinel process `m`, which sits at
+//! level 0 and is never unlevelled, and advances its queue by the push
+//! bit.
+//!
 //! The blocking-flow search is iterative: an augmenting path can be as
 //! long as the graph (a chain of `m` processes gives one of `2m` edges),
 //! and a recursion per level overflowed a pool worker's stack there.
@@ -50,7 +61,46 @@ use super::network::FlowWork;
 #[cfg(test)]
 use super::network::{FlowNetwork, Residual};
 use crate::arena::NONE;
+#[cfg(test)]
 use crate::graph::BipartiteGraph;
+
+/// Sorted per-process file lists, the only per-edge data the solve
+/// reads: process `p`'s files are `keys[start[p]..start[p] + len[p]]`,
+/// ascending and distinct, each below `n_files`. Processes may share a
+/// span. A [`crate::BipartiteGraph`] converts into its process side as
+/// stored.
+#[derive(Debug, Clone, Copy)]
+pub struct FileLists<'a> {
+    n_files: usize,
+    start: &'a [u32],
+    len: &'a [u32],
+    keys: &'a [u32],
+}
+
+impl<'a> FileLists<'a> {
+    /// Lists over `n_files` files, one `start`/`len` pair per process.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `start` and `len` have one entry per process.
+    pub fn new(n_files: usize, start: &'a [u32], len: &'a [u32], keys: &'a [u32]) -> Self {
+        assert_eq!(start.len(), len.len(), "one span per process");
+        FileLists {
+            n_files,
+            start,
+            len,
+            keys,
+        }
+    }
+
+    fn n_procs(&self) -> usize {
+        self.start.len()
+    }
+
+    fn files(&self, p: usize) -> &'a [u32] {
+        &self.keys[self.start[p] as usize..][..self.len[p] as usize]
+    }
+}
 
 /// A maximum flow of the single-data network, as [`bipartite_max_flow`]
 /// leaves it.
@@ -59,49 +109,54 @@ pub struct BipartiteFlow {
     /// The process whose `p → f` edge carries file `f`'s unit of flow,
     /// [`NONE`] where none does.
     pub owner: Vec<u32>,
+    /// Per process: the files its flow carries.
+    pub load: Vec<usize>,
     /// The exact work of the solve. Every augmenting path carries one
     /// file, so `paths` is the flow value.
     pub work: FlowWork,
 }
 
 /// Computes the maximum flow of `s --(quota[p])--> p --(1)--> f --(1)--> t`
-/// over `graph`'s edges, in `O(n + m)` `u32` scratch allocated once: an
-/// owner and a level per file; a remaining quota, a level and a cursor
-/// per process; a layer queue and a path stack.
+/// over the edges of `lists` (a [`FileLists`], or a graph's), in
+/// `O(n + m)` `u32` scratch allocated once: an owner and a level per
+/// file; a remaining quota, a level and a cursor per process; a layer
+/// queue and a path stack.
 ///
 /// # Panics
 ///
 /// Panics unless `quota` has one entry per process, or if a vertex count
 /// does not fit below [`NONE`].
-pub fn bipartite_max_flow(graph: &BipartiteGraph, quota: &[usize]) -> BipartiteFlow {
-    let mut s = Search::new(graph, quota);
+pub fn bipartite_max_flow<'a>(lists: impl Into<FileLists<'a>>, quota: &[usize]) -> BipartiteFlow {
+    let mut s = Search::new(lists.into(), quota);
     if s.first_phase() {
         s.levelled_phases();
     }
-    s.into_flow()
+    s.into_flow(quota)
 }
 
 /// [`bipartite_max_flow`] with every phase levelled, the first one too:
 /// the reference fact 5 is held to.
 #[cfg(test)]
-fn levelled_max_flow(graph: &BipartiteGraph, quota: &[usize]) -> BipartiteFlow {
-    let mut s = Search::new(graph, quota);
+fn levelled_max_flow<'a>(lists: impl Into<FileLists<'a>>, quota: &[usize]) -> BipartiteFlow {
+    let mut s = Search::new(lists.into(), quota);
     s.levelled_phases();
-    s.into_flow()
+    s.into_flow(quota)
 }
 
 /// The residual state and the per-phase scratch of one solve.
 struct Search<'g> {
-    graph: &'g BipartiteGraph,
+    lists: FileLists<'g>,
     /// Per file: the process its unit of flow passes through.
     owner: Vec<u32>,
     /// Per process: residual capacity of its `s → p` edge.
-    left: Vec<u32>,
+    left: Vec<usize>,
+    /// Per process, plus the sentinel `m` at level 0.
     proc_level: Vec<u32>,
     file_level: Vec<u32>,
-    /// Per process: position in `files_raw(p)`, reset each phase.
+    /// Per process: position in its list, reset each phase.
     cursor: Vec<u32>,
-    /// Processes in level order.
+    /// Processes in level order: `m` of them at most, and a slot the
+    /// level search writes past the end.
     queue: Vec<u32>,
     /// The processes of the path being searched, source side first.
     stack: Vec<u32>,
@@ -109,31 +164,40 @@ struct Search<'g> {
 }
 
 impl<'g> Search<'g> {
-    fn new(graph: &'g BipartiteGraph, quota: &[usize]) -> Self {
-        let (m, n) = (graph.n_procs(), graph.n_files());
+    fn new(lists: FileLists<'g>, quota: &[usize]) -> Self {
+        let (m, n) = (lists.n_procs(), lists.n_files);
         assert_eq!(quota.len(), m, "one quota per process");
         assert!(
             u32::try_from(m.max(n)).is_ok_and(|v| v < NONE),
             "too many vertices ({m} processes, {n} files)"
         );
+        let mut proc_level = vec![NONE; m + 1];
+        proc_level[m] = 0;
         Search {
-            graph,
+            lists,
             owner: vec![NONE; n],
             // No process can take more than every file, so the clamp
             // changes no admissibility test.
-            left: quota.iter().map(|&q| q.min(n) as u32).collect(),
-            proc_level: vec![NONE; m],
+            left: quota.iter().map(|&q| q.min(n)).collect(),
+            proc_level,
             file_level: vec![NONE; n],
             cursor: vec![0; m],
-            queue: Vec::with_capacity(m),
+            queue: vec![0; m + 1],
             stack: Vec::with_capacity(m),
             work: FlowWork::default(),
         }
     }
 
-    fn into_flow(self) -> BipartiteFlow {
+    /// The flow, with each process's load read off the quota it has
+    /// left.
+    fn into_flow(mut self, quota: &[usize]) -> BipartiteFlow {
+        let n = self.owner.len();
+        for (left, &q) in self.left.iter_mut().zip(quota) {
+            *left = q.min(n) - *left;
+        }
         BipartiteFlow {
             owner: self.owner,
+            load: self.left,
             work: self.work,
         }
     }
@@ -145,26 +209,30 @@ impl<'g> Search<'g> {
         self.work.phases += 1;
         let mut reached_t = false;
         for p in 0..self.left.len() {
-            if self.left[p] == 0 {
+            let quota = self.left[p];
+            if quota == 0 {
                 continue;
             }
-            let files = self.graph.files_raw(p);
+            let files = self.lists.files(p);
             reached_t |= !files.is_empty();
-            let mut cursor = files.len();
-            for (at, &f) in files.iter().enumerate() {
-                if self.owner[f as usize] == NONE {
-                    self.owner[f as usize] = p as u32;
-                    self.left[p] -= 1;
-                    self.work.paths += 1;
-                    if self.left[p] == 0 {
-                        cursor = at;
-                        break;
-                    }
+            // `at` ends on the last take when the quota fills, at the
+            // list's end when it does not: the cursor either way.
+            let (mut left, mut at) = (quota, 0);
+            while at < files.len() {
+                let f = files[at] as usize;
+                let o = self.owner[f];
+                self.owner[f] = if o == NONE { p as u32 } else { o };
+                left -= usize::from(o == NONE);
+                if left == 0 {
+                    break;
                 }
+                at += 1;
             }
+            self.left[p] = left;
+            self.work.paths += (quota - left) as u64;
             // The level search read the whole list; the blocking flow
             // read it up to the cursor.
-            self.work.scanned += (files.len() + cursor) as u64;
+            self.work.scanned += (files.len() + at) as u64;
         }
         reached_t
     }
@@ -190,46 +258,46 @@ impl<'g> Search<'g> {
 
     /// Builds the level graph; returns whether `t` is reachable.
     fn level(&mut self) -> bool {
-        self.proc_level.fill(NONE);
+        let m = self.left.len();
+        self.proc_level[..m].fill(NONE);
         self.file_level.fill(NONE);
-        self.queue.clear();
+        let mut len = 0;
         for (p, &left) in self.left.iter().enumerate() {
             if left > 0 {
                 self.proc_level[p] = 1;
-                self.queue.push(p as u32);
+                self.queue[len] = p as u32;
+                len += 1;
             }
         }
         let (mut head, mut level) = (0, 1);
-        while head < self.queue.len() {
-            let layer_end = self.queue.len();
+        while head < len {
+            let layer_end = len;
             let mut reached_t = false;
             while head < layer_end {
                 let p = self.queue[head];
                 head += 1;
-                let files = self.graph.files_raw(p as usize);
+                let files = self.lists.files(p as usize);
                 self.work.scanned += files.len() as u64;
                 for &f in files {
                     let f = f as usize;
+                    let (o, at) = (self.owner[f], self.file_level[f]);
                     // `p → f` is full when `p` owns `f`.
-                    if self.file_level[f] != NONE || self.owner[f] == p {
-                        continue;
-                    }
-                    self.file_level[f] = level + 1;
-                    // The file's one residual out-edge, taken at once.
-                    match self.owner[f] {
-                        NONE => reached_t = true,
-                        q if self.proc_level[q as usize] == NONE => {
-                            self.proc_level[q as usize] = level + 2;
-                            self.queue.push(q);
-                        }
-                        _ => {}
-                    }
+                    let fresh = (at == NONE) & (o != p);
+                    self.file_level[f] = if fresh { level + 1 } else { at };
+                    // The file's one residual out-edge, taken at once:
+                    // to `t`, or to its owner — the sentinel when free.
+                    reached_t |= fresh & (o == NONE);
+                    let q = if o == NONE { m } else { o as usize };
+                    let push = fresh & (self.proc_level[q] == NONE);
+                    self.proc_level[q] = if push { level + 2 } else { self.proc_level[q] };
+                    self.queue[len] = q as u32;
+                    len += usize::from(push);
                 }
             }
             if reached_t {
                 // The owners behind the last file layer sit at `t`'s
                 // level, where no level path to `t` starts.
-                for &q in &self.queue[layer_end..] {
+                for &q in &self.queue[layer_end..len] {
                     self.proc_level[q as usize] = NONE;
                 }
                 return true;
@@ -244,11 +312,11 @@ impl<'g> Search<'g> {
     /// under its cursor is the edge it is trying, and the step out of
     /// that file is forced (fact 2), so files need no frames.
     fn augment(&mut self, root: usize) -> bool {
-        let graph = self.graph;
+        let lists = self.lists;
         self.stack.clear();
         self.stack.push(root as u32);
         'frames: while let Some(&p) = self.stack.last() {
-            let files = graph.files_raw(p as usize);
+            let files = lists.files(p as usize);
             let next = self.proc_level[p as usize] + 1;
             while let Some(&f) = files.get(self.cursor[p as usize] as usize) {
                 let f = f as usize;
@@ -260,7 +328,7 @@ impl<'g> Search<'g> {
                         // its cursor; only the root's load grows.
                         for &u in &self.stack {
                             let at = self.cursor[u as usize] as usize;
-                            self.owner[graph.files_raw(u as usize)[at] as usize] = u;
+                            self.owner[lists.files(u as usize)[at] as usize] = u;
                         }
                         return true;
                     }

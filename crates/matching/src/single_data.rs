@@ -340,16 +340,16 @@ impl SingleDataMatcher {
             return self.flow_match_bytes(graph, quota, owner, load);
         }
         let flow = dinic::bipartite_max_flow(graph, quota);
-        let mut matched = 0;
         for (o, &p) in owner.iter_mut().zip(&flow.owner) {
             if p != NONE {
                 *o = Some(p as usize);
-                load[p as usize] += 1;
-                matched += 1;
             }
         }
-        debug_assert_eq!(matched as u64, flow.work.paths);
-        matched
+        for (l, &k) in load.iter_mut().zip(&flow.load) {
+            *l += k;
+        }
+        debug_assert_eq!(flow.load.iter().sum::<usize>() as u64, flow.work.paths);
+        flow.work.paths as usize
     }
 
     /// Byte-weighted matching: min-cost max-flow with cost −size on the

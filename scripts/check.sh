@@ -27,8 +27,9 @@
 #                            PR leaves the machine what the pipeline would
 #                            say about a benchmark that no longer runs
 #                            (read-only on bench/). Also prints each
-#                            workload's peak_rss_mib and fails when it
-#                            exceeds that workload's ceiling in
+#                            workload's setup_s (a report, no ceiling)
+#                            and its peak_rss_mib, and fails when the
+#                            latter exceeds the workload's ceiling in
 #                            RSS_CEILING_MIB below, so the memory savings
 #                            EXPERIMENTS.md records cannot be undone
 #                            silently. The ceilings are the seed-1
@@ -129,10 +130,13 @@ if [[ "${1:-}" == "--bench-run" ]]; then
             echo "error: $workload did not finish correct with 0 failed" >&2
             exit 1
         fi
-        rss="$(python3 -c 'import json, sys
-print(json.loads(sys.argv[1])["metrics"]["peak_rss_mib"]["value"])' "$result")"
+        read -r rss setup <<<"$(python3 -c 'import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+print(metrics["peak_rss_mib"]["value"], metrics["setup_s"]["value"])' "$result")"
         ceiling="${RSS_CEILING_MIB[$workload]}"
-        echo "$workload: peak_rss_mib $rss (ceiling $ceiling)"
+        # setup_s is reported, not gated: on this benchmark its bounds
+        # cannot yet resolve a workload's own parent (ROADMAP 4(h)).
+        echo "$workload: peak_rss_mib $rss (ceiling $ceiling), setup_s $setup"
         if ! awk -v rss="$rss" -v ceiling="$ceiling" 'BEGIN { exit !(rss <= ceiling) }'; then
             echo "error: $workload peak_rss_mib $rss MiB exceeds its ceiling of $ceiling MiB" >&2
             exit 1
