@@ -513,7 +513,7 @@ mod tests {
             .map(|&c| Task::single(c))
             .collect();
         let placement = ProcessPlacement::one_per_node(n_nodes);
-        nn.take_events(); // session starts from a settled layout
+        nn.take_delta(|_| false); // session starts from a settled layout
         (nn, Workload::new("w", tasks), placement)
     }
 
@@ -552,8 +552,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
         for step in 0..6 {
             churn(&mut nn, &mut rng, step);
-            let events = nn.take_events();
-            let delta = LayoutDelta::from_events(&events, |c| scope.contains(&c));
+            let delta = nn.take_delta(|c| scope.contains(&c));
             let repaired = session.replan(&delta).clone();
             let scratch = single_scratch(&planner, &nn, &w, &placement, 7);
             assert_eq!(
@@ -600,7 +599,7 @@ mod tests {
         chunks.extend(nn.dataset(small).unwrap().chunks.clone());
         let w = Workload::new("mixed", chunks.iter().map(|&c| Task::single(c)).collect());
         let placement = ProcessPlacement::one_per_node(10);
-        nn.take_events();
+        nn.take_delta(|_| false);
         let planner = OpassPlanner {
             objective: Objective::MatchedBytes,
             fill: FillPolicy::LeastLoaded,
@@ -611,7 +610,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xF00);
         for step in 0..4 {
             churn(&mut nn, &mut rng, step);
-            let delta = LayoutDelta::from_events(&nn.take_events(), |c| scope.contains(&c));
+            let delta = nn.take_delta(|c| scope.contains(&c));
             let repaired = session.replan(&delta).clone();
             let scratch = single_scratch(&planner, &nn, &w, &placement, 3);
             assert_eq!(repaired.matched_files, scratch.matched_files, "step {step}");
@@ -631,9 +630,7 @@ mod tests {
         let mut deltas = Vec::new();
         for step in 0..4 {
             churn(&mut nn, &mut rng, step);
-            deltas.push(LayoutDelta::from_events(&nn.take_events(), |c| {
-                scope.contains(&c)
-            }));
+            deltas.push(nn.take_delta(|c| scope.contains(&c)));
         }
         let run = |deltas: &[LayoutDelta]| {
             let (nn2, w2, placement2) = {
@@ -879,7 +876,7 @@ mod tests {
             (0..24).map(|i| Task::multi(vec![ca[i], cb[i]])).collect(),
         );
         let placement = ProcessPlacement::one_per_node(8);
-        nn.take_events();
+        nn.take_delta(|_| false);
         let planner = OpassPlanner::default();
         let mut session = planner
             .session(&PlanRequest::multi(&nn, &w, &placement))
@@ -896,7 +893,7 @@ mod tests {
         let scope: BTreeSet<ChunkId> = ca.iter().chain(cb.iter()).copied().collect();
         // Replica-level churn: repair path.
         nn.rebalance(1.1, &mut rng);
-        let delta = LayoutDelta::from_events(&nn.take_events(), |c| scope.contains(&c));
+        let delta = nn.take_delta(|c| scope.contains(&c));
         let plan = session.replan(&delta).clone();
         assert!(plan.assignment.is_balanced());
         // Value table patched in place must equal a rebuild from scratch.
@@ -907,7 +904,7 @@ mod tests {
         let victim = nn.alive_nodes()[0];
         nn.fail_node(victim).unwrap();
         nn.repair_under_replicated(&mut rng).unwrap();
-        let delta = LayoutDelta::from_events(&nn.take_events(), |c| scope.contains(&c));
+        let delta = nn.take_delta(|c| scope.contains(&c));
         let plan = session.replan(&delta).clone();
         assert!(plan.assignment.is_balanced());
         let fresh = crate::builder::build_matching_values(&nn, &w, &placement);

@@ -6,15 +6,12 @@ use crate::replicas::Replicas;
 /// The HDFS default chunk size used throughout the paper: 64 MB.
 pub const DEFAULT_CHUNK_SIZE: u64 = 64 * 1024 * 1024;
 
-/// Metadata of one chunk file.
+/// Metadata of one chunk file: one row of the namenode's chunk table,
+/// whose position in the table is the chunk's id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkMeta {
-    /// Global chunk id.
-    pub id: ChunkId,
     /// Owning dataset.
     pub dataset: DatasetId,
-    /// Position within the dataset (0-based).
-    pub index_in_dataset: usize,
     /// Size in bytes (≤ the configured chunk size).
     pub size: u64,
     /// Nodes holding a replica, sorted, no duplicates.
@@ -85,9 +82,7 @@ mod tests {
     #[test]
     fn chunk_is_on() {
         let c = ChunkMeta {
-            id: ChunkId(0),
             dataset: DatasetId(0),
-            index_in_dataset: 0,
             size: 64,
             locations: vec![NodeId(1), NodeId(5), NodeId(9)].into(),
         };

@@ -1,12 +1,12 @@
 //! Layout deltas — the namenode's change feed for incremental re-planning.
 //!
-//! A [`LayoutEvent`] is one journal entry describing a single layout
-//! mutation (a replica created or dropped, a chunk created, a node joining
-//! or leaving service). The namenode appends events as its mutation
-//! methods run; a planner drains them with
-//! [`Namenode::take_events`](crate::Namenode::take_events) and projects
-//! them onto the snapshot it planned against with
-//! [`LayoutDelta::from_events`], yielding a [`LayoutDelta`]: the net,
+//! A [`LayoutEvent`] is one journal entry describing a single replica or
+//! membership mutation (a replica created or dropped, a node joining or
+//! leaving service). The namenode appends events as its mutation methods
+//! run and remembers where the chunks created since its last drain begin;
+//! a planner drains both with
+//! [`Namenode::take_delta`](crate::Namenode::take_delta), yielding a
+//! [`LayoutDelta`] scoped to the snapshot it planned against: the net,
 //! canonically ordered difference between that snapshot and the current
 //! layout. [`LayoutSnapshot::apply_delta`](crate::LayoutSnapshot::apply_delta)
 //! then advances the snapshot without re-walking the namenode, and the
@@ -19,21 +19,13 @@
 
 use crate::ids::{ChunkId, NodeId};
 use crate::layout::ChunkLayout;
-use crate::replicas::Replicas;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One namenode layout mutation, as appended to the event journal.
+/// Chunk creation is not journalled: the namenode's chunk table already
+/// holds every chunk created since the last drain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayoutEvent {
-    /// A chunk came into existence with its initial replica set.
-    ChunkAdded {
-        /// The new chunk.
-        chunk: ChunkId,
-        /// Its size in bytes.
-        size: u64,
-        /// Initial replica holders, sorted.
-        locations: Replicas,
-    },
     /// A replica of `chunk` was created on `node`.
     ReplicaAdded {
         /// The chunk gaining a replica.
@@ -105,7 +97,8 @@ impl LayoutDelta {
     /// `replicas_dropped` cancels out, replica changes on removed or
     /// added files are folded away (removed files need no repair; added
     /// files carry their final location set), and additions on failed
-    /// nodes are dropped. Idempotent; [`LayoutDelta::from_events`] returns
+    /// nodes are dropped. Idempotent;
+    /// [`Namenode::take_delta`](crate::Namenode::take_delta) returns
     /// normalized deltas already.
     pub fn normalize(&mut self) {
         self.files_added.sort_by_key(|e| e.chunk);
@@ -202,60 +195,31 @@ impl LayoutDelta {
         Some(pairs)
     }
 
-    /// Projects a journal slice onto the scope of a prior snapshot.
-    ///
-    /// `in_scope` decides which chunks the snapshot covers (and which
-    /// *new* chunks should enter it — e.g. "belongs to dataset 3").
-    /// Events about out-of-scope chunks are ignored; node membership
-    /// events always apply. The result is normalized: replica events are
-    /// reduced to their net effect, chunks created inside the window
-    /// arrive as `files_added` entries carrying their final location set.
-    pub fn from_events(events: &[LayoutEvent], mut in_scope: impl FnMut(ChunkId) -> bool) -> Self {
-        // Chunks born inside the window: final locations accumulate here.
-        let mut born: BTreeMap<ChunkId, ChunkLayout> = BTreeMap::new();
-        // Net replica change per (chunk, node) for pre-existing chunks:
-        // +1 = added, -1 = dropped, 0 = cancelled out.
+    /// Projects a journal slice onto the scope of a prior snapshot:
+    /// replica events on chunks `in_scope` accepts, reduced to their net
+    /// effect, and node membership events, which always apply. The result
+    /// is normalized.
+    pub(crate) fn from_events(
+        events: &[LayoutEvent],
+        mut in_scope: impl FnMut(ChunkId) -> bool,
+    ) -> Self {
+        // Net replica change per (chunk, node): +1 = added, -1 = dropped,
+        // 0 = cancelled out.
         let mut net: BTreeMap<(ChunkId, NodeId), i32> = BTreeMap::new();
         let mut delta = LayoutDelta::default();
-
         for event in events {
-            match event {
-                LayoutEvent::ChunkAdded {
-                    chunk,
-                    size,
-                    locations,
-                } => {
-                    if in_scope(*chunk) {
-                        born.insert(
-                            *chunk,
-                            ChunkLayout {
-                                chunk: *chunk,
-                                size: *size,
-                                locations: locations.clone(),
-                            },
-                        );
-                    }
+            match *event {
+                LayoutEvent::ReplicaAdded { chunk, node } if in_scope(chunk) => {
+                    *net.entry((chunk, node)).or_insert(0) += 1;
                 }
-                LayoutEvent::ReplicaAdded { chunk, node } => {
-                    if let Some(entry) = born.get_mut(chunk) {
-                        entry.locations.insert(*node);
-                    } else if in_scope(*chunk) {
-                        *net.entry((*chunk, *node)).or_insert(0) += 1;
-                    }
+                LayoutEvent::ReplicaDropped { chunk, node } if in_scope(chunk) => {
+                    *net.entry((chunk, node)).or_insert(0) -= 1;
                 }
-                LayoutEvent::ReplicaDropped { chunk, node } => {
-                    if let Some(entry) = born.get_mut(chunk) {
-                        entry.locations.retain(|n| n != node);
-                    } else if in_scope(*chunk) {
-                        *net.entry((*chunk, *node)).or_insert(0) -= 1;
-                    }
-                }
-                LayoutEvent::NodeJoined { node } => delta.nodes_joined.push(*node),
-                LayoutEvent::NodeFailed { node } => delta.nodes_failed.push(*node),
+                LayoutEvent::ReplicaAdded { .. } | LayoutEvent::ReplicaDropped { .. } => {}
+                LayoutEvent::NodeJoined { node } => delta.nodes_joined.push(node),
+                LayoutEvent::NodeFailed { node } => delta.nodes_failed.push(node),
             }
         }
-
-        delta.files_added = born.into_values().collect();
         for ((chunk, node), n) in net {
             match n.cmp(&0) {
                 std::cmp::Ordering::Greater => delta.replicas_added.push((chunk, node)),
@@ -310,28 +274,6 @@ mod tests {
         let d = LayoutDelta::from_events(&events, |_| true);
         assert_eq!(d.replicas_dropped, vec![(ChunkId(3), NodeId(1))]);
         assert_eq!(d.replicas_added, vec![(ChunkId(3), NodeId(5))]);
-    }
-
-    #[test]
-    fn from_events_folds_churn_into_born_chunks() {
-        let events = vec![
-            LayoutEvent::ChunkAdded {
-                chunk: ChunkId(9),
-                size: 64,
-                locations: vec![NodeId(0), NodeId(1)].into(),
-            },
-            LayoutEvent::ReplicaAdded {
-                chunk: ChunkId(9),
-                node: NodeId(4),
-            },
-            LayoutEvent::ReplicaDropped {
-                chunk: ChunkId(9),
-                node: NodeId(0),
-            },
-        ];
-        let d = LayoutDelta::from_events(&events, |_| true);
-        assert_eq!(d.files_added, vec![layout(9, 64, &[1, 4])]);
-        assert!(d.replicas_added.is_empty() && d.replicas_dropped.is_empty());
     }
 
     #[test]

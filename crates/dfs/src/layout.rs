@@ -30,6 +30,22 @@ pub struct ChunkLayout {
     pub locations: Replicas,
 }
 
+impl ChunkLayout {
+    /// `chunk`'s current row in the namenode.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown chunk id.
+    pub(crate) fn of(namenode: &Namenode, chunk: ChunkId) -> Self {
+        let meta = namenode.chunk(chunk).expect("chunk must exist");
+        ChunkLayout {
+            chunk,
+            size: meta.size,
+            locations: meta.locations.clone(),
+        }
+    }
+}
+
 /// Immutable layout of a set of chunks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutSnapshot {
@@ -188,14 +204,7 @@ impl LayoutSnapshot {
     pub fn capture(namenode: &Namenode, chunks: &[ChunkId]) -> Self {
         chunks
             .iter()
-            .map(|&c| {
-                let meta = namenode.chunk(c).expect("chunk must exist");
-                ChunkLayout {
-                    chunk: c,
-                    size: meta.size,
-                    locations: meta.locations.clone(),
-                }
-            })
+            .map(|&c| ChunkLayout::of(namenode, c))
             .collect()
     }
 
@@ -439,20 +448,66 @@ mod tests {
         // snapshot must equal a fresh capture.
         let (mut nn, chunks) = setup();
         let mut snap = LayoutSnapshot::capture(&nn, &chunks);
-        nn.take_events(); // drop the creation events: snapshot has them
+        nn.take_delta(|_| false); // settle: the snapshot has the creation
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         nn.fail_node(NodeId(1)).unwrap();
         nn.repair_under_replicated(&mut rng).unwrap();
         nn.add_node();
         nn.decommission(NodeId(4), &mut rng).unwrap();
         nn.rebalance(1.25, &mut rng);
-        let events = nn.take_events();
-        assert!(nn.events().is_empty(), "drain empties the journal");
         let scope: std::collections::BTreeSet<ChunkId> = chunks.iter().copied().collect();
-        let delta = crate::delta::LayoutDelta::from_events(&events, |c| scope.contains(&c));
+        let delta = nn.take_delta(|c| scope.contains(&c));
+        assert!(nn.events().is_empty(), "drain empties the journal");
         assert!(!delta.is_empty());
         snap.apply_delta(&delta);
         assert_eq!(snap, LayoutSnapshot::capture(&nn, &chunks));
+    }
+
+    #[test]
+    fn take_delta_projects_chunks_born_and_churned_in_one_window() {
+        // One window creates a dataset, fails a node, repairs,
+        // decommissions and migrates a replica of a chunk born in it:
+        // the born chunks arrive with their current rows, churn on the
+        // older ones as net replica changes.
+        let (mut nn, old) = setup();
+        let mut snap = LayoutSnapshot::capture(&nn, &old);
+        nn.take_delta(|_| false);
+        let mut rng = StdRng::seed_from_u64(0xB0A7);
+        let id = nn.create_dataset(
+            &DatasetSpec::uniform("born", 8, 32),
+            &Placement::Random,
+            &mut rng,
+        );
+        let born = nn.dataset(id).unwrap().chunks.clone();
+        nn.fail_node(NodeId(2)).unwrap();
+        nn.repair_under_replicated(&mut rng).unwrap();
+        nn.decommission(NodeId(5), &mut rng).unwrap();
+        let from = nn.chunk(born[0]).unwrap().locations[0];
+        let to = nn
+            .alive_nodes()
+            .into_iter()
+            .find(|&n| !nn.chunk(born[0]).unwrap().is_on(n))
+            .expect("r = 3 on 4 alive nodes leaves one free");
+        nn.apply_migrations(&LayoutDelta::migration(born[0], from, to))
+            .unwrap();
+        assert!(!nn.events().is_empty());
+
+        let all: Vec<ChunkId> = old.iter().chain(&born).copied().collect();
+        let delta = nn.take_delta(|_| true);
+        let added: Vec<ChunkId> = delta.files_added.iter().map(|e| e.chunk).collect();
+        assert_eq!(added, born);
+        assert!(delta
+            .replicas_added
+            .iter()
+            .chain(&delta.replicas_dropped)
+            .all(|(c, _)| old.contains(c)));
+        assert_eq!(delta.nodes_failed, vec![NodeId(2), NodeId(5)]);
+        snap.apply_delta(&delta);
+        assert_eq!(snap, LayoutSnapshot::capture(&nn, &all));
+
+        // An empty window gives an empty delta, in scope or not.
+        assert!(nn.take_delta(|_| true).is_empty());
+        assert!(nn.events().is_empty());
     }
 
     #[test]

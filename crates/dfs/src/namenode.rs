@@ -12,6 +12,7 @@ use crate::chunk::{ChunkMeta, DatasetMeta, DatasetSpec};
 use crate::delta::{LayoutDelta, LayoutEvent};
 use crate::error::DfsError;
 use crate::ids::{ChunkId, DatasetId, NodeId};
+use crate::layout::ChunkLayout;
 use crate::placement::Placement;
 use crate::replicas::Replicas;
 use rand::rngs::StdRng;
@@ -37,13 +38,18 @@ pub struct Namenode {
     config: DfsConfig,
     /// `alive[i]` — whether node `i` is in service.
     alive: Vec<bool>,
+    /// The chunk table: row `i` is chunk `i`.
     chunks: Vec<ChunkMeta>,
     datasets: Vec<DatasetMeta>,
     /// Per-node chunk lists (sorted by ChunkId).
     node_chunks: Vec<Vec<ChunkId>>,
-    /// Layout mutation journal since the last [`Namenode::take_events`]
-    /// drain — the change feed incremental re-planning consumes.
+    /// Replica and membership events since the last
+    /// [`Namenode::take_delta`] drain — the change feed incremental
+    /// re-planning consumes.
     events: Vec<LayoutEvent>,
+    /// The first chunk created since the last drain: rows from here on
+    /// are new to every snapshot taken before it.
+    born: usize,
 }
 
 impl Namenode {
@@ -66,27 +72,37 @@ impl Namenode {
             datasets: Vec::new(),
             node_chunks: vec![Vec::new(); n_nodes],
             events: Vec::new(),
+            born: 0,
         }
     }
 
-    /// Layout events journalled since the last [`Namenode::take_events`]
+    /// Layout events journalled since the last [`Namenode::take_delta`]
     /// drain, in mutation order.
     ///
-    /// The journal grows with every mutation — one event per created
-    /// chunk, two per migrated replica — and only a drain shrinks it. A
-    /// long-lived holder that never projects deltas from it must still
-    /// call [`Namenode::take_events`] (and drop the result) after each
-    /// build or churn step, or it keeps a second copy of the block map.
+    /// Creating chunks journals nothing; replica and membership churn
+    /// does — two events per migrated replica — and only a drain shrinks
+    /// the journal. A holder that churns for long without projecting
+    /// deltas should still drain after each churn step.
     pub fn events(&self) -> &[LayoutEvent] {
         &self.events
     }
 
-    /// Drains the event journal: returns every event since the previous
-    /// drain and leaves the journal empty. Each consumer window projects
-    /// onto its snapshot via
-    /// [`LayoutDelta::from_events`](crate::delta::LayoutDelta::from_events).
-    pub fn take_events(&mut self) -> Vec<LayoutEvent> {
-        std::mem::take(&mut self.events)
+    /// Drains the journal into the net change since the previous drain,
+    /// scoped to the chunks `in_scope` accepts (node membership changes
+    /// always apply). Chunks created in the window arrive in
+    /// `files_added` with their current rows, so replica churn on them is
+    /// already folded in; churn on older chunks arrives as net replica
+    /// changes. The result is normalized.
+    pub fn take_delta(&mut self, mut in_scope: impl FnMut(ChunkId) -> bool) -> LayoutDelta {
+        let born = std::mem::replace(&mut self.born, self.chunks.len());
+        let events = std::mem::take(&mut self.events);
+        let mut delta = LayoutDelta::from_events(&events, |c| c.index() < born && in_scope(c));
+        delta.files_added = (born..self.chunks.len())
+            .map(|i| ChunkId(i as u64))
+            .filter(|&c| in_scope(c))
+            .map(|c| ChunkLayout::of(self, c))
+            .collect();
+        delta
     }
 
     /// Configuration in use.
@@ -174,48 +190,48 @@ impl Namenode {
     }
 
     /// Registers `spec` with one replica set per chunk. The chunk table,
-    /// the journal and the dataset's id list grow once, up front, so the
-    /// loop allocates nothing per chunk beyond the per-node lists'
-    /// amortised growth.
-    ///
-    /// The table and the journal grow by exactly the dataset: datasets
-    /// arrive a few at a time, so one copy each is cheap, while doubling
-    /// left up to half of both as capacity nothing used — megabytes once
-    /// a namenode holds tens of thousands of chunks.
+    /// every per-node list the dataset touches and the dataset's id list
+    /// each grow once, by exactly the dataset: datasets arrive a few at a
+    /// time, so one copy each is cheap, while doubling left up to half of
+    /// every list as capacity nothing used — megabytes once a namenode
+    /// holds tens of thousands of chunks. Nothing is journalled: the new
+    /// rows are the record of the creation.
     fn add_dataset(
         &mut self,
         spec: &DatasetSpec,
         locations: impl Iterator<Item = Replicas>,
     ) -> DatasetId {
         let id = DatasetId(self.datasets.len() as u32);
-        let n_chunks = spec.n_chunks();
-        self.chunks.reserve_exact(n_chunks);
-        self.events.reserve_exact(n_chunks);
-        let mut chunk_ids = Vec::with_capacity(n_chunks);
-        for (i, (&size, locations)) in spec.chunk_sizes.iter().zip(locations).enumerate() {
+        let first = self.chunks.len();
+        self.chunks.reserve_exact(spec.n_chunks());
+        for (&size, locations) in spec.chunk_sizes.iter().zip(locations) {
             assert!(size > 0, "chunk sizes must be positive");
-            let chunk_id = ChunkId(self.chunks.len() as u64);
-            for &n in &locations {
-                insert_sorted(&mut self.node_chunks[n.index()], chunk_id);
-            }
-            self.events.push(LayoutEvent::ChunkAdded {
-                chunk: chunk_id,
-                size,
-                locations: locations.clone(),
-            });
             self.chunks.push(ChunkMeta {
-                id: chunk_id,
                 dataset: id,
-                index_in_dataset: i,
                 size,
                 locations,
             });
-            chunk_ids.push(chunk_id);
+        }
+        let rows = &self.chunks[first..];
+        let mut added = vec![0usize; self.node_chunks.len()];
+        for &n in rows.iter().flat_map(|row| row.locations.iter()) {
+            added[n.index()] += 1;
+        }
+        for (list, &k) in self.node_chunks.iter_mut().zip(&added) {
+            list.reserve_exact(k);
+        }
+        // New ids exceed every id already listed, so each list appends.
+        for (i, row) in rows.iter().enumerate() {
+            for &n in &row.locations {
+                self.node_chunks[n.index()].push(ChunkId((first + i) as u64));
+            }
         }
         self.datasets.push(DatasetMeta {
             id,
             name: spec.name.clone(),
-            chunks: chunk_ids,
+            chunks: (first..self.chunks.len())
+                .map(|i| ChunkId(i as u64))
+                .collect(),
             total_bytes: spec.total_bytes(),
         });
         id
@@ -313,10 +329,10 @@ impl Namenode {
     /// their live replica counts.
     pub fn under_replicated(&self) -> Vec<(ChunkId, usize)> {
         let r = self.config.replication as usize;
-        self.chunks
-            .iter()
-            .filter(|c| c.locations.len() < r)
-            .map(|c| (c.id, c.locations.len()))
+        self.chunk_ids()
+            .zip(&self.chunks)
+            .filter(|(_, c)| c.locations.len() < r)
+            .map(|(id, c)| (id, c.locations.len()))
             .collect()
     }
 
@@ -338,10 +354,10 @@ impl Namenode {
         }
         let mut created = 0usize;
         let todo: Vec<ChunkId> = self
-            .chunks
-            .iter()
-            .filter(|c| c.locations.len() < r)
-            .map(|c| c.id)
+            .chunk_ids()
+            .zip(&self.chunks)
+            .filter(|(_, c)| c.locations.len() < r)
+            .map(|(id, _)| id)
             .collect();
         for chunk_id in todo {
             while self.chunks[chunk_id.index()].locations.len() < r {
@@ -469,7 +485,7 @@ impl Namenode {
                         let chunk = &mut self.chunks[chunk_id.index()];
                         chunk.locations.retain(|&n| n != src);
                         chunk.locations.insert(target);
-                        self.node_chunks[src.index()].retain(|&c| c != chunk_id);
+                        remove_sorted(&mut self.node_chunks[src.index()], chunk_id);
                         insert_sorted(&mut self.node_chunks[target.index()], chunk_id);
                         self.events.push(LayoutEvent::ReplicaDropped {
                             chunk: chunk_id,
@@ -532,7 +548,7 @@ impl Namenode {
         let chunk = &mut self.chunks[chunk_id.index()];
         chunk.locations.retain(|&n| n != from);
         chunk.locations.insert(to);
-        self.node_chunks[from.index()].retain(|&c| c != chunk_id);
+        remove_sorted(&mut self.node_chunks[from.index()], chunk_id);
         insert_sorted(&mut self.node_chunks[to.index()], chunk_id);
         self.events.push(LayoutEvent::ReplicaDropped {
             chunk: chunk_id,
@@ -602,27 +618,24 @@ impl Namenode {
     /// Used by tests and debug assertions; cheap enough for production
     /// sanity checks.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for chunk in &self.chunks {
+        for (id, chunk) in self.chunk_ids().zip(&self.chunks) {
             if chunk.locations.len() != self.config.replication as usize {
                 return Err(format!(
                     "{} has {} replicas, expected {}",
-                    chunk.id,
+                    id,
                     chunk.locations.len(),
                     self.config.replication
                 ));
             }
             if chunk.locations.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("{} locations not sorted/distinct", chunk.id));
+                return Err(format!("{id} locations not sorted/distinct"));
             }
             for &n in &chunk.locations {
                 if !self.is_alive(n) {
-                    return Err(format!("{} replica on dead {}", chunk.id, n));
+                    return Err(format!("{id} replica on dead {n}"));
                 }
-                if self.node_chunks[n.index()]
-                    .binary_search(&chunk.id)
-                    .is_err()
-                {
-                    return Err(format!("{} missing from {}'s index", chunk.id, n));
+                if self.node_chunks[n.index()].binary_search(&id).is_err() {
+                    return Err(format!("{id} missing from {n}'s index"));
                 }
             }
         }
@@ -635,6 +648,11 @@ impl Namenode {
         }
         Ok(())
     }
+
+    /// Every chunk id, in table order.
+    fn chunk_ids(&self) -> impl Iterator<Item = ChunkId> {
+        (0..self.chunks.len() as u64).map(ChunkId)
+    }
 }
 
 fn insert_sorted(v: &mut Vec<ChunkId>, id: ChunkId) {
@@ -646,6 +664,12 @@ fn insert_sorted(v: &mut Vec<ChunkId>, id: ChunkId) {
     }
     let pos = v.partition_point(|&x| x < id);
     v.insert(pos, id);
+}
+
+/// Takes `id` off a sorted list that holds it.
+fn remove_sorted(v: &mut Vec<ChunkId>, id: ChunkId) {
+    let pos = v.binary_search(&id).expect("the node lists the chunk");
+    v.remove(pos);
 }
 
 #[cfg(test)]
@@ -701,6 +725,9 @@ mod tests {
             nn.create_dataset(&spec, &Placement::Random, &mut r);
             assert_eq!(nn.chunks.capacity(), nn.chunks.len(), "dataset {d}");
             assert_eq!(nn.events.capacity(), nn.events.len(), "dataset {d}");
+            for (i, list) in nn.node_chunks.iter().enumerate() {
+                assert_eq!(list.capacity(), list.len(), "dataset {d}, node {i}");
+            }
         }
         nn.check_invariants().unwrap();
     }
@@ -708,25 +735,24 @@ mod tests {
     #[test]
     fn block_map_memory_is_per_replica_not_per_cluster_node() {
         // The served world's shape (scaled to 16 datasets) and the
-        // simulator's 1024-node scene. At r = 3 no replica list leaves
-        // its chunk's table slot, and the whole map stays within a
-        // budget that does not depend on the cluster size: 48 B of chunk
-        // table, 3 × 8 B of per-node lists (their doubling growth may
-        // hold up to twice that) and 8 B of dataset id list per chunk.
-        assert_eq!(std::mem::size_of::<LayoutEvent>(), 32);
+        // simulator's 1024-node scene, the journal never drained. At
+        // r = 3 no replica list leaves its chunk's table slot, and past
+        // one list header per node the map costs 64 B per chunk whatever
+        // the cluster size: 32 B of chunk table, 3 × 8 B of per-node
+        // lists and 8 B of dataset id list.
+        use std::mem::size_of;
         for (n_nodes, n_datasets, per_dataset) in [(64, 16, 1280), (1024, 1, 10_240)] {
             let mut nn = Namenode::new(n_nodes, DfsConfig::default());
             let mut r = rng();
             for d in 0..n_datasets {
                 let spec = DatasetSpec::uniform(format!("ds{d}"), per_dataset, 64);
                 nn.create_dataset(&spec, &Placement::Random, &mut r);
-                assert_eq!(nn.take_events().len(), per_dataset, "one event per chunk");
             }
             let n_chunks = n_datasets * per_dataset;
             assert_eq!(nn.chunk_count(), n_chunks);
             assert!(nn.chunks().iter().all(|c| !c.locations.is_spilled()));
-            let per_chunk = heap_bytes(&nn) / n_chunks;
-            assert!(per_chunk <= 104, "{n_nodes} nodes: {per_chunk} B/chunk");
+            let per_chunk = (heap_bytes(&nn) - n_nodes * size_of::<Vec<ChunkId>>()) / n_chunks;
+            assert!(per_chunk <= 64, "{n_nodes} nodes: {per_chunk} B/chunk");
             nn.check_invariants().unwrap();
         }
     }
@@ -1018,7 +1044,7 @@ mod tests {
     #[test]
     fn migrate_replica_preserves_counts_and_journals_the_move() {
         let (mut nn, id) = small_fs();
-        nn.take_events();
+        assert!(nn.events().is_empty(), "creating chunks journals nothing");
         let chunk = nn.dataset(id).unwrap().chunks[0];
         let from = nn.chunk(chunk).unwrap().locations[0];
         let to = (0..8)
@@ -1031,8 +1057,8 @@ mod tests {
         assert!(meta.is_on(to) && !meta.is_on(from));
         nn.check_invariants().unwrap();
         assert_eq!(
-            nn.take_events(),
-            vec![
+            nn.events(),
+            [
                 LayoutEvent::ReplicaDropped { chunk, node: from },
                 LayoutEvent::ReplicaAdded { chunk, node: to },
             ]
@@ -1055,7 +1081,6 @@ mod tests {
     #[test]
     fn apply_migrations_is_all_or_nothing() {
         let (mut nn, id) = small_fs();
-        nn.take_events();
         let chunks = nn.dataset(id).unwrap().chunks.clone();
         let free_node = |nn: &Namenode, c: ChunkId| {
             (0..8)

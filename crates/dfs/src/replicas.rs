@@ -228,6 +228,7 @@ impl PartialEq<Vec<NodeId>> for Replicas {
 mod tests {
     use super::*;
     use crate::chunk::ChunkMeta;
+    use crate::delta::LayoutEvent;
     use crate::layout::ChunkLayout;
 
     fn ids(raw: &[u32]) -> Vec<NodeId> {
@@ -237,8 +238,9 @@ mod tests {
     #[test]
     fn sizes_keep_the_block_map_flat() {
         assert_eq!(std::mem::size_of::<Replicas>(), 16);
-        assert_eq!(std::mem::size_of::<ChunkMeta>(), 48);
+        assert_eq!(std::mem::size_of::<ChunkMeta>(), 32);
         assert_eq!(std::mem::size_of::<ChunkLayout>(), 32);
+        assert_eq!(std::mem::size_of::<LayoutEvent>(), 16);
     }
 
     #[test]

@@ -78,10 +78,8 @@ impl ServeSpec {
     /// layouts are tested equal to, and the namenode for clients that
     /// want one (say, to apply the churn they replay on the service).
     ///
-    /// The namenode comes back with an empty event journal: the world is
-    /// the base layout, not churn to project, so each dataset's creation
-    /// events are dropped as soon as it is built and the journal never
-    /// holds more than one dataset.
+    /// The namenode comes back drained: the world is the base layout,
+    /// not churn to project.
     pub fn build_namenode(&self) -> Namenode {
         let mut nn = Namenode::new(
             self.n_nodes,
@@ -94,8 +92,8 @@ impl ServeSpec {
             let spec =
                 DatasetSpec::uniform(format!("ds{i}"), self.chunks_per_dataset, self.chunk_size);
             nn.create_dataset(&spec, &Placement::Random, &mut rng);
-            nn.take_events();
         }
+        nn.take_delta(|_| false);
         nn
     }
 
@@ -499,6 +497,7 @@ mod tests {
         let nn = spec.build_namenode();
         assert_eq!(nn.chunk_count(), 72);
         assert!(nn.events().is_empty());
+        assert!(nn.clone().take_delta(|_| true).is_empty());
     }
 
     #[test]

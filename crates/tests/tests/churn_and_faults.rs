@@ -276,7 +276,7 @@ fn replan_tracks_scratch_plans_through_randomized_churn() {
         let w = Workload::new("churny", chunks.iter().map(|&c| Task::single(c)).collect());
         let scope: BTreeSet<ChunkId> = chunks.iter().copied().collect();
         let placement = ProcessPlacement::one_per_node(10);
-        nn.take_events();
+        nn.take_delta(|_| false);
         let planner = OpassPlanner::default();
         let mut session = planner
             .session(&PlanRequest::single(&nn, &w, &placement).seed(17))
@@ -298,7 +298,7 @@ fn replan_tracks_scratch_plans_through_randomized_churn() {
                     nn.rebalance(1.1, &mut rng);
                 }
             }
-            let delta = LayoutDelta::from_events(&nn.take_events(), |c| scope.contains(&c));
+            let delta = nn.take_delta(|c| scope.contains(&c));
             let repaired = session.replan(&delta).clone();
             let scratch = planner
                 .plan(&PlanRequest::single(&nn, &w, &placement).seed(17))
@@ -361,7 +361,7 @@ fn replan_reaches_every_task_reading_a_chunk_listed_twice() {
     let w = Workload::new("shared", ids.iter().map(|&c| Task::single(c)).collect());
     let scope: BTreeSet<ChunkId> = ids.iter().copied().collect();
     let placement = ProcessPlacement::one_per_node(8);
-    nn.take_events();
+    nn.take_delta(|_| false);
     let planner = OpassPlanner::default();
     let mut session = planner
         .session(&PlanRequest::single(&nn, &w, &placement).seed(5))
@@ -373,7 +373,7 @@ fn replan_reaches_every_task_reading_a_chunk_listed_twice() {
         let holder = nn.chunk(ids[0]).expect("chunk exists").locations[0];
         nn.fail_node(holder).expect("fail alive node");
         nn.repair_under_replicated(&mut rng).expect("repair");
-        let delta = LayoutDelta::from_events(&nn.take_events(), |c| scope.contains(&c));
+        let delta = nn.take_delta(|c| scope.contains(&c));
         assert!(!delta.is_empty(), "step {step}");
         let repaired = session.replan(&delta).clone();
         assert_eq!(

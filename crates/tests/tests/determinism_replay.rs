@@ -7,7 +7,7 @@
 use opass_core::build_matching_values;
 use opass_core::planner::OpassPlanner;
 use opass_core::request::PlanRequest;
-use opass_dfs::{ChunkId, DatasetSpec, DfsConfig, LayoutDelta, Namenode, Placement, ReplicaChoice};
+use opass_dfs::{ChunkId, DatasetSpec, DfsConfig, Namenode, Placement, ReplicaChoice};
 use opass_runtime::{execute, ExecConfig, ProcessPlacement, TaskSource};
 use opass_workloads::{Task, Workload};
 use rand::rngs::StdRng;
@@ -130,7 +130,7 @@ fn replan_session_replays_bit_identically() {
         // Record a randomized churn script against one world...
         let (mut nn, w) = cluster(world_seed);
         let scope: BTreeSet<ChunkId> = w.tasks.iter().map(|t| t.inputs[0]).collect();
-        nn.take_events();
+        nn.take_delta(|_| false);
         let mut rng = StdRng::seed_from_u64(world_seed ^ 0xFACE);
         let mut deltas = Vec::new();
         for _ in 0..5 {
@@ -149,9 +149,7 @@ fn replan_session_replays_bit_identically() {
                     nn.rebalance(1.1, &mut rng);
                 }
             }
-            deltas.push(LayoutDelta::from_events(&nn.take_events(), |c| {
-                scope.contains(&c)
-            }));
+            deltas.push(nn.take_delta(|c| scope.contains(&c)));
         }
         // ...then fold it into two fresh, identical sessions.
         let run = || {
