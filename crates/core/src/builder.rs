@@ -202,18 +202,18 @@ impl NodeLists {
     }
 }
 
-/// The graph with an edge of the entry's size between every entry of
-/// `snapshot` (file vertex = entry index) and every process in a group
+/// The graph with an edge between every entry of `snapshot` (file vertex
+/// = entry index, sized as the entry) and every process in a group
 /// holding one of its replicas, `group_of` mapping holders to groups.
 /// `one_to_one` says that `group_of` never maps two nodes to one group,
 /// so a chunk's replicas, on distinct nodes, name distinct groups with
 /// no check.
 ///
-/// A counting pass first, so the graph is laid out at its exact degrees
-/// with no growth slack for a session to hold on to; then one pass
-/// writes each entry's processes and weights, sorting a span only when
-/// its groups did not already arrive in process order, and the graph
-/// takes them as its file side and counting-sorts its process side.
+/// A counting pass first, so the graph is laid out from its exact
+/// degrees (plus the pool's fixed headroom); then one pass writes each
+/// entry's processes, sorting a span only when its groups did not
+/// already arrive in process order, and the graph takes them as its file
+/// side and counting-sorts its process side.
 fn grouped_graph(
     snapshot: &LayoutSnapshot,
     groups: &ProcsOn,
@@ -234,21 +234,18 @@ fn grouped_graph(
         })
         .collect();
     let mut procs: Vec<u32> = Vec::with_capacity(n_edges);
-    let mut bytes: Vec<u64> = Vec::with_capacity(n_edges);
     for entry in entries.iter() {
         let span = procs.len();
         holder_procs(entry, groups, &group_of, one_to_one, |group| {
-            for &p in group {
-                procs.push(p as u32);
-                bytes.push(entry.size);
-            }
+            procs.extend(group.iter().map(|&p| p as u32));
         });
         let span = &mut procs[span..];
         if span.windows(2).any(|w| w[0] > w[1]) {
             span.sort_unstable();
         }
     }
-    BipartiteGraph::from_file_spans(groups.n_procs(), degrees, procs, bytes)
+    let sizes = entries.iter().map(|entry| entry.size).collect();
+    BipartiteGraph::from_file_spans(groups.n_procs(), degrees, procs, sizes)
 }
 
 /// Visits the processes of each group holding a replica of `entry`, in

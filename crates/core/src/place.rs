@@ -85,6 +85,10 @@ pub struct PlacementRound {
 #[derive(Debug, Clone)]
 pub struct PlacementSession {
     session: SingleDataSession,
+    /// The layout the current plan was computed against, advanced by
+    /// every round's delta: donors and balance read replica holders,
+    /// which the session's graph keeps only on nodes with a process.
+    layout: LayoutSnapshot,
     placement: ProcessPlacement,
     config: PlacementConfig,
     n_nodes: usize,
@@ -113,9 +117,11 @@ impl OpassPlanner {
             .session(request)
             .into_single()
             .expect("placement loops drive single-data requests only");
-        let n_nodes = node_span(&placement, session.snapshot());
+        let layout = request.single_layout().clone();
+        let n_nodes = node_span(&placement, &layout);
         PlacementSession {
             session,
+            layout,
             placement,
             config,
             n_nodes,
@@ -133,7 +139,7 @@ impl PlacementSession {
 
     /// The layout snapshot the current plan was computed against.
     pub fn snapshot(&self) -> &LayoutSnapshot {
-        self.session.snapshot()
+        &self.layout
     }
 
     /// Rounds executed so far.
@@ -170,8 +176,8 @@ impl PlacementSession {
             round_byte_budget: self.config.policy.round_byte_budget.min(remaining),
             ..self.config.policy
         };
-        let sizes = self.session.snapshot().sizes();
-        let moves = propose_moves(self.session.matcher(), &sizes, &policy);
+        let matcher = self.session.matcher();
+        let moves = propose_moves(matcher, matcher.graph().sizes(), &policy);
         let (delta, migrated) = self.delta_for(&moves);
         if delta.is_empty() {
             return None;
@@ -180,6 +186,7 @@ impl PlacementSession {
         let before = self.session.plan().locality.local_bytes;
         let balance_before = self.planned_balance();
         self.session.replan(&delta);
+        self.layout.apply_delta(&delta);
         let after = self.session.plan().locality.local_bytes;
         let balance_after = self.planned_balance();
 
@@ -211,11 +218,11 @@ impl PlacementSession {
     /// the holder storing the most planned bytes (ties to the lower node
     /// id), so migrations also drain the hottest holders first.
     fn delta_for(&self, moves: &[ReplicaMove]) -> (LayoutDelta, u64) {
-        let stored = self.session.snapshot().bytes_per_node(self.n_nodes);
+        let stored = self.layout.bytes_per_node(self.n_nodes);
         let mut pairs = Vec::new();
         let mut migrated = 0u64;
         for mv in moves {
-            let entry = &self.session.snapshot().entries()[mv.file];
+            let entry = &self.layout.entries()[mv.file];
             let target = self.placement.node_of(mv.to_proc);
             if entry.locations.contains(&target) {
                 continue; // already co-located; nothing to move
@@ -237,7 +244,7 @@ impl PlacementSession {
     fn planned_balance(&self) -> BalanceReport {
         let mut served = vec![0u64; self.n_nodes];
         let owners = self.session.matcher().owners();
-        for (f, entry) in self.session.snapshot().entries().iter().enumerate() {
+        for (f, entry) in self.layout.entries().iter().enumerate() {
             let node = match owners[f] {
                 Some(p) => Some(self.placement.node_of(p)),
                 None => entry.locations.first().copied(),

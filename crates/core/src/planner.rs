@@ -19,7 +19,7 @@
 use crate::builder::ProcsOn;
 use opass_dfs::LayoutSnapshot;
 use opass_matching::{
-    Assignment, FillPolicy, FlowAlgo, LocalityReport, Objective, SpareQuota, NONE,
+    Assignment, BipartiteGraph, FillPolicy, FlowAlgo, LocalityReport, Objective, SpareQuota, NONE,
 };
 use rand::Rng;
 
@@ -50,6 +50,70 @@ pub struct SingleDataPlan {
     pub locality: LocalityReport,
 }
 
+/// What a single-data plan is assembled against: each file's size, the
+/// process count, and which processes are co-located with a file.
+#[derive(Clone, Copy)]
+pub(crate) enum PlanLayout<'a> {
+    /// A cold plan's snapshot and the processes on each node: a process
+    /// is co-located with a file when it runs on a holder of its chunk.
+    Snapshot(&'a LayoutSnapshot, &'a ProcsOn),
+    /// A session's locality graph, the only copy of the layout it keeps:
+    /// its file sizes, and its edges for co-location.
+    Graph(&'a BipartiteGraph),
+}
+
+impl PlanLayout<'_> {
+    fn n_procs(self) -> usize {
+        match self {
+            PlanLayout::Snapshot(_, procs_on) => procs_on.n_procs(),
+            PlanLayout::Graph(graph) => graph.n_procs(),
+        }
+    }
+
+    /// The locality report of a plan whose local files are those
+    /// `local(f)` names: one pass over the sizes.
+    fn locality(self, local: impl Fn(usize) -> bool) -> LocalityReport {
+        let mut report = LocalityReport {
+            local_tasks: 0,
+            total_tasks: 0,
+            local_bytes: 0,
+            total_bytes: 0,
+        };
+        let mut count = |f: usize, size: u64| {
+            report.total_tasks += 1;
+            report.total_bytes += size;
+            if local(f) {
+                report.local_tasks += 1;
+                report.local_bytes += size;
+            }
+        };
+        match self {
+            PlanLayout::Snapshot(snapshot, _) => {
+                for (f, entry) in snapshot.entries().iter().enumerate() {
+                    count(f, entry.size);
+                }
+            }
+            PlanLayout::Graph(graph) => {
+                for (f, &size) in graph.sizes().iter().enumerate() {
+                    count(f, size);
+                }
+            }
+        }
+        report
+    }
+
+    /// Whether process `p` can read file `f` locally.
+    fn colocated(self, f: usize, p: usize) -> bool {
+        match self {
+            PlanLayout::Snapshot(snapshot, procs_on) => snapshot.entries()[f]
+                .locations
+                .iter()
+                .any(|&node| procs_on.at(node.index()).contains(&p)),
+            PlanLayout::Graph(graph) => graph.weight(p, f).is_some(),
+        }
+    }
+}
+
 impl SingleDataPlan {
     /// The plan around a maximum matching: `owner` names each matched
     /// file's process and is [`NONE`] elsewhere, `load` counts each
@@ -61,19 +125,18 @@ impl SingleDataPlan {
     /// A fill target is never co-located with its file (a co-located
     /// process with spare quota would give the maximum matching an
     /// augmenting path of length one), so exactly the matched files read
-    /// locally, and one pass over the snapshot's sizes gives the
-    /// locality report. A debug build checks it against the placement:
-    /// a task is local when its owner runs on a holder of its chunk.
+    /// locally, and one pass over the layout's sizes gives the locality
+    /// report. A debug build checks it against the layout's co-location:
+    /// a task is local when its owner can read it locally.
     pub(crate) fn assemble<R: Rng>(
-        snapshot: &LayoutSnapshot,
-        procs_on: &ProcsOn,
+        layout: PlanLayout<'_>,
         quota: &[usize],
         mut owner: Vec<u32>,
         mut load: Vec<usize>,
         fill: FillPolicy,
         rng: &mut R,
     ) -> SingleDataPlan {
-        let locality = matched_locality(snapshot, |f| owner[f] != NONE);
+        let locality = layout.locality(|f| owner[f] != NONE);
         let mut spare = SpareQuota::new(quota, &load);
         let mut filled_files = 0;
         for o in owner.iter_mut().filter(|o| **o == NONE) {
@@ -81,16 +144,10 @@ impl SingleDataPlan {
             filled_files += 1;
         }
         let owner = owner.into_iter().map(|o| o as usize).collect();
-        let assignment = Assignment::from_owners(owner, procs_on.n_procs());
+        let assignment = Assignment::from_owners(owner, layout.n_procs());
         debug_assert_eq!(
             locality,
-            matched_locality(snapshot, |f| {
-                let p = assignment.owner_of(f);
-                snapshot.entries()[f]
-                    .locations
-                    .iter()
-                    .any(|&node| procs_on.at(node.index()).contains(&p))
-            }),
+            layout.locality(|f| layout.colocated(f, assignment.owner_of(f))),
             "derived locality must equal the measured report"
         );
         SingleDataPlan {
@@ -100,25 +157,6 @@ impl SingleDataPlan {
             locality,
         }
     }
-}
-
-/// The locality report of a single-data plan whose local files are those
-/// `local(f)` names.
-fn matched_locality(snapshot: &LayoutSnapshot, local: impl Fn(usize) -> bool) -> LocalityReport {
-    let mut report = LocalityReport {
-        local_tasks: 0,
-        total_tasks: snapshot.len(),
-        local_bytes: 0,
-        total_bytes: 0,
-    };
-    for (f, entry) in snapshot.entries().iter().enumerate() {
-        report.total_bytes += entry.size;
-        if local(f) {
-            report.local_tasks += 1;
-            report.local_bytes += entry.size;
-        }
-    }
-    report
 }
 
 /// A multi-data plan.
@@ -343,8 +381,7 @@ mod tests {
         // fill puts file 0 on it as well: a remote read.
         let (procs_on, snapshot) = diagonal();
         let plan = SingleDataPlan::assemble(
-            &snapshot,
-            &procs_on,
+            PlanLayout::Snapshot(&snapshot, &procs_on),
             &[0, 2],
             vec![NONE, 1],
             vec![0, 1],
@@ -372,8 +409,7 @@ mod tests {
         // file local) disagrees with the measured one.
         let (procs_on, snapshot) = diagonal();
         SingleDataPlan::assemble(
-            &snapshot,
-            &procs_on,
+            PlanLayout::Snapshot(&snapshot, &procs_on),
             &[1, 1],
             vec![NONE, NONE],
             vec![0, 0],

@@ -4,25 +4,27 @@
 //! A from-scratch single-data plan costs a layout capture plus an
 //! O(edges) graph build plus a max-flow solve; after a small burst of
 //! churn almost all of that work recomputes what was already known. The
-//! sessions here keep the planner's working state alive — the layout
-//! snapshot, the locality graph, and the residual matching — and advance
-//! it by a [`LayoutDelta`] in time proportional to the delta:
+//! sessions here keep the planner's working state alive and advance it
+//! by a [`LayoutDelta`] in time proportional to the delta:
 //!
-//! * [`SingleDataSession`] wraps [`IncrementalMatcher`]: each delta is
-//!   canonicalized into graph mutations (edge drops from node failures
-//!   and replica moves, then edge adds, then file removals in descending
-//!   index order, then file additions in delta order). Replica-level
-//!   churn is staged and repaired in one batch of phase-shared
-//!   alternating searches, on the matcher's one sequential kernel;
-//!   file-level mutations repair elementarily with searches seeded at
-//!   the touched vertices. The repaired plan has the
-//!   same matched-file count
-//!   — and, under [`opass_matching::Objective::MatchedBytes`], the same
+//! * [`SingleDataSession`] wraps [`IncrementalMatcher`], whose locality
+//!   graph is the session's only copy of the layout: no snapshot is
+//!   kept beside it. Each delta is canonicalized into graph mutations
+//!   (edge drops from node failures — a failed node's files are its
+//!   processes' lists — and replica moves, then edge adds, then file
+//!   removals in descending index order, then file additions in delta
+//!   order), with a [`ChunkIndex`] advanced past the delta's scope
+//!   changes to turn chunk ids into file indices. Replica-level churn is
+//!   staged and repaired in one batch of phase-shared alternating
+//!   searches, on the matcher's one sequential kernel; file-level
+//!   mutations repair elementarily with searches seeded at the touched
+//!   vertices. The repaired plan has the same matched-file count — and,
+//!   under [`opass_matching::Objective::MatchedBytes`], the same
 //!   matched-byte total — as a from-scratch solve on the advanced layout.
-//! * [`MultiDataSession`] keeps the matching-value table `m_i^j` patched
-//!   in place and re-runs Algorithm 1's trade-up auction over the
-//!   affected tasks only, falling back to a full solve when the file set
-//!   itself changes.
+//! * [`MultiDataSession`] keeps a layout snapshot and the matching-value
+//!   table `m_i^j` patched in place and re-runs Algorithm 1's trade-up
+//!   auction over the affected tasks only, falling back to a full solve
+//!   when the file set itself changes.
 //!
 //! Determinism: a session is a pure fold over `(seed, deltas…)` — the
 //! same starting state and delta sequence yield bit-identical plans. The
@@ -30,7 +32,7 @@
 //! and a replan counter, never from ambient state.
 
 use crate::builder::{build_locality_graph_from_layout, build_values, ProcsOn, TaskLayout};
-use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
+use crate::planner::{MultiDataPlan, OpassPlanner, PlanLayout, SingleDataPlan};
 use opass_dfs::{ChunkId, ChunkIndex, ChunkLayout, LayoutDelta, LayoutSnapshot, NodeId};
 use opass_matching::{
     assign_multi_data, quotas, repair_multi_data, BipartiteGraph, FillPolicy, IncrementalMatcher,
@@ -53,10 +55,11 @@ fn fill_rng(seed: u64, replans: u64) -> StdRng {
 /// [`crate::PlanRequest::single_from_layout`]).
 #[derive(Debug, Clone)]
 pub struct SingleDataSession {
-    snapshot: LayoutSnapshot,
-    /// Chunk-id → snapshot-index map, advanced alongside `snapshot` so
-    /// replans pay O(|delta| log n) instead of an O(n log n) rebuild.
+    /// Chunk-id → file-index map of the layout the session started from,
+    /// advanced past every delta's scope changes.
     index: ChunkIndex,
+    /// The residual matching and its locality graph: the layout as far
+    /// as planning needs it (sizes, and replicas on nodes with a process).
     matcher: IncrementalMatcher,
     /// Processes per node, fixed for the session's lifetime.
     procs_on: ProcsOn,
@@ -69,11 +72,11 @@ pub struct SingleDataSession {
 impl SingleDataSession {
     pub(crate) fn start(
         planner: &OpassPlanner,
-        snapshot: LayoutSnapshot,
+        snapshot: &LayoutSnapshot,
         placement: &ProcessPlacement,
         seed: u64,
     ) -> Self {
-        let graph = build_locality_graph_from_layout(&snapshot, placement);
+        let graph = build_locality_graph_from_layout(snapshot, placement);
         // Solve the initial matching with the same flow matcher the
         // scratch planner uses and adopt it, so the session's first plan
         // is bit-identical to the scratch single-data plan — not merely
@@ -94,12 +97,12 @@ impl SingleDataSession {
     /// matching.
     pub(crate) fn resume(
         planner: &OpassPlanner,
-        snapshot: LayoutSnapshot,
+        snapshot: &LayoutSnapshot,
         placement: &ProcessPlacement,
         seed: u64,
         owners: &[u32],
     ) -> Self {
-        let graph = build_locality_graph_from_layout(&snapshot, placement);
+        let graph = build_locality_graph_from_layout(snapshot, placement);
         assert_eq!(owners.len(), graph.n_files(), "one owner per file");
         let matched = owners
             .iter()
@@ -118,7 +121,7 @@ impl SingleDataSession {
     /// matching, and the session's first plan renders around it.
     fn adopt(
         planner: &OpassPlanner,
-        snapshot: LayoutSnapshot,
+        snapshot: &LayoutSnapshot,
         graph: BipartiteGraph,
         owners: Vec<Option<usize>>,
         placement: &ProcessPlacement,
@@ -126,11 +129,9 @@ impl SingleDataSession {
     ) -> Self {
         let matcher = IncrementalMatcher::from_matching(graph, planner.objective, owners);
         let procs_on = ProcsOn::nodes(placement);
-        let plan = render_single_data_plan(&matcher, &snapshot, &procs_on, planner.fill, seed, 0);
-        let index = ChunkIndex::build(&snapshot);
+        let plan = render_single_data_plan(&matcher, planner.fill, seed, 0);
         SingleDataSession {
-            snapshot,
-            index,
+            index: ChunkIndex::build(snapshot),
             matcher,
             procs_on,
             fill: planner.fill,
@@ -143,11 +144,6 @@ impl SingleDataSession {
     /// The plan for the current layout.
     pub fn plan(&self) -> &SingleDataPlan {
         &self.plan
-    }
-
-    /// The layout snapshot the current plan was computed against.
-    pub fn snapshot(&self) -> &LayoutSnapshot {
-        &self.snapshot
     }
 
     /// How many deltas this session has absorbed.
@@ -165,20 +161,12 @@ impl SingleDataSession {
     /// and returns the new plan. Cost is proportional to the delta, not
     /// to the world size.
     pub fn replan(&mut self, delta: &LayoutDelta) -> &SingleDataPlan {
-        let mut delta = delta.clone();
-        delta.normalize();
+        let delta = delta.normalized();
         self.apply_graph_ops(&delta);
-        self.snapshot.apply_delta_indexed(&delta, &mut self.index);
-        debug_assert_eq!(self.snapshot.len(), self.matcher.graph().n_files());
+        self.index.apply_scope(&delta);
+        debug_assert_eq!(self.index.len(), self.matcher.graph().n_files());
         self.replans += 1;
-        self.plan = render_single_data_plan(
-            &self.matcher,
-            &self.snapshot,
-            &self.procs_on,
-            self.fill,
-            self.seed,
-            self.replans,
-        );
+        self.plan = render_single_data_plan(&self.matcher, self.fill, self.seed, self.replans);
         &self.plan
     }
 
@@ -188,21 +176,17 @@ impl SingleDataSession {
     /// order (drops, adds, removals by descending index, additions in
     /// delta order) makes the fold deterministic.
     fn apply_graph_ops(&mut self, delta: &LayoutDelta) {
-        // `self.index` still describes the pre-delta snapshot here — the
-        // snapshot (and index) advance after the graph ops, in `replan`.
+        // `self.index` still describes the pre-delta layout here; it
+        // advances after the graph ops, in `replan`.
 
-        // 1. Edge drops: replicas lost to node failures (computed against
-        //    the pre-delta snapshot) plus explicit drops, deduplicated.
-        let mut drops: BTreeSet<(usize, usize)> = BTreeSet::new();
+        // 1. Edge drops: replicas lost to node failures (each process on
+        //    a failed node loses its whole pre-delta list) plus explicit
+        //    drops, in edge order with no repeats.
+        let graph = self.matcher.graph();
+        let mut drops: Vec<(usize, usize)> = Vec::with_capacity(delta.replicas_dropped.len());
         for &node in &delta.nodes_failed {
-            let procs = self.procs_on.at(node.index());
-            if procs.is_empty() {
-                continue;
-            }
-            for (task, _) in self.snapshot.colocated_with(node) {
-                for &p in procs {
-                    drops.insert((p, task));
-                }
+            for &p in self.procs_on.at(node.index()) {
+                drops.extend(graph.files_raw(p).iter().map(|&f| (p, f as usize)));
             }
         }
         // A chunk read by several tasks has one file vertex per task;
@@ -213,6 +197,8 @@ impl SingleDataSession {
                 drops.extend(procs.iter().map(|&p| (p, task)));
             }
         }
+        drops.sort_unstable();
+        drops.dedup();
         let staged = !drops.is_empty() || !delta.replicas_added.is_empty();
         for (p, task) in drops {
             self.matcher.stage_remove_edge(p, task);
@@ -222,7 +208,7 @@ impl SingleDataSession {
         for &(chunk, node) in &delta.replicas_added {
             let procs = self.procs_on.at(node.index());
             for task in self.index.indices_of(chunk) {
-                let size = self.snapshot.entries()[task].size;
+                let size = self.matcher.graph().size(task);
                 for &p in procs {
                     self.matcher.stage_add_edge(p, task, size);
                 }
@@ -237,7 +223,7 @@ impl SingleDataSession {
         }
 
         // 3. File removals, descending index so earlier indices stay
-        //    valid and the compaction matches `LayoutSnapshot::apply_delta`.
+        //    valid and the compaction matches `ChunkIndex::apply_scope`.
         let mut removed: Vec<usize> = delta
             .files_removed
             .iter()
@@ -248,26 +234,26 @@ impl SingleDataSession {
             self.matcher.remove_file(task);
         }
 
-        // 4. File additions, appended in delta order like the snapshot.
+        // 4. File additions, appended in delta order like the index.
         for entry in &delta.files_added {
-            let mut edges: Vec<(usize, u64)> = Vec::new();
-            for node in &entry.locations {
-                let procs = self.procs_on.at(node.index());
-                edges.extend(procs.iter().map(|&p| (p, entry.size)));
-            }
-            edges.sort_unstable();
-            edges.dedup();
-            self.matcher.add_file(&edges);
+            let mut procs: Vec<usize> = entry
+                .locations
+                .iter()
+                .flat_map(|node| self.procs_on.at(node.index()))
+                .copied()
+                .collect();
+            procs.sort_unstable();
+            procs.dedup();
+            self.matcher.add_file(entry.size, &procs);
         }
     }
 }
 
 /// Completes the matched owners into a full balanced assignment with the
-/// fill policy and reports its locality ([`SingleDataPlan::assemble`]).
+/// fill policy and reports its locality over the matcher's graph
+/// ([`SingleDataPlan::assemble`]).
 fn render_single_data_plan(
     matcher: &IncrementalMatcher,
-    snapshot: &LayoutSnapshot,
-    procs_on: &ProcsOn,
     fill: FillPolicy,
     seed: u64,
     replans: u64,
@@ -277,7 +263,14 @@ fn render_single_data_plan(
     let owner = matcher.owners_dense().to_vec();
     let load = matcher.load().iter().map(|&l| l as usize).collect();
     let mut rng = fill_rng(seed, replans);
-    SingleDataPlan::assemble(snapshot, procs_on, &quota, owner, load, fill, &mut rng)
+    SingleDataPlan::assemble(
+        PlanLayout::Graph(graph),
+        &quota,
+        owner,
+        load,
+        fill,
+        &mut rng,
+    )
 }
 
 /// Long-lived multi-data planning state advanced by layout deltas.
@@ -362,8 +355,7 @@ impl MultiDataSession {
     /// delta that adds or removes files falls back to a full Algorithm 1
     /// run, because the task⇄file relationship itself changed.
     pub fn replan(&mut self, delta: &LayoutDelta) -> &MultiDataPlan {
-        let mut delta = delta.clone();
-        delta.normalize();
+        let delta = delta.normalized();
         self.replans += 1;
         if !delta.files_added.is_empty() || !delta.files_removed.is_empty() {
             // Resync the reader lists against the pre-delta order, then
@@ -568,11 +560,15 @@ mod tests {
                 "step {step}: uniform chunks, byte totals must agree"
             );
             assert!(repaired.assignment.is_balanced(), "step {step}");
-            // The session snapshot must equal a fresh capture.
+            // The session's graph, its only copy of the layout, must
+            // equal one built from a fresh capture.
             let chunks: Vec<ChunkId> = w.tasks.iter().map(|t| t.inputs[0]).collect();
             assert_eq!(
-                session.snapshot(),
-                &LayoutSnapshot::capture(&nn, &chunks),
+                session.matcher().graph(),
+                &build_locality_graph_from_layout(
+                    &LayoutSnapshot::capture(&nn, &chunks),
+                    &placement
+                ),
                 "step {step}"
             );
         }
@@ -821,25 +817,24 @@ mod tests {
                     assert_eq!(resumed.matcher(), started.matcher(), "{at}: matching");
 
                     let (mut failed, mut next_chunk) = (BTreeSet::new(), 1 << 40);
+                    let mut layout = layout.clone();
                     for step in 0..24 {
-                        let delta = seeded_delta(
-                            resumed.snapshot(),
-                            n_nodes,
-                            &mut failed,
-                            &mut next_chunk,
-                            &mut rng,
-                        );
+                        let delta =
+                            seeded_delta(&layout, n_nodes, &mut failed, &mut next_chunk, &mut rng);
+                        layout.apply_delta(&delta);
                         let at = format!("{at} step {step}");
                         let want = started.replan(&delta).clone();
                         assert_same_plan(resumed.replan(&delta), &want, &at);
-                        assert_eq!(resumed.snapshot(), started.snapshot(), "{at}: layout");
+                        assert_eq!(resumed.matcher(), started.matcher(), "{at}: matching");
+                        assert_eq!(
+                            started.matcher().graph(),
+                            &build_locality_graph_from_layout(&layout, placement),
+                            "{at}: layout"
+                        );
                         // And both stay maximum: a scratch plan on the
                         // advanced layout matches no more files or bytes.
                         let scratch = planner
-                            .plan(
-                                &PlanRequest::single_from_layout(resumed.snapshot(), placement)
-                                    .seed(5),
-                            )
+                            .plan(&PlanRequest::single_from_layout(&layout, placement).seed(5))
                             .into_single()
                             .expect("single plan");
                         assert_eq!(want.matched_files, scratch.matched_files, "{at}: scratch");

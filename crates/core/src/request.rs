@@ -37,7 +37,7 @@
 use crate::builder::{
     build_locality_graph_from_layout, build_rack_graph, NodeLists, ProcsOn, TaskLayout,
 };
-use crate::planner::{MultiDataPlan, OpassPlanner, SingleDataPlan};
+use crate::planner::{MultiDataPlan, OpassPlanner, PlanLayout, SingleDataPlan};
 use crate::replan::{MultiDataSession, SingleDataSession};
 use opass_dfs::{LayoutDelta, LayoutSnapshot, RackMap};
 use opass_matching::maxflow::dinic::bipartite_max_flow;
@@ -181,6 +181,15 @@ impl<'a> PlanRequest<'a> {
 
     pub(crate) fn placement(&self) -> &'a ProcessPlacement {
         self.placement
+    }
+
+    /// The single-input layout (entry `t` = task `t`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if some task has other than one input.
+    pub(crate) fn single_layout(&self) -> &LayoutSnapshot {
+        self.layout.single()
     }
 }
 
@@ -364,7 +373,7 @@ impl OpassPlanner {
         let session = match request.mode {
             Mode::Single => Some(Session::Single(Box::new(SingleDataSession::start(
                 self,
-                layout.single().clone(),
+                layout.single(),
                 placement,
                 seed,
             )))),
@@ -394,7 +403,7 @@ impl OpassPlanner {
         );
         SingleDataSession::resume(
             self,
-            request.layout.single().clone(),
+            request.layout.single(),
             request.placement,
             request.seed,
             owners,
@@ -434,7 +443,12 @@ impl OpassPlanner {
         };
         let mut rng = StdRng::seed_from_u64(seed);
         SingleDataPlan::assemble(
-            snapshot, &procs_on, &quota, owner, load, self.fill, &mut rng,
+            PlanLayout::Snapshot(snapshot, &procs_on),
+            &quota,
+            owner,
+            load,
+            self.fill,
+            &mut rng,
         )
     }
 

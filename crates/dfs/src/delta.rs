@@ -19,6 +19,7 @@
 
 use crate::ids::{ChunkId, NodeId};
 use crate::layout::ChunkLayout;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One namenode layout mutation, as appended to the event journal.
@@ -139,6 +140,57 @@ impl LayoutDelta {
         for entry in &mut self.files_added {
             entry.locations.retain(|n| !failed.contains(n));
         }
+    }
+
+    /// The delta as [`LayoutDelta::normalize`] leaves it: borrowed when
+    /// it is already normalized (as [`LayoutDelta::migrations`] and
+    /// [`Namenode::take_delta`](crate::Namenode::take_delta) return it),
+    /// so a consumer pays a copy and the normalization's sets only for a
+    /// delta built by hand.
+    pub fn normalized(&self) -> Cow<'_, LayoutDelta> {
+        if self.is_normal() {
+            return Cow::Borrowed(self);
+        }
+        let mut delta = self.clone();
+        delta.normalize();
+        Cow::Owned(delta)
+    }
+
+    /// Whether [`LayoutDelta::normalize`] would leave the delta as it
+    /// is, checked by binary searches in place: every list strictly
+    /// ascending, no replica both added and dropped, no replica change
+    /// on a removed or added file, no addition on a failed node.
+    fn is_normal(&self) -> bool {
+        fn ascending<T: Ord>(items: &[T]) -> bool {
+            items.windows(2).all(|w| w[0] < w[1])
+        }
+        let removed = |c: &ChunkId| self.files_removed.binary_search(c).is_ok();
+        let added = |c: &ChunkId| {
+            self.files_added
+                .binary_search_by_key(c, |e| e.chunk)
+                .is_ok()
+        };
+        let failed = |n: &NodeId| self.nodes_failed.binary_search(n).is_ok();
+        self.files_added.windows(2).all(|w| w[0].chunk < w[1].chunk)
+            && ascending(&self.files_removed)
+            && ascending(&self.nodes_failed)
+            && ascending(&self.nodes_joined)
+            && ascending(&self.replicas_added)
+            && ascending(&self.replicas_dropped)
+            && self.replicas_added.iter().all(|pair @ (c, n)| {
+                self.replicas_dropped.binary_search(pair).is_err()
+                    && !removed(c)
+                    && !added(c)
+                    && !failed(n)
+            })
+            && self
+                .replicas_dropped
+                .iter()
+                .all(|(c, _)| !removed(c) && !added(c))
+            && self
+                .files_added
+                .iter()
+                .all(|e| !e.locations.iter().any(failed))
     }
 
     /// A delta moving one replica of `chunk` from `from` to `to` — the
@@ -310,6 +362,62 @@ mod tests {
         assert_eq!(d.replicas_added, vec![(ChunkId(2), NodeId(1))]);
         assert!(d.replicas_dropped.is_empty());
         assert_eq!(d.nodes_failed, vec![NodeId(3), NodeId(7)]);
+    }
+
+    #[test]
+    fn normalized_borrows_exactly_the_deltas_normalize_leaves_alone() {
+        // Small random deltas over few chunks and nodes, so duplicates,
+        // cancellations and changes on removed, added or failed ones all
+        // come up; each is also checked once normalized.
+        let mut state = 0x0DE17Au64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % bound
+        };
+        let (mut borrowed, mut owned) = (0, 0);
+        for _ in 0..4000 {
+            let mut pairs = |n: u64| -> Vec<(ChunkId, NodeId)> {
+                (0..next(n))
+                    .map(|_| (ChunkId(next(6)), NodeId(next(4) as u32)))
+                    .collect()
+            };
+            let (replicas_added, replicas_dropped) = (pairs(3), pairs(3));
+            let mut d = LayoutDelta {
+                replicas_added,
+                replicas_dropped,
+                ..Default::default()
+            };
+            for _ in 0..next(2) {
+                d.files_removed.push(ChunkId(next(6)));
+            }
+            for _ in 0..next(2) {
+                d.files_added.push(layout(next(8), 8, &[next(4) as u32]));
+            }
+            for _ in 0..next(2) {
+                d.nodes_failed.push(NodeId(next(4) as u32));
+            }
+            for _ in 0..next(2) {
+                d.nodes_joined.push(NodeId(next(6) as u32));
+            }
+            for d in [d.clone(), {
+                d.normalize();
+                d
+            }] {
+                let mut want = d.clone();
+                want.normalize();
+                let got = d.normalized();
+                assert_eq!(*got, want, "{d:?}");
+                match got {
+                    Cow::Borrowed(_) => borrowed += 1,
+                    Cow::Owned(_) => owned += 1,
+                }
+                assert_eq!(d.is_normal(), d == want, "{d:?}");
+            }
+        }
+        assert!(
+            borrowed > 4000 && owned > 1000,
+            "{borrowed} borrowed, {owned} owned"
+        );
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //! a set of chunks of interest, decoupling the optimizer from namenode
 //! mutations (the real system would fetch this over RPC via
 //! `getFileBlockLocations`). It also provides the inverse co-location view
-//! used to build the bipartite matching graph.
+//! (the chunks on one node).
 //!
 //! Snapshots are copy-on-write: `clone` hands out another handle to the
 //! same entries, and the entries are copied at most once per divergence —
-//! when a handle that still shares them applies a non-empty delta.
+//! when a handle that still shares them applies a non-empty delta. A
+//! single-data planning session builds its locality graph from a
+//! snapshot and keeps no handle on it: the graph is its layout from
+//! then on, and a [`ChunkIndex`] advanced by [`ChunkIndex::apply_scope`]
+//! maps the chunk ids of later deltas onto its file indices.
 
 use crate::delta::LayoutDelta;
 use crate::ids::{ChunkId, NodeId};
@@ -57,11 +61,13 @@ pub struct LayoutSnapshot {
 ///
 /// [`LayoutSnapshot::apply_delta`] rebuilds this map from scratch on
 /// every call — fine for one-shot use, O(n) per step for a session
-/// replaying a long churn stream. A session keeps one `ChunkIndex`
-/// alive instead and advances it together with the snapshot via
-/// [`LayoutSnapshot::apply_delta_indexed`], which only pays
-/// O(|delta| log n) for replica churn (a full rebuild happens solely
-/// when chunks are removed, because removal compacts indices).
+/// replaying a long churn stream. A long-lived holder keeps one
+/// `ChunkIndex` alive instead and advances it with
+/// [`ChunkIndex::apply_scope`] — alongside its snapshot through
+/// [`LayoutSnapshot::apply_delta_indexed`], or on its own where no
+/// snapshot is kept (a planning session) — paying nothing for replica
+/// churn and work in the number of runs, not entries, for scope
+/// changes.
 ///
 /// Datasets get their chunk ids consecutively and snapshots list them
 /// in that order, so the map is stored as runs: a snapshot captured in
@@ -90,25 +96,45 @@ impl Run {
     fn last_id(&self) -> u64 {
         self.first_id.0 + u64::from(self.len - 1)
     }
+
+    /// Whether `next` carries on where this run ends, in both chunk id
+    /// and entry index.
+    fn continues_into(&self, next: &Run) -> bool {
+        self.last_id().checked_add(1) == Some(next.first_id.0)
+            && self.first_index + self.len == next.first_index
+    }
+
+    /// The run of `len` chunks from `first_id`, at entry `first_index`.
+    fn at(first_id: u64, first_index: u32, len: u32) -> Run {
+        Run {
+            first_id: ChunkId(first_id),
+            first_index,
+            len,
+        }
+    }
 }
 
 /// Folds `(chunk, index)` pairs into maximal runs; a pair that does not
 /// continue the last run in both chunk id and index opens the next one.
 fn push_run(runs: &mut Vec<Run>, chunk: ChunkId, index: usize) {
     let index = u32::try_from(index).expect("entry index fits u32");
+    let pair = Run::at(chunk.0, index, 1);
     match runs.last_mut() {
-        Some(run)
-            if run.last_id().checked_add(1) == Some(chunk.0)
-                && run.first_index + run.len == index =>
-        {
-            run.len += 1;
-        }
-        _ => runs.push(Run {
-            first_id: chunk,
-            first_index: index,
-            len: 1,
-        }),
+        Some(run) if run.continues_into(&pair) => run.len += 1,
+        _ => runs.push(pair),
     }
+}
+
+/// Merges every run into its predecessor when it carries on where that
+/// one ends, leaving the runs maximal again after an edit.
+fn coalesce(runs: &mut Vec<Run>) {
+    runs.dedup_by(|next, run| {
+        let merge = run.continues_into(next);
+        if merge {
+            run.len += next.len;
+        }
+        merge
+    });
 }
 
 impl ChunkIndex {
@@ -117,10 +143,7 @@ impl ChunkIndex {
     /// resolves to the later entry and [`ChunkIndex::indices_of`] to all
     /// of them.
     pub fn build(snapshot: &LayoutSnapshot) -> Self {
-        Self::of_entries(&snapshot.entries)
-    }
-
-    fn of_entries(entries: &[ChunkLayout]) -> Self {
+        let entries = snapshot.entries();
         let mut runs = Vec::new();
         for (i, e) in entries.iter().enumerate() {
             push_run(&mut runs, e.chunk, i);
@@ -181,15 +204,90 @@ impl ChunkIndex {
         self.runs.is_empty()
     }
 
-    /// Tracks one entry appended at `index`. Chunk ids past everything
-    /// indexed — a dataset growing — extend or follow the last run; any
-    /// other id would reorder the runs, so the caller rebuilds.
-    fn try_append(&mut self, chunk: ChunkId, index: usize) -> bool {
-        if self.runs.last().is_some_and(|r| chunk.0 <= r.last_id()) {
-            return false;
+    /// Advances the index past a normalized delta's scope changes, with
+    /// no entries to read: every entry of a removed chunk leaves and the
+    /// entries after it move down, then each added chunk is appended in
+    /// delta order. Replica changes move no entry. Leaves the index
+    /// exactly as [`ChunkIndex::build`] would make it for the advanced
+    /// snapshot.
+    pub fn apply_scope(&mut self, delta: &LayoutDelta) {
+        if !delta.files_removed.is_empty() {
+            self.remove(&delta.files_removed);
         }
-        push_run(&mut self.runs, chunk, index);
-        true
+        for (index, e) in (self.len()..).zip(&delta.files_added) {
+            self.append(e.chunk, index);
+        }
+    }
+
+    /// Drops every entry of the `gone` chunks (ascending) and closes the
+    /// holes: an entry moves down by the number of removed entries
+    /// before it. A run is cut at its removed chunks; no removed entry
+    /// lies inside a piece, so each piece moves as one.
+    fn remove(&mut self, gone: &[ChunkId]) {
+        let mut holes: Vec<u32> = gone
+            .iter()
+            .flat_map(|&c| self.indices_of(c))
+            .map(|i| i as u32)
+            .collect();
+        if holes.is_empty() {
+            return;
+        }
+        holes.sort_unstable();
+        let moved = |i: u32| i - holes.partition_point(|&h| h < i) as u32;
+        let mut runs = Vec::with_capacity(self.runs.len() + gone.len());
+        for run in &self.runs {
+            let (first, last) = (run.first_id.0, run.last_id());
+            let cut = gone.partition_point(|c| c.0 < first);
+            let mut from = first;
+            for c in gone[cut..].iter().map(|c| c.0).take_while(|&c| c <= last) {
+                if c > from {
+                    let index = run.first_index + (from - first) as u32;
+                    runs.push(Run::at(from, moved(index), (c - from) as u32));
+                }
+                from = c + 1;
+            }
+            if from <= last {
+                let index = run.first_index + (from - first) as u32;
+                runs.push(Run::at(from, moved(index), (last + 1 - from) as u32));
+            }
+        }
+        coalesce(&mut runs);
+        self.runs = runs;
+        self.shadowed
+            .retain(|(c, _)| gone.binary_search(c).is_err());
+        for (_, i) in &mut self.shadowed {
+            *i = moved(*i as u32) as usize;
+        }
+    }
+
+    /// Indexes a new entry of `chunk` at `index`, past every entry. A
+    /// chunk already indexed keeps its old entry as shadowed, and its run
+    /// is cut around it.
+    fn append(&mut self, chunk: ChunkId, index: usize) {
+        let pair = Run::at(
+            chunk.0,
+            u32::try_from(index).expect("entry index fits u32"),
+            1,
+        );
+        let at = self.runs.partition_point(|r| r.first_id <= chunk);
+        match self.runs[..at].last().copied() {
+            Some(run) if chunk.0 <= run.last_id() => {
+                let offset = (chunk.0 - run.first_id.0) as u32;
+                let old = (chunk, (run.first_index + offset) as usize);
+                let slot = self.shadowed.partition_point(|&s| s < old);
+                self.shadowed.insert(slot, old);
+                let below = Run::at(run.first_id.0, run.first_index, offset);
+                let above = Run::at(
+                    chunk.0 + 1,
+                    run.first_index + offset + 1,
+                    run.len - offset - 1,
+                );
+                let pieces = [below, pair, above].into_iter().filter(|r| r.len > 0);
+                self.runs.splice(at - 1..at, pieces);
+            }
+            _ => self.runs.insert(at, pair),
+        }
+        coalesce(&mut self.runs);
     }
 }
 
@@ -270,10 +368,11 @@ impl LayoutSnapshot {
     }
 
     /// [`apply_delta`](Self::apply_delta) with a caller-maintained
-    /// [`ChunkIndex`], for sessions replaying long churn streams: the
-    /// per-call index rebuild disappears, and `index` comes out tracking
-    /// the advanced snapshot (ready for the next delta). The index must
-    /// have been built from — or advanced alongside — this snapshot.
+    /// [`ChunkIndex`], for holders replaying long churn streams (a
+    /// multi-data session): the per-call index rebuild disappears, and
+    /// `index` comes out tracking the advanced snapshot (ready for the
+    /// next delta). The index must have been built from — or advanced
+    /// alongside — this snapshot.
     pub fn apply_delta_indexed(&mut self, delta: &LayoutDelta, index: &mut ChunkIndex) {
         debug_assert_eq!(
             index.len(),
@@ -303,20 +402,11 @@ impl LayoutSnapshot {
                 entries[i].locations.insert(node);
             }
         }
-        // Removal compacts every index to the right of a hole; a rebuild
-        // is the only correct (and still O(n), same as the retain's
-        // reads) way to catch up.
-        let mut rebuild = !delta.files_removed.is_empty();
-        if rebuild {
+        if !delta.files_removed.is_empty() {
             entries.retain(|e| delta.files_removed.binary_search(&e.chunk).is_err());
         }
-        for e in &delta.files_added {
-            rebuild = rebuild || !index.try_append(e.chunk, entries.len());
-            entries.push(e.clone());
-        }
-        if rebuild {
-            *index = ChunkIndex::of_entries(entries);
-        }
+        entries.extend(delta.files_added.iter().cloned());
+        index.apply_scope(delta);
     }
 
     /// Bytes stored per node among the snapshot's chunks, indexed by raw

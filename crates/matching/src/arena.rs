@@ -6,13 +6,12 @@
 //! indices) spend most of that time chasing allocations. This module
 //! provides the two dense replacements:
 //!
-//! * [`AdjPool`] — struct-of-arrays CSR-style adjacency: every vertex's
-//!   sorted neighbor span lives in two shared pools (`u32` keys and a
-//!   weight column, `u64` or absent) with per-vertex `(start, len, cap)`
-//!   descriptors, exact construction from ready spans,
-//!   doubling relocation on overflow, and garbage compaction. Neighbor
-//!   iteration is a dense `u32` slice scan — 4 bytes per probe instead
-//!   of a 16-byte AoS tuple.
+//! * [`AdjPool`] — CSR-style adjacency: every vertex's sorted neighbor
+//!   span lives in one shared pool of `u32` keys with per-vertex
+//!   `(start, len, cap)` descriptors, laid out from ready spans with a
+//!   fixed sixteenth of headroom, doubling relocation on overflow, and
+//!   garbage compaction. Neighbor iteration is a dense `u32` slice scan —
+//!   4 bytes per probe instead of a 16-byte AoS tuple.
 //! * [`OwnedList`] — the `owned[p] = {files matched to p}` inverse index
 //!   as an intrusive doubly-linked list over flat `next`/`prev` arenas,
 //!   kept in ascending file order so enumeration is canonical (the same
@@ -28,61 +27,73 @@
 /// Sentinel for "no handle" in dense `u32` index arrays.
 pub const NONE: u32 = u32::MAX;
 
-/// Pooled struct-of-arrays adjacency. Vertex `v`'s neighbors are the
-/// sorted key span `keys[start[v]..start[v]+len[v]]` with parallel
-/// weights in `wts`; `cap[v]` slots are reserved. Spans that outgrow
-/// their capacity relocate to the pool tail (doubling), abandoning the
-/// old slots; abandoned slots are reclaimed by a full compaction once
-/// they outnumber the live ones.
-///
-/// The weight column is a type parameter: `AdjPool<u64>` carries one
-/// weight per entry, `AdjPool<()>` is keys only — a `Vec<()>` never
-/// allocates and every operation on it compiles away, so the two share
-/// one implementation.
+/// Growth room a span of `len` keys is laid out with: one slot per
+/// sixteen, so a span absorbs a sixteenth of net growth in place (a
+/// session's replica churn moves edges between processes and nets out
+/// near zero); a span shorter than sixteen gets none.
+const fn headroom(len: u32) -> u32 {
+    len / 16
+}
+
+/// Pooled CSR adjacency. Vertex `v`'s neighbors are the sorted key span
+/// `keys[start[v]..start[v]+len[v]]`; `cap[v]` slots are reserved. Spans
+/// that outgrow their capacity relocate to the pool tail (doubling),
+/// abandoning the old slots; abandoned slots are reclaimed by a full
+/// compaction once they outnumber the live ones.
 #[derive(Debug, Clone)]
-pub struct AdjPool<W = u64> {
+pub struct AdjPool {
     start: Vec<u32>,
     len: Vec<u32>,
     cap: Vec<u32>,
     keys: Vec<u32>,
-    wts: Vec<W>,
     /// Abandoned pool slots (relocations + removed vertices).
     dead: usize,
 }
 
-impl<W: Copy + Default> AdjPool<W> {
+impl AdjPool {
     /// An empty pool with `n` vertices and no neighbors.
     pub fn with_vertices(n: usize) -> Self {
-        Self::from_spans(vec![0; n], Vec::new(), Vec::new())
+        Self::from_spans(vec![0; n], Vec::new())
     }
 
-    /// A pool of ready spans laid out in vertex order: vertex `v`'s keys
-    /// (sorted, distinct) and weights are the next `len[v]` entries of
-    /// `keys` and `wts`. Every span's capacity is its length, so the pool
-    /// holds no slack and takes the vectors as they are.
-    pub fn from_spans(len: Vec<u32>, keys: Vec<u32>, wts: Vec<W>) -> Self {
+    /// A pool of ready spans: vertex `v`'s keys (sorted, distinct) are
+    /// the next `len[v]` entries of `keys`. Each span is laid out with
+    /// `len / 16` free slots after it, moved into place within `keys`
+    /// (from the last span back, so no span overwrites one not yet
+    /// moved); when no span gets any, the pool takes `keys` as it is.
+    pub fn from_spans(len: Vec<u32>, mut keys: Vec<u32>) -> Self {
         assert!(
             len.len() < NONE as usize,
             "vertex count must fit u32 handles"
         );
-        assert!(keys.len() < NONE as usize, "adjacency pool full");
-        assert_eq!(keys.len(), wts.len(), "one weight per key");
+        let live: usize = len.iter().map(|&l| l as usize).sum();
+        assert_eq!(live, keys.len(), "the spans cover the keys");
+        let cap: Vec<u32> = len.iter().map(|&l| l + headroom(l)).collect();
         let mut total = 0usize;
-        let start = len
+        let start: Vec<u32> = cap
             .iter()
-            .map(|&l| {
+            .map(|&c| {
                 let s = total;
-                total += l as usize;
+                total += c as usize;
                 s as u32
             })
             .collect();
-        assert_eq!(total, keys.len(), "the spans cover the keys");
+        assert!(total < NONE as usize, "adjacency pool full");
+        if total > live {
+            keys.reserve_exact(total - live);
+            keys.resize(total, 0);
+            let mut from = live;
+            for v in (0..len.len()).rev() {
+                let l = len[v] as usize;
+                from -= l;
+                keys.copy_within(from..from + l, start[v] as usize);
+            }
+        }
         AdjPool {
             start,
-            cap: len.clone(),
             len,
+            cap,
             keys,
-            wts,
             dead: 0,
         }
     }
@@ -104,23 +115,14 @@ impl<W: Copy + Default> AdjPool<W> {
         (&self.start, &self.len, &self.keys)
     }
 
-    /// Neighbor weights of `v`, parallel to [`AdjPool::keys_of`].
-    pub fn wts_of(&self, v: usize) -> &[W] {
-        let s = self.start[v] as usize;
-        &self.wts[s..s + self.len[v] as usize]
+    /// Whether `v`'s span holds `key`.
+    pub fn contains(&self, v: usize, key: u32) -> bool {
+        self.keys_of(v).binary_search(&key).is_ok()
     }
 
-    /// Weight of the `(v, key)` entry, if present.
-    pub fn get(&self, v: usize, key: u32) -> Option<W> {
-        self.keys_of(v)
-            .binary_search(&key)
-            .ok()
-            .map(|i| self.wts[self.start[v] as usize + i])
-    }
-
-    /// Inserts or reweights `(v, key)`. Returns `true` when the key was
-    /// newly inserted (span stays sorted either way).
-    pub fn insert(&mut self, v: usize, key: u32, w: W) -> bool {
+    /// Inserts `(v, key)`. Returns `true` when the key was newly
+    /// inserted (span stays sorted either way).
+    pub fn insert(&mut self, v: usize, key: u32) -> bool {
         let (s, l, c) = (
             self.start[v] as usize,
             self.len[v] as usize,
@@ -132,30 +134,25 @@ impl<W: Copy + Default> AdjPool<W> {
             l
         } else {
             match self.keys[s..s + l].binary_search(&key) {
-                Ok(i) => {
-                    self.wts[s + i] = w;
-                    return false;
-                }
+                Ok(_) => return false,
                 Err(i) => i,
             }
         };
         if l == c {
-            self.relocate_insert(v, i, key, w);
+            self.relocate_insert(v, i, key);
             return true;
         }
         if i < l {
             self.keys.copy_within(s + i..s + l, s + i + 1);
-            self.wts.copy_within(s + i..s + l, s + i + 1);
         }
         self.keys[s + i] = key;
-        self.wts[s + i] = w;
         self.len[v] += 1;
         true
     }
 
     /// Moves `v`'s span to the pool tail with doubled capacity, placing
-    /// the new `(key, w)` entry at sorted position `i`.
-    fn relocate_insert(&mut self, v: usize, i: usize, key: u32, w: W) {
+    /// `key` at sorted position `i`.
+    fn relocate_insert(&mut self, v: usize, i: usize, key: u32) {
         let (s, l, c) = (
             self.start[v] as usize,
             self.len[v] as usize,
@@ -165,18 +162,13 @@ impl<W: Copy + Default> AdjPool<W> {
         let new_start = self.keys.len();
         assert!(new_start + new_cap < NONE as usize, "adjacency pool full");
         self.keys.reserve(new_cap);
-        self.wts.reserve(new_cap);
         self.keys.extend_from_within(s..s + i);
         self.keys.push(key);
         self.keys.extend_from_within(s + i..s + l);
-        self.wts.extend_from_within(s..s + i);
-        self.wts.push(w);
-        self.wts.extend_from_within(s + i..s + l);
         // Materialize the reserved capacity so later relocations of other
         // vertices cannot land inside this span's growth room.
         let pad = new_cap - (l + 1);
         self.keys.resize(self.keys.len() + pad, 0);
-        self.wts.resize(self.wts.len() + pad, W::default());
         self.dead += c;
         self.start[v] = new_start as u32;
         self.len[v] = (l + 1) as u32;
@@ -190,7 +182,6 @@ impl<W: Copy + Default> AdjPool<W> {
             Ok(i) => {
                 let (s, l) = (self.start[v] as usize, self.len[v] as usize);
                 self.keys.copy_within(s + i + 1..s + l, s + i);
-                self.wts.copy_within(s + i + 1..s + l, s + i);
                 self.len[v] -= 1;
                 true
             }
@@ -237,24 +228,20 @@ impl<W: Copy + Default> AdjPool<W> {
         }
     }
 
-    /// Rewrites the pools in vertex order, dropping abandoned slots and
+    /// Rewrites the pool in vertex order, dropping abandoned slots and
     /// leaving each span 50% growth headroom.
     fn compact(&mut self) {
         let live: usize = self.len.iter().map(|&l| l as usize).sum();
         let mut keys = Vec::with_capacity(live + live / 2 + 4 * self.start.len());
-        let mut wts = Vec::with_capacity(keys.capacity());
         for v in 0..self.start.len() {
             let (s, l) = (self.start[v] as usize, self.len[v] as usize);
             let cap = (l + l / 2).max(4);
             self.start[v] = keys.len() as u32;
             self.cap[v] = cap as u32;
             keys.extend_from_slice(&self.keys[s..s + l]);
-            wts.extend_from_slice(&self.wts[s..s + l]);
             keys.resize(keys.len() + (cap - l), 0);
-            wts.resize(wts.len() + (cap - l), W::default());
         }
         self.keys = keys;
-        self.wts = wts;
         self.dead = 0;
     }
 
@@ -419,14 +406,13 @@ mod tests {
     #[test]
     fn adj_pool_sorted_upsert_and_remove() {
         let mut pool = AdjPool::with_vertices(3);
-        assert!(pool.insert(0, 7, 70));
-        assert!(pool.insert(0, 2, 20));
-        assert!(pool.insert(0, 9, 90));
-        assert!(!pool.insert(0, 7, 71), "upsert replaces");
+        assert!(pool.insert(0, 7));
+        assert!(pool.insert(0, 2));
+        assert!(pool.insert(0, 9));
+        assert!(!pool.insert(0, 7), "a present key is not inserted twice");
         assert_eq!(pool.keys_of(0), &[2, 7, 9]);
-        assert_eq!(pool.wts_of(0), &[20, 71, 90]);
-        assert_eq!(pool.get(0, 7), Some(71));
-        assert_eq!(pool.get(0, 3), None);
+        assert!(pool.contains(0, 7));
+        assert!(!pool.contains(0, 3));
         assert!(pool.remove(0, 7));
         assert!(!pool.remove(0, 7));
         assert_eq!(pool.keys_of(0), &[2, 9]);
@@ -438,8 +424,8 @@ mod tests {
     fn adj_pool_relocation_preserves_other_spans() {
         let mut pool = AdjPool::with_vertices(2);
         for k in 0..20u32 {
-            pool.insert(0, k * 2, u64::from(k));
-            pool.insert(1, k * 2 + 1, u64::from(k) + 100);
+            pool.insert(0, k * 2);
+            pool.insert(1, k * 2 + 1);
         }
         let want0: Vec<u32> = (0..20).map(|k| k * 2).collect();
         let want1: Vec<u32> = (0..20).map(|k| k * 2 + 1).collect();
@@ -452,7 +438,7 @@ mod tests {
         let mut pool = AdjPool::with_vertices(4);
         for v in 0..4 {
             for k in [1u32, 3, 5] {
-                pool.insert(v, k, 9);
+                pool.insert(v, k);
             }
         }
         // Pretend key 3 was a vertex on the mirrored side that got
@@ -474,39 +460,37 @@ mod tests {
         for round in 0..6 {
             for v in 0..64 {
                 for j in 0..16u32 {
-                    pool.insert(v, round * 16 + j, u64::from(round * 16 + j));
+                    pool.insert(v, round * 16 + j);
                 }
             }
         }
         for v in 0..64 {
             let want: Vec<u32> = (0..96).collect();
             assert_eq!(pool.keys_of(v), &want[..]);
-            assert_eq!(pool.get(v, 95), Some(95));
+            assert!(pool.contains(v, 95));
         }
     }
 
     #[test]
     fn exact_capacities_fill_without_relocating() {
-        // Spans handed over at their exact lengths: the pool takes the
-        // vectors as they are, with no slack and nothing relocated.
+        // Spans shorter than sixteen get no headroom: the pool takes the
+        // keys as they are, with no slack and nothing relocated.
         let caps: Vec<u32> = (0..40).map(|v| v % 7).collect();
         let total: usize = caps.iter().map(|&c| c as usize).sum();
         let mut keys: Vec<u32> = Vec::with_capacity(total);
         keys.extend(caps.iter().flat_map(|&c| (0..c).map(|j| j * 3)));
-        let wts: Vec<u64> = keys.iter().map(|&k| u64::from(k / 3)).collect();
-        let mut pool: AdjPool = AdjPool::from_spans(caps.clone(), keys, wts);
+        let mut pool = AdjPool::from_spans(caps.clone(), keys);
         assert_eq!((pool.keys.len(), pool.keys.capacity()), (total, total));
         assert_eq!(pool.dead, 0);
-        assert_eq!((pool.keys.len(), pool.wts.len()), (total, total));
         assert_eq!(pool.total_len(), total);
         let starts = pool.start.clone();
         for (v, &c) in caps.iter().enumerate() {
             let want: Vec<u32> = (0..c).map(|j| j * 3).collect();
             assert_eq!(pool.keys_of(v), &want[..]);
-            assert_eq!(pool.get(v, 3), (c > 1).then_some(1));
+            assert_eq!(pool.contains(v, 3), c > 1);
         }
         // The first insert past a capacity relocates that span alone.
-        assert!(pool.insert(5, 1, 9));
+        assert!(pool.insert(5, 1));
         assert_eq!(pool.dead, caps[5] as usize);
         assert_eq!(pool.start[5] as usize, total);
         assert_eq!(pool.keys_of(5), &[0, 1, 3, 6, 9, 12]);
@@ -516,40 +500,36 @@ mod tests {
     }
 
     #[test]
-    fn keys_only_and_weighted_pools_stay_mirrors() {
-        // The same mixed operation stream through both weight columns:
-        // relocations and compactions included, the key spans must agree
-        // after every step's worth of churn, and the keys-only pool must
-        // never have allocated a weight.
-        let mut weighted: AdjPool<u64> = AdjPool::with_vertices(48);
-        let mut keys_only: AdjPool<()> = AdjPool::with_vertices(48);
-        let mut state = 0xA9E0u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        for _ in 0..20_000 {
-            let v = (next() % 48) as usize;
-            let key = (next() % 400) as u32;
-            if next() % 3 == 0 {
-                assert_eq!(weighted.remove(v, key), keys_only.remove(v, key));
-            } else {
-                let w = next() + 1;
-                assert_eq!(weighted.insert(v, key, w), keys_only.insert(v, key, ()));
-                assert_eq!(weighted.get(v, key), Some(w));
-            }
-            assert_eq!(weighted.keys_of(v), keys_only.keys_of(v));
+    fn long_spans_absorb_a_sixteenth_of_growth_in_place() {
+        // Spans of 0, 15, 16, 40 and 700 keys: laid out in vertex order,
+        // each followed by a sixteenth of its length in free slots.
+        let lens = [0u32, 15, 16, 40, 700];
+        let keys: Vec<u32> = lens.iter().flat_map(|&l| (0..l).map(|j| 2 * j)).collect();
+        let mut pool = AdjPool::from_spans(lens.to_vec(), keys);
+        assert_eq!(pool.cap, [0, 15, 17, 42, 743]);
+        assert_eq!(pool.start, [0, 0, 15, 32, 74]);
+        assert_eq!(pool.keys.len(), 817);
+        for (v, &l) in lens.iter().enumerate() {
+            let want: Vec<u32> = (0..l).map(|j| 2 * j).collect();
+            assert_eq!(pool.keys_of(v), &want[..], "vertex {v}");
         }
-        for v in 0..48 {
-            assert_eq!(weighted.keys_of(v), keys_only.keys_of(v));
-            assert_eq!(weighted.wts_of(v).len(), keys_only.wts_of(v).len());
+        // Growth up to the headroom stays in place; removals make room
+        // again; only the first insert past it relocates.
+        let starts = pool.start.clone();
+        for k in 0..43 {
+            assert!(pool.insert(4, 2 * k + 1));
         }
-        assert_eq!(weighted.dead, keys_only.dead);
-        assert_eq!(weighted.start, keys_only.start);
+        assert_eq!((pool.start.clone(), pool.dead), (starts.clone(), 0));
+        assert!(pool.remove(4, 0));
+        assert!(pool.insert(4, 2001));
+        assert_eq!((pool.start.clone(), pool.dead), (starts, 0));
+        assert!(pool.insert(4, 2003));
+        assert_eq!(pool.dead, 743);
+        assert_eq!(pool.keys_of(4).len(), 744);
+        assert!(pool.keys_of(4).windows(2).all(|w| w[0] < w[1]));
         assert_eq!(
-            keys_only.wts.capacity(),
-            usize::MAX,
-            "a Vec<()> holds no memory"
+            pool.keys_of(3),
+            &(0..40).map(|j| 2 * j).collect::<Vec<_>>()[..]
         );
     }
 

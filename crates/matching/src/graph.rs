@@ -3,17 +3,16 @@
 //! Vertices are parallel processes on one side and chunk files on the other.
 //! An edge `(p, f)` means a replica of `f` lives on the node where process
 //! `p` runs; its weight is the number of bytes of `f` that `p` could read
-//! locally (the full chunk size in HDFS, since replication is whole-chunk).
+//! locally — the full chunk size in HDFS, since replication is
+//! whole-chunk, so every edge of a file weighs the file's size.
 //! Opass builds this graph from the file-system layout and feeds it to the
 //! matchers in [`crate::single_data`] and [`crate::multi_data`].
 //!
 //! Storage is struct-of-arrays: both adjacency mirrors live in pooled
 //! [`crate::arena::AdjPool`] spans of `u32` keys, so the repair searches
 //! in [`crate::incremental`] iterate neighbors as dense `u32` slices
-//! instead of chasing per-vertex allocations. Each edge's weight is
-//! stored once, on the file side (a file's span is its replica count, so
-//! a weight lookup searches at most that many keys); the proc side is
-//! keys only.
+//! instead of chasing per-vertex allocations. The weight is stored once
+//! per file, as its size; both sides are keys only.
 
 use crate::arena::AdjPool;
 use crate::maxflow::dinic::FileLists;
@@ -21,70 +20,78 @@ use crate::maxflow::dinic::FileLists;
 /// Weighted bipartite graph between `n_procs` processes and `n_files` files.
 ///
 /// Indices are dense (`0..n_procs`, `0..n_files`); richer identifiers are
-/// mapped by the caller. Re-adding an existing edge *replaces* its weight
-/// (last write wins), so replaying a layout delta is idempotent and the
-/// weight always reflects the latest chunk size. The graph is mutable in
-/// both directions — edges and vertices can be added and removed without
-/// a rebuild — and every mutation preserves the structural invariant that
-/// the proc-side and file-side pools are exact sorted mirrors of each
-/// other.
+/// mapped by the caller. Every edge of a file weighs the file's size, and
+/// adding an edge sets that size (last write wins), so replaying a layout
+/// delta is idempotent and the weight always reflects the latest chunk
+/// size. The graph is mutable in both directions — edges and vertices can
+/// be added and removed without a rebuild — and every mutation preserves
+/// the structural invariant that the proc-side and file-side pools are
+/// exact sorted mirrors of each other.
 #[derive(Debug, Clone)]
 pub struct BipartiteGraph {
     /// Per-process adjacency spans: sorted file keys.
-    procs: AdjPool<()>,
-    /// Per-file adjacency spans: sorted proc keys with byte weights.
-    files: AdjPool<u64>,
+    procs: AdjPool,
+    /// Per-file adjacency spans: sorted proc keys.
+    files: AdjPool,
+    /// Per-file size in bytes: the weight of each of the file's edges.
+    sizes: Vec<u64>,
     edges: usize,
 }
 
 impl BipartiteGraph {
-    /// Creates an empty graph with the given vertex counts.
+    /// Creates an empty graph with the given vertex counts; every file's
+    /// size is set by its first edge.
     pub fn new(n_procs: usize, n_files: usize) -> Self {
         BipartiteGraph {
             procs: AdjPool::with_vertices(n_procs),
             files: AdjPool::with_vertices(n_files),
+            sizes: vec![0; n_files],
             edges: 0,
         }
     }
 
     /// Builds the graph from every file's edges at once: file `f`'s
     /// edges are the next `degrees[f]` entries of `procs` (ascending,
-    /// distinct), each weighing the matching entry of `bytes`. The file
-    /// side takes the vectors as its spans and the process side is
-    /// filled by one counting sort over them, so both are laid out at
-    /// their exact degrees, sorted, with no search, shift or growth
-    /// slack. The graph mutates afterwards like any other.
+    /// distinct), each weighing `sizes[f]`. The file side takes the
+    /// vectors as its spans and the process side is filled by one
+    /// counting sort over them, so both are laid out at their exact
+    /// degrees plus the pool's fixed headroom, sorted, with no search or
+    /// shift. The graph mutates afterwards like any other.
     ///
     /// # Panics
     ///
     /// Panics if the degrees do not cover `procs`, a process index is
-    /// out of range, a file's processes do not ascend, or a weight is
-    /// zero.
+    /// out of range, a file's processes do not ascend, a file with edges
+    /// has size zero, or there is not one size per file.
     pub fn from_file_spans(
         n_procs: usize,
         degrees: Vec<u32>,
         procs: Vec<u32>,
-        bytes: Vec<u64>,
+        sizes: Vec<u64>,
     ) -> Self {
-        let files = AdjPool::from_spans(degrees, procs, bytes);
+        let files = AdjPool::from_spans(degrees, procs);
         // Process degrees, checked edge by edge as they are counted; then
         // a counting sort in the same array: the degrees become span
         // ends, each file (descending) is written just below its
         // processes' ends, which leaves every span ascending and every
         // end at its start; the starts then turn back into lengths.
         let mut at = vec![0u32; n_procs];
-        for f in 0..files.n_vertices() {
+        for (f, &size) in sizes.iter().enumerate().take(files.n_vertices()) {
             let keys = files.keys_of(f);
             assert!(
                 keys.windows(2).all(|w| w[0] < w[1]),
                 "file {f}: processes must ascend"
             );
-            for (&p, &b) in keys.iter().zip(files.wts_of(f)) {
-                assert!(b > 0, "locality edges must carry positive bytes");
+            assert!(
+                keys.is_empty() || size > 0,
+                "locality edges must carry positive bytes"
+            );
+            for &p in keys {
                 assert!((p as usize) < n_procs, "process index {p} out of range");
                 at[p as usize] += 1;
             }
         }
+        assert_eq!(sizes.len(), files.n_vertices(), "one size per file");
         let edges = files.total_len();
         let mut end = 0u32;
         for d in &mut at {
@@ -104,8 +111,9 @@ impl BipartiteGraph {
             at[p] = next - at[p];
         }
         BipartiteGraph {
-            procs: AdjPool::from_spans(at, keys, vec![(); edges]),
+            procs: AdjPool::from_spans(at, keys),
             files,
+            sizes,
             edges,
         }
     }
@@ -125,8 +133,9 @@ impl BipartiteGraph {
         self.edges
     }
 
-    /// Adds the locality edge between `proc` and `file`, or updates its
-    /// weight if it already exists. Both adjacency mirrors stay sorted.
+    /// Adds the locality edge between `proc` and `file` if it is absent,
+    /// and sets the file's size to `bytes`. Both adjacency mirrors stay
+    /// sorted.
     ///
     /// # Panics
     ///
@@ -135,10 +144,11 @@ impl BipartiteGraph {
         assert!(proc < self.n_procs(), "process index {proc} out of range");
         assert!(file < self.n_files(), "file index {file} out of range");
         assert!(bytes > 0, "locality edges must carry positive bytes");
-        if self.procs.insert(proc, file as u32, ()) {
+        if self.procs.insert(proc, file as u32) {
+            self.files.insert(file, proc as u32);
             self.edges += 1;
         }
-        self.files.insert(file, proc as u32, bytes);
+        self.sizes[file] = bytes;
     }
 
     /// Removes the edge between `proc` and `file`. Returns whether the
@@ -160,8 +170,10 @@ impl BipartiteGraph {
         }
     }
 
-    /// Appends a new file vertex with no edges; returns its index.
-    pub fn push_file(&mut self) -> usize {
+    /// Appends a new file vertex of `size` bytes with no edges; returns
+    /// its index.
+    pub fn push_file(&mut self, size: u64) -> usize {
+        self.sizes.push(size);
         self.files.push_vertex()
     }
 
@@ -183,6 +195,7 @@ impl BipartiteGraph {
         }
         self.edges -= holders.len();
         self.files.remove_vertex(file);
+        self.sizes.remove(file);
         self.procs.shift_keys_above(file as u32);
     }
 
@@ -201,7 +214,7 @@ impl BipartiteGraph {
                 if f as usize >= self.n_files() {
                     return Err(format!("proc {p} lists out-of-range file {f}"));
                 }
-                if self.files.get(f as usize, p as u32).is_none() {
+                if !self.files.contains(f as usize, p as u32) {
                     return Err(format!("edge ({p},{f}) missing from file side"));
                 }
             }
@@ -213,6 +226,13 @@ impl BipartiteGraph {
                 self.files.total_len()
             ));
         }
+        if self.sizes.len() != self.n_files() {
+            return Err(format!(
+                "{} sizes for {} files",
+                self.sizes.len(),
+                self.n_files()
+            ));
+        }
         for f in 0..self.n_files() {
             let col = self.files.keys_of(f);
             if col.windows(2).any(|w| w[0] >= w[1]) {
@@ -222,7 +242,7 @@ impl BipartiteGraph {
                 if p as usize >= self.n_procs() {
                     return Err(format!("file {f} lists out-of-range proc {p}"));
                 }
-                if self.procs.get(p as usize, f as u32).is_none() {
+                if !self.procs.contains(p as usize, f as u32) {
                     return Err(format!("edge ({p},{f}) missing from proc side"));
                 }
             }
@@ -230,28 +250,40 @@ impl BipartiteGraph {
         Ok(())
     }
 
-    /// Bytes of `file` readable locally by `proc`, or `None` if not
-    /// co-located.
+    /// Bytes of `file` readable locally by `proc` — the file's size — or
+    /// `None` if not co-located.
     pub fn weight(&self, proc: usize, file: usize) -> Option<u64> {
         debug_assert!(proc < self.n_procs() && file < self.n_files());
-        self.files.get(file, proc as u32)
+        self.files
+            .contains(file, proc as u32)
+            .then(|| self.sizes[file])
+    }
+
+    /// The size of `file` in bytes: the weight of each of its edges.
+    pub fn size(&self, file: usize) -> u64 {
+        self.sizes[file]
+    }
+
+    /// Every file's size, in file order.
+    pub fn sizes(&self) -> &[u64] {
+        &self.sizes
     }
 
     /// Files co-located with `proc`, as sorted `(file, bytes)` pairs.
     pub fn files_of(&self, proc: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.procs.keys_of(proc).iter().map(move |&f| {
-            let bytes = self.files.get(f as usize, proc as u32);
-            (f as usize, bytes.expect("adjacency mirrors agree"))
-        })
+        self.procs
+            .keys_of(proc)
+            .iter()
+            .map(move |&f| (f as usize, self.sizes[f as usize]))
     }
 
     /// Processes co-located with `file`, as sorted `(proc, bytes)` pairs.
     pub fn procs_of(&self, file: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let bytes = self.sizes[file];
         self.files
             .keys_of(file)
             .iter()
-            .zip(self.files.wts_of(file))
-            .map(|(&p, &b)| (p as usize, b))
+            .map(move |&p| (p as usize, bytes))
     }
 
     /// Sorted file handles adjacent to `proc`, as a dense `u32` slice —
@@ -264,16 +296,13 @@ impl BipartiteGraph {
     pub fn procs_raw(&self, file: usize) -> &[u32] {
         self.files.keys_of(file)
     }
-
-    /// Weights parallel to [`BipartiteGraph::procs_raw`].
-    pub fn procs_raw_wts(&self, file: usize) -> &[u64] {
-        self.files.wts_of(file)
-    }
 }
 
 /// Semantic equality: same vertex counts and edge sets with equal
-/// weights. Pool layout (span offsets, capacities, garbage) is an
-/// artifact of the mutation history and deliberately ignored.
+/// weights — equal sizes wherever a file has an edge. Pool layout (span
+/// offsets, capacities, garbage) is an artifact of the mutation history
+/// and deliberately ignored, and so is the size of a file with no edge,
+/// which no edge weighs.
 impl PartialEq for BipartiteGraph {
     fn eq(&self, other: &Self) -> bool {
         if self.n_procs() != other.n_procs()
@@ -284,8 +313,8 @@ impl PartialEq for BipartiteGraph {
         }
         // The proc side mirrors the file side, so one side decides.
         (0..self.n_files()).all(|f| {
-            self.files.keys_of(f) == other.files.keys_of(f)
-                && self.files.wts_of(f) == other.files.wts_of(f)
+            let keys = self.files.keys_of(f);
+            keys == other.files.keys_of(f) && (keys.is_empty() || self.sizes[f] == other.sizes[f])
         })
     }
 }
@@ -388,7 +417,7 @@ mod tests {
         g.check_mirror().unwrap();
 
         // Push a new file vertex and connect it.
-        let f = g.push_file();
+        let f = g.push_file(99);
         assert_eq!(f, 3);
         g.add_edge(2, f, 99);
         assert_eq!(g.weight(2, 3), Some(99));
@@ -487,7 +516,7 @@ mod tests {
             m,
             degrees,
             edges.iter().map(|&(p, _, _)| p as u32).collect(),
-            edges.iter().map(|&(_, _, b)| b).collect(),
+            (0..n as u64).map(|f| (f % 4 + 1) * 16).collect(),
         );
         spans.check_mirror().unwrap();
         let build = |order: &[(usize, usize, u64)]| {

@@ -423,7 +423,7 @@ impl MatchState {
         loop {
             let mut unmatched: Vec<(u64, u32)> = (0..self.owner.len() as u32)
                 .filter(|&f| self.owner[f as usize] == NONE)
-                .map(|f| (file_size(g, f), f))
+                .map(|f| (g.size(f as usize), f))
                 .collect();
             // Deterministic order: biggest files first, then index.
             unmatched.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -508,8 +508,7 @@ impl MatchState {
                 top.next = top.start;
                 let mut f2 = self.owned.head_of(p);
                 while f2 != NONE {
-                    let w = g.weight(p as usize, f2 as usize).unwrap_or(0);
-                    self.scratch.push((w, f2));
+                    self.scratch.push((g.size(f2 as usize), f2));
                     f2 = self.owned.next_of(f2);
                 }
                 self.scratch[top.start as usize..].sort_unstable();
@@ -529,12 +528,6 @@ impl MatchState {
         self.exchange_stack = stack;
         found
     }
-}
-
-/// The file's chunk size: edge weights are uniform across a file's
-/// replicas (a process reads the whole chunk locally or not at all).
-fn file_size(g: &BipartiteGraph, file: u32) -> u64 {
-    g.procs_raw_wts(file as usize).first().copied().unwrap_or(0)
 }
 
 /// A maximum bipartite matching that can be repaired in place as the
@@ -661,11 +654,7 @@ impl IncrementalMatcher {
             .iter()
             .enumerate()
             .filter(|&(_, &p)| p != NONE)
-            .map(|(f, &p)| {
-                self.graph
-                    .weight(p as usize, f)
-                    .expect("matched edge exists")
-            })
+            .map(|(f, _)| self.graph.size(f))
             .sum()
     }
 
@@ -702,7 +691,8 @@ impl IncrementalMatcher {
         &self.state.load
     }
 
-    /// Adds (or reweights) a locality edge and repairs the matching.
+    /// Adds a locality edge (setting the file's size to `bytes`) and
+    /// repairs the matching.
     pub fn add_edge(&mut self, proc: usize, file: usize, bytes: u64) {
         let existed = self.graph.weight(proc, file).is_some();
         self.graph.add_edge(proc, file, bytes);
@@ -738,18 +728,18 @@ impl IncrementalMatcher {
         self.debug_check();
     }
 
-    /// Appends a new file with the given locality edges `(proc, bytes)`
+    /// Appends a new file of `size` bytes with locality edges to `procs`
     /// and repairs. Quotas grow by one unit at process `n mod m` (the
     /// largest-remainder layout shifts in exactly one slot), so the
     /// max-flow value can rise by at most one on each of the two new
     /// sources of slack: the new file and the grown quota. Returns the
     /// new file index.
-    pub fn add_file(&mut self, edges: &[(usize, u64)]) -> usize {
-        let f = self.graph.push_file();
+    pub fn add_file(&mut self, size: u64, procs: &[usize]) -> usize {
+        let f = self.graph.push_file(size);
         self.state.owner.push(NONE);
         self.state.owned.push_file();
-        for &(p, bytes) in edges {
-            self.graph.add_edge(p, f, bytes);
+        for &p in procs {
+            self.graph.add_edge(p, f, size);
         }
         let gainer = (self.graph.n_files() - 1) % self.state.load.len();
         self.state.quota[gainer] += 1;
@@ -794,7 +784,7 @@ impl IncrementalMatcher {
             let mut best = (u64::MAX, NONE);
             let mut f2 = self.state.owned.head_of(loser as u32);
             while f2 != NONE {
-                let w = self.graph.weight(loser, f2 as usize).unwrap_or(0);
+                let w = self.graph.size(f2 as usize);
                 if (w, f2) < best {
                     best = (w, f2);
                 }
@@ -817,7 +807,8 @@ impl IncrementalMatcher {
         self.debug_check();
     }
 
-    /// Stages an edge insertion (or reweight) without repairing; pair
+    /// Stages an edge insertion (setting the file's size to `bytes`)
+    /// without repairing; pair
     /// with [`IncrementalMatcher::repair_batch`]. Staging a whole delta
     /// and repairing once replaces per-mutation proof searches — each up
     /// to O(edges) — with a few shared phases for the entire batch.
@@ -1066,10 +1057,10 @@ mod tests {
     fn file_add_and_remove_repair_to_flow_cardinality() {
         let g = random_graph(4, 12, 3, 21);
         let mut inc = IncrementalMatcher::new(g, Objective::MatchCount);
-        let f = inc.add_file(&[(0, 64), (2, 64)]);
+        let f = inc.add_file(64, &[0, 2]);
         assert_eq!(f, 12);
-        inc.add_file(&[]); // isolated file
-        inc.add_file(&[(1, 64)]);
+        inc.add_file(64, &[]); // isolated file
+        inc.add_file(64, &[1]);
         let (card, _) = flow_reference(inc.graph(), Objective::MatchCount);
         assert_eq!(inc.matched_count(), card);
         inc.remove_file(0);
@@ -1090,7 +1081,7 @@ mod tests {
         let g = random_graph(3, 10, 2, 2);
         let mut inc = IncrementalMatcher::new(g, Objective::MatchCount);
         assert_eq!(inc.quota(), &q32(10, 3)[..]);
-        inc.add_file(&[(0, 64)]);
+        inc.add_file(64, &[0]);
         assert_eq!(inc.quota(), &q32(11, 3)[..]);
         inc.remove_file(3);
         inc.remove_file(0);
@@ -1138,7 +1129,7 @@ mod tests {
         let script = |inc: &mut IncrementalMatcher| {
             inc.add_edge(0, 5, 64);
             inc.remove_edge(1, 2);
-            inc.add_file(&[(2, 64), (3, 64)]);
+            inc.add_file(64, &[2, 3]);
             inc.remove_file(4);
         };
         let mut a = IncrementalMatcher::new(g.clone(), Objective::MatchCount);
@@ -1188,7 +1179,7 @@ mod tests {
             g.add_edge(0, 1, 8);
             let mut m = IncrementalMatcher::new(g, objective);
             assert_eq!(m.matched_count(), 1);
-            m.add_file(&[(0, 8), (1, 8)]);
+            m.add_file(8, &[0, 1]);
             assert_eq!(m.matched_count(), 3, "{objective:?}");
         }
     }
@@ -1445,7 +1436,7 @@ mod tests {
                 let g = inc.graph.clone();
                 let s = &inc.state;
                 for f in (0..g.n_files() as u32).filter(|&f| s.owner[f as usize] == NONE) {
-                    let own = file_size(&g, f);
+                    let own = g.size(f as usize);
                     for limit in [own, 2 * own + 1, u64::MAX] {
                         let found = assert_search_matches(
                             s,

@@ -6,11 +6,13 @@
 //! driver batches records in time order and, per batch and dataset, plans
 //! the accessed chunks with a fresh [`PlanRequest::single_from_layout`]
 //! over a snapshot of exactly those entries, while a long-lived
-//! [`SingleDataSession`] per dataset owns the dataset's layout and absorbs
+//! [`SingleDataSession`] per dataset plans the whole dataset and absorbs
 //! the churn the trace implies: with churn enabled, each batch migrates
 //! one replica of its hottest chunk toward the busiest client's node, as
 //! a [`LayoutDelta::migration`] replanned into the session
-//! ([`SingleDataSession::replan`]). Everything is a pure function of
+//! ([`SingleDataSession::replan`]) and applied to the dataset's layout,
+//! which the driver holds as the only handle, so it advances in place.
+//! Everything is a pure function of
 //! `(records, config)` — the [`ReplayReport::fingerprint`] is
 //! reproducible byte-for-byte.
 //!
@@ -215,15 +217,14 @@ pub fn replay_local(
         chunk_size = chunk_size.max(u64::from(r.bytes));
     }
     let replication = config.replication.min(config.n_nodes as u32);
-    // Each dataset's layout until its first batch hands it to the
-    // dataset's session.
-    let mut layouts: Vec<Option<LayoutSnapshot>> = seeded_layouts(
+    // Each dataset's current layout. The sessions keep no handle on
+    // them, so a migration applied here advances it in place.
+    let mut layouts: Vec<LayoutSnapshot> = seeded_layouts(
         config.n_nodes,
         replication,
         config.seed,
         chunks_per_dataset.iter().map(|&n| (n as usize, chunk_size)),
     )
-    .map(Some)
     .collect();
 
     let placement = ProcessPlacement::one_per_node(config.n_nodes);
@@ -238,26 +239,21 @@ pub fn replay_local(
     let mut migrations = 0u64;
     for group in batch_groups(records, config.batch_records, |d| d) {
         let dataset = group.dataset;
-        // The session takes the dataset's only layout handle, so its
-        // replans advance the layout in place; from then on its snapshot
-        // is the dataset's current layout.
+        let layout = &mut layouts[dataset as usize];
         let session = sessions.entry(dataset).or_insert_with(|| {
-            let layout = layouts[dataset as usize]
-                .take()
-                .expect("a dataset's session starts once");
-            let request = PlanRequest::single_from_layout(&layout, &placement).seed(config.seed);
+            let request = PlanRequest::single_from_layout(layout, &placement).seed(config.seed);
             planner
                 .session(&request)
                 .into_single()
                 .expect("single request yields single session")
         });
-        let layout = session.snapshot().entries();
+        let entries = layout.entries();
 
         // Fresh plan over exactly the chunks this batch read.
         let accessed: LayoutSnapshot = group
             .chunks
             .iter()
-            .map(|&idx| layout[idx as usize].clone())
+            .map(|&idx| entries[idx as usize].clone())
             .collect();
         let request = PlanRequest::single_from_layout(&accessed, &placement)
             .seed(config.seed ^ group.batch as u64);
@@ -271,10 +267,11 @@ pub fn replay_local(
         let mut migrated = false;
         if config.churn {
             let target = NodeId((group.top_client() as usize % config.n_nodes) as u32);
-            let hot = &layout[group.hot_chunk() as usize];
+            let hot = &entries[group.hot_chunk() as usize];
             if !hot.locations.contains(&target) {
                 let delta = LayoutDelta::migration(hot.chunk, hot.locations[0], target);
                 session.replan(&delta);
+                layout.apply_delta(&delta);
                 migrations += 1;
                 migrated = true;
             }

@@ -34,7 +34,7 @@ use opass_simio::{Engine, Event, FlowSpec, Resource, ResourceId};
 use opass_trace::{generate, TraceSpec};
 use opass_workloads::{multi as multi_wl, single as single_wl, MultiDataConfig, SingleDataConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -144,17 +144,29 @@ fn start_session(snapshot: &LayoutSnapshot, placement: &ProcessPlacement) -> Sin
 fn a_session_and_its_layout_handles_stay_within_their_memory_budgets() {
     // One `serve_hot` dataset, and the benchmark's session-start probe.
     for (n_nodes, n_chunks) in [(64, 1280), (128, 32_768)] {
-        let (snapshot, placement) = dataset_world(n_nodes, n_chunks);
+        let (mut snapshot, placement) = dataset_world(n_nodes, n_chunks);
         let per_chunk = |cost: &Cost| cost.live_bytes as f64 / n_chunks as f64;
 
-        // The session shares the snapshot it was started from, so this
-        // is its own state: graph, matching, chunk index, rendered plan.
+        // The session keeps no layout: its graph (44 B/chunk at r = 3:
+        // a `u32` key per edge on each side, a sixteenth of headroom on
+        // the process side, a size and a span per file), matching (12),
+        // chunk index and rendered plan (16) are all it holds. It read
+        // 88.3 B/chunk at 128 x 32 768 while the graph weighed every edge;
+        // 73.0 now, 76.3 at 64 x 1 280.
         let (session, held) = measure(|| start_session(&snapshot, &placement));
-        assert!(session.snapshot().ptr_eq(&snapshot));
         assert!(
-            per_chunk(&held) <= 110.0,
+            per_chunk(&held) <= 80.0,
             "{n_nodes} x {n_chunks}: a session holds {:.1} B/chunk",
             per_chunk(&held)
+        );
+        // Nor a handle on the caller's: the caller's layout, still the
+        // only handle, advances in place, copying nothing.
+        let mut index = ChunkIndex::build(&snapshot);
+        let delta = migration_delta(&snapshot, 64, n_nodes as u32);
+        let (_, advanced) = measure(|| snapshot.apply_delta_indexed(&delta, &mut index));
+        assert_eq!(
+            advanced.calls, 0,
+            "{n_nodes} x {n_chunks}: the caller's layout was copied"
         );
 
         // Built exact, so a copy has no growth slack to shed.
@@ -496,28 +508,28 @@ fn a_warm_replan_allocates_nothing_per_file() {
     // The benchmark's replan: a session at 128 nodes absorbs one delta,
     // then a second of 164 replica migrations is measured, at 8 192 and
     // at 32 768 chunks. The rendered plan and the copy `Session::replan`
-    // returns hold one task list per process each; the rest is the
-    // delta's own bookkeeping. So one bound on allocator calls holds at
-    // both sizes. Release builds peaked at 405 160 and 1 584 808 B
-    // before a failed trade was relinked in place and the fill drew from
-    // a spare list; the peak may not grow past 5 % over that, in either
-    // build: a debug build's cross-check of the plan's locality
-    // allocates nothing.
-    for (n_chunks, before) in [(8192, 405_160.0), (32_768, 1_584_808.0)] {
-        let (snapshot, placement) = dataset_world(128, n_chunks);
+    // returns hold one task list per process each; the rest is a
+    // handful of buffers for the delta's edges and the plan's columns.
+    // So one bound on allocator calls holds at both sizes: 265 in a
+    // release build, 266 in a debug one. It read 314 while the session
+    // copied and re-normalized every delta and collected its edge drops
+    // in a `BTreeSet`. Release and debug builds both peak at 137 216 and
+    // 530 432 B, and may not grow past 5 % over that; they peaked at
+    // 404 648 and 1 584 296 B while the first insert past a process's
+    // exact span moved it to the pool's end (the debug cross-check of
+    // the plan's locality allocates nothing).
+    for (n_chunks, before) in [(8192, 137_216.0), (32_768, 530_432.0)] {
+        let (mut layout, placement) = dataset_world(128, n_chunks);
         let mut session = OpassPlanner::default()
-            .session(&PlanRequest::single_from_layout(&snapshot, &placement).seed(1));
-        session.replan(&migration_delta(&snapshot, 164, 128));
-        let now = session
-            .as_single()
-            .expect("single session")
-            .snapshot()
-            .clone();
-        let delta = migration_delta(&now, 164, 128);
+            .session(&PlanRequest::single_from_layout(&layout, &placement).seed(1));
+        let first = migration_delta(&layout, 164, 128);
+        session.replan(&first);
+        layout.apply_delta(&first);
+        let delta = migration_delta(&layout, 164, 128);
         let (plan, cost) = measure(|| session.replan(&delta));
         assert!(plan.as_single().is_some());
         assert!(
-            cost.calls <= 2 * 128 + 64,
+            cost.calls <= 2 * 128 + 16,
             "128 x {n_chunks}: a warm replan made {} allocator calls",
             cost.calls
         );
@@ -527,6 +539,59 @@ fn a_warm_replan_allocates_nothing_per_file() {
             cost.peak_bytes
         );
     }
+}
+
+#[test]
+fn a_churned_session_holds_no_more_than_it_started_with() {
+    // `plan_mix`'s session: 128 x 32 768, 48 deltas that each migrate a
+    // replica of 0.5 % of the chunks to a random node. Net churn near
+    // zero moves no span: every process's stays within the sixteenth of
+    // headroom it was built with. The session holds 73.1 B/chunk after
+    // the 48 replans, as at its start; it held 156.4 (88.3 at its start)
+    // while it kept a snapshot that the first replan copied, and every
+    // span that outgrew its exact length doubled at the pool's end.
+    let (n_nodes, n_chunks) = (128, 32_768);
+    let (layout, placement) = dataset_world(n_nodes, n_chunks);
+    let mut now = layout.clone();
+    let mut rng = StdRng::seed_from_u64(48);
+    let deltas: Vec<LayoutDelta> = (0..48)
+        .map(|_| {
+            let mut picked = std::collections::BTreeSet::new();
+            while picked.len() < n_chunks / 200 {
+                picked.insert(rng.gen_range(0..n_chunks));
+            }
+            let moves: Vec<_> = picked
+                .into_iter()
+                .map(|i| {
+                    let entry = &now.entries()[i];
+                    let from = entry.locations[rng.gen_range(0..entry.locations.len())];
+                    let to = loop {
+                        let node = NodeId(rng.gen_range(0..n_nodes as u32));
+                        if !entry.locations.contains(&node) {
+                            break node;
+                        }
+                    };
+                    (entry.chunk, from, to)
+                })
+                .collect();
+            let delta = LayoutDelta::migrations(&moves);
+            now.apply_delta(&delta);
+            delta
+        })
+        .collect();
+    let request = PlanRequest::single_from_layout(&layout, &placement).seed(1);
+    let per_chunk = |cost: &Cost| cost.live_bytes as f64 / n_chunks as f64;
+    let (mut session, started) = measure(|| OpassPlanner::default().session(&request));
+    let (_, churned) = measure(|| {
+        for delta in &deltas {
+            session.replan(delta);
+        }
+    });
+    let held = per_chunk(&started) + per_chunk(&churned);
+    assert!(
+        held <= 80.0,
+        "a session churned by 48 deltas holds {held:.1} B/chunk"
+    );
 }
 
 /// Runs `specs` through `engine` as `procs` closed-loop readers: each

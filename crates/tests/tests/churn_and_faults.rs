@@ -2,6 +2,7 @@
 //! placement so the max-flow matching is no longer full; Opass must still
 //! produce balanced assignments and beat the baseline on the skewed layout.
 
+use opass_core::build_locality_graph_from_layout;
 use opass_core::planner::{OpassPlanner, SingleDataPlan};
 use opass_core::request::PlanRequest;
 use opass_dfs::{
@@ -186,6 +187,45 @@ fn assert_tracks(repaired: &SingleDataPlan, scratch: &SingleDataPlan, at: &str) 
     );
 }
 
+/// The session keeps no copy of the layout, so its plan is checked
+/// against the layout it should have reached: a session resumed on
+/// `layout` from the plan's owners must hold the same matching — the
+/// same files read locally, on the same processes, by `layout`'s own
+/// replicas — and so report the same counts and locality. A replica the
+/// session missed shows as a local read the layout does not have, or as
+/// a file the resumed matching places differently.
+fn assert_resumes_on(
+    planner: &OpassPlanner,
+    layout: &LayoutSnapshot,
+    placement: &ProcessPlacement,
+    repaired: &SingleDataPlan,
+    at: &str,
+) {
+    let owners: Vec<u32> = repaired
+        .assignment
+        .owners()
+        .iter()
+        .map(|&p| p as u32)
+        .collect();
+    let request = PlanRequest::single_from_layout(layout, placement);
+    let resumed = planner.resume_session(&request, &owners);
+    let resumed = resumed.plan();
+    assert_eq!(
+        resumed.matched_files, repaired.matched_files,
+        "{at}: matched"
+    );
+    assert_eq!(resumed.filled_files, repaired.filled_files, "{at}: filled");
+    assert_eq!(resumed.locality, repaired.locality, "{at}: locality");
+    let truth = build_locality_graph_from_layout(layout, placement);
+    let local = |plan: &SingleDataPlan| -> Vec<(usize, usize)> {
+        (0..layout.len())
+            .map(|f| (f, plan.assignment.owner_of(f)))
+            .filter(|&(f, p)| truth.weight(p, f).is_some())
+            .collect()
+    };
+    assert_eq!(local(resumed), local(repaired), "{at}: local owners");
+}
+
 /// An island-placed snapshot over `islands * per` nodes: every chunk's
 /// two replicas inside island `chunk % islands`, so the locality graph
 /// splits into one connected component per island.
@@ -260,8 +300,9 @@ fn island_delta(
 /// comparable even though the two maximum matchings may differ. The
 /// last input is 64 islands of 4 nodes holding 12 800 chunks — a
 /// locality graph of 64 components — churned by island-local deltas,
-/// with and without file adds and removals, where the session's
-/// snapshot must also stay equal to the delta-applied layout.
+/// with and without file adds and removals, where the session's plan
+/// must also be the one a session resumed on the delta-applied layout
+/// holds.
 #[test]
 fn replan_tracks_scratch_plans_through_randomized_churn() {
     for seed in [61u64, 62, 63] {
@@ -337,16 +378,16 @@ fn replan_tracks_scratch_plans_through_randomized_churn() {
                 .expect("single plan");
             let at = format!("islands, file churn {file_churn}, step {step}");
             assert_tracks(&repaired, &scratch, &at);
-            assert_eq!(session.snapshot(), &shadow, "{at}: snapshot");
+            assert_resumes_on(&planner, &shadow, &placement, &repaired, &at);
         }
     }
 }
 
 /// Two tasks reading the same chunk put that chunk in the session's
-/// snapshot twice, as two file vertices. Replica churn on the chunk has
-/// to reach both: after every delta the session's snapshot equals a
-/// fresh capture and the repaired matching is as large as a scratch
-/// plan's.
+/// layout twice, as two file vertices. Replica churn on the chunk has
+/// to reach both: after every delta the session's plan is the one a
+/// session resumed on a fresh capture holds, and the repaired matching
+/// is as large as a scratch plan's.
 #[test]
 fn replan_reaches_every_task_reading_a_chunk_listed_twice() {
     let mut nn = Namenode::new(8, DfsConfig::default());
@@ -376,10 +417,13 @@ fn replan_reaches_every_task_reading_a_chunk_listed_twice() {
         let delta = nn.take_delta(|c| scope.contains(&c));
         assert!(!delta.is_empty(), "step {step}");
         let repaired = session.replan(&delta).clone();
-        assert_eq!(
-            session.snapshot(),
-            &LayoutSnapshot::capture(&nn, &ids),
-            "step {step}: snapshot diverged from the namenode"
+        let layout = LayoutSnapshot::capture(&nn, &ids);
+        assert_resumes_on(
+            &planner,
+            &layout,
+            &placement,
+            &repaired,
+            &format!("step {step}"),
         );
         let scratch = planner
             .plan(&PlanRequest::single(&nn, &w, &placement).seed(5))

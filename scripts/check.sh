@@ -114,7 +114,7 @@ if [[ "${1:-}" == "--bench-run" ]]; then
     # map held once" (plan_mix 15.36, sim_sweep 12.75) plus 3 %. Updated
     # together with them.
     declare -A RSS_CEILING_MIB=(
-        [plan_mix]=15.82
+        [plan_mix]=12.91
         [serve_hot]=29.95
         [serve_churn]=35.82
         [trace_replay]=113.83
