@@ -12,9 +12,9 @@
 //!    paired drop+add per chunk, so replica counts — and the
 //!    replication-factor invariant — are preserved), choosing the donor
 //!    replica from the most-loaded holder;
-//! 3. observes the plan the delta buys by replaying it through the
+//! 3. observes the matching the delta buys by replaying it through the
 //!    ordinary incremental pipeline
-//!    ([`crate::SingleDataSession::replan`]), recording matched-local
+//!    ([`crate::SingleDataSession::advance`]), recording matched-local
 //!    bytes and the planned per-node service balance before and after;
 //! 4. repeats until converged (no proposal gains anything) or the
 //!    total migration-byte budget is exhausted.
@@ -32,7 +32,7 @@ use crate::planner::{OpassPlanner, SingleDataPlan};
 use crate::replan::SingleDataSession;
 use crate::request::PlanRequest;
 use opass_dfs::{LayoutDelta, LayoutSnapshot, NodeId};
-use opass_matching::{propose_moves, PlacementPolicy, ReplicaMove};
+use opass_matching::{propose_moves, PlacementPolicy, ReplicaMove, NONE};
 use opass_runtime::{BalanceReport, ProcessPlacement};
 
 /// Bounds on a whole placement loop.
@@ -152,9 +152,11 @@ impl PlacementSession {
         self.migrated_bytes
     }
 
-    /// Matched-local bytes of the current plan.
+    /// Matched-local bytes of the current plan, read off the matching
+    /// with no plan rendered: a fill target is never co-located with its
+    /// file, so the matched bytes are the plan's local bytes.
     pub fn local_bytes(&self) -> u64 {
-        self.session.plan().locality.local_bytes
+        self.session.matcher().matched_bytes()
     }
 
     /// Executes one round: propose → build delta → replan. Returns
@@ -183,11 +185,11 @@ impl PlacementSession {
             return None;
         }
 
-        let before = self.session.plan().locality.local_bytes;
+        let before = self.local_bytes();
         let balance_before = self.planned_balance();
-        self.session.replan(&delta);
+        self.session.advance(&delta);
         self.layout.apply_delta(&delta);
-        let after = self.session.plan().locality.local_bytes;
+        let after = self.local_bytes();
         let balance_after = self.planned_balance();
 
         self.rounds += 1;
@@ -243,11 +245,11 @@ impl PlacementSession {
     /// their first replica holder (the deterministic worst-case read).
     fn planned_balance(&self) -> BalanceReport {
         let mut served = vec![0u64; self.n_nodes];
-        let owners = self.session.matcher().owners();
+        let owners = self.session.matcher().owners_dense();
         for (f, entry) in self.layout.entries().iter().enumerate() {
             let node = match owners[f] {
-                Some(p) => Some(self.placement.node_of(p)),
-                None => entry.locations.first().copied(),
+                NONE => entry.locations.first().copied(),
+                p => Some(self.placement.node_of(p as usize)),
             };
             if let Some(n) = node {
                 if n.index() < served.len() {

@@ -29,7 +29,10 @@
 //! Determinism: a session is a pure fold over `(seed, deltas…)` — the
 //! same starting state and delta sequence yield bit-identical plans. The
 //! random-fill RNG is re-derived for every replan from the session seed
-//! and a replan counter, never from ambient state.
+//! and a replan counter, never from ambient state, so a single-data plan
+//! is a pure function of the matching, the seed and the counter: the
+//! session renders it only when asked, and a render after several deltas
+//! equals the one a render after each would have ended with.
 
 use crate::builder::{build_locality_graph_from_layout, build_values, ProcsOn, TaskLayout};
 use crate::planner::{MultiDataPlan, OpassPlanner, PlanLayout, SingleDataPlan};
@@ -42,6 +45,7 @@ use opass_runtime::ProcessPlacement;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// Mixes the session seed with the replan counter so every replan draws
 /// from a fresh, reproducible fill stream (same derivation every run).
@@ -66,7 +70,9 @@ pub struct SingleDataSession {
     fill: FillPolicy,
     seed: u64,
     replans: u64,
-    plan: SingleDataPlan,
+    /// The plan for the current matching, once asked for since the
+    /// last advance.
+    plan: OnceLock<SingleDataPlan>,
 }
 
 impl SingleDataSession {
@@ -118,7 +124,7 @@ impl SingleDataSession {
 
     /// The one adopt path behind [`SingleDataSession::start`] and
     /// [`SingleDataSession::resume`]: the matcher takes `owners` as its
-    /// matching, and the session's first plan renders around it.
+    /// matching; the first plan renders around it when first asked for.
     fn adopt(
         planner: &OpassPlanner,
         snapshot: &LayoutSnapshot,
@@ -127,23 +133,41 @@ impl SingleDataSession {
         placement: &ProcessPlacement,
         seed: u64,
     ) -> Self {
-        let matcher = IncrementalMatcher::from_matching(graph, planner.objective, owners);
-        let procs_on = ProcsOn::nodes(placement);
-        let plan = render_single_data_plan(&matcher, planner.fill, seed, 0);
         SingleDataSession {
             index: ChunkIndex::build(snapshot),
-            matcher,
-            procs_on,
+            matcher: IncrementalMatcher::from_matching(graph, planner.objective, owners),
+            procs_on: ProcsOn::nodes(placement),
             fill: planner.fill,
             seed,
             replans: 0,
-            plan,
+            plan: OnceLock::new(),
         }
     }
 
-    /// The plan for the current layout.
+    /// The plan for the current layout, rendered on the first ask after
+    /// the session starts or advances and kept until it advances again.
     pub fn plan(&self) -> &SingleDataPlan {
-        &self.plan
+        self.plan.get_or_init(|| self.render())
+    }
+
+    /// The plan for the current layout, moved out: a session that keeps
+    /// no plan between requests hands over the one it rendered, or
+    /// renders one for the caller alone.
+    pub fn take_plan(&mut self) -> SingleDataPlan {
+        self.plan.take().unwrap_or_else(|| self.render())
+    }
+
+    /// The share of files the current plan reads locally, with no plan
+    /// rendered. A fill target is never co-located with its file, so
+    /// exactly the matched files read locally: this is the matched-file
+    /// count over the file count, `plan().locality.task_fraction()` bit
+    /// for bit.
+    pub fn local_task_fraction(&self) -> f64 {
+        let n_files = self.matcher.graph().n_files();
+        if n_files == 0 {
+            return 1.0;
+        }
+        self.matcher.matched_count() as f64 / n_files as f64
     }
 
     /// How many deltas this session has absorbed.
@@ -158,16 +182,41 @@ impl SingleDataSession {
     }
 
     /// Advances the session by `delta`, repairing the matching in place,
-    /// and returns the new plan. Cost is proportional to the delta, not
-    /// to the world size.
-    pub fn replan(&mut self, delta: &LayoutDelta) -> &SingleDataPlan {
+    /// and renders nothing: [`SingleDataSession::plan`] renders the new
+    /// plan when asked. Cost is proportional to the delta, not to the
+    /// world size.
+    pub fn advance(&mut self, delta: &LayoutDelta) {
         let delta = delta.normalized();
         self.apply_graph_ops(&delta);
         self.index.apply_scope(&delta);
         debug_assert_eq!(self.index.len(), self.matcher.graph().n_files());
         self.replans += 1;
-        self.plan = render_single_data_plan(&self.matcher, self.fill, self.seed, self.replans);
-        &self.plan
+        self.plan = OnceLock::new();
+    }
+
+    /// [`SingleDataSession::advance`], then the new plan.
+    pub fn replan(&mut self, delta: &LayoutDelta) -> &SingleDataPlan {
+        self.advance(delta);
+        self.plan()
+    }
+
+    /// Completes the matched owners into a full balanced assignment with
+    /// the fill policy and reports its locality over the matcher's graph
+    /// ([`SingleDataPlan::assemble`]).
+    fn render(&self) -> SingleDataPlan {
+        let graph = self.matcher.graph();
+        let quota = quotas(graph.n_files(), graph.n_procs());
+        let owner = self.matcher.owners_dense().to_vec();
+        let load = self.matcher.load().iter().map(|&l| l as usize).collect();
+        let mut rng = fill_rng(self.seed, self.replans);
+        SingleDataPlan::assemble(
+            PlanLayout::Graph(graph),
+            &quota,
+            owner,
+            load,
+            self.fill,
+            &mut rng,
+        )
     }
 
     /// Canonical delta → graph-mutation ordering. Every replica-level
@@ -247,30 +296,6 @@ impl SingleDataSession {
             self.matcher.add_file(entry.size, &procs);
         }
     }
-}
-
-/// Completes the matched owners into a full balanced assignment with the
-/// fill policy and reports its locality over the matcher's graph
-/// ([`SingleDataPlan::assemble`]).
-fn render_single_data_plan(
-    matcher: &IncrementalMatcher,
-    fill: FillPolicy,
-    seed: u64,
-    replans: u64,
-) -> SingleDataPlan {
-    let graph = matcher.graph();
-    let quota = quotas(graph.n_files(), graph.n_procs());
-    let owner = matcher.owners_dense().to_vec();
-    let load = matcher.load().iter().map(|&l| l as usize).collect();
-    let mut rng = fill_rng(seed, replans);
-    SingleDataPlan::assemble(
-        PlanLayout::Graph(graph),
-        &quota,
-        owner,
-        load,
-        fill,
-        &mut rng,
-    )
 }
 
 /// Long-lived multi-data planning state advanced by layout deltas.
@@ -917,5 +942,39 @@ mod tests {
         assert!(plan.assignment.is_balanced());
         assert_eq!(session.replans(), 3);
         let _ = plan;
+    }
+
+    #[test]
+    fn a_session_renders_its_plan_once_asked_and_as_an_eager_one_would() {
+        // One session renders after every delta, the other only when
+        // asked at the end: the fill stream is re-derived from the seed
+        // and the replan count, so both end with the same plan, and the
+        // lazy one's local share reads off the matching bit for bit.
+        let (mut nn, w, placement) = world(12, 96);
+        let planner = OpassPlanner::default();
+        let mut eager = single_session(&planner, &nn, &w, &placement, 7);
+        let mut lazy = eager.clone();
+        assert!(lazy.plan.get().is_none(), "a start renders nothing");
+        let scope: BTreeSet<ChunkId> = w.tasks.iter().map(|t| t.inputs[0]).collect();
+        let mut rng = StdRng::seed_from_u64(0xBEEF);
+        for step in 0..6 {
+            churn(&mut nn, &mut rng, step);
+            let delta = nn.take_delta(|c| scope.contains(&c));
+            let want = eager.replan(&delta).locality.task_fraction();
+            lazy.advance(&delta);
+            assert!(
+                lazy.plan.get().is_none(),
+                "step {step}: an advance renders nothing"
+            );
+            assert_eq!(
+                lazy.local_task_fraction().to_bits(),
+                want.to_bits(),
+                "step {step}"
+            );
+        }
+        assert_same_plan(lazy.plan(), eager.plan(), "asked");
+        let taken = lazy.take_plan();
+        assert!(lazy.plan.get().is_none(), "a taken plan leaves no copy");
+        assert_same_plan(&taken, eager.plan(), "taken");
     }
 }

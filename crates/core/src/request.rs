@@ -264,11 +264,15 @@ pub enum Session {
 
 impl Session {
     /// Advances the session by a layout delta and returns the repaired
-    /// plan. Deterministic: the same session history and delta sequence
-    /// produce bit-identical plans.
+    /// plan; a single-data session keeps no copy of it. Deterministic:
+    /// the same session history and delta sequence produce bit-identical
+    /// plans.
     pub fn replan(&mut self, delta: &LayoutDelta) -> PlanOutcome {
         match self {
-            Session::Single(s) => PlanOutcome::Single(s.replan(delta).clone()),
+            Session::Single(s) => {
+                s.advance(delta);
+                PlanOutcome::Single(s.take_plan())
+            }
             Session::Multi(s) => PlanOutcome::Multi(s.replan(delta).clone()),
         }
     }

@@ -518,7 +518,13 @@ mod tests {
                 .into_iter()
                 .map(|(i, _)| chunks[i])
                 .collect();
-            let from_nn: Vec<ChunkId> = nn.chunks_on(node).unwrap().to_vec();
+            let from_nn: Vec<ChunkId> = nn
+                .chunks()
+                .iter()
+                .zip(0..)
+                .filter(|(c, _)| c.is_on(node))
+                .map(|(_, i)| ChunkId(i))
+                .collect();
             assert_eq!(from_snap, from_nn, "{node}");
         }
     }

@@ -41,8 +41,6 @@ pub struct Namenode {
     /// The chunk table: row `i` is chunk `i`.
     chunks: Vec<ChunkMeta>,
     datasets: Vec<DatasetMeta>,
-    /// Per-node chunk lists (sorted by ChunkId).
-    node_chunks: Vec<Vec<ChunkId>>,
     /// Replica and membership events since the last
     /// [`Namenode::take_delta`] drain — the change feed incremental
     /// re-planning consumes.
@@ -70,7 +68,6 @@ impl Namenode {
             alive: vec![true; n_nodes],
             chunks: Vec::new(),
             datasets: Vec::new(),
-            node_chunks: vec![Vec::new(); n_nodes],
             events: Vec::new(),
             born: 0,
         }
@@ -189,13 +186,12 @@ impl Namenode {
         self.add_dataset(spec, locations.into_iter())
     }
 
-    /// Registers `spec` with one replica set per chunk. The chunk table,
-    /// every per-node list the dataset touches and the dataset's id list
-    /// each grow once, by exactly the dataset: datasets arrive a few at a
-    /// time, so one copy each is cheap, while doubling left up to half of
-    /// every list as capacity nothing used — megabytes once a namenode
-    /// holds tens of thousands of chunks. Nothing is journalled: the new
-    /// rows are the record of the creation.
+    /// Registers `spec` with one replica set per chunk. The chunk table
+    /// and the dataset's id list each grow once, by exactly the dataset:
+    /// datasets arrive a few at a time, so one copy each is cheap, while
+    /// doubling left up to half of the table as capacity nothing used —
+    /// megabytes once a namenode holds tens of thousands of chunks.
+    /// Nothing is journalled: the new rows are the record of the creation.
     fn add_dataset(
         &mut self,
         spec: &DatasetSpec,
@@ -211,20 +207,6 @@ impl Namenode {
                 size,
                 locations,
             });
-        }
-        let rows = &self.chunks[first..];
-        let mut added = vec![0usize; self.node_chunks.len()];
-        for &n in rows.iter().flat_map(|row| row.locations.iter()) {
-            added[n.index()] += 1;
-        }
-        for (list, &k) in self.node_chunks.iter_mut().zip(&added) {
-            list.reserve_exact(k);
-        }
-        // New ids exceed every id already listed, so each list appends.
-        for (i, row) in rows.iter().enumerate() {
-            for &n in &row.locations {
-                self.node_chunks[n.index()].push(ChunkId((first + i) as u64));
-            }
         }
         self.datasets.push(DatasetMeta {
             id,
@@ -266,21 +248,12 @@ impl Namenode {
         &self.chunks
     }
 
-    /// Chunks stored on `node`, ascending by id.
-    pub fn chunks_on(&self, node: NodeId) -> Result<&[ChunkId], DfsError> {
-        self.node_chunks
-            .get(node.index())
-            .map(Vec::as_slice)
-            .ok_or(DfsError::UnknownNode(node))
-    }
-
     /// Registers a brand-new empty node and returns its id. Existing data is
     /// not rebalanced — exactly the skew the paper says breaks full
     /// matchings.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.alive.len() as u32);
         self.alive.push(true);
-        self.node_chunks.push(Vec::new());
         self.events.push(LayoutEvent::NodeJoined { node: id });
         id
     }
@@ -302,25 +275,26 @@ impl Namenode {
             return Err(DfsError::NodeDown(node));
         }
         // Refuse data loss.
-        for &chunk_id in &self.node_chunks[node.index()] {
-            if self.chunks[chunk_id.index()].locations.len() == 1 {
-                return Err(DfsError::InsufficientNodes {
-                    needed: 1,
-                    available: 0,
-                });
-            }
+        if self
+            .chunks
+            .iter()
+            .any(|c| c.locations.len() == 1 && c.is_on(node))
+        {
+            return Err(DfsError::InsufficientNodes {
+                needed: 1,
+                available: 0,
+            });
         }
         self.alive[node.index()] = false;
         self.events.push(LayoutEvent::NodeFailed { node });
-        let lost: Vec<ChunkId> = std::mem::take(&mut self.node_chunks[node.index()]);
-        for chunk_id in lost {
-            self.chunks[chunk_id.index()]
-                .locations
-                .retain(|&n| n != node);
-            self.events.push(LayoutEvent::ReplicaDropped {
-                chunk: chunk_id,
-                node,
-            });
+        for (chunk_id, chunk) in (0..).map(ChunkId).zip(&mut self.chunks) {
+            if chunk.is_on(node) {
+                chunk.locations.retain(|&n| n != node);
+                self.events.push(LayoutEvent::ReplicaDropped {
+                    chunk: chunk_id,
+                    node,
+                });
+            }
         }
         Ok(())
     }
@@ -371,7 +345,6 @@ impl Namenode {
                     .choose(rng)
                     .expect("alive count >= r guarantees a candidate");
                 chunk.locations.insert(target);
-                insert_sorted(&mut self.node_chunks[target.index()], chunk_id);
                 self.events.push(LayoutEvent::ReplicaAdded {
                     chunk: chunk_id,
                     node: target,
@@ -405,10 +378,12 @@ impl Namenode {
         }
         self.alive[node.index()] = false;
         self.events.push(LayoutEvent::NodeFailed { node });
-        let moved: Vec<ChunkId> = std::mem::take(&mut self.node_chunks[node.index()]);
         let alive = self.alive_nodes();
-        for chunk_id in moved {
-            let chunk = &mut self.chunks[chunk_id.index()];
+        // Chunks in id order, so re-replication draws in that order.
+        for (chunk_id, chunk) in (0..).map(ChunkId).zip(&mut self.chunks) {
+            if !chunk.is_on(node) {
+                continue;
+            }
             chunk.locations.retain(|&n| n != node);
             // Re-replicate onto a random alive node without a copy.
             let candidates: Vec<NodeId> = alive
@@ -420,7 +395,6 @@ impl Namenode {
                 .choose(rng)
                 .expect("replication <= alive count guarantees a candidate");
             chunk.locations.insert(target);
-            insert_sorted(&mut self.node_chunks[target.index()], chunk_id);
             self.events.push(LayoutEvent::ReplicaDropped {
                 chunk: chunk_id,
                 node,
@@ -439,7 +413,10 @@ impl Namenode {
     /// lacks a copy. Returns the number of replicas moved.
     ///
     /// Mirrors `hdfs balancer`'s behaviour at chunk granularity; useful
-    /// after writer-local ingest or node addition skews storage.
+    /// after writer-local ingest or node addition skews storage. The
+    /// per-node chunk lists it walks are built here, from the chunk
+    /// table, and dropped on return: nothing else asks which chunks a
+    /// node holds.
     ///
     /// # Panics
     ///
@@ -450,10 +427,14 @@ impl Namenode {
         if alive.is_empty() || self.chunks.is_empty() {
             return 0;
         }
-        let total_replicas: usize = alive
-            .iter()
-            .map(|&n| self.node_chunks[n.index()].len())
-            .sum();
+        // Each node's chunks, ascending by id.
+        let mut node_chunks: Vec<Vec<ChunkId>> = vec![Vec::new(); self.alive.len()];
+        for (chunk_id, chunk) in (0..).map(ChunkId).zip(&self.chunks) {
+            for &n in &chunk.locations {
+                node_chunks[n.index()].push(chunk_id);
+            }
+        }
+        let total_replicas: usize = alive.iter().map(|&n| node_chunks[n.index()].len()).sum();
         let mean = total_replicas as f64 / alive.len() as f64;
         let cap = (mean * threshold).ceil() as usize;
         let mut moved = 0usize;
@@ -461,18 +442,18 @@ impl Namenode {
         // Most loaded node above the cap, recomputed after every move.
         while let Some(&src) = alive
             .iter()
-            .filter(|&&n| self.node_chunks[n.index()].len() > cap)
-            .max_by_key(|&&n| self.node_chunks[n.index()].len())
+            .filter(|&&n| node_chunks[n.index()].len() > cap)
+            .max_by_key(|&&n| node_chunks[n.index()].len())
         {
             // A chunk on src that some under-mean node lacks.
             let mut candidates: Vec<NodeId> = alive
                 .iter()
                 .copied()
-                .filter(|&n| (self.node_chunks[n.index()].len() as f64) < mean)
+                .filter(|&n| (node_chunks[n.index()].len() as f64) < mean)
                 .collect();
             let mut done = false;
-            'outer: for k in 0..self.node_chunks[src.index()].len() {
-                let chunk_id = self.node_chunks[src.index()][k];
+            'outer: for k in 0..node_chunks[src.index()].len() {
+                let chunk_id = node_chunks[src.index()][k];
                 // Candidates in a uniformly random order, drawn lazily by a
                 // partial Fisher–Yates pass: any arrangement the previous
                 // chunk left behind is as good a start as a fresh one.
@@ -485,8 +466,8 @@ impl Namenode {
                         let chunk = &mut self.chunks[chunk_id.index()];
                         chunk.locations.retain(|&n| n != src);
                         chunk.locations.insert(target);
-                        remove_sorted(&mut self.node_chunks[src.index()], chunk_id);
-                        insert_sorted(&mut self.node_chunks[target.index()], chunk_id);
+                        remove_sorted(&mut node_chunks[src.index()], chunk_id);
+                        insert_sorted(&mut node_chunks[target.index()], chunk_id);
                         self.events.push(LayoutEvent::ReplicaDropped {
                             chunk: chunk_id,
                             node: src,
@@ -548,8 +529,6 @@ impl Namenode {
         let chunk = &mut self.chunks[chunk_id.index()];
         chunk.locations.retain(|&n| n != from);
         chunk.locations.insert(to);
-        remove_sorted(&mut self.node_chunks[from.index()], chunk_id);
-        insert_sorted(&mut self.node_chunks[to.index()], chunk_id);
         self.events.push(LayoutEvent::ReplicaDropped {
             chunk: chunk_id,
             node: from,
@@ -614,7 +593,8 @@ impl Namenode {
         Ok(moved)
     }
 
-    /// Verifies internal invariants (replica counts, index consistency).
+    /// Verifies internal invariants (replica counts, sorted distinct
+    /// holders, all alive).
     /// Used by tests and debug assertions; cheap enough for production
     /// sanity checks.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -634,16 +614,6 @@ impl Namenode {
                 if !self.is_alive(n) {
                     return Err(format!("{id} replica on dead {n}"));
                 }
-                if self.node_chunks[n.index()].binary_search(&id).is_err() {
-                    return Err(format!("{id} missing from {n}'s index"));
-                }
-            }
-        }
-        for (i, chunks) in self.node_chunks.iter().enumerate() {
-            for &c in chunks {
-                if !self.chunks[c.index()].is_on(NodeId(i as u32)) {
-                    return Err(format!("node-{i} index lists {c} but chunk disagrees"));
-                }
             }
         }
         Ok(())
@@ -656,12 +626,6 @@ impl Namenode {
 }
 
 fn insert_sorted(v: &mut Vec<ChunkId>, id: ChunkId) {
-    // Chunk ids are issued ascending, so a new chunk always appends;
-    // only replicas of older chunks (repair, migration) land inside.
-    if v.last().map_or(true, |&last| last < id) {
-        v.push(id);
-        return;
-    }
     let pos = v.partition_point(|&x| x < id);
     v.insert(pos, id);
 }
@@ -702,15 +666,22 @@ mod tests {
         nn.check_invariants().unwrap();
     }
 
+    /// The chunks `node` holds, ascending by id, read off the table.
+    fn held_by(nn: &Namenode, node: NodeId) -> Vec<ChunkId> {
+        nn.chunk_ids()
+            .zip(nn.chunks())
+            .filter(|(_, c)| c.is_on(node))
+            .map(|(id, _)| id)
+            .collect()
+    }
+
     /// Heap bytes the block map holds, from capacities (what the
     /// allocator was asked for), with the journal counted as found.
     fn heap_bytes(nn: &Namenode) -> usize {
         use std::mem::size_of;
-        let per_node: usize = nn.node_chunks.iter().map(Vec::capacity).sum();
         let ids: usize = nn.datasets.iter().map(|d| d.chunks.capacity()).sum();
         nn.chunks.capacity() * size_of::<ChunkMeta>()
-            + nn.node_chunks.capacity() * size_of::<Vec<ChunkId>>()
-            + (per_node + ids) * size_of::<ChunkId>()
+            + ids * size_of::<ChunkId>()
             + nn.events.capacity() * size_of::<LayoutEvent>()
     }
 
@@ -725,9 +696,6 @@ mod tests {
             nn.create_dataset(&spec, &Placement::Random, &mut r);
             assert_eq!(nn.chunks.capacity(), nn.chunks.len(), "dataset {d}");
             assert_eq!(nn.events.capacity(), nn.events.len(), "dataset {d}");
-            for (i, list) in nn.node_chunks.iter().enumerate() {
-                assert_eq!(list.capacity(), list.len(), "dataset {d}, node {i}");
-            }
         }
         nn.check_invariants().unwrap();
     }
@@ -736,11 +704,9 @@ mod tests {
     fn block_map_memory_is_per_replica_not_per_cluster_node() {
         // The served world's shape (scaled to 16 datasets) and the
         // simulator's 1024-node scene, the journal never drained. At
-        // r = 3 no replica list leaves its chunk's table slot, and past
-        // one list header per node the map costs 64 B per chunk whatever
-        // the cluster size: 32 B of chunk table, 3 × 8 B of per-node
-        // lists and 8 B of dataset id list.
-        use std::mem::size_of;
+        // r = 3 no replica list leaves its chunk's table slot, and the
+        // map costs 40 B per chunk whatever the cluster size: 32 B of
+        // chunk table and 8 B of dataset id list.
         for (n_nodes, n_datasets, per_dataset) in [(64, 16, 1280), (1024, 1, 10_240)] {
             let mut nn = Namenode::new(n_nodes, DfsConfig::default());
             let mut r = rng();
@@ -751,28 +717,46 @@ mod tests {
             let n_chunks = n_datasets * per_dataset;
             assert_eq!(nn.chunk_count(), n_chunks);
             assert!(nn.chunks().iter().all(|c| !c.locations.is_spilled()));
-            let per_chunk = (heap_bytes(&nn) - n_nodes * size_of::<Vec<ChunkId>>()) / n_chunks;
-            assert!(per_chunk <= 64, "{n_nodes} nodes: {per_chunk} B/chunk");
+            let per_chunk = heap_bytes(&nn) / n_chunks;
+            assert!(per_chunk <= 40, "{n_nodes} nodes: {per_chunk} B/chunk");
             nn.check_invariants().unwrap();
         }
     }
 
     #[test]
-    fn chunk_lists_stay_sorted_when_old_chunks_gain_replicas() {
-        // New chunks append to the per-node lists; a replica of an older
-        // chunk arriving later must still land in id order.
-        let (mut nn, id) = small_fs();
+    fn failures_and_decommissions_visit_chunks_in_id_order() {
+        // A replica of the oldest chunk arrives on `to` after every
+        // younger one there; failing or decommissioning `to` must still
+        // journal its chunks in id order, the order repair and
+        // re-replication then draw in.
+        let (nn, id) = small_fs();
         let first = nn.dataset(id).unwrap().chunks[0];
         let to = (0..8)
             .map(NodeId)
             .find(|&n| !nn.chunk(first).unwrap().is_on(n))
             .expect("r=3 on 8 nodes leaves a free node");
         let from = nn.chunk(first).unwrap().locations[0];
-        nn.migrate_replica(first, from, to).unwrap();
-        assert_eq!(nn.chunks_on(to).unwrap()[0], first);
-        nn.check_invariants().unwrap();
-        for node in nn.alive_nodes() {
-            assert!(nn.chunks_on(node).unwrap().windows(2).all(|w| w[0] < w[1]));
+        let mut r = rng();
+        for decommission in [false, true] {
+            let mut nn = nn.clone();
+            nn.migrate_replica(first, from, to).unwrap();
+            nn.take_delta(|_| false);
+            let held = held_by(&nn, to);
+            assert_eq!(held[0], first);
+            if decommission {
+                nn.decommission(to, &mut r).unwrap();
+            } else {
+                nn.fail_node(to).unwrap();
+            }
+            let dropped: Vec<ChunkId> = nn
+                .events()
+                .iter()
+                .filter_map(|e| match *e {
+                    LayoutEvent::ReplicaDropped { chunk, node } if node == to => Some(chunk),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(dropped, held, "decommission {decommission}");
         }
     }
 
@@ -785,23 +769,13 @@ mod tests {
     }
 
     #[test]
-    fn node_index_matches_chunk_locations() {
-        let (nn, _) = small_fs();
-        for node in nn.alive_nodes() {
-            for &c in nn.chunks_on(node).unwrap() {
-                assert!(nn.chunk(c).unwrap().is_on(node));
-            }
-        }
-    }
-
-    #[test]
     fn stored_bytes_sum_to_replicated_total() {
         let (nn, _) = small_fs();
         let per_node: u64 = nn
             .alive_nodes()
             .into_iter()
-            .flat_map(|n| nn.chunks_on(n).unwrap())
-            .map(|&c| nn.chunk(c).unwrap().size)
+            .flat_map(|n| held_by(&nn, n))
+            .map(|c| nn.chunk(c).unwrap().size)
             .sum();
         assert_eq!(per_node, nn.total_bytes() * 3);
     }
@@ -817,8 +791,9 @@ mod tests {
             nn.dataset(DatasetId(9)),
             Err(DfsError::UnknownDataset(_))
         ));
+        let mut nn = nn;
         assert!(matches!(
-            nn.chunks_on(NodeId(99)),
+            nn.fail_node(NodeId(99)),
             Err(DfsError::UnknownNode(_))
         ));
     }
@@ -828,7 +803,7 @@ mod tests {
         let (mut nn, _) = small_fs();
         let n = nn.add_node();
         assert_eq!(n, NodeId(8));
-        assert!(nn.chunks_on(n).unwrap().is_empty());
+        assert!(held_by(&nn, n).is_empty());
         assert!(nn.is_alive(n));
         nn.check_invariants().unwrap();
     }
@@ -838,7 +813,7 @@ mod tests {
         let (mut nn, _) = small_fs();
         let mut r = rng();
         let victim = NodeId(3);
-        let moved = nn.chunks_on(victim).unwrap().len();
+        let moved = held_by(&nn, victim).len();
         assert!(moved > 0, "seeded placement should hit node 3");
         nn.decommission(victim, &mut r).unwrap();
         assert!(!nn.is_alive(victim));
@@ -951,7 +926,7 @@ mod tests {
         let (mut nn, _) = small_fs();
         let mut r = rng();
         let victim = NodeId(2);
-        let lost = nn.chunks_on(victim).unwrap().len();
+        let lost = held_by(&nn, victim).len();
         assert!(lost > 0);
         nn.fail_node(victim).unwrap();
         assert!(!nn.is_alive(victim));
@@ -994,12 +969,12 @@ mod tests {
             &Placement::WriterLocal { writer: NodeId(0) },
             &mut r,
         );
-        let before = nn.chunks_on(NodeId(0)).unwrap().len();
+        let before = held_by(&nn, NodeId(0)).len();
         assert_eq!(before, 32, "writer holds a replica of every chunk");
         let moved = nn.rebalance(1.25, &mut r);
         assert!(moved > 0);
         nn.check_invariants().unwrap();
-        let after = nn.chunks_on(NodeId(0)).unwrap().len();
+        let after = held_by(&nn, NodeId(0)).len();
         assert!(after < before, "{after} !< {before}");
         // Replica counts preserved.
         for chunk in nn.chunks() {
@@ -1010,7 +985,7 @@ mod tests {
         let max = nn
             .alive_nodes()
             .iter()
-            .map(|&n| nn.chunks_on(n).unwrap().len())
+            .map(|&n| held_by(&nn, n).len())
             .max()
             .unwrap();
         assert!(max as f64 <= (mean * 1.25).ceil() + 1e-9, "max={max}");

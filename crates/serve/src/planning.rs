@@ -168,10 +168,11 @@ pub(crate) fn repair_plan(
         )),
     };
     for delta in deltas {
-        session.replan(delta);
+        session.advance(delta);
     }
+    // One render after the last delta; the kept session holds no plan.
     ComputedPlan {
-        reply: plan_reply(key.clone(), generation, session.plan(), true),
+        reply: plan_reply(key.clone(), generation, &session.take_plan(), true),
         repair: Some(Repairable::Session(session)),
     }
 }

@@ -270,7 +270,7 @@ pub fn replay_local(
             let hot = &entries[group.hot_chunk() as usize];
             if !hot.locations.contains(&target) {
                 let delta = LayoutDelta::migration(hot.chunk, hot.locations[0], target);
-                session.replan(&delta);
+                session.advance(&delta);
                 layout.apply_delta(&delta);
                 migrations += 1;
                 migrated = true;
@@ -286,7 +286,7 @@ pub fn replay_local(
             filled_files: plan.filled_files,
             local_task_fraction: plan.locality.task_fraction(),
             migrated,
-            session_local_fraction: session.plan().locality.task_fraction(),
+            session_local_fraction: session.local_task_fraction(),
         });
     }
 

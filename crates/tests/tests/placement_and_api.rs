@@ -120,7 +120,19 @@ fn placement_loop_converges_on_hot_spot() {
 
     let mut session = planner.placement_session(&request, PlacementConfig::default());
     let before = session.local_bytes();
-    let rounds = session.run();
+    // The loop reads matched-local bytes off the matching, rendering no
+    // plan; before and after every round they are the plan's local bytes.
+    assert_eq!(before, session.plan().locality.local_bytes);
+    let mut rounds = Vec::new();
+    while let Some(round) = session.step() {
+        assert_eq!(
+            round.local_bytes_after,
+            session.plan().locality.local_bytes,
+            "round {}",
+            round.round
+        );
+        rounds.push(round);
+    }
 
     assert!(!rounds.is_empty(), "a hot-spotted layout must yield moves");
     let mut prev = before;

@@ -110,15 +110,15 @@ fi
 if [[ "${1:-}" == "--bench-run" ]]; then
     # peak_rss_mib ceilings, MiB: the seed-1 medians of EXPERIMENTS.md
     # "Sixteen-byte replica sets" (serve_hot 29.08, serve_churn 34.78),
-    # "Trace records in 24 bytes" (trace_replay 110.51) and "The block
-    # map held once" (plan_mix 15.36, sim_sweep 12.75) plus 3 %. Updated
-    # together with them.
+    # "Trace records in 24 bytes" (trace_replay 110.51) and "Planning
+    # state held once" (plan_mix 11.03, sim_sweep 11.83) plus 3 %.
+    # Updated together with them.
     declare -A RSS_CEILING_MIB=(
-        [plan_mix]=12.91
+        [plan_mix]=11.36
         [serve_hot]=29.95
         [serve_churn]=35.82
         [trace_replay]=113.83
-        [sim_sweep]=13.13
+        [sim_sweep]=12.19
     )
     bench_build
     run bash bench/run.sh --self-test
